@@ -500,9 +500,9 @@ let stats_mode () =
   Obs.set_enabled false
 
 (* stats --json FILE [--circuit NAME] [--algo NAME]: one deterministic
-   run, emitted as a turbosyn-stats/1 document.  Counters and span entry
+   run, emitted as a turbosyn-stats/2 document.  Counters and span entry
    counts are exact functions of the circuit and the options (K=5,
-   worklist engine, sequential search), so the output is comparable
+   sequential search), so the output is comparable
    across machines — the committed BENCH_stats_baseline.json is produced
    this way and CI gates on it with stats --diff.  --algo turbomap runs
    the mapping-only (non-deep) pipeline, where the priority-cut
@@ -1187,23 +1187,17 @@ let serve_load ~jobs ~quick ~out () =
   if not (List.for_all snd gates) then exit 2
 
 (* ------------------------------------------------------------------ *)
-(* Perf mode: (a) the worklist+arena label engine vs the seed sweep    *)
-(* engine on the default TurboSYN flow, and (b) the intra-phi parallel *)
-(* scheduler (--jobs N lanes) vs the sequential engine at phi*.  Emits *)
-(* BENCH_perf.json (schema turbosyn-perf/4, see doc/PERF.md) and exits *)
-(* nonzero when the worklist engine falls below the 2x speedup floor,  *)
-(* when any engine/lane configuration disagrees on phi, labels,        *)
-(* provenance or audit documents (the hard jobs-invariance gate of     *)
-(* doc/CONCURRENCY.md), or — on multicore hosts running with           *)
-(* --jobs > 1 — when the intra-phi geomean speedup falls below 1.5x.   *)
-(* Schema v3 additions: per-engine cut-engine attribution counters     *)
-(* (enumeration / memo / flow layers, doc/PERF.md) and the host's      *)
-(* recommended_domains, since the intra_phi columns are wall-clock     *)
-(* measurements that depend on the host's core count.                  *)
-(* Schema v4 additions: profile_identical — byte-identity of the audit *)
-(* document with the Obs.Prof sampler attached, for jobs 1/2/4 on the  *)
-(* quick subset (doc/PROFILING.md §Byte identity); a disagreement is   *)
-(* exit 1 like every other identity gate.                              *)
+(* Perf mode: (a) the default TurboSYN flow, timed, with cut-engine    *)
+(* attribution counters, and (b) the intra-phi parallel scheduler      *)
+(* (--jobs N lanes) vs the sequential engine at phi*.  Emits           *)
+(* BENCH_perf.json (schema turbosyn-perf/5, see doc/PERF.md) and exits *)
+(* nonzero when any lane configuration disagrees on labels, provenance *)
+(* or audit documents (the hard jobs-invariance gate of                *)
+(* doc/CONCURRENCY.md), when the audit document changes with the       *)
+(* Obs.Prof sampler attached (doc/PROFILING.md §Byte identity), or —   *)
+(* on multicore hosts running with --jobs > 1 — when the intra-phi     *)
+(* geomean speedup falls below 1.5x.  Absolute, regression-gated       *)
+(* timings are the repo benchmark's job (perfbench/METRICS.md).        *)
 (* ------------------------------------------------------------------ *)
 
 let perf_quick_set = [ "bbara"; "s298" ]
@@ -1231,8 +1225,8 @@ let perf ~quick ~jobs ~out () =
   let lanes = max 2 jobs in
   let multicore = Domain.recommended_domain_count () > 1 in
   Format.printf
-    "@.== Perf: worklist+arena engine vs seed sweep engine, and intra-phi \
-     lanes (TurboSYN, K=5, jobs=%d, lanes=%d, %s) ==@."
+    "@.== Perf: TurboSYN flow and intra-phi lanes (K=5, jobs=%d, lanes=%d, \
+     %s) ==@."
     jobs lanes
     (if multicore then "multicore" else "single core");
   let names = if quick then perf_quick_set else perf_set in
@@ -1242,83 +1236,43 @@ let perf ~quick ~jobs ~out () =
       [
         ("circuit", Table.Left);
         ("phi", Table.Right);
-        ("sweep s", Table.Right);
-        ("worklist s", Table.Right);
-        ("speedup", Table.Right);
-        ("sweep tests", Table.Right);
-        ("worklist tests", Table.Right);
-        ("labels", Table.Right);
+        ("flow s", Table.Right);
+        ("cut tests", Table.Right);
         ("phi-run j1", Table.Right);
         (Printf.sprintf "j%d" lanes, Table.Right);
         ("intra x", Table.Right);
         ("ident", Table.Right);
       ]
   in
-  let speedups = ref [] in
   let intra_speedups = ref [] in
   let all_ok = ref true in
-  let counters_json ks =
-    Obs.Json.Obj (List.map (fun (cn, v) -> (cn, Obs.Json.Int v)) ks)
-  in
   let rows =
     List.map
       (fun name ->
         let spec = Option.get (Workloads.Suite.find name) in
         let nl = Workloads.Suite.build spec in
-        let run engine jobs =
-          (* counters on for BOTH timed engines (identical overhead, so
-             the speedup ratio is undistorted) to attribute the work to
-             the cut-engine layers: enumeration / memo / max-flow *)
-          Obs.set_enabled true;
-          Obs.reset ();
-          let options =
-            { base with Turbosyn.Synth.engine; jobs = max 1 jobs }
-          in
-          let r, dt =
-            Timer.time (fun () -> Turbosyn.Synth.run ~options `Turbosyn nl)
-          in
-          let counters =
-            List.map
-              (fun cn ->
-                (cn, Option.value ~default:0 (Obs.Counter.find cn)))
-              perf_counters
-          in
-          Obs.set_enabled false;
-          let cuts =
-            match r.Turbosyn.Synth.label_stats with
-            | Some s -> s.Seqmap.Label_engine.flow_tests
-            | None -> 0
-          in
-          (r, dt, cuts, counters)
+        (* counters on to attribute the work to the cut-engine layers:
+           enumeration / memo / max-flow *)
+        Format.eprintf "[perf] %s flow@." name;
+        Obs.set_enabled true;
+        Obs.reset ();
+        let r, t_flow =
+          Timer.time (fun () ->
+              Turbosyn.Synth.run ~options:{ base with Turbosyn.Synth.jobs = 1 }
+                `Turbosyn nl)
         in
-        Format.eprintf "[perf] %s sweep@." name;
-        let r_old, t_old, c_old, k_old = run Seqmap.Label_engine.Sweep 1 in
-        Format.eprintf "[perf] %s worklist@." name;
-        let r_new, t_new, c_new, k_new = run Seqmap.Label_engine.Worklist 1 in
-        let phi = r_new.Turbosyn.Synth.phi in
-        let phi_equal = Rat.equal r_old.Turbosyn.Synth.phi phi in
-        (* label-for-label equivalence at phi*: one extra label run per
-           engine (Rat.t is a plain record, structural equality applies) *)
-        let labels_of engine =
-          let opts =
-            {
-              (Turbosyn.Synth.engine_options base ~resynthesize:true) with
-              Seqmap.Label_engine.engine;
-            }
-          in
-          match Seqmap.Label_engine.run opts nl ~phi with
-          | Seqmap.Label_engine.Feasible { labels; _ }, _ -> Some labels
-          | Seqmap.Label_engine.Infeasible, _ -> None
+        let counters =
+          List.map
+            (fun cn -> (cn, Option.value ~default:0 (Obs.Counter.find cn)))
+            perf_counters
         in
-        let labels_equal =
-          match
-            (labels_of Seqmap.Label_engine.Sweep,
-             labels_of Seqmap.Label_engine.Worklist)
-          with
-          | Some a, Some b -> a = b
-          | None, None -> true
-          | _ -> false
+        Obs.set_enabled false;
+        let cut_tests =
+          match r.Turbosyn.Synth.label_stats with
+          | Some s -> s.Seqmap.Label_engine.flow_tests
+          | None -> 0
         in
+        let phi = r.Turbosyn.Synth.phi in
         (* intra-phi lanes: one label run at phi* per lane count; the
            outcome (labels and provenance) must be identical — the hard
            jobs-invariance gate (doc/CONCURRENCY.md) *)
@@ -1416,23 +1370,15 @@ let perf ~quick ~jobs ~out () =
           end
         in
         let identical =
-          phi_equal && labels_equal && intra_equal
-          && audit_equal <> Some false
-          && profile_equal <> Some false
+          intra_equal && audit_equal <> Some false && profile_equal <> Some false
         in
         if not identical then all_ok := false;
-        let speedup = t_old /. Float.max 1e-9 t_new in
-        speedups := speedup :: !speedups;
         Table.add_row t
           [
             name;
             Rat.to_string phi;
-            Printf.sprintf "%.2f" t_old;
-            Printf.sprintf "%.2f" t_new;
-            Printf.sprintf "%.2fx" speedup;
-            string_of_int c_old;
-            string_of_int c_new;
-            (if phi_equal && labels_equal then "same" else "DIFFER");
+            Printf.sprintf "%.2f" t_flow;
+            string_of_int cut_tests;
             Printf.sprintf "%.2f" t_j1;
             Printf.sprintf "%.2f" t_jn;
             Printf.sprintf "%.2fx" intra_speedup;
@@ -1442,23 +1388,16 @@ let perf ~quick ~jobs ~out () =
           ([
              ("circuit", Obs.Json.Str name);
              ("phi", Obs.Json.Str (Rat.to_string phi));
-             ("phi_equal", Obs.Json.Bool phi_equal);
-             ("labels_equal", Obs.Json.Bool labels_equal);
-             ( "sweep",
+             ( "flow",
                Obs.Json.Obj
                  [
-                   ("seconds", Obs.Json.Float t_old);
-                   ("cut_tests", Obs.Json.Int c_old);
-                   ("counters", counters_json k_old);
+                   ("seconds", Obs.Json.Float t_flow);
+                   ("cut_tests", Obs.Json.Int cut_tests);
+                   ( "counters",
+                     Obs.Json.Obj
+                       (List.map (fun (cn, v) -> (cn, Obs.Json.Int v)) counters)
+                   );
                  ] );
-             ( "worklist",
-               Obs.Json.Obj
-                 [
-                   ("seconds", Obs.Json.Float t_new);
-                   ("cut_tests", Obs.Json.Int c_new);
-                   ("counters", counters_json k_new);
-                 ] );
-             ("speedup", Obs.Json.Float speedup);
              ( "intra_phi",
                Obs.Json.Obj
                  [
@@ -1482,19 +1421,15 @@ let perf ~quick ~jobs ~out () =
           | Some b -> [ ("profile_identical", Obs.Json.Bool b) ]))
       names
   in
-  let g = geomean !speedups in
   let gi = geomean !intra_speedups in
   Table.add_rule t;
   Table.add_row t
-    [
-      "geomean"; ""; ""; ""; Printf.sprintf "%.2fx" g; ""; ""; ""; ""; "";
-      Printf.sprintf "%.2fx" gi;
-    ];
+    [ "geomean"; ""; ""; ""; ""; ""; Printf.sprintf "%.2fx" gi ];
   Table.print t;
   let doc =
     Obs.Json.Obj
       [
-        ("schema", Obs.Json.Str "turbosyn-perf/4");
+        ("schema", Obs.Json.Str "turbosyn-perf/5");
         ("k", Obs.Json.Int 5);
         ("jobs", Obs.Json.Int jobs);
         ("intra_phi_lanes", Obs.Json.Int lanes);
@@ -1502,7 +1437,6 @@ let perf ~quick ~jobs ~out () =
         ( "recommended_domains",
           Obs.Json.Int (Domain.recommended_domain_count ()) );
         ("quick", Obs.Json.Bool quick);
-        ("geomean_speedup", Obs.Json.Float g);
         ("intra_phi_geomean_speedup", Obs.Json.Float gi);
         ("circuits", Obs.Json.List rows);
       ]
@@ -1511,19 +1445,9 @@ let perf ~quick ~jobs ~out () =
   output_string oc (Obs.Json.to_pretty_string doc);
   output_char oc '\n';
   close_out oc;
-  Format.printf
-    "wrote %s (geomean speedup %.2fx; intra-phi %.2fx over %d lanes)@." out g
-    gi lanes;
+  Format.printf "wrote %s (intra-phi %.2fx over %d lanes)@." out gi lanes;
   if not !all_ok then begin
-    Format.eprintf
-      "perf: result disagreement between engines or lane counts@.";
-    exit 1
-  end;
-  (* floor raised with the three-layer cut engine (enumeration pre-filter,
-     cross-phi memo, Dinic): the worklist engine must now beat the seed
-     sweep engine outright, not merely avoid regressing *)
-  if g < 2.0 then begin
-    Format.eprintf "perf: worklist speedup %.2fx below the 2.0x floor@." g;
+    Format.eprintf "perf: result disagreement between lane counts@.";
     exit 1
   end;
   (* the speedup gate is meaningful only when lanes can actually run in

@@ -81,11 +81,6 @@ let probe_jobs_arg =
                Orthogonal to $(b,--jobs): combining both multiplies the \
                domain count.")
 
-let sweep_arg =
-  Arg.(value & flag & info [ "sweep-engine" ]
-         ~doc:"Use the all-members-per-iteration label engine instead of the \
-               worklist scheduler (same labels and mapping; for comparison).")
-
 let stats_arg =
   Arg.(value & opt ~vopt:(Some "-") (some string) None
        & info [ "stats" ] ~docv:"FILE"
@@ -110,7 +105,7 @@ let timeline_arg =
 let audit_arg =
   Arg.(value & opt (some string) None
        & info [ "audit" ] ~docv:"FILE"
-           ~doc:"Write the turbosyn-audit/1 evidence document (critical-loop \
+           ~doc:"Write the turbosyn-audit/2 evidence document (critical-loop \
                  certificate, retiming witness, label provenance; see \
                  doc/AUDIT.md) to $(docv).")
 
@@ -233,7 +228,7 @@ let stats_cmd =
 
 let map_cmd =
   let run input workload algo k output verilog verify no_pld no_area multi exact
-      jobs probe_jobs sweep stats trace timeline audit profile profile_interval
+      jobs probe_jobs stats trace timeline audit profile profile_interval
       log_level log_file =
     setup_logging ~log_level ~log_file
       ~outputs:
@@ -258,9 +253,6 @@ let map_cmd =
             phi_max_den = (if exact then None else Some 24);
             jobs = max 1 jobs;
             probe_jobs = max 1 probe_jobs;
-            engine =
-              (if sweep then Seqmap.Label_engine.Sweep
-               else Seqmap.Label_engine.Worklist);
           }
         in
         (* --trace, --timeline and --profile record even without --stats *)
@@ -436,12 +428,12 @@ let map_cmd =
     Term.(
       const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ output_arg
       $ verilog_arg $ verify_arg $ no_pld_arg $ no_area_arg $ multi_arg
-      $ exact_arg $ jobs_arg $ probe_jobs_arg $ sweep_arg $ stats_arg
+      $ exact_arg $ jobs_arg $ probe_jobs_arg $ stats_arg
       $ trace_arg $ timeline_arg $ audit_arg $ profile_arg
       $ profile_interval_arg $ log_level_arg $ log_file_arg)
 
 let audit_cmd =
-  let run check input workload algo k sweep out seed =
+  let run check input workload algo k out seed =
     let write path f =
       match f () with
       | () -> ()
@@ -473,14 +465,7 @@ let audit_cmd =
         match load ~input ~workload with
         | Error e -> exit_err e
         | Ok nl -> (
-            let options =
-              {
-                (Turbosyn.Synth.default_options ~k ()) with
-                Turbosyn.Synth.engine =
-                  (if sweep then Seqmap.Label_engine.Sweep
-                   else Seqmap.Label_engine.Worklist);
-              }
-            in
+            let options = Turbosyn.Synth.default_options ~k () in
             match Turbosyn.Synth.run ~options algo nl with
             | exception Invalid_argument msg -> exit_err msg
             | r -> (
@@ -517,13 +502,13 @@ let audit_cmd =
   in
   Cmd.v
     (Cmd.info "audit"
-       ~doc:"Generate (and independently verify) the turbosyn-audit/1 \
+       ~doc:"Generate (and independently verify) the turbosyn-audit/2 \
              evidence document: critical-loop certificate, retiming witness \
              and label provenance (doc/AUDIT.md).  With $(b,--check), verify \
              an existing document instead.")
     Term.(
       const run $ check_arg $ input_arg $ workload_arg $ algo_arg $ k_arg
-      $ sweep_arg $ out_arg $ seed_arg)
+      $ out_arg $ seed_arg)
 
 let simulate_cmd =
   let run input workload cycles seed =

@@ -12,14 +12,12 @@ let c_check_failures = Obs.Counter.make "audit.check_failures"
 let s_build = Obs.Span.make "audit.build"
 let s_verify = Obs.Span.make "audit.verify"
 
-let schema_version = "turbosyn-audit/1"
+let schema_version = "turbosyn-audit/2"
 
 let algo_string = function
   | `Turbosyn -> "turbosyn"
   | `Turbomap -> "turbomap"
   | `Flowsyn_s -> "flowsyn-s"
-
-let engine_string = function LE.Sweep -> "sweep" | LE.Worklist -> "worklist"
 
 (* ------------------------------------------------------------------ *)
 (* Document production                                                 *)
@@ -39,7 +37,6 @@ let prov_json (p : LE.prov) =
         | LE.From_snapshot -> J.Str "snapshot"
         | LE.From_recorded -> J.Str "recorded"
         | LE.From_resyn h -> J.Obj [ ("resyn", J.Int h) ] );
-      ("engine", J.Str (engine_string p.LE.p_engine));
       ("cut", pairs_json p.LE.p_cut);
       ("height", Circuit_json.rat_to_json p.LE.p_height);
       ("label", Circuit_json.rat_to_json p.LE.p_label);
@@ -111,7 +108,6 @@ let build ~source ~(options : Turbosyn.Synth.options)
                  ("algo", J.Str (algo_string r.Turbosyn.Synth.algo));
                  ("k", J.Int options.Turbosyn.Synth.k);
                  ("cmax", J.Int options.Turbosyn.Synth.cmax);
-                 ("engine", J.Str (engine_string options.Turbosyn.Synth.engine));
                  ("phi", Circuit_json.rat_to_json r.Turbosyn.Synth.phi);
                  ("clock_period", J.Int r.Turbosyn.Synth.clock_period);
                  ("latency", J.Int r.Turbosyn.Synth.latency);
@@ -356,7 +352,6 @@ let check_labels source labels phi =
     (Netlist.gates source)
 
 let check_provenance doc source labels phi ~k ~cmax =
-  let engine = jstr "engine" doc in
   let provs =
     match member "provenance" doc with
     | J.List l -> Array.of_list l
@@ -376,8 +371,6 @@ let check_provenance doc source labels phi ~k ~cmax =
           let label = jrat "label" pj in
           let height = jrat "height" pj in
           let cut = jpairs "cut" pj in
-          if jstr "engine" pj <> engine then
-            failf "gate %d: provenance engine differs from the document" v;
           if jint "iteration" pj < 0 then
             failf "gate %d: negative iteration" v;
           if not (Rat.equal label labels.(v)) then

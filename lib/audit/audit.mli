@@ -1,7 +1,7 @@
 (** Evidence-producing audit layer ([doc/AUDIT.md]).
 
     {!build} turns one synthesis result into a versioned, self-contained
-    JSON document ([turbosyn-audit/1]) carrying three kinds of evidence:
+    JSON document ([turbosyn-audit/2]) carrying three kinds of evidence:
 
     - a {e lower-bound certificate}: a concrete critical loop of the
       mapped netlist (node list, edges, total delay, total registers,
@@ -27,7 +27,7 @@ module Circuit_json = Circuit_json
 module Diff = Diff
 
 val schema_version : string
-(** ["turbosyn-audit/1"]. *)
+(** ["turbosyn-audit/2"]. *)
 
 val build :
   source:Circuit.Netlist.t ->
@@ -47,7 +47,7 @@ type check = {
 type verdict = { v_ok : bool; v_checks : check list }
 
 val verify : ?seed:int -> Obs.Json.t -> (verdict, string) result
-(** Independently re-check a [turbosyn-audit/1] document.  [Error] on a
+(** Independently re-check a [turbosyn-audit/2] document.  [Error] on a
     structurally malformed document (missing members, undecodable
     netlists); [Ok] with per-check verdicts otherwise.  [seed] drives
     the simulation-based equivalence check (default 7, matching the

@@ -27,7 +27,6 @@ type options = {
   resyn_depth : int;
   phi_max_den : int option;
   multi_output : bool;
-  engine : Seqmap.Label_engine.engine;
   jobs : int;
   (* intra-phi lanes (SCC-level parallel labeling, doc/CONCURRENCY.md);
      byte-identical results for every value *)
@@ -49,7 +48,6 @@ let default_options ?(k = 5) () =
     resyn_depth = 2;
     phi_max_den = Some 24;
     multi_output = false;
-    engine = Seqmap.Label_engine.Worklist;
     jobs = 1;
     probe_jobs = 1;
   }
@@ -86,7 +84,6 @@ let engine_options o ~resynthesize =
     resyn_depth = o.resyn_depth;
     multi_output = o.multi_output;
     full_expansion = false;
-    engine = o.engine;
     jobs = o.jobs;
   }
 

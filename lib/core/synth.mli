@@ -39,9 +39,6 @@ type options = {
   multi_output : bool;
       (** two-wire bound-set extraction in the decomposition engine (the
           paper's future-work extension; off by default, like the paper) *)
-  engine : Seqmap.Label_engine.engine;
-      (** label-iteration scheduling; [Worklist] (default) and [Sweep]
-          produce identical labels and mappings *)
   jobs : int;
       (** intra-φ lanes: domains labeling independent SCCs of one
           condensation level concurrently inside {e each} label run
@@ -63,8 +60,7 @@ val default_options : ?k:int -> unit -> options
 (** Paper defaults: K = 5, Cmax = 15, PLD on, area recovery on,
     [phi_max_den = Some 24].  [exhaustive] is on — the decomposition tries
     bound sets beyond the earliest-arrival prefix, which measurably closes
-    quality gaps at modest cost.  [engine = Worklist], [jobs = 1],
-    [probe_jobs = 1]. *)
+    quality gaps at modest cost.  [jobs = 1], [probe_jobs = 1]. *)
 
 type result = {
   algo : algo;

@@ -18,8 +18,12 @@ type t = {
   started : float;
   (* Resource baselines, captured at create on the domain that will run
      the work (create and close must happen on the same domain for the
-     GC deltas to be the domain's own — quick_stat is per-domain). *)
+     GC deltas to be the domain's own — quick_stat is per-domain).
+     Minor words come from Gc.minor_words: quick_stat's count only
+     advances at a minor collection on OCaml 5, so its delta over a short
+     scope reads 0 or a whole minor heap. *)
   gc_at_open : Gc.stat;
+  minor_at_open : float;
   cpu_at_open : float;
   mutable closed : bool;
 }
@@ -85,6 +89,7 @@ let create ?id () =
     shard = Shard.create ();
     started = Prelude.Timer.wall ();
     gc_at_open = Gc.quick_stat ();
+    minor_at_open = Gc.minor_words ();
     cpu_at_open = Prelude.Timer.cpu ();
     closed = false;
   }
@@ -105,7 +110,7 @@ let close ?(queue_wait = 0.) t =
     let pos f = Float.max 0. f in
     {
       r_cpu_seconds = pos (Prelude.Timer.cpu () -. t.cpu_at_open);
-      r_minor_words = pos (gc1.Gc.minor_words -. t.gc_at_open.Gc.minor_words);
+      r_minor_words = pos (Gc.minor_words () -. t.minor_at_open);
       r_promoted_words =
         pos (gc1.Gc.promoted_words -. t.gc_at_open.Gc.promoted_words);
       r_major_words = pos (gc1.Gc.major_words -. t.gc_at_open.Gc.major_words);

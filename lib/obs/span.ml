@@ -16,9 +16,12 @@ type t = {
   mutable started : float; (* wall clock of the outermost enter *)
   (* Gc.quick_stat snapshot at the outermost enter, and the deltas
      accumulated over completed outermost entries.  quick_stat reads
-     live counters without walking the heap, so the sampling itself
-     allocates nothing and costs a few loads per phase boundary. *)
+     live counters without walking the heap and costs a few loads per
+     phase boundary.  Minor words are read from Gc.minor_words instead:
+     quick_stat's count only advances at a minor collection on OCaml 5,
+     so a short span would read 0 or a whole minor heap. *)
   mutable gc_at_enter : Gc.stat option;
+  mutable minor_at_enter : float;
   mutable gc : gc_totals;
 }
 
@@ -36,6 +39,7 @@ let make name =
           depth = 0;
           started = 0.;
           gc_at_enter = None;
+          minor_at_enter = 0.;
           gc = gc_zero;
         }
       in
@@ -78,6 +82,7 @@ let cell_of sh name =
           depth = 0;
           started = 0.;
           gc_at_enter = None;
+          minor_at_enter = 0.;
           gc = gc_zero;
         }
       in
@@ -121,6 +126,7 @@ let enter s =
     if s.depth = 0 then begin
       s.started <- Prelude.Timer.wall ();
       s.gc_at_enter <- Some (Gc.quick_stat ());
+      s.minor_at_enter <- Gc.minor_words ();
       (* live-stack mirror for the sampling profiler: allocation-free
          (stores an existing string into a pre-sized array), so GC
          deltas and every other observable stay byte-identical whether
@@ -144,7 +150,7 @@ let exit s =
           s.gc <-
             {
               minor_words =
-                s.gc.minor_words +. (g1.Gc.minor_words -. g0.Gc.minor_words);
+                s.gc.minor_words +. (Gc.minor_words () -. s.minor_at_enter);
               promoted_words =
                 s.gc.promoted_words
                 +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);

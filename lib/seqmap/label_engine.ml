@@ -49,8 +49,6 @@ type impl =
   | Cut of (int * int) array
   | Resyn of Decomp.Decompose.tree * (int * int) array
 
-type engine = Sweep | Worklist
-
 type options = {
   k : int;
   resynthesize : bool;
@@ -62,12 +60,10 @@ type options = {
   resyn_depth : int;
   multi_output : bool;
   full_expansion : bool;
-  engine : engine;
   jobs : int;
       (* intra-phi parallelism: lanes labeling independent SCCs of one
          condensation level concurrently (doc/CONCURRENCY.md).  1 =
-         sequential; > 1 only takes effect under [Worklist].  Results
-         are byte-identical for every value. *)
+         sequential.  Results are byte-identical for every value. *)
 }
 
 let default_options ~k =
@@ -82,7 +78,6 @@ let default_options ~k =
     resyn_depth = 2;
     multi_output = false;
     full_expansion = false;
-    engine = Worklist;
     jobs = 1;
   }
 
@@ -98,13 +93,12 @@ type stats = {
    pass for the audit layer's certificate. *)
 type prov_source =
   | From_cut_test  (* fresh K-feasible-cut flow test passed *)
-  | From_snapshot  (* snapshot revalidation answered the test (Worklist) *)
-  | From_recorded  (* iteration-recorded passing cut reused (Worklist) *)
+  | From_snapshot  (* snapshot revalidation answered the test *)
+  | From_recorded  (* iteration-recorded passing cut reused *)
   | From_resyn of int  (* decomposition rescue at threshold l(v) - h *)
 
 type prov = {
   p_source : prov_source;
-  p_engine : engine;
   p_cut : (int * int) array;  (* implementation inputs: (driver, regs) *)
   p_height : Rat.t;  (* realized arrival of the implementation root *)
   p_label : Rat.t;  (* converged label l(v) the height stays within *)
@@ -133,8 +127,7 @@ exception Diverged
    maximum LUT-depth of each input position over its leaf occurrences is
    pure tree shape — so the depths are computed once at store time and
    every later level re-evaluation is integer arithmetic on the scaled
-   arrivals (Worklist engine), with no rational normalization and no
-   tree walk. *)
+   arrivals, with no rational normalization and no tree walk. *)
 type cone_entry = {
   ce_tree : Decomp.Decompose.tree option;  (* None: decomposition failed *)
   ce_depths : int array;  (* per input position; -1 when absent from tree *)
@@ -177,7 +170,7 @@ let cache_store c key v =
   Hashtbl.replace c.tbl key v;
   Mutex.unlock c.lock
 
-(* Scaled-integer label view (Worklist engine): with [phi = p/q], every
+(* Scaled-integer label view: with [phi = p/q], every
    label and threshold the engine manipulates has a denominator dividing
    [q] (labels start integral and every update takes maxima, sums with
    integers and subtractions of [phi * w]), so heights reduce to exact
@@ -188,7 +181,7 @@ type scaled = { slab : int array; pnum : int; pden : int }
 
 let scaled_of_rat sc r = Rat.num r * (sc.pden / Rat.den r)
 
-(* Expansion snapshot (Worklist engine).  [Expanded.build] is a
+(* Expansion snapshot.  [Expanded.build] is a
    deterministic BFS whose every branch depends on the labels only
    through the per-node internality predicate, so the (u, w, internal)
    trace of a past build determines it completely: if every trace entry
@@ -238,8 +231,8 @@ type snap = {
 type cut_memo = {
   m_cuts : (int * int) array option array;
   mutable m_snaps : snap option array array;
-      (* sized [n] x [resyn_depth + 1] by the first Worklist run that
-         adopts the memo (the constructor cannot know [resyn_depth]);
+      (* sized [n] x [resyn_depth + 1] by the first run that adopts the
+         memo (the constructor cannot know [resyn_depth]);
          re-sized — dropping contents — if a later run disagrees *)
 }
 
@@ -248,8 +241,8 @@ let new_cut_memo nl =
 
 (* Everything one label run reads and scribbles on.  The arenas make the
    per-cut-test allocations (expansion vectors, flow network, BFS scratch)
-   a reuse instead of a churn; [note] is the worklist engine's read-set
-   probe (called once per distinct gate consulted by the current test). *)
+   a reuse instead of a churn; [note] is the worklist's read-set probe
+   (called once per distinct gate consulted by the current test). *)
 type ctx = {
   opts : options;
   stats : stats;
@@ -257,12 +250,10 @@ type ctx = {
   labels : Rat.t array;
   phi : Rat.t;
   cache : resyn_cache option;
-  (* [None] under the [Sweep] engine: the baseline allocates per test, as
-     the pre-arena engine did, so benchmarks compare against it fairly *)
-  karena : Flow.Kcut.arena option;
-  earena : Expanded.arena option;
-  parena : Flow.Pricut.arena option;
-  scaled : scaled option;
+  karena : Flow.Kcut.arena;
+  earena : Expanded.arena;
+  parena : Flow.Pricut.arena;
+  scaled : scaled;
   mutable note : (int -> unit) option;
   (* last passing K-cut per gate, recorded during iteration so both the
      in-run memo check and the harvest can reuse it instead of re-running
@@ -301,17 +292,13 @@ let note_expansion ctx (ex : Expanded.t) =
   | Some f -> Array.iter (fun nd -> f nd.Expanded.u) ex.Expanded.nodes
 
 let build_expanded ctx v ~threshold =
-  let internal_of =
-    match ctx.scaled with
-    | None -> None
-    | Some sc ->
-        (* internal <=> l(u) - phi*w + 1 > threshold, all scaled by q *)
-        let st = scaled_of_rat sc threshold in
-        Some (fun u w -> sc.slab.(u) - (sc.pnum * w) + sc.pden > st)
-  in
+  let sc = ctx.scaled in
+  (* internal <=> l(u) - phi*w + 1 > threshold, all scaled by q *)
+  let st = scaled_of_rat sc threshold in
+  let internal_of u w = sc.slab.(u) - (sc.pnum * w) + sc.pden > st in
   let ex =
     Obs.Span.time s_build (fun () ->
-        Expanded.build ?arena:ctx.earena ?internal_of ctx.nl ~root:v
+        Expanded.build ~arena:ctx.earena ~internal_of ctx.nl ~root:v
           ~labels:ctx.labels ~phi:ctx.phi ~threshold
           ~extra_depth:(effective_depth ctx.opts)
           ~max_nodes:ctx.opts.max_expansion)
@@ -326,11 +313,6 @@ let cut_pairs (ex : Expanded.t) c =
          let nd = ex.Expanded.nodes.(i) in
          (nd.Expanded.u, nd.Expanded.w))
        c)
-
-let argsort (arrivals : Rat.t array) =
-  let idx = Array.init (Array.length arrivals) Fun.id in
-  Array.stable_sort (fun a b -> Rat.compare arrivals.(a) arrivals.(b)) idx;
-  idx
 
 let snap_of (ex : Expanded.t) ~pass =
   let n = Array.length ex.Expanded.nodes in
@@ -354,56 +336,50 @@ let snap_of (ex : Expanded.t) ~pass =
    in the worklist read set (exactly the notes a rebuild would emit).
    Index 0 is the root, internal by fiat — skipped. *)
 let snap_valid ctx sn ~st =
-  match ctx.scaled with
-  | None -> false
-  | Some sc ->
-      let n = Array.length sn.s_u in
-      let ok = ref true in
-      let i = ref 1 in
-      while !ok && !i < n do
-        let j = !i in
-        if
-          sc.slab.(sn.s_u.(j)) - (sc.pnum * sn.s_w.(j)) + sc.pden > st
-          <> sn.s_flag.(j)
-        then ok := false
-        else incr i
-      done;
-      if !ok then begin
-        Obs.Counter.incr c_snap_reuse;
-        Obs.Histogram.observe_int h_snap_trace n;
-        match ctx.note with
-        | None -> ()
-        | Some f -> Array.iter f sn.s_u
-      end;
-      !ok
+  let sc = ctx.scaled in
+  let n = Array.length sn.s_u in
+  let ok = ref true in
+  let i = ref 1 in
+  while !ok && !i < n do
+    let j = !i in
+    if
+      sc.slab.(sn.s_u.(j)) - (sc.pnum * sn.s_w.(j)) + sc.pden > st
+      <> sn.s_flag.(j)
+    then ok := false
+    else incr i
+  done;
+  if !ok then begin
+    Obs.Counter.incr c_snap_reuse;
+    Obs.Histogram.observe_int h_snap_trace n;
+    match ctx.note with
+    | None -> ()
+    | Some f -> Array.iter f sn.s_u
+  end;
+  !ok
 
 let snap_slot ctx v h ~threshold =
-  match ctx.scaled with
-  | None -> None
-  | Some sc -> (
-      match ctx.snaps.(v).(h) with
-      | Some sn when snap_valid ctx sn ~st:(scaled_of_rat sc threshold) ->
-          Some sn
-      | _ -> None)
+  match ctx.snaps.(v).(h) with
+  | Some sn when snap_valid ctx sn ~st:(scaled_of_rat ctx.scaled threshold) ->
+      Some sn
+  | _ -> None
 
 (* Decide whether a K-cut of height <= threshold exists.  The built
    expansion is returned either way: on failure the resynthesis fallback
    starts at the same threshold and can reuse it.
 
-   Under the [Worklist] engine with resynthesis on, the flow runs with
-   the larger limit [max k cmax]: on the passing side this is
-   behavior-identical ([max_flow ~limit] only stops early once the flow
-   exceeds the limit, so a flow of at most [k] never sees the
-   difference), and on the failing side the continued run IS the
-   candidate min cut the resynthesis fallback would otherwise recompute
-   from scratch at the same threshold — returned as the third component
-   ([None] when not precomputed, [Some mc] when it is). *)
+   With resynthesis on, the flow runs with the larger limit
+   [max k cmax]: on the passing side this is behavior-identical
+   ([max_flow ~limit] only stops early once the flow exceeds the limit,
+   so a flow of at most [k] never sees the difference), and on the
+   failing side the continued run IS the candidate min cut the
+   resynthesis fallback would otherwise recompute from scratch at the
+   same threshold — returned as the third component ([None] when not
+   precomputed, [Some mc] when it is). *)
 let kcut_test ctx v ~threshold =
   ctx.stats.flow_tests <- ctx.stats.flow_tests + 1;
   Obs.Counter.incr c_cut_tests;
   let k = ctx.opts.k in
-  let fast = ctx.opts.engine = Worklist in
-  let deep = fast && ctx.opts.resynthesize in
+  let deep = ctx.opts.resynthesize in
   let kreq = if deep then max k ctx.opts.cmax else k in
   let t_start = if Obs.enabled () then Prelude.Timer.wall () else 0. in
   let ex, pass, mc0 =
@@ -414,8 +390,7 @@ let kcut_test ctx v ~threshold =
           (* a valid frontier of width <= K is itself a witness cut of the
              expansion, so the max flow is at most K and the flow verdict
              is a foregone pass — skip the network entirely *)
-          let witness = if fast then Expanded.frontier_witness ex ~k else None in
-          match witness with
+          match Expanded.frontier_witness ex ~k with
           | Some fr -> (ex, Some fr, None)
           | None -> (
               let spec = Expanded.kcut_spec ex in
@@ -426,12 +401,11 @@ let kcut_test ctx v ~threshold =
                  the flow anyway for its canonical min cut (the resyn
                  candidate), and a passing one is all but always caught
                  by the frontier witness above — measured on the MCNC
-                 sweep the enumeration answered none of the deep-mode
+                 suite the enumeration answered none of the deep-mode
                  queries while costing more than the flows it shadowed. *)
-              let attempted = fast && not deep in
               let enum =
-                if attempted then Flow.Pricut.decide ?arena:ctx.parena spec ~k
-                else Flow.Pricut.Unknown
+                if deep then Flow.Pricut.Unknown
+                else Flow.Pricut.decide ~arena:ctx.parena spec ~k
               in
               match enum with
               | Flow.Pricut.Cut c ->
@@ -442,8 +416,8 @@ let kcut_test ctx v ~threshold =
                   (ex, None, None)
               | Flow.Pricut.Exceeds | Flow.Pricut.Unknown -> (
                   (* a skipped enumeration (deep mode) is not a miss *)
-                  if attempted then Obs.Counter.incr c_enum_misses;
-                  match Flow.Kcut.find ?arena:ctx.karena spec ~k:kreq with
+                  if not deep then Obs.Counter.incr c_enum_misses;
+                  match Flow.Kcut.find ~arena:ctx.karena spec ~k:kreq with
                   | Flow.Kcut.Cut c when List.length c <= k -> (ex, Some c, None)
                   | Flow.Kcut.Cut c -> (ex, None, Some (Some c))
                   | Flow.Kcut.Exceeds ->
@@ -455,117 +429,73 @@ let kcut_test ctx v ~threshold =
   (match pass with
   | Some _ -> Obs.Counter.incr c_cut_pass
   | None -> Obs.Counter.incr c_cut_fail);
-  if fast then ctx.snaps.(v).(0) <- Some (snap_of ex ~pass:pass_pairs);
+  ctx.snaps.(v).(0) <- Some (snap_of ex ~pass:pass_pairs);
   (ex, pass_pairs, mc0)
 
 (* TurboSYN sequential functional decomposition at lowered thresholds.
    [ex0], when given, is the expansion the failed cut test just built at
-   [target] — the attempt-0 threshold — so the fast path starts from it
+   [target] — the attempt-0 threshold — so attempt 0 starts from it
    instead of rebuilding; [mc0] is that test's precomputed candidate min
    cut of the same expansion; [snap0] is the validated slot-0 snapshot
    when the cut test itself was answered from one (then no expansion
-   exists and attempt 0 evaluates the recorded candidate cuts).  The
-   fast paths are gated on the [Worklist] engine so the [Sweep]
-   baseline reproduces the original work. *)
+   exists and attempt 0 evaluates the recorded candidate cuts). *)
 let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
   let opts = ctx.opts and labels = ctx.labels and phi = ctx.phi in
-  let fast = opts.engine = Worklist in
+  let sc = ctx.scaled in
+  let starget = scaled_of_rat sc target in
   (* Evaluate one candidate cut given as (u, w) pairs.  [cone], when
      available, computes the cone's decomposition on a cache miss;
      without it a miss answers [`Miss] and the caller falls back to the
-     full rebuild (rare: the cache hits on almost every evaluation). *)
-  let starget =
-    match ctx.scaled with
-    | Some sc -> scaled_of_rat sc target
-    | None -> 0
-  in
-  let decompose_miss ~cone key inputs arrivals =
-    match cone with
-    | None -> None
-    | Some build_cone ->
-        ctx.stats.decompositions <- ctx.stats.decompositions + 1;
-        let computed = build_cone ~arrivals in
-        let entry = cone_entry (Array.length inputs) computed in
-        (match ctx.cache with
-        | Some c -> cache_store c key entry
-        | None -> ());
-        Some entry
-  in
+     full rebuild (rare: the cache hits on almost every evaluation).
+     The arrivals, their sort order (part of the cache key) and the
+     level test against [target] are exact integer arithmetic on
+     [slab]; rational arrivals are only materialized on a cache miss,
+     for the decomposer. *)
   let eval_candidate ~cone inputs =
-   Obs.Span.time s_eval (fun () ->
-    match ctx.scaled with
-    | Some sc -> (
-        (* scaled fast path (Worklist): the arrivals, their sort order
-           (part of the cache key) and the level test against [target]
-           are exact integer arithmetic on [slab]; rational arrivals are
-           only materialized on a cache miss, for the decomposer *)
-        let n = Array.length inputs in
-        let sarr = Array.make n 0 in
-        for i = 0 to n - 1 do
-          let u, w = inputs.(i) in
-          sarr.(i) <- sc.slab.(u) - (sc.pnum * w)
-        done;
-        let perm = Array.init n Fun.id in
-        Array.stable_sort (fun a b -> Int.compare sarr.(a) sarr.(b)) perm;
-        (* the root is part of the key: the same cut pairs under a
-           different root denote a different cone function *)
-        let key = (v, inputs, perm) in
-        let entry =
-          match
-            match ctx.cache with
-            | Some c -> cache_find c key
-            | None -> None
-          with
-          | Some e ->
-              Obs.Counter.incr c_cache_hits;
-              Some e
-          | None ->
+    Obs.Span.time s_eval @@ fun () ->
+    let n = Array.length inputs in
+    let sarr = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let u, w = inputs.(i) in
+      sarr.(i) <- sc.slab.(u) - (sc.pnum * w)
+    done;
+    let perm = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare sarr.(a) sarr.(b)) perm;
+    (* the root is part of the key: the same cut pairs under a different
+       root denote a different cone function *)
+    let key = (v, inputs, perm) in
+    let entry =
+      match Option.bind ctx.cache (fun c -> cache_find c key) with
+      | Some e ->
+          Obs.Counter.incr c_cache_hits;
+          Some e
+      | None -> (
+          match cone with
+          | None -> None
+          | Some build_cone ->
+              ctx.stats.decompositions <- ctx.stats.decompositions + 1;
               let arrivals =
                 Array.map
                   (fun (u, w) -> Rat.sub labels.(u) (Rat.mul_int phi w))
                   inputs
               in
-              decompose_miss ~cone key inputs arrivals
-        in
-        match entry with
-        | None -> `Miss
-        | Some { ce_tree = None; _ } -> `No
-        | Some { ce_tree = Some t; ce_depths; ce_const } ->
-            let lvl = ref (if ce_const >= 0 then ce_const * sc.pden else min_int) in
-            Array.iteri
-              (fun i di ->
-                if di >= 0 then begin
-                  let c = sarr.(i) + (di * sc.pden) in
-                  if c > !lvl then lvl := c
-                end)
-              ce_depths;
-            if !lvl <= starget then `Impl (Resyn (t, inputs)) else `No)
-    | None -> (
-        (* Sweep baseline: rational arrivals and the level walk, as the
-           seed engine evaluated them *)
-        let arrivals =
-          Array.map
-            (fun (u, w) -> Rat.sub labels.(u) (Rat.mul_int phi w))
-            inputs
-        in
-        let key = (v, inputs, argsort arrivals) in
-        let entry =
-          match
-            match ctx.cache with
-            | Some c -> cache_find c key
-            | None -> None
-          with
-          | Some e ->
-              Obs.Counter.incr c_cache_hits;
-              Some e
-          | None -> decompose_miss ~cone key inputs arrivals
-        in
-        match entry with
-        | None -> `Miss
-        | Some { ce_tree = Some t; _ }
-          when Rat.( <= ) (Decomp.Decompose.tree_level ~arrivals t) target ->
-            `Impl (Resyn (t, inputs))
-        | Some _ -> `No))
+              let entry = cone_entry n (build_cone ~arrivals) in
+              Option.iter (fun c -> cache_store c key entry) ctx.cache;
+              Some entry)
+    in
+    match entry with
+    | None -> `Miss
+    | Some { ce_tree = None; _ } -> `No
+    | Some { ce_tree = Some t; ce_depths; ce_const } ->
+        let lvl = ref (if ce_const >= 0 then ce_const * sc.pden else min_int) in
+        Array.iteri
+          (fun i di ->
+            if di >= 0 then begin
+              let c = sarr.(i) + (di * sc.pden) in
+              if c > !lvl then lvl := c
+            end)
+          ce_depths;
+        if !lvl <= starget then `Impl (Resyn (t, inputs)) else `No
   in
   let rec attempt h =
     if h > opts.resyn_depth then None
@@ -576,12 +506,11 @@ let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
       let full () =
         let ex =
           match ex0 with
-          | Some ex when h = 0 && fast -> ex
+          | Some ex when h = 0 -> ex
           | _ -> build_expanded ctx v ~threshold
         in
         if ex.Expanded.overflow then begin
-          if fast && h > 0 then
-            ctx.snaps.(v).(h) <- Some (snap_of ex ~pass:None);
+          if h > 0 then ctx.snaps.(v).(h) <- Some (snap_of ex ~pass:None);
           attempt (h + 1)
         end
         else begin
@@ -598,21 +527,17 @@ let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
            Obs.Span.time s_mincut (fun () ->
             let mc =
               match mc0 with
-              | Some m when h = 0 && fast -> m
-              | _ ->
+              | Some m when h = 0 -> m
+              | _ -> (
                   (* cuts wider than cmax are discarded by [candidate],
-                     so capping the flow at cmax is behavior-identical
-                     and skips the expensive part of wide min-cut
-                     computations *)
-                  if fast then
-                    match
-                      Flow.Kcut.find ?arena:ctx.karena (Expanded.kcut_spec ex)
-                        ~k:opts.cmax
-                    with
-                    | Flow.Kcut.Cut c -> Some c
-                    | Flow.Kcut.Exceeds -> None
-                  else
-                    Flow.Kcut.min_cut ?arena:ctx.karena (Expanded.kcut_spec ex)
+                     so capping the flow at cmax skips the expensive part
+                     of wide min-cut computations *)
+                  match
+                    Flow.Kcut.find ~arena:ctx.karena (Expanded.kcut_spec ex)
+                      ~k:opts.cmax
+                  with
+                  | Flow.Kcut.Cut c -> Some c
+                  | Flow.Kcut.Exceeds -> None)
             in
             match mc with Some c when c <> frontier -> candidate c | _ -> None)
           in
@@ -630,67 +555,44 @@ let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
                           ~multi:opts.multi_output man ~f ~vars ~arrivals
                           ~k:opts.k))))
           in
-          if not fast then begin
-            (* Sweep baseline: eager candidates, as the seed engine
-               computed them (uncapped min cut, then the trial loop) *)
-            let candidates =
-              List.filter_map Fun.id [ candidate frontier; min_candidate () ]
-            in
-            let rec try_cuts = function
-              | [] -> attempt (h + 1)
-              | cand :: rest -> (
-                  match eval_cut cand with
-                  | `Impl impl -> Some (impl, h)
-                  | _ -> try_cuts rest)
-            in
-            try_cuts candidates
-          end
-          else begin
-            (* Lazy min cut (doc/PERF.md): evaluate the frontier cut
-               first and only materialize the min cut — a fresh capped
-               flow at every h >= 1 — when the frontier fails to
-               decompose, which the resynthesis cache makes the uncommon
-               case.  The trial order and every verdict are identical to
-               the eager loop; only unused work is skipped.  The
-               snapshot records whether the candidate list was completed
-               so a replay that exhausts it knows the attempt really
-               failed (complete) or must re-evaluate (incomplete). *)
-            let record pairs ~complete =
-              let cs = Some { c_pairs = pairs; c_complete = complete } in
-              match ctx.snaps.(v).(h) with
-              | Some sn when h = 0 -> sn.s_cands <- cs
-              | _ ->
-                  let sn = snap_of ex ~pass:None in
-                  sn.s_cands <- cs;
-                  ctx.snaps.(v).(h) <- Some sn
-            in
-            let try_min ~tried =
-              match min_candidate () with
-              | Some ((_, minputs) as mc) -> (
-                  record (tried @ [ minputs ]) ~complete:true;
-                  match eval_cut mc with
-                  | `Impl impl -> Some (impl, h)
-                  | _ -> attempt (h + 1))
-              | None ->
-                  record tried ~complete:true;
-                  attempt (h + 1)
-            in
-            match candidate frontier with
-            | Some ((_, finputs) as fc) -> (
-                match eval_cut fc with
-                | `Impl impl ->
-                    record [ finputs ] ~complete:false;
-                    Some (impl, h)
-                | _ -> try_min ~tried:[ finputs ])
-            | None -> try_min ~tried:[]
-          end
+          (* Lazy min cut (doc/PERF.md): evaluate the frontier cut first
+             and only materialize the min cut — a fresh capped flow at
+             every h >= 1 — when the frontier fails to decompose, which
+             the resynthesis cache makes the uncommon case.  The
+             snapshot records whether the candidate list was completed
+             so a replay that exhausts it knows the attempt really
+             failed (complete) or must re-evaluate (incomplete). *)
+          let record pairs ~complete =
+            let cs = Some { c_pairs = pairs; c_complete = complete } in
+            match ctx.snaps.(v).(h) with
+            | Some sn when h = 0 -> sn.s_cands <- cs
+            | _ ->
+                let sn = snap_of ex ~pass:None in
+                sn.s_cands <- cs;
+                ctx.snaps.(v).(h) <- Some sn
+          in
+          let try_min ~tried =
+            match min_candidate () with
+            | Some ((_, minputs) as mc) -> (
+                record (tried @ [ minputs ]) ~complete:true;
+                match eval_cut mc with
+                | `Impl impl -> Some (impl, h)
+                | _ -> attempt (h + 1))
+            | None ->
+                record tried ~complete:true;
+                attempt (h + 1)
+          in
+          match candidate frontier with
+          | Some ((_, finputs) as fc) -> (
+              match eval_cut fc with
+              | `Impl impl ->
+                  record [ finputs ] ~complete:false;
+                  Some (impl, h)
+              | _ -> try_min ~tried:[ finputs ])
+          | None -> try_min ~tried:[]
         end
       in
-      let snapped =
-        if not fast then None
-        else if h = 0 then snap0
-        else snap_slot ctx v h ~threshold
-      in
+      let snapped = if h = 0 then snap0 else snap_slot ctx v h ~threshold in
       match snapped with
       | Some sn ->
           if sn.s_overflow then attempt (h + 1)
@@ -727,33 +629,30 @@ let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
    the width bound and the input heights are rechecked — scaled-integer
    compares, no expansion, no network.  On a hit the cut's inputs are
    registered in the worklist read set: the decision stays [lv] exactly
-   while they hold still, so the no-op-skipping argument that makes the
-   worklist trajectory match the sweep's is unaffected. *)
+   while they hold still, so the no-op-skipping argument of the worklist
+   scheduler is unaffected. *)
 let memo_hit ctx v ~threshold =
-  match ctx.scaled with
+  match ctx.recorded.(v) with
   | None -> None
-  | Some sc -> (
-      match ctx.recorded.(v) with
-      | None -> None
-      | Some cut ->
-          let st = scaled_of_rat sc threshold in
-          if
-            Array.length cut <= ctx.opts.k
-            && Array.for_all
-                 (fun (u, w) ->
-                   sc.slab.(u) - (sc.pnum * w) + sc.pden <= st)
-                 cut
-          then begin
-            Obs.Counter.incr c_memo_hits;
-            (match ctx.note with
-            | None -> ()
-            | Some f -> Array.iter (fun (u, _) -> f u) cut);
-            Some cut
-          end
-          else begin
-            Obs.Counter.incr c_memo_misses;
-            None
-          end)
+  | Some cut ->
+      let sc = ctx.scaled in
+      let st = scaled_of_rat sc threshold in
+      if
+        Array.length cut <= ctx.opts.k
+        && Array.for_all
+             (fun (u, w) -> sc.slab.(u) - (sc.pnum * w) + sc.pden <= st)
+             cut
+      then begin
+        Obs.Counter.incr c_memo_hits;
+        (match ctx.note with
+        | None -> ()
+        | Some f -> Array.iter (fun (u, _) -> f u) cut);
+        Some cut
+      end
+      else begin
+        Obs.Counter.incr c_memo_misses;
+        None
+      end
 
 (* One label update; returns true if the label changed. *)
 let update ctx bound v =
@@ -788,10 +687,8 @@ let update ctx bound v =
       | None -> (
           match kcut_test ctx v ~threshold:lv with
           | _, Some pairs, _ ->
-              if ctx.opts.engine = Worklist then begin
-                ctx.recorded.(v) <- Some pairs;
-                Obs.Counter.incr c_memo_stores
-              end;
+              ctx.recorded.(v) <- Some pairs;
+              Obs.Counter.incr c_memo_stores;
               lv
           | ex, None, mc0 ->
               let resyn =
@@ -808,9 +705,7 @@ let update ctx bound v =
     if Rat.( > ) l_new l_cur then begin
       labels.(v) <- l_new;
       ctx.last_change.(v) <- ctx.stats.iterations;
-      (match ctx.scaled with
-      | Some sc -> sc.slab.(v) <- scaled_of_rat sc l_new
-      | None -> ());
+      ctx.scaled.slab.(v) <- scaled_of_rat ctx.scaled l_new;
       true
     end
     else false
@@ -846,7 +741,6 @@ let make_harvester ctx ~impls ~prov =
       Some
         {
           p_source = source;
-          p_engine = opts.engine;
           p_cut = (match impl with Cut c -> c | Resyn (_, c) -> c);
           p_height = impl_height impl;
           p_label = labels.(v);
@@ -921,7 +815,7 @@ let harvest ctx =
 (* nodes, which include the direct fanins and, through loop unrolling,  *)
 (* the tested gate itself).  A node is re-tested only when a registered *)
 (* dependency's label actually changed, so the label trajectory is      *)
-(* identical to the sweep engine's round for round.                     *)
+(* identical, round for round, to re-testing every member each round.   *)
 (* ------------------------------------------------------------------ *)
 
 type worklist = {
@@ -999,12 +893,13 @@ let dirty_dependents wl u ~cursor =
   wl.dep_len.(u) <- !len
 
 (* One nontrivial SCC, worklist scheduling.  Rounds correspond one-to-one
-   to the sweep engine's iterations: a round processes (in the same sorted
-   member order) exactly the members whose read set changed, mid-round
-   changes pull members at later positions into the same round, and the
-   PLD / cap checks run on the same round boundaries — so labels,
-   iteration counts and infeasibility verdicts match the sweep engine
-   exactly while skipping the no-op re-tests. *)
+   to the paper's iterations, each of which re-tests every member in
+   sorted order: a round processes (in that order) exactly the members
+   whose read set changed, mid-round changes pull members at later
+   positions into the same round, and the PLD / cap checks run on the
+   same round boundaries — so labels, iteration counts and infeasibility
+   verdicts are those of the all-members iteration, minus the no-op
+   re-tests (pinned by the golden label table in test/test_seqmap.ml). *)
 let run_scc_worklist ctx wl bound members ~in_scc ~(feasible : bool ref) =
   let stats = ctx.stats in
   let m = Array.length members in
@@ -1084,40 +979,6 @@ let run_scc_worklist ctx wl bound members ~in_scc ~(feasible : bool ref) =
     end
   done
 
-(* One nontrivial SCC, all-members sweep (the pre-worklist engine, kept as
-   a baseline and for the equivalence tests). *)
-let run_scc_sweep ctx bound members ~in_scc ~(feasible : bool ref) =
-  let stats = ctx.stats in
-  let m = Array.length members in
-  let pld_gate = 6 * m in
-  let hard_cap = (m * m) + 64 in
-  let converged = ref false in
-  let iter = ref 0 in
-  while (not !converged) && !feasible do
-    incr iter;
-    stats.iterations <- stats.iterations + 1;
-    Obs.Counter.incr c_iterations;
-    let changed = ref false in
-    Array.iter
-      (fun v -> if update ctx bound v then changed := true)
-      members;
-    if not !changed then converged := true
-    else begin
-      if
-        ctx.opts.pld && !iter >= pld_gate
-        && Pld.all_isolated ctx.nl ~labels:ctx.labels ~phi:ctx.phi ~members
-             ~in_scc
-      then begin
-        stats.pld_hits <- stats.pld_hits + 1;
-        feasible := false
-      end;
-      if !iter > hard_cap then begin
-        Obs.Counter.incr c_cap_exits;
-        feasible := false
-      end
-    end
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Intra-phi parallel scheduler (doc/CONCURRENCY.md).                   *)
 (*                                                                      *)
@@ -1156,9 +1017,9 @@ let run_parallel ctx pool ~bound ~succ ~(scc : Graphs.Scc.t) =
         else
           {
             ctx with
-            karena = Some (Flow.Kcut.new_arena ());
-            earena = Some (Expanded.new_arena ());
-            parena = Some (Flow.Pricut.new_arena ());
+            karena = Flow.Kcut.new_arena ();
+            earena = Expanded.new_arena ();
+            parena = Flow.Pricut.new_arena ();
             note = None;
           })
   in
@@ -1304,21 +1165,19 @@ let run_parallel ctx pool ~bound ~succ ~(scc : Graphs.Scc.t) =
 let run ?cache ?cutmemo ?pool opts nl ~phi =
   Netlist.validate_exn ~k:opts.k nl;
   let n = Netlist.n nl in
-  let stats = { iterations = 0; flow_tests = 0; decompositions = 0; pld_hits = 0 } in
+  let stats = fresh_stats () in
   let labels = Array.make n Rat.zero in
   for v = 0 to n - 1 do
     if Netlist.is_gate nl v then labels.(v) <- Rat.one
   done;
-  let arenas = opts.engine = Worklist in
   let recorded =
-    (* the cross-phi memo is the recorded-cut table shared across runs;
-       only the Worklist engine writes or validates it, so handing one to
-       a Sweep run is a harmless no-op *)
+    (* the cross-phi memo is the recorded-cut table shared across runs *)
     match cutmemo with
     | Some m when Array.length m.m_cuts = n -> m.m_cuts
     | Some _ -> invalid_arg "Label_engine.run: cut memo sized for another netlist"
     | None -> Array.make n None
   in
+  let pden = Rat.den phi in
   let ctx =
     {
       opts;
@@ -1327,19 +1186,15 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
       labels;
       phi;
       cache;
-      karena = (if arenas then Some (Flow.Kcut.new_arena ()) else None);
-      earena = (if arenas then Some (Expanded.new_arena ()) else None);
-      parena = (if arenas then Some (Flow.Pricut.new_arena ()) else None);
+      karena = Flow.Kcut.new_arena ();
+      earena = Expanded.new_arena ();
+      parena = Flow.Pricut.new_arena ();
       scaled =
-        (if arenas then
-           let pden = Rat.den phi in
-           Some
-             {
-               slab = Array.map (fun r -> Rat.num r * pden) labels;
-               pnum = Rat.num phi;
-               pden;
-             }
-         else None);
+        {
+          slab = Array.map (fun r -> Rat.num r * pden) labels;
+          pnum = Rat.num phi;
+          pden;
+        };
       note = None;
       recorded;
       last_change = Array.make n 0;
@@ -1348,19 +1203,17 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
            so validated expansions carry across the probes of a ratio
            search; [snap_slot] revalidates under the current phi before
            any entry is trusted *)
-        (if arenas then
-           let fresh () =
-             Array.init n (fun _ -> Array.make (opts.resyn_depth + 1) None)
-           in
-           match cutmemo with
-           | Some m ->
-               if
-                 Array.length m.m_snaps <> n
-                 || (n > 0 && Array.length m.m_snaps.(0) <> opts.resyn_depth + 1)
-               then m.m_snaps <- fresh ();
-               m.m_snaps
-           | None -> fresh ()
-         else [||]);
+        (let fresh () =
+           Array.init n (fun _ -> Array.make (opts.resyn_depth + 1) None)
+         in
+         match cutmemo with
+         | Some m ->
+             if
+               Array.length m.m_snaps <> n
+               || (n > 0 && Array.length m.m_snaps.(0) <> opts.resyn_depth + 1)
+             then m.m_snaps <- fresh ();
+             m.m_snaps
+         | None -> fresh ());
     }
   in
   let n_gates = List.length (Netlist.gates nl) in
@@ -1381,9 +1234,7 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
   let sequential () =
     let order = Graphs.Scc.topo_order scc in
     let feasible = ref true in
-    let wl =
-      match opts.engine with Worklist -> Some (new_worklist n) | Sweep -> None
-    in
+    let wl = new_worklist n in
     (try
        Array.iter
          (fun c ->
@@ -1411,10 +1262,7 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
                     targets can look isolated); without PLD only the
                     conservative quadratic cap applies (the pre-TurboSYN
                     stopping criterion). *)
-                 match wl with
-                 | Some wl ->
-                     run_scc_worklist ctx wl bound members ~in_scc ~feasible
-                 | None -> run_scc_sweep ctx bound members ~in_scc ~feasible
+                 run_scc_worklist ctx wl bound members ~in_scc ~feasible
            end)
          order
      with Diverged ->
@@ -1428,21 +1276,17 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
           (* should not happen: convergence guarantees an implementation *)
           (Infeasible, stats)
   in
-  (* intra-phi parallelism: only the Worklist engine has the per-lane
-     scratch model; a caller-supplied pool wins over [opts.jobs], and
-     either way a single lane falls back to the sequential path *)
-  match opts.engine with
-  | Sweep -> sequential ()
-  | Worklist -> (
-      match pool with
-      | Some p ->
-          if Pool.size p > 1 then run_parallel ctx p ~bound ~succ ~scc
-          else sequential ()
-      | None ->
-          if opts.jobs > 1 then
-            Pool.with_pool ~domains:opts.jobs (fun p ->
-                run_parallel ctx p ~bound ~succ ~scc)
-          else sequential ())
+  (* intra-phi parallelism: a caller-supplied pool wins over [opts.jobs],
+     and either way a single lane falls back to the sequential path *)
+  match pool with
+  | Some p ->
+      if Pool.size p > 1 then run_parallel ctx p ~bound ~succ ~scc
+      else sequential ()
+  | None ->
+      if opts.jobs > 1 then
+        Pool.with_pool ~domains:opts.jobs (fun p ->
+            run_parallel ctx p ~bound ~succ ~scc)
+      else sequential ()
 
 let new_cache () : resyn_cache =
   { tbl = Hashtbl.create 512; lock = Mutex.create () }

@@ -13,7 +13,12 @@
       (the paper's sequential functional decomposition);
     - else [L(v) + 1].
 
-    SCCs are processed in topological order.  Within an SCC the iteration
+    SCCs are processed in topological order.  Within a nontrivial SCC,
+    each iteration re-tests, in sorted member order, the members whose
+    read set changed — their direct fanins plus every node of their
+    expanded circuit; a member whose read set held still would reproduce
+    its previous decision, so the labels, iteration counts and verdicts
+    are those of re-testing every member each iteration.  The iteration
     stops on convergence (feasible), on total isolation in the support
     graph when PLD is enabled (infeasible), when a label exceeds the gate
     count (labels of feasible targets are bounded by the depth, infeasible),
@@ -27,18 +32,6 @@ type impl =
       (** sequential cut: (driver, register count) pairs, distinct *)
   | Resyn of Decomp.Decompose.tree * (int * int) array
       (** decomposed LUT tree over the listed sequential inputs *)
-
-type engine =
-  | Sweep
-      (** re-test every SCC member each iteration (the original engine) *)
-  | Worklist
-      (** dirty-set scheduling: a member is re-tested only when the label
-          of a node its previous test consulted (its read set: direct
-          fanins plus every node of its expanded circuit) actually
-          changed.  Rounds replay the sweep's sorted member order, so the
-          label trajectory — labels, iteration counts, PLD / divergence /
-          cap verdicts — is identical to [Sweep]; only the provably no-op
-          re-tests are skipped. *)
 
 type options = {
   k : int;
@@ -57,22 +50,19 @@ type options = {
           the node budget instead of the partial-network frontier — the
           construction TurboMap's partial flow networks replaced; for the
           benchmark comparison *)
-  engine : engine;  (** iteration scheduling within nontrivial SCCs *)
   jobs : int;
       (** intra-φ parallelism: number of domains labeling independent
           SCCs of one condensation level concurrently, with a barrier
           between levels ([doc/CONCURRENCY.md]).  [1] is fully
-          sequential; values [> 1] take effect only under [Worklist]
-          (the [Sweep] baseline stays sequential) and produce
-          byte-identical results — labels, implementations, provenance
-          and verdicts — for every value.  Ignored when {!run} is given
-          an explicit [pool]. *)
+          sequential; every value produces byte-identical results —
+          labels, implementations, provenance and verdicts.  Ignored
+          when {!run} is given an explicit [pool]. *)
 }
 
 val default_options : k:int -> options
 (** k, resynthesize=false, cmax=15, exhaustive=false, pld=true,
     extra_depth=3, max_expansion=4000, resyn_depth=2, multi_output=false,
-    full_expansion=false, engine=Worklist, jobs=1. *)
+    full_expansion=false, jobs=1. *)
 
 type stats = {
   mutable iterations : int;
@@ -89,17 +79,16 @@ type prov_source =
   | From_cut_test  (** fresh K-feasible-cut flow test passed at harvest *)
   | From_snapshot
       (** a validated expansion snapshot answered the harvest test
-          without rebuilding (Worklist engine) *)
+          without rebuilding *)
   | From_recorded
       (** the last passing cut recorded during iteration was still valid
-          under the converged labels (Worklist engine) *)
+          under the converged labels *)
   | From_resyn of int
       (** decomposition rescue; the payload is the attempt index [h]
           (candidate cuts taken at threshold [l(v) - h]) *)
 
 type prov = {
   p_source : prov_source;
-  p_engine : engine;  (** engine that ran the harvest *)
   p_cut : (int * int) array;
       (** the implementation's sequential inputs, (driver, registers) *)
   p_height : Rat.t;
@@ -128,7 +117,7 @@ val new_cache : unit -> resyn_cache
 
 type cut_memo
 (** Cross-phi min-cut memo: the per-gate last-passing-cut table of the
-    Worklist engine, made shareable across the probes of one ratio
+    label engine, made shareable across the probes of one ratio
     search.  A cut's validity as a separating cut of a gate's expansion
     is structural — independent of labels and phi — so a run handed the
     memo revalidates each entry with an O(|cut|) width/height check

@@ -4,8 +4,8 @@
 #
 # Checked reference shapes, extracted by grep:
 #   - doc/NAME.md mentions (backticked or bare) in README.md and doc/*.md
-#   - lib/..., bin/..., bench/..., test/..., scripts/..., examples/...
-#     path mentions ending in a file extension
+#   - lib/..., bin/..., bench/..., perfbench/..., test/..., scripts/...,
+#     examples/... path mentions ending in a file extension
 #
 # Anchors and external URLs are out of scope.  Exit 1 listing every
 # dangling reference.
@@ -18,7 +18,7 @@ sources="README.md $(find doc -name '*.md' | sort)"
 
 for src in $sources; do
   # repo-relative path mentions: doc/X.md, lib/a/b.ml, test/x.ml, ...
-  refs=$(grep -oE '(doc|lib|bin|bench|test|scripts|examples|workloads)/[A-Za-z0-9_./-]+\.[A-Za-z0-9]+' "$src" \
+  refs=$(grep -oE '(doc|lib|bin|perfbench|bench|test|scripts|examples|workloads)/[A-Za-z0-9_./-]+\.[A-Za-z0-9]+' "$src" \
     | sort -u || true)
   for ref in $refs; do
     case "$ref" in

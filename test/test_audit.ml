@@ -1,7 +1,7 @@
 (* Tests for the audit layer: netlist/rational JSON codecs, build +
-   independent verification of audit documents (both label engines),
-   rejection of mutated certificates, stats-diff regression gating, and
-   the Chrome-trace timeline document shape. *)
+   independent verification of audit documents, rejection of mutated
+   certificates, stats-diff regression gating, and the Chrome-trace
+   timeline document shape. *)
 
 module J = Obs.Json
 module Netlist = Circuit.Netlist
@@ -12,10 +12,9 @@ let suite name =
   | Some spec -> Workloads.Suite.build spec
   | None -> Alcotest.failf "unknown suite circuit %s" name
 
-let run_audit ?(engine = Seqmap.Label_engine.Worklist) name =
+let run_audit name =
   let nl = suite name in
-  let options =
-    { (Turbosyn.Synth.default_options ~k:5 ()) with engine } in
+  let options = Turbosyn.Synth.default_options ~k:5 () in
   let r = Turbosyn.Synth.run ~options `Turbosyn nl in
   match Audit.build ~source:nl ~options r with
   | Ok doc -> doc
@@ -118,10 +117,6 @@ let test_rat_codec () =
 let test_verify_worklist () =
   let doc = run_audit "bbara" in
   Alcotest.(check bool) "bbara worklist accepted" true (verify_ok doc)
-
-let test_verify_sweep () =
-  let doc = run_audit ~engine:Seqmap.Label_engine.Sweep "bbara" in
-  Alcotest.(check bool) "bbara sweep accepted" true (verify_ok doc)
 
 let test_verify_second_circuit () =
   let doc = run_audit "dk16" in
@@ -494,7 +489,6 @@ let () =
       ( "verify",
         [
           Alcotest.test_case "bbara worklist" `Slow test_verify_worklist;
-          Alcotest.test_case "bbara sweep" `Slow test_verify_sweep;
           Alcotest.test_case "dk16" `Slow test_verify_second_circuit;
         ] );
       ( "mutation",

@@ -255,26 +255,107 @@ let test_turbosyn_no_worse () =
       Rat.(phi_ts <= phi_tm)
   done
 
-(* The worklist engine — with its snapshot, arena and witness fast paths —
-   must be label-for-label identical to the sweep baseline: same
-   feasibility verdict, same labels (hence the same mapping depth), same
-   iteration count, with PLD on and off and resynthesis on and off. *)
-let test_engine_equivalence () =
-  let sweep o = { o with Label_engine.engine = Label_engine.Sweep } in
-  let check name opts nl phi =
-    let out_w, s_w = Label_engine.run opts nl ~phi in
-    let out_s, s_s = Label_engine.run (sweep opts) nl ~phi in
-    (match (out_w, out_s) with
-    | ( Label_engine.Feasible { labels = lw; _ },
-        Label_engine.Feasible { labels = ls; _ } ) ->
-        Alcotest.(check (array rat)) (name ^ " labels") ls lw;
-        let depth = Array.fold_left Rat.max Rat.zero in
-        Alcotest.check rat (name ^ " mapping depth") (depth ls) (depth lw)
-    | Label_engine.Infeasible, Label_engine.Infeasible -> ()
-    | _ -> Alcotest.fail (name ^ ": engines disagree on feasibility"));
-    Alcotest.(check int)
-      (name ^ " iterations")
-      s_s.Label_engine.iterations s_w.Label_engine.iterations
+(* Golden labels: the verdict, iteration count and labels digest of each
+   label run below, recorded from the seed engine, which re-tested every
+   SCC member in every iteration, before it was retired.  The worklist
+   scheduler skips only re-tests whose read set held still, and its
+   snapshot, memo, arena and witness fast paths must not change a
+   decision, so every row must reproduce exactly: same feasibility
+   verdict, same iteration count, same labels — with PLD on and off and
+   resynthesis on and off.  Rows are (circuit, option set, phi, verdict
+   [F]easible / [I]nfeasible, iterations, MD5 of the labels or "-"). *)
+let golden_labels =
+  [
+    ("rand0", "turbomap", "1", "F", 10, "58473905f9bcc6f6b416feb1eff362b7");
+    ("rand0", "turbosyn", "1", "F", 10, "58473905f9bcc6f6b416feb1eff362b7");
+    ("rand0", "nopld", "1", "F", 10, "58473905f9bcc6f6b416feb1eff362b7");
+    ("rand1", "turbomap", "1", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "turbomap", "1", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "turbomap", "2", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "turbosyn", "1", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "turbosyn", "1", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "turbosyn", "2", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "nopld", "1", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "nopld", "1", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand1", "nopld", "2", "F", 11, "59ae3b5a6573f223946b29955bbf102d");
+    ("rand2", "turbomap", "1", "F", 7, "8523376818d8fa7078c892511c2bc421");
+    ("rand2", "turbomap", "1", "F", 7, "8523376818d8fa7078c892511c2bc421");
+    ("rand2", "turbomap", "2", "F", 7, "8523376818d8fa7078c892511c2bc421");
+    ("rand2", "turbosyn", "1", "F", 6, "f79e4014fc789c7d99287bb4fffd89f6");
+    ("rand2", "turbosyn", "1", "F", 6, "f79e4014fc789c7d99287bb4fffd89f6");
+    ("rand2", "turbosyn", "2", "F", 6, "f79e4014fc789c7d99287bb4fffd89f6");
+    ("rand2", "nopld", "1", "F", 7, "8523376818d8fa7078c892511c2bc421");
+    ("rand2", "nopld", "1", "F", 7, "8523376818d8fa7078c892511c2bc421");
+    ("rand2", "nopld", "2", "F", 7, "8523376818d8fa7078c892511c2bc421");
+    ("rand3", "turbomap", "1", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "turbomap", "1", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "turbomap", "2", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "turbosyn", "1", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "turbosyn", "1", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "turbosyn", "2", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "nopld", "1", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "nopld", "1", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand3", "nopld", "2", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
+    ("rand4", "turbomap", "3/2", "F", 12, "fbae060e672f022ce91e8ae25785c21b");
+    ("rand4", "turbomap", "1", "I", 22, "-");
+    ("rand4", "turbomap", "3", "F", 12, "fbae060e672f022ce91e8ae25785c21b");
+    ("rand4", "turbosyn", "3/2", "F", 12, "304285678dc80a17e1416c0b2f3a3ea6");
+    ("rand4", "turbosyn", "1", "I", 22, "-");
+    ("rand4", "turbosyn", "3", "F", 12, "304285678dc80a17e1416c0b2f3a3ea6");
+    ("rand4", "nopld", "3/2", "F", 12, "fbae060e672f022ce91e8ae25785c21b");
+    ("rand4", "nopld", "1", "I", 98, "-");
+    ("rand4", "nopld", "3", "F", 12, "fbae060e672f022ce91e8ae25785c21b");
+    ("rand5", "turbomap", "1", "F", 15, "c3f2f5ccd91d2180453d4030b7a4d99d");
+    ("rand5", "turbosyn", "1", "F", 15, "c3f2f5ccd91d2180453d4030b7a4d99d");
+    ("rand5", "nopld", "1", "F", 15, "c3f2f5ccd91d2180453d4030b7a4d99d");
+    ("loop6_3", "turbomap", "1", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "turbomap", "1", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "turbomap", "2", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "turbosyn", "1", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "turbosyn", "1", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "turbosyn", "2", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "nopld", "1", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "nopld", "1", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop6_3", "nopld", "2", "F", 2, "1f297bf02a50c54ddb6480d462e8ae28");
+    ("loop5_1", "turbomap", "2", "F", 2, "55c66d8a9f42cdc916a0317f5471572d");
+    ("loop5_1", "turbomap", "1", "I", 8, "-");
+    ("loop5_1", "turbomap", "4", "F", 2, "55c66d8a9f42cdc916a0317f5471572d");
+    ("loop5_1", "turbosyn", "1", "F", 3, "0f0e76c3f1b75a6f8d1a460d84591657");
+    ("loop5_1", "turbosyn", "1", "F", 3, "0f0e76c3f1b75a6f8d1a460d84591657");
+    ("loop5_1", "turbosyn", "2", "F", 2, "55c66d8a9f42cdc916a0317f5471572d");
+    ("loop5_1", "nopld", "2", "F", 2, "55c66d8a9f42cdc916a0317f5471572d");
+    ("loop5_1", "nopld", "1", "I", 90, "-");
+    ("loop5_1", "nopld", "4", "F", 2, "55c66d8a9f42cdc916a0317f5471572d");
+    ("bbara", "synth-k5", "2", "F", 35, "6b52d6febb2541b0c84cd0d2cebd055b");
+    ("s298", "synth-k5", "4", "F", 24, "7f4bc77d9d4a58690956fa5d784cc113");
+  ]
+
+let labels_digest labels =
+  Digest.to_hex
+    (Digest.string
+       (String.concat " " (Array.to_list (Array.map Rat.to_string labels))))
+
+let test_golden_labels () =
+  let show (c, o, phi, verdict, iters, digest) =
+    Printf.sprintf "%s/%s phi=%s: %s iterations=%d labels=%s" c o phi verdict
+      iters digest
+  in
+  let actual = ref [] in
+  let row cname oname opts nl phi =
+    let out, stats = Label_engine.run opts nl ~phi in
+    let verdict, digest =
+      match out with
+      | Label_engine.Feasible { labels; _ } -> ("F", labels_digest labels)
+      | Label_engine.Infeasible -> ("I", "-")
+    in
+    actual :=
+      ( cname,
+        oname,
+        Rat.to_string phi,
+        verdict,
+        stats.Label_engine.iterations,
+        digest )
+      :: !actual
   in
   let rng = Rng.create 555 in
   let circuits =
@@ -289,11 +370,7 @@ let test_engine_equivalence () =
         (fun (oname, opts) ->
           let phi_star, _, _ = Turbomap.minimum_ratio opts nl in
           List.iter
-            (fun phi ->
-              if Rat.( > ) phi Rat.zero then
-                check
-                  (Format.asprintf "%s/%s phi=%a" cname oname Rat.pp phi)
-                  opts nl phi)
+            (fun phi -> if Rat.( > ) phi Rat.zero then row cname oname opts nl phi)
             [ phi_star; Rat.one; Rat.mul_int phi_star 2 ])
         [
           ("turbomap", Label_engine.default_options ~k:4);
@@ -306,7 +383,22 @@ let test_engine_equivalence () =
             { (Label_engine.default_options ~k:4) with Label_engine.pld = false }
           );
         ])
-    circuits
+    circuits;
+  (* suite circuits under the full TurboSYN options at K=5, at the phi*
+     of the default flow *)
+  List.iter
+    (fun name ->
+      let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+      let so = Turbosyn.Synth.default_options ~k:5 () in
+      let r = Turbosyn.Synth.run ~options:so `Turbosyn nl in
+      row name "synth-k5"
+        (Turbosyn.Synth.engine_options so ~resynthesize:true)
+        nl r.Turbosyn.Synth.phi)
+    [ "bbara"; "s298" ];
+  Alcotest.(check (list string))
+    "golden label rows"
+    (List.map show golden_labels)
+    (List.rev_map show !actual)
 
 (* Speculative parallel probing must not change the search result: the
    decisive verdicts replay the sequential descent exactly. *)
@@ -644,8 +736,7 @@ let () =
         ] );
       ( "engines",
         [
-          Alcotest.test_case "worklist/sweep equivalence" `Slow
-            test_engine_equivalence;
+          Alcotest.test_case "golden labels" `Slow test_golden_labels;
           Alcotest.test_case "parallel jobs determinism" `Slow
             test_jobs_determinism;
           Alcotest.test_case "intra-phi lane invariance" `Slow
