@@ -13,12 +13,15 @@
     the order. *)
 
 type man
-(** A BDD manager: unique table + operation caches. *)
+(** A BDD manager: unique table + operation caches.  Its tables are
+    int-keyed open-addressing arrays that start small and double on
+    demand, so a short-lived manager (one per decomposed cone) costs
+    little to create. *)
 
 type t
 (** A BDD node handle, valid only with the manager that created it. *)
 
-val new_man : ?cache_size:int -> unit -> man
+val new_man : unit -> man
 
 val bdd_false : man -> t
 val bdd_true : man -> t
@@ -32,7 +35,9 @@ val nvars : man -> int
 (** One more than the largest variable index seen so far. *)
 
 val num_nodes : man -> int
-(** Number of live nodes in the unique table (diagnostics). *)
+(** Number of node ids allocated so far, terminals included
+    (diagnostics).  Ids are assigned in creation order, so two managers
+    fed the same operation sequence agree on it. *)
 
 val neg : man -> t -> t
 val and_ : man -> t -> t -> t

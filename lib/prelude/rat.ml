@@ -53,9 +53,11 @@ let pp fmt a =
 let to_string a = Format.asprintf "%a" pp a
 
 (* Exponential-then-binary search for the largest [k] in [1, kmax] with
-   [p k], assuming [p] holds on a prefix and [p 1] holds. *)
+   [p k], assuming [p] holds on a prefix.  [p 1] holding is the caller's
+   precondition: it is never evaluated here, since [p] is a search probe
+   the caller has just run. *)
 let max_k_with ~kmax p =
-  assert (Stdlib.( >= ) kmax 1 && p 1);
+  assert (Stdlib.( >= ) kmax 1);
   let rec expo k = if Stdlib.( >= ) k kmax then kmax else if p (Stdlib.min kmax (2 * k)) then expo (2 * k) else k in
   let hi0 = expo 1 in
   if hi0 = kmax then kmax
@@ -99,11 +101,19 @@ let stern_brocot_min ~lo ~hi ~max_den ~feasible =
       end
       else begin
         (* Walk lo toward hi: m_k = (a + k*c)/(b + k*d), infeasible on a
-           prefix of k (values increase toward c/d). *)
+           prefix of k (values increase toward c/d).  With c/d finite the
+           far end m_kmax is probed first: a final approach to the answer
+           is typically a run of infeasible steps, each of which the
+           ladder would pay for separately, while a feasible far end is
+           a cheap probe.  (The hi-toward-lo walk keeps the plain ladder:
+           there the far end is an expensive infeasible probe.) *)
         let kmax = if !d = 0 then big else Stdlib.max 1 ((max_den - !b) / !d) in
+        let infeasible_at k =
+          not (feasible (make (!a + (k * !c)) (!b + (k * !d))))
+        in
         let k =
-          max_k_with ~kmax (fun k ->
-              not (feasible (make (!a + (k * !c)) (!b + (k * !d)))))
+          if Stdlib.( > ) !d 0 && Stdlib.( > ) kmax 1 && infeasible_at kmax then kmax
+          else max_k_with ~kmax infeasible_at
         in
         a := !a + (k * !c);
         b := !b + (k * !d)

@@ -69,4 +69,9 @@ val stern_brocot_min :
     search is exact: it descends the Stern–Brocot tree restricted to
     denominators [<= max_den], so the result is the true minimum feasible
     ratio of the underlying parametric problem when that ratio has
-    denominator [<= max_den]. *)
+    denominator [<= max_den].
+
+    [feasible] may be asked about the same point more than once (the
+    descent's own [lo], the mediant each walk starts from); a caller
+    whose oracle is expensive memoizes it.  A walk from an infeasible
+    point toward a finite feasible one probes its far end first. *)

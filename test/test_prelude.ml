@@ -144,6 +144,54 @@ let qcheck_stern_brocot =
         with
         | Some r -> Rat.equal r theta
         | None -> false);
+    (* Against brute force over every fraction with a denominator within
+       budget, for a memo-free oracle: each point of the walk may be
+       asked again, and the answer must still be the true minimum.  The
+       threshold sits exactly at a fraction p/q of the grid (often a
+       Farey neighbour of the walk's bracket), a hair above or below it
+       (strictly less than any grid spacing), or is reached only with
+       [>]; drawing p/q up to [hi + 1] and [lo = hi] include searches
+       where every point of the walk is infeasible. *)
+    Test.make ~name:"stern-brocot matches brute force" ~count:300
+      (make
+         ~print:(fun (lo, hi, n, (p, q), shift, strict) ->
+           Printf.sprintf "lo=%d hi=%d max_den=%d theta=%d/%d%+d/eps %s" lo hi
+             n p q shift
+             (if strict then ">" else ">="))
+         Gen.(
+           let* hi = int_range 1 6 in
+           let* lo = int_range 0 hi in
+           let* n = int_range 1 40 in
+           let* q = int_range 1 n in
+           let* p = int_range 0 ((hi + 1) * q) in
+           let* shift = int_range (-1) 1 in
+           let* strict = bool in
+           return (lo, hi, n, (p, q), shift, strict)))
+      (fun (lo, hi, n, (p, q), shift, strict) ->
+        (* |shift| * eps is below half the smallest gap 1/(n*n) between
+           grid fractions *)
+        let eps = Rat.make shift (2 * (n + 1) * (n + 1)) in
+        let theta = Rat.add (Rat.make p q) eps in
+        let feasible r = if strict then Rat.(r > theta) else Rat.(r >= theta) in
+        let lo = Rat.of_int lo and hi = Rat.of_int hi in
+        let brute =
+          if feasible lo then Some lo
+          else begin
+            let best = ref None in
+            for d = 1 to n do
+              for num = (Rat.floor lo * d) + 1 to Rat.floor hi * d do
+                let r = Rat.make num d in
+                if Rat.(r > lo) && feasible r then
+                  match !best with
+                  | Some b when Rat.(b <= r) -> ()
+                  | _ -> best := Some r
+              done
+            done;
+            !best
+          end
+        in
+        let got = Rat.stern_brocot_min ~lo ~hi ~max_den:n ~feasible in
+        Option.equal Rat.equal brute got);
   ]
 
 let test_rng_deterministic () =

@@ -545,6 +545,42 @@ let test_cut_memo () =
     (Invalid_argument "Label_engine.run: cut memo sized for another netlist")
     (fun () -> ignore (Label_engine.run ~cutmemo:memo opts other ~phi:phi_a))
 
+(* The ratio search decides each phi once: every [search.probe] trace
+   event names a distinct phi, the probe count matches the events, and
+   phi* is the one the search has always returned (bbara under the
+   TurboSYN options, cse under TurboMap's). *)
+let test_probe_each_phi_once () =
+  let so = Turbosyn.Synth.default_options ~k:5 () in
+  List.iter
+    (fun (name, resynthesize, expect) ->
+      let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+      let opts = Turbosyn.Synth.engine_options so ~resynthesize in
+      Obs.set_enabled true;
+      Obs.reset ();
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.reset ();
+          Obs.set_enabled false)
+        (fun () ->
+          let phi, probes, _ = Turbomap.minimum_ratio opts nl in
+          let phis =
+            List.filter_map
+              (fun e ->
+                if e.Obs.Trace.name <> "search.probe" then None
+                else
+                  match List.assoc_opt "phi" e.Obs.Trace.fields with
+                  | Some (Obs.Json.Str p) -> Some p
+                  | _ -> Alcotest.failf "%s: probe event without phi" name)
+              (Obs.Trace.events ())
+          in
+          Alcotest.check rat (name ^ " phi*") expect phi;
+          Alcotest.(check int) (name ^ " probes = events") probes
+            (List.length phis);
+          Alcotest.(check (list string))
+            (name ^ " probed phis pairwise distinct")
+            (List.sort_uniq compare phis) (List.sort compare phis)))
+    [ ("bbara", true, Rat.of_int 2); ("cse", false, Rat.of_int 7) ]
+
 (* Per-lane arena ownership: arenas are private to one lane; distinct
    arenas solve concurrently without interference, and one arena is
    reusable across sequential solves (the busy flag is released even
@@ -744,6 +780,8 @@ let () =
           Alcotest.test_case "intra-phi scheduling counters" `Slow
             test_intra_phi_counters;
           Alcotest.test_case "cross-phi cut memo" `Slow test_cut_memo;
+          Alcotest.test_case "each phi probed once" `Quick
+            test_probe_each_phi_once;
           Alcotest.test_case "arena isolation" `Quick test_arena_isolation;
         ] );
       ( "pld",
