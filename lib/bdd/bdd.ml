@@ -186,26 +186,24 @@ let restrict_many m f assigns =
   let assigns = List.sort (fun (a, _) (b, _) -> Int.compare a b) assigns in
   List.fold_left (fun acc (i, b) -> restrict m acc i b) f assigns
 
-let iter_cofactors m f bound k =
-  (* All 2^b cofactors of [f] over [bound], bit j of the visited mask
-     giving the value assigned to [bound.(j)] — the restriction tree
-     shares every partial restriction between the masks that extend it
+let cofactors m f bound =
+  (* All 2^b cofactors of [f] over [bound], bit j of the mask giving
+     the value assigned to [bound.(j)] — the restriction tree shares
+     every partial restriction between the masks that extend it
      (2^(b+1) - 2 single-variable restricts instead of b * 2^b, each on
      an already-shrunk graph) and one memo serves the whole call.
      Restriction order is ascending variable level, so each step only
      walks the shallow part of the graph; substitutions of distinct
-     variables commute, so each visited cofactor equals the
-     [restrict_many] of its assignment.  [k] may raise to abort the
-     enumeration early (the multiplicity pre-check does).  The memo
-     starts at 256 slots: on the suite's decompositions it ends with
-     about 50 entries at the median and 150 at p90 (doc/PERF.md, "BDD
-     tables"), so most calls never rehash. *)
+     variables commute, so each cofactor equals the [restrict_many] of
+     its assignment.  The memo starts at 256 slots (doc/PERF.md, "BDD
+     tables"). *)
   let b = Array.length bound in
   let order = Array.init b Fun.id in
   Array.sort (fun i j -> Int.compare bound.(i) bound.(j)) order;
   let memo = Tbl.create 256 in
+  let out = Array.make (1 lsl b) 0 in
   let rec fill d g mask =
-    if d = b then k mask g
+    if d = b then out.(mask) <- g
     else begin
       let p = order.(d) in
       let i = bound.(p) in
@@ -213,11 +211,7 @@ let iter_cofactors m f bound k =
       fill (d + 1) (restrict_in m memo g i true) (mask lor (1 lsl p))
     end
   in
-  fill 0 f 0
-
-let cofactors m f bound =
-  let out = Array.make (1 lsl Array.length bound) 0 in
-  iter_cofactors m f bound (fun mask g -> out.(mask) <- g);
+  fill 0 f 0;
   out
 
 let compose m f i g =

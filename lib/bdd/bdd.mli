@@ -60,19 +60,13 @@ val restrict : man -> t -> int -> bool -> t
 
 val restrict_many : man -> t -> (int * bool) list -> t
 
-val iter_cofactors : man -> t -> int array -> (int -> t -> unit) -> unit
-(** [iter_cofactors m f bound k] calls [k mask cof] for every one of
-    the [2^b] cofactors of [f] over the [b] variables of [bound]; bit
-    [j] of [mask] gives the value assigned to [bound.(j)].  Each
+val cofactors : man -> t -> int array -> t array
+(** [cofactors m f bound] is the array of the [2^b] cofactors of [f]
+    over the [b] variables of [bound], indexed by assignment mask: bit
+    [j] of the mask gives the value assigned to [bound.(j)].  Each
     cofactor equals the [restrict_many] of its assignment, but the
     family is computed as a restriction tree that shares partial
-    restrictions and a single memo — the cofactor-class enumeration's
-    inner loop.  Visit order is the tree's depth-first order, not
-    ascending masks; [k] may raise to abort the enumeration early. *)
-
-val cofactors : man -> t -> int array -> t array
-(** [cofactors m f bound] collects [iter_cofactors] into an array
-    indexed by assignment mask. *)
+    restrictions and a single memo. *)
 
 val compose : man -> t -> int -> t -> t
 (** [compose m f i g] substitutes [g] for variable [i] in [f]. *)

@@ -28,21 +28,25 @@ let compute man f ~bound =
 let multiplicity man f ~bound =
   Array.length (compute man f ~bound).representatives
 
-exception Too_many
-
-let multiplicity_at_most man f ~bound ~mu =
-  (* Early exit: most bound-set trials fail the µ test, and a failure
-     is established as soon as the (µ+1)-th distinct cofactor shows up —
-     usually within the first few leaves of the restriction tree, long
-     before all 2^|B| cofactors exist.  Hash-consing makes distinctness
-     a node-id comparison. *)
-  let seen = Hashtbl.create 16 in
-  match
-    Bdd.iter_cofactors man f bound (fun _ cof ->
-        if not (Hashtbl.mem seen cof) then begin
-          Hashtbl.replace seen cof ();
-          if Hashtbl.length seen > mu then raise Too_many
-        end)
-  with
-  | () -> true
-  | exception Too_many -> false
+let at_most table ~bound ~mu =
+  let free = (Array.length table - 1) land lnot bound in
+  (* bound assignments [a] and [r] share a class iff their entries agree
+     under every assignment [c] of the free pool variables: the submask
+     walk of [free], from [free] down to 0 *)
+  let rec same a r c =
+    Bdd.equal table.(a lor c) table.(r lor c)
+    && (c = 0 || same a r ((c - 1) land free))
+  in
+  let reps = Array.make mu 0 in
+  let rec known a i n = i < n && (same a reps.(i) free || known a (i + 1) n) in
+  (* visit the bound assignments as the submasks of [bound]; fail at the
+     (mu+1)-th class *)
+  let rec go a n =
+    if known a 0 n then a = 0 || go ((a - 1) land bound) n
+    else if n = mu then false
+    else begin
+      reps.(n) <- a;
+      a = 0 || go ((a - 1) land bound) (n + 1)
+    end
+  in
+  go bound 0

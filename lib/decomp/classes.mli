@@ -26,8 +26,11 @@ val compute : Bdd.man -> Bdd.t -> bound:int array -> t
 val multiplicity : Bdd.man -> Bdd.t -> bound:int array -> int
 (** Number of cofactor classes. *)
 
-val multiplicity_at_most : Bdd.man -> Bdd.t -> bound:int array -> mu:int -> bool
-(** [multiplicity_at_most man f ~bound ~mu] decides [multiplicity <= mu]
-    without materializing the full class table, aborting the cofactor
-    enumeration at the [(mu+1)]-th distinct cofactor — the fast path of
-    the bound-set search, where almost every trial fails the µ test. *)
+val at_most : Bdd.t array -> bound:int -> mu:int -> bool
+(** [at_most table ~bound ~mu] where [table = Bdd.cofactors man f pool]
+    decides [multiplicity man f ~bound:b <= mu] for the bound set [b] of
+    the pool variables [pool.(j)] whose bit [j] is set in [bound].  Two
+    bound assignments share a class iff their table entries agree under
+    every assignment of the rest of the pool, so one table decides every
+    bound set drawn from the pool by int comparisons alone — the
+    bound-set search's per-trial test.  [mu >= 1]. *)

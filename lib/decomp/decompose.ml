@@ -48,14 +48,14 @@ let tree_inputs t =
 (* live inputs during the loop *)
 type live = { var : int; arrival : Rat.t; t : tree }
 
-(* All size-[s] subsets of the first [limit] elements of [arr]. *)
-let subsets_of_size arr limit s =
-  let limit = min limit (Array.length arr) in
+(* All size-[s] subsets of [0, limit), as ascending index lists, in
+   lexicographic order. *)
+let subsets_of_size limit s =
   let rec go start chosen acc =
     if List.length chosen = s then List.rev chosen :: acc
     else if start >= limit then acc
     else
-      let acc = go (start + 1) (arr.(start) :: chosen) acc in
+      let acc = go (start + 1) (start :: chosen) acc in
       go (start + 1) chosen acc
   in
   List.rev (go 0 [] [])
@@ -100,37 +100,41 @@ let decompose ?(exhaustive = false) ?(multi = false) man ~f ~vars ~arrivals ~k =
         Array.of_list
           (List.stable_sort (fun a b -> Rat.compare a.arrival b.arrival) live)
       in
-      (* candidate bound sets: earliest-prefixes of size k down to 2, then
-         optionally subsets of the earliest k+3 inputs *)
+      (* every candidate is drawn from the pool of the earliest inputs;
+         one cofactor table of fn over the pool decides them all *)
+      let pool = min m (if exhaustive then k + 3 else k) in
+      let table =
+        Bdd.cofactors man fn (Array.init pool (fun j -> sorted.(j).var))
+      in
+      (* candidate bound sets, as pool-index lists: earliest-prefixes of
+         size k down to 2, then optionally subsets of the pool *)
       let prefix_candidates =
-        List.concat_map
-          (fun s ->
-            if s <= m - 1 then [ Array.to_list (Array.sub sorted 0 s) ] else [])
-          (List.init (k - 1) (fun i -> k - i))
+        List.init (k - 1) (fun i -> List.init (k - i) Fun.id)
       in
       let extra_candidates =
         if not exhaustive then []
         else
           (* bounded widening: subsets of the k+3 earliest inputs, largest
-             extractions first (sizes k and k-1 only), capped — unbounded
-             subset enumeration dominates runtime on stuck cones *)
+             extractions first (sizes k and k-1 only), the first 64 in
+             lexicographic order — unbounded subset enumeration dominates
+             runtime on stuck cones *)
           let subsets =
             List.concat_map
-              (fun s -> if s >= 2 && s <= m - 1 then subsets_of_size sorted (k + 3) s else [])
+              (fun s -> if s >= 2 then subsets_of_size pool s else [])
               [ k; k - 1 ]
           in
           List.filteri (fun i _ -> i < 64) subsets
       in
-      let try_bound ~max_mu bset =
+      let try_bound ~max_mu idx =
         Obs.Counter.incr c_trials;
-        Obs.Histogram.observe_int h_bound_set (List.length bset);
-        let bound = Array.of_list (List.map (fun l -> l.var) bset) in
-        (* Almost every trial fails the µ test; decide it with the
-           early-exit enumeration and only materialize the class table
-           for the (rare) winner.  multiplicity <= max_mu iff
-           representatives <= max_mu, so the decisions are identical. *)
-        if Classes.multiplicity_at_most man fn ~bound ~mu:max_mu then
+        Obs.Histogram.observe_int h_bound_set (List.length idx);
+        let mask = List.fold_left (fun acc j -> acc lor (1 lsl j)) 0 idx in
+        if Classes.at_most table ~bound:mask ~mu:max_mu then begin
+          (* the class table is materialized for the winner only *)
+          let bset = List.map (fun j -> sorted.(j)) idx in
+          let bound = Array.of_list (List.map (fun l -> l.var) bset) in
           Some (bset, Classes.compute man fn ~bound)
+        end
         else None
       in
       let rec first ~max_mu = function

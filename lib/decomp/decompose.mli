@@ -52,8 +52,14 @@ val decompose :
     [None] when single-output disjoint decomposition gets stuck (no bound
     set of size >= 2 among the candidates has µ <= 2).
 
-    [exhaustive] (default false) also tries non-prefix bound sets drawn
-    from the K+3 earliest inputs when the earliest-prefix heuristic fails.
+    Candidate bound sets are the earliest-arrival prefixes of sizes K
+    down to 2.  [exhaustive] (default false) adds, when they all fail,
+    the subsets of sizes K and K-1 of the K+3 earliest inputs — the
+    first 64 in lexicographic order of input positions, not all
+    subsets.  Each step decides every candidate from one cofactor table
+    of the step's function over these earliest inputs
+    ({!Classes.at_most}); the first candidate that passes is
+    extracted.
 
     [multi] (default false) enables two-wire extraction when no
     single-output bound set exists: a bound set of at least 3 inputs with

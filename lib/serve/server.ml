@@ -509,6 +509,7 @@ let status_text = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 413 -> "Payload Too Large"
   | 429 -> "Too Many Requests"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
@@ -547,7 +548,18 @@ let respond_json fd ?headers ~status json =
 let respond_error fd ?headers ~status msg =
   respond_json fd ?headers ~status (J.Obj [ ("error", J.Str msg) ])
 
-(* read until the header terminator, then Content-Length body bytes *)
+(* Largest request body accepted; a larger Content-Length is answered
+   with 413 before any of the body is read. *)
+let max_body = 1 lsl 24
+
+type read =
+  | Request of string * string * (string * string) list * string
+      (** method, target, lower-cased headers, body *)
+  | Reject of int * string  (** answer with this status and message *)
+  | Unreadable  (** no request head: nothing to answer *)
+
+(* read until the header terminator, then exactly Content-Length body
+   bytes *)
 let read_request fd =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
@@ -576,8 +588,8 @@ let read_request fd =
           end
   in
   match read_headers () with
-  | None -> None
-  | Some body_start ->
+  | None -> Unreadable
+  | Some body_start -> (
       let raw = Buffer.contents buf in
       let head = String.sub raw 0 body_start in
       let lines = String.split_on_char '\n' head in
@@ -601,23 +613,31 @@ let read_request fd =
         | Some v -> Option.value ~default:0 (int_of_string_opt v)
         | None -> 0
       in
-      let content_length = min content_length (1 lsl 24) in
-      let body = Buffer.create content_length in
-      Buffer.add_string body
-        (String.sub raw body_start (String.length raw - body_start));
-      let rec fill () =
-        if Buffer.length body < content_length then begin
-          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-          if n > 0 then begin
-            Buffer.add_subbytes body chunk 0 n;
-            fill ()
-          end
-        end
-      in
-      fill ();
-      (match String.split_on_char ' ' request_line with
-      | meth :: target :: _ -> Some (meth, target, headers, Buffer.contents body)
-      | _ -> None)
+      if content_length > max_body then
+        Reject
+          (413, Printf.sprintf "request body over %d bytes" max_body)
+      else
+        let body = Buffer.create content_length in
+        Buffer.add_string body
+          (String.sub raw body_start (String.length raw - body_start));
+        (* false when the peer closes before the body is complete *)
+        let rec fill () =
+          if Buffer.length body >= content_length then true
+          else
+            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            n > 0
+            && begin
+                 Buffer.add_subbytes body chunk 0 n;
+                 fill ()
+               end
+        in
+        if not (fill ()) then
+          Reject (400, "request body shorter than its Content-Length")
+        else
+          match String.split_on_char ' ' request_line with
+          | meth :: target :: _ ->
+              Request (meth, target, headers, Buffer.contents body)
+          | _ -> Unreadable)
 
 let parse_target target =
   match String.index_opt target '?' with
@@ -995,10 +1015,17 @@ let shed t fd ~echo ~meth ~path ~started =
 (* true when fd ownership moved to the worker queue *)
 let dispatch t fd =
   match read_request fd with
-  | None ->
+  | Unreadable ->
       count_request_unscoped ~route:"malformed" ~status:400;
       false
-  | Some (meth, target, headers, body) -> (
+  | Reject (status, msg) ->
+      (* counted before the answer: the peer may be gone already, and
+         the accept loop drops a failed write *)
+      count_request_unscoped ~route:"malformed" ~status;
+      let bytes = respond_error fd ~status msg in
+      with_registry (fun () -> count_response_bytes ~route:"malformed" bytes);
+      false
+  | Request (meth, target, headers, body) -> (
       let path, query = parse_target target in
       let req_id = request_id_of_headers headers in
       let started = Prelude.Timer.wall () in

@@ -162,7 +162,7 @@ let test_large_xor_is_compact () =
 let test_deep_cofactors () =
   (* a random 12-variable function has about a thousand nodes, and
      restricting its four deepest variables walks most of the graph at
-     every node of the restriction tree, so the memo [iter_cofactors]
+     every node of the restriction tree, so the memo [cofactors]
      shares grows from its initial 256 slots several times *)
   let n = 12 and bound = [| 8; 9; 10; 11 |] in
   let rng = Prelude.Rng.create 2024 in

@@ -81,6 +81,120 @@ let qcheck_classes =
         Classes.multiplicity man f ~bound = brute_multiplicity tt bound);
   ]
 
+(* The bound-set search's table verdict against the class-table oracle:
+   a random function over up to 10 variables (some constant, some
+   ignoring part of the pool, some an AND of functions of disjoint
+   variable blocks so that large bound sets pass), a random pool of up
+   to 9 of them in random order, and every bound set of 2..6 pool
+   variables at µ ∈ {2, 4}, the oracle's bound array in shuffled
+   order. *)
+let qcheck_table_verdict =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* nvars = int_range 2 10 in
+      (* kind 0 and 1: constant; 2: ignores its top variables; 3: AND
+         of two blocks; otherwise a random function *)
+      let* kind = int_range 0 5 in
+      let* bits = list_repeat (1 lsl nvars) bool in
+      let bits =
+        match kind with
+        | 0 -> List.map (fun _ -> false) bits
+        | 1 -> List.map (fun _ -> true) bits
+        | _ -> bits
+      in
+      (* the function ignores its top [drop] variables *)
+      let* drop = if kind = 2 then int_range 1 (nvars - 1) else return 0 in
+      (* kind 3 splits the variables at [split] into two blocks *)
+      let* split = if kind = 3 then int_range 1 (nvars - 1) else return 0 in
+      let* perm = shuffle_l (List.init nvars Fun.id) in
+      let* psize = int_range 2 (min 9 nvars) in
+      let pool = Array.of_list (List.filteri (fun i _ -> i < psize) perm) in
+      let* seed = int in
+      return (nvars, Array.of_list bits, drop, split, pool, seed))
+  in
+  let print (nvars, _, drop, split, pool, seed) =
+    Printf.sprintf "nvars=%d drop=%d split=%d pool=[%s] seed=%d" nvars drop
+      split
+      (String.concat "," (Array.to_list (Array.map string_of_int pool)))
+      seed
+  in
+  [
+    Test.make ~name:"table verdict matches class-table multiplicity"
+      ~count:120 (make ~print gen)
+      (fun (nvars, bits, drop, split, pool, seed) ->
+        let man = Bdd.new_man () in
+        let live = nvars - drop in
+        (* g(low block) AND h(high block), both read from [bits] *)
+        let lo = (1 lsl split) - 1 in
+        let value m =
+          if split = 0 then bits.(m) else bits.(m land lo) && bits.(m lor lo)
+        in
+        (* sum of minterms over the [live] lowest variables *)
+        let f = ref (Bdd.bdd_false man) in
+        for m = 0 to (1 lsl live) - 1 do
+          if value m then begin
+            let t = ref (Bdd.bdd_true man) in
+            for v = 0 to live - 1 do
+              let x = Bdd.var man v in
+              let lit = if m land (1 lsl v) <> 0 then x else Bdd.neg man x in
+              t := Bdd.and_ man !t lit
+            done;
+            f := Bdd.or_ man !f !t
+          end
+        done;
+        let f = !f in
+        let table = Bdd.cofactors man f pool in
+        let rng = Random.State.make [| seed |] in
+        let p = Array.length pool in
+        let ok = ref true in
+        for mask = 1 to (1 lsl p) - 1 do
+          let members =
+            List.filter (fun j -> mask land (1 lsl j) <> 0) (List.init p Fun.id)
+          in
+          let size = List.length members in
+          if size >= 2 && size <= 6 then begin
+            let bound =
+              Array.of_list
+                (Gen.shuffle_l (List.map (fun j -> pool.(j)) members) rng)
+            in
+            let mu = Classes.multiplicity man f ~bound in
+            List.iter
+              (fun max_mu ->
+                if Classes.at_most table ~bound:mask ~mu:max_mu <> (mu <= max_mu)
+                then ok := false)
+              [ 2; 4 ]
+          end
+        done;
+        !ok);
+  ]
+
+(* The bbara TurboSYN flow decides exactly the committed baseline's
+   bound-set trials (BENCH_stats_baseline.json).  The stats gate only
+   fails on a rise beyond its slack, so a search that decided a
+   different set of trials could pass it; this pins the sequence. *)
+let test_bbara_trial_sequence () =
+  let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find "bbara")) in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled false)
+    (fun () ->
+      ignore
+        (Turbosyn.Synth.run
+           ~options:(Turbosyn.Synth.default_options ~k:5 ())
+           `Turbosyn nl);
+      List.iter
+        (fun (name, want) ->
+          Alcotest.(check (option int)) name (Some want) (Obs.Counter.find name))
+        [
+          ("decomp.calls", 369);
+          ("decomp.successes", 178);
+          ("decomp.bound_set_trials", 13744);
+        ])
+
 (* --- decomposition --- *)
 
 let check_tree_correct man f vars tree n_inputs =
@@ -320,7 +434,9 @@ let () =
           Alcotest.test_case "mux" `Quick test_classes_mux_high;
           Alcotest.test_case "constant" `Quick test_classes_constant;
         ] );
-      ("classes-props", List.map QCheck_alcotest.to_alcotest qcheck_classes);
+      ( "classes-props",
+        List.map QCheck_alcotest.to_alcotest
+          (qcheck_classes @ qcheck_table_verdict) );
       ( "decompose",
         [
           Alcotest.test_case "xor8" `Quick test_decompose_xor8;
@@ -331,6 +447,8 @@ let () =
           Alcotest.test_case "constant" `Quick test_decompose_constant;
           Alcotest.test_case "stuck" `Quick test_decompose_stuck;
           Alcotest.test_case "multi-output" `Quick test_decompose_multi_output;
+          Alcotest.test_case "bbara trial sequence" `Quick
+            test_bbara_trial_sequence;
         ] );
       ("decompose-props", List.map QCheck_alcotest.to_alcotest qcheck_decompose);
     ]

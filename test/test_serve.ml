@@ -677,6 +677,61 @@ let test_response_bytes () =
       Alcotest.(check bool) "flat counter suppressed" true
         (series_value scrape "turbosyn_serve_response_bytes_map_total" = None))
 
+(* A raw request whose head declares [content_length] while only
+   [body] follows; [close_send] half-closes the connection after it.
+   Returns the response status. *)
+let raw_request ~port ~content_length ~body ~close_send =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      (* a server that waits for the missing bytes fails the test
+         instead of hanging it *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      send_all fd
+        (Printf.sprintf
+           "POST /map HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
+            Connection: close\r\n\r\n%s"
+           content_length body);
+      if close_send then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      match String.split_on_char ' ' (recv_all fd) with
+      | _http :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
+      | _ -> 0)
+
+let test_body_limits () =
+  with_server (fun port ->
+      (* a declared body over 16 MiB is refused before it is read: the
+         client sends none of it and still gets its answer *)
+      Alcotest.(check int) "oversized body" 413
+        (raw_request ~port ~content_length:20_000_000 ~body:""
+           ~close_send:false);
+      (* a peer that stops short of Content-Length is not parsed as if
+         its body were complete *)
+      let body = map_body ~circuit:"bbara" ~algo:"turbomap" in
+      Alcotest.(check int) "short body" 400
+        (raw_request ~port
+           ~content_length:(String.length body + 10)
+           ~body ~close_send:true);
+      (* exactly 16 MiB is still within the limit: a short body of that
+         declared length is a 400, not a 413 *)
+      Alcotest.(check int) "limit itself" 400
+        (raw_request ~port ~content_length:(1 lsl 24) ~body:""
+           ~close_send:true);
+      (* both land under route "malformed" *)
+      let _, _, scrape = http_full ~port ~meth:"GET" ~path:"/metrics" () in
+      let count status =
+        series_value scrape
+          (Printf.sprintf
+             "turbosyn_serve_requests{route=\"malformed\",status=\"%d\"}"
+             status)
+      in
+      Alcotest.(check (option (float 0.))) "413 counted" (Some 1.) (count 413);
+      Alcotest.(check (option (float 0.))) "400 counted" (Some 2.) (count 400);
+      (* the server still maps after both *)
+      let status, _ = http ~port ~meth:"POST" ~path:"/map" ~body () in
+      Alcotest.(check int) "still serving" 200 status)
+
 (* ---------------------------------------------------------------- *)
 (* Profiling and SLO endpoints                                       *)
 (* ---------------------------------------------------------------- *)
@@ -876,6 +931,7 @@ let () =
           Alcotest.test_case "request tracing" `Quick test_request_tracing;
           Alcotest.test_case "content-length and response bytes" `Quick
             test_response_bytes;
+          Alcotest.test_case "request body limits" `Quick test_body_limits;
           Alcotest.test_case "profiling and slo endpoints" `Quick
             test_profiling_and_slo;
           Alcotest.test_case "prof and slo defaults" `Quick
