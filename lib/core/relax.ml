@@ -21,7 +21,10 @@ let meets_phi nl phi =
 
 let relax nl ~impls ~phi =
   let current = Array.copy impls in
-  let best = ref (Seqmap.Mapgen.generate nl ~impls:current) in
+  (* every candidate differs from the last in one gate: build each LUT's
+     truth table once for the whole call *)
+  let memo = Seqmap.Mapgen.new_memo () in
+  let best = ref (Seqmap.Mapgen.generate ~memo nl ~impls:current) in
   let relaxed = ref 0 in
   Array.iteri
     (fun v impl ->
@@ -29,7 +32,7 @@ let relax nl ~impls ~phi =
       | Some (Seqmap.Label_engine.Resyn _) -> (
           let saved = current.(v) in
           current.(v) <- Some (Seqmap.Label_engine.Cut (dedup_fanins nl v));
-          let candidate = Seqmap.Mapgen.generate nl ~impls:current in
+          let candidate = Seqmap.Mapgen.generate ~memo nl ~impls:current in
           (* accept only if the ratio target holds and the trade (tree LUTs
              out, newly-needed plain LUTs in) does not grow the mapping *)
           if

@@ -89,15 +89,35 @@ let stern_brocot_min ~lo ~hi ~max_den ~feasible =
     while !result = None do
       if Stdlib.( > ) (!b + !d) max_den then result := Some (make !c !d)
       else if feasible (make (!a + !c) (!b + !d)) then begin
-        (* Walk hi toward lo: m_k = (k*a + c)/(k*b + d), feasible on a
-           prefix of k (values decrease toward a/b). *)
-        let kmax = if !b = 0 then big else Stdlib.max 1 ((max_den - !d) / !b) in
-        let k =
-          max_k_with ~kmax (fun k ->
-              feasible (make ((k * !a) + !c) ((k * !b) + !d)))
-        in
-        c := (k * !a) + !c;
-        d := (k * !b) + !d
+        (* With c/d still 1/0 the integer phase has just bracketed the
+           answer in (n-1, n]: a/b = (n-1)/1 and the mediant is n/1.
+           Certify the integer ceiling first: f = n - 1/max_den and n are
+           Farey neighbors, so when f is infeasible no fraction within
+           budget lies between them and n is the answer (b + d exceeds
+           [max_den], which ends the loop).  f is the far end the next
+           infeasible walk would probe first anyway; when it is feasible
+           the ladder below runs unchanged. *)
+        if
+          !d = 0
+          && Stdlib.( > ) max_den 1
+          && not (feasible (make (((!a + 1) * max_den) - 1) max_den))
+        then begin
+          c := !a + 1;
+          d := 1;
+          a := (!c * max_den) - 1;
+          b := max_den
+        end
+        else begin
+          (* Walk hi toward lo: m_k = (k*a + c)/(k*b + d), feasible on a
+             prefix of k (values decrease toward a/b). *)
+          let kmax = if !b = 0 then big else Stdlib.max 1 ((max_den - !d) / !b) in
+          let k =
+            max_k_with ~kmax (fun k ->
+                feasible (make ((k * !a) + !c) ((k * !b) + !d)))
+          in
+          c := (k * !a) + !c;
+          d := (k * !b) + !d
+        end
       end
       else begin
         (* Walk lo toward hi: m_k = (a + k*c)/(b + k*d), infeasible on a
@@ -106,7 +126,9 @@ let stern_brocot_min ~lo ~hi ~max_den ~feasible =
            is typically a run of infeasible steps, each of which the
            ladder would pay for separately, while a feasible far end is
            a cheap probe.  (The hi-toward-lo walk keeps the plain ladder:
-           there the far end is an expensive infeasible probe.) *)
+           there the far end is an expensive infeasible probe.  The one
+           exception is the integer certificate above, which probes the
+           far end of the infeasible walk that would follow.) *)
         let kmax = if !d = 0 then big else Stdlib.max 1 ((max_den - !b) / !d) in
         let infeasible_at k =
           not (feasible (make (!a + (k * !c)) (!b + (k * !d))))

@@ -74,4 +74,8 @@ val stern_brocot_min :
     [feasible] may be asked about the same point more than once (the
     descent's own [lo], the mediant each walk starts from); a caller
     whose oracle is expensive memoizes it.  A walk from an infeasible
-    point toward a finite feasible one probes its far end first. *)
+    point toward a finite feasible one probes its far end first.  Once
+    the integer phase brackets the answer in (n-1, n], the next probe is
+    n - 1/max_den: when it is infeasible it certifies n with no further
+    probe (the two are Farey neighbors within the budget); when it is
+    feasible the descent continues as it would have without it. *)

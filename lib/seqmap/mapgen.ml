@@ -44,7 +44,11 @@ let cut_function nl ~root ~cut =
   let f = cut_bdd man nl ~root ~cut ~vars in
   Bdd.to_truthtable man f vars
 
-let generate nl ~impls =
+type memo = (int * (int * int) array, Logic.Truthtable.t * (int * int) array) Hashtbl.t
+
+let new_memo () : memo = Hashtbl.create 256
+
+let generate ?(memo = new_memo ()) nl ~impls =
   let n = Netlist.n nl in
   (* collect the needed gates *)
   let needed = Array.make n false in
@@ -92,10 +96,17 @@ let generate nl ~impls =
       match impls.(v) with
       | None -> assert false
       | Some (Label_engine.Cut cut) ->
-          let tt = cut_function nl ~root:v ~cut in
-          (* the cut function may not depend on every cut signal *)
-          let tt, sup = Logic.Truthtable.shrink_support tt in
-          let cut = Array.of_list (List.map (fun j -> cut.(j)) sup) in
+          let tt, cut =
+            match Hashtbl.find_opt memo (v, cut) with
+            | Some lut -> lut
+            | None ->
+                let tt = cut_function nl ~root:v ~cut in
+                (* the cut function may not depend on every cut signal *)
+                let tt, sup = Logic.Truthtable.shrink_support tt in
+                let lut = (tt, Array.of_list (List.map (fun j -> cut.(j)) sup)) in
+                Hashtbl.add memo (v, cut) lut;
+                lut
+          in
           let fanins = Array.map (fun (u, w) -> (driver_of u, w)) cut in
           Netlist.define_gate out new_gate.(v) tt fanins
       | Some (Label_engine.Resyn (tree, inputs)) -> (

@@ -18,9 +18,22 @@ val cut_function :
     pairs [(driver, accumulated registers)].
     @raise Invalid_argument if the cut does not cover all paths. *)
 
+type memo
+(** LUT functions already built, keyed by (root, cut).  A LUT's function
+    depends only on its root and cut, so a caller that generates many
+    mappings of one source netlist builds each truth table once. *)
+
+val new_memo : unit -> memo
+(** An empty memo.  One memo serves one source netlist. *)
+
 val generate :
-  Circuit.Netlist.t -> impls:Label_engine.impl option array -> Circuit.Netlist.t
-(** Build the mapped netlist (PIs/POs preserved with names).
+  ?memo:memo ->
+  Circuit.Netlist.t ->
+  impls:Label_engine.impl option array ->
+  Circuit.Netlist.t
+(** Build the mapped netlist (PIs/POs preserved with names).  Plain-cut
+    LUT functions are read from and added to [memo] (default: a fresh
+    one); the result is the same netlist either way.
     @raise Invalid_argument if a needed gate lacks an implementation. *)
 
 val lut_count : Circuit.Netlist.t -> int

@@ -13,7 +13,9 @@
           │ full queue: shed 429             │ Synth.run on miss
           └──────────── one Prelude.Pool ────┘
 
-   The accept lane owns the listen socket and the request *read*: it
+   The accept lane owns the listen socket and the request *read*,
+   bounded by one deadline per request (408 when it expires, so a
+   silent client stalls the lane for at most that long): it
    parses the HTTP envelope, answers the cheap routes inline, and hands
    /map jobs (fd + parsed request) to the queue.  Worker domains own
    the /map compute and the response write.  Admission control is the
@@ -509,6 +511,7 @@ let status_text = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
   | 413 -> "Payload Too Large"
   | 429 -> "Too Many Requests"
   | 500 -> "Internal Server Error"
@@ -552,15 +555,32 @@ let respond_error fd ?headers ~status msg =
    with 413 before any of the body is read. *)
 let max_body = 1 lsl 24
 
+(* Seconds to receive one whole request, head and body; a client that
+   has not sent it by then is answered with 408. *)
+let read_timeout = 5.0
+
 type read =
   | Request of string * string * (string * string) list * string
       (** method, target, lower-cased headers, body *)
   | Reject of int * string  (** answer with this status and message *)
   | Unreadable  (** no request head: nothing to answer *)
 
+exception Read_timeout
+
+(* [Unix.read] before [deadline]: the socket's receive timeout is set to
+   the time remaining, so a silent peer cannot hold the read past it *)
+let read_before ~deadline fd chunk =
+  let remaining = deadline -. Prelude.Timer.wall () in
+  if remaining <= 0. then raise Read_timeout;
+  (* a zero SO_RCVTIMEO means no timeout at all *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max remaining 0.001);
+  try Unix.read fd chunk 0 (Bytes.length chunk)
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    raise Read_timeout
+
 (* read until the header terminator, then exactly Content-Length body
-   bytes *)
-let read_request fd =
+   bytes; raises [Read_timeout] at [deadline] *)
+let read_envelope ~deadline fd =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
   let header_end () =
@@ -580,7 +600,7 @@ let read_request fd =
     | None ->
         if Buffer.length buf > 1 lsl 20 then None (* oversized header *)
         else
-          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+          let n = read_before ~deadline fd chunk in
           if n = 0 then None
           else begin
             Buffer.add_subbytes buf chunk 0 n;
@@ -624,7 +644,7 @@ let read_request fd =
         let rec fill () =
           if Buffer.length body >= content_length then true
           else
-            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            let n = read_before ~deadline fd chunk in
             n > 0
             && begin
                  Buffer.add_subbytes body chunk 0 n;
@@ -638,6 +658,13 @@ let read_request fd =
           | meth :: target :: _ ->
               Request (meth, target, headers, Buffer.contents body)
           | _ -> Unreadable)
+
+(* one deadline covers the head and the body *)
+let read_request fd =
+  try read_envelope ~deadline:(Prelude.Timer.wall () +. read_timeout) fd
+  with Read_timeout ->
+    Reject
+      (408, Printf.sprintf "request not received within %gs" read_timeout)
 
 let parse_target target =
   match String.index_opt target '?' with

@@ -41,7 +41,9 @@
 
     {b Concurrency.}  One {!Prelude.Pool} hosts an accept lane plus
     [workers] worker domains.  The accept lane owns the listen socket,
-    parses request envelopes, answers the cheap routes inline, and
+    parses request envelopes (a client that has not sent its whole
+    request within 5 s gets [408], counted under route [malformed]),
+    answers the cheap routes inline, and
     feeds [/map] jobs to a bounded {!Prelude.Bqueue}; worker domains
     drain the queue, run the pipeline, and write the responses.  The
     [/map] documents are byte-identical to a direct

@@ -218,6 +218,66 @@ let test_relax_saves_area () =
   Alcotest.(check bool) "relaxed mapping equivalent" true
     (Sim.Equiv.mapped_equal rng nl relaxed_nl)
 
+(* [Relax.relax] reads every LUT function from one memo for the whole
+   call.  Its oracle is the plain greedy loop, regenerating each
+   candidate mapping from scratch: on the TurboSYN labels of five suite
+   circuits both must give the same BLIF text and relaxed count. *)
+let relax_reference nl ~impls ~phi =
+  let meets_phi m =
+    match Netlist.mdr_ratio m with
+    | Graphs.Cycle_ratio.Ratio r -> Rat.(r <= phi)
+    | Graphs.Cycle_ratio.No_cycle -> true
+    | Graphs.Cycle_ratio.Infinite -> false
+  in
+  (* the node's fanins, first occurrence of each kept, in order *)
+  let trivial_cut v =
+    Array.of_list
+      (List.rev
+         (Array.fold_left
+            (fun acc p -> if List.mem p acc then acc else p :: acc)
+            [] (Netlist.fanins nl v)))
+  in
+  let current = Array.copy impls in
+  let best = ref (Seqmap.Mapgen.generate nl ~impls:current) in
+  let relaxed = ref 0 in
+  Array.iteri
+    (fun v impl ->
+      match impl with
+      | Some (Seqmap.Label_engine.Resyn _) ->
+          let saved = current.(v) in
+          current.(v) <- Some (Seqmap.Label_engine.Cut (trivial_cut v));
+          let candidate = Seqmap.Mapgen.generate nl ~impls:current in
+          if
+            meets_phi candidate
+            && Seqmap.Mapgen.lut_count candidate
+               <= Seqmap.Mapgen.lut_count !best
+          then begin
+            best := candidate;
+            incr relaxed
+          end
+          else current.(v) <- saved
+      | _ -> ())
+    impls;
+  (!best, !relaxed)
+
+let test_relax_matches_reference () =
+  let so = Turbosyn.Synth.default_options ~k:5 () in
+  let opts = Turbosyn.Synth.engine_options so ~resynthesize:true in
+  List.iter
+    (fun name ->
+      let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+      let _, report, impls =
+        Seqmap.Turbomap.map_full ~options:opts
+          ?phi_max_den:so.Turbosyn.Synth.phi_max_den nl ~k:5
+      in
+      let phi = report.Seqmap.Turbomap.phi in
+      let got, n_got = Turbosyn.Relax.relax nl ~impls ~phi in
+      let want, n_want = relax_reference nl ~impls ~phi in
+      Alcotest.(check int) (name ^ " relaxed count") n_want n_got;
+      Alcotest.(check string) (name ^ " relaxed BLIF") (Blif.to_string want)
+        (Blif.to_string got))
+    [ "bbara"; "bbsse"; "cse"; "s298"; "dk16" ]
+
 let test_multi_output_never_worse () =
   (* multi-output decomposition can only widen the search: phi never gets
      worse, results stay equivalent *)
@@ -350,6 +410,8 @@ let () =
           Alcotest.test_case "turbosyn vs flowsyn" `Slow
             test_turbosyn_beats_flowsyn_on_fragmented_loop;
           Alcotest.test_case "label relaxation" `Slow test_relax_saves_area;
+          Alcotest.test_case "relax matches reference" `Slow
+            test_relax_matches_reference;
           Alcotest.test_case "multi-output flow" `Slow test_multi_output_never_worse;
           Alcotest.test_case "emission" `Quick test_outputs_consumable;
         ] );

@@ -172,7 +172,13 @@ let qcheck_table_verdict =
 (* The bbara TurboSYN flow decides exactly the committed baseline's
    bound-set trials (BENCH_stats_baseline.json).  The stats gate only
    fails on a rise beyond its slack, so a search that decided a
-   different set of trials could pass it; this pins the sequence. *)
+   different set of trials could pass it; this pins the sequence.
+   The counts follow the ratio search's probe sequence: the label runs
+   at phi = 1, 6, 2, 47/24 and the final run at 2, sharing one resyn
+   cache and cut memo.  The earlier 369 / 178 / 13 744 came from the
+   same runs plus a probe at 3/2, which the search no longer makes;
+   replaying both sequences through [Label_engine.run] gives both
+   triples, so the decomposition layer itself did not move. *)
 let test_bbara_trial_sequence () =
   let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find "bbara")) in
   Obs.set_enabled true;
@@ -190,9 +196,9 @@ let test_bbara_trial_sequence () =
         (fun (name, want) ->
           Alcotest.(check (option int)) name (Some want) (Obs.Counter.find name))
         [
-          ("decomp.calls", 369);
-          ("decomp.successes", 178);
-          ("decomp.bound_set_trials", 13744);
+          ("decomp.calls", 318);
+          ("decomp.successes", 153);
+          ("decomp.bound_set_trials", 11846);
         ])
 
 (* --- decomposition --- *)

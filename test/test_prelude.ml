@@ -82,6 +82,31 @@ let test_stern_brocot_lo_feasible () =
   Alcotest.check rat "lo returned" Rat.one
     (match r with Some x -> x | None -> Alcotest.fail "expected Some")
 
+(* The distinct points [stern_brocot_min] probes, in first-probe order,
+   and its answer. *)
+let probe_order ~lo ~hi ~max_den ~feasible =
+  let seen = ref [] in
+  let feasible r =
+    if not (List.exists (Rat.equal r) !seen) then seen := r :: !seen;
+    feasible r
+  in
+  let got = Rat.stern_brocot_min ~lo ~hi ~max_den ~feasible in
+  (List.rev !seen, got)
+
+(* A fractional threshold pays one feasible probe at n - 1/max_den (here
+   95/24) before the ladder below n runs as it always has. *)
+let test_stern_brocot_fractional_probes () =
+  let theta = Rat.make 7 2 in
+  let probes, got =
+    probe_order ~lo:Rat.one ~hi:(Rat.of_int 8) ~max_den:24 ~feasible:(fun r ->
+        Rat.(r >= theta))
+  in
+  Alcotest.(check (option rat)) "answer" (Some theta) got;
+  Alcotest.(check (list string))
+    "probe order"
+    [ "8"; "1"; "2"; "4"; "3"; "95/24"; "7/2"; "13/4"; "10/3"; "80/23" ]
+    (List.map Rat.to_string probes)
+
 let qcheck_rat_props =
   let open QCheck in
   let gen_rat =
@@ -192,6 +217,31 @@ let qcheck_stern_brocot =
         in
         let got = Rat.stern_brocot_min ~lo ~hi ~max_den:n ~feasible in
         Option.equal Rat.equal brute got);
+    (* An integer threshold n is certified by a single probe strictly
+       between n - 1 and n: the Farey neighbour n - 1/max_den. *)
+    Test.make ~name:"stern-brocot certifies an integer with one probe"
+      ~count:300
+      (make
+         ~print:(fun (lo, hi, n, d) ->
+           Printf.sprintf "lo=%d hi=%d n=%d max_den=%d" lo hi n d)
+         Gen.(
+           let* hi = int_range 2 40 in
+           let* n = int_range 2 hi in
+           let* lo = int_range 0 (n - 2) in
+           let* d = int_range 2 64 in
+           return (lo, hi, n, d)))
+      (fun (lo, hi, n, d) ->
+        let probes, got =
+          probe_order ~lo:(Rat.of_int lo) ~hi:(Rat.of_int hi) ~max_den:d
+            ~feasible:(fun r -> Rat.(r >= of_int n))
+        in
+        let inside =
+          List.filter
+            (fun r -> Rat.(r > of_int (n - 1)) && Rat.(r < of_int n))
+            probes
+        in
+        Option.equal Rat.equal got (Some (Rat.of_int n))
+        && List.equal Rat.equal inside [ Rat.make ((n * d) - 1) d ]);
   ]
 
 let test_rng_deterministic () =
@@ -360,6 +410,8 @@ let () =
           Alcotest.test_case "stern-brocot none" `Quick test_stern_brocot_none;
           Alcotest.test_case "stern-brocot lo feasible" `Quick
             test_stern_brocot_lo_feasible;
+          Alcotest.test_case "stern-brocot fractional probes" `Quick
+            test_stern_brocot_fractional_probes;
         ] );
       ("rat-props", List.map QCheck_alcotest.to_alcotest qcheck_rat_props);
       ("stern-brocot-props", List.map QCheck_alcotest.to_alcotest qcheck_stern_brocot);

@@ -546,13 +546,17 @@ let test_cut_memo () =
     (fun () -> ignore (Label_engine.run ~cutmemo:memo opts other ~phi:phi_a))
 
 (* The ratio search decides each phi once: every [search.probe] trace
-   event names a distinct phi, the probe count matches the events, and
-   phi* is the one the search has always returned (bbara under the
-   TurboSYN options, cse under TurboMap's). *)
+   event names a distinct phi, the probe count matches the events, phi*
+   is the one the search has always returned, and the probes are the
+   pinned sequence (K=5, TurboSYN or TurboMap options).  With the flow's
+   denominator cap of 24, an integer phi* = n is certified by one
+   infeasible probe at n - 1/24 right after the integer phase finds n:
+   no (2n-1)/2 rung is probed.  Without a cap the search explores
+   denominators up to the register count. *)
 let test_probe_each_phi_once () =
   let so = Turbosyn.Synth.default_options ~k:5 () in
   List.iter
-    (fun (name, resynthesize, expect) ->
+    (fun (name, resynthesize, phi_max_den, expect, expect_phis) ->
       let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
       let opts = Turbosyn.Synth.engine_options so ~resynthesize in
       Obs.set_enabled true;
@@ -562,7 +566,7 @@ let test_probe_each_phi_once () =
           Obs.reset ();
           Obs.set_enabled false)
         (fun () ->
-          let phi, probes, _ = Turbomap.minimum_ratio opts nl in
+          let phi, probes, _ = Turbomap.minimum_ratio ?phi_max_den opts nl in
           let phis =
             List.filter_map
               (fun e ->
@@ -578,8 +582,19 @@ let test_probe_each_phi_once () =
             (List.length phis);
           Alcotest.(check (list string))
             (name ^ " probed phis pairwise distinct")
-            (List.sort_uniq compare phis) (List.sort compare phis)))
-    [ ("bbara", true, Rat.of_int 2); ("cse", false, Rat.of_int 7) ]
+            (List.sort_uniq compare phis) (List.sort compare phis);
+          Alcotest.(check (list string))
+            (name ^ " probe sequence") expect_phis phis))
+    [
+      ("bbara", true, None, Rat.of_int 2, [ "1"; "6"; "2"; "215/108" ]);
+      ( "cse",
+        false,
+        None,
+        Rat.of_int 7,
+        [ "1"; "10"; "2"; "4"; "8"; "6"; "7"; "839/120" ] );
+      ("bbara", true, Some 24, Rat.of_int 2, [ "1"; "6"; "2"; "47/24" ]);
+      ("cse", true, Some 24, Rat.of_int 4, [ "1"; "10"; "2"; "4"; "3"; "95/24" ]);
+    ]
 
 (* Per-lane arena ownership: arenas are private to one lane; distinct
    arenas solve concurrently without interference, and one arena is

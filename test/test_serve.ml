@@ -677,27 +677,37 @@ let test_response_bytes () =
       Alcotest.(check bool) "flat counter suppressed" true
         (series_value scrape "turbosyn_serve_response_bytes_map_total" = None))
 
-(* A raw request whose head declares [content_length] while only
-   [body] follows; [close_send] half-closes the connection after it.
-   Returns the response status. *)
-let raw_request ~port ~content_length ~body ~close_send =
+(* Send [text] raw on a fresh connection, run [f] on the open socket,
+   close it.  The socket has a 10 s receive timeout: a server that never
+   answers fails the test instead of hanging it. *)
+let with_raw_conn ~port text f =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      (* a server that waits for the missing bytes fails the test
-         instead of hanging it *)
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      send_all fd
-        (Printf.sprintf
-           "POST /map HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
-            Connection: close\r\n\r\n%s"
-           content_length body);
+      send_all fd text;
+      f fd)
+
+(* The status code of the response read to EOF from [fd]; 0 if none. *)
+let recv_status fd =
+  match String.split_on_char ' ' (recv_all fd) with
+  | _http :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
+  | _ -> 0
+
+(* A raw request whose head declares [content_length] while only
+   [body] follows; [close_send] half-closes the connection after it.
+   Returns the response status. *)
+let raw_request ~port ~content_length ~body ~close_send =
+  with_raw_conn ~port
+    (Printf.sprintf
+       "POST /map HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\
+        Connection: close\r\n\r\n%s"
+       content_length body)
+    (fun fd ->
       if close_send then Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      match String.split_on_char ' ' (recv_all fd) with
-      | _http :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
-      | _ -> 0)
+      recv_status fd)
 
 let test_body_limits () =
   with_server (fun port ->
@@ -731,6 +741,37 @@ let test_body_limits () =
       (* the server still maps after both *)
       let status, _ = http ~port ~meth:"POST" ~path:"/map" ~body () in
       Alcotest.(check int) "still serving" 200 status)
+
+(* A client that sends nothing, or half a request head, and then stays
+   silent gets 408 once the 5 s read deadline expires.  The accept lane
+   stops waiting for it then, so a /healthz sent meanwhile is answered
+   within the deadline plus a second. *)
+let test_read_deadline () =
+  let read_timeout = 5.0 in
+  with_server (fun port ->
+      List.iter
+        (fun (what, partial) ->
+          with_raw_conn ~port partial (fun silent ->
+              let t0 = Unix.gettimeofday () in
+              let health =
+                with_raw_conn ~port
+                  "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+                  recv_status
+              in
+              let waited = Unix.gettimeofday () -. t0 in
+              Alcotest.(check int) (what ^ ": healthz answered") 200 health;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: healthz within deadline + 1 s (%.2fs)"
+                   what waited)
+                true
+                (waited <= read_timeout +. 1.);
+              Alcotest.(check int) (what ^ ": 408") 408 (recv_status silent)))
+        [ ("silent", ""); ("half a head", "GET /healthz HTTP/1.1\r\nHo") ];
+      let _, _, scrape = http_full ~port ~meth:"GET" ~path:"/metrics" () in
+      Alcotest.(check (option (float 0.)))
+        "408 counted under malformed" (Some 2.)
+        (series_value scrape
+           "turbosyn_serve_requests{route=\"malformed\",status=\"408\"}"))
 
 (* ---------------------------------------------------------------- *)
 (* Profiling and SLO endpoints                                       *)
@@ -932,6 +973,7 @@ let () =
           Alcotest.test_case "content-length and response bytes" `Quick
             test_response_bytes;
           Alcotest.test_case "request body limits" `Quick test_body_limits;
+          Alcotest.test_case "request read deadline" `Slow test_read_deadline;
           Alcotest.test_case "profiling and slo endpoints" `Quick
             test_profiling_and_slo;
           Alcotest.test_case "prof and slo defaults" `Quick
