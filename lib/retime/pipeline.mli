@@ -19,6 +19,12 @@ val retime_to_period : Circuit.Netlist.t -> period:int -> int array option
     retiming + pipelining, or [None] when [period] is below the loop
     bound. *)
 
+val lags_at : Circuit.Netlist.t -> period:int -> int array
+(** The lags of {!retime_to_period} for a [period] the caller already
+    knows to be at least the loop bound ({!period_lower_bound}), without
+    solving the bound again.
+    @raise Invalid_argument when [period] is below the loop bound. *)
+
 val min_period : Circuit.Netlist.t -> int * int array
 (** The loop bound and lags achieving it.
     @raise Invalid_argument on a combinational loop. *)

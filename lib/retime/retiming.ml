@@ -203,13 +203,56 @@ let period_of nl r =
   | None -> max_int
   | Some dl -> Array.fold_left max 0 dl
 
+let c_trials = Obs.Counter.make "retime.ffmin_trials"
+let c_period_checks = Obs.Counter.make "retime.ffmin_period_checks"
+let c_moves = Obs.Counter.make "retime.ffmin_moves"
+
+(* Each ±1 trial is checked with work proportional to the moved gate's
+   degree.  A move of r(v) changes only v's in-edges and out-edges, so
+   (r being legal before the trial) checking those edges decides [legal];
+   it changes [maxw] (the largest retimed out-edge weight, as [ff_count]
+   sums it) only for v and v's fanin drivers.  The whole-circuit period
+   pass runs last, only for a legal move that lowers the count: the
+   acceptance test is a conjunction of pure predicates, so the order
+   changes no decision. *)
 let minimize_ffs nl ~period ~r =
   if not (legal nl ~r) then invalid_arg "Retiming.minimize_ffs: illegal lags";
+  let n = Netlist.n nl in
   let r = Array.copy r in
-  let best = ref (ff_count nl ~r) in
+  (* out-edges of each driver as (consumer, fanin index) *)
+  let outs = Array.make n [] in
+  for v = n - 1 downto 0 do
+    Array.iteri
+      (fun j (d, _) -> outs.(d) <- (v, j) :: outs.(d))
+      (Netlist.fanins nl v)
+  done;
+  let maxw_of d =
+    List.fold_left (fun m (c, j) -> max m (retimed_weight nl r c j)) 0 outs.(d)
+  in
+  let maxw = Array.init n maxw_of in
+  let best = ref (Array.fold_left ( + ) 0 maxw) in
+  (* v and its distinct fanin drivers: the nodes whose [maxw] a move of v
+     changes *)
+  let seen = Array.make n 0 and trial = ref 0 in
+  let affected v =
+    incr trial;
+    seen.(v) <- !trial;
+    Array.fold_left
+      (fun acc (d, _) ->
+        if seen.(d) = !trial then acc
+        else begin
+          seen.(d) <- !trial;
+          d :: acc
+        end)
+      [ v ] (Netlist.fanins nl v)
+  in
+  let local_legal v =
+    Array.for_all (fun (d, w) -> w + r.(v) - r.(d) >= 0) (Netlist.fanins nl v)
+    && List.for_all (fun (c, j) -> retimed_weight nl r c j >= 0) outs.(v)
+  in
   let gates = Netlist.gates nl in
   let improved = ref true in
-  let rounds = ref (Netlist.n nl * 4) in
+  let rounds = ref (n * 4) in
   while !improved && !rounds > 0 do
     decr rounds;
     improved := false;
@@ -217,19 +260,29 @@ let minimize_ffs nl ~period ~r =
       (fun v ->
         List.iter
           (fun delta_r ->
+            Obs.Counter.incr c_trials;
             r.(v) <- r.(v) + delta_r;
-            let better =
-              legal nl ~r
-              && period_of nl r <= period
-              &&
-              let c = ff_count nl ~r in
-              c < !best
+            let accepted =
+              if not (local_legal v) then None
+              else
+                let fresh = List.map (fun d -> (d, maxw_of d)) (affected v) in
+                let c =
+                  List.fold_left (fun c (d, m) -> c - maxw.(d) + m) !best fresh
+                in
+                if
+                  c < !best
+                  && (Obs.Counter.incr c_period_checks;
+                      period_of nl r <= period)
+                then Some (fresh, c)
+                else None
             in
-            if better then begin
-              best := ff_count nl ~r;
-              improved := true
-            end
-            else r.(v) <- r.(v) - delta_r)
+            match accepted with
+            | Some (fresh, c) ->
+                List.iter (fun (d, m) -> maxw.(d) <- m) fresh;
+                best := c;
+                improved := true;
+                Obs.Counter.incr c_moves
+            | None -> r.(v) <- r.(v) - delta_r)
           [ 1; -1 ])
       gates
   done;

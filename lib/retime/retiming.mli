@@ -50,4 +50,9 @@ val minimize_ffs : Circuit.Netlist.t -> period:int -> r:int array -> int array
     retiming): starting from the legal lag vector [r] (clock period
     [<= period]), repeatedly nudge single gate lags by ±1 whenever that
     lowers [ff_count] while preserving legality and the period.  Returns a
-    lag vector no worse than [r] on either metric. *)
+    lag vector no worse than [r] on either metric.  Legality and the
+    register count of a trial are checked on the moved gate's edges and
+    its fanin drivers' fanouts; the whole-circuit period pass runs only
+    for a legal trial that lowers the count (counters
+    [retime.ffmin_trials], [retime.ffmin_period_checks],
+    [retime.ffmin_moves]). *)

@@ -221,9 +221,8 @@ let minimum_ratio ?cache ?cutmemo ?phi_max_den ?(jobs = 1) ?pool opts nl =
 let realize_full mapped =
   match Retime.Pipeline.period_lower_bound mapped with
   | `Infinite -> None
-  | `Period p ->
-      let period, r = Retime.Pipeline.min_period mapped in
-      assert (period = p);
+  | `Period period ->
+      let r = Retime.Pipeline.lags_at mapped ~period in
       (* greedy FF minimization at the achieved period (skipped on very
          large circuits where the local search would dominate runtime) *)
       let r =

@@ -578,6 +578,22 @@ let read_before ~deadline fd chunk =
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     raise Read_timeout
 
+(* The declared body length: 0 without a Content-Length header, [None]
+   unless every Content-Length header is [1*DIGIT] and all agree.  A
+   digit string too long for an [int] reads as [max_int], over
+   [max_body]. *)
+let content_length headers =
+  let is_digit c = c >= '0' && c <= '9' in
+  let parse v =
+    if v = "" || not (String.for_all is_digit v) then None
+    else Some (Option.value ~default:max_int (int_of_string_opt v))
+  in
+  match List.filter (fun (k, _) -> k = "content-length") headers with
+  | [] -> Some 0
+  | (_, v) :: rest ->
+      let n = parse v in
+      if List.for_all (fun (_, v') -> parse v' = n) rest then n else None
+
 (* read until the header terminator, then exactly Content-Length body
    bytes; raises [Read_timeout] at [deadline] *)
 let read_envelope ~deadline fd =
@@ -628,36 +644,33 @@ let read_envelope ~deadline fd =
             | None -> None)
           (List.tl lines)
       in
-      let content_length =
-        match List.assoc_opt "content-length" headers with
-        | Some v -> Option.value ~default:0 (int_of_string_opt v)
-        | None -> 0
-      in
-      if content_length > max_body then
-        Reject
-          (413, Printf.sprintf "request body over %d bytes" max_body)
-      else
-        let body = Buffer.create content_length in
-        Buffer.add_string body
-          (String.sub raw body_start (String.length raw - body_start));
-        (* false when the peer closes before the body is complete *)
-        let rec fill () =
-          if Buffer.length body >= content_length then true
+      match content_length headers with
+      | None -> Reject (400, "malformed Content-Length")
+      | Some content_length when content_length > max_body ->
+          Reject (413, Printf.sprintf "request body over %d bytes" max_body)
+      | Some content_length ->
+          let body = Buffer.create content_length in
+          Buffer.add_string body
+            (String.sub raw body_start (String.length raw - body_start));
+          (* false when the peer closes before the body is complete *)
+          let rec fill () =
+            if Buffer.length body >= content_length then true
+            else
+              let n = read_before ~deadline fd chunk in
+              n > 0
+              && begin
+                   Buffer.add_subbytes body chunk 0 n;
+                   fill ()
+                 end
+          in
+          if not (fill ()) then
+            Reject (400, "request body shorter than its Content-Length")
           else
-            let n = read_before ~deadline fd chunk in
-            n > 0
-            && begin
-                 Buffer.add_subbytes body chunk 0 n;
-                 fill ()
-               end
-        in
-        if not (fill ()) then
-          Reject (400, "request body shorter than its Content-Length")
-        else
-          match String.split_on_char ' ' request_line with
-          | meth :: target :: _ ->
-              Request (meth, target, headers, Buffer.contents body)
-          | _ -> Unreadable)
+            match String.split_on_char ' ' request_line with
+            | meth :: target :: _ ->
+                Request
+                  (meth, target, headers, Buffer.sub body 0 content_length)
+            | _ -> Unreadable)
 
 (* one deadline covers the head and the body *)
 let read_request fd =

@@ -455,6 +455,74 @@ let build_canon_recipe rc ~order ~wire_name =
     rc.rc_pos;
   nl
 
+(* Fuzzing the BLIF reader: a Table-1 BLIF with 1-4 random edits (insert
+   a BLIF token, delete a span, duplicate a span) must parse to [Ok] or
+   [Error], never raise. *)
+let table1_blifs =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun spec -> Blif.to_string (Workloads.Suite.build spec))
+          Workloads.Suite.table1))
+
+let blif_tokens =
+  [| ".model"; ".inputs"; ".outputs"; ".names"; ".latch"; ".end"; ".exdc";
+     ".subckt"; "\\\n"; "\n"; " "; "#"; "-"; "0"; "1"; "2"; "11 1";
+     "re"; "clk"; "x0"; "n1" |]
+
+type blif_edit = Insert of int * string | Delete of int * int | Dup of int * int
+
+let apply_blif_edit s edit =
+  let n = String.length s in
+  (* a position anywhere in [s], and a span from it clipped to [s] *)
+  let at p = p mod (n + 1) in
+  let span p l = (at p, min l (n - at p)) in
+  match edit with
+  | Insert (p, tok) ->
+      let p = at p in
+      String.sub s 0 p ^ tok ^ String.sub s p (n - p)
+  | Delete (p, l) ->
+      let p, l = span p l in
+      String.sub s 0 p ^ String.sub s (p + l) (n - p - l)
+  | Dup (p, l) ->
+      let p, l = span p l in
+      String.sub s 0 (p + l) ^ String.sub s p (n - p)
+
+let qcheck_blif_fuzz =
+  let open QCheck in
+  let edit =
+    Gen.(
+      let* p = int_bound 1_000_000 in
+      let* l = int_range 1 200 in
+      oneof
+        [
+          map (fun t -> Insert (p, t)) (oneofa blif_tokens);
+          return (Delete (p, l));
+          return (Dup (p, l));
+        ])
+  in
+  let print (c, edits) =
+    Printf.sprintf "circuit %d: %s" c
+      (String.concat "; "
+         (List.map
+            (function
+              | Insert (p, t) -> Printf.sprintf "insert %S at %d" t p
+              | Delete (p, l) -> Printf.sprintf "delete %d at %d" l p
+              | Dup (p, l) -> Printf.sprintf "duplicate %d at %d" l p)
+            edits))
+  in
+  Test.make ~count:500 ~name:"mutated Table-1 BLIFs parse or fail, never raise"
+    (make ~print
+       Gen.(
+         pair
+           (int_bound (List.length Workloads.Suite.table1 - 1))
+           (list_size (int_range 1 4) edit)))
+    (fun (c, edits) ->
+      let text =
+        List.fold_left apply_blif_edit (Lazy.force table1_blifs).(c) edits
+      in
+      match Blif.parse_string text with Ok _ | Error _ -> true)
+
 let shuffle rng arr =
   let arr = Array.copy arr in
   for i = Array.length arr - 1 downto 1 do
@@ -567,6 +635,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_blif_roundtrip;
           Alcotest.test_case "random roundtrips" `Quick test_blif_roundtrip_random;
           Alcotest.test_case "file io" `Quick test_blif_file_io;
+          QCheck_alcotest.to_alcotest qcheck_blif_fuzz;
         ] );
       ( "verilog",
         [

@@ -278,6 +278,27 @@ let test_relax_matches_reference () =
         (Blif.to_string got))
     [ "bbara"; "bbsse"; "cse"; "s298"; "dk16" ]
 
+(* Realization's FF minimization on real mappings: the lags [Synth.run]
+   returns equal the whole-circuit reference search from the same
+   pipelined start. *)
+let test_ffmin_matches_reference () =
+  let options = Turbosyn.Synth.default_options ~k:5 () in
+  List.iter
+    (fun (name, algo) ->
+      let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+      let res = Turbosyn.Synth.run ~options algo nl in
+      let mapped = res.Turbosyn.Synth.mapped in
+      let period, r = Retime.Pipeline.min_period mapped in
+      let want = Ffmin_reference.reference_minimize_ffs mapped ~period ~r in
+      let what = name ^ " " ^ Turbosyn.Synth.algo_name algo in
+      Alcotest.(check (array int)) (what ^ " minimize_ffs") want
+        (Retime.Retiming.minimize_ffs mapped ~period ~r);
+      Alcotest.(check (option (array int))) (what ^ " realized lags")
+        (Some want) res.Turbosyn.Synth.lags)
+    (List.concat_map
+       (fun name -> [ (name, `Turbomap); (name, `Flowsyn_s) ])
+       [ "bbara"; "s298"; "s1423" ])
+
 let test_multi_output_never_worse () =
   (* multi-output decomposition can only widen the search: phi never gets
      worse, results stay equivalent *)
@@ -413,6 +434,8 @@ let () =
           Alcotest.test_case "relax matches reference" `Slow
             test_relax_matches_reference;
           Alcotest.test_case "multi-output flow" `Slow test_multi_output_never_worse;
+          Alcotest.test_case "ff minimization matches reference" `Quick
+            test_ffmin_matches_reference;
           Alcotest.test_case "emission" `Quick test_outputs_consumable;
         ] );
       ( "workloads",

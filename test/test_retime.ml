@@ -258,6 +258,10 @@ let test_minimize_ffs () =
         let period, r = Pipeline.min_period nl in
         let before = Retiming.ff_count nl ~r in
         let r' = Retiming.minimize_ffs nl ~period ~r in
+        Alcotest.(check (array int))
+          "lags match the whole-circuit reference"
+          (Ffmin_reference.reference_minimize_ffs nl ~period ~r)
+          r';
         Alcotest.(check bool) "legal" true (Retiming.legal nl ~r:r');
         let after = Retiming.ff_count nl ~r:r' in
         Alcotest.(check bool)
@@ -271,6 +275,39 @@ let test_minimize_ffs () =
           (Pipeline.latency nl ~r)
           (Pipeline.latency nl ~r:r')
   done
+
+(* The local checks of [minimize_ffs] against the whole-circuit reference
+   on generated sequential circuits, pipelined to their loop bound. *)
+let qcheck_minimize_ffs =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* gates = int_range 6 24 in
+      let* fsm = bool in
+      return (seed, gates, fsm))
+  in
+  let print (seed, gates, fsm) =
+    Printf.sprintf "seed %d, %d gates, %s" seed gates
+      (if fsm then "fsm" else "mixer")
+  in
+  Test.make ~count:200 ~name:"minimize_ffs matches the whole-circuit reference"
+    (make ~print gen)
+    (fun (seed, gates, fsm) ->
+      let rng = Prelude.Rng.create seed in
+      let nl =
+        if fsm then
+          Workloads.Generate.fsm rng ~pis:2 ~pos:2 ~gates
+            ~ffs:(2 + Prelude.Rng.int rng 2)
+        else
+          Workloads.Generate.mixer rng ~pis:2 ~pos:2 ~gates ~ff_density:0.3
+      in
+      match Pipeline.period_lower_bound nl with
+      | `Infinite -> true
+      | `Period _ ->
+          let period, r = Pipeline.min_period nl in
+          Retiming.minimize_ffs nl ~period ~r
+          = Ffmin_reference.reference_minimize_ffs nl ~period ~r)
 
 let () =
   Alcotest.run "retime"
@@ -297,5 +334,6 @@ let () =
         [
           Alcotest.test_case "ff count" `Quick test_ff_count;
           Alcotest.test_case "minimize" `Quick test_minimize_ffs;
+          QCheck_alcotest.to_alcotest qcheck_minimize_ffs;
         ] );
     ]

@@ -742,6 +742,78 @@ let test_body_limits () =
       let status, _ = http ~port ~meth:"POST" ~path:"/map" ~body () in
       Alcotest.(check int) "still serving" 200 status)
 
+(* A raw POST /map carrying one Content-Length line per entry of
+   [lengths], written as given, before [body].  Returns the status and
+   the whole response. *)
+let raw_map ~port ~lengths body =
+  let cl =
+    String.concat ""
+      (List.map (Printf.sprintf "Content-Length: %s\r\n") lengths)
+  in
+  with_raw_conn ~port
+    (Printf.sprintf
+       "POST /map HTTP/1.1\r\nHost: localhost\r\n%sConnection: close\r\n\r\n%s"
+       cl body)
+    (fun fd ->
+      let resp = recv_all fd in
+      let status =
+        match String.split_on_char ' ' resp with
+        | _http :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
+        | _ -> 0
+      in
+      (status, resp))
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+(* Content-Length must be 1*DIGIT, and duplicates must agree; anything
+   else is a 400 under route "malformed", answered at once.  The body is
+   exactly the declared bytes, not whatever else the peer sent. *)
+let test_content_length () =
+  with_server (fun port ->
+      let body = map_body ~circuit:"bbara" ~algo:"turbomap" in
+      let len = string_of_int (String.length body) in
+      let bad =
+        [
+          [ "-5" ];
+          [ "abc" ];
+          [ "0x32" ];
+          [ "5_0" ];
+          [ "+5" ];
+          [ "" ];
+          [ len ^ ", " ^ len ];
+          [ len; "5" ];
+        ]
+      in
+      List.iter
+        (fun lengths ->
+          let what = "Content-Length " ^ String.concat " / " lengths in
+          let status, resp = raw_map ~port ~lengths body in
+          Alcotest.(check int) what 400 status;
+          Alcotest.(check bool) (what ^ ": named") true
+            (contains resp "malformed Content-Length"))
+        bad;
+      (* a declared length shorter than what was sent cuts the body *)
+      let status, resp = raw_map ~port ~lengths:[ "5" ] body in
+      Alcotest.(check int) "short declared length" 400 status;
+      Alcotest.(check bool) "cut body is not JSON" true
+        (contains resp "invalid JSON body");
+      (* agreeing duplicates and leading zeros are still one length *)
+      Alcotest.(check int) "agreeing duplicates" 200
+        (fst (raw_map ~port ~lengths:[ len; len ] body));
+      Alcotest.(check int) "leading zeros" 200
+        (fst (raw_map ~port ~lengths:[ "00" ^ len ] body));
+      let _, _, scrape = http_full ~port ~meth:"GET" ~path:"/metrics" () in
+      Alcotest.(check (option (float 0.)))
+        "counted under malformed"
+        (Some (float_of_int (List.length bad)))
+        (series_value scrape
+           "turbosyn_serve_requests{route=\"malformed\",status=\"400\"}"))
+
 (* A client that sends nothing, or half a request head, and then stays
    silent gets 408 once the 5 s read deadline expires.  The accept lane
    stops waiting for it then, so a /healthz sent meanwhile is answered
@@ -973,6 +1045,8 @@ let () =
           Alcotest.test_case "content-length and response bytes" `Quick
             test_response_bytes;
           Alcotest.test_case "request body limits" `Quick test_body_limits;
+          Alcotest.test_case "content-length validation" `Quick
+            test_content_length;
           Alcotest.test_case "request read deadline" `Slow test_read_deadline;
           Alcotest.test_case "profiling and slo endpoints" `Quick
             test_profiling_and_slo;
