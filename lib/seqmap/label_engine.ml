@@ -192,24 +192,50 @@ let scaled_of_rat sc r = Rat.num r * (sc.pden / Rat.den r)
    Validating a snapshot is O(trace) integer compares against the
    scaled labels, replacing expansion + network + max-flow in the
    steady state of infeasible probes, where labels rise in lock-step
-   with the threshold and the trace never changes. *)
-(* Recorded resynthesis candidates of one snapshot slot.  [c_complete]
+   with the threshold and the trace never changes.  Nothing in that
+   argument depends on the threshold that recorded the snapshot, so a
+   snapshot answers a query at any threshold it validates at: the K-cut
+   test's, or any resynthesis level's. *)
+(* Recorded resynthesis candidates of one snapshot.  [c_complete]
    distinguishes a fully materialized candidate list from one cut short
    because the frontier cut decomposed before the lazy min cut was ever
    computed: a replay that exhausts an incomplete list cannot conclude
    the attempt failed and must fall back to the full evaluation. *)
 type cands = { c_pairs : (int * int) array list; c_complete : bool }
 
+(* K-cut verdict of a snapshot's expansion; [Untested] until a cut test
+   has run on it (snapshots recorded by resynthesis levels start so) *)
+type verdict = Untested | Passed of (int * int) array | Failed
+
 type snap = {
-  s_u : int array;  (* expansion trace: (u, w, internal) per local node *)
-  s_w : int array;
-  s_flag : bool array;
+  s_trace : int array;  (* packed (u, w, internal) per local node *)
   s_overflow : bool;
-  s_pass : (int * int) array option;  (* slot 0: the passing K-cut *)
+  mutable s_verdict : verdict;
   mutable s_cands : cands option;
-      (* resynthesis candidate cuts at this slot's threshold, widest
-         first, already filtered; [None] until that attempt level runs *)
+      (* resynthesis candidate cuts of this expansion, widest first,
+         already filtered; [None] until an attempt level evaluates them.
+         Candidates are structural (frontier and min cut of the
+         expansion), so they serve every threshold the snapshot
+         validates at *)
 }
+
+(* Trace packing: one word per expansion node, [u] in bits 31..61, [w] in
+   bits 1..30, the internal flag in bit 0.  [pack] rejects what does not
+   fit rather than aliasing two nodes. *)
+let w_bits = 30
+let w_mask = (1 lsl w_bits) - 1
+let u_shift = w_bits + 1
+
+let pack u w internal =
+  if u < 0 || u >= 1 lsl 31 || w < 0 || w > w_mask then
+    invalid_arg "Label_engine: expansion node out of snapshot range";
+  (u lsl u_shift) lor (w lsl 1) lor Bool.to_int internal
+
+(* Per-gate snapshots kept, most recently used first.  Must stay at least
+   [resyn_depth + 1] (default 2) so one attempt's levels do not evict
+   each other; measured on cse TurboSYN, 4 thrashes and 16 gains
+   nothing over 8 (doc/PERF.md). *)
+let ring_size = 8
 
 (* Cross-phi min-cut memo: the per-gate last-passing-cut table and the
    per-gate expansion-snapshot table, made shareable across the probes
@@ -222,22 +248,25 @@ type snap = {
    current scaled labels and phi, so a snapshot that validates at a new
    probe proves the rebuild there would be verbatim identical — verdict,
    passing cut and resynthesis candidates included — making reuse exact
-   at any phi.  Entries are overwritten by every fresh pass and
-   invalidated by those checks, so eviction is tied to the snapshot
-   validation itself rather than to any explicit policy; sharing is
-   sound only where the probe sequence is deterministic (the sequential
-   descent and the final run — speculative probe domains get a [None]
-   memo). *)
+   at any phi.  Cut entries are overwritten by every fresh pass; each
+   gate's snapshot ring keeps its [ring_size] most recently used
+   expansions and drops the least recently used one on insert.  Sharing
+   is sound only where the probe sequence is deterministic (the
+   sequential descent and the final run — speculative probe domains get
+   a [None] memo). *)
 type cut_memo = {
   m_cuts : (int * int) array option array;
-  mutable m_snaps : snap option array array;
-      (* sized [n] x [resyn_depth + 1] by the first run that adopts the
-         memo (the constructor cannot know [resyn_depth]);
-         re-sized — dropping contents — if a later run disagrees *)
+  m_ring : snap list array;
+  m_last : snap option array;
 }
 
 let new_cut_memo nl =
-  { m_cuts = Array.make (Netlist.n nl) None; m_snaps = [||] }
+  let n = Netlist.n nl in
+  {
+    m_cuts = Array.make n None;
+    m_ring = Array.make n [];
+    m_last = Array.make n None;
+  }
 
 (* Everything one label run reads and scribbles on.  The arenas make the
    per-cut-test allocations (expansion vectors, flow network, BFS scratch)
@@ -260,9 +289,14 @@ type ctx = {
      a fresh flow test; aliases the caller's [cut_memo] when one is
      supplied, carrying cuts across the probes of a ratio search *)
   recorded : (int * int) array option array;
-  (* per-gate expansion snapshots, slot [h] for resynthesis attempt
-     threshold [target - h]; slot 0 doubles as the K-cut test's *)
-  snaps : snap option array array;
+  (* per-gate expansion snapshots, most recently used first, at most
+     [ring_size] each; any of them answers a cut test or a resynthesis
+     level it validates at *)
+  ring : snap list array;
+  (* per-gate snapshot that answered the latest cut test — the only one
+     the harvest consults, so provenance does not depend on what else
+     the ring holds *)
+  last : snap option array;
   (* global iteration index of each gate's last label change (0 = the
      initial label survived); reported as provenance *)
   last_change : int array;
@@ -314,54 +348,71 @@ let cut_pairs (ex : Expanded.t) c =
          (nd.Expanded.u, nd.Expanded.w))
        c)
 
-let snap_of (ex : Expanded.t) ~pass =
-  let n = Array.length ex.Expanded.nodes in
-  let s_u = Array.make n 0 and s_w = Array.make n 0 in
-  Array.iteri
-    (fun i nd ->
-      s_u.(i) <- nd.Expanded.u;
-      s_w.(i) <- nd.Expanded.w)
-    ex.Expanded.nodes;
+let snap_of (ex : Expanded.t) ~verdict =
+  let internal = ex.Expanded.internal in
   {
-    s_u;
-    s_w;
-    (* [build] returns a fresh flags array per expansion: share, don't copy *)
-    s_flag = ex.Expanded.internal;
+    s_trace =
+      Array.mapi
+        (fun i nd -> pack nd.Expanded.u nd.Expanded.w internal.(i))
+        ex.Expanded.nodes;
     s_overflow = ex.Expanded.overflow;
-    s_pass = pass;
+    s_verdict = verdict;
     s_cands = None;
   }
 
-(* Validate [sn] at scaled threshold [st]; on success, register the trace
-   in the worklist read set (exactly the notes a rebuild would emit).
-   Index 0 is the root, internal by fiat — skipped. *)
-let snap_valid ctx sn ~st =
-  let sc = ctx.scaled in
-  let n = Array.length sn.s_u in
+(* Does every entry of trace [tr] re-derive its internal flag at scaled
+   threshold [st]?  Index 0 is the root, internal by fiat — skipped. *)
+let trace_valid sc tr ~st =
+  let n = Array.length tr in
   let ok = ref true in
   let i = ref 1 in
   while !ok && !i < n do
-    let j = !i in
-    if
-      sc.slab.(sn.s_u.(j)) - (sc.pnum * sn.s_w.(j)) + sc.pden > st
-      <> sn.s_flag.(j)
-    then ok := false
+    let e = tr.(!i) in
+    let u = e lsr u_shift and w = (e lsr 1) land w_mask in
+    if sc.slab.(u) - (sc.pnum * w) + sc.pden > st <> (e land 1 = 1) then
+      ok := false
     else incr i
   done;
-  if !ok then begin
-    Obs.Counter.incr c_snap_reuse;
-    Obs.Histogram.observe_int h_snap_trace n;
-    match ctx.note with
-    | None -> ()
-    | Some f -> Array.iter f sn.s_u
-  end;
   !ok
 
-let snap_slot ctx v h ~threshold =
-  match ctx.snaps.(v).(h) with
-  | Some sn when snap_valid ctx sn ~st:(scaled_of_rat ctx.scaled threshold) ->
-      Some sn
-  | _ -> None
+(* Validate [sn] at scaled threshold [st]; on success, register the trace
+   in the worklist read set (exactly the notes a rebuild would emit). *)
+let snap_valid ctx sn ~st =
+  let tr = sn.s_trace in
+  let ok = trace_valid ctx.scaled tr ~st in
+  if ok then begin
+    Obs.Counter.incr c_snap_reuse;
+    Obs.Histogram.observe_int h_snap_trace (Array.length tr);
+    match ctx.note with
+    | None -> ()
+    | Some f -> Array.iter (fun e -> f (e lsr u_shift)) tr
+  end;
+  ok
+
+let snapshot_revalidates (ex : Expanded.t) ~labels ~phi ~threshold =
+  (* one common denominator turns every quantity into an integer *)
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b) in
+  let lcm a r = a / gcd a (Rat.den r) * Rat.den r in
+  let d = Array.fold_left lcm (lcm (Rat.den phi) threshold) labels in
+  let scale r = Rat.num r * (d / Rat.den r) in
+  let sc = { slab = Array.map scale labels; pnum = scale phi; pden = d } in
+  trace_valid sc (snap_of ex ~verdict:Untested).s_trace ~st:(scale threshold)
+
+(* First snapshot of [v] that validates at [threshold], moved to the
+   front of the ring. *)
+let ring_find ctx v ~threshold =
+  let st = scaled_of_rat ctx.scaled threshold in
+  let rec go seen = function
+    | [] -> None
+    | sn :: rest when snap_valid ctx sn ~st ->
+        if seen <> [] then ctx.ring.(v) <- sn :: List.rev_append seen rest;
+        Some sn
+    | sn :: rest -> go (sn :: seen) rest
+  in
+  go [] ctx.ring.(v)
+
+let ring_insert ctx v sn =
+  ctx.ring.(v) <- sn :: List.filteri (fun i _ -> i < ring_size - 1) ctx.ring.(v)
 
 (* Decide whether a K-cut of height <= threshold exists.  The built
    expansion is returned either way: on failure the resynthesis fallback
@@ -374,8 +425,13 @@ let snap_slot ctx v h ~threshold =
    failing side the continued run IS the candidate min cut the
    resynthesis fallback would otherwise recompute from scratch at the
    same threshold — returned as the third component ([None] when not
-   precomputed, [Some mc] when it is). *)
-let kcut_test ctx v ~threshold =
+   precomputed, [Some mc] when it is).
+
+   The verdict is recorded in [into] — a snapshot of [v] that validated
+   at [threshold], so the build reproduces its trace — or else in a new
+   snapshot inserted into the ring; either becomes [v]'s latest cut-test
+   snapshot and is returned as the second component. *)
+let kcut_test ?into ctx v ~threshold =
   ctx.stats.flow_tests <- ctx.stats.flow_tests + 1;
   Obs.Counter.incr c_cut_tests;
   let k = ctx.opts.k in
@@ -425,21 +481,51 @@ let kcut_test ctx v ~threshold =
   in
   if Obs.enabled () then
     Obs.Histogram.observe h_cut_test (Prelude.Timer.wall () -. t_start);
-  let pass_pairs = Option.map (cut_pairs ex) pass in
-  (match pass with
-  | Some _ -> Obs.Counter.incr c_cut_pass
-  | None -> Obs.Counter.incr c_cut_fail);
-  ctx.snaps.(v).(0) <- Some (snap_of ex ~pass:pass_pairs);
-  (ex, pass_pairs, mc0)
+  let verdict =
+    match pass with
+    | Some c ->
+        Obs.Counter.incr c_cut_pass;
+        Passed (cut_pairs ex c)
+    | None ->
+        Obs.Counter.incr c_cut_fail;
+        Failed
+  in
+  let sn =
+    match into with
+    | Some sn ->
+        sn.s_verdict <- verdict;
+        sn
+    | None ->
+        let sn = snap_of ex ~verdict in
+        ring_insert ctx v sn;
+        sn
+  in
+  ctx.last.(v) <- Some sn;
+  (ex, sn, mc0)
+
+(* The iteration's cut test: answered by a validating snapshot whose
+   verdict is known, else by a fresh test that fills the snapshot it
+   matched (no duplicate) or inserts a new one.  Returns the answering
+   snapshot and, for a fresh test, its expansion and precomputed min
+   cut (see [kcut_test]). *)
+let cut_test ctx v ~threshold =
+  match ring_find ctx v ~threshold with
+  | Some ({ s_verdict = Passed _ | Failed; _ } as sn) ->
+      ctx.last.(v) <- Some sn;
+      (sn, None, None)
+  | into ->
+      let ex, sn, mc0 = kcut_test ?into ctx v ~threshold in
+      (sn, Some ex, mc0)
 
 (* TurboSYN sequential functional decomposition at lowered thresholds.
    [ex0], when given, is the expansion the failed cut test just built at
    [target] — the attempt-0 threshold — so attempt 0 starts from it
    instead of rebuilding; [mc0] is that test's precomputed candidate min
-   cut of the same expansion; [snap0] is the validated slot-0 snapshot
-   when the cut test itself was answered from one (then no expansion
-   exists and attempt 0 evaluates the recorded candidate cuts). *)
-let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
+   cut of the same expansion; [snap0] is the snapshot that answered the
+   cut test — attempt 0 replays its recorded candidate cuts when it has
+   any, and records them there otherwise.  Each level h >= 1 is answered
+   the same way by any snapshot of [v] that validates at [target - h]. *)
+let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
   let opts = ctx.opts and labels = ctx.labels and phi = ctx.phi in
   let sc = ctx.scaled in
   let starget = scaled_of_rat sc target in
@@ -501,16 +587,28 @@ let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
     if h > opts.resyn_depth then None
     else
       let threshold = Rat.sub target (Rat.of_int h) in
+      let snapped = if h = 0 then Some snap0 else ring_find ctx v ~threshold in
       (* full evaluation: build (or adopt) the expansion at this level,
-         derive the candidate cuts, record them in the snapshot slot *)
+         derive the candidate cuts, record them in the snapshot that
+         matched, or in a new one *)
       let full () =
         let ex =
           match ex0 with
           | Some ex when h = 0 -> ex
           | _ -> build_expanded ctx v ~threshold
         in
+        let record_snap () =
+          match snapped with
+          | Some sn -> sn
+          | None ->
+              (* an overflowing expansion fails the cut test unflowed *)
+              let verdict = if ex.Expanded.overflow then Failed else Untested in
+              let sn = snap_of ex ~verdict in
+              ring_insert ctx v sn;
+              sn
+        in
         if ex.Expanded.overflow then begin
-          if h > 0 then ctx.snaps.(v).(h) <- Some (snap_of ex ~pass:None);
+          ignore (record_snap ());
           attempt (h + 1)
         end
         else begin
@@ -563,13 +661,8 @@ let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
              so a replay that exhausts it knows the attempt really
              failed (complete) or must re-evaluate (incomplete). *)
           let record pairs ~complete =
-            let cs = Some { c_pairs = pairs; c_complete = complete } in
-            match ctx.snaps.(v).(h) with
-            | Some sn when h = 0 -> sn.s_cands <- cs
-            | _ ->
-                let sn = snap_of ex ~pass:None in
-                sn.s_cands <- cs;
-                ctx.snaps.(v).(h) <- Some sn
+            (record_snap ()).s_cands <-
+              Some { c_pairs = pairs; c_complete = complete }
           in
           let try_min ~tried =
             match min_candidate () with
@@ -592,7 +685,6 @@ let resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target =
           | None -> try_min ~tried:[]
         end
       in
-      let snapped = if h = 0 then snap0 else snap_slot ctx v h ~threshold in
       match snapped with
       | Some sn ->
           if sn.s_overflow then attempt (h + 1)
@@ -668,35 +760,21 @@ let update ctx bound v =
       match memo_hit ctx v ~threshold:lv with
       | Some _ -> lv (* the witness is already the recorded entry *)
       | None -> (
-      match snap_slot ctx v 0 ~threshold:lv with
-      | Some sn -> (
-          (* the last test's expansion would rebuild identically: its
-             verdict stands without building or flowing anything *)
-          match sn.s_pass with
-          | Some pairs ->
+          (* a snapshot answer means the expansion would rebuild
+             identically: its verdict stands without building or flowing
+             anything *)
+          match cut_test ctx v ~threshold:lv with
+          | { s_verdict = Passed pairs; _ }, _, _ ->
               ctx.recorded.(v) <- Some pairs;
               Obs.Counter.incr c_memo_stores;
               lv
-          | None ->
+          | sn, ex0, mc0 ->
               let resyn =
                 if ctx.opts.resynthesize then
-                  resyn_test ~snap0:sn ctx v ~target:lv
+                  resyn_test ?ex0 ?mc0 ~snap0:sn ctx v ~target:lv
                 else None
               in
               (match resyn with Some _ -> lv | None -> Rat.add lv Rat.one))
-      | None -> (
-          match kcut_test ctx v ~threshold:lv with
-          | _, Some pairs, _ ->
-              ctx.recorded.(v) <- Some pairs;
-              Obs.Counter.incr c_memo_stores;
-              lv
-          | ex, None, mc0 ->
-              let resyn =
-                if ctx.opts.resynthesize then
-                  resyn_test ~ex0:ex ?mc0 ctx v ~target:lv
-                else None
-              in
-              (match resyn with Some _ -> lv | None -> Rat.add lv Rat.one)))
     in
     let l_new = Rat.max l_cur decision in
     (match bound with
@@ -720,7 +798,7 @@ let update ctx bound v =
    [make_harvester] returns the per-gate step so the parallel path can
    chunk gates across lanes: each gate's harvest reads only converged
    labels and its own recorded/snapshot state and writes only its own
-   [impls]/[prov]/[snaps] slots, so gates are independent. *)
+   [impls]/[prov] slots and its own snapshots, so gates are independent. *)
 let make_harvester ctx ~impls ~prov =
   let { nl; labels; phi; opts; _ } = ctx in
   let arrival (u, w) = Rat.sub labels.(u) (Rat.mul_int phi w) in
@@ -772,9 +850,9 @@ let make_harvester ctx ~impls ~prov =
           set v (Cut cut) From_recorded;
           true
       | None -> (
-          let fallback ?ex0 ?mc0 ?snap0 () =
+          let fallback ?ex0 ?mc0 snap0 =
             match
-              if opts.resynthesize then resyn_test ?ex0 ?mc0 ?snap0 ctx v ~target
+              if opts.resynthesize then resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target
               else None
             with
             | Some (impl, h) ->
@@ -782,19 +860,20 @@ let make_harvester ctx ~impls ~prov =
                 true
             | None -> false
           in
-          match snap_slot ctx v 0 ~threshold:target with
-          | Some sn -> (
-              match sn.s_pass with
-              | Some pairs ->
+          match ctx.last.(v) with
+          | Some sn
+            when snap_valid ctx sn ~st:(scaled_of_rat ctx.scaled target) -> (
+              match sn.s_verdict with
+              | Passed pairs ->
                   set v (Cut pairs) From_snapshot;
                   true
-              | None -> fallback ~snap0:sn ())
-          | None -> (
+              | Untested | Failed -> fallback sn)
+          | _ -> (
               match kcut_test ctx v ~threshold:target with
-              | _, Some pairs, _ ->
+              | _, { s_verdict = Passed pairs; _ }, _ ->
                   set v (Cut pairs) From_cut_test;
                   true
-              | ex, None, mc0 -> fallback ~ex0:ex ?mc0 ()))
+              | ex, sn, mc0 -> fallback ~ex0:ex ?mc0 sn))
     end
 
 let harvest ctx =
@@ -1170,12 +1249,15 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
   for v = 0 to n - 1 do
     if Netlist.is_gate nl v then labels.(v) <- Rat.one
   done;
-  let recorded =
-    (* the cross-phi memo is the recorded-cut table shared across runs *)
+  let memo =
+    (* the cross-phi memo is the recorded-cut table and the snapshot
+       rings shared across runs: validated expansions carry across the
+       probes of a ratio search, and [snap_valid] revalidates under the
+       current phi before any snapshot is trusted *)
     match cutmemo with
-    | Some m when Array.length m.m_cuts = n -> m.m_cuts
+    | Some m when Array.length m.m_cuts = n -> m
     | Some _ -> invalid_arg "Label_engine.run: cut memo sized for another netlist"
-    | None -> Array.make n None
+    | None -> new_cut_memo nl
   in
   let pden = Rat.den phi in
   let ctx =
@@ -1196,24 +1278,10 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
           pden;
         };
       note = None;
-      recorded;
+      recorded = memo.m_cuts;
       last_change = Array.make n 0;
-      snaps =
-        (* like [recorded], the snapshot table aliases the caller's memo
-           so validated expansions carry across the probes of a ratio
-           search; [snap_slot] revalidates under the current phi before
-           any entry is trusted *)
-        (let fresh () =
-           Array.init n (fun _ -> Array.make (opts.resyn_depth + 1) None)
-         in
-         match cutmemo with
-         | Some m ->
-             if
-               Array.length m.m_snaps <> n
-               || (n > 0 && Array.length m.m_snaps.(0) <> opts.resyn_depth + 1)
-             then m.m_snaps <- fresh ();
-             m.m_snaps
-         | None -> fresh ());
+      ring = memo.m_ring;
+      last = memo.m_last;
     }
   in
   let n_gates = List.length (Netlist.gates nl) in

@@ -123,13 +123,25 @@ type cut_memo
     memo revalidates each entry with an O(|cut|) width/height check
     before trusting it, skipping the expansion and the flow entirely on
     a hit ([cut.memo_hits] / [cut.memo_misses]).  Stale entries are
-    overwritten by fresh passes; no explicit eviction exists or is
-    needed.  Share a memo only between runs whose sequence is itself
+    overwritten by fresh passes.  The memo also carries each gate's
+    expansion snapshots (up to 8, least recently used dropped first),
+    each revalidated under the current labels, threshold and φ before
+    it answers anything ([label.snapshot_reuses]).  Share a memo only
+    between runs whose sequence is itself
     deterministic (the sequential descent's probes and the final run) —
     speculative probe domains must not receive it, or the memo contents
     would depend on probe timing. *)
 
 val new_cut_memo : Circuit.Netlist.t -> cut_memo
+
+val snapshot_revalidates :
+  Expanded.t -> labels:Rat.t array -> phi:Rat.t -> threshold:Rat.t -> bool
+(** The engine's snapshot check, exposed for tests: packs the
+    (node, registers, internal) trace of an expansion the way the engine
+    records it, and says whether every entry re-derives the same
+    internal flag under the given labels, φ and threshold.  When it
+    does, [Expanded.build] at that state must reproduce the expansion
+    exactly — the fact every snapshot reuse rests on. *)
 
 val run :
   ?cache:resyn_cache ->

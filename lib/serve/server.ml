@@ -390,16 +390,22 @@ let result_json ~circuit ~k (r : Turbosyn.Synth.result) =
                     labels)) );
     ]
 
+(* every flow tabulates K-input LUT functions as truth tables, so K is
+   bounded by their arity; a larger K is the client's error, not a 500 *)
+let check_k k =
+  if k < 2 || k > Logic.Truthtable.max_arity then
+    Error (Printf.sprintf "k out of range: %d" k)
+  else Ok k
+
 let map_response ~circuit ~k ~algo =
-  match Workloads.Suite.find circuit with
-  | None -> Error (Printf.sprintf "unknown circuit %S" circuit)
-  | Some spec ->
-      if k < 2 || k > 16 then Error (Printf.sprintf "k out of range: %d" k)
-      else
-        let nl = Workloads.Suite.build spec in
-        let options = Turbosyn.Synth.default_options ~k () in
-        let r = Turbosyn.Synth.run ~options algo nl in
-        Ok (result_json ~circuit ~k r)
+  match (Workloads.Suite.find circuit, check_k k) with
+  | None, _ -> Error (Printf.sprintf "unknown circuit %S" circuit)
+  | _, Error e -> Error e
+  | Some spec, Ok k ->
+      let nl = Workloads.Suite.build spec in
+      let options = Turbosyn.Synth.default_options ~k () in
+      let r = Turbosyn.Synth.run ~options algo nl in
+      Ok (result_json ~circuit ~k r)
 
 (* the result-cache key: canonical structural digest — renames and
    declaration order do not fragment the cache — plus the request
@@ -410,19 +416,17 @@ let cache_key nl ~k ~algo =
     k
 
 (* the cached /map body: rendered bytes, exactly what [respond_json]
-   would write, so hits and misses answer identical payloads *)
+   would write, so hits and misses answer identical payloads; [k] was
+   range-checked by [parse_map_request] *)
 let map_body_cached cache ~circuit ~k ~algo =
   match Workloads.Suite.find circuit with
   | None -> (Error (Printf.sprintf "unknown circuit %S" circuit), Cache.Bypass)
   | Some spec ->
-      if k < 2 || k > 16 then
-        (Error (Printf.sprintf "k out of range: %d" k), Cache.Bypass)
-      else
-        let nl = Workloads.Suite.build spec in
-        Cache.find_or_compute cache ~key:(cache_key nl ~k ~algo) (fun () ->
-            let options = Turbosyn.Synth.default_options ~k () in
-            let r = Turbosyn.Synth.run ~options algo nl in
-            Ok (J.to_string (result_json ~circuit ~k r) ^ "\n"))
+      let nl = Workloads.Suite.build spec in
+      Cache.find_or_compute cache ~key:(cache_key nl ~k ~algo) (fun () ->
+          let options = Turbosyn.Synth.default_options ~k () in
+          let r = Turbosyn.Synth.run ~options algo nl in
+          Ok (J.to_string (result_json ~circuit ~k r) ^ "\n"))
 
 (* body may be a JSON object {"circuit": ..., "k": ..., "algo": ...};
    query parameters (circuit, k, algo) override nothing — they are the
@@ -458,7 +462,7 @@ let parse_map_request ~query ~body =
           let k =
             match int "k" with
             | None -> Ok 5
-            | Some (Some i) -> Ok i
+            | Some (Some i) -> check_k i
             | Some None -> Error "\"k\" is not an integer"
           in
           let algo =
@@ -594,36 +598,43 @@ let content_length headers =
       let n = parse v in
       if List.for_all (fun (_, v') -> parse v' = n) rest then n else None
 
+let header_end buf ~from =
+  let n = Buffer.length buf in
+  let rec find i =
+    if i + 3 >= n then None
+    else if
+      Buffer.nth buf i = '\r'
+      && Buffer.nth buf (i + 1) = '\n'
+      && Buffer.nth buf (i + 2) = '\r'
+      && Buffer.nth buf (i + 3) = '\n'
+    then Some (i + 4)
+    else find (i + 1)
+  in
+  find (max 0 from)
+
 (* read until the header terminator, then exactly Content-Length body
-   bytes; raises [Read_timeout] at [deadline] *)
+   bytes; raises [Read_timeout] at [deadline].  Each scan for the
+   terminator resumes 3 bytes before the end of the previous one — a
+   terminator can straddle two reads — so an unterminated head costs
+   linear, not quadratic, time. *)
 let read_envelope ~deadline fd =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
-  let header_end () =
-    let s = Buffer.contents buf in
-    let rec find i =
-      if i + 3 >= String.length s then None
-      else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
-              && s.[i + 3] = '\n'
-      then Some (i + 4)
-      else find (i + 1)
-    in
-    find 0
-  in
-  let rec read_headers () =
-    match header_end () with
+  let rec read_headers from =
+    match header_end buf ~from with
     | Some e -> Some e
     | None ->
         if Buffer.length buf > 1 lsl 20 then None (* oversized header *)
         else
+          let from = Buffer.length buf - 3 in
           let n = read_before ~deadline fd chunk in
           if n = 0 then None
           else begin
             Buffer.add_subbytes buf chunk 0 n;
-            read_headers ()
+            read_headers from
           end
   in
-  match read_headers () with
+  match read_headers 0 with
   | None -> Unreadable
   | Some body_start -> (
       let raw = Buffer.contents buf in

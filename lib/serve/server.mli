@@ -143,6 +143,13 @@ val map_response :
 (** Resolve the circuit, run the mapping (uncached), render the
     response; [Error] on unknown circuits or out-of-range [k]. *)
 
+val header_end : Buffer.t -> from:int -> int option
+(** The offset just past the first ["\r\n\r\n"] of the buffer that
+    starts at or after [from] (clamped at 0), or [None].  A reader that
+    resumes each scan at [length - 3] of the buffer it last scanned gets
+    the answer of one scan from 0, under any split of the input into
+    reads. *)
+
 val cache_key : Circuit.Netlist.t -> k:int -> algo:Turbosyn.Synth.algo -> string
 (** The result-cache key: {!Circuit.Canon.digest} plus algo and [k]. *)
 

@@ -255,6 +255,68 @@ let test_turbosyn_no_worse () =
       Rat.(phi_ts <= phi_tm)
   done
 
+(* Snapshot soundness: the engine reuses a past expansion whenever its
+   (node, registers, internal) trace re-derives every flag under the
+   current labels, threshold and phi.  That is exact only if such a
+   state always rebuilds the same expansion.  Build one at a random
+   state, perturb the state the ways label runs move it (labels and
+   threshold in lock-step, one label bumped, the threshold or phi
+   moved), and whenever the trace revalidates, rebuild and compare
+   every component. *)
+let qcheck_snapshot_soundness =
+  QCheck.Test.make ~name:"revalidated snapshot = rebuilt expansion"
+    ~count:600
+    QCheck.(make ~print:string_of_int Gen.(0 -- 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nl = random_seq rng ~pis:2 ~gates:(3 + Rng.int rng 8) ~max_arity:3 in
+      let n = Netlist.n nl in
+      let q = 1 + Rng.int rng 3 in
+      let r num = Rat.make num q in
+      let phi = r (1 + Rng.int rng (3 * q)) in
+      let labels =
+        Array.init n (fun u ->
+            if Netlist.is_gate nl u then r (q + Rng.int rng (4 * q)) else Rat.zero)
+      in
+      let threshold = r (Rng.int rng (5 * q)) in
+      let root = Rng.pick rng (Array.of_list (Netlist.gates nl)) in
+      let extra_depth = Rng.int rng 3 and max_nodes = 8 + Rng.int rng 40 in
+      let build labels phi threshold =
+        Expanded.build nl ~root ~labels ~phi ~threshold ~extra_depth ~max_nodes
+      in
+      let ex = build labels phi threshold in
+      let labels' = Array.copy labels in
+      let step = r (Rng.int rng 3 - 1) in
+      let threshold' =
+        match Rng.int rng 3 with
+        | 0 ->
+            Array.iteri
+              (fun u l -> if Netlist.is_gate nl u then labels'.(u) <- Rat.add l step)
+              labels;
+            Rat.add threshold step
+        | 1 ->
+            let u = Rng.int rng n in
+            if Netlist.is_gate nl u then labels'.(u) <- Rat.add labels.(u) step;
+            threshold
+        | _ -> Rat.add threshold step
+      in
+      let phi' =
+        match Rng.int rng 3 with
+        | 0 -> phi
+        | 1 -> Rat.add phi (Rat.make (Rng.int rng 7 - 3) (2 * q))
+        | _ -> Rat.add phi (r (q + Rng.int rng (2 * q)))
+      in
+      (not
+         (Label_engine.snapshot_revalidates ex ~labels:labels' ~phi:phi'
+            ~threshold:threshold'))
+      ||
+      let ex' = build labels' phi' threshold' in
+      ex'.Expanded.nodes = ex.Expanded.nodes
+      && ex'.Expanded.edges = ex.Expanded.edges
+      && ex'.Expanded.internal = ex.Expanded.internal
+      && ex'.Expanded.sources = ex.Expanded.sources
+      && ex'.Expanded.overflow = ex.Expanded.overflow)
+
 (* Golden labels: the verdict, iteration count and labels digest of each
    label run below, recorded from the seed engine, which re-tested every
    SCC member in every iteration, before it was retired.  The worklist
@@ -399,6 +461,46 @@ let test_golden_labels () =
     "golden label rows"
     (List.map show golden_labels)
     (List.rev_map show !actual)
+
+(* Golden provenance: per-source counts of the final label run's
+   provenance for TurboSYN at K=5, recorded before snapshots were shared
+   across thresholds.  The harvest reads only the snapshot that answered
+   a gate's latest cut test, so which other expansions the engine keeps
+   must not move a gate between [cut_test] and [snapshot]; the labels
+   alone (golden labels) cannot see that. *)
+let golden_provenance =
+  [
+    "bbara cut_test=15 snapshot=0 recorded=26 resyn0=17 resyn1=0 resyn2=0";
+    "cse cut_test=65 snapshot=6 recorded=58 resyn0=55 resyn1=4 resyn2=2";
+    "s298 cut_test=22 snapshot=3 recorded=66 resyn0=24 resyn1=4 resyn2=0";
+  ]
+
+let test_golden_provenance () =
+  let row name =
+    let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+    let so = Turbosyn.Synth.default_options ~k:5 () in
+    let r = Turbosyn.Synth.run ~options:so `Turbosyn nl in
+    let c = Array.make 6 0 in
+    Array.iter
+      (function
+        | None -> ()
+        | Some p ->
+            let i =
+              match p.Label_engine.p_source with
+              | Label_engine.From_cut_test -> 0
+              | Label_engine.From_snapshot -> 1
+              | Label_engine.From_recorded -> 2
+              | Label_engine.From_resyn h -> 3 + h
+            in
+            c.(i) <- c.(i) + 1)
+      (Option.get r.Turbosyn.Synth.prov);
+    Printf.sprintf
+      "%s cut_test=%d snapshot=%d recorded=%d resyn0=%d resyn1=%d resyn2=%d"
+      name c.(0) c.(1) c.(2) c.(3) c.(4) c.(5)
+  in
+  Alcotest.(check (list string))
+    "provenance counts" golden_provenance
+    (List.map row [ "bbara"; "cse"; "s298" ])
 
 (* Speculative parallel probing must not change the search result: the
    decisive verdicts replay the sequential descent exactly. *)
@@ -762,6 +864,7 @@ let () =
           Alcotest.test_case "overflow" `Quick test_expanded_overflow;
           Alcotest.test_case "cone function" `Quick test_expanded_cone;
           Alcotest.test_case "frontier cut" `Quick test_frontier_cut;
+          QCheck_alcotest.to_alcotest qcheck_snapshot_soundness;
         ] );
       ( "labels",
         [
@@ -788,6 +891,7 @@ let () =
       ( "engines",
         [
           Alcotest.test_case "golden labels" `Slow test_golden_labels;
+          Alcotest.test_case "golden provenance" `Slow test_golden_provenance;
           Alcotest.test_case "parallel jobs determinism" `Slow
             test_jobs_determinism;
           Alcotest.test_case "intra-phi lane invariance" `Slow

@@ -1025,6 +1025,72 @@ let test_prof_slo_defaults () =
             (Obs.Json.member "objectives" doc = Some (Obs.Json.List []))
       | Error e -> Alcotest.failf "/debug/slo: %s" e)
 
+(* K beyond the truth-table arity (or below 2) is the client's error:
+   400 "k out of range" from the request parser, whatever the algorithm,
+   never a 500 from inside the flow; the direct renderer agrees. *)
+let test_k_range () =
+  with_server (fun port ->
+      List.iter
+        (fun (k, algo) ->
+          let what = Printf.sprintf "k=%d %s" k algo in
+          let body =
+            Printf.sprintf "{\"circuit\": \"bbara\", \"k\": %d, \"algo\": %S}"
+              k algo
+          in
+          let status, resp = http ~port ~meth:"POST" ~path:"/map" ~body () in
+          Alcotest.(check int) what 400 status;
+          Alcotest.(check bool) (what ^ ": named") true
+            (contains resp (Printf.sprintf "k out of range: %d" k)))
+        [
+          (7, "turbosyn"); (7, "turbomap"); (7, "flowsyn-s"); (16, "turbomap");
+          (1, "turbomap"); (-3, "flowsyn-s");
+        ];
+      (* the query form is checked by the same parser *)
+      let status, _ = http ~port ~meth:"GET" ~path:"/map?circuit=bbara&k=9" () in
+      Alcotest.(check int) "query k=9" 400 status;
+      let _, _, scrape = http_full ~port ~meth:"GET" ~path:"/metrics" () in
+      Alcotest.(check (option (float 0.))) "no 5xx"
+        None
+        (series_value scrape
+           "turbosyn_serve_requests{route=\"map\",status=\"500\"}"));
+  Alcotest.(check bool) "map_response rejects k=7" true
+    (Serve.Server.map_response ~circuit:"bbara" ~k:7 ~algo:`Turbomap
+    = Error "k out of range: 7")
+
+(* The incremental header-terminator scan, fed the input in random
+   chunks and resuming 3 bytes before each previous end exactly as the
+   reader does, finds the terminator a single scan of the whole input
+   finds.  Inputs are drawn over a small alphabet rich in CR and LF so
+   terminators, near misses and chunk-straddling ones are common. *)
+let qcheck_header_end =
+  QCheck.Test.make ~name:"header_end: chunked scan = whole-string scan"
+    ~count:500
+    QCheck.(
+      pair
+        (string_gen_of_size Gen.(0 -- 64) (Gen.oneofl [ '\r'; '\n'; 'a' ]))
+        (list_of_size Gen.(1 -- 16) (int_range 1 8)))
+    (fun (s, cuts) ->
+      let whole =
+        let b = Buffer.create 16 in
+        Buffer.add_string b s;
+        Serve.Server.header_end b ~from:0
+      in
+      let b = Buffer.create 16 in
+      let rec feed pos from cuts =
+        match Serve.Server.header_end b ~from with
+        | Some e -> Some e
+        | None when pos >= String.length s -> None
+        | None ->
+            let c, rest =
+              match cuts with c :: rest -> (c, rest) | [] -> (8, [])
+            in
+            let c = min c (String.length s - pos) in
+            let from = Buffer.length b - 3 in
+            Buffer.add_substring b s pos c;
+            feed (pos + c) from rest
+      in
+      feed 0 0 cuts = whole)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1052,5 +1118,7 @@ let () =
             test_profiling_and_slo;
           Alcotest.test_case "prof and slo defaults" `Quick
             test_prof_slo_defaults;
+          Alcotest.test_case "k out of range is a 400" `Quick test_k_range;
+          QCheck_alcotest.to_alcotest qcheck_header_end;
         ] );
     ]
