@@ -510,6 +510,9 @@ let stats_mode () =
    test must run the flow anyway for the canonical min cut, so only the
    memo and flow layers engage there; see doc/PERF.md). *)
 let stats_json ~circuit ~algo ~out () =
+  (* link the audit layer, whose counters and spans register when it
+     loads, so the document lists every name [map --stats] lists *)
+  ignore (Sys.opaque_identity Audit.schema_version);
   match Workloads.Suite.find circuit with
   | None ->
       Format.eprintf "unknown circuit %s@." circuit;
@@ -1187,281 +1190,6 @@ let serve_load ~jobs ~quick ~out () =
   if not (List.for_all snd gates) then exit 2
 
 (* ------------------------------------------------------------------ *)
-(* Perf mode: (a) the default TurboSYN flow, timed, with cut-engine    *)
-(* attribution counters, and (b) the intra-phi parallel scheduler      *)
-(* (--jobs N lanes) vs the sequential engine at phi*.  Emits           *)
-(* BENCH_perf.json (schema turbosyn-perf/5, see doc/PERF.md) and exits *)
-(* nonzero when any lane configuration disagrees on labels, provenance *)
-(* or audit documents (the hard jobs-invariance gate of                *)
-(* doc/CONCURRENCY.md), when the audit document changes with the       *)
-(* Obs.Prof sampler attached (doc/PROFILING.md §Byte identity), or —   *)
-(* on multicore hosts running with --jobs > 1 — when the intra-phi     *)
-(* geomean speedup falls below 1.5x.  Absolute, regression-gated       *)
-(* timings are the repo benchmark's job (perfbench/METRICS.md).        *)
-(* ------------------------------------------------------------------ *)
-
-let perf_quick_set = [ "bbara"; "s298" ]
-
-(* cut-engine layer attribution read after each timed run; every name is
-   documented in doc/OBSERVABILITY.md *)
-let perf_counters =
-  [
-    "cut.enum_hits";
-    "cut.enum_misses";
-    "cut.memo_hits";
-    "cut.memo_misses";
-    "cut.memo_stores";
-    "maxflow.networks";
-    "maxflow.blocking_phases";
-  ]
-
-let perf_set =
-  [ "bbara"; "bbsse"; "cse"; "donfile"; "keyb"; "s1"; "s298"; "s526" ]
-
-let perf ~quick ~jobs ~out () =
-  (* lanes for the intra-phi comparison: the requested --jobs, but at
-     least 2 so the parallel scheduler (and its identity gate) is always
-     exercised, even on default runs *)
-  let lanes = max 2 jobs in
-  let multicore = Domain.recommended_domain_count () > 1 in
-  Format.printf
-    "@.== Perf: TurboSYN flow and intra-phi lanes (K=5, jobs=%d, lanes=%d, \
-     %s) ==@."
-    jobs lanes
-    (if multicore then "multicore" else "single core");
-  let names = if quick then perf_quick_set else perf_set in
-  let base = Turbosyn.Synth.default_options ~k:5 () in
-  let t =
-    Table.create
-      [
-        ("circuit", Table.Left);
-        ("phi", Table.Right);
-        ("flow s", Table.Right);
-        ("cut tests", Table.Right);
-        ("phi-run j1", Table.Right);
-        (Printf.sprintf "j%d" lanes, Table.Right);
-        ("intra x", Table.Right);
-        ("ident", Table.Right);
-      ]
-  in
-  let intra_speedups = ref [] in
-  let all_ok = ref true in
-  let rows =
-    List.map
-      (fun name ->
-        let spec = Option.get (Workloads.Suite.find name) in
-        let nl = Workloads.Suite.build spec in
-        (* counters on to attribute the work to the cut-engine layers:
-           enumeration / memo / max-flow *)
-        Format.eprintf "[perf] %s flow@." name;
-        Obs.set_enabled true;
-        Obs.reset ();
-        let r, t_flow =
-          Timer.time (fun () ->
-              Turbosyn.Synth.run ~options:{ base with Turbosyn.Synth.jobs = 1 }
-                `Turbosyn nl)
-        in
-        let counters =
-          List.map
-            (fun cn -> (cn, Option.value ~default:0 (Obs.Counter.find cn)))
-            perf_counters
-        in
-        Obs.set_enabled false;
-        let cut_tests =
-          match r.Turbosyn.Synth.label_stats with
-          | Some s -> s.Seqmap.Label_engine.flow_tests
-          | None -> 0
-        in
-        let phi = r.Turbosyn.Synth.phi in
-        (* intra-phi lanes: one label run at phi* per lane count; the
-           outcome (labels and provenance) must be identical — the hard
-           jobs-invariance gate (doc/CONCURRENCY.md) *)
-        Format.eprintf "[perf] %s intra-phi (1 vs %d lanes)@." name lanes;
-        let label_run jobs' =
-          let opts =
-            {
-              (Turbosyn.Synth.engine_options base ~resynthesize:true) with
-              Seqmap.Label_engine.jobs = jobs';
-            }
-          in
-          Timer.time (fun () -> Seqmap.Label_engine.run opts nl ~phi)
-        in
-        let (o1, _), t_j1 = label_run 1 in
-        let (on, _), t_jn = label_run lanes in
-        let intra_equal =
-          match (o1, on) with
-          | ( Seqmap.Label_engine.Feasible { labels = la; prov = pa; _ },
-              Seqmap.Label_engine.Feasible { labels = lb; prov = pb; _ } ) ->
-              la = lb && pa = pb
-          | Seqmap.Label_engine.Infeasible, Seqmap.Label_engine.Infeasible ->
-              true
-          | _ -> false
-        in
-        let intra_speedup = t_j1 /. Float.max 1e-9 t_jn in
-        intra_speedups := intra_speedup :: !intra_speedups;
-        (* full-flow jobs-invariance on the quick subset: whole TurboSYN
-           runs under 1 and N lanes must yield byte-equal audit documents;
-           and the same runs with the sampling profiler attached must
-           yield the SAME documents (doc/PROFILING.md §Byte identity —
-           the sampler only reads live span state, this gates any
-           accidental write-back) for jobs 1, 2 and 4 *)
-        let audit_equal, profile_equal =
-          if not (List.mem name perf_quick_set) then (None, None)
-          else begin
-            Format.eprintf "[perf] %s audit jobs-invariance@." name;
-            let doc_of jobs' =
-              let options = { base with Turbosyn.Synth.jobs = jobs' } in
-              let r = Turbosyn.Synth.run ~options `Turbosyn nl in
-              Audit.build ~source:nl ~options r
-            in
-            let profiled_doc_of jobs' =
-              Obs.set_enabled true;
-              Obs.reset ();
-              Obs.Prof.reset ();
-              (* a tick well under the run time, so samples really land *)
-              Obs.Prof.attach ~interval:0.002 ();
-              let finish () =
-                Obs.Prof.detach ();
-                Obs.set_enabled false
-              in
-              match doc_of jobs' with
-              | doc ->
-                  finish ();
-                  doc
-              | exception e ->
-                  finish ();
-                  raise e
-            in
-            match (doc_of 1, doc_of lanes) with
-            | Ok a, Ok b ->
-                let jobs_ok =
-                  match Audit.equal_documents a b with
-                  | Ok () -> true
-                  | Error e ->
-                      Format.eprintf "[perf] %s audit docs differ: %s@." name
-                        e;
-                      false
-                in
-                (* each profiled document is compared against the
-                   unprofiled jobs=1 document: jobs-invariance is gated
-                   just above, so it stands in for every lane count *)
-                let check j =
-                  Format.eprintf "[perf] %s profile-identity jobs=%d@." name j;
-                  match profiled_doc_of j with
-                  | Ok p -> (
-                      match Audit.equal_documents a p with
-                      | Ok () -> true
-                      | Error e ->
-                          Format.eprintf
-                            "[perf] %s profiled audit differs (jobs=%d): %s@."
-                            name j e;
-                          false)
-                  | Error e ->
-                      Format.eprintf
-                        "[perf] %s profiled audit build failed (jobs=%d): \
-                         %s@."
-                        name j e;
-                      false
-                in
-                (Some jobs_ok, Some (List.for_all check [ 1; 2; 4 ]))
-            | Error e, _ | _, Error e ->
-                Format.eprintf "[perf] %s audit build failed: %s@." name e;
-                (Some false, Some false)
-          end
-        in
-        let identical =
-          intra_equal && audit_equal <> Some false && profile_equal <> Some false
-        in
-        if not identical then all_ok := false;
-        Table.add_row t
-          [
-            name;
-            Rat.to_string phi;
-            Printf.sprintf "%.2f" t_flow;
-            string_of_int cut_tests;
-            Printf.sprintf "%.2f" t_j1;
-            Printf.sprintf "%.2f" t_jn;
-            Printf.sprintf "%.2fx" intra_speedup;
-            (if identical then "same" else "DIFFER");
-          ];
-        Obs.Json.Obj
-          ([
-             ("circuit", Obs.Json.Str name);
-             ("phi", Obs.Json.Str (Rat.to_string phi));
-             ( "flow",
-               Obs.Json.Obj
-                 [
-                   ("seconds", Obs.Json.Float t_flow);
-                   ("cut_tests", Obs.Json.Int cut_tests);
-                   ( "counters",
-                     Obs.Json.Obj
-                       (List.map (fun (cn, v) -> (cn, Obs.Json.Int v)) counters)
-                   );
-                 ] );
-             ( "intra_phi",
-               Obs.Json.Obj
-                 [
-                   ("lanes", Obs.Json.Int lanes);
-                   ("seconds_seq", Obs.Json.Float t_j1);
-                   ("seconds_par", Obs.Json.Float t_jn);
-                   ("speedup", Obs.Json.Float intra_speedup);
-                   ("identical", Obs.Json.Bool intra_equal);
-                   ( "note",
-                     Obs.Json.Str
-                       "wall-clock columns; speedup depends on the host's \
-                        core count (see recommended_domains)" );
-                 ] );
-           ]
-          @ (match audit_equal with
-            | None -> []
-            | Some b -> [ ("audit_identical", Obs.Json.Bool b) ])
-          @
-          match profile_equal with
-          | None -> []
-          | Some b -> [ ("profile_identical", Obs.Json.Bool b) ]))
-      names
-  in
-  let gi = geomean !intra_speedups in
-  Table.add_rule t;
-  Table.add_row t
-    [ "geomean"; ""; ""; ""; ""; ""; Printf.sprintf "%.2fx" gi ];
-  Table.print t;
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "turbosyn-perf/5");
-        ("k", Obs.Json.Int 5);
-        ("jobs", Obs.Json.Int jobs);
-        ("intra_phi_lanes", Obs.Json.Int lanes);
-        ("multicore", Obs.Json.Bool multicore);
-        ( "recommended_domains",
-          Obs.Json.Int (Domain.recommended_domain_count ()) );
-        ("quick", Obs.Json.Bool quick);
-        ("intra_phi_geomean_speedup", Obs.Json.Float gi);
-        ("circuits", Obs.Json.List rows);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Obs.Json.to_pretty_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "wrote %s (intra-phi %.2fx over %d lanes)@." out gi lanes;
-  if not !all_ok then begin
-    Format.eprintf "perf: result disagreement between lane counts@.";
-    exit 1
-  end;
-  (* the speedup gate is meaningful only when lanes can actually run in
-     parallel: on a single-core host the identity gate above is the
-     binding check and the lanes merely add scheduling overhead *)
-  if jobs > 1 && multicore && gi < 1.5 then begin
-    Format.eprintf
-      "perf: intra-phi speedup %.2fx below the 1.5x floor on a multicore \
-       host@."
-      gi;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table + core kernels   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1530,10 +1258,9 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* flags: --quick, --jobs N, --out FILE (perf and serve-load modes);
-     --json FILE, --circuit NAME, --algo NAME, --diff A B (stats mode).
-     --out defaults per mode: BENCH_perf.json (perf),
-     BENCH_serve_perf.json (serve-load). *)
+  (* flags: --quick, --jobs N, --out FILE (serve-load mode; --out
+     defaults to BENCH_serve_perf.json); --json FILE, --circuit NAME,
+     --algo NAME, --diff A B (stats mode). *)
   let quick = ref false and jobs = ref 1 and out = ref "" in
   let json = ref None and circuit = ref "bbara" and diff = ref None in
   let algo = ref "turbosyn" and write_baseline = ref false in
@@ -1599,10 +1326,6 @@ let () =
       | "serve-load" ->
           serve_load ~jobs:!jobs ~quick:!quick
             ~out:(if !out = "" then "BENCH_serve_perf.json" else !out)
-            ()
-      | "perf" ->
-          perf ~quick:!quick ~jobs:!jobs
-            ~out:(if !out = "" then "BENCH_perf.json" else !out)
             ()
       | "micro" -> micro ()
       | other -> Format.eprintf "unknown mode %s@." other)

@@ -67,20 +67,6 @@ let exact_arg =
   Arg.(value & flag & info [ "exact" ]
          ~doc:"Search clock-period ratios over every denominator up to the                register count (default caps at 24).")
 
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Label the independent SCCs of each condensation level on \
-               $(docv) domains inside every label run (intra-phi lanes, \
-               doc/CONCURRENCY.md; byte-identical result for every N; \
-               N=1 is fully sequential).")
-
-let probe_jobs_arg =
-  Arg.(value & opt int 1 & info [ "probe-jobs" ] ~docv:"N"
-         ~doc:"Run up to $(docv) speculative ratio-search probes in parallel \
-               (same result for every N; N=1 is the sequential search).  \
-               Orthogonal to $(b,--jobs): combining both multiplies the \
-               domain count.")
-
 let stats_arg =
   Arg.(value & opt ~vopt:(Some "-") (some string) None
        & info [ "stats" ] ~docv:"FILE"
@@ -228,7 +214,7 @@ let stats_cmd =
 
 let map_cmd =
   let run input workload algo k output verilog verify no_pld no_area multi exact
-      jobs probe_jobs stats trace timeline audit profile profile_interval
+      stats trace timeline audit profile profile_interval
       log_level log_file =
     setup_logging ~log_level ~log_file
       ~outputs:
@@ -251,8 +237,6 @@ let map_cmd =
             area_recovery = not no_area;
             multi_output = multi;
             phi_max_den = (if exact then None else Some 24);
-            jobs = max 1 jobs;
-            probe_jobs = max 1 probe_jobs;
           }
         in
         (* --trace, --timeline and --profile record even without --stats *)
@@ -286,7 +270,6 @@ let map_cmd =
             ("circuit", Obs.Json.Str (Circuit.Netlist.name nl));
             ("algo", Obs.Json.Str algo_name);
             ("k", Obs.Json.Int k);
-            ("jobs", Obs.Json.Int (max 1 jobs));
           ];
         match Turbosyn.Synth.run ~options algo nl with
         | exception Invalid_argument msg ->
@@ -428,7 +411,7 @@ let map_cmd =
     Term.(
       const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ output_arg
       $ verilog_arg $ verify_arg $ no_pld_arg $ no_area_arg $ multi_arg
-      $ exact_arg $ jobs_arg $ probe_jobs_arg $ stats_arg
+      $ exact_arg $ stats_arg
       $ trace_arg $ timeline_arg $ audit_arg $ profile_arg
       $ profile_interval_arg $ log_level_arg $ log_file_arg)
 
@@ -683,7 +666,7 @@ let serve_cmd =
       $ slo_arg $ slo_file_arg $ log_level_arg $ log_file_arg)
 
 let flame_cmd =
-  let run trace_file input workload algo k jobs output log_level log_file =
+  let run trace_file input workload algo k output log_level log_file =
     setup_logging ~log_level ~log_file ~outputs:[ ("--output", Some output) ];
     let write_folded text =
       match Obs.Flame.write output text with
@@ -714,12 +697,7 @@ let flame_cmd =
         match load ~input ~workload with
         | Error e -> exit_err e
         | Ok nl -> (
-            let options =
-              {
-                (Turbosyn.Synth.default_options ~k ()) with
-                Turbosyn.Synth.jobs = max 1 jobs;
-              }
-            in
+            let options = Turbosyn.Synth.default_options ~k () in
             Obs.set_enabled true;
             Obs.reset ();
             match Turbosyn.Synth.run ~options algo nl with
@@ -753,21 +731,16 @@ let flame_cmd =
              Render with: flamegraph.pl out.folded > flame.svg.")
     Term.(
       const run $ trace_file_arg $ input_arg $ workload_arg $ algo_arg $ k_arg
-      $ jobs_arg $ out_arg $ log_level_arg $ log_file_arg)
+      $ out_arg $ log_level_arg $ log_file_arg)
 
 let prof_cmd =
-  let run input workload algo k jobs interval top output log_level log_file =
+  let run input workload algo k interval top output log_level log_file =
     setup_logging ~log_level ~log_file ~outputs:[ ("--output", Some output) ];
     if interval <= 0. then exit_err "--profile-interval must be > 0";
     match load ~input ~workload with
     | Error e -> exit_err e
     | Ok nl -> (
-        let options =
-          {
-            (Turbosyn.Synth.default_options ~k ()) with
-            Turbosyn.Synth.jobs = max 1 jobs;
-          }
-        in
+        let options = Turbosyn.Synth.default_options ~k () in
         (* spans only maintain the live stacks while collection is on;
            reset before attach (Obs.reset refuses while attached) *)
         Obs.set_enabled true;
@@ -841,8 +814,7 @@ let prof_cmd =
              including inside long-running phases.  Render with: \
              flamegraph.pl out.folded > flame.svg.")
     Term.(
-      const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ jobs_arg
-      $ interval_arg $ top_arg $ out_arg $ log_level_arg $ log_file_arg)
+      const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ interval_arg $ top_arg $ out_arg $ log_level_arg $ log_file_arg)
 
 let promlint_cmd =
   let run file =

@@ -531,9 +531,9 @@ let render_verdict v =
 
 (* ------------------------------------------------------------------ *)
 (* Structural document comparison with first-differing-path reporting  *)
-(* (the jobs-invariance oracle: bench and tests assert that audit      *)
-(* documents built under different lane counts are equal — see         *)
-(* doc/CONCURRENCY.md).                                                *)
+(* (the byte-identity oracle: tests assert that audit documents built   *)
+(* with and without the sampling profiler are equal — see              *)
+(* doc/PROFILING.md).                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let json_kind = function

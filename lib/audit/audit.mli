@@ -60,5 +60,6 @@ val equal_documents : Obs.Json.t -> Obs.Json.t -> (unit, string) result
 (** Structural equality of two JSON documents with diagnosis: [Ok ()]
     when equal, [Error "<path>: <difference>"] naming the first
     differing path (e.g. ["$.labels[3]: 2 <> 5/2"]) otherwise.  The
-    jobs-invariance oracle (doc/CONCURRENCY.md): audit documents built
-    from runs that differ only in lane count must compare [Ok]. *)
+    byte-identity oracle (doc/PROFILING.md): audit documents built from
+    runs that differ only in whether the sampling profiler was attached
+    must compare [Ok]. *)

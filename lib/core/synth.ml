@@ -28,12 +28,7 @@ type options = {
   phi_max_den : int option;
   multi_output : bool;
   jobs : int;
-  (* intra-phi lanes (SCC-level parallel labeling, doc/CONCURRENCY.md);
-     byte-identical results for every value *)
   probe_jobs : int;
-  (* speculative ratio-search probes evaluated concurrently
-     (doc/PERF.md); also jobs-invariant, but a different axis: whole
-     probes, not one probe's SCCs *)
 }
 
 let default_options ?(k = 5) () =
@@ -84,7 +79,6 @@ let engine_options o ~resynthesize =
     resyn_depth = o.resyn_depth;
     multi_output = o.multi_output;
     full_expansion = false;
-    jobs = o.jobs;
   }
 
 let finish ?labels ?prov algo o ~mapped ~phi ~resyn_nodes ~probes ~label_stats
@@ -123,8 +117,8 @@ let run_seq algo o nl ~resynthesize =
   let t0 = Sys.time () in
   let opts = engine_options o ~resynthesize in
   let mapped, report, impls =
-    Seqmap.Turbomap.map_full ~options:opts ?phi_max_den:o.phi_max_den
-      ~jobs:o.probe_jobs nl ~k:o.k
+    Seqmap.Turbomap.map_full ~options:opts ?phi_max_den:o.phi_max_den nl
+      ~k:o.k
   in
   (* the paper's label relaxation: drop decomposition trees whose label
      increase does not create a positive loop (area recovery step 1) *)
@@ -146,7 +140,7 @@ let run_flowsyn_s o nl =
   let t0 = Sys.time () in
   let mapped, report =
     Flowmap.Flowsyn.map_sequential ~resynthesize:true ~cmax:o.cmax
-      ~exhaustive:o.exhaustive ~jobs:o.jobs nl ~k:o.k
+      ~exhaustive:o.exhaustive nl ~k:o.k
   in
   let cpu = Sys.time () -. t0 in
   let phi =
@@ -161,6 +155,8 @@ let run_flowsyn_s o nl =
 
 let run ?options algo nl =
   let o = match options with Some o -> o | None -> default_options () in
+  if o.jobs <> 1 then invalid_arg "Synth.run: jobs must be 1";
+  if o.probe_jobs <> 1 then invalid_arg "Synth.run: probe_jobs must be 1";
   Netlist.validate_exn ~k:o.k nl;
   let t_start = if Obs.enabled () then Timer.wall () else 0. in
   let r =

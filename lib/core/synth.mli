@@ -40,20 +40,11 @@ type options = {
       (** two-wire bound-set extraction in the decomposition engine (the
           paper's future-work extension; off by default, like the paper) *)
   jobs : int;
-      (** intra-φ lanes: domains labeling independent SCCs of one
-          condensation level concurrently inside {e each} label run
-          ([doc/CONCURRENCY.md]; 1 = sequential; results are
-          byte-identical for every value) *)
   probe_jobs : int;
-      (** domains for speculative ratio-search probes — whole probes in
-          parallel, the orthogonal axis to [jobs] (1 = sequential).  The
-          minimum ratio, clock period and every label are identical for
-          every value, and each value is individually deterministic; the
-          concrete cuts harvested for the mapping may differ between
-          values, because only driver-domain probes feed the cross-φ cut
-          memo ([Seqmap.Label_engine.cut_memo]).  With [probe_jobs > 1]
-          and [jobs > 1] the axes compose multiplicatively in domain
-          count: each probe spins up its own [jobs] lanes. *)
+      (** [jobs] and [probe_jobs] accept only [1]; {!run} raises
+          [Invalid_argument] for any other value.  The benchmark harness
+          still reads both fields, and they go with the next benchmark
+          change. *)
 }
 
 val default_options : ?k:int -> unit -> options
@@ -89,7 +80,8 @@ type result = {
 }
 
 val run : ?options:options -> algo -> Circuit.Netlist.t -> result
-(** @raise Invalid_argument on invalid or non-K-bounded input. *)
+(** @raise Invalid_argument on invalid or non-K-bounded input, or when
+    [jobs] or [probe_jobs] is not [1]. *)
 
 val engine_options : options -> resynthesize:bool -> Seqmap.Label_engine.options
 (** The label-engine options this [options] record induces. *)

@@ -10,8 +10,8 @@ type result = Cut of int list | Exceeds
 (* A reusable flow network: cleared and re-filled per cut test instead of
    allocated, so the max-flow decisions of one label engine share one set
    of arrays.  [busy] is an ownership tripwire: an arena belongs to one
-   solve at a time (one pool lane under the parallel label engine); a
-   second solve observing it raises instead of corrupting the network. *)
+   solve at a time (one label run, or one serve worker's); a second
+   solve observing it raises instead of corrupting the network. *)
 type arena = { mutable net : Maxflow.t option; mutable busy : bool }
 
 let new_arena () = { net = None; busy = false }
@@ -22,8 +22,9 @@ let arena_net arena n =
   | Some a -> (
       if a.busy then
         invalid_arg
-          "Kcut: arena is owned by an in-flight solve — two lanes are \
-           sharing one arena (doc/CONCURRENCY.md: one arena per pool lane)";
+          "Kcut: arena is owned by an in-flight solve — two label runs \
+           are sharing one arena (doc/CONCURRENCY.md: one arena per label \
+           run)";
       a.busy <- true;
       match a.net with
       | Some net -> Maxflow.clear net n

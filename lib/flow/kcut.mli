@@ -27,7 +27,7 @@ type arena
 (** A reusable flow network.  Passing the same arena to successive calls
     re-fills one [Maxflow.t] (cleared between decisions) instead of
     allocating a network per cut test.  An arena must not be shared
-    between concurrent callers (one per pool lane — see
+    between concurrent callers (one per label run — see
     [doc/CONCURRENCY.md]); a solve that finds its arena already owned by
     an in-flight solve raises [Invalid_argument] rather than corrupting
     the network. *)

@@ -23,9 +23,9 @@
 
 type verdict = Cut of int list | Exceeds | Unknown
 
-(* Reusable per-lane scratch (the CSR edge indexes and per-node tables
-   are sized to the largest cone seen); mirrors the Kcut arena ownership
-   protocol: one enumerator per pool lane. *)
+(* Reusable per-label-run scratch (the CSR edge indexes and per-node
+   tables are sized to the largest cone seen); mirrors the Kcut arena
+   ownership protocol: one enumerator per label run. *)
 type arena = {
   mutable fanin_off : int array; (* CSR: node -> fanin segment start *)
   mutable fanin : int array; (* CSR payload: fanin node ids *)
@@ -110,7 +110,7 @@ let subset xs ys =
 
 (* Priority order: fewer inputs first, then lexicographic — OCaml's
    structural compare on int arrays (size, then fields) is exactly that,
-   and is deterministic across lanes and hosts. *)
+   and is deterministic across runs and hosts. *)
 let prioritize cands = List.sort_uniq Stdlib.compare cands
 
 (* Keep only the minimal (non-dominated) cuts of a priority-sorted list.
@@ -176,8 +176,9 @@ let decide ?arena ?(max_nodes = default_max_nodes)
     let a = match arena with Some a -> a | None -> new_arena () in
     if a.busy then
       invalid_arg
-        "Pricut: arena is owned by an in-flight decide — two lanes are \
-         sharing one arena (doc/CONCURRENCY.md: one arena per pool lane)";
+        "Pricut: arena is owned by an in-flight decide — two label runs \
+         are sharing one arena (doc/CONCURRENCY.md: one arena per label \
+         run)";
     a.busy <- true;
     Fun.protect ~finally:(fun () -> a.busy <- false) @@ fun () ->
     ensure a n m;

@@ -12,7 +12,7 @@
     falls back to the max-flow solver ({!Kcut.find}).
 
     The enumerated witness is the highest-priority cut (fewest inputs,
-    then lexicographic) and is deterministic — independent of lane
+    then lexicographic) and is deterministic — independent of domain
     scheduling, hosts, and arena reuse — so callers that substitute it
     for a flow-derived cut stay reproducible. *)
 
@@ -23,7 +23,7 @@ type verdict =
 
 type arena
 (** Reusable enumeration scratch, sized to the largest cone seen.  One
-    arena per pool lane, like {!Kcut.arena}; concurrent use of one arena
+    arena per label run, like {!Kcut.arena}; concurrent use of one arena
     raises [Invalid_argument]. *)
 
 val new_arena : unit -> arena

@@ -80,14 +80,10 @@ let to_comb nl =
 
 let map_sequential ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false)
     ?(jobs = 1) nl ~k =
+  if jobs <> 1 then invalid_arg "Flowsyn.map_sequential: jobs must be 1";
   Netlist.validate_exn ~k nl;
   let comb, origin = to_comb nl in
-  let res =
-    if jobs > 1 then
-      Prelude.Pool.with_pool ~domains:jobs (fun pool ->
-          Labels.compute ~resynthesize ~cmax ~exhaustive ~pool comb ~k)
-    else Labels.compute ~resynthesize ~cmax ~exhaustive comb ~k
-  in
+  let res = Labels.compute ~resynthesize ~cmax ~exhaustive comb ~k in
   let mapped = Mapper.generate comb res in
   (* reassemble a sequential netlist *)
   let out = Netlist.create ~name:(Netlist.name nl ^ "_mapped") () in

@@ -29,11 +29,11 @@ val map_sequential :
   Circuit.Netlist.t * report
 (** [resynthesize = true] gives FlowSYN-s; default [false] is FlowMap-s.
     The result is a K-LUT circuit I/O-equivalent to the input (registers
-    and their positions unchanged).  [jobs > 1] labels each topological
-    depth level on that many domains ({!Labels.compute} with a pool —
-    doc/CONCURRENCY.md); the result is identical for every value.
-    @raise Invalid_argument if the input is not K-bounded or has
-    combinational loops. *)
+    and their positions unchanged).  [jobs] accepts only [1]: the
+    benchmark harness still passes it, and it goes with the next
+    benchmark change.
+    @raise Invalid_argument if the input is not K-bounded, has
+    combinational loops, or [jobs <> 1]. *)
 
 val to_comb : Circuit.Netlist.t -> Comb.t * (int * int) array
 (** The combinational view: the returned array maps each pseudo-[In] comb

@@ -56,8 +56,7 @@ let cone_spec t labels v ~target =
 let c_enum_hits = Obs.Counter.make "cut.enum_hits"
 let c_enum_misses = Obs.Counter.make "cut.enum_misses"
 
-let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) ?pool t
-    ~k =
+let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) t ~k =
   if k < 2 || k > Logic.Truthtable.max_arity then invalid_arg "Labels: k";
   Comb.validate t;
   Array.iteri
@@ -72,11 +71,8 @@ let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) ?pool t
   let labels = Array.make n 0 in
   let impls = Array.make n None in
   let order = Comb.topo_order t in
-  (* One node's labeling step: reads only labels of its cone (strict
-     ancestors) and writes only its own [labels]/[impls] slots, so nodes
-     of equal topological depth are independent — the level-parallel
-     schedule below (doc/CONCURRENCY.md) fans them across lanes without
-     changing any result. *)
+  (* one node's labeling step, in topological order: its cone's labels
+     are final *)
   let node v =
     match t.Comb.kind.(v) with
     | Comb.In -> labels.(v) <- 0
@@ -146,56 +142,7 @@ let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) ?pool t
                   impls.(v) <- Some (Cut fanins))
         end
   in
-  (match pool with
-  | Some pool when Pool.size pool > 1 ->
-      (* group nodes by topological depth; nodes of one depth share no
-         ancestry, so each depth is a pool batch with a barrier after it.
-         Worker-side Obs hooks (max-flow node counts, BDD peaks) write
-         into per-lane shards merged at the end. *)
-      let depth = Array.make n 0 in
-      let ndepths = ref 0 in
-      Array.iter
-        (fun v ->
-          (match t.Comb.kind.(v) with
-          | Comb.In -> depth.(v) <- 0
-          | Comb.Gate _ ->
-              depth.(v) <-
-                Array.fold_left
-                  (fun acc u -> max acc (depth.(u) + 1))
-                  0 t.Comb.fanins.(v));
-          if depth.(v) >= !ndepths then ndepths := depth.(v) + 1)
-        order;
-      let buckets = Array.make (max !ndepths 1) [] in
-      (* reversed topo order consing keeps each bucket in topo order *)
-      for i = n - 1 downto 0 do
-        let v = order.(i) in
-        buckets.(depth.(v)) <- v :: buckets.(depth.(v))
-      done;
-      let lanes = Pool.size pool in
-      let shards =
-        if Obs.enabled () then
-          Some (Array.init lanes (fun _ -> Obs.Shard.create ()))
-        else None
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          match shards with
-          | None -> ()
-          | Some s ->
-              Array.iter
-                (fun sh ->
-                  Obs.Shard.merge sh;
-                  Obs.Shard.release sh)
-                s)
-      @@ fun () ->
-      for d = 0 to !ndepths - 1 do
-        let level = Array.of_list buckets.(d) in
-        Pool.run pool ~n:(Array.length level) (fun worker i ->
-            match shards with
-            | None -> node level.(i)
-            | Some s -> Obs.Shard.wrap s.(worker) (fun () -> node level.(i)))
-      done
-  | _ -> Array.iter node order);
+  Array.iter node order;
   let resyn_nodes =
     Array.fold_left
       (fun acc -> function Some (Resyn _) -> acc + 1 | _ -> acc)

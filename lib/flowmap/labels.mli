@@ -29,18 +29,11 @@ val compute :
   ?resynthesize:bool ->
   ?cmax:int ->
   ?exhaustive:bool ->
-  ?pool:Prelude.Pool.t ->
   Comb.t ->
   k:int ->
   result
 (** Defaults: [resynthesize = false] (plain FlowMap), [cmax = 15],
     [exhaustive = false] (prefix bound sets only).
-
-    [pool], when given with more than one lane, labels the nodes of each
-    topological depth concurrently (nodes of equal depth share no
-    ancestry, so the level-synchronous schedule reads only finalized
-    labels — doc/CONCURRENCY.md); the result is identical to the
-    sequential computation for every lane count.
     @raise Invalid_argument if the input is not K-bounded or [k] is outside
     [\[2, 6\]]. *)
 

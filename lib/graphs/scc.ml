@@ -66,26 +66,6 @@ let compute ~n ~succ =
 
 let topo_order t = Array.init t.count (fun i -> t.count - 1 - i)
 
-(* Longest-path depth of each component in the condensation DAG.  Edge
-   u -> v with comp u <> comp v implies comp u > comp v, so iterating
-   component ids downwards visits every component after all of its
-   predecessors: each component's level is final when its out-edges are
-   relaxed.  Components of one level share no path, so the intra-phi
-   scheduler (doc/CONCURRENCY.md) may label them concurrently. *)
-let levels t ~succ =
-  let lev = Array.make t.count 0 in
-  for c = t.count - 1 downto 0 do
-    Array.iter
-      (fun v ->
-        List.iter
-          (fun w ->
-            let d = t.comp.(w) in
-            if d <> c && lev.(d) < lev.(c) + 1 then lev.(d) <- lev.(c) + 1)
-          (succ v))
-      t.members.(c)
-  done;
-  lev
-
 let is_trivial t ~succ c =
   Array.length t.members.(c) = 1
   &&

@@ -25,15 +25,6 @@ val topo_order : t -> int array
     earlier to a later position (forward topological order of the
     condensation). *)
 
-val levels : t -> succ:(int -> int list) -> int array
-(** Longest-path depth of each component in the condensation DAG:
-    sources are level 0, and every inter-component edge goes from a
-    strictly smaller to a strictly larger level.  Components of one
-    level are pairwise unreachable from each other, so they can be
-    processed concurrently between two topological barriers — the
-    schedule of the intra-φ parallel label engine
-    ([doc/CONCURRENCY.md]). *)
-
 val is_trivial : t -> succ:(int -> int list) -> int -> bool
 (** [is_trivial scc ~succ c] is true when component [c] is a single node
     without a self-loop (no cycle through it). *)

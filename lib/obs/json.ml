@@ -243,7 +243,13 @@ let parse_number p =
         | Some f -> Float f
         | None -> fail p "bad number")
 
-let rec parse_value p =
+(* Containers nest at most this deep.  The parser recurses once per
+   level, so without a cap a body of nothing but '[' costs time and
+   stack that grow with its length before it fails (a minute for 16 MB). *)
+let max_depth = 512
+
+(* [depth] counts the containers enclosing the value being parsed *)
+let rec parse_value p ~depth =
   skip_ws p;
   match peek p with
   | None -> fail p "unexpected end of input"
@@ -252,6 +258,8 @@ let rec parse_value p =
   | Some 'f' -> literal p "false" (Bool false)
   | Some '"' -> Str (parse_string p)
   | Some ('-' | '0' .. '9') -> parse_number p
+  | Some ('[' | '{') when depth >= max_depth ->
+      fail p (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '[' ->
       p.pos <- p.pos + 1;
       skip_ws p;
@@ -260,11 +268,11 @@ let rec parse_value p =
         List []
       end
       else begin
-        let items = ref [ parse_value p ] in
+        let items = ref [ parse_value p ~depth:(depth + 1) ] in
         skip_ws p;
         while peek p = Some ',' do
           p.pos <- p.pos + 1;
-          items := parse_value p :: !items;
+          items := parse_value p ~depth:(depth + 1) :: !items;
           skip_ws p
         done;
         expect p ']';
@@ -283,7 +291,7 @@ let rec parse_value p =
           let k = parse_string p in
           skip_ws p;
           expect p ':';
-          let v = parse_value p in
+          let v = parse_value p ~depth:(depth + 1) in
           skip_ws p;
           (k, v)
         in
@@ -299,7 +307,7 @@ let rec parse_value p =
 
 let of_string s =
   let p = { src = s; pos = 0 } in
-  match parse_value p with
+  match parse_value p ~depth:0 with
   | v ->
       skip_ws p;
       if p.pos <> String.length s then

@@ -34,7 +34,8 @@ val pp : Format.formatter -> t -> unit
 val of_string : string -> (t, string) result
 (** Parse one JSON document.  Numbers without a fraction or exponent
     become [Int] (falling back to [Float] on overflow); trailing
-    non-whitespace input is an error. *)
+    non-whitespace input is an error, and so are arrays and objects
+    nested more than 512 deep. *)
 
 val member : string -> t -> t option
 (** [member k v] is the value of field [k] when [v] is an [Obj] that has

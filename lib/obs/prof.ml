@@ -18,7 +18,8 @@
      push/pop in Span.enter/exit stores pre-existing strings into a
      pre-allocated array — no allocation, no synchronization — so GC
      telemetry, φ search, labels and audit documents are unchanged by
-     attaching (gated in bench perf for --jobs 1/2/4).
+     attaching (gated by the audit test "audit document, profiler on
+     and off").
 
    Accounting: [samples] counts recorded stack snapshots; [dropped]
    counts raw samples evicted from the ring (their folded aggregate is

@@ -7,7 +7,7 @@
     memory-safely, so attaching changes no observable output of the
     profiled program — φ, labels, audit documents and the metrics
     registries are byte-identical with the sampler on or off (gated in
-    [bench perf]).
+    [test/test_audit.ml]).
 
     The profiler keeps all of its state privately (one internal mutex);
     it never writes the unsynchronized Obs registries.  Servers surface

@@ -5,12 +5,11 @@
 
    Built on the Shard machinery (doc/CONCURRENCY.md): a scope owns one
    shard, installed on the serving domain for the duration of the work.
-   A parallel phase inside the scope creates its own lane shards as
-   always; their barrier merge resolves through the domain-local sink,
-   so lane work lands in the scope and reaches the registries when the
-   scope itself merges — counters by sum, peaks by max, histogram
+   A shard wrapped inside the scope merges through the domain-local
+   sink, so its work lands in the scope and reaches the registries when
+   the scope itself merges — counters by sum, peaks by max, histogram
    buckets pointwise, all associative, so global totals are the same
-   whether a scope interposes or not, for every --jobs N. *)
+   whether a scope interposes or not. *)
 
 type t = {
   id : string;

@@ -7,14 +7,13 @@
     {!summary} for access logs, [/debug/trace] and flamegraphs.
 
     Built on {!Shard}: the scope owns one shard, installed on the
-    serving domain while {!run} is active.  A parallel phase inside the
-    scope still creates its own lane shards; their barrier merge folds
-    into the scope (the domain-local sink), and the scope's own merge
-    reaches the registries on {!close}.  Counter sums, peaks and
-    histogram buckets are associative under this nesting, so global
-    totals — and the φ/labels/audit documents they gate — are identical
-    with or without a scope, for every [--jobs N]
-    ([doc/CONCURRENCY.md] §Scopes vs shards).
+    serving domain while {!run} is active.  A shard wrapped inside the
+    scope merges into the scope (the domain-local sink), and the
+    scope's own merge reaches the registries on {!close}.  Counter
+    sums, peaks and histogram buckets are associative under this
+    nesting, so global totals — and the φ/labels/audit documents they
+    gate — are identical with or without a scope
+    ([doc/CONCURRENCY.md] §Request scopes).
 
     Ownership rules: a scope belongs to the domain that entered {!run};
     never run one scope on two domains at once, and call {!close}

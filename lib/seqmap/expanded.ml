@@ -129,9 +129,9 @@ type arena = {
   mutable q_len : int;
   mutable busy : bool;
       (* ownership tripwire: an arena belongs to exactly one build at a
-         time (one pool lane, under the parallel label engine); a second
-         build observing [busy] means two lanes share an arena — a
-         determinism bug, reported loudly instead of corrupting state *)
+         time (one label run); a second build observing [busy] means two
+         label runs share an arena — a determinism bug, reported loudly
+         instead of corrupting state *)
 }
 
 let new_arena () =
@@ -213,8 +213,8 @@ let build ?arena ?internal_of nl ~root ~labels ~phi ~threshold ~extra_depth
         if a.busy then
           invalid_arg
             "Expanded.build: arena is owned by an in-flight build — two \
-             lanes are sharing one arena (doc/CONCURRENCY.md: one arena \
-             per pool lane)";
+             label runs are sharing one arena (doc/CONCURRENCY.md: one \
+             arena per label run)";
         Obs.Counter.incr c_arena;
         arena_reset a;
         a

@@ -34,7 +34,7 @@ type t = {
 type arena
 (** Reusable build scratch: the growable node/edge vectors, the open
     addressing [(u, w)] index and the BFS queue, reset per build instead of
-    re-allocated.  One arena per pool lane (never shared between
+    re-allocated.  One arena per label run (never shared between
     concurrent callers — see [doc/CONCURRENCY.md]); a build that finds its
     arena already owned by an in-flight build raises [Invalid_argument]
     rather than corrupting the scratch state.  The returned [t] copies out

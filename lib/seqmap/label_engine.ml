@@ -35,16 +35,6 @@ let s_cone = Obs.Span.make "label.cone_bdd"
 let s_dec = Obs.Span.make "label.decompose_call"
 let s_scc = Obs.Span.make "label.scc"
 
-(* intra-phi parallel scheduler (doc/CONCURRENCY.md); all three stay 0
-   under [jobs = 1] *)
-let c_scc_levels = Obs.Counter.make "label.scc_levels"
-let c_domain_tasks = Obs.Counter.make "label.domain_tasks"
-
-let c_merge_conflicts = Obs.Counter.make "label.merge_conflicts"
-(* ownership-invariant tripwire: counts gates claimed by two tasks of one
-   run.  SCC membership partitions the gates, so any nonzero value means
-   the scheduler dispatched overlapping work — a determinism bug. *)
-
 type impl =
   | Cut of (int * int) array
   | Resyn of Decomp.Decompose.tree * (int * int) array
@@ -60,10 +50,6 @@ type options = {
   resyn_depth : int;
   multi_output : bool;
   full_expansion : bool;
-  jobs : int;
-      (* intra-phi parallelism: lanes labeling independent SCCs of one
-         condensation level concurrently (doc/CONCURRENCY.md).  1 =
-         sequential.  Results are byte-identical for every value. *)
 }
 
 let default_options ~k =
@@ -78,7 +64,6 @@ let default_options ~k =
     resyn_depth = 2;
     multi_output = false;
     full_expansion = false;
-    jobs = 1;
   }
 
 type stats = {
@@ -150,25 +135,7 @@ let cone_entry nvars tree =
       go 0 t;
       { ce_tree = tree; ce_depths = d; ce_const = !cmax }
 
-type resyn_cache = {
-  tbl : (int * (int * int) array * int array, cone_entry) Hashtbl.t;
-  lock : Mutex.t;
-      (* one cache is shared by every speculative probe domain of a
-         parallel ratio search; the values are pure functions of the key,
-         so concurrent recomputation is benign and only the table
-         structure needs guarding *)
-}
-
-let cache_find c key =
-  Mutex.lock c.lock;
-  let r = Hashtbl.find_opt c.tbl key in
-  Mutex.unlock c.lock;
-  r
-
-let cache_store c key v =
-  Mutex.lock c.lock;
-  Hashtbl.replace c.tbl key v;
-  Mutex.unlock c.lock
+type resyn_cache = (int * (int * int) array * int array, cone_entry) Hashtbl.t
 
 (* Scaled-integer label view: with [phi = p/q], every
    label and threshold the engine manipulates has a denominator dividing
@@ -250,10 +217,7 @@ let ring_size = 8
    passing cut and resynthesis candidates included — making reuse exact
    at any phi.  Cut entries are overwritten by every fresh pass; each
    gate's snapshot ring keeps its [ring_size] most recently used
-   expansions and drops the least recently used one on insert.  Sharing
-   is sound only where the probe sequence is deterministic (the
-   sequential descent and the final run — speculative probe domains get
-   a [None] memo). *)
+   expansions and drops the least recently used one on insert. *)
 type cut_memo = {
   m_cuts : (int * int) array option array;
   m_ring : snap list array;
@@ -551,7 +515,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
        root denote a different cone function *)
     let key = (v, inputs, perm) in
     let entry =
-      match Option.bind ctx.cache (fun c -> cache_find c key) with
+      match Option.bind ctx.cache (fun c -> Hashtbl.find_opt c key) with
       | Some e ->
           Obs.Counter.incr c_cache_hits;
           Some e
@@ -566,7 +530,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
                   inputs
               in
               let entry = cone_entry n (build_cone ~arrivals) in
-              Option.iter (fun c -> cache_store c key entry) ctx.cache;
+              Option.iter (fun c -> Hashtbl.replace c key entry) ctx.cache;
               Some entry)
     in
     match entry with
@@ -793,14 +757,12 @@ let update ctx bound v =
    the last passing cut found during iteration when it is still valid
    under the converged labels (height within the label, width within K).
    Alongside each implementation it records its provenance — which
-   mechanism justified it — for the audit layer.
-
-   [make_harvester] returns the per-gate step so the parallel path can
-   chunk gates across lanes: each gate's harvest reads only converged
-   labels and its own recorded/snapshot state and writes only its own
-   [impls]/[prov] slots and its own snapshots, so gates are independent. *)
-let make_harvester ctx ~impls ~prov =
+   mechanism justified it — for the audit layer. *)
+let harvest ctx =
   let { nl; labels; phi; opts; _ } = ctx in
+  let n = Netlist.n nl in
+  let impls = Array.make n None in
+  let prov = Array.make n None in
   let arrival (u, w) = Rat.sub labels.(u) (Rat.mul_int phi w) in
   let impl_height = function
     | Cut cut ->
@@ -825,7 +787,7 @@ let make_harvester ctx ~impls ~prov =
           p_iteration = ctx.last_change.(v);
         }
   in
-  fun v ->
+  let step v =
     if not (Netlist.is_gate nl v) then true
     else begin
       let target = labels.(v) in
@@ -875,12 +837,7 @@ let make_harvester ctx ~impls ~prov =
                   true
               | ex, sn, mc0 -> fallback ~ex0:ex ?mc0 sn))
     end
-
-let harvest ctx =
-  let n = Netlist.n ctx.nl in
-  let impls = Array.make n None in
-  let prov = Array.make n None in
-  let step = make_harvester ctx ~impls ~prov in
+  in
   let ok = ref true in
   for v = 0 to n - 1 do
     if !ok then ok := step v
@@ -1058,193 +1015,12 @@ let run_scc_worklist ctx wl bound members ~in_scc ~(feasible : bool ref) =
     end
   done
 
-(* ------------------------------------------------------------------ *)
-(* Intra-phi parallel scheduler (doc/CONCURRENCY.md).                   *)
-(*                                                                      *)
-(* SCCs of one condensation level are pairwise unreachable, so their    *)
-(* label computations read only finalized upstream labels (published by *)
-(* the previous level's barrier) and write only their own members'      *)
-(* state: levels run as pool batches with no intra-level communication  *)
-(* and a barrier between levels.  Each lane owns its arenas and         *)
-(* worklist; per-task stats plus a sequential-order fixup reproduce the *)
-(* sequential engine's global iteration numbering, so labels, phi       *)
-(* verdicts, implementations and provenance are byte-identical for      *)
-(* every [jobs] value.  The harvest pass chunks gates the same way.     *)
-(* ------------------------------------------------------------------ *)
-
-let fresh_stats () =
-  { iterations = 0; flow_tests = 0; decompositions = 0; pld_hits = 0 }
-
-let merge_stats ~into:(a : stats) (b : stats) =
-  a.iterations <- a.iterations + b.iterations;
-  a.flow_tests <- a.flow_tests + b.flow_tests;
-  a.decompositions <- a.decompositions + b.decompositions;
-  a.pld_hits <- a.pld_hits + b.pld_hits
-
-let run_parallel ctx pool ~bound ~succ ~(scc : Graphs.Scc.t) =
-  let nl = ctx.nl and stats = ctx.stats in
-  let n = Netlist.n nl in
-  let lanes = Pool.size pool in
-  (* one set of scratch resources per lane: arenas and worklist are owned
-     by whatever task is running on the lane (tasks on one lane run
-     sequentially); labels, scaled slab, recorded cuts, snapshots and
-     last_change are shared — disjoint per-gate writes under SCC
-     ownership *)
-  let lane_ctx =
-    Array.init lanes (fun i ->
-        if i = 0 then ctx
-        else
-          {
-            ctx with
-            karena = Flow.Kcut.new_arena ();
-            earena = Expanded.new_arena ();
-            parena = Flow.Pricut.new_arena ();
-            note = None;
-          })
-  in
-  let lane_wl = Array.init lanes (fun _ -> new_worklist n) in
-  (* per-lane observability shards: the Obs registries are global and
-     unsynchronized, so worker-side hooks buffer locally and merge at
-     the end of the run, in lane order *)
-  let shards =
-    if Obs.enabled () && lanes > 1 then
-      Some (Array.init lanes (fun _ -> Obs.Shard.create ()))
-    else None
-  in
-  let in_shard worker f =
-    match shards with
-    | None -> f ()
-    | Some s -> Obs.Shard.wrap s.(worker) f
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      match shards with
-      | None -> ()
-      | Some s ->
-          Array.iter
-            (fun sh ->
-              Obs.Shard.merge sh;
-              Obs.Shard.release sh)
-            s)
-  @@ fun () ->
-  (* levels of the condensation DAG; comps of one level bucketed in the
-     sequential processing order (descending comp id) so the stats merge
-     and iteration fixup below replay the sequential numbering *)
-  let levels = Graphs.Scc.levels scc ~succ in
-  let nlevels = Array.fold_left (fun a l -> max a (l + 1)) 0 levels in
-  let buckets = Array.make (max nlevels 1) [] in
-  for c = 0 to scc.Graphs.Scc.count - 1 do
-    buckets.(levels.(c)) <- c :: buckets.(levels.(c))
-  done;
-  let comp_stats : stats option array = Array.make scc.Graphs.Scc.count None in
-  let comp_infeasible = Array.make scc.Graphs.Scc.count false in
-  let comp_diverged = Array.make scc.Graphs.Scc.count false in
-  let claimed = Array.make n (-1) in
-  let run_comp worker c =
-    let members =
-      Array.of_list
-        (List.filter
-           (fun v -> Netlist.is_gate nl v)
-           (Array.to_list scc.Graphs.Scc.members.(c)))
-    in
-    if Array.length members > 0 then begin
-      Array.iter
-        (fun v ->
-          if claimed.(v) >= 0 then Obs.Counter.incr c_merge_conflicts
-          else claimed.(v) <- c)
-        members;
-      let st = fresh_stats () in
-      comp_stats.(c) <- Some st;
-      let tctx = { (lane_ctx.(worker)) with stats = st } in
-      let feasible = ref true in
-      (try
-         if Graphs.Scc.is_trivial scc ~succ c then begin
-           st.iterations <- 1;
-           Obs.Counter.incr c_iterations;
-           ignore (update tctx bound members.(0))
-         end
-         else
-           Obs.Span.time s_scc @@ fun () ->
-           Array.sort Int.compare members;
-           let in_scc v = scc.Graphs.Scc.comp.(v) = c in
-           run_scc_worklist tctx lane_wl.(worker) bound members ~in_scc
-             ~feasible
-       with Diverged ->
-         comp_diverged.(c) <- true;
-         feasible := false);
-      if not !feasible then comp_infeasible.(c) <- true
-    end
-  in
-  let feasible = ref true in
-  let level = ref 0 in
-  while !feasible && !level < nlevels do
-    let comps = Array.of_list buckets.(!level) in
-    Obs.Counter.incr c_scc_levels;
-    Obs.Counter.add c_domain_tasks (Array.length comps);
-    Pool.run pool ~n:(Array.length comps) (fun worker i ->
-        in_shard worker (fun () -> run_comp worker comps.(i)));
-    (* level barrier: the infeasibility decision is taken here, once per
-       level, so it depends only on the level's results — never on task
-       scheduling *)
-    Array.iter (fun c -> if comp_infeasible.(c) then feasible := false) comps;
-    incr level
-  done;
-  if Array.exists Fun.id comp_diverged then Obs.Counter.incr c_divergences;
-  (* merge per-task stats and rebase each gate's last-change round from
-     its task-local numbering to the sequential engine's global one: in
-     sequential comp order, each comp's rounds follow every earlier
-     comp's, so the offset is a running prefix sum of iteration counts *)
-  let offset = ref 0 in
-  for c = scc.Graphs.Scc.count - 1 downto 0 do
-    match comp_stats.(c) with
-    | None -> ()
-    | Some st ->
-        if st.iterations > 0 then
-          Array.iter
-            (fun v ->
-              if ctx.last_change.(v) > 0 then
-                ctx.last_change.(v) <- ctx.last_change.(v) + !offset)
-            scc.Graphs.Scc.members.(c);
-        offset := !offset + st.iterations;
-        merge_stats ~into:stats st
-  done;
-  if not !feasible then (Infeasible, stats)
-  else begin
-    (* parallel harvest: gates are independent post-convergence, so fixed
-       contiguous chunks fan out across the lanes; chunking never affects
-       results, only load balance *)
-    let impls = Array.make n None in
-    let prov = Array.make n None in
-    let nchunks = if n = 0 then 0 else min n (4 * lanes) in
-    let chunk_ok = Array.make (max nchunks 1) true in
-    let chunk_stats : stats option array = Array.make (max nchunks 1) None in
-    Obs.Counter.add c_domain_tasks nchunks;
-    Pool.run pool ~n:nchunks (fun worker ci ->
-        in_shard worker (fun () ->
-            let st = fresh_stats () in
-            chunk_stats.(ci) <- Some st;
-            let tctx = { (lane_ctx.(worker)) with stats = st } in
-            let step = make_harvester tctx ~impls ~prov in
-            let lo = ci * n / nchunks and hi = (ci + 1) * n / nchunks in
-            let ok = ref true in
-            for v = lo to hi - 1 do
-              if !ok then ok := step v
-            done;
-            chunk_ok.(ci) <- !ok));
-    Array.iter
-      (function Some st -> merge_stats ~into:stats st | None -> ())
-      chunk_stats;
-    if Array.for_all Fun.id chunk_ok then
-      (Feasible { labels = ctx.labels; impls; prov }, stats)
-    else
-      (* should not happen: convergence guarantees an implementation *)
-      (Infeasible, stats)
-  end
-
-let run ?cache ?cutmemo ?pool opts nl ~phi =
+let run ?cache ?cutmemo opts nl ~phi =
   Netlist.validate_exn ~k:opts.k nl;
   let n = Netlist.n nl in
-  let stats = fresh_stats () in
+  let stats =
+    { iterations = 0; flow_tests = 0; decompositions = 0; pld_hits = 0 }
+  in
   let labels = Array.make n Rat.zero in
   for v = 0 to n - 1 do
     if Netlist.is_gate nl v then labels.(v) <- Rat.one
@@ -1299,62 +1075,48 @@ let run ?cache ?cutmemo ?pool opts nl ~phi =
     fun v -> out.(v)
   in
   let scc = Graphs.Scc.compute ~n ~succ in
-  let sequential () =
-    let order = Graphs.Scc.topo_order scc in
-    let feasible = ref true in
-    let wl = new_worklist n in
-    (try
-       Array.iter
-         (fun c ->
-           if !feasible then begin
-             let members =
-               Array.of_list
-                 (List.filter
-                    (fun v -> Netlist.is_gate nl v)
-                    (Array.to_list scc.Graphs.Scc.members.(c)))
-             in
-             let m = Array.length members in
-             if m > 0 then
-               if Graphs.Scc.is_trivial scc ~succ c then begin
-                 stats.iterations <- stats.iterations + 1;
-                 Obs.Counter.incr c_iterations;
-                 ignore (update ctx bound members.(0))
-               end
-               else Obs.Span.time s_scc @@ fun () ->
-                 Array.sort Int.compare members;
-                 let in_scc v = scc.Graphs.Scc.comp.(v) = c in
-                 (* Theorem 2 of the paper: a positive loop exists iff after
-                    6n iterations the SCC is totally isolated in the support
-                    graph.  The test is only meaningful from 6n on (before
-                    that, transient equality-supported states of feasible
-                    targets can look isolated); without PLD only the
-                    conservative quadratic cap applies (the pre-TurboSYN
-                    stopping criterion). *)
-                 run_scc_worklist ctx wl bound members ~in_scc ~feasible
-           end)
-         order
-     with Diverged ->
-       Obs.Counter.incr c_divergences;
-       feasible := false);
-    if not !feasible then (Infeasible, stats)
-    else
-      match harvest ctx with
-      | Some (impls, prov) -> (Feasible { labels; impls; prov }, stats)
-      | None ->
-          (* should not happen: convergence guarantees an implementation *)
-          (Infeasible, stats)
-  in
-  (* intra-phi parallelism: a caller-supplied pool wins over [opts.jobs],
-     and either way a single lane falls back to the sequential path *)
-  match pool with
-  | Some p ->
-      if Pool.size p > 1 then run_parallel ctx p ~bound ~succ ~scc
-      else sequential ()
-  | None ->
-      if opts.jobs > 1 then
-        Pool.with_pool ~domains:opts.jobs (fun p ->
-            run_parallel ctx p ~bound ~succ ~scc)
-      else sequential ()
+  let order = Graphs.Scc.topo_order scc in
+  let feasible = ref true in
+  let wl = new_worklist n in
+  (try
+     Array.iter
+       (fun c ->
+         if !feasible then begin
+           let members =
+             Array.of_list
+               (List.filter
+                  (fun v -> Netlist.is_gate nl v)
+                  (Array.to_list scc.Graphs.Scc.members.(c)))
+           in
+           let m = Array.length members in
+           if m > 0 then
+             if Graphs.Scc.is_trivial scc ~succ c then begin
+               stats.iterations <- stats.iterations + 1;
+               Obs.Counter.incr c_iterations;
+               ignore (update ctx bound members.(0))
+             end
+             else Obs.Span.time s_scc @@ fun () ->
+               Array.sort Int.compare members;
+               let in_scc v = scc.Graphs.Scc.comp.(v) = c in
+               (* Theorem 2 of the paper: a positive loop exists iff after
+                  6n iterations the SCC is totally isolated in the support
+                  graph.  The test is only meaningful from 6n on (before
+                  that, transient equality-supported states of feasible
+                  targets can look isolated); without PLD only the
+                  conservative quadratic cap applies (the pre-TurboSYN
+                  stopping criterion). *)
+               run_scc_worklist ctx wl bound members ~in_scc ~feasible
+         end)
+       order
+   with Diverged ->
+     Obs.Counter.incr c_divergences;
+     feasible := false);
+  if not !feasible then (Infeasible, stats)
+  else
+    match harvest ctx with
+    | Some (impls, prov) -> (Feasible { labels; impls; prov }, stats)
+    | None ->
+        (* should not happen: convergence guarantees an implementation *)
+        (Infeasible, stats)
 
-let new_cache () : resyn_cache =
-  { tbl = Hashtbl.create 512; lock = Mutex.create () }
+let new_cache () : resyn_cache = Hashtbl.create 512

@@ -50,19 +50,12 @@ type options = {
           the node budget instead of the partial-network frontier — the
           construction TurboMap's partial flow networks replaced; for the
           benchmark comparison *)
-  jobs : int;
-      (** intra-φ parallelism: number of domains labeling independent
-          SCCs of one condensation level concurrently, with a barrier
-          between levels ([doc/CONCURRENCY.md]).  [1] is fully
-          sequential; every value produces byte-identical results —
-          labels, implementations, provenance and verdicts.  Ignored
-          when {!run} is given an explicit [pool]. *)
 }
 
 val default_options : k:int -> options
 (** k, resynthesize=false, cmax=15, exhaustive=false, pld=true,
     extra_depth=3, max_expansion=4000, resyn_depth=2, multi_output=false,
-    full_expansion=false, jobs=1. *)
+    full_expansion=false. *)
 
 type stats = {
   mutable iterations : int;
@@ -126,11 +119,7 @@ type cut_memo
     overwritten by fresh passes.  The memo also carries each gate's
     expansion snapshots (up to 8, least recently used dropped first),
     each revalidated under the current labels, threshold and φ before
-    it answers anything ([label.snapshot_reuses]).  Share a memo only
-    between runs whose sequence is itself
-    deterministic (the sequential descent's probes and the final run) —
-    speculative probe domains must not receive it, or the memo contents
-    would depend on probe timing. *)
+    it answers anything ([label.snapshot_reuses]). *)
 
 val new_cut_memo : Circuit.Netlist.t -> cut_memo
 
@@ -146,20 +135,10 @@ val snapshot_revalidates :
 val run :
   ?cache:resyn_cache ->
   ?cutmemo:cut_memo ->
-  ?pool:Prelude.Pool.t ->
   options -> Circuit.Netlist.t -> phi:Rat.t ->
   outcome * stats
 (** On [Feasible], [impls] is defined exactly on gates and every
     implementation realizes its gate with sequential arrival [<= l(v)]
     under the returned labels.
-
-    [pool], when given, supplies the domains for the intra-φ parallel
-    scheduler (overriding [options.jobs] — a pool of size 1 forces the
-    sequential path); without it, [options.jobs > 1] spins up a
-    per-call pool.  The outcome and, on feasible runs, the [stats] are
-    byte-identical for every lane count; on infeasible runs the stats
-    may differ (the sequential engine stops at the first infeasible
-    SCC, the parallel one at that SCC's level barrier) while the
-    verdict itself is invariant.  See [doc/CONCURRENCY.md].
     @raise Invalid_argument if the circuit is not K-bounded or has a
     combinational loop. *)

@@ -30,7 +30,6 @@ val minimum_ratio :
   ?cutmemo:Label_engine.cut_memo ->
   ?phi_max_den:int ->
   ?jobs:int ->
-  ?pool:Pool.t ->
   Label_engine.options -> Circuit.Netlist.t -> Rat.t * int * Label_engine.stats
 (** [(phi, probes, stats)].  [phi = 0] for acyclic circuits (any clock
     period is reachable by pipelining alone).  As in the paper, targets are
@@ -43,35 +42,21 @@ val minimum_ratio :
     modest cap — the top-level flow uses 24 — trades a sliver of exactness
     for a large speedup).
 
-    [jobs > 1] evaluates feasibility probes speculatively on that many
-    domains: the next probe the search certainly needs runs together with
-    the pending probes of both possible verdicts (BFS over the search's
-    decision tree), and the decisive verdicts replay the sequential
-    descent — the returned [phi] is identical for every [jobs] value;
-    only [probes] (and wall-clock time) change.  [jobs <= 1] is the exact
-    sequential search.
-
-    [pool], when given, supplies intra-φ lanes to the label engine of
-    each {e non-speculative} probe ([Label_engine.run ?pool] — see
-    [doc/CONCURRENCY.md]); speculative probes on worker domains never
-    touch it, since pool batches have a single caller.  [jobs] (probe
-    speculation) and [pool] (intra-probe SCC parallelism) are
-    orthogonal axes; both preserve results exactly.
+    Each φ is probed once: the search revisits points it has already
+    decided, and those answers come from a memo of past verdicts.
 
     [cutmemo], when given, carries passing cuts across probes
-    ([doc/PERF.md], three-layer cut engine).  Like the pool it is handed
-    only to driver-domain probes: the memo's contents must be a
-    deterministic function of the decisive probe sequence, never of
-    domain scheduling.  Memo hits are verdict-exact, so the returned
-    [phi] — and the labels of any later run handed the same memo — are
-    unaffected; which probes populate the memo (and hence which
-    remembered cut a later harvest reuses) does depend on [jobs],
-    deterministically for each value. *)
+    ([doc/PERF.md], three-layer cut engine).  Memo hits are
+    verdict-exact, so the returned [phi] — and the labels of any later
+    run handed the same memo — are unaffected.
+
+    [jobs] accepts only [1] and raises [Invalid_argument] for any other
+    value: the benchmark harness still passes it, and it goes with the
+    next benchmark change. *)
 
 val map :
   ?options:Label_engine.options ->
   ?phi_max_den:int ->
-  ?jobs:int ->
   Circuit.Netlist.t ->
   k:int ->
   Circuit.Netlist.t * report
@@ -84,7 +69,6 @@ val map :
 val map_full :
   ?options:Label_engine.options ->
   ?phi_max_den:int ->
-  ?jobs:int ->
   Circuit.Netlist.t ->
   k:int ->
   Circuit.Netlist.t * report * Label_engine.impl option array

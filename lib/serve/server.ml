@@ -7,11 +7,11 @@
    Serve v2 architecture (doc/CONCURRENCY.md §Serving):
 
      accept lane ──> bounded Bqueue ──> N worker domains
+   (calling domain)                   (one Domain.spawn each)
           │                                  │
           │ inline: /healthz /metrics        │ /map: parse, canonical
           │         /debug/*  (cheap)        │ digest, cache lookup,
           │ full queue: shed 429             │ Synth.run on miss
-          └──────────── one Prelude.Pool ────┘
 
    The accept lane owns the listen socket and the request *read*,
    bounded by one deadline per request (408 when it expires, so a
@@ -1242,30 +1242,37 @@ let run t =
   (* a client that disconnects mid-response must not kill the server *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* one Prelude.Pool hosts every lane: task 0 is the accept lane, the
-     rest are queue workers.  All tasks run until shutdown, so each
-     lane takes exactly one; the accept lane closes the queue on exit,
-     which drains and releases the workers — then the pool barrier
-     returns.  Assignment of lanes to tasks is irrelevant (the tasks
-     are self-contained loops), matching the pool's no-promises
-     contract. *)
-  let lanes = t.config.workers + 1 in
-  (* the sampler lives exactly as long as the serving pool: attached
+  (* the sampler lives exactly as long as the serving domains: attached
      here (so Obs.reset still works between create and run) and
-     detached — joining the tick thread — on the way out, even when the
-     pool raises *)
+     detached — joining the tick thread — on the way out, even when a
+     loop raises *)
   if t.config.profile then
     Obs.Prof.attach ~interval:t.config.profile_interval ();
   Fun.protect
     ~finally:(fun () -> if t.config.profile then Obs.Prof.detach ())
     (fun () ->
-      Prelude.Pool.with_pool ~domains:lanes (fun pool ->
-          Prelude.Pool.run pool ~n:lanes (fun _worker task ->
-              if task = 0 then
-                Fun.protect
-                  ~finally:(fun () -> Prelude.Bqueue.close t.queue)
-                  (fun () -> accept_loop t)
-              else worker_loop t)))
+      (* the workers run until the queue closes; the accept loop runs
+         here and closes the queue on exit, which drains and releases
+         them.  The first exception — the accept loop's, then the
+         workers' in spawn order — is re-raised once all are joined. *)
+      let outcome f =
+        match f () with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ())
+      in
+      let workers =
+        List.init t.config.workers (fun _ ->
+            Domain.spawn (fun () -> outcome (fun () -> worker_loop t)))
+      in
+      let accept =
+        outcome (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Prelude.Bqueue.close t.queue)
+              (fun () -> accept_loop t))
+      in
+      match List.find_map Fun.id (accept :: List.map Domain.join workers) with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ())
 
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin

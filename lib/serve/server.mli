@@ -39,8 +39,8 @@
       verdicts are exposed on the scrape as [turbosyn_slo_*] gauge
       families.
 
-    {b Concurrency.}  One {!Prelude.Pool} hosts an accept lane plus
-    [workers] worker domains.  The accept lane owns the listen socket,
+    {b Concurrency.}  {!run} runs the accept lane on the calling domain
+    and spawns [workers] worker domains.  The accept lane owns the listen socket,
     parses request envelopes (a client that has not sent its whole
     request within 5 s gets [408], counted under route [malformed]),
     answers the cheap routes inline, and
@@ -115,8 +115,8 @@ val workers : t -> int
 (** The resolved worker-domain count. *)
 
 val run : t -> unit
-(** Serve until {!stop}.  Blocks the calling thread (it becomes the
-    pool's lane 0); run it in a [Domain] (as [bench serve-load] and the
+(** Serve until {!stop}.  Blocks the calling thread (it runs the
+    accept lane); run it in a [Domain] (as [bench serve-load] and the
     tests do) to drive requests from the same process. *)
 
 val stop : t -> unit

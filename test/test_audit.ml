@@ -415,7 +415,7 @@ let test_timeline_shape () =
       | _ -> Alcotest.fail "no traceEvents list")
 
 (* ---------------------------------------------------------------- *)
-(* Document comparison and the jobs-invariance oracle               *)
+(* Document comparison and the profiler byte-identity oracle        *)
 (* ---------------------------------------------------------------- *)
 
 let test_equal_documents () =
@@ -461,21 +461,39 @@ let test_equal_documents () =
        ])
     "$.b[1].c"
 
-(* Audit documents serialize everything downstream consumers see: their
-   equality across lane counts is the end-to-end jobs-invariance gate
-   (doc/CONCURRENCY.md). *)
-let test_jobs_invariant_document () =
-  let nl = suite "bbara" in
-  let doc_of jobs =
-    let options = { (Turbosyn.Synth.default_options ~k:5 ()) with jobs } in
+(* Audit documents serialize everything downstream consumers see, so
+   their equality with and without the sampling profiler attached is the
+   end-to-end profiler byte-identity gate (doc/PROFILING.md §Byte
+   identity): the sampler only reads live span state, and this catches
+   any accidental write-back.  The 2 ms tick is well under the run time,
+   so samples really land. *)
+let test_profiler_invariant_document () =
+  let options = Turbosyn.Synth.default_options ~k:5 () in
+  let doc_of nl =
     let r = Turbosyn.Synth.run ~options `Turbosyn nl in
     match Audit.build ~source:nl ~options r with
     | Ok doc -> doc
-    | Error e -> Alcotest.failf "jobs=%d: audit build failed: %s" jobs e
+    | Error e -> Alcotest.failf "%s: audit build failed: %s" (Netlist.name nl) e
   in
-  match Audit.equal_documents (doc_of 1) (doc_of 4) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "documents differ across lane counts: %s" e
+  let profiled_doc_of nl =
+    Obs.set_enabled true;
+    Obs.reset ();
+    Obs.Prof.reset ();
+    Obs.Prof.attach ~interval:0.002 ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Prof.detach ();
+        Obs.reset ();
+        Obs.set_enabled false)
+      (fun () -> doc_of nl)
+  in
+  List.iter
+    (fun name ->
+      let nl = suite name in
+      match Audit.equal_documents (doc_of nl) (profiled_doc_of nl) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: profiled document differs: %s" name e)
+    [ "bbara"; "s298" ]
 
 let () =
   Alcotest.run "audit"
@@ -510,7 +528,7 @@ let () =
         [
           Alcotest.test_case "equal_documents diagnosis" `Quick
             test_equal_documents;
-          Alcotest.test_case "audit document across lane counts" `Slow
-            test_jobs_invariant_document;
+          Alcotest.test_case "audit document, profiler on and off" `Slow
+            test_profiler_invariant_document;
         ] );
     ]

@@ -278,6 +278,34 @@ let test_json_round_trip () =
       | Error _ -> ())
     [ ""; "{"; "[1,"; "{\"a\" 1}"; "tru"; "1 2"; "\"unterminated" ]
 
+(* Nesting is capped at 512 containers: a deeper document is an [Error],
+   found without recursing through the rest of the input, so a body of
+   millions of '[' is refused at once instead of costing time and stack
+   in proportion to its length. *)
+let test_json_depth_cap () =
+  let nested d open_ close =
+    String.concat "" (List.init d (fun _ -> open_))
+    ^ "0"
+    ^ String.concat "" (List.init d (fun _ -> close))
+  in
+  List.iter
+    (fun (open_, close) ->
+      (match Obs.Json.of_string (nested 512 open_ close) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "depth 512 %s refused: %s" open_ e);
+      match Obs.Json.of_string (nested 513 open_ close) with
+      | Ok _ -> Alcotest.failf "depth 513 %s accepted" open_
+      | Error _ -> ())
+    [ ("[", "]"); ("{\"a\":", "}") ];
+  let t0 = Unix.gettimeofday () in
+  (match Obs.Json.of_string (String.make 4_000_000 '[') with
+  | Ok _ -> Alcotest.fail "4M '[' accepted"
+  | Error _ -> ());
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "4M '[' refused in %.3f s" dt)
+    true (dt < 0.5)
+
 (* Generator for arbitrary JSON values.  Floats are drawn from a finite
    range (non-finite floats deliberately print as null and do not round
    trip); strings exercise escapes, control characters and non-ASCII
@@ -1433,6 +1461,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
           Alcotest.test_case "properties" `Quick test_json_properties;
+          Alcotest.test_case "depth cap" `Quick test_json_depth_cap;
           Alcotest.test_case "stats schema" `Quick test_stats_schema;
         ] );
       ( "histogram",

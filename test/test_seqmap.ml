@@ -502,86 +502,9 @@ let test_golden_provenance () =
     "provenance counts" golden_provenance
     (List.map row [ "bbara"; "cse"; "s298" ])
 
-(* Speculative parallel probing must not change the search result: the
-   decisive verdicts replay the sequential descent exactly. *)
-let test_jobs_determinism () =
-  let rng = Rng.create 777 in
-  for i = 1 to 5 do
-    let nl = random_seq rng ~pis:3 ~gates:(10 + i) ~max_arity:3 in
-    let opts =
-      {
-        (Label_engine.default_options ~k:4) with
-        Label_engine.resynthesize = true;
-      }
-    in
-    let phi1, _, _ = Turbomap.minimum_ratio ~jobs:1 opts nl in
-    let phi4, _, _ = Turbomap.minimum_ratio ~jobs:4 opts nl in
-    Alcotest.check rat
-      (Format.asprintf "jobs=4 phi %a = jobs=1 phi %a" Rat.pp phi4 Rat.pp phi1)
-      phi1 phi4
-  done
-
-(* The intra-phi parallel scheduler must be invisible in results: for
-   every lane count, the verdict, the labels, the provenance, and (on
-   feasible runs) the stats are byte-identical to the sequential engine
-   (doc/CONCURRENCY.md). *)
-let test_intra_phi_invariance () =
-  let rng = Rng.create 909 in
-  let circuits =
-    [
-      ( "bbara",
-        5,
-        Workloads.Suite.build (Option.get (Workloads.Suite.find "bbara")) );
-    ]
-    @ List.init 3 (fun i ->
-          ( Printf.sprintf "rand%d" i,
-            4,
-            random_seq rng ~pis:3 ~gates:(12 + (2 * i)) ~max_arity:3 ))
-    @ [ ("loop6_2", 4, pi_loop 6 2) ]
-  in
-  List.iter
-    (fun (cname, k, nl) ->
-      let opts =
-        { (Label_engine.default_options ~k) with Label_engine.resynthesize = true }
-      in
-      let phi_star, _, _ = Turbomap.minimum_ratio opts nl in
-      if Rat.( > ) phi_star Rat.zero then
-        (* phi* is the smallest feasible ratio, so phi*/2 is certainly
-           infeasible: the verdict must also be lane-count invariant *)
-        let phis = [ phi_star; Rat.div phi_star (Rat.of_int 2) ] in
-        List.iter
-          (fun phi ->
-            let base, base_stats = Label_engine.run opts nl ~phi in
-            List.iter
-              (fun jobs ->
-                let par, par_stats =
-                  Label_engine.run { opts with Label_engine.jobs } nl ~phi
-                in
-                let name j what =
-                  Format.asprintf "%s phi=%a jobs=%d %s" cname Rat.pp phi j what
-                in
-                match (base, par) with
-                | ( Label_engine.Feasible { labels = l1; prov = p1; _ },
-                    Label_engine.Feasible { labels = l2; prov = p2; _ } ) ->
-                    Alcotest.(check (array rat)) (name jobs "labels") l1 l2;
-                    Alcotest.(check bool) (name jobs "provenance") true (p1 = p2);
-                    Alcotest.(check int) (name jobs "iterations")
-                      base_stats.Label_engine.iterations
-                      par_stats.Label_engine.iterations;
-                    Alcotest.(check int) (name jobs "flow tests")
-                      base_stats.Label_engine.flow_tests
-                      par_stats.Label_engine.flow_tests
-                | Label_engine.Infeasible, Label_engine.Infeasible -> ()
-                | _ ->
-                    Alcotest.fail (name jobs "verdict: lane counts disagree"))
-              [ 2; 4; 8 ])
-          phis)
-    circuits
-
-(* The scheduling counters of the parallel engine: levels and tasks are
-   recorded, and the single-writer ownership tripwire never fires. *)
-let test_intra_phi_counters () =
-  let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find "bbara")) in
+(* Search events of one traced call: the phi of every [search.probe]
+   event, in order. *)
+let probed_phis f =
   Obs.set_enabled true;
   Obs.reset ();
   Fun.protect
@@ -589,24 +512,74 @@ let test_intra_phi_counters () =
       Obs.reset ();
       Obs.set_enabled false)
     (fun () ->
+      let r = f () in
+      ( r,
+        List.filter_map
+          (fun e ->
+            if e.Obs.Trace.name <> "search.probe" then None
+            else
+              match List.assoc_opt "phi" e.Obs.Trace.fields with
+              | Some (Obs.Json.Str p) -> Some p
+              | _ -> Alcotest.fail "probe event without phi")
+          (Obs.Trace.events ()) ))
+
+(* The ratio search on five random circuits (TurboSYN options, K=4, no
+   denominator cap): phi* and the probe sequence of each, recorded with
+   the replaying search loop the memoizing oracle replaced.
+   Acyclic circuits (phi* = 0) and UB <= 1 need no probe. *)
+let search_pins =
+  [
+    ("1/2", []);
+    ("1", [ "1" ]);
+    ("0", []);
+    ("1", []);
+    ("2", [ "1"; "4"; "2"; "95/48" ]);
+  ]
+
+let test_search_pins () =
+  let rng = Rng.create 777 in
+  List.iteri
+    (fun i (expect_phi, expect_phis) ->
+      let nl = random_seq rng ~pis:3 ~gates:(11 + i) ~max_arity:3 in
       let opts =
         {
-          (Label_engine.default_options ~k:5) with
+          (Label_engine.default_options ~k:4) with
           Label_engine.resynthesize = true;
-          jobs = 4;
         }
       in
-      let phi_star, _, _ = Turbomap.minimum_ratio opts nl in
-      ignore (Label_engine.run opts nl ~phi:phi_star);
-      let get name =
-        match Obs.Counter.find name with
-        | Some v -> v
-        | None -> Alcotest.failf "counter %s never registered" name
+      let (phi, probes, _), phis =
+        probed_phis (fun () -> Turbomap.minimum_ratio opts nl)
       in
-      Alcotest.(check bool) "scc levels recorded" true (get "label.scc_levels" > 0);
-      Alcotest.(check bool) "domain tasks recorded" true
-        (get "label.domain_tasks" > 0);
-      Alcotest.(check int) "no merge conflicts" 0 (get "label.merge_conflicts"))
+      let name = Printf.sprintf "rand%d" (i + 1) in
+      Alcotest.(check string) (name ^ " phi*") expect_phi (Rat.to_string phi);
+      Alcotest.(check int) (name ^ " probes") (List.length expect_phis) probes;
+      Alcotest.(check (list string)) (name ^ " probe sequence") expect_phis phis)
+    search_pins
+
+(* The repository benchmark still compiles against four parallelism
+   knobs that are gone; each accepts only 1 until the next benchmark
+   change removes it. *)
+let test_jobs_rejected () =
+  let nl = pi_loop 3 1 in
+  let opts = Label_engine.default_options ~k:4 in
+  let so = Turbosyn.Synth.default_options ~k:4 () in
+  Alcotest.check_raises "Turbomap.minimum_ratio ~jobs:2"
+    (Invalid_argument "Turbomap.minimum_ratio: jobs must be 1") (fun () ->
+      ignore (Turbomap.minimum_ratio ~jobs:2 opts nl));
+  Alcotest.check_raises "Flowsyn.map_sequential ~jobs:2"
+    (Invalid_argument "Flowsyn.map_sequential: jobs must be 1") (fun () ->
+      ignore (Flowmap.Flowsyn.map_sequential ~jobs:2 nl ~k:4));
+  Alcotest.check_raises "Synth.options.jobs = 2"
+    (Invalid_argument "Synth.run: jobs must be 1") (fun () ->
+      ignore
+        (Turbosyn.Synth.run ~options:{ so with Turbosyn.Synth.jobs = 2 }
+           `Turbomap nl));
+  Alcotest.check_raises "Synth.options.probe_jobs = 2"
+    (Invalid_argument "Synth.run: probe_jobs must be 1") (fun () ->
+      ignore
+        (Turbosyn.Synth.run
+           ~options:{ so with Turbosyn.Synth.probe_jobs = 2 }
+           `Turbomap nl))
 
 (* Cross-phi cut memo (cut-engine layer 2, doc/PERF.md): handing a memo
    to the ratio search and then to label runs at phi* must not change
@@ -655,38 +628,27 @@ let test_cut_memo () =
    infeasible probe at n - 1/24 right after the integer phase finds n:
    no (2n-1)/2 rung is probed.  Without a cap the search explores
    denominators up to the register count. *)
-let test_probe_each_phi_once () =
-  let so = Turbosyn.Synth.default_options ~k:5 () in
+let check_probe_rows ~k rows =
+  let so = Turbosyn.Synth.default_options ~k () in
   List.iter
     (fun (name, resynthesize, phi_max_den, expect, expect_phis) ->
       let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
       let opts = Turbosyn.Synth.engine_options so ~resynthesize in
-      Obs.set_enabled true;
-      Obs.reset ();
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.reset ();
-          Obs.set_enabled false)
-        (fun () ->
-          let phi, probes, _ = Turbomap.minimum_ratio ?phi_max_den opts nl in
-          let phis =
-            List.filter_map
-              (fun e ->
-                if e.Obs.Trace.name <> "search.probe" then None
-                else
-                  match List.assoc_opt "phi" e.Obs.Trace.fields with
-                  | Some (Obs.Json.Str p) -> Some p
-                  | _ -> Alcotest.failf "%s: probe event without phi" name)
-              (Obs.Trace.events ())
-          in
-          Alcotest.check rat (name ^ " phi*") expect phi;
-          Alcotest.(check int) (name ^ " probes = events") probes
-            (List.length phis);
-          Alcotest.(check (list string))
-            (name ^ " probed phis pairwise distinct")
-            (List.sort_uniq compare phis) (List.sort compare phis);
-          Alcotest.(check (list string))
-            (name ^ " probe sequence") expect_phis phis))
+      let (phi, probes, _), phis =
+        probed_phis (fun () -> Turbomap.minimum_ratio ?phi_max_den opts nl)
+      in
+      Alcotest.check rat (name ^ " phi*") expect phi;
+      Alcotest.(check int) (name ^ " probes = events") probes
+        (List.length phis);
+      Alcotest.(check (list string))
+        (name ^ " probed phis pairwise distinct")
+        (List.sort_uniq compare phis) (List.sort compare phis);
+      Alcotest.(check (list string))
+        (name ^ " probe sequence") expect_phis phis)
+    rows
+
+let test_probe_each_phi_once () =
+  check_probe_rows ~k:5
     [
       ("bbara", true, None, Rat.of_int 2, [ "1"; "6"; "2"; "215/108" ]);
       ( "cse",
@@ -698,10 +660,26 @@ let test_probe_each_phi_once () =
       ("cse", true, Some 24, Rat.of_int 4, [ "1"; "10"; "2"; "4"; "3"; "95/24" ]);
     ]
 
-(* Per-lane arena ownership: arenas are private to one lane; distinct
-   arenas solve concurrently without interference, and one arena is
-   reusable across sequential solves (the busy flag is released even
-   though results are copied out). *)
+(* A fractional phi* (s420 TurboMap at K=6, the flow's cap of 24): the
+   integer phase brackets phi* in (3, 4], the probe at 4 - 1/24 shows 4
+   is not minimal, and the Stern-Brocot descent settles on 11/3.
+   Recorded with the replaying search loop the memoizing oracle
+   replaced. *)
+let test_probe_each_phi_once_fractional () =
+  check_probe_rows ~k:6
+    [
+      ( "s420",
+        false,
+        Some 24,
+        Rat.make 11 3,
+        [ "1"; "7"; "2"; "4"; "3"; "95/24"; "7/2"; "11/3"; "18/5"; "84/23" ] );
+    ]
+
+(* Arena ownership: an arena is private to one label run; distinct
+   arenas solve concurrently without interference (serve workers run
+   label engines on concurrent domains), and one arena is reusable
+   across sequential solves (the busy flag is released even though
+   results are copied out). *)
 let test_arena_isolation () =
   (* a small diamond spec: 0,1 sources; 3 = sink side *)
   let spec =
@@ -719,18 +697,22 @@ let test_arena_isolation () =
     Alcotest.(check bool) "arena reuse agrees" true
       (Flow.Kcut.find ~arena spec ~k:2 = expected)
   done;
-  (* cross-domain isolation: one arena per pool lane, concurrent solves *)
-  Pool.with_pool ~domains:4 (fun pool ->
-      let arenas = Array.init (Pool.size pool) (fun _ -> Flow.Kcut.new_arena ()) in
-      let results = Array.make 64 None in
-      Pool.run pool ~n:64 (fun worker i ->
-          results.(i) <- Some (Flow.Kcut.find ~arena:arenas.(worker) spec ~k:2));
-      Array.iteri
+  (* cross-domain isolation: one arena per domain, concurrent solves *)
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            let arena = Flow.Kcut.new_arena () in
+            List.init 16 (fun _ -> Flow.Kcut.find ~arena spec ~k:2)))
+  in
+  List.iteri
+    (fun d results ->
+      List.iteri
         (fun i r ->
           Alcotest.(check bool)
-            (Printf.sprintf "lane solve %d agrees" i)
-            true (r = Some expected))
-        results);
+            (Printf.sprintf "domain %d solve %d agrees" d i)
+            true (r = expected))
+        results)
+    (List.map Domain.join domains);
   (* same discipline for expansion arenas *)
   let nl = pi_loop 6 2 in
   let v = Option.get (Netlist.find_by_name nl "g0") in
@@ -892,15 +874,14 @@ let () =
         [
           Alcotest.test_case "golden labels" `Slow test_golden_labels;
           Alcotest.test_case "golden provenance" `Slow test_golden_provenance;
-          Alcotest.test_case "parallel jobs determinism" `Slow
-            test_jobs_determinism;
-          Alcotest.test_case "intra-phi lane invariance" `Slow
-            test_intra_phi_invariance;
-          Alcotest.test_case "intra-phi scheduling counters" `Slow
-            test_intra_phi_counters;
+          Alcotest.test_case "ratio search pins" `Slow test_search_pins;
+          Alcotest.test_case "jobs other than 1 rejected" `Quick
+            test_jobs_rejected;
           Alcotest.test_case "cross-phi cut memo" `Slow test_cut_memo;
           Alcotest.test_case "each phi probed once" `Quick
             test_probe_each_phi_once;
+          Alcotest.test_case "each phi probed once, fractional phi*" `Quick
+            test_probe_each_phi_once_fractional;
           Alcotest.test_case "arena isolation" `Quick test_arena_isolation;
         ] );
       ( "pld",

@@ -1057,6 +1057,22 @@ let test_k_range () =
     (Serve.Server.map_response ~circuit:"bbara" ~k:7 ~algo:`Turbomap
     = Error "k out of range: 7")
 
+(* A body nested deeper than the JSON parser's 512-level cap is a 400,
+   answered at once instead of after the parser recursed through all of
+   it. *)
+let test_deep_body () =
+  with_server (fun port ->
+      let t0 = Unix.gettimeofday () in
+      let status, _ =
+        http ~port ~meth:"POST" ~path:"/map"
+          ~body:(String.make 4_000_000 '[') ()
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) "deep body" 400 status;
+      Alcotest.(check bool)
+        (Printf.sprintf "answered in %.3f s" dt)
+        true (dt < 2.))
+
 (* The incremental header-terminator scan, fed the input in random
    chunks and resuming 3 bytes before each previous end exactly as the
    reader does, finds the terminator a single scan of the whole input
@@ -1119,6 +1135,8 @@ let () =
           Alcotest.test_case "prof and slo defaults" `Quick
             test_prof_slo_defaults;
           Alcotest.test_case "k out of range is a 400" `Quick test_k_range;
+          Alcotest.test_case "deeply nested body is a 400" `Quick
+            test_deep_body;
           QCheck_alcotest.to_alcotest qcheck_header_end;
         ] );
     ]
