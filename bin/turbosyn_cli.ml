@@ -75,18 +75,14 @@ let stats_arg =
                  no $(docv), print it to stdout and move the human-readable \
                  summary to stderr.")
 
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record structured events (one ratio-search probe per line) \
-                 and write them as JSON lines to $(docv).")
-
 let timeline_arg =
   Arg.(value & opt (some string) None
        & info [ "timeline" ] ~docv:"FILE"
            ~doc:"Record per-phase activations and write them as a Chrome-trace \
                  JSON document (loads in Perfetto / chrome://tracing) to \
-                 $(docv).")
+                 $(docv).  Structured log records of the run appear as \
+                 instants: with $(b,--log-level debug), one per \
+                 ratio-search probe and one for the result.")
 
 let audit_arg =
   Arg.(value & opt (some string) None
@@ -214,13 +210,12 @@ let stats_cmd =
 
 let map_cmd =
   let run input workload algo k output verilog verify no_pld no_area multi exact
-      stats trace timeline audit profile profile_interval
+      stats timeline audit profile profile_interval
       log_level log_file =
     setup_logging ~log_level ~log_file
       ~outputs:
         [
           ("--stats", stats);
-          ("--trace", trace);
           ("--timeline", timeline);
           ("--audit", audit);
           ("--output", output);
@@ -239,10 +234,8 @@ let map_cmd =
             phi_max_den = (if exact then None else Some 24);
           }
         in
-        (* --trace, --timeline and --profile record even without --stats *)
-        if stats <> None || trace <> None || timeline <> None
-           || profile <> None
-        then begin
+        (* --timeline and --profile record even without --stats *)
+        if stats <> None || timeline <> None || profile <> None then begin
           Obs.set_enabled true;
           Obs.reset ()
         end;
@@ -325,12 +318,6 @@ let map_cmd =
                     Circuit.Verilog.write_file r.Turbosyn.Synth.mapped path);
                 Format.fprintf out "wrote %s@." path
             | None -> ());
-            (match trace with
-            | Some path ->
-                write path (fun () -> Obs.Trace.to_file path);
-                Format.fprintf out "wrote %s (%d events, %d dropped)@." path
-                  (Obs.Trace.length ()) (Obs.Trace.dropped ())
-            | None -> ());
             (match timeline with
             | Some path ->
                 write path (fun () -> Obs.Report.write_timeline path);
@@ -411,8 +398,7 @@ let map_cmd =
     Term.(
       const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ output_arg
       $ verilog_arg $ verify_arg $ no_pld_arg $ no_area_arg $ multi_arg
-      $ exact_arg $ stats_arg
-      $ trace_arg $ timeline_arg $ audit_arg $ profile_arg
+      $ exact_arg $ stats_arg $ timeline_arg $ audit_arg $ profile_arg
       $ profile_interval_arg $ log_level_arg $ log_file_arg)
 
 let audit_cmd =

@@ -2,7 +2,7 @@ open Prelude
 open Circuit
 
 (* observability (doc/OBSERVABILITY.md): top-level phase durations and the
-   per-run result trace event *)
+   per-run result debug log record *)
 let s_total = Obs.Span.make "synth.total"
 let s_area = Obs.Span.make "synth.area"
 let s_relax = Obs.Span.make "synth.relax"
@@ -168,8 +168,8 @@ let run ?options algo nl =
   in
   if Obs.enabled () then
     Obs.Histogram.observe h_e2e (Timer.wall () -. t_start);
-  if Obs.enabled () then
-    Obs.Trace.emit "synth.result"
+  if Obs.Log.enabled_for Obs.Log.Debug then
+    Obs.Log.debug "synth.result"
       [
         ("algo", Obs.Json.Str (algo_name r.algo));
         ("circuit", Obs.Json.Str (Netlist.name nl));

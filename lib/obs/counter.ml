@@ -13,13 +13,13 @@ let make name =
 let name c = c.name
 let value c = c.n
 
-(* Per-domain shards (installed by Obs.Shard around parallel phases).
-   The global registry is unsynchronized, so a worker domain must never
-   mutate it; with a shard installed, increments land in a domain-local
-   table instead and are folded into the registry at the phase barrier.
-   A cell keeps the additive part and the high-water part separately —
-   Counter exposes both [add] and [record_max], and the two merge
-   differently (sum vs max). *)
+(* Request-scope shards (installed by Obs.Scope.run).  The global
+   registry is unsynchronized, so a worker domain must never mutate it;
+   inside a scope, increments land in the scope's domain-local table and
+   fold into the registry when the scope closes.  A cell keeps the
+   additive part and the high-water part separately — Counter exposes
+   both [add] and [record_max], and the two merge differently (sum vs
+   max). *)
 type cell = { mutable adds : int; mutable peak : int }
 type shard = (string, cell) Hashtbl.t
 
@@ -27,10 +27,7 @@ let shard_key : shard option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let new_shard () : shard = Hashtbl.create 32
-let install_shard sh = Domain.DLS.set shard_key (Some sh)
-let uninstall_shard () = Domain.DLS.set shard_key None
-let current_shard () = Domain.DLS.get shard_key
-let restore_shard s = Domain.DLS.set shard_key s
+let set_shard s = Domain.DLS.set shard_key s
 
 let cell_of sh name =
   match Hashtbl.find_opt sh name with
@@ -40,28 +37,13 @@ let cell_of sh name =
       Hashtbl.replace sh name cell;
       cell
 
-(* Merging folds into the calling domain's installed sink: an enclosing
-   shard (an Obs.Scope wrapping a parallel phase — lane work then stays
-   attributed to the scope and reaches the registry when the scope
-   itself merges) or, with none installed, the global registry.  Adds
-   merge by sum and peaks by max in both directions, so the nesting
-   depth never changes final registry values. *)
 let merge_shard sh =
-  (match Domain.DLS.get shard_key with
-  | Some dst when dst != sh ->
-      Hashtbl.iter
-        (fun name cell ->
-          let d = cell_of dst name in
-          d.adds <- d.adds + cell.adds;
-          if cell.peak > d.peak then d.peak <- cell.peak)
-        sh
-  | _ ->
-      Hashtbl.iter
-        (fun name cell ->
-          let c = make name in
-          c.n <- c.n + cell.adds;
-          if cell.peak > c.n then c.n <- cell.peak)
-        sh);
+  Hashtbl.iter
+    (fun name cell ->
+      let c = make name in
+      c.n <- c.n + cell.adds;
+      if cell.peak > c.n then c.n <- cell.peak)
+    sh;
   Hashtbl.reset sh
 
 let shard_contents (sh : shard) =

@@ -43,38 +43,27 @@ val all : unit -> (string * int) list
 val reset_all : unit -> unit
 (** Zero every registered counter (registration survives). *)
 
-(** {2 Per-domain shards}
+(** {2 Request-scope shards}
 
     The registry is unsynchronized; worker domains must never mutate it
-    directly.  {!Obs.Shard} installs a shard into a domain with
-    [install_shard], after which [incr]/[add]/[record_max] accumulate
-    into domain-local cells, and the coordinator folds the cells back
-    with [merge_shard] at the phase barrier ([adds] merge by sum,
+    directly.  {!Obs.Scope.run} installs a scope's shard on the calling
+    domain with [set_shard], after which [incr]/[add]/[record_max]
+    accumulate into domain-local cells, and {!Obs.Scope.close} folds the
+    cells into the registry with [merge_shard] ([adds] merge by sum,
     [record_max] by max — both commutative, so merge order cannot
-    affect totals).  Use {!Obs.Shard} rather than these directly. *)
+    affect totals).  Use {!Obs.Scope} rather than these directly. *)
 
 type shard
 
 val new_shard : unit -> shard
-val install_shard : shard -> unit
-(** Route this domain's counter mutations into [shard]. *)
 
-val uninstall_shard : unit -> unit
-(** Restore direct registry writes on this domain. *)
+val set_shard : shard option -> unit
+(** Route this domain's counter mutations into the shard ([Some]), or
+    back to the registry ([None]). *)
 
 val merge_shard : shard -> unit
-(** Fold the shard's cells into the calling domain's installed sink —
-    an enclosing shard (so an {!Obs.Scope} wrapping a parallel phase
-    keeps lane work attributed to the scope) or, with none installed,
-    the global registry — and empty it.  Call from a domain the shard
-    is not installed on (the coordinator, after the barrier). *)
-
-val current_shard : unit -> shard option
-(** The shard installed on the calling domain, if any. *)
-
-val restore_shard : shard option -> unit
-(** Reinstate a previously saved installation state (used by
-    {!Obs.Shard.wrap} to nest installations). *)
+(** Fold the shard's cells into the global registry and empty it.  Call
+    from a domain the shard is not installed on. *)
 
 val shard_contents : shard -> (string * int) list
 (** The shard's local counter values (adds folded with peaks), sorted

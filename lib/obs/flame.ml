@@ -8,12 +8,13 @@
    minus its direct children's, in integer microseconds, which is what
    flamegraph.pl expects ("a;b;c 1234" per line).
 
-   Slices merged from parallel lanes can overlap without nesting; an
-   overlapping slice is treated as a sibling (the stack unwinds to the
-   innermost frame that fully contains it), and self time is clamped at
-   zero when concurrent children overlap each other, so the output is
-   always well-formed — a per-lane interleaving rather than a lie about
-   the call structure (doc/OBSERVABILITY.md §Flamegraphs). *)
+   Slices merged from concurrent request scopes can overlap without
+   nesting; an overlapping slice is treated as a sibling (the stack
+   unwinds to the innermost frame that fully contains it), and self
+   time is clamped at zero when concurrent children overlap each other,
+   so the output is always well-formed — a per-domain interleaving
+   rather than a lie about the call structure (doc/OBSERVABILITY.md
+   §Flamegraphs). *)
 
 type entry = {
   name : string;

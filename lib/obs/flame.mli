@@ -9,9 +9,9 @@
     its SELF time in microseconds (duration minus direct children).
 
     Call nesting is recovered from interval containment; slices merged
-    from parallel lanes that overlap without nesting fold as siblings
-    with self time clamped at zero, so the output stays well-formed
-    (see [doc/OBSERVABILITY.md] §Flamegraphs). *)
+    from concurrent request scopes that overlap without nesting fold as
+    siblings with self time clamped at zero, so the output stays
+    well-formed (see [doc/OBSERVABILITY.md] §Flamegraphs). *)
 
 val clean_frame : string -> string
 (** Frame-name sanitization used throughout: [';'], [' '] and newlines

@@ -32,8 +32,10 @@ type t = {
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 
-let make name =
-  match Hashtbl.find_opt registry name with
+(* the histogram under [name] in [tbl] (the registry or a scope's
+   shard), created empty on first use *)
+let find_or_add tbl name =
+  match Hashtbl.find_opt tbl name with
   | Some h -> h
   | None ->
       let h =
@@ -46,8 +48,10 @@ let make name =
           mx = neg_infinity;
         }
       in
-      Hashtbl.replace registry name h;
+      Hashtbl.replace tbl name h;
       h
+
+let make name = find_or_add registry name
 
 let name h = h.name
 let count h = h.n
@@ -61,65 +65,39 @@ let record h v =
   if v < h.mn then h.mn <- v;
   if v > h.mx then h.mx <- v
 
-(* Per-domain shards (Obs.Shard): with a shard installed, observations
-   land in a domain-local histogram of the same fixed bucket layout and
-   are folded into the registry at the phase barrier — the same pointwise
-   merge the snapshot codec uses across documents.  Bucket counts merge
+(* Request-scope shards (Obs.Scope): inside a scope, observations land
+   in a domain-local histogram of the same fixed bucket layout and fold
+   into the registry when the scope closes — the same pointwise merge
+   the snapshot codec uses across documents.  Bucket counts merge
    exactly; [sum] is a float fold, so its last bits depend on merge
-   order (doc/OBSERVABILITY.md §Sharding). *)
+   order (doc/OBSERVABILITY.md §Request scopes). *)
 type shard = (string, t) Hashtbl.t
 
 let shard_key : shard option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let new_shard () : shard = Hashtbl.create 16
-let install_shard sh = Domain.DLS.set shard_key (Some sh)
-let uninstall_shard () = Domain.DLS.set shard_key None
-let current_shard () = Domain.DLS.get shard_key
-let restore_shard s = Domain.DLS.set shard_key s
+let set_shard s = Domain.DLS.set shard_key s
 
-let cell_of sh name =
-  match Hashtbl.find_opt sh name with
-  | Some h -> h
-  | None ->
-      let h =
-        {
-          name;
-          counts = Array.make nbuckets 0;
-          n = 0;
-          sum = 0.;
-          mn = infinity;
-          mx = neg_infinity;
-        }
-      in
-      Hashtbl.replace sh name h;
-      h
-
-(* Merging folds into the calling domain's installed sink: an enclosing
-   shard (an Obs.Scope wrapping a parallel phase) or the registry.
-   Bucket counts merge exactly either way; [sum] is a float fold, so
-   nesting can move its last bits (doc/OBSERVABILITY.md §Sharding). *)
 let merge_shard sh =
-  let fold_into (h : t) (local : t) =
-    for i = 0 to nbuckets - 1 do
-      h.counts.(i) <- h.counts.(i) + local.counts.(i)
-    done;
-    h.n <- h.n + local.n;
-    h.sum <- h.sum +. local.sum;
-    if local.mn < h.mn then h.mn <- local.mn;
-    if local.mx > h.mx then h.mx <- local.mx
-  in
-  (match Domain.DLS.get shard_key with
-  | Some dst when dst != sh ->
-      Hashtbl.iter (fun name local -> fold_into (cell_of dst name) local) sh
-  | _ -> Hashtbl.iter (fun name local -> fold_into (make name) local) sh);
+  Hashtbl.iter
+    (fun name (local : t) ->
+      let h = make name in
+      for i = 0 to nbuckets - 1 do
+        h.counts.(i) <- h.counts.(i) + local.counts.(i)
+      done;
+      h.n <- h.n + local.n;
+      h.sum <- h.sum +. local.sum;
+      if local.mn < h.mn then h.mn <- local.mn;
+      if local.mx > h.mx then h.mx <- local.mx)
+    sh;
   Hashtbl.reset sh
 
 let observe h v =
   if State.on () && not (Float.is_nan v) then
     match Domain.DLS.get shard_key with
     | None -> record h v
-    | Some sh -> record (cell_of sh h.name) v
+    | Some sh -> record (find_or_add sh h.name) v
 
 let observe_int h v = observe h (float_of_int v)
 

@@ -70,26 +70,24 @@ val all : unit -> (string * snapshot) list
 val reset_all : unit -> unit
 (** Zero every registered histogram (names stay registered). *)
 
-(** {1 Per-domain shards}
+(** {1 Request-scope shards}
 
-    Worker-domain observations go into domain-local histograms and fold
-    back into the registry at the phase barrier with the same pointwise
-    bucket merge the snapshot codec uses.  Bucket counts and [count]
-    merge exactly; [sum] is a float fold whose last bits depend on merge
-    order.  Use {!Obs.Shard} rather than these directly. *)
+    Inside an {!Obs.Scope}, observations go into domain-local histograms
+    that fold into the registry when the scope closes, with the same
+    pointwise bucket merge the snapshot codec uses.  Bucket counts and
+    [count] merge exactly; [sum] is a float fold whose last bits depend
+    on merge order.  Use {!Obs.Scope} rather than these directly. *)
 
 type shard
 
 val new_shard : unit -> shard
-val install_shard : shard -> unit
-val uninstall_shard : unit -> unit
-val merge_shard : shard -> unit
-(** Fold the shard's local histograms into the calling domain's
-    installed sink (an enclosing shard, else the registry) and empty
-    it.  Call from the coordinator, after the barrier. *)
 
-val current_shard : unit -> shard option
-val restore_shard : shard option -> unit
+val set_shard : shard option -> unit
+(** Route this domain's observations into the shard ([Some]), or back
+    to the registry ([None]). *)
+
+val merge_shard : shard -> unit
+(** Fold the shard's local histograms into the registry and empty it. *)
 
 val shard_contents : shard -> (string * snapshot) list
 (** Snapshots of the shard's local histograms, sorted by name, without

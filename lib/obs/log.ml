@@ -51,10 +51,9 @@ type sink = Stderr | File of out_channel | Null
 let sink = ref Stderr
 let sink_path : string option ref = ref None
 
-(* one mutex around ring + sink writes: the serve accept loop is
-   single-threaded, but bench client domains and worker lanes may log
-   concurrently, and interleaved half-lines would break the JSON-lines
-   contract *)
+(* one mutex around ring + sink writes: the serve accept loop and its
+   worker domains (and bench client domains) log concurrently, and
+   interleaved half-lines would break the JSON-lines contract *)
 let mutex = Mutex.create ()
 
 let close_sink () =

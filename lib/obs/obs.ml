@@ -3,11 +3,9 @@ module Counter = Counter
 module Gauge = Gauge
 module Histogram = Histogram
 module Span = Span
-module Trace = Trace
 module Timeline = Timeline
 module Report = Report
 module Prometheus = Prometheus
-module Shard = Shard
 module Scope = Scope
 module Log = Log
 module Flame = Flame
@@ -18,13 +16,13 @@ let set_enabled = State.set_enabled
 let enabled = State.enabled
 
 let reset () =
-  if Atomic.get State.active_shards > 0 then
+  if Atomic.get State.open_scopes > 0 then
     invalid_arg
       (Printf.sprintf
-         "Obs.reset: %d observability shard(s) live — a parallel phase is \
-          in flight (or a shard was not released); resetting now would race \
-          worker domains and lose their pending merges"
-         (Atomic.get State.active_shards));
+         "Obs.reset: %d request scope(s) open — resetting now would race \
+          the domains running them and lose their pending merges; close \
+          them first"
+         (Atomic.get State.open_scopes));
   if Atomic.get State.profiling then
     invalid_arg
       "Obs.reset: the sampling profiler is attached — its tick thread is \
@@ -34,5 +32,4 @@ let reset () =
   Gauge.reset_all ();
   Histogram.reset_all ();
   Span.reset_all ();
-  Trace.clear ();
   Timeline.clear ()

@@ -1,4 +1,4 @@
-(** Observability: counters, phase timers and event tracing for the
+(** Observability: counters, phase timers and structured events for the
     synthesis pipeline.
 
     The paper's evaluation is about {e internal} algorithm behavior —
@@ -6,7 +6,8 @@
     label the cut test rejects, how large expanded circuits get.  This
     module makes those quantities measurable: hot paths bump
     {!Counter}s, phases run inside {!Span}s, and notable occurrences
-    (each ratio-search probe, each synthesis result) are {!Trace}d.
+    (each ratio-search probe, each synthesis result) are {!Log}ged at
+    [debug] level.
     {!Report.stats_json} assembles everything into the versioned JSON
     document described in [doc/OBSERVABILITY.md].
 
@@ -23,22 +24,21 @@
       Obs.set_enabled false
     ]}
 
-    State is process-global and unsynchronized.  Coordinator-domain
-    code uses it directly; worker domains of a parallel phase must run
-    inside a per-domain {!Shard}, which buffers their writes locally
-    and merges them back at the phase barrier
-    ([doc/CONCURRENCY.md]). *)
+    State is process-global and unsynchronized.  Single-domain code
+    (the CLI, the benches) uses it directly; work on a worker domain
+    runs inside a request {!Scope}, which buffers its writes in
+    domain-local shards and folds them into the globals when it closes
+    ([doc/CONCURRENCY.md]).  {!Log} is the one exception: it serializes
+    its own writes. *)
 
 module Json = Json
 module Counter = Counter
 module Gauge = Gauge
 module Histogram = Histogram
 module Span = Span
-module Trace = Trace
 module Timeline = Timeline
 module Report = Report
 module Prometheus = Prometheus
-module Shard = Shard
 module Scope = Scope
 module Log = Log
 module Flame = Flame
@@ -46,26 +46,27 @@ module Prof = Prof
 module Slo = Slo
 
 val set_enabled : bool -> unit
-(** Master switch for all collection ({!Counter}, {!Span}, {!Trace}).
-    Off by default. *)
+(** Master switch for metric collection ({!Counter}, {!Gauge},
+    {!Histogram}, {!Span}, {!Timeline}).  Off by default.  {!Log} is
+    gated on its own level threshold instead. *)
 
 val enabled : unit -> bool
 (** Current state of the master switch. *)
 
 val reset : unit -> unit
 (** Zero all counters, gauges, histograms and spans (including their GC
-    totals) and clear the trace and timeline buffers
-    (including their dropped-event counts and the trace sequence numbers).
-    Call between measured runs; registration is preserved.  Nothing in the
-    reset can fail, so the state is never partially cleared.  A span that
-    is {e entered} when reset runs loses its in-flight activation: its
-    pending [exit]s are ignored (depth was zeroed) and [entries] counts
-    only activations that both started and completed after the reset.
+    totals) and clear the timeline ring (including its dropped-slice
+    count).  The {!Log} ring is not touched: it has its own
+    {!Log.clear}.  Call between measured runs; registration is
+    preserved.  Nothing in the reset can fail, so the state is never
+    partially cleared.  A span that is {e entered} when reset runs
+    loses its in-flight activation: its pending [exit]s are ignored
+    (depth was zeroed) and [entries] counts only activations that both
+    started and completed after the reset.
 
-    @raise Invalid_argument while any {!Shard} is live (created and not
-    yet released): a reset mid-parallel-phase would race worker domains
-    and silently lose their un-merged observations, so it is rejected
-    instead.  Finish the phase (or [Shard.release] leaked shards)
-    first.  Likewise refused while the {!Prof} sampler is attached: its
-    tick thread reads live span state concurrently, so detach first
-    ([doc/PROFILING.md]). *)
+    @raise Invalid_argument while any {!Scope} is open (created and not
+    yet closed): a reset then would race the domain running it and
+    silently lose its un-merged observations, so it is rejected
+    instead.  Close the scope first.  Likewise refused while the
+    {!Prof} sampler is attached: its tick thread reads live span state
+    concurrently, so detach first ([doc/PROFILING.md]). *)

@@ -60,20 +60,20 @@ let write_stats ?extra dest =
   end
 
 (* Chrome-trace ("Trace Event Format") document over the timeline slices
-   and the event ring; loads in Perfetto and chrome://tracing.  One
+   and the log ring; loads in Perfetto and chrome://tracing.  One
    process/track; "X" complete events for span activations (they nest in
-   time on the single thread), "i" instants for trace events.  Timestamps
+   time on the single thread), "i" instants for log records.  Timestamps
    are microseconds relative to the earliest recorded point. *)
 let timeline_json ?slices ?events () =
   let slices =
     match slices with Some s -> s | None -> Timeline.slices ()
   in
-  let events = match events with Some e -> e | None -> Trace.events () in
+  let events = match events with Some e -> e | None -> Log.recent () in
   let t0 =
     List.fold_left
       (fun acc (s : Timeline.slice) -> Float.min acc s.start)
       (List.fold_left
-         (fun acc (e : Trace.event) -> Float.min acc e.at)
+         (fun acc (r : Log.record) -> Float.min acc r.ts)
          infinity events)
       slices
   in
@@ -113,14 +113,14 @@ let timeline_json ?slices ?events () =
   in
   let instant_events =
     List.map
-      (fun (e : Trace.event) ->
+      (fun (r : Log.record) ->
         Json.Obj
-          (common e.Trace.name "i"
+          (common r.Log.event "i"
           @ [
               ("cat", Json.Str "event");
-              ("ts", Json.Float (us e.Trace.at));
+              ("ts", Json.Float (us r.Log.ts));
               ("s", Json.Str "t");
-              ("args", Json.Obj (("seq", Json.Int e.Trace.seq) :: e.Trace.fields));
+              ("args", Json.Obj r.Log.fields);
             ]))
       events
   in

@@ -1,19 +1,21 @@
 (* Request-scoped telemetry: one Scope captures every counter, span,
    histogram and timeline slice recorded during one unit of work (one
-   /map request, one CLI run) and folds it into the global registries
-   on close.
+   /map request) and folds it into the global registries on close.
 
-   Built on the Shard machinery (doc/CONCURRENCY.md): a scope owns one
-   shard, installed on the serving domain for the duration of the work.
-   A shard wrapped inside the scope merges through the domain-local
-   sink, so its work lands in the scope and reaches the registries when
-   the scope itself merges — counters by sum, peaks by max, histogram
-   buckets pointwise, all associative, so global totals are the same
-   whether a scope interposes or not. *)
+   A scope owns the only domain-local sink: one shard of each registry
+   (Counter, Histogram, Span, Timeline), installed on the calling domain
+   for the duration of [run], so its hooks never touch the
+   unsynchronized globals.  [close] folds the shards into the
+   registries — counters by sum, peaks by max, histogram buckets
+   pointwise, all associative, so global totals are the same whether a
+   scope interposes or not. *)
 
 type t = {
   id : string;
-  shard : Shard.t;
+  counters : Counter.shard;
+  histograms : Histogram.shard;
+  spans : Span.shard;
+  timeline : Timeline.shard;
   started : float;
   (* Resource baselines, captured at create on the domain that will run
      the work (create and close must happen on the same domain for the
@@ -28,13 +30,14 @@ type t = {
 }
 
 (* Per-request resource deltas.  GC words are the opening domain's own
-   allocation (monotone counters, so deltas are non-negative and a
-   parent scope's delta bounds the sum of its sequential children's —
-   the additivity property qcheck exercises).  CPU seconds are
-   process-wide processor time (Prelude.Timer.cpu): exact when one
-   request runs alone, an upper bound under concurrent workers — an
-   honest queueing signal either way.  Queue wait is supplied by the
-   caller (the serve layer measures it from enqueue to dequeue). *)
+   allocation (monotone counters, so deltas are non-negative, and a
+   scope left open while others open and close in sequence on the same
+   domain bounds the sum of their deltas — the additivity property
+   qcheck exercises).  CPU seconds are process-wide processor time
+   (Prelude.Timer.cpu): exact when one request runs alone, an upper
+   bound under concurrent workers — an honest queueing signal either
+   way.  Queue wait is supplied by the caller (the serve layer measures
+   it from enqueue to dequeue). *)
 type resources = {
   r_cpu_seconds : float;
   r_minor_words : float;
@@ -83,9 +86,13 @@ let create ?id () =
   let id =
     match id with Some s when s <> "" -> s | _ -> fresh_id ()
   in
+  Atomic.incr State.open_scopes;
   {
     id;
-    shard = Shard.create ();
+    counters = Counter.new_shard ();
+    histograms = Histogram.new_shard ();
+    spans = Span.new_shard ();
+    timeline = Timeline.new_shard ();
     started = Prelude.Timer.wall ();
     gc_at_open = Gc.quick_stat ();
     minor_at_open = Gc.minor_words ();
@@ -96,12 +103,31 @@ let create ?id () =
 let id t = t.id
 let started t = t.started
 
+(* whether the calling domain is inside some scope's [run] *)
+let running : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+
 let run t f =
   if t.closed then invalid_arg "Obs.Scope.run: scope already closed";
-  Log.with_request_id t.id (fun () -> Shard.wrap t.shard f)
+  if Domain.DLS.get running then
+    invalid_arg "Obs.Scope.run: this domain already runs a scope";
+  Domain.DLS.set running true;
+  Counter.set_shard (Some t.counters);
+  Histogram.set_shard (Some t.histograms);
+  Span.set_shard (Some t.spans);
+  Timeline.set_shard (Some t.timeline);
+  Fun.protect
+    ~finally:(fun () ->
+      Counter.set_shard None;
+      Histogram.set_shard None;
+      Span.set_shard None;
+      Timeline.set_shard None;
+      Domain.DLS.set running false)
+    (fun () -> Log.with_request_id t.id f)
 
 let close ?(queue_wait = 0.) t =
   if t.closed then invalid_arg "Obs.Scope.close: scope already closed";
+  if Domain.DLS.get running then
+    invalid_arg "Obs.Scope.close: called inside a scope's run";
   t.closed <- true;
   let finished = Prelude.Timer.wall () in
   let resources =
@@ -121,22 +147,28 @@ let close ?(queue_wait = 0.) t =
       sc_id = t.id;
       sc_started = t.started;
       sc_finished = finished;
-      sc_counters = Counter.shard_contents (Shard.counters t.shard);
+      sc_counters = Counter.shard_contents t.counters;
       sc_spans =
         List.map
           (fun (n, s, e, _gc) -> (n, s, e))
-          (Span.shard_contents (Shard.spans t.shard));
-      sc_histograms = Histogram.shard_contents (Shard.histograms t.shard);
-      sc_slices = Timeline.shard_slices (Shard.timeline t.shard);
-      sc_dropped_slices = Timeline.shard_dropped (Shard.timeline t.shard);
+          (Span.shard_contents t.spans);
+      sc_histograms = Histogram.shard_contents t.histograms;
+      sc_slices = Timeline.shard_slices t.timeline;
+      sc_dropped_slices = Timeline.shard_dropped t.timeline;
       sc_resources = resources;
     }
   in
-  Shard.merge t.shard;
-  Shard.release t.shard;
+  Counter.merge_shard t.counters;
+  Histogram.merge_shard t.histograms;
+  Span.merge_shard t.spans;
+  Timeline.merge_shard t.timeline;
+  Atomic.decr State.open_scopes;
   summary
 
 let wrap ?id f =
+  (* refuse before opening: a scope that cannot run could not close *)
+  if Domain.DLS.get running then
+    invalid_arg "Obs.Scope.wrap: this domain already runs a scope";
   let t = create ?id () in
   match run t (fun () -> f t) with
   | v -> (v, close t)

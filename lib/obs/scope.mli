@@ -2,23 +2,24 @@
 
     A scope captures every counter increment, span activation,
     histogram observation and timeline slice recorded during one unit
-    of work — one [/map] request, one CLI run — and folds it into the
-    global registries when it closes, returning a per-request
-    {!summary} for access logs, [/debug/trace] and flamegraphs.
+    of work — one [/map] request — and folds it into the global
+    registries when it closes, returning a per-request {!summary} for
+    access logs, [/debug/trace] and flamegraphs.
 
-    Built on {!Shard}: the scope owns one shard, installed on the
-    serving domain while {!run} is active.  A shard wrapped inside the
-    scope merges into the scope (the domain-local sink), and the
-    scope's own merge reaches the registries on {!close}.  Counter
-    sums, peaks and histogram buckets are associative under this
-    nesting, so global totals — and the φ/labels/audit documents they
-    gate — are identical with or without a scope
-    ([doc/CONCURRENCY.md] §Request scopes).
+    A scope owns the only domain-local sink: one shard of each registry
+    ({!Counter}, {!Histogram}, {!Span}, {!Timeline}), installed on the
+    calling domain while {!run} is active, so worker domains never
+    write the unsynchronized globals.  {!close} folds the shards into
+    the registries.  Counter sums, peaks and histogram buckets are
+    associative under this merge, so global totals — and the
+    φ/labels/audit documents they gate — are identical with or without
+    a scope ([doc/CONCURRENCY.md] §Request scopes).
 
     Ownership rules: a scope belongs to the domain that entered {!run};
-    never run one scope on two domains at once, and call {!close}
+    never run one scope on two domains at once, never run two scopes on
+    one domain at once (a nested {!run} raises), and call {!close}
     outside {!run}, exactly once.  While a scope is open, {!Obs.reset}
-    refuses to run (it holds a live shard). *)
+    refuses to run. *)
 
 type t
 
@@ -34,8 +35,9 @@ type resources = {
 }
 (** Per-request resource deltas ([Gc.quick_stat] + [Prelude.Timer.cpu]
     at open/close).  All fields clamped non-negative; GC deltas are
-    monotone-counter differences, so a parent scope's delta bounds the
-    sum of its sequential children's. *)
+    monotone-counter differences, so a scope left open while others
+    open and close in sequence on the same domain bounds the sum of
+    their deltas. *)
 
 val zero_resources : resources
 
@@ -54,8 +56,8 @@ type summary = {
 
 val create : ?id:string -> unit -> t
 (** Open a scope.  [id] is the correlation id ({!id}); when absent (or
-    empty) a {!fresh_id} is generated.  Counts as a live shard until
-    {!close}. *)
+    empty) a {!fresh_id} is generated.  Counts as open (blocking
+    {!Obs.reset}) until {!close}. *)
 
 val id : t -> string
 val started : t -> float
@@ -65,20 +67,25 @@ val run : t -> (unit -> 'a) -> 'a
     {!Log.current_request_id} — into the scope for the duration of the
     callback.  May be entered repeatedly before {!close}; entries may
     not overlap across domains.
-    @raise Invalid_argument on a closed scope. *)
+    @raise Invalid_argument on a closed scope, or when the calling
+    domain is already inside a scope's [run]. *)
 
 val close : ?queue_wait:float -> t -> summary
-(** Capture the scope's local observations as a summary, fold them into
-    the global registries (or the enclosing scope's), and release the
-    shard.  Call outside {!run}, once, on the domain that ran the work
-    (the GC resource deltas are per-domain).  [queue_wait] is recorded
-    verbatim (clamped non-negative) in [sc_resources].
-    @raise Invalid_argument on a double close. *)
+(** Capture the scope's local observations as a summary and fold them
+    into the global registries.  Call once, on the domain that ran the
+    work (the GC resource deltas are per-domain), outside any {!run}.
+    The registries are unsynchronized: callers with concurrent scopes
+    serialize their closes (the serve layer holds its registry lock).
+    [queue_wait] is recorded verbatim (clamped non-negative) in
+    [sc_resources].
+    @raise Invalid_argument on a double close, or inside a {!run}. *)
 
 val wrap : ?id:string -> (t -> 'a) -> 'a * summary
 (** [wrap f] = create, {!run} [f], {!close} — exception-safe (the scope
     is closed, and its partial observations merged, even when [f]
-    raises). *)
+    raises).
+    @raise Invalid_argument, opening no scope, when the calling domain
+    is already inside a scope's {!run}. *)
 
 val span_seconds : summary -> string -> float option
 (** Seconds one span accumulated inside the scope, if it ran. *)

@@ -27,8 +27,10 @@ type t = {
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 
-let make name =
-  match Hashtbl.find_opt registry name with
+(* the span under [name] in [tbl] (the registry or a scope's shard),
+   created at zero on first use *)
+let find_or_add tbl name =
+  match Hashtbl.find_opt tbl name with
   | Some s -> s
   | None ->
       let s =
@@ -43,70 +45,46 @@ let make name =
           gc = gc_zero;
         }
       in
-      Hashtbl.replace registry name s;
+      Hashtbl.replace tbl name s;
       s
+
+let make name = find_or_add registry name
 
 let name s = s.name
 let seconds s = s.total
 let count s = s.entries
 let gc_totals s = s.gc
 
-(* Per-domain shards (Obs.Shard): the registry records are plain mutable
-   state, so with a shard installed, enter/exit operate on a domain-local
-   mirror of the span (including nesting depth and GC deltas — quick_stat
-   is per-domain in OCaml 5, so the deltas are the worker's own
-   allocation).  Totals fold back into the registry at the phase
-   barrier.  A span still open at the barrier (task raised between
+(* Request-scope shards (Obs.Scope): the registry records are plain
+   mutable state, so inside a scope, enter/exit operate on a
+   domain-local mirror of the span (including nesting depth and GC
+   deltas — quick_stat is per-domain in OCaml 5, so the deltas are the
+   worker's own allocation).  Totals fold into the registry when the
+   scope closes.  A span still open at the close (a task raised between
    enter and exit without Fun.protect) loses that activation, matching
-   the sequential toggle-while-open behaviour. *)
+   the toggle-while-open behaviour. *)
 type shard = (string, t) Hashtbl.t
 
 let shard_key : shard option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let new_shard () : shard = Hashtbl.create 16
-let install_shard sh = Domain.DLS.set shard_key (Some sh)
-let uninstall_shard () = Domain.DLS.set shard_key None
-let current_shard () = Domain.DLS.get shard_key
-let restore_shard s = Domain.DLS.set shard_key s
+let set_shard s = Domain.DLS.set shard_key s
 
-let cell_of sh name =
-  match Hashtbl.find_opt sh name with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          name;
-          total = 0.;
-          entries = 0;
-          depth = 0;
-          started = 0.;
-          gc_at_enter = None;
-          minor_at_enter = 0.;
-          gc = gc_zero;
-        }
-      in
-      Hashtbl.replace sh name s;
-      s
-
-(* Merging folds into the calling domain's installed sink: an enclosing
-   shard (an Obs.Scope wrapping a parallel phase) or the registry. *)
 let merge_shard sh =
-  let fold_into (s : t) (local : t) =
-    s.total <- s.total +. local.total;
-    s.entries <- s.entries + local.entries;
-    s.gc <-
-      {
-        minor_words = s.gc.minor_words +. local.gc.minor_words;
-        promoted_words = s.gc.promoted_words +. local.gc.promoted_words;
-        major_words = s.gc.major_words +. local.gc.major_words;
-        compactions = s.gc.compactions + local.gc.compactions;
-      }
-  in
-  (match Domain.DLS.get shard_key with
-  | Some dst when dst != sh ->
-      Hashtbl.iter (fun name local -> fold_into (cell_of dst name) local) sh
-  | _ -> Hashtbl.iter (fun name local -> fold_into (make name) local) sh);
+  Hashtbl.iter
+    (fun name (local : t) ->
+      let s = make name in
+      s.total <- s.total +. local.total;
+      s.entries <- s.entries + local.entries;
+      s.gc <-
+        {
+          minor_words = s.gc.minor_words +. local.gc.minor_words;
+          promoted_words = s.gc.promoted_words +. local.gc.promoted_words;
+          major_words = s.gc.major_words +. local.gc.major_words;
+          compactions = s.gc.compactions + local.gc.compactions;
+        })
+    sh;
   Hashtbl.reset sh
 
 let shard_contents (sh : shard) =
@@ -118,7 +96,7 @@ let shard_contents (sh : shard) =
 let resolve s =
   match Domain.DLS.get shard_key with
   | None -> s
-  | Some sh -> cell_of sh s.name
+  | Some sh -> find_or_add sh s.name
 
 let enter s =
   if State.on () then begin

@@ -69,26 +69,24 @@ val all_full : unit -> (string * float * int * gc_totals) list
 val reset_all : unit -> unit
 (** Zero every registered span (registration survives). *)
 
-(** {1 Per-domain shards}
+(** {1 Request-scope shards}
 
-    With a shard installed, [enter]/[exit]/[time] operate on a
+    Inside an {!Obs.Scope}, [enter]/[exit]/[time] operate on a
     domain-local mirror of the span (own depth, own GC deltas — OCaml 5
-    [Gc.quick_stat] is per-domain); totals and entry counts fold back
-    into the registry at the phase barrier.  Use {!Obs.Shard} rather
-    than these directly. *)
+    [Gc.quick_stat] is per-domain); totals and entry counts fold into
+    the registry when the scope closes.  Use {!Obs.Scope} rather than
+    these directly. *)
 
 type shard
 
 val new_shard : unit -> shard
-val install_shard : shard -> unit
-val uninstall_shard : unit -> unit
-val merge_shard : shard -> unit
-(** Fold the shard's span totals into the calling domain's installed
-    sink (an enclosing shard, else the registry) and empty it.  Call
-    from the coordinator, after the barrier. *)
 
-val current_shard : unit -> shard option
-val restore_shard : shard option -> unit
+val set_shard : shard option -> unit
+(** Route this domain's span activations into the shard ([Some]), or
+    back to the registry ([None]). *)
+
+val merge_shard : shard -> unit
+(** Fold the shard's span totals into the registry and empty it. *)
 
 val shard_contents : shard -> (string * float * int * gc_totals) list
 (** The shard's local span totals ([name], seconds, entries, GC),

@@ -1,6 +1,6 @@
 (* Global observability switch.  Kept in its own (unexported) module so the
-   hot-path hooks in Counter/Span/Trace can read one ref without a module
-   cycle through Obs. *)
+   hot-path hooks in Counter/Span/Histogram can read one ref without a
+   module cycle through Obs. *)
 
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
@@ -9,12 +9,11 @@ let enabled () = !enabled_flag
 (* the hot-path spelling: a single load + branch *)
 let on () = !enabled_flag
 
-(* Open per-domain shards (Obs.Shard): created by a coordinating domain
-   before a parallel phase, merged back after its barrier.  [reset] is
-   only sound when this is zero — a worker could otherwise still be
-   writing into a shard that the reset cannot see (doc/CONCURRENCY.md,
-   doc/OBSERVABILITY.md §Reset). *)
-let active_shards = Atomic.make 0
+(* Open request scopes (Obs.Scope): created, not yet closed.  [reset]
+   is only sound when this is zero — a worker could otherwise still be
+   writing into a scope's shard that the reset cannot see
+   (doc/OBSERVABILITY.md §Reset). *)
+let open_scopes = Atomic.make 0
 
 (* Sampling-profiler switch (Obs.Prof): while true, Span.enter/exit
    additionally maintain the per-domain live frame stacks the tick

@@ -3,88 +3,60 @@
    Spans only keep aggregates (total seconds, entry count); a timeline
    needs every completed outermost activation as an interval.  Span.exit
    records one slice here per outermost completion while the master
-   switch is on.  Bounded ring, same shape as Trace: oldest slices are
-   dropped and counted once the capacity is reached. *)
+   switch is on.  Bounded ring: oldest slices are dropped and counted
+   once the capacity is reached. *)
 
 type slice = { name : string; start : float; stop : float }
 
+(* A bounded slice queue with its drop count: the global ring, or a
+   request scope's shard (Obs.Scope).  The Queue is not thread-safe, so
+   inside a scope, slices buffer in the scope's domain-local queue (same
+   capacity bound) and replay into the ring when the scope closes. *)
+type shard = { q : slice Queue.t; mutable drops : int }
+
 let default_capacity = 65536
 let capacity = ref default_capacity
-let buffer : slice Queue.t = Queue.create ()
-let dropped_count = ref 0
+let ring = { q = Queue.create (); drops = 0 }
 
 let clear () =
-  Queue.clear buffer;
-  dropped_count := 0
+  Queue.clear ring.q;
+  ring.drops <- 0
+
+(* append, dropping (and counting) the oldest slice at capacity *)
+let push sh s =
+  if Queue.length sh.q >= !capacity then begin
+    ignore (Queue.pop sh.q);
+    sh.drops <- sh.drops + 1
+  end;
+  Queue.add s sh.q
 
 let set_capacity n =
   if n < 0 then invalid_arg "Obs.Timeline.set_capacity: negative";
   capacity := n;
-  while Queue.length buffer > n do
-    ignore (Queue.pop buffer);
-    incr dropped_count
+  while Queue.length ring.q > n do
+    ignore (Queue.pop ring.q);
+    ring.drops <- ring.drops + 1
   done
-
-(* Per-domain shards (Obs.Shard): the Queue ring is not thread-safe, so
-   with a shard installed, slices buffer in a domain-local queue (same
-   capacity bound) and replay into the ring at the phase barrier, one
-   lane at a time in lane order. *)
-type shard = { q : slice Queue.t; mutable drops : int }
 
 let shard_key : shard option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let new_shard () = { q = Queue.create (); drops = 0 }
-let install_shard sh = Domain.DLS.set shard_key (Some sh)
-let uninstall_shard () = Domain.DLS.set shard_key None
-let current_shard () = Domain.DLS.get shard_key
-let restore_shard s = Domain.DLS.set shard_key s
-
-let push_global s =
-  if Queue.length buffer >= !capacity then begin
-    ignore (Queue.pop buffer);
-    incr dropped_count
-  end;
-  Queue.add s buffer
+let set_shard s = Domain.DLS.set shard_key s
 
 let record name ~start ~stop =
   if State.on () && !capacity > 0 then
-    match Domain.DLS.get shard_key with
-    | None -> push_global { name; start; stop }
-    | Some sh ->
-        if Queue.length sh.q >= !capacity then begin
-          ignore (Queue.pop sh.q);
-          sh.drops <- sh.drops + 1
-        end;
-        Queue.add { name; start; stop } sh.q
+    let sh = match Domain.DLS.get shard_key with None -> ring | Some sh -> sh in
+    push sh { name; start; stop }
 
-(* Merging replays into the calling domain's installed sink: an
-   enclosing shard (an Obs.Scope wrapping a parallel phase) or the
-   global ring, the same capacity bound either way. *)
 let merge_shard sh =
-  (match Domain.DLS.get shard_key with
-  | Some dst when dst != sh ->
-      if !capacity > 0 then
-        Queue.iter
-          (fun s ->
-            if Queue.length dst.q >= !capacity then begin
-              ignore (Queue.pop dst.q);
-              dst.drops <- dst.drops + 1
-            end;
-            Queue.add s dst.q)
-          sh.q;
-      dst.drops <- dst.drops + sh.drops
-  | _ ->
-      if !capacity > 0 then Queue.iter push_global sh.q;
-      dropped_count := !dropped_count + sh.drops);
+  if !capacity > 0 then Queue.iter (push ring) sh.q;
+  ring.drops <- ring.drops + sh.drops;
   Queue.clear sh.q;
   sh.drops <- 0
 
-let shard_slices sh =
-  List.rev (Queue.fold (fun acc s -> s :: acc) [] sh.q)
-
+let shard_slices sh = List.of_seq (Queue.to_seq sh.q)
 let shard_dropped sh = sh.drops
-
-let slices () = List.rev (Queue.fold (fun acc s -> s :: acc) [] buffer)
-let length () = Queue.length buffer
-let dropped () = !dropped_count
+let slices () = shard_slices ring
+let length () = Queue.length ring.q
+let dropped () = ring.drops

@@ -3,8 +3,8 @@
     {!Span.exit} records one slice per completed {e outermost} span entry
     while collection is enabled, into a bounded ring (default capacity
     65536; oldest slices are dropped and counted).  {!Report.timeline_json}
-    merges these slices with the {!Trace} event ring into a Chrome-trace
-    document that loads in Perfetto / [chrome://tracing]. *)
+    merges these slices with the {!Log} ring's records into a
+    Chrome-trace document that loads in Perfetto / [chrome://tracing]. *)
 
 type slice = { name : string; start : float; stop : float }
 (** [start]/[stop] are {!Prelude.Timer.wall} seconds (monotonic clock,
@@ -25,25 +25,24 @@ val set_capacity : int -> unit
 val clear : unit -> unit
 (** Drop all slices and zero the dropped counter (part of {!Obs.reset}). *)
 
-(** {1 Per-domain shards}
+(** {1 Request-scope shards}
 
-    The slice ring is a plain [Queue]; worker domains buffer slices in a
-    domain-local queue (same capacity bound) that the coordinator replays
-    into the ring at the phase barrier.  Use {!Obs.Shard} rather than
+    The slice ring is a plain [Queue]; inside an {!Obs.Scope}, slices
+    buffer in a domain-local queue (same capacity bound) that replays
+    into the ring when the scope closes.  Use {!Obs.Scope} rather than
     these directly. *)
 
 type shard
 
 val new_shard : unit -> shard
-val install_shard : shard -> unit
-val uninstall_shard : unit -> unit
-val merge_shard : shard -> unit
-(** Replay the shard's slices into the calling domain's installed sink
-    (an enclosing shard, else the global ring), oldest first,
-    re-applying the capacity bound, and empty the shard. *)
 
-val current_shard : unit -> shard option
-val restore_shard : shard option -> unit
+val set_shard : shard option -> unit
+(** Route this domain's slices into the shard ([Some]), or back to the
+    global ring ([None]). *)
+
+val merge_shard : shard -> unit
+(** Replay the shard's slices into the global ring, oldest first,
+    re-applying the capacity bound, and empty the shard. *)
 
 val shard_slices : shard -> slice list
 (** The shard's buffered slices, oldest first, without merging or

@@ -1,9 +1,9 @@
 open Prelude
 open Circuit
 
-(* observability (doc/OBSERVABILITY.md): the ratio search — one trace event
-   and one span entry per probe, phase spans around the search itself, the
-   final label run and mapping generation *)
+(* observability (doc/OBSERVABILITY.md): the ratio search — one debug log
+   record and one span entry per probe, phase spans around the search
+   itself, the final label run and mapping generation *)
 let c_probes = Obs.Counter.make "search.probes"
 let c_feasible = Obs.Counter.make "search.feasible_probes"
 let c_infeasible = Obs.Counter.make "search.infeasible_probes"
@@ -54,8 +54,8 @@ let minimum_ratio ?cache ?cutmemo ?phi_max_den ?(jobs = 1) opts nl =
     Obs.Counter.incr c_probes;
     add_stats acc s;
     Obs.Counter.incr (if ok then c_feasible else c_infeasible);
-    if Obs.enabled () then
-      Obs.Trace.emit "search.probe"
+    if Obs.Log.enabled_for Obs.Log.Debug then
+      Obs.Log.debug "search.probe"
         [
           ("phi", Obs.Json.Str (Rat.to_string phi));
           ("feasible", Obs.Json.Bool ok);

@@ -87,17 +87,25 @@ let with_registry f =
    a request scope they land in the request's shard (merged under
    [registry_mutex] at close), from the accept lane they are bumped
    under the lock — either way worker domains never race the registry.
+   Resolving the name is itself a registry lookup (and an insert on
+   first use), so the [_scoped] variants take the lock for [make] alone.
    The scrape re-renders them as one labeled family
    ([turbosyn_serve_requests_total{route=...,status=...}]) and
    suppresses the flat per-counter families via [exclude_prefixes]. *)
 let requests_prefix = "serve.requests."
 
+let request_counter ~route ~status =
+  Obs.Counter.make (Printf.sprintf "%s%s.%d" requests_prefix route status)
+
+(* call under [registry_mutex] *)
 let count_request ~route ~status =
-  Obs.Counter.incr
-    (Obs.Counter.make (Printf.sprintf "%s%s.%d" requests_prefix route status))
+  Obs.Counter.incr (request_counter ~route ~status)
 
 let count_request_unscoped ~route ~status =
   with_registry (fun () -> count_request ~route ~status)
+
+let count_request_scoped ~route ~status =
+  Obs.Counter.incr (with_registry (fun () -> request_counter ~route ~status))
 
 let request_family () =
   let plen = String.length requests_prefix in
@@ -139,9 +147,18 @@ let request_family () =
    [turbosyn_serve_response_bytes_total{route=...}]. *)
 let response_bytes_prefix = "serve.response_bytes."
 
+let response_bytes_counter ~route =
+  Obs.Counter.make (response_bytes_prefix ^ route)
+
+(* call under [registry_mutex] *)
 let count_response_bytes ~route bytes =
+  if bytes > 0 then Obs.Counter.add (response_bytes_counter ~route) bytes
+
+let count_response_bytes_scoped ~route bytes =
   if bytes > 0 then
-    Obs.Counter.add (Obs.Counter.make (response_bytes_prefix ^ route)) bytes
+    Obs.Counter.add
+      (with_registry (fun () -> response_bytes_counter ~route))
+      bytes
 
 let response_bytes_family () =
   let plen = String.length response_bytes_prefix in
@@ -772,7 +789,7 @@ let log_access t ~route ~meth ~path ~status ~outcome ~cache ~started ~summary =
    needed until the scope closes.  Returns (status, cache marker). *)
 let handle_map_in_scope t fd ~echo ~query ~body ~queued_seconds =
   Obs.Histogram.observe h_queue_wait queued_seconds;
-  let written bytes = count_response_bytes ~route:"map" bytes in
+  let written bytes = count_response_bytes_scoped ~route:"map" bytes in
   match parse_map_request ~query ~body with
   | Error e ->
       written (respond_error fd ~headers:echo ~status:400 e);
@@ -833,7 +850,7 @@ let serve_job t job =
                 in
                 status := s;
                 cache_marker := m;
-                count_request ~route:"map" ~status:s))
+                count_request_scoped ~route:"map" ~status:s))
       in
       let summary =
         match run_scoped () with
@@ -842,8 +859,8 @@ let serve_job t job =
                 Obs.Scope.close ~queue_wait:queued_seconds scope)
         | exception e ->
             (* scope-level failure (e.g. the response write raised) —
-               still close under the lock, so the shard never leaks and
-               partial observations merge *)
+               still close under the lock, so the scope never stays
+               open (blocking Obs.reset) and partial observations merge *)
             ignore
               (with_registry (fun () ->
                    Obs.Scope.close ~queue_wait:queued_seconds scope));

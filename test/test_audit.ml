@@ -369,8 +369,20 @@ let test_timeline_shape () =
       let s = Obs.Span.make "test.timeline-span" in
       Obs.Span.time s (fun () -> ());
       Obs.Span.time s (fun () -> ());
-      Obs.Trace.emit "test.timeline-event" [ ("x", J.Int 1) ];
-      let doc = Obs.Report.timeline_json () in
+      (* instants come from the log ring: one debug record *)
+      Obs.Log.set_level Obs.Log.Debug;
+      Obs.Log.to_null ();
+      Obs.Log.clear ();
+      let doc =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Log.set_level Obs.Log.Info;
+            Obs.Log.clear ();
+            Obs.Log.to_stderr ())
+          (fun () ->
+            Obs.Log.debug "test.timeline-event" [ ("x", J.Int 1) ];
+            Obs.Report.timeline_json ())
+      in
       (* the document parses back and is Chrome-trace shaped *)
       (match J.of_string (J.to_string doc) with
       | Ok v -> Alcotest.(check bool) "round trip" true (J.equal doc v)
@@ -383,6 +395,15 @@ let test_timeline_shape () =
           let instants = List.filter (fun e -> phase e = "i") evs in
           Alcotest.(check int) "two complete slices" 2 (List.length complete);
           Alcotest.(check int) "one instant" 1 (List.length instants);
+          Alcotest.(check bool) "instant named and carrying its fields" true
+            (match instants with
+            | [ i ] -> (
+                J.member "name" i = Some (J.Str "test.timeline-event")
+                &&
+                match J.member "args" i with
+                | Some args -> J.member "x" args = Some (J.Int 1)
+                | None -> false)
+            | _ -> false);
           (* named tracks: process_name/thread_name metadata events with
              an args.name, so Perfetto shows labels instead of bare pids *)
           let meta_name key =

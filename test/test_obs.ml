@@ -62,9 +62,7 @@ let test_disabled_no_ops () =
   let s = Obs.Span.make "test.disabled-span" in
   let r = Obs.Span.time s (fun () -> 17) in
   Alcotest.(check int) "span passes value through" 17 r;
-  Alcotest.(check int) "span not entered" 0 (Obs.Span.count s);
-  Obs.Trace.emit "test.event" [ ("x", Obs.Json.Int 1) ];
-  Alcotest.(check int) "trace empty" 0 (Obs.Trace.length ())
+  Alcotest.(check int) "span not entered" 0 (Obs.Span.count s)
 
 (* ---------------------------------------------------------------- *)
 (* Spans                                                            *)
@@ -104,72 +102,34 @@ let test_span_exception_safety () =
       Alcotest.(check int) "spurious exit ignored" 2 (Obs.Span.count s))
 
 (* ---------------------------------------------------------------- *)
-(* Trace ring buffer                                                *)
-(* ---------------------------------------------------------------- *)
-
-let test_trace_ring () =
-  with_obs (fun () ->
-      Obs.Trace.set_capacity 4;
-      Fun.protect
-        ~finally:(fun () -> Obs.Trace.set_capacity 4096)
-        (fun () ->
-          for i = 0 to 5 do
-            Obs.Trace.emit "tick" [ ("i", Obs.Json.Int i) ]
-          done;
-          Alcotest.(check int) "bounded" 4 (Obs.Trace.length ());
-          Alcotest.(check int) "dropped" 2 (Obs.Trace.dropped ());
-          let evs = Obs.Trace.events () in
-          Alcotest.(check int) "oldest surviving seq" 2
-            (List.hd evs).Obs.Trace.seq;
-          Alcotest.(check int) "newest seq" 5
-            (List.nth evs 3).Obs.Trace.seq;
-          (* every line of the JSON-lines sink parses *)
-          List.iter
-            (fun e ->
-              match
-                Obs.Json.of_string
-                  (Obs.Json.to_string (Obs.Trace.event_json e))
-              with
-              | Ok _ -> ()
-              | Error m -> Alcotest.failf "unparseable event: %s" m)
-            evs))
-
-(* ---------------------------------------------------------------- *)
 (* Reset semantics                                                  *)
 (* ---------------------------------------------------------------- *)
 
-(* [Obs.reset] clears counters, spans, the trace ring and the timeline
-   ring together — no consumer can observe a half-cleared state
-   (doc/OBSERVABILITY.md, "Reset"). *)
+(* [Obs.reset] clears counters, spans and the timeline ring together —
+   no consumer can observe a half-cleared state (doc/OBSERVABILITY.md,
+   "Reset"). *)
 let test_reset_clears_everything () =
   with_obs (fun () ->
       let c = Obs.Counter.make "test.reset-counter" in
       Obs.Counter.add c 9;
       let s = Obs.Span.make "test.reset-span" in
-      Obs.Span.time s (fun () -> ());
-      Obs.Trace.set_capacity 2;
+      Obs.Timeline.set_capacity 2;
       Fun.protect
-        ~finally:(fun () -> Obs.Trace.set_capacity 4096)
+        ~finally:(fun () -> Obs.Timeline.set_capacity 65536)
         (fun () ->
-          for i = 0 to 4 do
-            Obs.Trace.emit "tick" [ ("i", Obs.Json.Int i) ]
+          for _ = 0 to 4 do
+            Obs.Span.time s (fun () -> ())
           done;
-          Alcotest.(check bool) "trace dropped some" true
-            (Obs.Trace.dropped () > 0);
+          Alcotest.(check bool) "timeline dropped some" true
+            (Obs.Timeline.dropped () > 0);
           Alcotest.(check bool) "timeline recorded" true
             (Obs.Timeline.length () > 0);
           Obs.reset ();
           Alcotest.(check int) "counter zero" 0 (Obs.Counter.value c);
           Alcotest.(check int) "span entries zero" 0 (Obs.Span.count s);
-          Alcotest.(check int) "trace empty" 0 (Obs.Trace.length ());
-          Alcotest.(check int) "trace dropped zero" 0 (Obs.Trace.dropped ());
           Alcotest.(check int) "timeline empty" 0 (Obs.Timeline.length ());
           Alcotest.(check int) "timeline dropped zero" 0
-            (Obs.Timeline.dropped ());
-          (* sequence numbers restart from zero after a reset *)
-          Obs.Trace.emit "fresh" [];
-          Alcotest.(check int) "seq restarts" 0
-            (List.hd (Obs.Trace.events ())).Obs.Trace.seq))
+            (Obs.Timeline.dropped ())))
 
 (* A span that is entered when reset runs loses its in-flight
    activation: the pending exit is ignored, and [entries] counts only
@@ -192,21 +152,17 @@ let test_reset_while_entered () =
       Alcotest.(check int) "fresh slice recorded" 1 (Obs.Timeline.length ()))
 
 (* ---------------------------------------------------------------- *)
-(* Per-domain shards (parallel phases, doc/CONCURRENCY.md)          *)
+(* Scope shards: writes stay domain-local until the scope closes     *)
 (* ---------------------------------------------------------------- *)
 
 let test_shard_reset_guard () =
   with_obs (fun () ->
-      let sh = Obs.Shard.create () in
-      Alcotest.(check int) "one live shard" 1 (Obs.Shard.active ());
+      let scope = Obs.Scope.create () in
       (match Obs.reset () with
-      | () -> Alcotest.fail "Obs.reset succeeded with a live shard"
+      | () -> Alcotest.fail "Obs.reset succeeded with a scope open"
       | exception Invalid_argument _ -> ());
-      Obs.Shard.release sh;
-      Obs.Shard.release sh;
-      (* idempotent *)
-      Alcotest.(check int) "released" 0 (Obs.Shard.active ());
-      (* reset works again once no shard is live *)
+      ignore (Obs.Scope.close scope);
+      (* reset works again once no scope is open *)
       Obs.reset ())
 
 let test_shard_merge () =
@@ -216,35 +172,33 @@ let test_shard_merge () =
       let h = Obs.Histogram.make "test.shard-hist" in
       Obs.Counter.incr c;
       Obs.Counter.record_max p 10;
-      let sh = Obs.Shard.create () in
-      Obs.Shard.wrap sh (fun () ->
+      let scope = Obs.Scope.create () in
+      Obs.Scope.run scope (fun () ->
           Obs.Counter.add c 4;
           Obs.Counter.record_max p 7;
           (* below the global peak: max-merge must keep 10 *)
           Obs.Histogram.observe h 1.0;
           Obs.Histogram.observe h 2.0);
-      (* nothing reaches the globals until the coordinator merges *)
+      (* nothing reaches the globals until the scope closes *)
       Alcotest.(check int) "adds buffered" 1 (Obs.Counter.value c);
       Alcotest.(check int) "hist buffered" 0 (Obs.Histogram.count h);
-      Obs.Shard.merge sh;
+      ignore (Obs.Scope.close scope);
       Alcotest.(check int) "adds merged by sum" 5 (Obs.Counter.value c);
       Alcotest.(check int) "peak merged by max" 10 (Obs.Counter.value p);
       Alcotest.(check int) "hist merged" 2 (Obs.Histogram.count h);
-      (* a shard is reusable per level: wrap + merge again *)
-      Obs.Shard.wrap sh (fun () -> Obs.Counter.record_max p 25);
-      Obs.Shard.merge sh;
-      Alcotest.(check int) "peak raised on remerge" 25 (Obs.Counter.value p);
-      Obs.Shard.release sh)
+      (* a later scope raises the peak *)
+      let (), _ = Obs.Scope.wrap (fun _ -> Obs.Counter.record_max p 25) in
+      Alcotest.(check int) "peak raised by a later scope" 25
+        (Obs.Counter.value p))
 
 let test_shard_span_and_timeline () =
   with_obs (fun () ->
       let s = Obs.Span.make "test.shard-span" in
-      let sh = Obs.Shard.create () in
-      Obs.Shard.wrap sh (fun () -> Obs.Span.time s (fun () -> ()));
+      let scope = Obs.Scope.create () in
+      Obs.Scope.run scope (fun () -> Obs.Span.time s (fun () -> ()));
       Alcotest.(check int) "span buffered" 0 (Obs.Span.count s);
       Alcotest.(check int) "timeline buffered" 0 (Obs.Timeline.length ());
-      Obs.Shard.merge sh;
-      Obs.Shard.release sh;
+      ignore (Obs.Scope.close scope);
       Alcotest.(check int) "span merged" 1 (Obs.Span.count s);
       Alcotest.(check int) "timeline slice merged" 1 (Obs.Timeline.length ()))
 
@@ -604,34 +558,40 @@ let test_scope_transparency () =
       Alcotest.(check bool) "histograms identical" true
         (Obs.Histogram.all () = bare_hists))
 
-(* nesting: an inner scope closed inside an outer [run] folds into the
-   outer scope, not the globals; lane shards inside a scope do too *)
-let test_scope_nesting () =
+(* one scope per domain at a time: a nested [run], or a [close] inside
+   a [run], is refused instead of being routed somewhere silently *)
+let test_scope_nested_run_refused () =
   with_obs (fun () ->
       let c = Obs.Counter.make "test.scope-nest" in
       let outer = Obs.Scope.create () in
+      let inner = Obs.Scope.create () in
       Obs.Scope.run outer (fun () ->
-          let (), inner_summary =
-            Obs.Scope.wrap (fun _ -> Obs.Counter.add c 2)
-          in
-          Alcotest.(check (option int)) "inner summary sees its adds"
-            (Some 2)
-            (List.assoc_opt "test.scope-nest"
-               inner_summary.Obs.Scope.sc_counters);
-          Alcotest.(check int) "inner close lands in outer, not global" 0
-            (Obs.Counter.value c);
-          (* a lane shard (the parallel-phase protocol) inside the scope:
-             merge resolves to the enclosing scope as well *)
-          let lane = Obs.Shard.create () in
-          Obs.Shard.wrap lane (fun () -> Obs.Counter.add c 7);
-          Obs.Shard.merge lane;
-          Obs.Shard.release lane;
-          Alcotest.(check int) "lane merge lands in outer" 0
+          Obs.Counter.add c 2;
+          Alcotest.(check bool) "nested run refused" true
+            (match Obs.Scope.run inner (fun () -> Obs.Counter.add c 7) with
+            | exception Invalid_argument _ -> true
+            | () -> false);
+          Alcotest.(check bool) "nested wrap refused" true
+            (match Obs.Scope.wrap (fun _ -> Obs.Counter.add c 7) with
+            | exception Invalid_argument _ -> true
+            | _ -> false);
+          Alcotest.(check bool) "close inside run refused" true
+            (match Obs.Scope.close inner with
+            | exception Invalid_argument _ -> true
+            | _ -> false);
+          (* the refusals left the outer scope installed *)
+          Obs.Counter.add c 1;
+          Alcotest.(check int) "outer still buffering" 0
             (Obs.Counter.value c));
-      let summary = Obs.Scope.close outer in
-      Alcotest.(check (option int)) "outer summary accumulated" (Some 9)
-        (List.assoc_opt "test.scope-nest" summary.Obs.Scope.sc_counters);
-      Alcotest.(check int) "globals after outer close" 9
+      (* the outer run released the domain: the inner scope runs now *)
+      Obs.Scope.run inner (fun () -> Obs.Counter.add c 3);
+      let inner_summary = Obs.Scope.close inner in
+      let outer_summary = Obs.Scope.close outer in
+      Alcotest.(check (option int)) "inner summary" (Some 3)
+        (List.assoc_opt "test.scope-nest" inner_summary.Obs.Scope.sc_counters);
+      Alcotest.(check (option int)) "outer summary" (Some 3)
+        (List.assoc_opt "test.scope-nest" outer_summary.Obs.Scope.sc_counters);
+      Alcotest.(check int) "globals after both closes" 6
         (Obs.Counter.value c))
 
 let test_scope_fresh_ids () =
@@ -1074,8 +1034,9 @@ let test_scope_resources () =
       | None -> Alcotest.fail "summary_json has no resources member")
 
 (* qcheck: resource deltas are non-negative for every child, and — the
-   GC words being monotone per-domain counters — a parent scope's delta
-   bounds the sum of its sequential children's. *)
+   GC words being monotone per-domain counters — a parent scope left
+   open while its children open and close in sequence on the same
+   domain bounds the sum of their deltas. *)
 let test_scope_resources_additive () =
   with_obs (fun () ->
       let gen = QCheck.Gen.(list_size (1 -- 4) (0 -- 5000)) in
@@ -1087,16 +1048,14 @@ let test_scope_resources_additive () =
            (fun sizes ->
              let parent = Obs.Scope.create () in
              let children =
-               Obs.Scope.run parent (fun () ->
-                   List.map
-                     (fun n ->
-                       let (), summary =
-                         Obs.Scope.wrap (fun _ ->
-                             ignore
-                               (Sys.opaque_identity (List.init n Fun.id)))
-                       in
-                       summary.Obs.Scope.sc_resources)
-                     sizes)
+               List.map
+                 (fun n ->
+                   let (), summary =
+                     Obs.Scope.wrap (fun _ ->
+                         ignore (Sys.opaque_identity (List.init n Fun.id)))
+                   in
+                   summary.Obs.Scope.sc_resources)
+                 sizes
              in
              let p = (Obs.Scope.close parent).Obs.Scope.sc_resources in
              let nonneg (r : Obs.Scope.resources) =
@@ -1443,7 +1402,6 @@ let () =
           Alcotest.test_case "exception safety" `Quick
             test_span_exception_safety;
         ] );
-      ("trace", [ Alcotest.test_case "ring buffer" `Quick test_trace_ring ]);
       ( "reset",
         [
           Alcotest.test_case "clears everything" `Quick
@@ -1476,8 +1434,8 @@ let () =
           Alcotest.test_case "capture and close" `Quick test_scope_capture;
           Alcotest.test_case "transparent merge" `Quick
             test_scope_transparency;
-          Alcotest.test_case "nesting and lane shards" `Quick
-            test_scope_nesting;
+          Alcotest.test_case "nested run refused" `Quick
+            test_scope_nested_run_refused;
           Alcotest.test_case "fresh ids" `Quick test_scope_fresh_ids;
           Alcotest.test_case "concurrent merge associativity" `Quick
             test_scope_concurrent_merge;

@@ -502,26 +502,28 @@ let test_golden_provenance () =
     "provenance counts" golden_provenance
     (List.map row [ "bbara"; "cse"; "s298" ])
 
-(* Search events of one traced call: the phi of every [search.probe]
-   event, in order. *)
+(* Search events of one call: the phi of every [search.probe] debug
+   record it logs, in order. *)
 let probed_phis f =
-  Obs.set_enabled true;
-  Obs.reset ();
+  Obs.Log.set_level Obs.Log.Debug;
+  Obs.Log.to_null ();
+  Obs.Log.clear ();
   Fun.protect
     ~finally:(fun () ->
-      Obs.reset ();
-      Obs.set_enabled false)
+      Obs.Log.set_level Obs.Log.Info;
+      Obs.Log.clear ();
+      Obs.Log.to_stderr ())
     (fun () ->
       let r = f () in
       ( r,
         List.filter_map
-          (fun e ->
-            if e.Obs.Trace.name <> "search.probe" then None
+          (fun (r : Obs.Log.record) ->
+            if r.Obs.Log.event <> "search.probe" then None
             else
-              match List.assoc_opt "phi" e.Obs.Trace.fields with
+              match List.assoc_opt "phi" r.Obs.Log.fields with
               | Some (Obs.Json.Str p) -> Some p
               | _ -> Alcotest.fail "probe event without phi")
-          (Obs.Trace.events ()) ))
+          (Obs.Log.recent ()) ))
 
 (* The ratio search on five random circuits (TurboSYN options, K=4, no
    denominator cap): phi* and the probe sequence of each, recorded with
@@ -620,8 +622,8 @@ let test_cut_memo () =
     (Invalid_argument "Label_engine.run: cut memo sized for another netlist")
     (fun () -> ignore (Label_engine.run ~cutmemo:memo opts other ~phi:phi_a))
 
-(* The ratio search decides each phi once: every [search.probe] trace
-   event names a distinct phi, the probe count matches the events, phi*
+(* The ratio search decides each phi once: every [search.probe] log
+   record names a distinct phi, the probe count matches the events, phi*
    is the one the search has always returned, and the probes are the
    pinned sequence (K=5, TurboSYN or TurboMap options).  With the flow's
    denominator cap of 24, an integer phi* = n is certified by one

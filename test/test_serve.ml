@@ -461,6 +461,163 @@ let test_scrape () =
           | None -> Alcotest.failf "counter %s vanished" series)
         before)
 
+(* Request counters resolve their names in the process-global registry
+   while worker domains run scopes and the accept lane renders scrapes:
+   64 requests in flight on 4 workers, a scraper polling alongside, and
+   the labeled family must end at exactly the number sent. *)
+let test_scoped_counters_concurrent () =
+  with_server ~workers:4 ~queue_depth:128 (fun port ->
+      let sent = 64 in
+      let stop = Atomic.make false in
+      let scraper =
+        Domain.spawn (fun () ->
+            let scrapes = ref 0 in
+            while not (Atomic.get stop) do
+              let status, body = http ~port ~meth:"GET" ~path:"/metrics" () in
+              if status <> 200 then Alcotest.failf "scrape status %d" status;
+              (match Obs.Prometheus.validate body with
+              | Ok () -> ()
+              | Error vs ->
+                  Alcotest.failf "scrape invalid: %s" (String.concat "; " vs));
+              incr scrapes
+            done;
+            !scrapes)
+      in
+      (* every request is written before any response is read, so all
+         64 are in flight at once *)
+      let socks =
+        List.init sent (fun i ->
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            let body =
+              map_body ~circuit:"bbara"
+                ~algo:(if i mod 2 = 0 then "flowsyn-s" else "turbomap")
+            in
+            send_all fd
+              (Printf.sprintf
+                 "POST /map HTTP/1.1\r\nHost: localhost\r\n\
+                  Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+                 (String.length body) body);
+            fd)
+      in
+      let statuses =
+        List.map
+          (fun fd ->
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                match String.split_on_char ' ' (recv_all fd) with
+                | _ :: code :: _ -> int_of_string_opt code
+                | _ -> None))
+          socks
+      in
+      Atomic.set stop true;
+      let scrapes = Domain.join scraper in
+      Alcotest.(check bool) "scrapes ran alongside" true (scrapes > 0);
+      List.iteri
+        (fun i st ->
+          Alcotest.(check (option int)) (Printf.sprintf "request %d" i)
+            (Some 200) st)
+        statuses;
+      (* a worker answers before its scope closes: poll until the last
+         close has merged, then the count must be exact *)
+      let series = "turbosyn_serve_requests{route=\"map\",status=\"200\"}" in
+      let rec settle tries =
+        let _, body = http ~port ~meth:"GET" ~path:"/metrics" () in
+        match series_value body series with
+        | Some v when v >= float_of_int sent || tries = 0 -> Some v
+        | _ ->
+            Unix.sleepf 0.05;
+            settle (tries - 1)
+      in
+      Alcotest.(check (option (float 0.)))
+        "scraped map/200 count equals requests sent"
+        (Some (float_of_int sent))
+        (settle 100))
+
+(* At debug level, every search.probe and synth.result record a cold
+   /map computes carries the request id of the request that computed
+   it, and each request's probe sequence is the one a direct run logs. *)
+let test_event_stream_per_request () =
+  with_server ~workers:2 (fun port ->
+      Obs.Log.set_level Obs.Log.Debug;
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Log.set_level Obs.Log.Info;
+          Obs.Log.clear ())
+        (fun () ->
+          let requests = [ ("evt-bbara", "bbara"); ("evt-dk16", "dk16") ] in
+          let events_of ~request_id name =
+            List.filter
+              (fun (r : Obs.Log.record) ->
+                r.Obs.Log.request_id = request_id && r.Obs.Log.event = name)
+              (Obs.Log.recent ())
+          in
+          let phis records =
+            List.map
+              (fun (r : Obs.Log.record) ->
+                match List.assoc_opt "phi" r.Obs.Log.fields with
+                | Some (Obs.Json.Str p) -> p
+                | _ -> Alcotest.fail "record without phi")
+              records
+          in
+          (* direct runs, before any request is in flight *)
+          let direct =
+            List.map
+              (fun (_, circuit) ->
+                Obs.Log.clear ();
+                let nl =
+                  Workloads.Suite.build
+                    (Option.get (Workloads.Suite.find circuit))
+                in
+                let options = Turbosyn.Synth.default_options ~k:5 () in
+                ignore (Turbosyn.Synth.run ~options `Turbomap nl);
+                ( phis (events_of ~request_id:None "search.probe"),
+                  phis (events_of ~request_id:None "synth.result") ))
+              requests
+          in
+          Obs.Log.clear ();
+          let replies =
+            List.map
+              (fun (id, circuit) ->
+                Domain.spawn (fun () ->
+                    http_full ~port ~meth:"POST" ~path:"/map"
+                      ~headers:[ ("X-Request-Id", id) ]
+                      ~body:(map_body ~circuit ~algo:"turbomap")
+                      ()))
+              requests
+            |> List.map Domain.join
+          in
+          List.iter2
+            (fun (id, _) (status, hdrs, _) ->
+              Alcotest.(check int) (id ^ " status") 200 status;
+              Alcotest.(check (option string)) (id ^ " computed cold")
+                (Some "miss") (List.assoc_opt "x-cache" hdrs))
+            requests replies;
+          let ids = List.map (fun (id, _) -> Some id) requests in
+          List.iter
+            (fun (r : Obs.Log.record) ->
+              if r.Obs.Log.event = "search.probe"
+                 || r.Obs.Log.event = "synth.result"
+              then
+                Alcotest.(check bool)
+                  (r.Obs.Log.event ^ " carries a request id") true
+                  (List.mem r.Obs.Log.request_id ids))
+            (Obs.Log.recent ());
+          List.iter2
+            (fun (id, circuit) (probes, result) ->
+              Alcotest.(check bool) (circuit ^ " probes some phi") true
+                (probes <> []);
+              Alcotest.(check (list string))
+                (id ^ " probe sequence equals the direct run")
+                probes
+                (phis (events_of ~request_id:(Some id) "search.probe"));
+              Alcotest.(check (list string))
+                (id ^ " one result, the direct run's phi")
+                result
+                (phis (events_of ~request_id:(Some id) "synth.result")))
+            requests direct))
+
 (* ---------------------------------------------------------------- *)
 (* Correlation ids: header extraction, echo, ring, per-request trace *)
 (* ---------------------------------------------------------------- *)
@@ -1121,6 +1278,10 @@ let () =
           Alcotest.test_case "cache bypass" `Quick test_cache_bypass;
           Alcotest.test_case "admission control sheds" `Quick test_shed;
           Alcotest.test_case "prometheus scrape" `Quick test_scrape;
+          Alcotest.test_case "scoped counters under concurrent scrapes"
+            `Quick test_scoped_counters_concurrent;
+          Alcotest.test_case "event stream per request" `Quick
+            test_event_stream_per_request;
           Alcotest.test_case "request id extraction" `Quick
             test_request_id_extraction;
           Alcotest.test_case "request tracing" `Quick test_request_tracing;
