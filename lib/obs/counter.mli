@@ -4,7 +4,9 @@
     idempotent per name) and bumped from hot paths.  Every mutation is
     gated on the global switch ({!Obs.set_enabled}): when observability is
     off, [incr]/[add]/[record_max] reduce to one load and one branch — no
-    allocation, no hashing.
+    allocation, no hashing.  Inside an {!Obs.Scope}, mutations land in
+    the scope's sink and reach the registry when the scope closes
+    ([adds] merge by sum, [record_max] by max).
 
     The registered names form the [counters] object of the stats schema;
     [doc/OBSERVABILITY.md] documents each one. *)
@@ -32,7 +34,8 @@ val add : t -> int -> unit
 val record_max : t -> int -> unit
 (** High-water gauge: raise the counter to the given value if it is
     larger (used for peaks, e.g. BDD node counts).  No-op while
-    observability is disabled. *)
+    observability is disabled.  A counter is either added to or
+    recorded; its value is the larger of its sum and its peak. *)
 
 val find : string -> int option
 (** Look a counter up by name; [None] if never created. *)
@@ -42,29 +45,3 @@ val all : unit -> (string * int) list
 
 val reset_all : unit -> unit
 (** Zero every registered counter (registration survives). *)
-
-(** {2 Request-scope shards}
-
-    The registry is unsynchronized; worker domains must never mutate it
-    directly.  {!Obs.Scope.run} installs a scope's shard on the calling
-    domain with [set_shard], after which [incr]/[add]/[record_max]
-    accumulate into domain-local cells, and {!Obs.Scope.close} folds the
-    cells into the registry with [merge_shard] ([adds] merge by sum,
-    [record_max] by max — both commutative, so merge order cannot
-    affect totals).  Use {!Obs.Scope} rather than these directly. *)
-
-type shard
-
-val new_shard : unit -> shard
-
-val set_shard : shard option -> unit
-(** Route this domain's counter mutations into the shard ([Some]), or
-    back to the registry ([None]). *)
-
-val merge_shard : shard -> unit
-(** Fold the shard's cells into the global registry and empty it.  Call
-    from a domain the shard is not installed on. *)
-
-val shard_contents : shard -> (string * int) list
-(** The shard's local counter values (adds folded with peaks), sorted
-    by name, without merging or emptying it. *)

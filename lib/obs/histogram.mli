@@ -4,7 +4,9 @@
     global layout, so snapshots from different histograms, domains, or
     processes merge exactly.  Observation is gated on the global
     observability switch and is O(1); quantiles are estimated from the
-    bucket layout and clamped into the observed [min, max]. *)
+    bucket layout and clamped into the observed [min, max].  Inside an
+    {!Obs.Scope}, observations land in the scope's sink and fold into
+    the registry pointwise when the scope closes. *)
 
 type t
 
@@ -18,9 +20,6 @@ val name : t -> string
 val count : t -> int
 (** Number of observations recorded. *)
 
-val sum : t -> float
-(** Sum of all observed values. *)
-
 val observe : t -> float -> unit
 (** Record one value.  No-op when observability is off or the value is
     NaN; values at or below the smallest bucket bound (including zero
@@ -28,17 +27,9 @@ val observe : t -> float -> unit
 
 val observe_int : t -> int -> unit
 
-val quantile : t -> float -> float
-(** [quantile h q] estimates the [q]-quantile ([0. <= q <= 1.]) of the
-    recorded values; [0.] when empty.  Monotone in [q] and always
-    within the observed [min, max]. *)
-
-val min_value : t -> float option
-val max_value : t -> float option
-
 (** {1 Snapshots} *)
 
-type snapshot = {
+type snapshot = Sink.snapshot = {
   s_buckets : (int * int) list;  (** sparse (bucket index, count), ascending *)
   s_count : int;
   s_sum : float;
@@ -51,8 +42,11 @@ val merge : snapshot -> snapshot -> snapshot
 (** Pointwise bucket sum; commutative and associative. *)
 
 val snapshot_quantile : snapshot -> float -> float
+(** [snapshot_quantile s q] estimates the [q]-quantile
+    ([0. <= q <= 1.]) of the recorded values; [0.] when empty.
+    Monotone in [q] and always within the observed [min, max]. *)
+
 val snapshot_to_json : snapshot -> Json.t
-val snapshot_of_json : Json.t -> (snapshot, string) result
 
 val nbuckets : int
 val bucket_upper : int -> float
@@ -69,26 +63,3 @@ val all : unit -> (string * snapshot) list
 
 val reset_all : unit -> unit
 (** Zero every registered histogram (names stay registered). *)
-
-(** {1 Request-scope shards}
-
-    Inside an {!Obs.Scope}, observations go into domain-local histograms
-    that fold into the registry when the scope closes, with the same
-    pointwise bucket merge the snapshot codec uses.  Bucket counts and
-    [count] merge exactly; [sum] is a float fold whose last bits depend
-    on merge order.  Use {!Obs.Scope} rather than these directly. *)
-
-type shard
-
-val new_shard : unit -> shard
-
-val set_shard : shard option -> unit
-(** Route this domain's observations into the shard ([Some]), or back
-    to the registry ([None]). *)
-
-val merge_shard : shard -> unit
-(** Fold the shard's local histograms into the registry and empty it. *)
-
-val shard_contents : shard -> (string * snapshot) list
-(** Snapshots of the shard's local histograms, sorted by name, without
-    merging or emptying it. *)

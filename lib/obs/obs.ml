@@ -28,8 +28,5 @@ let reset () =
       "Obs.reset: the sampling profiler is attached — its tick thread is \
        concurrently reading live span state that the reset would clear \
        under it; Prof.detach () first";
-  Counter.reset_all ();
-  Gauge.reset_all ();
-  Histogram.reset_all ();
-  Span.reset_all ();
-  Timeline.clear ()
+  Sink.reset Sink.global;
+  Gauge.reset_all ()

@@ -24,12 +24,14 @@
       Obs.set_enabled false
     ]}
 
-    State is process-global and unsynchronized.  Single-domain code
-    (the CLI, the benches) uses it directly; work on a worker domain
-    runs inside a request {!Scope}, which buffers its writes in
-    domain-local shards and folds them into the globals when it closes
-    ([doc/CONCURRENCY.md]).  {!Log} is the one exception: it serializes
-    its own writes. *)
+    Counters, spans, histograms and timeline slices land in a {e sink}:
+    the process-global one, which every reader renders, or a request
+    {!Scope}'s own.  One domain-local key names the calling domain's
+    current sink, so every hook takes the same path either way.  The
+    global sink is unsynchronized: single-domain code (the CLI, the
+    benches) writes it directly, and work on a worker domain runs
+    inside a scope, whose sink is merged into the global one when it
+    closes ([doc/CONCURRENCY.md]).  {!Log} serializes its own writes. *)
 
 module Json = Json
 module Counter = Counter
@@ -54,9 +56,9 @@ val enabled : unit -> bool
 (** Current state of the master switch. *)
 
 val reset : unit -> unit
-(** Zero all counters, gauges, histograms and spans (including their GC
-    totals) and clear the timeline ring (including its dropped-slice
-    count).  The {!Log} ring is not touched: it has its own
+(** Reset the global sink — zero every counter, histogram and span
+    (including GC totals), clear the timeline ring (including its
+    dropped-slice count) — and the gauges.  The {!Log} ring is not touched: it has its own
     {!Log.clear}.  Call between measured runs; registration is
     preserved.  Nothing in the reset can fail, so the state is never
     partially cleared.  A span that is {e entered} when reset runs

@@ -1,12 +1,11 @@
 let schema_version = "turbosyn-stats/2"
 
-let counters_json () =
-  Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) (Counter.all ()))
+(* The metric objects of the stats document, over any sink's contents:
+   the global registry here, one request's in Scope.summary_json. *)
+let counters_json counters =
+  Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) counters)
 
-let gauges_json () =
-  Json.Obj (List.map (fun (name, v) -> (name, Json.Float v)) (Gauge.all ()))
-
-let spans_json () =
+let spans_json spans =
   Json.Obj
     (List.map
        (fun (name, seconds, entries, (gc : Span.gc_totals)) ->
@@ -18,19 +17,19 @@ let spans_json () =
                ( "gc",
                  Json.Obj
                    [
-                     ("minor_words", Json.Float gc.Span.minor_words);
-                     ("promoted_words", Json.Float gc.Span.promoted_words);
-                     ("major_words", Json.Float gc.Span.major_words);
-                     ("compactions", Json.Int gc.Span.compactions);
+                     ("minor_words", Json.Float gc.minor_words);
+                     ("promoted_words", Json.Float gc.promoted_words);
+                     ("major_words", Json.Float gc.major_words);
+                     ("compactions", Json.Int gc.compactions);
                    ] );
              ] ))
-       (Span.all_full ()))
+       spans)
 
-let histograms_json () =
+let histograms_json histograms =
   Json.Obj
     (List.map
        (fun (name, s) -> (name, Histogram.snapshot_to_json s))
-       (Histogram.all ()))
+       histograms)
 
 let stats_json ?(extra = []) () =
   Json.Obj
@@ -40,24 +39,16 @@ let stats_json ?(extra = []) () =
      ]
     @ extra
     @ [
-        ("counters", counters_json ());
-        ("gauges", gauges_json ());
-        ("spans", spans_json ());
-        ("histograms", histograms_json ());
+        ("counters", counters_json (Counter.all ()));
+        ( "gauges",
+          Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) (Gauge.all ()))
+        );
+        ("spans", spans_json (Span.all_full ()));
+        ("histograms", histograms_json (Histogram.all ()));
       ])
 
 let write_stats ?extra dest =
-  let json = stats_json ?extra () in
-  let s = Json.to_pretty_string json in
-  if dest = "-" then print_endline s
-  else begin
-    let oc = open_out dest in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc s;
-        output_char oc '\n')
-  end
+  Flame.write dest (Json.to_pretty_string (stats_json ?extra ()) ^ "\n")
 
 (* Chrome-trace ("Trace Event Format") document over the timeline slices
    and the log ring; loads in Perfetto and chrome://tracing.  One
@@ -131,13 +122,4 @@ let timeline_json ?slices ?events () =
     ]
 
 let write_timeline dest =
-  let s = Json.to_string (timeline_json ()) in
-  if dest = "-" then print_endline s
-  else begin
-    let oc = open_out dest in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc s;
-        output_char oc '\n')
-  end
+  Flame.write dest (Json.to_string (timeline_json ()) ^ "\n")

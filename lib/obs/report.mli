@@ -31,19 +31,15 @@ val schema_version : string
 (** ["turbosyn-stats/2"].  Bumped on any incompatible change to the
     report layout or to the meaning of a documented counter/span. *)
 
-val counters_json : unit -> Json.t
-(** The [counters] object: every registered counter, sorted by name. *)
+val counters_json : (string * int) list -> Json.t
+(** A [counters] object, e.g. of {!Counter.all} or a scope summary's
+    [sc_counters]. *)
 
-val gauges_json : unit -> Json.t
-(** The [gauges] object: every registered gauge, sorted by name. *)
+val spans_json : (string * float * int * Span.gc_totals) list -> Json.t
+(** A [spans] object (with GC totals), e.g. of {!Span.all_full}. *)
 
-val spans_json : unit -> Json.t
-(** The [spans] object: every registered span (with GC totals), sorted
-    by name. *)
-
-val histograms_json : unit -> Json.t
-(** The [histograms] object: every registered histogram's snapshot,
-    sorted by name. *)
+val histograms_json : (string * Histogram.snapshot) list -> Json.t
+(** A [histograms] object, e.g. of {!Histogram.all}. *)
 
 val stats_json : ?extra:(string * Json.t) list -> unit -> Json.t
 (** The full report.  [extra] members (e.g. a [run] description) are

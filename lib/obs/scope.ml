@@ -1,21 +1,24 @@
 (* Request-scoped telemetry: one Scope captures every counter, span,
    histogram and timeline slice recorded during one unit of work (one
-   /map request) and folds it into the global registries on close.
+   /map request) and folds it into the global sink on close.
 
-   A scope owns the only domain-local sink: one shard of each registry
-   (Counter, Histogram, Span, Timeline), installed on the calling domain
-   for the duration of [run], so its hooks never touch the
-   unsynchronized globals.  [close] folds the shards into the
-   registries — counters by sum, peaks by max, histogram buckets
-   pointwise, all associative, so global totals are the same whether a
-   scope interposes or not. *)
+   A scope is a fresh sink (Sink) plus an id and resource baselines.
+   [run] installs the sink as the calling domain's current one, so its
+   hooks never touch the unsynchronized global sink; [close] merges it
+   into the global sink (Sink.merge) and keeps its slices in the
+   summary. *)
+
+(* Per-scope slice bound.  A TurboMap request on a small suite FSM
+   records under 2,000 slices (dk16 K=4: 1,954; s1 K=4: 1,764), and a
+   FlowSYN-s request a handful, so those traces stay whole; a TurboSYN
+   run (bbara K=5: 10,951) keeps its latest slices and counts the rest
+   in [dropped_slices].  The bound also caps what the serve layer's
+   recent-request ring retains: 256 requests × 4096 slices. *)
+let slice_capacity = 4096
 
 type t = {
   id : string;
-  counters : Counter.shard;
-  histograms : Histogram.shard;
-  spans : Span.shard;
-  timeline : Timeline.shard;
+  sink : Sink.t;
   started : float;
   (* Resource baselines, captured at create on the domain that will run
      the work (create and close must happen on the same domain for the
@@ -60,7 +63,7 @@ type summary = {
   sc_started : float;
   sc_finished : float;
   sc_counters : (string * int) list;
-  sc_spans : (string * float * int) list;
+  sc_spans : (string * float * int * Span.gc_totals) list;
   sc_histograms : (string * Histogram.snapshot) list;
   sc_slices : Timeline.slice list;
   sc_dropped_slices : int;
@@ -89,10 +92,7 @@ let create ?id () =
   Atomic.incr State.open_scopes;
   {
     id;
-    counters = Counter.new_shard ();
-    histograms = Histogram.new_shard ();
-    spans = Span.new_shard ();
-    timeline = Timeline.new_shard ();
+    sink = Sink.create ~capacity:slice_capacity;
     started = Prelude.Timer.wall ();
     gc_at_open = Gc.quick_stat ();
     minor_at_open = Gc.minor_words ();
@@ -101,33 +101,22 @@ let create ?id () =
   }
 
 let id t = t.id
-let started t = t.started
 
 (* whether the calling domain is inside some scope's [run] *)
-let running : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+let running () = Sink.current () != Sink.global
 
 let run t f =
   if t.closed then invalid_arg "Obs.Scope.run: scope already closed";
-  if Domain.DLS.get running then
+  if running () then
     invalid_arg "Obs.Scope.run: this domain already runs a scope";
-  Domain.DLS.set running true;
-  Counter.set_shard (Some t.counters);
-  Histogram.set_shard (Some t.histograms);
-  Span.set_shard (Some t.spans);
-  Timeline.set_shard (Some t.timeline);
+  Sink.install t.sink;
   Fun.protect
-    ~finally:(fun () ->
-      Counter.set_shard None;
-      Histogram.set_shard None;
-      Span.set_shard None;
-      Timeline.set_shard None;
-      Domain.DLS.set running false)
+    ~finally:(fun () -> Sink.install Sink.global)
     (fun () -> Log.with_request_id t.id f)
 
 let close ?(queue_wait = 0.) t =
   if t.closed then invalid_arg "Obs.Scope.close: scope already closed";
-  if Domain.DLS.get running then
-    invalid_arg "Obs.Scope.close: called inside a scope's run";
+  if running () then invalid_arg "Obs.Scope.close: called inside a scope's run";
   t.closed <- true;
   let finished = Prelude.Timer.wall () in
   let resources =
@@ -147,27 +136,21 @@ let close ?(queue_wait = 0.) t =
       sc_id = t.id;
       sc_started = t.started;
       sc_finished = finished;
-      sc_counters = Counter.shard_contents t.counters;
-      sc_spans =
-        List.map
-          (fun (n, s, e, _gc) -> (n, s, e))
-          (Span.shard_contents t.spans);
-      sc_histograms = Histogram.shard_contents t.histograms;
-      sc_slices = Timeline.shard_slices t.timeline;
-      sc_dropped_slices = Timeline.shard_dropped t.timeline;
+      sc_counters = Sink.counters t.sink;
+      sc_spans = Sink.spans t.sink;
+      sc_histograms = Sink.histograms t.sink;
+      sc_slices = Sink.slices t.sink;
+      sc_dropped_slices = t.sink.dropped;
       sc_resources = resources;
     }
   in
-  Counter.merge_shard t.counters;
-  Histogram.merge_shard t.histograms;
-  Span.merge_shard t.spans;
-  Timeline.merge_shard t.timeline;
+  Sink.merge ~into:Sink.global t.sink;
   Atomic.decr State.open_scopes;
   summary
 
 let wrap ?id f =
   (* refuse before opening: a scope that cannot run could not close *)
-  if Domain.DLS.get running then
+  if running () then
     invalid_arg "Obs.Scope.wrap: this domain already runs a scope";
   let t = create ?id () in
   match run t (fun () -> f t) with
@@ -178,7 +161,7 @@ let wrap ?id f =
 
 let span_seconds summary name =
   List.find_map
-    (fun (n, s, _) -> if String.equal n name then Some s else None)
+    (fun (n, s, _, _) -> if String.equal n name then Some s else None)
     summary.sc_spans
 
 let summary_json s =
@@ -188,24 +171,9 @@ let summary_json s =
       ("started", Json.Float s.sc_started);
       ("finished", Json.Float s.sc_finished);
       ("seconds", Json.Float (s.sc_finished -. s.sc_started));
-      ( "counters",
-        Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.sc_counters) );
-      ( "spans",
-        Json.Obj
-          (List.map
-             (fun (n, secs, entries) ->
-               ( n,
-                 Json.Obj
-                   [
-                     ("seconds", Json.Float secs);
-                     ("entries", Json.Int entries);
-                   ] ))
-             s.sc_spans) );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (n, snap) -> (n, Histogram.snapshot_to_json snap))
-             s.sc_histograms) );
+      ("counters", Report.counters_json s.sc_counters);
+      ("spans", Report.spans_json s.sc_spans);
+      ("histograms", Report.histograms_json s.sc_histograms);
       ( "slices",
         Json.List
           (List.map

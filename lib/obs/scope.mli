@@ -2,18 +2,19 @@
 
     A scope captures every counter increment, span activation,
     histogram observation and timeline slice recorded during one unit
-    of work — one [/map] request — and folds it into the global
-    registries when it closes, returning a per-request {!summary} for
-    access logs, [/debug/trace] and flamegraphs.
+    of work — one [/map] request — and folds its metrics into the
+    global registries when it closes, returning a per-request
+    {!summary} for access logs, [/debug/trace] and flamegraphs.
 
-    A scope owns the only domain-local sink: one shard of each registry
-    ({!Counter}, {!Histogram}, {!Span}, {!Timeline}), installed on the
-    calling domain while {!run} is active, so worker domains never
-    write the unsynchronized globals.  {!close} folds the shards into
-    the registries.  Counter sums, peaks and histogram buckets are
-    associative under this merge, so global totals — and the
-    φ/labels/audit documents they gate — are identical with or without
-    a scope ([doc/CONCURRENCY.md] §Request scopes).
+    A scope is one sink — the representation the global registries
+    use — plus an id and resource baselines.  {!run} installs the sink
+    as the calling domain's current one, so worker domains never write
+    the unsynchronized globals; {!close} merges its counter sums and
+    peaks, span totals and histogram buckets into the global sink.  The
+    merge is associative, so global totals — and the φ/labels/audit
+    documents they gate — are identical with or without a scope
+    ([doc/CONCURRENCY.md] §Request scopes).  Slices stay in the
+    summary: the global {!Timeline} ring holds only unscoped work's.
 
     Ownership rules: a scope belongs to the domain that entered {!run};
     never run one scope on two domains at once, never run two scopes on
@@ -46,13 +47,17 @@ type summary = {
   sc_started : float;  (** [Prelude.Timer.wall] at {!create} *)
   sc_finished : float;  (** [Prelude.Timer.wall] at {!close} *)
   sc_counters : (string * int) list;  (** touched counters, sorted *)
-  sc_spans : (string * float * int) list;
-      (** (name, seconds, completed entries), sorted *)
+  sc_spans : (string * float * int * Span.gc_totals) list;
+      (** (name, seconds, completed entries, GC deltas), sorted *)
   sc_histograms : (string * Histogram.snapshot) list;
-  sc_slices : Timeline.slice list;  (** oldest first *)
-  sc_dropped_slices : int;
+  sc_slices : Timeline.slice list;
+      (** oldest first; at most {!slice_capacity}, the latest kept *)
+  sc_dropped_slices : int;  (** slices beyond {!slice_capacity} *)
   sc_resources : resources;
 }
+
+val slice_capacity : int
+(** How many timeline slices a scope keeps (4096). *)
 
 val create : ?id:string -> unit -> t
 (** Open a scope.  [id] is the correlation id ({!id}); when absent (or
@@ -60,7 +65,6 @@ val create : ?id:string -> unit -> t
     {!Obs.reset}) until {!close}. *)
 
 val id : t -> string
-val started : t -> float
 
 val run : t -> (unit -> 'a) -> 'a
 (** Route this domain's observability hooks — and the ambient
@@ -71,8 +75,9 @@ val run : t -> (unit -> 'a) -> 'a
     domain is already inside a scope's [run]. *)
 
 val close : ?queue_wait:float -> t -> summary
-(** Capture the scope's local observations as a summary and fold them
-    into the global registries.  Call once, on the domain that ran the
+(** Capture the scope's observations as a summary and merge its
+    counters, spans and histograms into the global registries (its
+    slices stay in the summary).  Call once, on the domain that ran the
     work (the GC resource deltas are per-domain), outside any {!run}.
     The registries are unsynchronized: callers with concurrent scopes
     serialize their closes (the serve layer holds its registry lock).
@@ -93,7 +98,9 @@ val span_seconds : summary -> string -> float option
 val summary_json : summary -> Json.t
 (** The summary as a JSON object: [id], [started], [finished],
     [seconds], [counters], [spans], [histograms], [slices],
-    [dropped_slices], [resources]. *)
+    [dropped_slices], [resources].  [counters], [spans] (with their
+    [gc] objects) and [histograms] render as in the stats document
+    ({!Report}). *)
 
 val fresh_id : unit -> string
 (** A new 16-hex-char correlation id: process-random prefix plus

@@ -8,7 +8,10 @@
 
     As with counters, all mutation is gated on {!Obs.set_enabled}:
     disabled spans cost one load and one branch, and [time] calls the
-    thunk directly without installing an exception handler.
+    thunk directly without installing an exception handler.  Inside an
+    {!Obs.Scope}, activations run on the scope's own copy of the span
+    (own depth, own GC deltas) and fold into the registry when the
+    scope closes.
 
     Toggling the global switch while a span is open loses that
     activation (the [exit] guard keeps the depth consistent); enable
@@ -17,7 +20,7 @@
     The registered names form the [spans] object of the stats schema;
     [doc/OBSERVABILITY.md] documents each one. *)
 
-type gc_totals = {
+type gc_totals = Sink.gc_totals = {
   minor_words : float;  (** words allocated in the minor heap *)
   promoted_words : float;  (** words promoted minor -> major *)
   major_words : float;  (** words allocated directly in the major heap *)
@@ -65,29 +68,3 @@ val all : unit -> (string * float * int) list
 
 val all_full : unit -> (string * float * int * gc_totals) list
 (** Like {!all} with the GC totals included. *)
-
-val reset_all : unit -> unit
-(** Zero every registered span (registration survives). *)
-
-(** {1 Request-scope shards}
-
-    Inside an {!Obs.Scope}, [enter]/[exit]/[time] operate on a
-    domain-local mirror of the span (own depth, own GC deltas — OCaml 5
-    [Gc.quick_stat] is per-domain); totals and entry counts fold into
-    the registry when the scope closes.  Use {!Obs.Scope} rather than
-    these directly. *)
-
-type shard
-
-val new_shard : unit -> shard
-
-val set_shard : shard option -> unit
-(** Route this domain's span activations into the shard ([Some]), or
-    back to the registry ([None]). *)
-
-val merge_shard : shard -> unit
-(** Fold the shard's span totals into the registry and empty it. *)
-
-val shard_contents : shard -> (string * float * int * gc_totals) list
-(** The shard's local span totals ([name], seconds, entries, GC),
-    sorted by name, without merging or emptying it. *)

@@ -11,7 +11,7 @@ let on () = !enabled_flag
 
 (* Open request scopes (Obs.Scope): created, not yet closed.  [reset]
    is only sound when this is zero — a worker could otherwise still be
-   writing into a scope's shard that the reset cannot see
+   writing into a scope's sink that the reset cannot see
    (doc/OBSERVABILITY.md §Reset). *)
 let open_scopes = Atomic.make 0
 

@@ -31,13 +31,13 @@
 
    Observability under concurrency: each /map request runs inside an
    Obs.Scope on its worker domain, so every counter/span/histogram
-   write lands in the request's shard.  The process-global registries
+   write lands in the request's sink.  The process-global registries
    are only ever touched under [registry_mutex]: scope closes (the
-   shard merge), the accept lane's inline-route counters, and the
-   /metrics render all serialize there — scrape counters stay monotone
-   and torn reads cannot happen.  Gauges are point-in-time: they are
-   written at scrape time from the server's atomics, never from
-   workers.
+   sink merge), the /map response-bytes counter, the accept lane's
+   inline-route counters, and the /metrics render all serialize there
+   — scrape counters stay monotone and torn reads cannot happen.
+   Gauges are point-in-time: they are written at scrape time from the
+   server's atomics, never from workers.
 
    Correlation ids: the client may supply one (X-Request-Id, or the
    trace-id field of a W3C traceparent header); otherwise the server
@@ -71,8 +71,8 @@ let g_prof_overhead = Obs.Gauge.make "prof.overhead_seconds"
 (* Everything process-global in Obs (counters, spans, histograms,
    timeline) is unsynchronized; with worker domains closing scopes
    concurrently, every direct registry touch — merge, render, inline
-   counter bump — must hold this mutex.  Shard-local writes inside a
-   scope need no lock (doc/CONCURRENCY.md §Serving ownership rules). *)
+   counter bump — must hold this mutex.  Writes to a scope's own sink
+   need no lock (doc/CONCURRENCY.md §Serving ownership rules). *)
 let registry_mutex = Mutex.create ()
 
 let with_registry f =
@@ -80,15 +80,15 @@ let with_registry f =
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
 
 (* ------------------------------------------------------------------ *)
-(* Request counters: sharded Obs counters, one per (route, status)     *)
+(* Request counters: Obs counters, one per (route, status)             *)
 (* ------------------------------------------------------------------ *)
 
 (* [serve.requests.<route>.<status>] counters; incremented from inside
-   a request scope they land in the request's shard (merged under
+   a request scope they land in the request's sink (merged under
    [registry_mutex] at close), from the accept lane they are bumped
    under the lock — either way worker domains never race the registry.
    Resolving the name is itself a registry lookup (and an insert on
-   first use), so the [_scoped] variants take the lock for [make] alone.
+   first use), so the [_scoped] variant takes the lock for [make] alone.
    The scrape re-renders them as one labeled family
    ([turbosyn_serve_requests_total{route=...,status=...}]) and
    suppresses the flat per-counter families via [exclude_prefixes]. *)
@@ -142,8 +142,8 @@ let request_family () =
     samples;
   }
 
-(* [serve.response_bytes.<route>] counters, same sharding/locking story
-   as the request counters, re-rendered as
+(* [serve.response_bytes.<route>] counters, bumped under
+   [registry_mutex] once the response is written, re-rendered as
    [turbosyn_serve_response_bytes_total{route=...}]. *)
 let response_bytes_prefix = "serve.response_bytes."
 
@@ -153,12 +153,6 @@ let response_bytes_counter ~route =
 (* call under [registry_mutex] *)
 let count_response_bytes ~route bytes =
   if bytes > 0 then Obs.Counter.add (response_bytes_counter ~route) bytes
-
-let count_response_bytes_scoped ~route bytes =
-  if bytes > 0 then
-    Obs.Counter.add
-      (with_registry (fun () -> response_bytes_counter ~route))
-      bytes
 
 let response_bytes_family () =
   let plen = String.length response_bytes_prefix in
@@ -317,7 +311,7 @@ let outcome_of_status status =
 let phases_json (summary : Obs.Scope.summary) =
   J.Obj
     (List.map
-       (fun (name, seconds, _entries) -> (name, J.Float seconds))
+       (fun (name, seconds, _entries, _gc) -> (name, J.Float seconds))
        summary.Obs.Scope.sc_spans)
 
 let resources_json (r : Obs.Scope.resources) =
@@ -354,11 +348,22 @@ let request_json rr =
           ("resources", resources_json s.Obs.Scope.sc_resources);
         ])
 
+(* timeline slices the ring holds: at most capacity x
+   Obs.Scope.slice_capacity *)
+let retained_slices () =
+  Queue.fold
+    (fun acc rr ->
+      match rr.rr_summary with
+      | Some s -> acc + List.length s.Obs.Scope.sc_slices
+      | None -> acc)
+    0 debug_ring
+
 let debug_requests_json () =
-  let capacity, count, newest_first =
+  let capacity, count, slices, newest_first =
     with_ring (fun () ->
         ( !debug_ring_capacity,
           Queue.length debug_ring,
+          retained_slices (),
           Queue.fold (fun acc rr -> request_json rr :: acc) [] debug_ring ))
   in
   J.Obj
@@ -366,6 +371,7 @@ let debug_requests_json () =
       ("schema", J.Str "turbosyn-debug-requests/1");
       ("capacity", J.Int capacity);
       ("count", J.Int count);
+      ("retained_slices", J.Int slices);
       ("requests", J.List newest_first);
     ]
 
@@ -730,16 +736,13 @@ let parse_target target =
 (* Access logging + ring, shared by every completion path              *)
 (* ------------------------------------------------------------------ *)
 
-let log_access t ~route ~meth ~path ~status ~outcome ~cache ~started ~summary =
-  let seconds = Prelude.Timer.wall () -. started in
-  let id = Obs.Log.current_request_id () |> Option.value ~default:"" in
-  (* the SLO engine's per-route latency distribution: end-to-end
-     seconds, accept to response written, every completion path *)
-  with_registry (fun () -> Obs.Histogram.observe (route_hist route) seconds);
-  remember_exemplar ~route ~id ~seconds ~status;
+(* [seconds] is the ring entry's: accept to response written, except
+   for /map, whose entry goes in (carrying accept to response ready)
+   before the response is written *)
+let remember_request ~route ~status ~outcome ~cache ~started ~seconds ~summary =
   remember
     {
-      rr_id = id;
+      rr_id = Obs.Log.current_request_id () |> Option.value ~default:"";
       rr_route = route;
       rr_status = status;
       rr_outcome = outcome;
@@ -747,7 +750,19 @@ let log_access t ~route ~meth ~path ~status ~outcome ~cache ~started ~summary =
       rr_started = started;
       rr_seconds = seconds;
       rr_summary = summary;
-    };
+    }
+
+(* [remembered]: the request is already in the ring (/map) *)
+let log_access t ?(remembered = false) ~route ~meth ~path ~status ~outcome
+    ~cache ~started ~summary () =
+  let seconds = Prelude.Timer.wall () -. started in
+  let id = Obs.Log.current_request_id () |> Option.value ~default:"" in
+  (* the SLO engine's per-route latency distribution: end-to-end
+     seconds, accept to response written, every completion path *)
+  with_registry (fun () -> Obs.Histogram.observe (route_hist route) seconds);
+  remember_exemplar ~route ~id ~seconds ~status;
+  if not remembered then
+    remember_request ~route ~status ~outcome ~cache ~started ~seconds ~summary;
   let phase_fields =
     match summary with
     | None -> []
@@ -785,20 +800,18 @@ let log_access t ~route ~meth ~path ~status ~outcome ~cache ~started ~summary =
 (* ------------------------------------------------------------------ *)
 
 (* the /map handler proper, run inside the request scope on a worker
-   domain: every Obs hook here writes the scope's shard, so no lock is
-   needed until the scope closes.  Returns (status, cache marker). *)
-let handle_map_in_scope t fd ~echo ~query ~body ~queued_seconds =
+   domain: every Obs hook here writes the scope's sink, so no lock is
+   needed until the scope closes.  It decides the answer without
+   sending it: returns (status, cache marker, reply), where [reply fd]
+   writes the response and returns its body bytes. *)
+let handle_map_in_scope t ~echo ~query ~body ~queued_seconds =
   Obs.Histogram.observe h_queue_wait queued_seconds;
-  let written bytes = count_response_bytes_scoped ~route:"map" bytes in
+  let error e fd = respond_error fd ~headers:echo ~status:400 e in
   match parse_map_request ~query ~body with
-  | Error e ->
-      written (respond_error fd ~headers:echo ~status:400 e);
-      (400, None)
+  | Error e -> (400, None, error e)
   | Ok (circuit, k, algo) -> (
       match map_body_cached t.cache ~circuit ~k ~algo with
-      | Error e, _ ->
-          written (respond_error fd ~headers:echo ~status:400 e);
-          (400, None)
+      | Error e, _ -> (400, None, error e)
       | Ok payload, outcome ->
           (match outcome with
           | Cache.Hit -> Obs.Counter.incr c_cache_hits
@@ -806,12 +819,18 @@ let handle_map_in_scope t fd ~echo ~query ~body ~queued_seconds =
           | Cache.Miss -> Obs.Counter.incr c_cache_misses
           | Cache.Bypass -> ());
           let marker = Cache.outcome_label outcome in
-          written
-            (respond fd
-               ~headers:(echo @ [ ("X-Cache", marker) ])
-               ~status:200 ~content_type:"application/json" payload);
-          (200, Some marker))
+          ( 200,
+            Some marker,
+            fun fd ->
+              respond fd
+                ~headers:(echo @ [ ("X-Cache", marker) ])
+                ~status:200 ~content_type:"application/json" payload ))
 
+(* A /map request: handled inside its scope, which closes before the
+   response is written, so the request is in the recent-request ring
+   by the time its client can read the answer and ask for
+   /debug/trace/<id>.  The write, the response-bytes counter, the
+   route histogram and the access line come after. *)
 let serve_job t job =
   let fd = job.jb_fd in
   let echo = [ ("X-Request-Id", job.jb_id) ] in
@@ -826,54 +845,57 @@ let serve_job t job =
          request runs (a no-op for the sampler unless it is attached) *)
       Obs.Prof.with_route "map" @@ fun () ->
       let scope = Obs.Scope.create ~id:job.jb_id () in
-      let status = ref 500 in
-      let cache_marker = ref None in
-      let run_scoped () =
-        Obs.Scope.run scope (fun () ->
-            let t0 = Prelude.Timer.wall () in
-            Fun.protect
-              ~finally:(fun () ->
-                Obs.Histogram.observe h_request (Prelude.Timer.wall () -. t0))
-              (fun () ->
-                let s, m =
-                  Obs.Span.time s_request (fun () ->
-                      try
-                        handle_map_in_scope t fd ~echo ~query:job.jb_query
-                          ~body:job.jb_body ~queued_seconds
-                      with e ->
-                        (try
-                           ignore
-                             (respond_error fd ~headers:echo ~status:500
-                                (Printexc.to_string e))
-                         with _ -> ());
-                        (500, None))
-                in
-                status := s;
-                cache_marker := m;
-                count_request_scoped ~route:"map" ~status:s))
+      let close () =
+        with_registry (fun () ->
+            Obs.Scope.close ~queue_wait:queued_seconds scope)
       in
-      let summary =
-        match run_scoped () with
-        | () ->
-            with_registry (fun () ->
-                Obs.Scope.close ~queue_wait:queued_seconds scope)
+      let handle () =
+        let t0 = Prelude.Timer.wall () in
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Histogram.observe h_request (Prelude.Timer.wall () -. t0))
+          (fun () ->
+            let ((status, _, _) as answer) =
+              Obs.Span.time s_request (fun () ->
+                  try
+                    handle_map_in_scope t ~echo ~query:job.jb_query
+                      ~body:job.jb_body ~queued_seconds
+                  with e ->
+                    ( 500,
+                      None,
+                      fun fd ->
+                        respond_error fd ~headers:echo ~status:500
+                          (Printexc.to_string e) ))
+            in
+            count_request_scoped ~route:"map" ~status;
+            answer)
+      in
+      let status, cache, reply =
+        match Obs.Scope.run scope handle with
+        | answer -> answer
         | exception e ->
-            (* scope-level failure (e.g. the response write raised) —
-               still close under the lock, so the scope never stays
-               open (blocking Obs.reset) and partial observations merge *)
-            ignore
-              (with_registry (fun () ->
-                   Obs.Scope.close ~queue_wait:queued_seconds scope));
+            (* scope-level failure: still close under the lock, so the
+               scope never stays open (blocking Obs.reset) and partial
+               observations merge *)
+            ignore (close ());
             raise e
       in
+      let summary = Some (close ()) in
       let outcome =
-        match !cache_marker with
+        match cache with
         | Some "hit" -> "cached"
-        | _ -> outcome_of_status !status
+        | _ -> outcome_of_status status
       in
-      log_access t ~route:"map" ~meth:job.jb_meth ~path:"/map" ~status:!status
-        ~outcome ~cache:!cache_marker ~started:job.jb_accepted
-        ~summary:(Some summary))
+      let started = job.jb_accepted in
+      remember_request ~route:"map" ~status ~outcome ~cache ~started
+        ~seconds:(Prelude.Timer.wall () -. started)
+        ~summary;
+      (* a failed write (the peer is gone) counts no bytes; the request
+         keeps the status it was answered with *)
+      let bytes = try reply fd with Unix.Unix_error _ -> 0 in
+      with_registry (fun () -> count_response_bytes ~route:"map" bytes);
+      log_access t ~remembered:true ~route:"map" ~meth:job.jb_meth
+        ~path:"/map" ~status ~outcome ~cache ~started ~summary ())
 
 let worker_loop t =
   let rec go () =
@@ -1012,8 +1034,8 @@ let healthz_json t =
     ]
 
 (* scrape-time gauge refresh: gauges are never written from workers
-   (they have no shard), only here, under the registry lock, from the
-   server's atomics — single writer, no torn floats *)
+   (a scope's sink holds none), only here, under the registry lock,
+   from the server's atomics — single writer, no torn floats *)
 let refresh_gauges t =
   let busy = Atomic.get t.busy in
   let queued = Prelude.Bqueue.length t.queue in
@@ -1078,7 +1100,7 @@ let shed t fd ~echo ~meth ~path ~started =
       count_request ~route:"map" ~status:429;
       count_response_bytes ~route:"map" bytes);
   log_access t ~route:"map" ~meth ~path ~status:429 ~outcome:"shed"
-    ~cache:None ~started ~summary:None
+    ~cache:None ~started ~summary:None ()
 
 (* true when fd ownership moved to the worker queue *)
 let dispatch t fd =
@@ -1104,7 +1126,8 @@ let dispatch t fd =
             count_request ~route ~status;
             count_response_bytes ~route bytes);
         log_access t ~route ~meth ~path ~status
-          ~outcome:(outcome_of_status status) ~cache:None ~started ~summary;
+          ~outcome:(outcome_of_status status) ~cache:None ~started ~summary
+          ();
         false
       in
       match (meth, path) with

@@ -17,7 +17,10 @@
     - [GET /debug/requests] answers the recent-request ring
       ([turbosyn-debug-requests/1]): id, route, status, outcome, cache
       marker, wall-clock timings and per-phase span seconds, newest
-      first.
+      first, with the count of timeline slices the ring retains
+      ([retained_slices]).  A [/map] entry enters the ring before its
+      response is written, so its [seconds] run from accept to the
+      response being ready; other routes' run to the response written.
     - [GET /debug/trace/<id>] answers the retained per-request telemetry
       of one ring entry ([turbosyn-debug-trace/1] with the full
       {!Obs.Scope.summary_json}); [?format=chrome] renders the request's

@@ -152,7 +152,7 @@ let test_reset_while_entered () =
       Alcotest.(check int) "fresh slice recorded" 1 (Obs.Timeline.length ()))
 
 (* ---------------------------------------------------------------- *)
-(* Scope shards: writes stay domain-local until the scope closes     *)
+(* Scope sinks: writes stay domain-local until the scope closes      *)
 (* ---------------------------------------------------------------- *)
 
 let test_shard_reset_guard () =
@@ -198,9 +198,13 @@ let test_shard_span_and_timeline () =
       Obs.Scope.run scope (fun () -> Obs.Span.time s (fun () -> ()));
       Alcotest.(check int) "span buffered" 0 (Obs.Span.count s);
       Alcotest.(check int) "timeline buffered" 0 (Obs.Timeline.length ());
-      ignore (Obs.Scope.close scope);
+      let summary = Obs.Scope.close scope in
       Alcotest.(check int) "span merged" 1 (Obs.Span.count s);
-      Alcotest.(check int) "timeline slice merged" 1 (Obs.Timeline.length ()))
+      (* the slice stays with the scope: close leaves the ring as it was *)
+      Alcotest.(check int) "timeline unchanged by close" 0
+        (Obs.Timeline.length ());
+      Alcotest.(check int) "slice in the summary" 1
+        (List.length summary.Obs.Scope.sc_slices))
 
 (* ---------------------------------------------------------------- *)
 (* JSON round trip and the stats schema                             *)
@@ -386,9 +390,6 @@ let value_gen =
 
 let print_values vs = String.concat ", " (List.map string_of_float vs)
 
-let values_arbitrary =
-  QCheck.make ~print:print_values QCheck.Gen.(list_size (0 -- 64) value_gen)
-
 let nonempty_values_arbitrary =
   QCheck.make ~print:print_values QCheck.Gen.(list_size (1 -- 64) value_gen)
 
@@ -457,28 +458,6 @@ let test_histogram_quantiles () =
              && p50 <= p90 && p90 <= p99
              && p99 <= s.Obs.Histogram.s_max)))
 
-let test_histogram_json () =
-  with_obs (fun () ->
-      run_qcheck
-        (QCheck.Test.make ~count:200 ~name:"snapshot JSON round trip"
-           values_arbitrary (fun vs ->
-             let s = snapshot_of_values vs in
-             let j = Obs.Histogram.snapshot_to_json s in
-             let direct =
-               match Obs.Histogram.snapshot_of_json j with
-               | Ok s' -> s' = s
-               | Error _ -> false
-             in
-             let through_text =
-               match Obs.Json.of_string (Obs.Json.to_string j) with
-               | Ok j' -> (
-                   match Obs.Histogram.snapshot_of_json j' with
-                   | Ok s' -> s' = s
-                   | Error _ -> false)
-               | Error _ -> false
-             in
-             direct && through_text)))
-
 (* ---------------------------------------------------------------- *)
 (* Scopes: request-scoped capture, merge routing, close semantics    *)
 (* ---------------------------------------------------------------- *)
@@ -500,7 +479,7 @@ let test_scope_capture () =
             (Obs.Log.current_request_id ()));
       Alcotest.(check (option string)) "request id restored" None
         (Obs.Log.current_request_id ());
-      (* a live scope holds a shard: reset refuses *)
+      (* a live scope holds a sink: reset refuses *)
       Alcotest.(check bool) "reset refused while open" true
         (match Obs.reset () with
         | exception Invalid_argument _ -> true
@@ -593,6 +572,27 @@ let test_scope_nested_run_refused () =
         (List.assoc_opt "test.scope-nest" outer_summary.Obs.Scope.sc_counters);
       Alcotest.(check int) "globals after both closes" 6
         (Obs.Counter.value c))
+
+(* A scope keeps its latest [slice_capacity] slices and counts the
+   rest; none reach the global ring. *)
+let test_scope_slice_cap () =
+  with_obs (fun () ->
+      let s = Obs.Span.make "test.scope-cap" in
+      let extra = 5 in
+      let (), summary =
+        Obs.Scope.wrap (fun _ ->
+            for _ = 1 to Obs.Scope.slice_capacity + extra do
+              Obs.Span.time s (fun () -> ())
+            done)
+      in
+      Alcotest.(check int) "slices capped" Obs.Scope.slice_capacity
+        (List.length summary.Obs.Scope.sc_slices);
+      Alcotest.(check int) "overflow counted" extra
+        summary.Obs.Scope.sc_dropped_slices;
+      Alcotest.(check int) "every entry merged"
+        (Obs.Scope.slice_capacity + extra)
+        (Obs.Span.count s);
+      Alcotest.(check int) "ring untouched" 0 (Obs.Timeline.length ()))
 
 let test_scope_fresh_ids () =
   let a = Obs.Scope.fresh_id () in
@@ -1427,7 +1427,6 @@ let () =
           Alcotest.test_case "bucket layout" `Quick test_histogram_buckets;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "quantiles" `Quick test_histogram_quantiles;
-          Alcotest.test_case "json round trip" `Quick test_histogram_json;
         ] );
       ( "scope",
         [
@@ -1437,6 +1436,7 @@ let () =
           Alcotest.test_case "nested run refused" `Quick
             test_scope_nested_run_refused;
           Alcotest.test_case "fresh ids" `Quick test_scope_fresh_ids;
+          Alcotest.test_case "slice cap" `Quick test_scope_slice_cap;
           Alcotest.test_case "concurrent merge associativity" `Quick
             test_scope_concurrent_merge;
         ] );

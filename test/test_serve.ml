@@ -785,6 +785,122 @@ let test_request_tracing () =
       in
       Alcotest.(check int) "untraced route answers 404" 404 status)
 
+(* A /map request is in the recent-request ring before its response
+   goes out, so a client may follow it into /debug/trace/<id> at once.
+   One worker, sequential cold keys: the trace request races the
+   worker's bookkeeping after every answer. *)
+let test_trace_after_map () =
+  (* POST /map, read the response only up to its Content-Length (as
+     curl does, not waiting for the close), return status and cache
+     marker *)
+  let map_answer ~port ~id body =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        send_all fd
+          (Printf.sprintf
+             "POST /map HTTP/1.1\r\nHost: localhost\r\nX-Request-Id: %s\r\n\
+              Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+             id (String.length body) body);
+        let buf = Buffer.create 4096 in
+        let chunk = Bytes.create 4096 in
+        let header_value resp name =
+          Str.search_forward
+            (Str.regexp_case_fold ("^" ^ name ^ ": *\\([^\r]*\\)"))
+            resp 0
+          |> ignore;
+          Str.matched_group 1 resp
+        in
+        let rec go () =
+          let resp = Buffer.contents buf in
+          match Str.search_forward (Str.regexp_string "\r\n\r\n") resp 0 with
+          | head
+            when String.length resp - head - 4
+                 >= int_of_string (header_value resp "content-length") ->
+              ( int_of_string (String.sub resp 9 3),
+                header_value resp "x-cache" )
+          | _ | (exception Not_found) ->
+              let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+              if n = 0 then Alcotest.failf "%s: connection closed early" id;
+              Buffer.add_subbytes buf chunk 0 n;
+              go ()
+        in
+        go ())
+  in
+  with_server ~workers:1 (fun port ->
+      let keys =
+        List.concat_map
+          (fun circuit -> [ (circuit, 4); (circuit, 5) ])
+          [
+            "bbara"; "bbsse"; "cse"; "dk16"; "donfile"; "ex1"; "keyb"; "s1";
+            "tbk"; "s298"; "s420"; "s526";
+          ]
+      in
+      List.iteri
+        (fun i (circuit, k) ->
+          let id = Printf.sprintf "itest-cold-%d" i in
+          let status, cache =
+            map_answer ~port ~id
+              (Printf.sprintf
+                 "{\"circuit\": %S, \"k\": %d, \"algo\": \"flowsyn-s\"}"
+                 circuit k)
+          in
+          Alcotest.(check int) (id ^ " map status") 200 status;
+          Alcotest.(check string) (id ^ " cold") "miss" cache;
+          let status, _, _ =
+            http_full ~port ~meth:"GET" ~path:("/debug/trace/" ^ id) ()
+          in
+          Alcotest.(check int) (id ^ " trace at once") 200 status)
+        keys)
+
+(* A request scope keeps at most [Obs.Scope.slice_capacity] slices, so
+   the ring's retained slices stay under 256 x that bound however heavy
+   the requests are.  bbara TurboSYN records ~11k slices. *)
+let test_ring_slices_bounded () =
+  with_server ~workers:1 ~cache_entries:0 (fun port ->
+      let cap = Obs.Scope.slice_capacity in
+      let trace_slices id =
+        let status, _, body =
+          http_full ~port ~meth:"GET" ~path:("/debug/trace/" ^ id) ()
+        in
+        Alcotest.(check int) (id ^ " trace status") 200 status;
+        match Obs.Json.of_string body with
+        | Error e -> Alcotest.failf "/debug/trace/%s: %s" id e
+        | Ok doc -> (
+            let req = Option.get (Obs.Json.member "request" doc) in
+            let member k = Obs.Json.member k req in
+            match (member "slices", member "dropped_slices") with
+            | Some (Obs.Json.List l), Some (Obs.Json.Int d) ->
+                (List.length l, d)
+            | _ -> Alcotest.failf "%s: no slices" id)
+      in
+      for i = 1 to 3 do
+        let id = Printf.sprintf "itest-heavy-%d" i in
+        let status, _, _ =
+          http_full ~port ~meth:"POST" ~path:"/map"
+            ~headers:[ ("X-Request-Id", id) ]
+            ~body:(map_body ~circuit:"bbara" ~algo:"turbosyn")
+            ()
+        in
+        Alcotest.(check int) (id ^ " map status") 200 status;
+        let kept, dropped = trace_slices id in
+        Alcotest.(check int) (id ^ " slices capped") cap kept;
+        Alcotest.(check bool) (id ^ " overflow counted") true (dropped > 0)
+      done;
+      (* the ring's retained slices, earlier cases' entries included *)
+      let _, _, body = http_full ~port ~meth:"GET" ~path:"/debug/requests" () in
+      match
+        Result.map (Obs.Json.member "retained_slices") (Obs.Json.of_string body)
+      with
+      | Ok (Some (Obs.Json.Int n)) ->
+          Alcotest.(check bool) "the heavy traces are retained" true
+            (n >= 3 * cap);
+          Alcotest.(check bool) "ring slices within 256 x cap" true
+            (n <= 256 * cap)
+      | _ -> Alcotest.fail "/debug/requests: no retained_slices")
+
 (* ---------------------------------------------------------------- *)
 (* Response accounting: Content-Length and the per-route bytes family *)
 (* ---------------------------------------------------------------- *)
@@ -1285,6 +1401,10 @@ let () =
           Alcotest.test_case "request id extraction" `Quick
             test_request_id_extraction;
           Alcotest.test_case "request tracing" `Quick test_request_tracing;
+          Alcotest.test_case "trace right after the response" `Quick
+            test_trace_after_map;
+          Alcotest.test_case "ring slices bounded" `Quick
+            test_ring_slices_bounded;
           Alcotest.test_case "content-length and response bytes" `Quick
             test_response_bytes;
           Alcotest.test_case "request body limits" `Quick test_body_limits;
