@@ -344,3 +344,51 @@ let size m f =
   in
   go f;
   !count
+
+(* Exported graphs: the nodes reachable from the root in post-order
+   (children first), each packed into one word as level (bits 42..61),
+   low child (bits 21..41) and high child (bits 0..20) in local ids —
+   0 and 1 the terminals, [2 + i] the i-th exported node.  One word per
+   node instead of three: exported cones are kept in bulk. *)
+type exported = { x_nvars : int; x_root : int; x_nodes : int array }
+
+let x_bits = 21
+let x_mask = (1 lsl x_bits) - 1
+
+let export m f =
+  let local = Tbl.create 64 in
+  let nodes = ref [] in
+  let count = ref 0 in
+  let rec go f =
+    if f < 2 then f
+    else
+      let l = Tbl.find local f 0 0 in
+      if l >= 0 then l
+      else begin
+        let lo = go m.low.(f) in
+        let hi = go m.high.(f) in
+        let l = 2 + !count in
+        let lvl = m.level.(f) in
+        if l > x_mask || lvl >= 1 lsl (62 - (2 * x_bits)) then
+          invalid_arg "Bdd.export: graph too large";
+        incr count;
+        nodes := (lvl lsl (2 * x_bits)) lor (lo lsl x_bits) lor hi :: !nodes;
+        Tbl.add local f 0 0 l;
+        l
+      end
+  in
+  let root = go f in
+  { x_nvars = m.nvars; x_root = root; x_nodes = Array.of_list (List.rev !nodes) }
+
+let import m x =
+  if x.x_nvars > m.nvars then m.nvars <- x.x_nvars;
+  let ids = Array.make (Array.length x.x_nodes + 2) 1 in
+  ids.(0) <- 0;
+  Array.iteri
+    (fun i e ->
+      ids.(i + 2) <-
+        mk m (e lsr (2 * x_bits))
+          ids.((e lsr x_bits) land x_mask)
+          ids.(e land x_mask))
+    x.x_nodes;
+  ids.(x.x_root)

@@ -98,3 +98,18 @@ val to_truthtable : man -> t -> int array -> Logic.Truthtable.t
 
 val size : man -> t -> int
 (** Number of distinct nodes reachable from [f] (including terminals). *)
+
+type exported
+(** A manager-independent copy of one function's reduced graph: one
+    word per node, plus the exporting manager's variable count. *)
+
+val export : man -> t -> exported
+(** [export m f] copies the nodes reachable from [f].
+    @raise Invalid_argument past 2{^21} nodes or variable 2{^20}. *)
+
+val import : man -> exported -> t
+(** [import m x] rebuilds [x] in [m] and returns its root: the same
+    function over the same variable indices, with {!size} unchanged.
+    [nvars m] becomes at least the exporting manager's [nvars], so
+    fresh variables numbered from [nvars] (as [Decompose] numbers them)
+    start where they would have in the exporting manager. *)

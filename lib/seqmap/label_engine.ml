@@ -16,6 +16,7 @@ let c_wpushes = Obs.Counter.make "label.worklist_pushes"
 let c_wskips = Obs.Counter.make "label.worklist_skips"
 let c_harvest_reuse = Obs.Counter.make "label.harvest_cut_reuses"
 let c_snap_reuse = Obs.Counter.make "label.snapshot_reuses"
+let c_cone_reuses = Obs.Counter.make "label.cone_reuses"
 
 (* three-layer cut engine (doc/PERF.md): how each K-cut query was
    answered — enumeration pre-filter, cross-phi memo, or max-flow *)
@@ -101,11 +102,15 @@ type outcome =
 
 exception Diverged
 
-(* The decomposition tree is fully determined by the cut (which fixes the
-   cone function) and the ORDER of the input arrivals (the bound-set
-   heuristic sorts by arrival): memoize the tree on (cut, arrival
-   permutation) and re-evaluate its level against the current arrivals on
-   every hit — labels drift a little each iteration but rarely change the
+(* Resynthesis cache.  A decomposition tree depends on the cut (which
+   fixes the cone function), the order of the input arrivals (the
+   bound-set heuristic takes the earliest inputs) and, through the
+   arrival [Decompose] gives each extracted wire (max of its bound set
+   + 1) and re-sorts by, on the arrival values too.  The cache is keyed
+   by (root, cut, arrival permutation) only: the first tree stored under
+   a key wins, and every hit re-evaluates that tree's level against the
+   current arrivals, so the answer is exact for the tree the cache
+   holds.  Labels drift a little each iteration but rarely change the
    order, so this caches across iterations and probes. *)
 (* One memoized cone decomposition.  [tree_level ~arrivals t] only
    depends on the arrivals through max_i (arrivals.(i) + depth_i) — the
@@ -135,7 +140,30 @@ let cone_entry nvars tree =
       go 0 t;
       { ce_tree = tree; ce_depths = d; ce_const = !cmax }
 
-type resyn_cache = (int * (int * int) array * int array, cone_entry) Hashtbl.t
+(* [trees]: cone decompositions keyed by (root, cut, arrival
+   permutation), as above.  [cones]: each cone's reduced BDD, keyed by
+   (root, cut) — [cone_bdd] numbers the variables [0 .. n-1] in cut
+   order, so the cone function does not depend on the permutation, and
+   a decomposition of a cone seen under another order imports it instead
+   of rebuilding the cone gate by gate. *)
+type resyn_cache = {
+  trees : (int * (int * int) array * int array, cone_entry) Hashtbl.t;
+  cones : (int * (int * int) array, Bdd.exported) Hashtbl.t;
+}
+
+(* Is [perm], a permutation of the indices of [a], the order
+   [Array.stable_sort] puts them in by value?  Exactly when consecutive
+   indices ascend by (value, index): O(n), no sort. *)
+let stable_order a perm =
+  let n = Array.length perm in
+  let ok = ref (n = Array.length a) in
+  let i = ref 1 in
+  while !ok && !i < n do
+    let p = perm.(!i - 1) and q = perm.(!i) in
+    let c = Int.compare a.(p) a.(q) in
+    if c > 0 || (c = 0 && p > q) then ok := false else incr i
+  done;
+  !ok
 
 (* Scaled-integer label view: with [phi = p/q], every
    label and threshold the engine manipulates has a denominator dividing
@@ -168,7 +196,18 @@ let scaled_of_rat sc r = Rat.num r * (sc.pden / Rat.den r)
    because the frontier cut decomposed before the lazy min cut was ever
    computed: a replay that exhausts an incomplete list cannot conclude
    the attempt failed and must fall back to the full evaluation. *)
-type cands = { c_pairs : (int * int) array list; c_complete : bool }
+type cands = { c_list : cand list; c_complete : bool }
+
+(* One recorded candidate cut, with the last resynthesis-cache answer it
+   got: the cache, the arrival permutation of the key and the entry.  A
+   cache entry never changes once stored, so while the permutation is
+   still the stable arrival order ([stable_order]) the same run's cache
+   would return the same entry — the replay skips the sort and the
+   hashed lookup. *)
+and cand = {
+  cd_inputs : (int * int) array;
+  mutable cd_memo : (resyn_cache * int array * cone_entry) option;
+}
 
 (* K-cut verdict of a snapshot's expansion; [Untested] until a cut test
    has run on it (snapshots recorded by resynthesis levels start so) *)
@@ -481,6 +520,24 @@ let cut_test ctx v ~threshold =
       let ex, sn, mc0 = kcut_test ?into ctx v ~threshold in
       (sn, Some ex, mc0)
 
+(* The function of [ex]'s root [v] over [cut] (given as local indices and
+   as (u, w) [inputs]), variable [vars.(i) = i] for the i-th cut node:
+   imported from the run's cache when the cone was built before, under
+   any arrival order, else built gate by gate and exported there. *)
+let cone_bdd ctx man ex v ~cut ~vars inputs =
+  let build () = Expanded.cone_bdd man ctx.nl ex ~cut ~vars in
+  match ctx.cache with
+  | None -> build ()
+  | Some c -> (
+      match Hashtbl.find_opt c.cones (v, inputs) with
+      | Some x ->
+          Obs.Counter.incr c_cone_reuses;
+          Bdd.import man x
+      | None ->
+          let f = build () in
+          Hashtbl.replace c.cones (v, inputs) (Bdd.export man f);
+          f)
+
 (* TurboSYN sequential functional decomposition at lowered thresholds.
    [ex0], when given, is the expansion the failed cut test just built at
    [target] — the attempt-0 threshold — so attempt 0 starts from it
@@ -493,45 +550,62 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
   let opts = ctx.opts and labels = ctx.labels and phi = ctx.phi in
   let sc = ctx.scaled in
   let starget = scaled_of_rat sc target in
-  (* Evaluate one candidate cut given as (u, w) pairs.  [cone], when
-     available, computes the cone's decomposition on a cache miss;
-     without it a miss answers [`Miss] and the caller falls back to the
-     full rebuild (rare: the cache hits on almost every evaluation).
-     The arrivals, their sort order (part of the cache key) and the
-     level test against [target] are exact integer arithmetic on
-     [slab]; rational arrivals are only materialized on a cache miss,
-     for the decomposer. *)
-  let eval_candidate ~cone inputs =
+  (* Evaluate one candidate cut.  [cone], when available, computes the
+     cone's decomposition on a cache miss; without it a miss answers
+     [`Miss] and the caller falls back to the full rebuild (rare: the
+     cache hits on almost every evaluation).  The arrivals, their sort
+     order (part of the cache key) and the level test against [target]
+     are exact integer arithmetic on [slab]; rational arrivals are only
+     materialized on a cache miss, for the decomposer.  A candidate whose
+     remembered permutation is still the stable arrival order takes its
+     remembered entry without sorting or hashing (see [cand]). *)
+  let eval_candidate ~cone cd =
     Obs.Span.time s_eval @@ fun () ->
+    let inputs = cd.cd_inputs in
     let n = Array.length inputs in
     let sarr = Array.make n 0 in
     for i = 0 to n - 1 do
       let u, w = inputs.(i) in
       sarr.(i) <- sc.slab.(u) - (sc.pnum * w)
     done;
-    let perm = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> Int.compare sarr.(a) sarr.(b)) perm;
-    (* the root is part of the key: the same cut pairs under a different
-       root denote a different cone function *)
-    let key = (v, inputs, perm) in
     let entry =
-      match Option.bind ctx.cache (fun c -> Hashtbl.find_opt c key) with
-      | Some e ->
+      match (cd.cd_memo, ctx.cache) with
+      | Some (c, perm, e), Some c' when c == c' && stable_order sarr perm ->
           Obs.Counter.incr c_cache_hits;
           Some e
-      | None -> (
-          match cone with
-          | None -> None
-          | Some build_cone ->
-              ctx.stats.decompositions <- ctx.stats.decompositions + 1;
-              let arrivals =
-                Array.map
-                  (fun (u, w) -> Rat.sub labels.(u) (Rat.mul_int phi w))
-                  inputs
-              in
-              let entry = cone_entry n (build_cone ~arrivals) in
-              Option.iter (fun c -> Hashtbl.replace c key entry) ctx.cache;
-              Some entry)
+      | _ ->
+          let perm = Array.init n Fun.id in
+          Array.stable_sort (fun a b -> Int.compare sarr.(a) sarr.(b)) perm;
+          (* the root is part of the key: the same cut pairs under a
+             different root denote a different cone function *)
+          let key = (v, inputs, perm) in
+          let entry =
+            match
+              Option.bind ctx.cache (fun c -> Hashtbl.find_opt c.trees key)
+            with
+            | Some e ->
+                Obs.Counter.incr c_cache_hits;
+                Some e
+            | None -> (
+                match cone with
+                | None -> None
+                | Some build_cone ->
+                    ctx.stats.decompositions <- ctx.stats.decompositions + 1;
+                    let arrivals =
+                      Array.map
+                        (fun (u, w) -> Rat.sub labels.(u) (Rat.mul_int phi w))
+                        inputs
+                    in
+                    let entry = cone_entry n (build_cone ~arrivals) in
+                    Option.iter
+                      (fun c -> Hashtbl.replace c.trees key entry)
+                      ctx.cache;
+                    Some entry)
+          in
+          (match (ctx.cache, entry) with
+          | Some c, Some e -> cd.cd_memo <- Some (c, perm, e)
+          | _ -> ());
+          entry
     in
     match entry with
     | None -> `Miss
@@ -582,7 +656,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
           let frontier = Expanded.frontier_cut ex in
           let candidate c =
             if c <> [] && List.length c <= opts.cmax then
-              Some (c, cut_pairs ex c)
+              Some (c, { cd_inputs = cut_pairs ex c; cd_memo = None })
             else None
           in
           let min_candidate () =
@@ -603,14 +677,17 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
             in
             match mc with Some c when c <> frontier -> candidate c | _ -> None)
           in
-          let eval_cut (c, inputs) =
-            eval_candidate inputs
+          let eval_cut (c, cd) =
+            eval_candidate cd
               ~cone:
                 (Some
                    (fun ~arrivals ->
                      let man = Bdd.new_man () in
-                     let vars = Array.init (Array.length inputs) Fun.id in
-                     let f = Obs.Span.time s_cone (fun () -> Expanded.cone_bdd man ctx.nl ex ~cut:c ~vars) in
+                     let vars = Array.init (Array.length cd.cd_inputs) Fun.id in
+                     let f =
+                       Obs.Span.time s_cone (fun () ->
+                           cone_bdd ctx man ex v ~cut:c ~vars cd.cd_inputs)
+                     in
                      Option.map
                        (fun r -> r.Decomp.Decompose.tree)
                        (Obs.Span.time s_dec (fun () -> Decomp.Decompose.decompose ~exhaustive:opts.exhaustive
@@ -624,14 +701,14 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
              snapshot records whether the candidate list was completed
              so a replay that exhausts it knows the attempt really
              failed (complete) or must re-evaluate (incomplete). *)
-          let record pairs ~complete =
+          let record cds ~complete =
             (record_snap ()).s_cands <-
-              Some { c_pairs = pairs; c_complete = complete }
+              Some { c_list = cds; c_complete = complete }
           in
           let try_min ~tried =
             match min_candidate () with
-            | Some ((_, minputs) as mc) -> (
-                record (tried @ [ minputs ]) ~complete:true;
+            | Some ((_, mcd) as mc) -> (
+                record (tried @ [ mcd ]) ~complete:true;
                 match eval_cut mc with
                 | `Impl impl -> Some (impl, h)
                 | _ -> attempt (h + 1))
@@ -640,12 +717,12 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
                 attempt (h + 1)
           in
           match candidate frontier with
-          | Some ((_, finputs) as fc) -> (
+          | Some ((_, fcd) as fc) -> (
               match eval_cut fc with
               | `Impl impl ->
-                  record [ finputs ] ~complete:false;
+                  record [ fcd ] ~complete:false;
                   Some (impl, h)
-              | _ -> try_min ~tried:[ finputs ])
+              | _ -> try_min ~tried:[ fcd ])
           | None -> try_min ~tried:[]
         end
       in
@@ -655,16 +732,16 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
           else (
             match sn.s_cands with
             | None -> full ()
-            | Some { c_pairs; c_complete } ->
-                let rec try_pairs = function
+            | Some { c_list; c_complete } ->
+                let rec try_cands = function
                   | [] -> `No
-                  | inputs :: rest -> (
-                      match eval_candidate ~cone:None inputs with
+                  | cd :: rest -> (
+                      match eval_candidate ~cone:None cd with
                       | `Impl impl -> `Impl impl
-                      | `No -> try_pairs rest
+                      | `No -> try_cands rest
                       | `Miss -> `Miss)
                 in
-                (match try_pairs c_pairs with
+                (match try_cands c_list with
                 | `Impl impl -> Some (impl, h)
                 | `No ->
                     (* an incomplete list ends where a past frontier
@@ -1119,4 +1196,8 @@ let run ?cache ?cutmemo opts nl ~phi =
         (* should not happen: convergence guarantees an implementation *)
         (Infeasible, stats)
 
-let new_cache () : resyn_cache = Hashtbl.create 512
+(* [cones] starts small: TurboMap runs (no resynthesis) create a cache
+   per ratio search and never fill it, and one more 256-bucket array
+   there moved mix400 TurboMap's GC pacing (28 -> 26 major collections,
+   peak RSS +2 MB) *)
+let new_cache () = { trees = Hashtbl.create 512; cones = Hashtbl.create 8 }

@@ -103,8 +103,15 @@ type outcome =
   | Infeasible
 
 type resyn_cache
-(** Memo table for decomposition attempts, shared across probes of one
-    binary search (a cut and its arrivals fully determine the result). *)
+(** Memo tables for decomposition attempts, shared across probes of one
+    ratio search: each cone decomposition keyed by (root, cut, arrival
+    order) — the first tree stored under a key wins and every hit
+    re-evaluates its level against the current arrivals — and each
+    cone's BDD keyed by (root, cut), imported when a decomposition of
+    the cone under another arrival order misses
+    ([label.cone_reuses]).  Recorded resynthesis candidates remember
+    their last answer from this cache and reuse it while the arrival
+    order holds. *)
 
 val new_cache : unit -> resyn_cache
 
@@ -131,6 +138,13 @@ val snapshot_revalidates :
     internal flag under the given labels, φ and threshold.  When it
     does, [Expanded.build] at that state must reproduce the expansion
     exactly — the fact every snapshot reuse rests on. *)
+
+val stable_order : int array -> int array -> bool
+(** [stable_order a perm], for a permutation [perm] of the indices of
+    [a]: whether [perm] is the order [Array.stable_sort] puts the
+    indices in by [a]'s values (ties by index) — the O(n) check a
+    recorded candidate's arrival permutation is replayed under.
+    Exposed for tests. *)
 
 val run :
   ?cache:resyn_cache ->

@@ -244,58 +244,63 @@ type req_record = {
   rr_summary : Obs.Scope.summary option; (* scoped routes (/map) only *)
 }
 
-let debug_ring_default_capacity = 256
-let debug_ring_capacity = ref debug_ring_default_capacity
-let debug_ring : req_record Queue.t = Queue.create ()
+(* Each server's own recent-request ring and slowest-N exemplars, under
+   their own mutexes: the accept lane and the worker domains both record,
+   reads serve /debug. *)
+type debug = {
+  ring : req_record Queue.t;
+  ring_mutex : Mutex.t;
+  exemplars : (string, (string * float * int) list) Hashtbl.t;
+  exemplar_mutex : Mutex.t;
+}
 
-(* accept lane and worker domains both record; reads serve /debug *)
-let ring_mutex = Mutex.create ()
+let ring_capacity = 256
 
-let with_ring f =
-  Mutex.lock ring_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ring_mutex) f
+let new_debug () =
+  {
+    ring = Queue.create ();
+    ring_mutex = Mutex.create ();
+    exemplars = Hashtbl.create 8;
+    exemplar_mutex = Mutex.create ();
+  }
 
-let remember rr =
-  with_ring (fun () ->
-      if !debug_ring_capacity > 0 then begin
-        if Queue.length debug_ring >= !debug_ring_capacity then
-          ignore (Queue.pop debug_ring);
-        Queue.add rr debug_ring
-      end)
+let with_ring d f =
+  Mutex.lock d.ring_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock d.ring_mutex) f
 
-let find_request id =
-  with_ring (fun () ->
+let remember d rr =
+  with_ring d (fun () ->
+      if Queue.length d.ring >= ring_capacity then ignore (Queue.pop d.ring);
+      Queue.add rr d.ring)
+
+let find_request d id =
+  with_ring d (fun () ->
       Queue.fold
         (fun acc rr -> if String.equal rr.rr_id id then Some rr else acc)
-        None debug_ring)
+        None d.ring)
 
 (* Slowest-N exemplars per route: request ids a /debug/slo reader can
-   follow straight into /debug/trace/<id>.  Tiny sorted lists under
-   their own mutex, updated on every completion. *)
+   follow straight into /debug/trace/<id>.  Tiny sorted lists, updated
+   on every completion. *)
 let exemplar_capacity = 5
 
-let exemplars : (string, (string * float * int) list) Hashtbl.t =
-  Hashtbl.create 8
-
-let exemplar_mutex = Mutex.create ()
-
-let remember_exemplar ~route ~id ~seconds ~status =
+let remember_exemplar d ~route ~id ~seconds ~status =
   if id <> "" then begin
-    Mutex.lock exemplar_mutex;
-    let l = Option.value ~default:[] (Hashtbl.find_opt exemplars route) in
+    Mutex.lock d.exemplar_mutex;
+    let l = Option.value ~default:[] (Hashtbl.find_opt d.exemplars route) in
     let l =
       (id, seconds, status) :: l
       |> List.sort (fun (_, a, _) (_, b, _) -> Float.compare b a)
       |> List.filteri (fun i _ -> i < exemplar_capacity)
     in
-    Hashtbl.replace exemplars route l;
-    Mutex.unlock exemplar_mutex
+    Hashtbl.replace d.exemplars route l;
+    Mutex.unlock d.exemplar_mutex
   end
 
-let exemplars_for route =
-  Mutex.lock exemplar_mutex;
-  let l = Option.value ~default:[] (Hashtbl.find_opt exemplars route) in
-  Mutex.unlock exemplar_mutex;
+let exemplars_for d route =
+  Mutex.lock d.exemplar_mutex;
+  let l = Option.value ~default:[] (Hashtbl.find_opt d.exemplars route) in
+  Mutex.unlock d.exemplar_mutex;
   l
 
 (* outcome vocabulary (doc/OBSERVABILITY.md §Request scopes): "served"
@@ -350,26 +355,25 @@ let request_json rr =
 
 (* timeline slices the ring holds: at most capacity x
    Obs.Scope.slice_capacity *)
-let retained_slices () =
+let retained_slices ring =
   Queue.fold
     (fun acc rr ->
       match rr.rr_summary with
       | Some s -> acc + List.length s.Obs.Scope.sc_slices
       | None -> acc)
-    0 debug_ring
+    0 ring
 
-let debug_requests_json () =
-  let capacity, count, slices, newest_first =
-    with_ring (fun () ->
-        ( !debug_ring_capacity,
-          Queue.length debug_ring,
-          retained_slices (),
-          Queue.fold (fun acc rr -> request_json rr :: acc) [] debug_ring ))
+let debug_requests_json d =
+  let count, slices, newest_first =
+    with_ring d (fun () ->
+        ( Queue.length d.ring,
+          retained_slices d.ring,
+          Queue.fold (fun acc rr -> request_json rr :: acc) [] d.ring ))
   in
   J.Obj
     [
       ("schema", J.Str "turbosyn-debug-requests/1");
-      ("capacity", J.Int capacity);
+      ("capacity", J.Int ring_capacity);
       ("count", J.Int count);
       ("retained_slices", J.Int slices);
       ("requests", J.List newest_first);
@@ -531,6 +535,7 @@ type t = {
   queue : job Prelude.Bqueue.t;
   cache : Cache.t;
   busy : int Atomic.t; (* workers currently inside a /map job *)
+  debug : debug;
 }
 
 let status_text = function
@@ -739,8 +744,9 @@ let parse_target target =
 (* [seconds] is the ring entry's: accept to response written, except
    for /map, whose entry goes in (carrying accept to response ready)
    before the response is written *)
-let remember_request ~route ~status ~outcome ~cache ~started ~seconds ~summary =
-  remember
+let remember_request t ~route ~status ~outcome ~cache ~started ~seconds
+    ~summary =
+  remember t.debug
     {
       rr_id = Obs.Log.current_request_id () |> Option.value ~default:"";
       rr_route = route;
@@ -760,9 +766,9 @@ let log_access t ?(remembered = false) ~route ~meth ~path ~status ~outcome
   (* the SLO engine's per-route latency distribution: end-to-end
      seconds, accept to response written, every completion path *)
   with_registry (fun () -> Obs.Histogram.observe (route_hist route) seconds);
-  remember_exemplar ~route ~id ~seconds ~status;
+  remember_exemplar t.debug ~route ~id ~seconds ~status;
   if not remembered then
-    remember_request ~route ~status ~outcome ~cache ~started ~seconds ~summary;
+    remember_request t ~route ~status ~outcome ~cache ~started ~seconds ~summary;
   let phase_fields =
     match summary with
     | None -> []
@@ -887,7 +893,7 @@ let serve_job t job =
         | _ -> outcome_of_status status
       in
       let started = job.jb_accepted in
-      remember_request ~route:"map" ~status ~outcome ~cache ~started
+      remember_request t ~route:"map" ~status ~outcome ~cache ~started
         ~seconds:(Prelude.Timer.wall () -. started)
         ~summary;
       (* a failed write (the peer is gone) counts no bytes; the request
@@ -991,7 +997,7 @@ let debug_slo_json t =
                                 ("status", J.Int status);
                                 ("trace", J.Str ("/debug/trace/" ^ id));
                               ])
-                          (exemplars_for r)) );
+                          (exemplars_for t.debug r)) );
                  ]
                in
                match Obs.Slo.verdict_json v with
@@ -1051,9 +1057,9 @@ let refresh_gauges t =
   Obs.Gauge.set_int g_prof_dropped (Obs.Prof.dropped ());
   Obs.Gauge.set g_prof_overhead (Obs.Prof.overhead_seconds ())
 
-let handle_debug_trace fd ~req_id ~path ~query =
+let handle_debug_trace t fd ~req_id ~path ~query =
   let id = String.sub path 13 (String.length path - 13) in
-  match find_request id with
+  match find_request t.debug id with
   | Some { rr_summary = Some summary; _ } -> (
       match List.assoc_opt "format" query with
       | Some "folded" ->
@@ -1170,7 +1176,7 @@ let dispatch t fd =
           inline ~bytes "metrics" 200 None
       | "GET", "/debug/requests" ->
           let bytes =
-            respond_json fd ~headers:echo ~status:200 (debug_requests_json ())
+            respond_json fd ~headers:echo ~status:200 (debug_requests_json t.debug)
           in
           inline ~bytes "debug" 200 None
       | "GET", "/debug/slo" ->
@@ -1199,7 +1205,7 @@ let dispatch t fd =
       | "GET", _
         when String.length path > 13
              && String.sub path 0 13 = "/debug/trace/" ->
-          let status, bytes = handle_debug_trace fd ~req_id ~path ~query in
+          let status, bytes = handle_debug_trace t fd ~req_id ~path ~query in
           inline ~bytes "debug" status None
       | ( _,
           ( "/healthz" | "/metrics" | "/map" | "/debug/requests"
@@ -1273,6 +1279,7 @@ let create ?(port = 0) ?(slow_seconds = 1.0) ?workers ?(queue_depth = 64)
     queue = Prelude.Bqueue.create ~capacity:queue_depth;
     cache = Cache.create ~capacity:cache_entries;
     busy = Atomic.make 0;
+    debug = new_debug ();
   }
 
 let port t = t.port

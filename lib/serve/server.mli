@@ -14,7 +14,9 @@
       [{"status": "ok", "workers": ..., "workers_busy": ...,
       "queue_depth": ..., "queue_capacity": ..., "cache_entries": ...,
       "cache_capacity": ..., "shed_total": ...}].
-    - [GET /debug/requests] answers the recent-request ring
+    - [GET /debug/requests] answers the server's recent-request ring
+      (its last 256 requests; each server in a process keeps its own,
+      as it does its [/debug/slo] exemplars)
       ([turbosyn-debug-requests/1]): id, route, status, outcome, cache
       marker, wall-clock timings and per-phase span seconds, newest
       first, with the count of timeline slices the ring retains

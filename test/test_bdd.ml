@@ -219,6 +219,55 @@ let qcheck_props =
         Bdd.support m f = Truthtable.support t);
   ]
 
+(* Export/import: a random function of up to 6 inputs, of which only
+   the first [live] matter (so inputs outside the support are covered),
+   on scrambled variable indices in a manager that also saw a variable
+   above them all.  Imported into a fresh manager it must have the same
+   truth table, the same size and the same variable count; imported back
+   into its own manager it must be the very node it was exported from. *)
+let test_export_import =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 0 6 >>= fun k ->
+      int_range 0 k >>= fun live ->
+      map2
+        (fun bits seed -> (k, live, bits, seed))
+        int64 (int_bound 1_000_000))
+  in
+  Test.make ~name:"import of export keeps truth table and size" ~count:300
+    (make
+       ~print:(fun (k, live, bits, seed) ->
+         Printf.sprintf "k=%d live=%d bits=%Ld seed=%d" k live bits seed)
+       gen)
+    (fun (k, live, bits, seed) ->
+      let lmask = (1 lsl live) - 1 in
+      let b = ref 0L in
+      for a = 0 to (1 lsl k) - 1 do
+        if Int64.logand (Int64.shift_right_logical bits (a land lmask)) 1L = 1L
+        then b := Int64.logor !b (Int64.shift_left 1L a)
+      done;
+      let tt = Truthtable.create k !b in
+      let rng = Prelude.Rng.create seed in
+      let vars = Array.init 8 Fun.id in
+      for i = 7 downto 1 do
+        let j = Prelude.Rng.int rng (i + 1) in
+        let t = vars.(i) in
+        vars.(i) <- vars.(j);
+        vars.(j) <- t
+      done;
+      let vars = Array.sub vars 0 k in
+      let m = Bdd.new_man () in
+      ignore (Bdd.var m 9);
+      let f = Bdd.of_truthtable m tt vars in
+      let x = Bdd.export m f in
+      let m' = Bdd.new_man () in
+      let g = Bdd.import m' x in
+      Truthtable.equal (Bdd.to_truthtable m' g vars) tt
+      && Bdd.size m' g = Bdd.size m f
+      && Bdd.nvars m' = Bdd.nvars m
+      && Bdd.equal (Bdd.import m x) f)
+
 (* Random formulas over at most 10 variables, built through the manager
    and checked against direct evaluation on all 2^10 assignments.  One
    manager serves a whole batch of formulas, so its unique table and ite
@@ -433,5 +482,5 @@ let () =
           Alcotest.test_case "deep cofactors" `Quick test_deep_cofactors;
         ] );
       ( "bdd-props",
-        List.map QCheck_alcotest.to_alcotest (qcheck_props @ [ test_bdd_formulas ]) );
+        List.map QCheck_alcotest.to_alcotest (qcheck_props @ [ test_bdd_formulas; test_export_import ]) );
     ]

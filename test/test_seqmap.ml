@@ -255,6 +255,42 @@ let test_turbosyn_no_worse () =
       Rat.(phi_ts <= phi_tm)
   done
 
+(* The O(n) check a replayed resynthesis candidate trusts its remembered
+   arrival permutation under: on arrays with many ties, it must accept a
+   permutation exactly when it is the [Array.stable_sort] order.  Half
+   the cases test the sorted order itself or that order with two
+   neighbours swapped (tie or not), the rest a random shuffle. *)
+let qcheck_stable_order =
+  QCheck.Test.make ~name:"stable order check = stable sort" ~count:1000
+    QCheck.(make ~print:string_of_int Gen.(0 -- 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int rng 9 in
+      let a = Array.init n (fun _ -> Rng.int rng 4 - 1) in
+      let sorted = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> Int.compare a.(i) a.(j)) sorted;
+      let perm =
+        match Rng.int rng 4 with
+        | 0 -> Array.copy sorted
+        | 1 when n >= 2 ->
+            let p = Array.copy sorted in
+            let i = Rng.int rng (n - 1) in
+            let t = p.(i) in
+            p.(i) <- p.(i + 1);
+            p.(i + 1) <- t;
+            p
+        | _ ->
+            let p = Array.init n Fun.id in
+            for i = n - 1 downto 1 do
+              let j = Rng.int rng (i + 1) in
+              let t = p.(i) in
+              p.(i) <- p.(j);
+              p.(j) <- t
+            done;
+            p
+      in
+      Label_engine.stable_order a perm = (perm = sorted))
+
 (* Snapshot soundness: the engine reuses a past expansion whenever its
    (node, registers, internal) trace re-derives every flag under the
    current labels, threshold and phi.  That is exact only if such a
@@ -501,6 +537,37 @@ let test_golden_provenance () =
   Alcotest.(check (list string))
     "provenance counts" golden_provenance
     (List.map row [ "bbara"; "cse"; "s298" ])
+
+(* Golden mapped BLIFs: MD5 of the mapped netlist of the default
+   TurboSYN flow, recorded before the resynthesis cache reused cone BDDs
+   and replayed candidates' cache answers.  The golden-labels runs
+   bypass the cache ([Label_engine.run] without [?cache]); these flows
+   go through it, so any change to a decomposition tree, a label or a
+   provenance choice on the cached path moves a digest. *)
+let golden_blifs =
+  [
+    ("bbara", 4, "b9a95ff8787e6198b8529b35ca8f4103");
+    ("bbara", 5, "79fac0a80d8c5ecff14d95dbe5c769c1");
+    ("bbara", 6, "6a460831e715191ab9b5cb58781f4e21");
+    ("bbsse", 5, "2e8a45df70859a94dbc004edd66354e9");
+    ("cse", 5, "088e9f5375685c1f6a1dab8f03ac8323");
+    ("s298", 5, "5e0c777830419dfb95cb8afe8293bce6");
+  ]
+
+let test_golden_blifs () =
+  let show (name, k, digest) = Printf.sprintf "%s K=%d %s" name k digest in
+  let row (name, k, _) =
+    let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+    let so = Turbosyn.Synth.default_options ~k () in
+    let r = Turbosyn.Synth.run ~options:so `Turbosyn nl in
+    ( name,
+      k,
+      Digest.to_hex (Digest.string (Blif.to_string r.Turbosyn.Synth.mapped)) )
+  in
+  Alcotest.(check (list string))
+    "mapped BLIF digests"
+    (List.map show golden_blifs)
+    (List.map (fun g -> show (row g)) golden_blifs)
 
 (* Search events of one call: the phi of every [search.probe] debug
    record it logs, in order. *)
@@ -849,6 +916,7 @@ let () =
           Alcotest.test_case "cone function" `Quick test_expanded_cone;
           Alcotest.test_case "frontier cut" `Quick test_frontier_cut;
           QCheck_alcotest.to_alcotest qcheck_snapshot_soundness;
+          QCheck_alcotest.to_alcotest qcheck_stable_order;
         ] );
       ( "labels",
         [
@@ -885,6 +953,7 @@ let () =
           Alcotest.test_case "each phi probed once, fractional phi*" `Quick
             test_probe_each_phi_once_fractional;
           Alcotest.test_case "arena isolation" `Quick test_arena_isolation;
+          Alcotest.test_case "golden mapped BLIFs" `Slow test_golden_blifs;
         ] );
       ( "pld",
         [

@@ -79,6 +79,55 @@ let http ~port ~meth ~path ?(body = "") () =
   let status, _, body = http_full ~port ~meth ~path ~body () in
   (status, body)
 
+(* Value of a response header (first match, case-insensitive name). *)
+let header_value resp name =
+  Str.search_forward
+    (Str.regexp_case_fold ("^" ^ name ^ ": *\\([^\r]*\\)"))
+    resp 0
+  |> ignore;
+  Str.matched_group 1 resp
+
+(* Like [http_full], but reads the response only up to its
+   Content-Length, as curl does, instead of waiting for the server to
+   close the connection — so nothing the server does after writing the
+   response is waited for.  Returns (status, raw response). *)
+let http_to_length ~port ~meth ~path ?(headers = []) ?(body = "") () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let extra =
+        String.concat ""
+          (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers)
+      in
+      send_all fd
+        (Printf.sprintf
+           "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n%s\
+            Connection: close\r\n\r\n%s"
+           meth path (String.length body) extra body);
+      let buf = Buffer.create 4096 in
+      let chunk = Bytes.create 4096 in
+      let rec go () =
+        let resp = Buffer.contents buf in
+        match Str.search_forward (Str.regexp_string "\r\n\r\n") resp 0 with
+        | head
+          when String.length resp - head - 4
+               >= int_of_string (header_value resp "content-length") ->
+            (int_of_string (String.sub resp 9 3), resp)
+        | _ | (exception Not_found) ->
+            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            if n = 0 then Alcotest.failf "%s %s: connection closed early" meth path;
+            Buffer.add_subbytes buf chunk 0 n;
+            go ()
+      in
+      go ())
+
+(* Body of a raw response: everything after the blank line. *)
+let body_of resp =
+  let i = Str.search_forward (Str.regexp_string "\r\n\r\n") resp 0 + 4 in
+  String.sub resp i (String.length resp - i)
+
 (* Value of one exposition series by exact name match (no label block),
    e.g. the [_count] series of a histogram family. *)
 let series_value body name =
@@ -794,40 +843,12 @@ let test_trace_after_map () =
      curl does, not waiting for the close), return status and cache
      marker *)
   let map_answer ~port ~id body =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        send_all fd
-          (Printf.sprintf
-             "POST /map HTTP/1.1\r\nHost: localhost\r\nX-Request-Id: %s\r\n\
-              Content-Length: %d\r\nConnection: close\r\n\r\n%s"
-             id (String.length body) body);
-        let buf = Buffer.create 4096 in
-        let chunk = Bytes.create 4096 in
-        let header_value resp name =
-          Str.search_forward
-            (Str.regexp_case_fold ("^" ^ name ^ ": *\\([^\r]*\\)"))
-            resp 0
-          |> ignore;
-          Str.matched_group 1 resp
-        in
-        let rec go () =
-          let resp = Buffer.contents buf in
-          match Str.search_forward (Str.regexp_string "\r\n\r\n") resp 0 with
-          | head
-            when String.length resp - head - 4
-                 >= int_of_string (header_value resp "content-length") ->
-              ( int_of_string (String.sub resp 9 3),
-                header_value resp "x-cache" )
-          | _ | (exception Not_found) ->
-              let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-              if n = 0 then Alcotest.failf "%s: connection closed early" id;
-              Buffer.add_subbytes buf chunk 0 n;
-              go ()
-        in
-        go ())
+    let status, resp =
+      http_to_length ~port ~meth:"POST" ~path:"/map"
+        ~headers:[ ("X-Request-Id", id) ]
+        ~body ()
+    in
+    (status, header_value resp "x-cache")
   in
   with_server ~workers:1 (fun port ->
       let keys =
@@ -854,6 +875,107 @@ let test_trace_after_map () =
           in
           Alcotest.(check int) (id ^ " trace at once") 200 status)
         keys)
+
+(* Each server keeps its own recent-request ring and SLO exemplars: two
+   servers in one process, each answering its own requests, must list
+   only their own request ids in /debug/requests and among the
+   /debug/slo exemplars.  Every response is read only up to its
+   Content-Length, as curl does, so bookkeeping a server does after
+   writing is not waited for. *)
+let test_servers_own_rings () =
+  let slos =
+    match Obs.Slo.parse_all [ "route=/map,p99=250ms,err=0.1%" ] with
+    | Ok slos -> slos
+    | Error e -> Alcotest.failf "slo spec: %s" e
+  in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Obs.Log.to_null ();
+  let start () =
+    let server = Serve.Server.create ~port:0 ~workers:1 ~slos () in
+    (server, Domain.spawn (fun () -> Serve.Server.run server))
+  in
+  let servers = [ ("a", start ()); ("b", start ()) ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (_, (server, _)) -> Serve.Server.stop server) servers;
+      List.iter (fun (_, (_, d)) -> Domain.join d) servers;
+      Obs.Log.to_stderr ();
+      Obs.reset ();
+      Obs.set_enabled false)
+    (fun () ->
+      let port name = Serve.Server.port (fst (List.assoc name servers)) in
+      let get name path =
+        let status, resp =
+          http_to_length ~port:(port name) ~meth:"GET" ~path
+            ~headers:[ ("X-Request-Id", name ^ "-debug") ]
+            ()
+        in
+        Alcotest.(check int) (name ^ " " ^ path) 200 status;
+        match Obs.Json.of_string (body_of resp) with
+        | Ok doc -> doc
+        | Error e -> Alcotest.failf "%s %s: %s" name path e
+      in
+      let map_ids name = List.init 2 (Printf.sprintf "%s-map-%d" name) in
+      (* interleave the two servers' requests *)
+      List.iter
+        (fun i ->
+          List.iter
+            (fun (name, _) ->
+              let id = List.nth (map_ids name) i in
+              let status, _ =
+                http_to_length ~port:(port name) ~meth:"POST" ~path:"/map"
+                  ~headers:[ ("X-Request-Id", id) ]
+                  ~body:(map_body ~circuit:"bbara" ~algo:"flowsyn-s")
+                  ()
+              in
+              Alcotest.(check int) (id ^ " status") 200 status)
+            servers)
+        [ 0; 1 ];
+      let str_member k j =
+        match Obs.Json.member k j with Some (Obs.Json.Str s) -> s | _ -> ""
+      in
+      let list_member k j =
+        match Obs.Json.member k j with Some (Obs.Json.List l) -> l | _ -> []
+      in
+      List.iter
+        (fun (name, _) ->
+          let own id =
+            List.mem id (map_ids name) || String.equal id (name ^ "-debug")
+          in
+          let ring = list_member "requests" (get name "/debug/requests") in
+          let ids = List.map (str_member "id") ring in
+          List.iter
+            (fun id ->
+              Alcotest.(check bool)
+                (Printf.sprintf "server %s lists only its own ids (%s)" name id)
+                true (own id))
+            ids;
+          Alcotest.(check (list string))
+            (name ^ " map requests in the ring")
+            (map_ids name)
+            (List.sort compare
+               (List.filter_map
+                  (fun r ->
+                    if str_member "route" r = "map" then Some (str_member "id" r)
+                    else None)
+                  ring));
+          let slowest =
+            List.concat_map (list_member "slowest")
+              (list_member "objectives" (get name "/debug/slo"))
+          in
+          (* a /map exemplar is recorded after its response is written,
+             so the latest one may not be there yet *)
+          Alcotest.(check bool) (name ^ " has exemplars") true (slowest <> []);
+          List.iter
+            (fun ex ->
+              let id = str_member "id" ex in
+              Alcotest.(check bool)
+                (Printf.sprintf "server %s exemplar is its own (%s)" name id)
+                true
+                (List.mem id (map_ids name)))
+            slowest)
+        servers)
 
 (* A request scope keeps at most [Obs.Scope.slice_capacity] slices, so
    the ring's retained slices stay under 256 x that bound however heavy
@@ -1403,6 +1525,8 @@ let () =
           Alcotest.test_case "request tracing" `Quick test_request_tracing;
           Alcotest.test_case "trace right after the response" `Quick
             test_trace_after_map;
+          Alcotest.test_case "each server its own ring" `Quick
+            test_servers_own_rings;
           Alcotest.test_case "ring slices bounded" `Quick
             test_ring_slices_bounded;
           Alcotest.test_case "content-length and response bytes" `Quick
