@@ -22,9 +22,6 @@ type options = {
   pld : bool;
   exhaustive : bool;
   area_recovery : bool;
-  extra_depth : int;
-  max_expansion : int;
-  resyn_depth : int;
   phi_max_den : int option;
   multi_output : bool;
   jobs : int;
@@ -38,9 +35,6 @@ let default_options ?(k = 5) () =
     pld = true;
     exhaustive = true;
     area_recovery = true;
-    extra_depth = 3;
-    max_expansion = 4000;
-    resyn_depth = 2;
     phi_max_den = Some 24;
     multi_output = false;
     jobs = 1;
@@ -69,16 +63,12 @@ type result = {
 
 let engine_options o ~resynthesize =
   {
-    Seqmap.Label_engine.k = o.k;
+    (Seqmap.Label_engine.default_options ~k:o.k) with
     resynthesize;
     cmax = o.cmax;
     exhaustive = o.exhaustive;
     pld = o.pld;
-    extra_depth = o.extra_depth;
-    max_expansion = o.max_expansion;
-    resyn_depth = o.resyn_depth;
     multi_output = o.multi_output;
-    full_expansion = false;
   }
 
 let finish ?labels ?prov algo o ~mapped ~phi ~resyn_nodes ~probes ~label_stats

@@ -30,9 +30,6 @@ type options = {
   pld : bool;
   exhaustive : bool;
   area_recovery : bool;
-  extra_depth : int;
-  max_expansion : int;
-  resyn_depth : int;
   phi_max_den : int option;
       (** cap on the denominators explored by the exact ratio search
           ([None] = fully exact up to the register count) *)
@@ -51,7 +48,9 @@ val default_options : ?k:int -> unit -> options
 (** Paper defaults: K = 5, Cmax = 15, PLD on, area recovery on,
     [phi_max_den = Some 24].  [exhaustive] is on — the decomposition tries
     bound sets beyond the earliest-arrival prefix, which measurably closes
-    quality gaps at modest cost.  [jobs = 1], [probe_jobs = 1]. *)
+    quality gaps at modest cost.  [jobs = 1], [probe_jobs = 1].  The
+    expansion slack, node budget and resynthesis depth are the label
+    engine's defaults ({!Seqmap.Label_engine.default_options}). *)
 
 type result = {
   algo : algo;
@@ -84,4 +83,6 @@ val run : ?options:options -> algo -> Circuit.Netlist.t -> result
     [jobs] or [probe_jobs] is not [1]. *)
 
 val engine_options : options -> resynthesize:bool -> Seqmap.Label_engine.options
-(** The label-engine options this [options] record induces. *)
+(** The label-engine options this [options] record induces: the engine's
+    defaults for [k], overridden by [resynthesize], [cmax], [exhaustive],
+    [pld] and [multi_output]. *)

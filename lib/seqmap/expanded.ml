@@ -1,4 +1,3 @@
-open Prelude
 open Circuit
 
 (* observability (doc/OBSERVABILITY.md): expansion volume and budget
@@ -19,8 +18,6 @@ type t = {
   sources : int list;
   overflow : bool;
 }
-
-let height labels phi u w = Rat.add (Rat.sub labels.(u) (Rat.mul_int phi w)) Rat.one
 
 (* Open-addressing hash table over int pairs: parallel key arrays (ka, kb)
    and a value array, linear probing, power-of-two capacity, ka = -1 marks
@@ -205,8 +202,7 @@ let queue_push a i =
   a.queue.(a.q_len) <- i;
   a.q_len <- a.q_len + 1
 
-let build ?arena ?internal_of nl ~root ~labels ~phi ~threshold ~extra_depth
-    ~max_nodes =
+let build ?arena ~internal_of nl ~root ~extra_depth ~max_nodes =
   let a =
     match arena with
     | Some a ->
@@ -222,17 +218,12 @@ let build ?arena ?internal_of nl ~root ~labels ~phi ~threshold ~extra_depth
   in
   a.busy <- true;
   Fun.protect ~finally:(fun () -> a.busy <- false) @@ fun () ->
-  let is_internal =
-    match internal_of with
-    | Some f -> f
-    | None -> fun u w -> Rat.( > ) (height labels phi u w) threshold
-  in
   let overflow = ref false in
   let get u w ~is_root =
     match pt_find a.index u w with
     | i when i >= 0 -> i
     | _ ->
-        let internal = is_root || is_internal u w in
+        let internal = is_root || internal_of u w in
         let i = vec_push a { u; w } internal in
         pt_put a.index u w i;
         i

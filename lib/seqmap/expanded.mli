@@ -19,8 +19,6 @@
     overflow and the caller must treat the cut test as failed (sound:
     labels only over-approximate). *)
 
-open Prelude
-
 type node = { u : int; w : int }
 
 type t = {
@@ -44,20 +42,18 @@ val new_arena : unit -> arena
 
 val build :
   ?arena:arena ->
-  ?internal_of:(int -> int -> bool) ->
+  internal_of:(int -> int -> bool) ->
   Circuit.Netlist.t ->
   root:int ->
-  labels:Rat.t array ->
-  phi:Rat.t ->
-  threshold:Rat.t ->
   extra_depth:int ->
   max_nodes:int ->
   t
-(** [labels.(u)] must hold the current lower bound for every PI/gate [u]
-    (PIs have label 0).  [internal_of u w], when given, replaces the
-    rational internality test [height labels phi u w > threshold] on the
-    hottest path of the build — the caller promises it decides exactly
-    that predicate (e.g. in scaled-integer arithmetic). *)
+(** [internal_of u w] decides whether node [u^w] lies above the height
+    threshold — [l(u) - φ·w + 1 > threshold] for the caller's labels,
+    φ and threshold — and so must be inside the LUT.  It is the only way
+    the build reads labels: the label engine passes it in scaled-integer
+    arithmetic, tests pass a rational oracle.  The root is internal
+    regardless. *)
 
 val kcut_spec : t -> Flow.Kcut.spec
 (** The node-cut problem: separate the sources from the internal region. *)

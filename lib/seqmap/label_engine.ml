@@ -165,16 +165,16 @@ let stable_order a perm =
   done;
   !ok
 
-(* Scaled-integer label view: with [phi = p/q], every
-   label and threshold the engine manipulates has a denominator dividing
-   [q] (labels start integral and every update takes maxima, sums with
-   integers and subtractions of [phi * w]), so heights reduce to exact
-   integer arithmetic [slab.(u) - p*w] with [slab.(u) = q * label u] —
-   the expansion's internality test runs without rational
-   normalization. *)
+(* Labels are scaled integers: with [phi = p/q], every label and
+   threshold the engine manipulates has a denominator dividing [q]
+   (labels start integral and every update takes maxima, sums with
+   integers and subtractions of [phi * w]), so the engine stores
+   [slab.(u) = q * l(u)] and works on it in exact integer arithmetic —
+   an arrival is [slab.(u) - p*w], a height adds [q], a threshold is
+   scaled by [q] too.  A [Rat.t] is built only where a label leaves the
+   engine: the outcome's labels, the provenance record and the
+   decomposer's arrivals on a cache miss. *)
 type scaled = { slab : int array; pnum : int; pden : int }
-
-let scaled_of_rat sc r = Rat.num r * (sc.pden / Rat.den r)
 
 (* Expansion snapshot.  [Expanded.build] is a
    deterministic BFS whose every branch depends on the labels only
@@ -279,13 +279,11 @@ type ctx = {
   opts : options;
   stats : stats;
   nl : Netlist.t;
-  labels : Rat.t array;
-  phi : Rat.t;
   cache : resyn_cache option;
   karena : Flow.Kcut.arena;
   earena : Expanded.arena;
   parena : Flow.Pricut.arena;
-  scaled : scaled;
+  scaled : scaled;  (* the labels *)
   mutable note : (int -> unit) option;
   (* last passing K-cut per gate, recorded during iteration so both the
      in-run memo check and the harvest can reuse it instead of re-running
@@ -305,15 +303,16 @@ type ctx = {
   last_change : int array;
 }
 
+(* scaled arrival of [u] through [w] registers: q * (l(u) - phi*w) *)
+let arrival sc (u, w) = sc.slab.(u) - (sc.pnum * w)
+
 let big_l ctx v =
-  let labels = ctx.labels and phi = ctx.phi in
   let fanins = Netlist.fanins ctx.nl v in
-  if Array.length fanins = 0 then Rat.zero (* constant gate *)
+  if Array.length fanins = 0 then 0 (* constant gate *)
   else
     Array.fold_left
-      (fun acc (u, w) -> Rat.max acc (Rat.sub labels.(u) (Rat.mul_int phi w)))
-      (let u, w = fanins.(0) in
-       Rat.sub labels.(u) (Rat.mul_int phi w))
+      (fun acc e -> Int.max acc (arrival ctx.scaled e))
+      (arrival ctx.scaled fanins.(0))
       fanins
 
 (* SeqMapII-style full expansion keeps growing the candidate region to the
@@ -328,15 +327,14 @@ let note_expansion ctx (ex : Expanded.t) =
   | None -> ()
   | Some f -> Array.iter (fun nd -> f nd.Expanded.u) ex.Expanded.nodes
 
-let build_expanded ctx v ~threshold =
+(* [st] here and below: a threshold scaled by q *)
+let build_expanded ctx v ~st =
   let sc = ctx.scaled in
   (* internal <=> l(u) - phi*w + 1 > threshold, all scaled by q *)
-  let st = scaled_of_rat sc threshold in
   let internal_of u w = sc.slab.(u) - (sc.pnum * w) + sc.pden > st in
   let ex =
     Obs.Span.time s_build (fun () ->
         Expanded.build ~arena:ctx.earena ~internal_of ctx.nl ~root:v
-          ~labels:ctx.labels ~phi:ctx.phi ~threshold
           ~extra_depth:(effective_depth ctx.opts)
           ~max_nodes:ctx.opts.max_expansion)
   in
@@ -401,10 +399,9 @@ let snapshot_revalidates (ex : Expanded.t) ~labels ~phi ~threshold =
   let sc = { slab = Array.map scale labels; pnum = scale phi; pden = d } in
   trace_valid sc (snap_of ex ~verdict:Untested).s_trace ~st:(scale threshold)
 
-(* First snapshot of [v] that validates at [threshold], moved to the
-   front of the ring. *)
-let ring_find ctx v ~threshold =
-  let st = scaled_of_rat ctx.scaled threshold in
+(* First snapshot of [v] that validates at [st], moved to the front of
+   the ring. *)
+let ring_find ctx v ~st =
   let rec go seen = function
     | [] -> None
     | sn :: rest when snap_valid ctx sn ~st ->
@@ -417,7 +414,7 @@ let ring_find ctx v ~threshold =
 let ring_insert ctx v sn =
   ctx.ring.(v) <- sn :: List.filteri (fun i _ -> i < ring_size - 1) ctx.ring.(v)
 
-(* Decide whether a K-cut of height <= threshold exists.  The built
+(* Decide whether a K-cut of height <= [st] exists.  The built
    expansion is returned either way: on failure the resynthesis fallback
    starts at the same threshold and can reuse it.
 
@@ -431,10 +428,10 @@ let ring_insert ctx v sn =
    precomputed, [Some mc] when it is).
 
    The verdict is recorded in [into] — a snapshot of [v] that validated
-   at [threshold], so the build reproduces its trace — or else in a new
+   at [st], so the build reproduces its trace — or else in a new
    snapshot inserted into the ring; either becomes [v]'s latest cut-test
    snapshot and is returned as the second component. *)
-let kcut_test ?into ctx v ~threshold =
+let kcut_test ?into ctx v ~st =
   ctx.stats.flow_tests <- ctx.stats.flow_tests + 1;
   Obs.Counter.incr c_cut_tests;
   let k = ctx.opts.k in
@@ -443,7 +440,7 @@ let kcut_test ?into ctx v ~threshold =
   let t_start = if Obs.enabled () then Prelude.Timer.wall () else 0. in
   let ex, pass, mc0 =
     Obs.Span.time s_flow_test (fun () ->
-        let ex = build_expanded ctx v ~threshold in
+        let ex = build_expanded ctx v ~st in
         if ex.Expanded.overflow then (ex, None, None)
         else
           (* a valid frontier of width <= K is itself a witness cut of the
@@ -511,13 +508,13 @@ let kcut_test ?into ctx v ~threshold =
    matched (no duplicate) or inserts a new one.  Returns the answering
    snapshot and, for a fresh test, its expansion and precomputed min
    cut (see [kcut_test]). *)
-let cut_test ctx v ~threshold =
-  match ring_find ctx v ~threshold with
+let cut_test ctx v ~st =
+  match ring_find ctx v ~st with
   | Some ({ s_verdict = Passed _ | Failed; _ } as sn) ->
       ctx.last.(v) <- Some sn;
       (sn, None, None)
   | into ->
-      let ex, sn, mc0 = kcut_test ?into ctx v ~threshold in
+      let ex, sn, mc0 = kcut_test ?into ctx v ~st in
       (sn, Some ex, mc0)
 
 (* The function of [ex]'s root [v] over [cut] (given as local indices and
@@ -545,17 +542,17 @@ let cone_bdd ctx man ex v ~cut ~vars inputs =
    cut of the same expansion; [snap0] is the snapshot that answered the
    cut test — attempt 0 replays its recorded candidate cuts when it has
    any, and records them there otherwise.  Each level h >= 1 is answered
-   the same way by any snapshot of [v] that validates at [target - h]. *)
+   the same way by any snapshot of [v] that validates at [target - h].
+   [target] is scaled by q; a success answers the implementation, its
+   scaled root level and [h]. *)
 let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
-  let opts = ctx.opts and labels = ctx.labels and phi = ctx.phi in
-  let sc = ctx.scaled in
-  let starget = scaled_of_rat sc target in
+  let opts = ctx.opts and sc = ctx.scaled in
   (* Evaluate one candidate cut.  [cone], when available, computes the
      cone's decomposition on a cache miss; without it a miss answers
      [`Miss] and the caller falls back to the full rebuild (rare: the
      cache hits on almost every evaluation).  The arrivals, their sort
      order (part of the cache key) and the level test against [target]
-     are exact integer arithmetic on [slab]; rational arrivals are only
+     are integer arithmetic on [slab]; rational arrivals are only
      materialized on a cache miss, for the decomposer.  A candidate whose
      remembered permutation is still the stable arrival order takes its
      remembered entry without sorting or hashing (see [cand]). *)
@@ -563,11 +560,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
     Obs.Span.time s_eval @@ fun () ->
     let inputs = cd.cd_inputs in
     let n = Array.length inputs in
-    let sarr = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let u, w = inputs.(i) in
-      sarr.(i) <- sc.slab.(u) - (sc.pnum * w)
-    done;
+    let sarr = Array.map (arrival sc) inputs in
     let entry =
       match (cd.cd_memo, ctx.cache) with
       | Some (c, perm, e), Some c' when c == c' && stable_order sarr perm ->
@@ -592,9 +585,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
                 | Some build_cone ->
                     ctx.stats.decompositions <- ctx.stats.decompositions + 1;
                     let arrivals =
-                      Array.map
-                        (fun (u, w) -> Rat.sub labels.(u) (Rat.mul_int phi w))
-                        inputs
+                      Array.map (fun a -> Rat.make a sc.pden) sarr
                     in
                     let entry = cone_entry n (build_cone ~arrivals) in
                     Option.iter
@@ -619,13 +610,13 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
               if c > !lvl then lvl := c
             end)
           ce_depths;
-        if !lvl <= starget then `Impl (Resyn (t, inputs)) else `No
+        if !lvl <= target then `Impl (Resyn (t, inputs), !lvl) else `No
   in
   let rec attempt h =
     if h > opts.resyn_depth then None
     else
-      let threshold = Rat.sub target (Rat.of_int h) in
-      let snapped = if h = 0 then Some snap0 else ring_find ctx v ~threshold in
+      let st = target - (h * sc.pden) in
+      let snapped = if h = 0 then Some snap0 else ring_find ctx v ~st in
       (* full evaluation: build (or adopt) the expansion at this level,
          derive the candidate cuts, record them in the snapshot that
          matched, or in a new one *)
@@ -633,7 +624,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
         let ex =
           match ex0 with
           | Some ex when h = 0 -> ex
-          | _ -> build_expanded ctx v ~threshold
+          | _ -> build_expanded ctx v ~st
         in
         let record_snap () =
           match snapped with
@@ -710,7 +701,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
             | Some ((_, mcd) as mc) -> (
                 record (tried @ [ mcd ]) ~complete:true;
                 match eval_cut mc with
-                | `Impl impl -> Some (impl, h)
+                | `Impl (impl, lvl) -> Some (impl, lvl, h)
                 | _ -> attempt (h + 1))
             | None ->
                 record tried ~complete:true;
@@ -719,9 +710,9 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
           match candidate frontier with
           | Some ((_, fcd) as fc) -> (
               match eval_cut fc with
-              | `Impl impl ->
+              | `Impl (impl, lvl) ->
                   record [ fcd ] ~complete:false;
-                  Some (impl, h)
+                  Some (impl, lvl, h)
               | _ -> try_min ~tried:[ fcd ])
           | None -> try_min ~tried:[]
         end
@@ -737,12 +728,12 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
                   | [] -> `No
                   | cd :: rest -> (
                       match eval_candidate ~cone:None cd with
-                      | `Impl impl -> `Impl impl
+                      | `Impl _ as found -> found
                       | `No -> try_cands rest
                       | `Miss -> `Miss)
                 in
                 (match try_cands c_list with
-                | `Impl impl -> Some (impl, h)
+                | `Impl (impl, lvl) -> Some (impl, lvl, h)
                 | `No ->
                     (* an incomplete list ends where a past frontier
                        success cut evaluation short; exhausting it
@@ -756,26 +747,25 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
   (match result with Some _ -> Obs.Counter.incr c_decomp_rescues | None -> ());
   result
 
-(* Memo layer of the cut engine: is the gate's remembered passing cut
-   still a witness at [threshold]?  Validity as a separating cut is
-   structural (all root-to-source paths cross it, at any phi), so only
-   the width bound and the input heights are rechecked — scaled-integer
-   compares, no expansion, no network.  On a hit the cut's inputs are
-   registered in the worklist read set: the decision stays [lv] exactly
-   while they hold still, so the no-op-skipping argument of the worklist
-   scheduler is unaffected. *)
-let memo_hit ctx v ~threshold =
+(* Is the recorded cut [cut] still a witness at [st]: at most K wide,
+   every input of height <= [st]?  Validity as a separating cut is
+   structural (all root-to-source paths cross it, at any phi), so this
+   is the whole check — scaled-integer compares, no expansion, no
+   network.  Shared by the iteration's memo layer and the harvest. *)
+let cut_fits ctx cut ~st =
+  Array.length cut <= ctx.opts.k
+  && Array.for_all (fun e -> arrival ctx.scaled e + ctx.scaled.pden <= st) cut
+
+(* Memo layer of the cut engine: the gate's remembered passing cut, when
+   [cut_fits].  On a hit the cut's inputs are registered in the worklist
+   read set: the decision stays [lv] exactly while they hold still, so
+   the no-op-skipping argument of the worklist scheduler is
+   unaffected. *)
+let memo_hit ctx v ~st =
   match ctx.recorded.(v) with
   | None -> None
   | Some cut ->
-      let sc = ctx.scaled in
-      let st = scaled_of_rat sc threshold in
-      if
-        Array.length cut <= ctx.opts.k
-        && Array.for_all
-             (fun (u, w) -> sc.slab.(u) - (sc.pnum * w) + sc.pden <= st)
-             cut
-      then begin
+      if cut_fits ctx cut ~st then begin
         Obs.Counter.incr c_memo_hits;
         (match ctx.note with
         | None -> ()
@@ -787,24 +777,25 @@ let memo_hit ctx v ~threshold =
         None
       end
 
-(* One label update; returns true if the label changed. *)
+(* One label update; returns true if the label changed.  [bound] is the
+   scaled divergence bound. *)
 let update ctx bound v =
-  let labels = ctx.labels in
+  let sc = ctx.scaled in
   (match ctx.note with
   | None -> ()
   | Some f -> Array.iter (fun (u, _) -> f u) (Netlist.fanins ctx.nl v));
-  let l_cur = labels.(v) in
+  let l_cur = sc.slab.(v) in
   let lv = big_l ctx v in
-  if Rat.( <= ) (Rat.add lv Rat.one) l_cur then false
+  if lv + sc.pden <= l_cur then false
   else begin
     let decision =
-      match memo_hit ctx v ~threshold:lv with
+      match memo_hit ctx v ~st:lv with
       | Some _ -> lv (* the witness is already the recorded entry *)
       | None -> (
           (* a snapshot answer means the expansion would rebuild
              identically: its verdict stands without building or flowing
              anything *)
-          match cut_test ctx v ~threshold:lv with
+          match cut_test ctx v ~st:lv with
           | { s_verdict = Passed pairs; _ }, _, _ ->
               ctx.recorded.(v) <- Some pairs;
               Obs.Counter.incr c_memo_stores;
@@ -815,16 +806,15 @@ let update ctx bound v =
                   resyn_test ?ex0 ?mc0 ~snap0:sn ctx v ~target:lv
                 else None
               in
-              (match resyn with Some _ -> lv | None -> Rat.add lv Rat.one))
+              (match resyn with Some _ -> lv | None -> lv + sc.pden))
     in
-    let l_new = Rat.max l_cur decision in
+    let l_new = Int.max l_cur decision in
     (match bound with
-    | Some b when Rat.( > ) l_new b -> raise Diverged
+    | Some b when l_new > b -> raise Diverged
     | _ -> ());
-    if Rat.( > ) l_new l_cur then begin
-      labels.(v) <- l_new;
+    if l_new > l_cur then begin
+      sc.slab.(v) <- l_new;
       ctx.last_change.(v) <- ctx.stats.iterations;
-      ctx.scaled.slab.(v) <- scaled_of_rat ctx.scaled l_new;
       true
     end
     else false
@@ -836,81 +826,67 @@ let update ctx bound v =
    Alongside each implementation it records its provenance — which
    mechanism justified it — for the audit layer. *)
 let harvest ctx =
-  let { nl; labels; phi; opts; _ } = ctx in
+  let { nl; opts; scaled = sc; _ } = ctx in
   let n = Netlist.n nl in
   let impls = Array.make n None in
   let prov = Array.make n None in
-  let arrival (u, w) = Rat.sub labels.(u) (Rat.mul_int phi w) in
-  let impl_height = function
-    | Cut cut ->
-        if Array.length cut = 0 then Rat.one
-        else
-          Rat.add Rat.one
-            (Array.fold_left
-               (fun acc p -> Rat.max acc (arrival p))
-               (arrival cut.(0)) cut)
-    | Resyn (t, inputs) ->
-        Decomp.Decompose.tree_level ~arrivals:(Array.map arrival inputs) t
-  in
-  let set v impl source =
+  let rat s = Rat.make s sc.pden in
+  (* [height]: the implementation root's scaled arrival *)
+  let set v impl ~height source =
     impls.(v) <- Some impl;
     prov.(v) <-
       Some
         {
           p_source = source;
           p_cut = (match impl with Cut c -> c | Resyn (_, c) -> c);
-          p_height = impl_height impl;
-          p_label = labels.(v);
+          p_height = rat height;
+          p_label = rat sc.slab.(v);
           p_iteration = ctx.last_change.(v);
         }
+  in
+  let set_cut v cut source =
+    (* 1 + the latest input arrival; a constant's empty cut gives 1 *)
+    let height =
+      if Array.length cut = 0 then sc.pden
+      else
+        Array.fold_left
+          (fun acc e -> Int.max acc (arrival sc e))
+          (arrival sc cut.(0)) cut
+        + sc.pden
+    in
+    set v (Cut cut) ~height source
   in
   let step v =
     if not (Netlist.is_gate nl v) then true
     else begin
-      let target = labels.(v) in
-      let reused =
-        match ctx.recorded.(v) with
-        | Some cut
-          when Array.length cut <= opts.k
-               && Array.for_all
-                    (fun (u, w) ->
-                      Rat.( <= )
-                        (Rat.add
-                           (Rat.sub labels.(u) (Rat.mul_int phi w))
-                           Rat.one)
-                        target)
-                    cut ->
-            Obs.Counter.incr c_harvest_reuse;
-            Some cut
-        | _ -> None
-      in
-      match reused with
-      | Some cut ->
-          set v (Cut cut) From_recorded;
+      let target = sc.slab.(v) in
+      match ctx.recorded.(v) with
+      | Some cut when cut_fits ctx cut ~st:target ->
+          Obs.Counter.incr c_harvest_reuse;
+          set_cut v cut From_recorded;
           true
-      | None -> (
+      | _ -> (
           let fallback ?ex0 ?mc0 snap0 =
             match
               if opts.resynthesize then resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target
               else None
             with
-            | Some (impl, h) ->
-                set v impl (From_resyn h);
+            | Some (impl, height, h) ->
+                set v impl ~height (From_resyn h);
                 true
             | None -> false
           in
           match ctx.last.(v) with
-          | Some sn
-            when snap_valid ctx sn ~st:(scaled_of_rat ctx.scaled target) -> (
+          | Some sn when snap_valid ctx sn ~st:target -> (
               match sn.s_verdict with
               | Passed pairs ->
-                  set v (Cut pairs) From_snapshot;
+                  set_cut v pairs From_snapshot;
                   true
               | Untested | Failed -> fallback sn)
           | _ -> (
-              match kcut_test ctx v ~threshold:target with
+              match kcut_test ctx v ~st:target with
               | _, { s_verdict = Passed pairs; _ }, _ ->
-                  set v (Cut pairs) From_cut_test;
+                  set_cut v pairs From_cut_test;
                   true
               | ex, sn, mc0 -> fallback ~ex0:ex ?mc0 sn))
     end
@@ -1071,8 +1047,8 @@ let run_scc_worklist ctx wl bound members ~in_scc ~(feasible : bool ref) =
     else begin
       if
         ctx.opts.pld && !iter >= pld_gate
-        && Pld.all_isolated ctx.nl ~labels:ctx.labels ~phi:ctx.phi ~members
-             ~in_scc
+        && Pld.all_isolated ctx.nl ~slab:ctx.scaled.slab ~p:ctx.scaled.pnum
+             ~q:ctx.scaled.pden ~members ~in_scc
       then begin
         stats.pld_hits <- stats.pld_hits + 1;
         feasible := false
@@ -1098,10 +1074,6 @@ let run ?cache ?cutmemo opts nl ~phi =
   let stats =
     { iterations = 0; flow_tests = 0; decompositions = 0; pld_hits = 0 }
   in
-  let labels = Array.make n Rat.zero in
-  for v = 0 to n - 1 do
-    if Netlist.is_gate nl v then labels.(v) <- Rat.one
-  done;
   let memo =
     (* the cross-phi memo is the recorded-cut table and the snapshot
        rings shared across runs: validated expansions carry across the
@@ -1112,24 +1084,19 @@ let run ?cache ?cutmemo opts nl ~phi =
     | Some _ -> invalid_arg "Label_engine.run: cut memo sized for another netlist"
     | None -> new_cut_memo nl
   in
-  let pden = Rat.den phi in
+  (* labels start at 0 for PIs and 1 for gates, scaled by q *)
+  let pnum = Rat.num phi and pden = Rat.den phi in
+  let slab = Array.init n (fun v -> if Netlist.is_gate nl v then pden else 0) in
   let ctx =
     {
       opts;
       stats;
       nl;
-      labels;
-      phi;
       cache;
       karena = Flow.Kcut.new_arena ();
       earena = Expanded.new_arena ();
       parena = Flow.Pricut.new_arena ();
-      scaled =
-        {
-          slab = Array.map (fun r -> Rat.num r * pden) labels;
-          pnum = Rat.num phi;
-          pden;
-        };
+      scaled = { slab; pnum; pden };
       note = None;
       recorded = memo.m_cuts;
       last_change = Array.make n 0;
@@ -1142,7 +1109,7 @@ let run ?cache ?cutmemo opts nl ~phi =
      the gate count); exceeding the bound proves infeasibility.  This
      shortcut is part of the PLD package — the no-PLD baseline reproduces
      the pre-TurboSYN stopping criterion (quadratic iteration cap only). *)
-  let bound = if opts.pld then Some (Rat.of_int (n_gates + 1)) else None in
+  let bound = if opts.pld then Some ((n_gates + 1) * pden) else None in
   (* SCCs over the full graph *)
   let succ =
     let out = Array.make n [] in
@@ -1191,7 +1158,9 @@ let run ?cache ?cutmemo opts nl ~phi =
   if not !feasible then (Infeasible, stats)
   else
     match harvest ctx with
-    | Some (impls, prov) -> (Feasible { labels; impls; prov }, stats)
+    | Some (impls, prov) ->
+        let labels = Array.map (fun s -> Rat.make s pden) slab in
+        (Feasible { labels; impls; prov }, stats)
     | None ->
         (* should not happen: convergence guarantees an implementation *)
         (Infeasible, stats)

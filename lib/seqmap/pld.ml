@@ -1,4 +1,3 @@
-open Prelude
 open Circuit
 
 (* observability (doc/OBSERVABILITY.md): how often the isolation test runs
@@ -7,25 +6,23 @@ let c_checks = Obs.Counter.make "pld.checks"
 let c_prunes = Obs.Counter.make "pld.prunes"
 let s_check = Obs.Span.make "pld.check"
 
-let all_isolated nl ~labels ~phi ~members ~in_scc =
+let all_isolated nl ~slab ~p ~q ~members ~in_scc =
   Obs.Counter.incr c_checks;
   Obs.Span.time s_check @@ fun () ->
-  (* supporters of v: fanins u with l(u) - phi*w + 1 >= l(v) *)
+  (* supporters of v: fanins u with l(u) - phi*w + 1 >= l(v), scaled by q *)
+  let grounded v = slab.(v) <= q in
   let supporters v =
-    if Rat.( <= ) labels.(v) Rat.one then []
+    if grounded v then []
     else
       Array.to_list (Netlist.fanins nl v)
       |> List.filter_map (fun (u, w) ->
-             let support =
-               Rat.add (Rat.sub labels.(u) (Rat.mul_int phi w)) Rat.one
-             in
-             if Rat.( >= ) support labels.(v) then Some u else None)
+             if slab.(u) - (p * w) + q >= slab.(v) then Some u else None)
   in
   let supported = Hashtbl.create (Array.length members) in
   (* seed: members grounded directly *)
   Array.iter
     (fun v ->
-      if Rat.( <= ) labels.(v) Rat.one then Hashtbl.replace supported v ()
+      if grounded v then Hashtbl.replace supported v ()
       else if List.exists (fun u -> not (in_scc u)) (supporters v) then
         Hashtbl.replace supported v ())
     members;

@@ -10,14 +10,15 @@
     support, so isolation detects positive loops long before the
     conservative n² iteration bound. *)
 
-open Prelude
-
 val all_isolated :
   Circuit.Netlist.t ->
-  labels:Rat.t array ->
-  phi:Rat.t ->
+  slab:int array ->
+  p:int ->
+  q:int ->
   members:int array ->
   in_scc:(int -> bool) ->
   bool
-(** [members] are the gate nodes of one SCC; [in_scc] tests membership.
-    True when no member is reachable from grounded support. *)
+(** For [φ = p/q], [slab.(u) = q·l(u)]: the label engine's scaled
+    labels.  [members] are the gate nodes of one SCC; [in_scc] tests
+    membership.  True when no member is reachable from grounded
+    support. *)

@@ -143,7 +143,8 @@ let request_family () =
   }
 
 (* [serve.response_bytes.<route>] counters, bumped under
-   [registry_mutex] once the response is written, re-rendered as
+   [registry_mutex] once the response is written (for /map: once it is
+   ready, just before the write), re-rendered as
    [turbosyn_serve_response_bytes_total{route=...}]. *)
 let response_bytes_prefix = "serve.response_bytes."
 
@@ -181,9 +182,9 @@ let response_bytes_family () =
     samples;
   }
 
-(* Per-route end-to-end latency (accept to response written), the
-   histograms the SLO engine evaluates.  Flat families
-   ([turbosyn_serve_route_seconds_<route>_bucket]) — each route keeps
+(* Per-route end-to-end latency (accept to response written; for /map,
+   to response ready), the histograms the SLO engine evaluates.  Flat
+   families ([turbosyn_serve_route_seconds_<route>_bucket]) — each route keeps
    its own exact bucket counts, which is what makes /debug/slo burn
    rates reproducible from a scrape. *)
 let route_seconds_prefix = "serve.route_seconds."
@@ -580,8 +581,11 @@ let respond_json fd ?headers ~status json =
   respond fd ?headers ~status ~content_type:"application/json"
     (J.to_string json ^ "\n")
 
+let error_body msg = J.to_string (J.Obj [ ("error", J.Str msg) ]) ^ "\n"
+
 let respond_error fd ?headers ~status msg =
-  respond_json fd ?headers ~status (J.Obj [ ("error", J.Str msg) ])
+  respond fd ?headers ~status ~content_type:"application/json"
+    (error_body msg)
 
 (* Largest request body accepted; a larger Content-Length is answered
    with 413 before any of the body is read. *)
@@ -741,14 +745,21 @@ let parse_target target =
 (* Access logging + ring, shared by every completion path              *)
 (* ------------------------------------------------------------------ *)
 
-(* [seconds] is the ring entry's: accept to response written, except
-   for /map, whose entry goes in (carrying accept to response ready)
-   before the response is written *)
-let remember_request t ~route ~status ~outcome ~cache ~started ~seconds
-    ~summary =
+(* Everything the server records about a finished request: the route
+   latency, the exemplars, the recent-request ring and the access line.
+   [seconds] runs from accept to now: after the response is written on
+   the accept lane, before it is written for /map (see [serve_job]). *)
+let log_access t ~route ~meth ~path ~status ~outcome ~cache ~started
+    ~summary () =
+  let seconds = Prelude.Timer.wall () -. started in
+  let id = Obs.Log.current_request_id () |> Option.value ~default:"" in
+  (* the SLO engine's per-route latency distribution, every completion
+     path *)
+  with_registry (fun () -> Obs.Histogram.observe (route_hist route) seconds);
+  remember_exemplar t.debug ~route ~id ~seconds ~status;
   remember t.debug
     {
-      rr_id = Obs.Log.current_request_id () |> Option.value ~default:"";
+      rr_id = id;
       rr_route = route;
       rr_status = status;
       rr_outcome = outcome;
@@ -756,19 +767,7 @@ let remember_request t ~route ~status ~outcome ~cache ~started ~seconds
       rr_started = started;
       rr_seconds = seconds;
       rr_summary = summary;
-    }
-
-(* [remembered]: the request is already in the ring (/map) *)
-let log_access t ?(remembered = false) ~route ~meth ~path ~status ~outcome
-    ~cache ~started ~summary () =
-  let seconds = Prelude.Timer.wall () -. started in
-  let id = Obs.Log.current_request_id () |> Option.value ~default:"" in
-  (* the SLO engine's per-route latency distribution: end-to-end
-     seconds, accept to response written, every completion path *)
-  with_registry (fun () -> Obs.Histogram.observe (route_hist route) seconds);
-  remember_exemplar t.debug ~route ~id ~seconds ~status;
-  if not remembered then
-    remember_request t ~route ~status ~outcome ~cache ~started ~seconds ~summary;
+    };
   let phase_fields =
     match summary with
     | None -> []
@@ -808,35 +807,30 @@ let log_access t ?(remembered = false) ~route ~meth ~path ~status ~outcome
 (* the /map handler proper, run inside the request scope on a worker
    domain: every Obs hook here writes the scope's sink, so no lock is
    needed until the scope closes.  It decides the answer without
-   sending it: returns (status, cache marker, reply), where [reply fd]
-   writes the response and returns its body bytes. *)
-let handle_map_in_scope t ~echo ~query ~body ~queued_seconds =
+   sending it: returns (status, cache marker, JSON body). *)
+let handle_map_in_scope t ~query ~body ~queued_seconds =
   Obs.Histogram.observe h_queue_wait queued_seconds;
-  let error e fd = respond_error fd ~headers:echo ~status:400 e in
   match parse_map_request ~query ~body with
-  | Error e -> (400, None, error e)
+  | Error e -> (400, None, error_body e)
   | Ok (circuit, k, algo) -> (
       match map_body_cached t.cache ~circuit ~k ~algo with
-      | Error e, _ -> (400, None, error e)
+      | Error e, _ -> (400, None, error_body e)
       | Ok payload, outcome ->
           (match outcome with
           | Cache.Hit -> Obs.Counter.incr c_cache_hits
           | Cache.Join -> Obs.Counter.incr c_cache_joins
           | Cache.Miss -> Obs.Counter.incr c_cache_misses
           | Cache.Bypass -> ());
-          let marker = Cache.outcome_label outcome in
-          ( 200,
-            Some marker,
-            fun fd ->
-              respond fd
-                ~headers:(echo @ [ ("X-Cache", marker) ])
-                ~status:200 ~content_type:"application/json" payload ))
+          (200, Some (Cache.outcome_label outcome), payload))
 
-(* A /map request: handled inside its scope, which closes before the
-   response is written, so the request is in the recent-request ring
-   by the time its client can read the answer and ask for
-   /debug/trace/<id>.  The write, the response-bytes counter, the
-   route histogram and the access line come after. *)
+(* A /map request: handled inside its scope on a worker domain.  The
+   scope closes, and the response bytes, the route latency, the ring
+   entry and the access line are recorded, before the response is
+   written: a client that has read its answer (up to Content-Length,
+   not waiting for the close) and asks /metrics, /debug/slo or
+   /debug/trace/<id> at once finds the request there.  So the latency
+   runs from accept to the response being ready, and a write to a
+   peer that has gone still counts its bytes. *)
 let serve_job t job =
   let fd = job.jb_fd in
   let echo = [ ("X-Request-Id", job.jb_id) ] in
@@ -864,19 +858,14 @@ let serve_job t job =
             let ((status, _, _) as answer) =
               Obs.Span.time s_request (fun () ->
                   try
-                    handle_map_in_scope t ~echo ~query:job.jb_query
+                    handle_map_in_scope t ~query:job.jb_query
                       ~body:job.jb_body ~queued_seconds
-                  with e ->
-                    ( 500,
-                      None,
-                      fun fd ->
-                        respond_error fd ~headers:echo ~status:500
-                          (Printexc.to_string e) ))
+                  with e -> (500, None, error_body (Printexc.to_string e)))
             in
             count_request_scoped ~route:"map" ~status;
             answer)
       in
-      let status, cache, reply =
+      let status, cache, payload =
         match Obs.Scope.run scope handle with
         | answer -> answer
         | exception e ->
@@ -892,16 +881,20 @@ let serve_job t job =
         | Some "hit" -> "cached"
         | _ -> outcome_of_status status
       in
-      let started = job.jb_accepted in
-      remember_request t ~route:"map" ~status ~outcome ~cache ~started
-        ~seconds:(Prelude.Timer.wall () -. started)
-        ~summary;
-      (* a failed write (the peer is gone) counts no bytes; the request
-         keeps the status it was answered with *)
-      let bytes = try reply fd with Unix.Unix_error _ -> 0 in
-      with_registry (fun () -> count_response_bytes ~route:"map" bytes);
-      log_access t ~remembered:true ~route:"map" ~meth:job.jb_meth
-        ~path:"/map" ~status ~outcome ~cache ~started ~summary ())
+      with_registry (fun () ->
+          count_response_bytes ~route:"map" (String.length payload));
+      log_access t ~route:"map" ~meth:job.jb_meth ~path:"/map" ~status
+        ~outcome ~cache ~started:job.jb_accepted ~summary ();
+      let headers =
+        echo @ Option.fold ~none:[] ~some:(fun m -> [ ("X-Cache", m) ]) cache
+      in
+      (* the peer may be gone: the request keeps the status it was
+         answered with *)
+      try
+        ignore
+          (respond fd ~headers ~status ~content_type:"application/json"
+             payload)
+      with Unix.Unix_error _ -> ())
 
 let worker_loop t =
   let rec go () =

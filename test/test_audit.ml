@@ -516,6 +516,37 @@ let test_profiler_invariant_document () =
       | Error e -> Alcotest.failf "%s: profiled document differs: %s" name e)
     [ "bbara"; "s298" ]
 
+(* Whole flow on random circuits: each algorithm's result on a small
+   K-bounded sequential circuit, searched exactly ([phi_max_den = None],
+   so fractional phi* with varied denominators occur), must build an
+   audit document the independent verifier accepts.  The verifier
+   re-derives every label, height and witness in rationals, so this
+   checks the label engine's scaled-integer labels against their
+   rational meaning at arbitrary denominators. *)
+let qcheck_whole_flow_audited =
+  QCheck.Test.make ~name:"random circuits: every flow's audit accepted"
+    ~count:100
+    QCheck.(make ~print:string_of_int Gen.(0 -- 1_000_000))
+    (fun seed ->
+      let rng = Prelude.Rng.create seed in
+      let nl =
+        Random_circuit.seq rng ~pis:3 ~gates:(8 + Prelude.Rng.int rng 9)
+          ~max_arity:3
+      in
+      let k = 3 + Prelude.Rng.int rng 2 in
+      let options =
+        { (Turbosyn.Synth.default_options ~k ()) with phi_max_den = None }
+      in
+      List.for_all
+        (fun algo ->
+          let r = Turbosyn.Synth.run ~options algo nl in
+          match Audit.build ~source:nl ~options r with
+          | Ok doc -> verify_ok doc
+          | Error e ->
+              QCheck.Test.fail_reportf "%s: audit build failed: %s"
+                (Turbosyn.Synth.algo_name algo) e)
+        [ `Turbomap; `Turbosyn; `Flowsyn_s ])
+
 let () =
   Alcotest.run "audit"
     [
@@ -529,6 +560,8 @@ let () =
         [
           Alcotest.test_case "bbara worklist" `Slow test_verify_worklist;
           Alcotest.test_case "dk16" `Slow test_verify_second_circuit;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            qcheck_whole_flow_audited;
         ] );
       ( "mutation",
         [

@@ -36,13 +36,23 @@ let pi_loop g f =
   ignore (Netlist.add_po ~name:"y" nl ~driver:gates.(g - 1) ~weight:0);
   nl
 
+(* [Expanded.build] with the rational internality oracle: [u^w] lies
+   inside the LUT when its height [l(u) - phi*w + 1] exceeds the
+   threshold — the predicate the label engine decides in scaled
+   integers. *)
+let build_rat ?arena nl ~root ~labels ~phi ~threshold ~extra_depth ~max_nodes =
+  let internal_of u w =
+    Rat.( > ) (Rat.add (Rat.sub labels.(u) (Rat.mul_int phi w)) Rat.one) threshold
+  in
+  Expanded.build ?arena ~internal_of nl ~root ~extra_depth ~max_nodes
+
 let test_expanded_basic () =
   let nl = accumulator () in
   let v = Option.get (Netlist.find_by_name nl "v") in
   let labels = Array.make (Netlist.n nl) Rat.zero in
   labels.(v) <- Rat.one;
   let ex =
-    Expanded.build nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.zero
+    build_rat nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.zero
       ~extra_depth:2 ~max_nodes:100
   in
   Alcotest.(check bool) "root internal" true ex.Expanded.internal.(0);
@@ -61,7 +71,7 @@ let test_expanded_overflow () =
   let ex =
     (* impossible threshold forces unbounded internal expansion into the
        node budget *)
-    Expanded.build nl ~root:v ~labels ~phi:(Rat.make 1 100)
+    build_rat nl ~root:v ~labels ~phi:(Rat.make 1 100)
       ~threshold:(Rat.of_int (-100)) ~extra_depth:0 ~max_nodes:16
   in
   Alcotest.(check bool) "overflow reported" true ex.Expanded.overflow
@@ -90,14 +100,14 @@ let test_frontier_cut () =
   labels.(v) <- Rat.one;
   (* threshold 0: x^0 (height 1) is internal but is a PI -> no frontier *)
   let ex =
-    Expanded.build nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.zero
+    build_rat nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.zero
       ~extra_depth:2 ~max_nodes:100
   in
   Alcotest.(check (list int)) "no frontier below PIs" []
     (Expanded.frontier_cut ex);
   (* threshold 1: x^0 and v^1 are cut candidates; frontier = both *)
   let ex1 =
-    Expanded.build nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.one
+    build_rat nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.one
       ~extra_depth:2 ~max_nodes:100
   in
   let cut = Expanded.frontier_cut ex1 in
@@ -172,37 +182,6 @@ let test_acyclic_zero () =
   let phi, _, _ = Turbomap.minimum_ratio opts nl in
   Alcotest.check rat "acyclic -> 0" Rat.zero phi
 
-(* random K-bounded sequential circuits without combinational loops *)
-let random_seq rng ~pis ~gates ~max_arity =
-  let nl = Netlist.create ~name:"rand" () in
-  let pi_ids = Array.init pis (fun i -> Netlist.add_pi ~name:(Printf.sprintf "x%d" i) nl) in
-  let gate_ids = Array.init gates (fun i -> Netlist.reserve_gate ~name:(Printf.sprintf "g%d" i) nl) in
-  for i = 0 to gates - 1 do
-    let arity = 1 + Rng.int rng max_arity in
-    let fanins =
-      Array.init arity (fun _ ->
-          if Rng.int rng 3 = 0 then
-            (* registered edge to anywhere, including feedback *)
-            (Rng.pick rng (Array.append pi_ids gate_ids), 1 + Rng.int rng 2)
-          else begin
-            (* combinational edge to an earlier node only *)
-            let pool =
-              Array.append pi_ids (Array.sub gate_ids 0 i)
-            in
-            (Rng.pick rng pool, 0)
-          end)
-    in
-    Netlist.define_gate nl gate_ids.(i)
-      (Truthtable.random_nondegenerate rng arity)
-      fanins
-  done;
-  for j = 0 to 1 do
-    ignore
-      (Netlist.add_po ~name:(Printf.sprintf "y%d" j) nl
-         ~driver:(Rng.pick rng gate_ids) ~weight:(Rng.int rng 2))
-  done;
-  nl
-
 let check_mapped_against nl k ~resynthesize rng =
   let opts =
     { (Label_engine.default_options ~k) with Label_engine.resynthesize }
@@ -228,7 +207,7 @@ let check_mapped_against nl k ~resynthesize rng =
 let test_map_random_turbomap () =
   let rng = Rng.create 111 in
   for iter = 1 to 10 do
-    let nl = random_seq rng ~pis:3 ~gates:10 ~max_arity:3 in
+    let nl = Random_circuit.seq rng ~pis:3 ~gates:10 ~max_arity:3 in
     let _ = check_mapped_against nl 4 ~resynthesize:false rng in
     ignore iter
   done
@@ -236,7 +215,7 @@ let test_map_random_turbomap () =
 let test_map_random_turbosyn () =
   let rng = Rng.create 222 in
   for iter = 1 to 8 do
-    let nl = random_seq rng ~pis:3 ~gates:10 ~max_arity:3 in
+    let nl = Random_circuit.seq rng ~pis:3 ~gates:10 ~max_arity:3 in
     let _ = check_mapped_against nl 4 ~resynthesize:true rng in
     ignore iter
   done
@@ -244,7 +223,7 @@ let test_map_random_turbosyn () =
 let test_turbosyn_no_worse () =
   let rng = Rng.create 333 in
   for _ = 1 to 8 do
-    let nl = random_seq rng ~pis:3 ~gates:12 ~max_arity:3 in
+    let nl = Random_circuit.seq rng ~pis:3 ~gates:12 ~max_arity:3 in
     let tm = Label_engine.default_options ~k:4 in
     let ts = { tm with Label_engine.resynthesize = true } in
     let phi_tm, _, _ = Turbomap.minimum_ratio tm nl in
@@ -305,7 +284,7 @@ let qcheck_snapshot_soundness =
     QCheck.(make ~print:string_of_int Gen.(0 -- 1_000_000))
     (fun seed ->
       let rng = Rng.create seed in
-      let nl = random_seq rng ~pis:2 ~gates:(3 + Rng.int rng 8) ~max_arity:3 in
+      let nl = Random_circuit.seq rng ~pis:2 ~gates:(3 + Rng.int rng 8) ~max_arity:3 in
       let n = Netlist.n nl in
       let q = 1 + Rng.int rng 3 in
       let r num = Rat.make num q in
@@ -318,7 +297,7 @@ let qcheck_snapshot_soundness =
       let root = Rng.pick rng (Array.of_list (Netlist.gates nl)) in
       let extra_depth = Rng.int rng 3 and max_nodes = 8 + Rng.int rng 40 in
       let build labels phi threshold =
-        Expanded.build nl ~root ~labels ~phi ~threshold ~extra_depth ~max_nodes
+        build_rat nl ~root ~labels ~phi ~threshold ~extra_depth ~max_nodes
       in
       let ex = build labels phi threshold in
       let labels' = Array.copy labels in
@@ -459,7 +438,7 @@ let test_golden_labels () =
   let circuits =
     List.init 6 (fun i ->
         ( Printf.sprintf "rand%d" i,
-          random_seq rng ~pis:3 ~gates:(10 + i) ~max_arity:3 ))
+          Random_circuit.seq rng ~pis:3 ~gates:(10 + i) ~max_arity:3 ))
     @ [ ("loop6_3", pi_loop 6 3); ("loop5_1", pi_loop 5 1) ]
   in
   List.iter
@@ -609,7 +588,7 @@ let test_search_pins () =
   let rng = Rng.create 777 in
   List.iteri
     (fun i (expect_phi, expect_phis) ->
-      let nl = random_seq rng ~pis:3 ~gates:(11 + i) ~max_arity:3 in
+      let nl = Random_circuit.seq rng ~pis:3 ~gates:(11 + i) ~max_arity:3 in
       let opts =
         {
           (Label_engine.default_options ~k:4) with
@@ -788,7 +767,7 @@ let test_arena_isolation () =
   let labels = Array.make (Netlist.n nl) Rat.one in
   List.iter (fun p -> labels.(p) <- Rat.zero) (Netlist.pis nl);
   let build arena =
-    Expanded.build ~arena nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.zero
+    build_rat ~arena nl ~root:v ~labels ~phi:Rat.one ~threshold:Rat.zero
       ~extra_depth:2 ~max_nodes:100
   in
   let earena = Expanded.new_arena () in
@@ -801,7 +780,7 @@ let test_pld_equivalence () =
   (* PLD on/off must agree on the minimum ratio *)
   let rng = Rng.create 444 in
   for _ = 1 to 8 do
-    let nl = random_seq rng ~pis:2 ~gates:8 ~max_arity:2 in
+    let nl = Random_circuit.seq rng ~pis:2 ~gates:8 ~max_arity:2 in
     let on = Label_engine.default_options ~k:3 in
     let off = { on with Label_engine.pld = false } in
     let phi_on, _, s_on = Turbomap.minimum_ratio on nl in
@@ -897,7 +876,7 @@ let test_obs_counters_on_suite () =
 
 let test_map_preserves_interface () =
   let rng = Rng.create 555 in
-  let nl = random_seq rng ~pis:4 ~gates:8 ~max_arity:3 in
+  let nl = Random_circuit.seq rng ~pis:4 ~gates:8 ~max_arity:3 in
   let mapped, _ = Turbomap.map nl ~k:4 in
   Alcotest.(check (list string)) "pi names"
     (List.map (Netlist.node_name nl) (Netlist.pis nl))

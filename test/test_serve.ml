@@ -28,70 +28,11 @@ let recv_all fd =
   Buffer.contents buf
 
 (* [http_full ~port ~meth ~path ()] returns (status code, lower-cased
-   response headers, body).  The server answers Connection: close, so
-   the body is everything after the blank line up to EOF. *)
+   response headers, body).  Like curl, it reads the response only up to
+   its Content-Length (to EOF when the header is absent) instead of
+   waiting for the server to close the connection, so nothing the
+   server does after writing the response is waited for. *)
 let http_full ~port ~meth ~path ?(headers = []) ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let extra =
-        String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers)
-      in
-      send_all fd
-        (Printf.sprintf
-           "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n%s\
-            Connection: close\r\n\r\n%s"
-           meth path (String.length body) extra body);
-      let resp = recv_all fd in
-      let status =
-        match String.split_on_char ' ' resp with
-        | _http :: code :: _ -> int_of_string_opt code
-        | _ -> None
-      in
-      let rec blank i =
-        if i + 4 > String.length resp then String.length resp
-        else if String.sub resp i 4 = "\r\n\r\n" then i + 4
-        else blank (i + 1)
-      in
-      let start = blank 0 in
-      let resp_headers =
-        String.sub resp 0 (max 0 (start - 4))
-        |> String.split_on_char '\n'
-        |> List.filter_map (fun line ->
-               match String.index_opt line ':' with
-               | Some i ->
-                   Some
-                     ( String.lowercase_ascii
-                         (String.trim (String.sub line 0 i)),
-                       String.trim
-                         (String.sub line (i + 1)
-                            (String.length line - i - 1)) )
-               | None -> None)
-      in
-      ( Option.value ~default:0 status,
-        resp_headers,
-        String.sub resp start (String.length resp - start) ))
-
-let http ~port ~meth ~path ?(body = "") () =
-  let status, _, body = http_full ~port ~meth ~path ~body () in
-  (status, body)
-
-(* Value of a response header (first match, case-insensitive name). *)
-let header_value resp name =
-  Str.search_forward
-    (Str.regexp_case_fold ("^" ^ name ^ ": *\\([^\r]*\\)"))
-    resp 0
-  |> ignore;
-  Str.matched_group 1 resp
-
-(* Like [http_full], but reads the response only up to its
-   Content-Length, as curl does, instead of waiting for the server to
-   close the connection — so nothing the server does after writing the
-   response is waited for.  Returns (status, raw response). *)
-let http_to_length ~port ~meth ~path ?(headers = []) ?(body = "") () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -108,25 +49,57 @@ let http_to_length ~port ~meth ~path ?(headers = []) ?(body = "") () =
            meth path (String.length body) extra body);
       let buf = Buffer.create 4096 in
       let chunk = Bytes.create 4096 in
-      let rec go () =
-        let resp = Buffer.contents buf in
-        match Str.search_forward (Str.regexp_string "\r\n\r\n") resp 0 with
-        | head
-          when String.length resp - head - 4
-               >= int_of_string (header_value resp "content-length") ->
-            (int_of_string (String.sub resp 9 3), resp)
-        | _ | (exception Not_found) ->
-            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-            if n = 0 then Alcotest.failf "%s %s: connection closed early" meth path;
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
+      (* one read; false at EOF *)
+      let read () =
+        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+        Buffer.add_subbytes buf chunk 0 n;
+        n > 0
       in
-      go ())
+      let rec head () =
+        match
+          Str.search_forward (Str.regexp_string "\r\n\r\n")
+            (Buffer.contents buf) 0
+        with
+        | i -> i + 4
+        | exception Not_found ->
+            if read () then head () else Buffer.length buf
+      in
+      let start = head () in
+      let resp_headers =
+        Buffer.sub buf 0 (max 0 (start - 4))
+        |> String.split_on_char '\n'
+        |> List.filter_map (fun line ->
+               match String.index_opt line ':' with
+               | Some i ->
+                   Some
+                     ( String.lowercase_ascii
+                         (String.trim (String.sub line 0 i)),
+                       String.trim
+                         (String.sub line (i + 1)
+                            (String.length line - i - 1)) )
+               | None -> None)
+      in
+      let complete () =
+        match List.assoc_opt "content-length" resp_headers with
+        | Some n -> Buffer.length buf - start >= int_of_string n
+        | None -> false
+      in
+      while (not (complete ())) && read () do
+        ()
+      done;
+      let resp = Buffer.contents buf in
+      let status =
+        match String.split_on_char ' ' resp with
+        | _http :: code :: _ -> int_of_string_opt code
+        | _ -> None
+      in
+      ( Option.value ~default:0 status,
+        resp_headers,
+        String.sub resp start (String.length resp - start) ))
 
-(* Body of a raw response: everything after the blank line. *)
-let body_of resp =
-  let i = Str.search_forward (Str.regexp_string "\r\n\r\n") resp 0 + 4 in
-  String.sub resp i (String.length resp - i)
+let http ~port ~meth ~path ?(body = "") () =
+  let status, _, body = http_full ~port ~meth ~path ~body () in
+  (status, body)
 
 (* Value of one exposition series by exact name match (no label block),
    e.g. the [_count] series of a histogram family. *)
@@ -839,16 +812,14 @@ let test_request_tracing () =
    One worker, sequential cold keys: the trace request races the
    worker's bookkeeping after every answer. *)
 let test_trace_after_map () =
-  (* POST /map, read the response only up to its Content-Length (as
-     curl does, not waiting for the close), return status and cache
-     marker *)
+  (* POST /map, return status and cache marker *)
   let map_answer ~port ~id body =
-    let status, resp =
-      http_to_length ~port ~meth:"POST" ~path:"/map"
+    let status, headers, _ =
+      http_full ~port ~meth:"POST" ~path:"/map"
         ~headers:[ ("X-Request-Id", id) ]
         ~body ()
     in
-    (status, header_value resp "x-cache")
+    (status, List.assoc "x-cache" headers)
   in
   with_server ~workers:1 (fun port ->
       let keys =
@@ -906,13 +877,13 @@ let test_servers_own_rings () =
     (fun () ->
       let port name = Serve.Server.port (fst (List.assoc name servers)) in
       let get name path =
-        let status, resp =
-          http_to_length ~port:(port name) ~meth:"GET" ~path
+        let status, _, body =
+          http_full ~port:(port name) ~meth:"GET" ~path
             ~headers:[ ("X-Request-Id", name ^ "-debug") ]
             ()
         in
         Alcotest.(check int) (name ^ " " ^ path) 200 status;
-        match Obs.Json.of_string (body_of resp) with
+        match Obs.Json.of_string body with
         | Ok doc -> doc
         | Error e -> Alcotest.failf "%s %s: %s" name path e
       in
@@ -923,8 +894,8 @@ let test_servers_own_rings () =
           List.iter
             (fun (name, _) ->
               let id = List.nth (map_ids name) i in
-              let status, _ =
-                http_to_length ~port:(port name) ~meth:"POST" ~path:"/map"
+              let status, _, _ =
+                http_full ~port:(port name) ~meth:"POST" ~path:"/map"
                   ~headers:[ ("X-Request-Id", id) ]
                   ~body:(map_body ~circuit:"bbara" ~algo:"flowsyn-s")
                   ()
