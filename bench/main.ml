@@ -589,20 +589,17 @@ let stats_diff base_file cur_file =
 (*              single-threaded reference throughput;                  *)
 (*   hot      — N workers, cache on, one repeated request: after the   *)
 (*              first miss the LRU serves, X-Cache proves it;          *)
-(*   mix      — N workers, cache on, 50% hot key + cold keys spread    *)
-(*              over circuits x k: the measured-hit-rate scenario;     *)
-(*   mix-prof — the same mix with the Obs.Prof sampler attached and an *)
-(*              SLO configured: its p99 against plain mix gates the    *)
-(*              profiler's overhead budget, and its live /debug/slo +  *)
-(*              /metrics answers gate burn-rate reproducibility;       *)
+(*   mix      — N workers, cache on, SLO configured, 50% hot key +     *)
+(*              cold keys spread over circuits x k: the measured-hit-  *)
+(*              rate scenario, whose live /debug/slo + /metrics        *)
+(*              answers gate burn-rate reproducibility;                *)
 (*   overload — one worker, queue depth 1, cache off, many clients:    *)
 (*              admission control must shed with 429 + Retry-After     *)
 (*              (never 5xx) while /healthz stays answerable.           *)
-(* Emits a turbosyn-serve-perf/2 document (--out, default              *)
+(* Emits a turbosyn-serve-perf/3 document (--out, default              *)
 (* BENCH_serve_perf.json) and exits nonzero when a gate fails: any     *)
 (* 5xx (exit 3); no cache hits in hot/mix, no sheds or a missing       *)
-(* Retry-After in overload, an invalid /metrics scrape, a profiled-mix *)
-(* p99 over 1.03x plain mix + 50ms, a dead /debug/prof, an SLO burn    *)
+(* Retry-After in overload, an invalid /metrics scrape, an SLO burn    *)
 (* rate that fails to recompute from the scrape, or — on multicore     *)
 (* hosts — hot throughput below 3x baseline (exit 2).                  *)
 (* ------------------------------------------------------------------ *)
@@ -734,13 +731,11 @@ type scenario_report = {
   sr_scrape_ok : bool; (* post-load /metrics passed promlint *)
 }
 
-let run_scenario ?(slos = []) ?(profile = false)
-    ?(after = fun ~port:(_ : int) -> ()) ~name ~workers ~queue_depth
-    ~cache_entries ~client_jobs ~total ~body_of () =
+let run_scenario ?(slos = []) ?(after = fun ~port:(_ : int) -> ()) ~name
+    ~workers ~queue_depth ~cache_entries ~client_jobs ~total ~body_of () =
   Obs.reset ();
   let server =
-    Serve.Server.create ~port:0 ~workers ~queue_depth ~cache_entries ~slos
-      ~profile ()
+    Serve.Server.create ~port:0 ~workers ~queue_depth ~cache_entries ~slos ()
   in
   let port = Serve.Server.port server in
   let srv = Domain.spawn (fun () -> Serve.Server.run server) in
@@ -1048,43 +1043,20 @@ let serve_load ~jobs ~quick ~out () =
       ~body_of:(fun _ -> hot_body)
       ()
   in
-  let mix =
-    run_scenario ~name:"mix" ~workers:auto_workers ~queue_depth:64
-      ~cache_entries:256 ~client_jobs
-      ~total:(if quick then 24 else 64)
-      ~body_of:(fun g -> if g mod 2 = 0 then hot_body else cold_body (g / 2))
-      ()
-  in
-  (* mix again, this time with the sampling profiler attached and SLOs
-     configured: same request mix, fresh server and cache, so its p99
-     against plain mix measures the profiler's end-to-end overhead
-     (doc/PROFILING.md §Overhead budget), and its live /debug endpoints
-     feed the burn-rate reproduction and profiler-liveness gates *)
+  (* an SLO on the mix: its live /debug/slo and /metrics answers feed
+     the burn-rate reproduction gate *)
   let slos =
     match Obs.Slo.parse_all [ "route=/map,p99=250ms,err=0.1%" ] with
     | Ok o -> o
     | Error e -> failwith e
   in
   let slo_check = ref None in
-  let prof_endpoint_ok = ref false in
-  let mix_prof =
-    (* the scenario name seeds client request ids, which must stay
-       within the X-Request-Id alphabet ([A-Za-z0-9_-]) to round-trip *)
-    run_scenario ~name:"mix-prof" ~workers:auto_workers ~queue_depth:64
-      ~cache_entries:256 ~client_jobs ~slos ~profile:true
+  let mix =
+    run_scenario ~name:"mix" ~workers:auto_workers ~queue_depth:64
+      ~cache_entries:256 ~client_jobs ~slos
       ~total:(if quick then 24 else 64)
       ~body_of:(fun g -> if g mod 2 = 0 then hot_body else cold_body (g / 2))
-      ~after:(fun ~port ->
-        let prof = http_get ~port ~path:"/debug/prof" in
-        prof_endpoint_ok :=
-          resp_status prof = 200
-          && (match Obs.Json.of_string (resp_body prof) with
-             | Ok doc ->
-                 Obs.Json.member "attached" doc = Some (Obs.Json.Bool true)
-             | Error _ -> false)
-          && resp_status (http_get ~port ~path:"/debug/prof?format=folded")
-             = 200;
-        slo_check := slo_reproduction ~port)
+      ~after:(fun ~port -> slo_check := slo_reproduction ~port)
       ()
   in
   let overload =
@@ -1094,15 +1066,8 @@ let serve_load ~jobs ~quick ~out () =
       ~body_of:(fun _ -> hot_body)
       ()
   in
-  let scenarios = [ baseline; hot; mix; mix_prof; overload ] in
+  let scenarios = [ baseline; hot; mix; overload ] in
   let speedup = hot.sr_throughput /. Float.max 1e-9 baseline.sr_throughput in
-  (* profiler overhead: p99 of the profiled mix vs the plain mix.  The
-     3% floor is the budget; the 50ms absolute slack absorbs scheduler
-     noise on the small per-scenario sample counts *)
-  let overhead_pct =
-    ((mix_prof.sr_p99 /. Float.max 1e-9 mix.sr_p99) -. 1.) *. 100.
-  in
-  let overhead_ok = mix_prof.sr_p99 <= (mix.sr_p99 *. 1.03) +. 0.050 in
   let gates =
     [
       ( "no_5xx",
@@ -1117,8 +1082,6 @@ let serve_load ~jobs ~quick ~out () =
       ("healthz_under_overload", overload.sr_healthz_ok);
       ("scrapes_valid", List.for_all (fun s -> s.sr_scrape_ok) scenarios);
       ("hot_speedup_3x", (not multicore) || speedup >= 3.0);
-      ("profiler_overhead_3pct", overhead_ok);
-      ("prof_endpoint_ok", !prof_endpoint_ok);
       ( "slo_burn_reproduced",
         match !slo_check with Some r -> slo_repro_ok r | None -> false );
     ]
@@ -1127,21 +1090,13 @@ let serve_load ~jobs ~quick ~out () =
     let open Obs.Json in
     Obj
       [
-        ("schema", Str "turbosyn-serve-perf/2");
+        ("schema", Str "turbosyn-serve-perf/3");
         ("quick", Bool quick);
         ("host", Obj [ ("recommended_domains", Int host_domains) ]);
         ("baseline_throughput_rps", Float baseline.sr_throughput);
         ("hot_speedup_vs_baseline", Float speedup);
         ("hot_speedup_floor", Float 3.0);
         ("hot_speedup_gated", Bool multicore);
-        ( "profiler",
-          Obj
-            [
-              ("p99_off_seconds", Float mix.sr_p99);
-              ("p99_on_seconds", Float mix_prof.sr_p99);
-              ("overhead_p99_pct", Float overhead_pct);
-              ("overhead_floor_pct", Float 3.0);
-            ] );
         ( "slo",
           match !slo_check with
           | None -> Null
@@ -1169,10 +1124,6 @@ let serve_load ~jobs ~quick ~out () =
   close_out oc;
   Format.printf "hot speedup vs baseline: %.1fx (floor 3.0x, %s)@." speedup
     (if multicore then "gated" else "not gated: single-core host");
-  Format.printf
-    "profiler p99 overhead on mix: %+.1f%% (%.1fms off, %.1fms on; floor \
-     3%% + 50ms slack)@."
-    overhead_pct (mix.sr_p99 *. 1e3) (mix_prof.sr_p99 *. 1e3);
   (match !slo_check with
   | Some r ->
       Format.printf

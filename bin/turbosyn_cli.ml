@@ -108,13 +108,6 @@ let exit_err msg =
   Format.eprintf "error: %s@." msg;
   exit 1
 
-let profile_interval_arg =
-  Arg.(value & opt float 0.01 & info [ "profile-interval" ] ~docv:"SECONDS"
-         ~doc:"Sampling-profiler tick interval (doc/PROFILING.md).  \
-               Effective granularity on compute-bound work is bounded by \
-               the runtime's thread tick (~50ms), so smaller values mainly \
-               sharpen timestamps, not cost.")
-
 (* resolve --slo/--slo-file into objectives, refusing bad specs up front *)
 let resolve_slos ~slo_specs ~slo_file =
   let from_file =
@@ -210,8 +203,7 @@ let stats_cmd =
 
 let map_cmd =
   let run input workload algo k output verilog verify no_pld no_area multi exact
-      stats timeline audit profile profile_interval
-      log_level log_file =
+      stats timeline audit log_level log_file =
     setup_logging ~log_level ~log_file
       ~outputs:
         [
@@ -220,7 +212,6 @@ let map_cmd =
           ("--audit", audit);
           ("--output", output);
           ("--verilog", verilog);
-          ("--profile", profile);
         ];
     match load ~input ~workload with
     | Error e -> exit_err e
@@ -234,22 +225,14 @@ let map_cmd =
             phi_max_den = (if exact then None else Some 24);
           }
         in
-        (* --timeline and --profile record even without --stats *)
-        if stats <> None || timeline <> None || profile <> None then begin
+        (* --timeline records even without --stats *)
+        if stats <> None || timeline <> None then begin
           Obs.set_enabled true;
           Obs.reset ()
         end;
-        (* reset before attach: Obs.reset refuses while the sampler is on *)
-        if profile <> None then begin
-          if profile_interval <= 0. then
-            exit_err "--profile-interval must be > 0";
-          Obs.Prof.reset ();
-          Obs.Prof.attach ~interval:profile_interval ()
-        end;
-        let detach_prof () = if profile <> None then Obs.Prof.detach () in
         (* keep stdout parseable when the JSON report goes there *)
         let out =
-          if stats = Some "-" || profile = Some "-" then Format.err_formatter
+          if stats = Some "-" then Format.err_formatter
           else Format.std_formatter
         in
         let algo_name =
@@ -265,11 +248,8 @@ let map_cmd =
             ("k", Obs.Json.Int k);
           ];
         match Turbosyn.Synth.run ~options algo nl with
-        | exception Invalid_argument msg ->
-            detach_prof ();
-            exit_err msg
+        | exception Invalid_argument msg -> exit_err msg
         | r ->
-            detach_prof ();
             Obs.Log.debug "map.done"
               [
                 ("circuit", Obs.Json.Str (Circuit.Netlist.name nl));
@@ -325,16 +305,6 @@ let map_cmd =
                   Format.fprintf out "wrote %s (%d slices)@." path
                     (Obs.Timeline.length ())
             | None -> ());
-            (match profile with
-            | Some path ->
-                write path (fun () ->
-                    Obs.Flame.write path (Obs.Prof.folded_text ()));
-                Format.eprintf
-                  "profile: %d samples (%d dropped), %.3fs sampler overhead@."
-                  (Obs.Prof.samples ()) (Obs.Prof.dropped ())
-                  (Obs.Prof.overhead_seconds ());
-                if path <> "-" then Format.fprintf out "wrote %s@." path
-            | None -> ());
             (match audit with
             | Some path -> (
                 match Audit.build ~source:nl ~options r with
@@ -381,16 +351,6 @@ let map_cmd =
                 if dest <> "-" then Format.fprintf out "wrote %s@." dest
             | None -> ())
   in
-  let profile_arg =
-    Arg.(value & opt ~vopt:(Some "-") (some string) None
-         & info [ "profile" ] ~docv:"FILE"
-             ~doc:"Attach the wall-clock sampling profiler for the run and \
-                   write its folded stacks (flamegraph.pl format, \
-                   doc/PROFILING.md) to $(docv); with no $(docv), print \
-                   them to stdout and move the human-readable summary to \
-                   stderr.  The mapping result is byte-identical with or \
-                   without this flag.")
-  in
   Cmd.v
     (Cmd.info "map"
        ~doc:"Map a circuit to K-LUTs minimizing the clock period under \
@@ -398,8 +358,8 @@ let map_cmd =
     Term.(
       const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ output_arg
       $ verilog_arg $ verify_arg $ no_pld_arg $ no_area_arg $ multi_arg
-      $ exact_arg $ stats_arg $ timeline_arg $ audit_arg $ profile_arg
-      $ profile_interval_arg $ log_level_arg $ log_file_arg)
+      $ exact_arg $ stats_arg $ timeline_arg $ audit_arg $ log_level_arg
+      $ log_file_arg)
 
 let audit_cmd =
   let run check input workload algo k out seed =
@@ -535,21 +495,19 @@ let equiv_cmd =
     Term.(const run $ a_arg $ b_arg $ mapped_arg)
 
 let serve_cmd =
-  let run port slow_seconds workers queue_depth cache_entries profile
-      profile_interval slo_specs slo_file log_level log_file =
+  let run port slow_seconds workers queue_depth cache_entries slo_specs
+      slo_file log_level log_file =
     setup_logging ~log_level ~log_file ~outputs:[];
     (* metrics must be live for /metrics to have content; never reset
-       between requests so scrape counters stay monotone.  Reset before
-       the server attaches the profiler (reset refuses while attached). *)
+       between requests so scrape counters stay monotone *)
     Obs.set_enabled true;
     Obs.reset ();
     if queue_depth < 0 then exit_err "--queue-depth must be >= 0";
     if cache_entries < 0 then exit_err "--cache-entries must be >= 0";
-    if profile_interval <= 0. then exit_err "--profile-interval must be > 0";
     let slos = resolve_slos ~slo_specs ~slo_file in
     match
       Serve.Server.create ~port ~slow_seconds ?workers ~queue_depth
-        ~cache_entries ~slos ~profile ~profile_interval ()
+        ~cache_entries ~slos ()
     with
     | exception Unix.Unix_error (e, _, _) ->
         exit_err
@@ -558,15 +516,12 @@ let serve_cmd =
     | server ->
         Format.eprintf
           "turbosyn serve: listening on http://127.0.0.1:%d (%d worker \
-           domain(s), queue depth %d, cache %d entries%s%s; routes: /map, \
+           domain(s), queue depth %d, cache %d entries%s; routes: /map, \
            /metrics, /healthz, /debug/requests, /debug/trace/<id>, \
-           /debug/prof, /debug/slo)@."
+           /debug/slo)@."
           (Serve.Server.port server)
           (Serve.Server.workers server)
           queue_depth cache_entries
-          (if profile then
-             Printf.sprintf ", profiler every %gs" profile_interval
-           else "")
           (match List.length slos with
           | 0 -> ""
           | n -> Printf.sprintf ", %d SLO objective(s)" n);
@@ -577,7 +532,6 @@ let serve_cmd =
             ("queue_depth", Obs.Json.Int queue_depth);
             ("cache_entries", Obs.Json.Int cache_entries);
             ("slow_seconds", Obs.Json.Float slow_seconds);
-            ("profile", Obs.Json.Bool profile);
             ("slos", Obs.Json.Int (List.length slos));
           ];
         Serve.Server.run server
@@ -608,15 +562,6 @@ let serve_cmd =
                  (0 disables caching; responses then carry \
                  $(b,X-Cache: bypass)).")
   in
-  let profile_flag_arg =
-    Arg.(value & flag & info [ "profile" ]
-           ~doc:"Attach the wall-clock sampling profiler for the server's \
-                 lifetime; inspect it via GET /debug/prof (JSON summary, \
-                 ?format=folded, ?format=chrome, ?route=map) and the \
-                 $(b,turbosyn_prof_*) scrape gauges.  Served documents \
-                 are byte-identical with or without this flag \
-                 (doc/PROFILING.md).")
-  in
   let slo_arg =
     Arg.(value & opt_all string [] & info [ "slo" ] ~docv:"SPEC"
            ~doc:"Add a per-route service-level objective, e.g. \
@@ -642,14 +587,13 @@ let serve_cmd =
              /debug/trace/<id> introspect the recent-request ring.  Every \
              request carries a correlation id (X-Request-Id or traceparent, \
              echoed back) and emits a structured access-log line.  \
-             $(b,--profile) attaches the sampling profiler (GET \
-             /debug/prof), $(b,--slo)/$(b,--slo-file) declare latency and \
-             error objectives evaluated at scrape time (GET /debug/slo).  \
+             $(b,--slo)/$(b,--slo-file) declare latency and error \
+             objectives evaluated at scrape time (GET /debug/slo).  \
              Runs until interrupted.")
     Term.(
       const run $ port_arg $ slow_arg $ workers_arg $ queue_depth_arg
-      $ cache_entries_arg $ profile_flag_arg $ profile_interval_arg
-      $ slo_arg $ slo_file_arg $ log_level_arg $ log_file_arg)
+      $ cache_entries_arg $ slo_arg $ slo_file_arg $ log_level_arg
+      $ log_file_arg)
 
 let flame_cmd =
   let run trace_file input workload algo k output log_level log_file =
@@ -686,14 +630,13 @@ let flame_cmd =
             let options = Turbosyn.Synth.default_options ~k () in
             Obs.set_enabled true;
             Obs.reset ();
+            (* keep every slice: a bounded ring drops the oldest, and a
+               dropped child's time then folds into its parent's self
+               time *)
+            Obs.Timeline.set_capacity max_int;
             match Turbosyn.Synth.run ~options algo nl with
             | exception Invalid_argument msg -> exit_err msg
             | _ ->
-                if Obs.Timeline.dropped () > 0 then
-                  Format.eprintf
-                    "flame: timeline ring dropped %d slices; deep stacks may \
-                     fold with missing parents@."
-                    (Obs.Timeline.dropped ());
                 write_folded (Obs.Flame.of_slices (Obs.Timeline.slices ()))))
   in
   let trace_file_arg =
@@ -718,89 +661,6 @@ let flame_cmd =
     Term.(
       const run $ trace_file_arg $ input_arg $ workload_arg $ algo_arg $ k_arg
       $ out_arg $ log_level_arg $ log_file_arg)
-
-let prof_cmd =
-  let run input workload algo k interval top output log_level log_file =
-    setup_logging ~log_level ~log_file ~outputs:[ ("--output", Some output) ];
-    if interval <= 0. then exit_err "--profile-interval must be > 0";
-    match load ~input ~workload with
-    | Error e -> exit_err e
-    | Ok nl -> (
-        let options = Turbosyn.Synth.default_options ~k () in
-        (* spans only maintain the live stacks while collection is on;
-           reset before attach (Obs.reset refuses while attached) *)
-        Obs.set_enabled true;
-        Obs.reset ();
-        Obs.Prof.reset ();
-        Obs.Prof.attach ~interval ();
-        let finish () = Obs.Prof.detach () in
-        match Turbosyn.Synth.run ~options algo nl with
-        | exception Invalid_argument msg ->
-            finish ();
-            exit_err msg
-        | _r -> (
-            finish ();
-            Format.eprintf
-              "prof: %d samples (%d dropped), %.3fs sampler overhead@."
-              (Obs.Prof.samples ()) (Obs.Prof.dropped ())
-              (Obs.Prof.overhead_seconds ());
-            if Obs.Prof.samples () = 0 then
-              Format.eprintf
-                "prof: no samples — the run finished inside one tick; try a \
-                 larger workload or a smaller --profile-interval@.";
-            match top with
-            | Some n ->
-                (* top-K self-time table to stdout (or --output) *)
-                let rows =
-                  Obs.Prof.top_self () |> List.filteri (fun i _ -> i < max 1 n)
-                in
-                let b = Buffer.create 256 in
-                Buffer.add_string b
-                  (Printf.sprintf "%12s  %8s  %s\n" "self-seconds" "samples"
-                     "frame");
-                List.iter
-                  (fun (frame, secs) ->
-                    Buffer.add_string b
-                      (Printf.sprintf "%12.6f  %8.0f  %s\n" secs
-                         (secs /. Obs.Prof.interval ())
-                         frame))
-                  rows;
-                (try Obs.Flame.write output (Buffer.contents b)
-                 with Sys_error e -> exit_err e);
-                if output <> "-" then Format.eprintf "wrote %s@." output
-            | None -> (
-                (* folded stacks, flamegraph.pl-ready *)
-                try
-                  Obs.Flame.write output (Obs.Prof.folded_text ());
-                  if output <> "-" then Format.eprintf "wrote %s@." output
-                with Sys_error e -> exit_err e)))
-  in
-  let interval_arg =
-    Arg.(value & opt float 0.01 & info [ "profile-interval"; "interval" ]
-           ~docv:"SECONDS" ~doc:"Sampling tick interval.")
-  in
-  let top_arg =
-    Arg.(value & opt (some int) None & info [ "top" ] ~docv:"K"
-           ~doc:"Print a top-$(docv) self-time table (heaviest sampled \
-                 frames) instead of folded stacks.")
-  in
-  let out_arg =
-    Arg.(value & opt string "-" & info [ "output"; "o" ] ~docv:"FILE"
-           ~doc:"Write the folded stacks (or table) to $(docv) \
-                 (default stdout).")
-  in
-  Cmd.v
-    (Cmd.info "prof"
-       ~doc:"Run a mapping under the wall-clock sampling profiler \
-             (doc/PROFILING.md) and print flamegraph.pl-ready folded \
-             stacks, or a top-K self-time table with $(b,--top).  Unlike \
-             $(b,flame) (which folds exact span activations), the output \
-             is statistical — weights are sample counts times the tick \
-             interval — but reflects where wall time was actually spent, \
-             including inside long-running phases.  Render with: \
-             flamegraph.pl out.folded > flame.svg.")
-    Term.(
-      const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ interval_arg $ top_arg $ out_arg $ log_level_arg $ log_file_arg)
 
 let promlint_cmd =
   let run file =
@@ -842,7 +702,6 @@ let () =
         equiv_cmd;
         serve_cmd;
         flame_cmd;
-        prof_cmd;
         promlint_cmd;
       ]
   in

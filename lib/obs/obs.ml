@@ -9,7 +9,6 @@ module Prometheus = Prometheus
 module Scope = Scope
 module Log = Log
 module Flame = Flame
-module Prof = Prof
 module Slo = Slo
 
 let set_enabled = State.set_enabled
@@ -23,10 +22,5 @@ let reset () =
           the domains running them and lose their pending merges; close \
           them first"
          (Atomic.get State.open_scopes));
-  if Atomic.get State.profiling then
-    invalid_arg
-      "Obs.reset: the sampling profiler is attached — its tick thread is \
-       concurrently reading live span state that the reset would clear \
-       under it; Prof.detach () first";
   Sink.reset Sink.global;
   Gauge.reset_all ()

@@ -44,7 +44,6 @@ module Prometheus = Prometheus
 module Scope = Scope
 module Log = Log
 module Flame = Flame
-module Prof = Prof
 module Slo = Slo
 
 val set_enabled : bool -> unit
@@ -69,6 +68,4 @@ val reset : unit -> unit
     @raise Invalid_argument while any {!Scope} is open (created and not
     yet closed): a reset then would race the domain running it and
     silently lose its un-merged observations, so it is rejected
-    instead.  Close the scope first.  Likewise refused while the
-    {!Prof} sampler is attached: its tick thread reads live span state
-    concurrently, so detach first ([doc/PROFILING.md]). *)
+    instead.  Close the scope first. *)

@@ -26,12 +26,7 @@ let enter s =
     if c.depth = 0 then begin
       c.started <- Prelude.Timer.wall ();
       c.gc_at_enter <- Some (Gc.quick_stat ());
-      c.minor_at_enter <- Gc.minor_words ();
-      (* live-stack mirror for the sampling profiler: allocation-free
-         (stores an existing string into a pre-sized array), so GC
-         deltas and every other observable stay byte-identical whether
-         the sampler is attached or not *)
-      if State.profiling_on () then Livestack.push s.name
+      c.minor_at_enter <- Gc.minor_words ()
     end;
     c.depth <- c.depth + 1
   end
@@ -42,9 +37,9 @@ let exit s =
     if c.depth > 0 then begin
       c.depth <- c.depth - 1;
       if c.depth = 0 then begin
-        let now = Prelude.Timer.wall () in
-        c.total <- c.total +. (now -. c.started);
-        c.entries <- c.entries + 1;
+        (* GC record first, clock last: the quick_stat's cost then lands
+           inside this activation, as the enter-side one does, instead
+           of on the parent *)
         (match c.gc_at_enter with
         | Some g0 ->
             let g1 = Gc.quick_stat () in
@@ -62,8 +57,10 @@ let exit s =
               };
             c.gc_at_enter <- None
         | None -> ());
-        Timeline.record s.name ~start:c.started ~stop:now;
-        if State.profiling_on () then Livestack.pop s.name
+        let now = Prelude.Timer.wall () in
+        c.total <- c.total +. (now -. c.started);
+        c.entries <- c.entries + 1;
+        Timeline.record s.name ~start:c.started ~stop:now
       end
     end
   end

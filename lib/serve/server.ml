@@ -60,14 +60,6 @@ let c_cache_misses = Obs.Counter.make "serve.cache_misses"
 let c_cache_joins = Obs.Counter.make "serve.cache_joins"
 let c_shed = Obs.Counter.make "serve.shed"
 
-(* Profiler accounting, mirrored from Obs.Prof's private state at
-   scrape time only (the tick thread must never touch the
-   unsynchronized registries; doc/PROFILING.md §Overhead budget).
-   Gauges, not counters: a detach/re-attach cycle may reset them. *)
-let g_prof_samples = Obs.Gauge.make "prof.samples"
-let g_prof_dropped = Obs.Gauge.make "prof.dropped"
-let g_prof_overhead = Obs.Gauge.make "prof.overhead_seconds"
-
 (* Everything process-global in Obs (counters, spans, histograms,
    timeline) is unsynchronized; with worker domains closing scopes
    concurrently, every direct registry touch — merge, render, inline
@@ -515,8 +507,6 @@ type config = {
   cache_entries : int;  (** LRU capacity of the result cache; 0 = off *)
   slow_seconds : float;
   slos : Obs.Slo.objective list;
-  profile : bool;  (** attach the Obs.Prof sampler for the run's life *)
-  profile_interval : float;
 }
 
 type job = {
@@ -841,9 +831,6 @@ let serve_job t job =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Obs.Log.with_request_id job.jb_id @@ fun () ->
-      (* tag this domain's profiler samples with the route while the
-         request runs (a no-op for the sampler unless it is attached) *)
-      Obs.Prof.with_route "map" @@ fun () ->
       let scope = Obs.Scope.create ~id:job.jb_id () in
       let close () =
         with_registry (fun () ->
@@ -916,7 +903,7 @@ let worker_loop t =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* SLO evaluation (scrape-time) and profiler introspection             *)
+(* SLO evaluation (scrape-time)                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* objectives are spelled with the client-visible path ("/map"); the
@@ -999,26 +986,6 @@ let debug_slo_json t =
              verdicts) );
     ]
 
-let debug_prof_json ?route () =
-  let top = Obs.Prof.top_self ?route () |> List.filteri (fun i _ -> i < 20) in
-  J.Obj
-    [
-      ("schema", J.Str "turbosyn-prof/1");
-      ("attached", J.Bool (Obs.Prof.attached ()));
-      ("interval_seconds", J.Float (Obs.Prof.interval ()));
-      ("samples", J.Int (Obs.Prof.samples ()));
-      ("dropped", J.Int (Obs.Prof.dropped ()));
-      ("overhead_seconds", J.Float (Obs.Prof.overhead_seconds ()));
-      ("routes", J.List (List.map (fun r -> J.Str r) (Obs.Prof.routes ())));
-      ( "top_self",
-        J.List
-          (List.map
-             (fun (frame, secs) ->
-               J.Obj
-                 [ ("frame", J.Str frame); ("self_seconds", J.Float secs) ])
-             top) );
-    ]
-
 let healthz_json t =
   J.Obj
     [
@@ -1043,12 +1010,7 @@ let refresh_gauges t =
   Obs.Gauge.set_int g_workers t.config.workers;
   Obs.Gauge.set_int g_workers_busy busy;
   Obs.Gauge.set_int g_cache_size (Cache.length t.cache);
-  Obs.Gauge.set_int g_cache_capacity t.config.cache_entries;
-  (* profiler accounting, read from Prof's own synchronized state (lock
-     order: registry_mutex, then Prof's — Prof never takes ours) *)
-  Obs.Gauge.set_int g_prof_samples (Obs.Prof.samples ());
-  Obs.Gauge.set_int g_prof_dropped (Obs.Prof.dropped ());
-  Obs.Gauge.set g_prof_overhead (Obs.Prof.overhead_seconds ())
+  Obs.Gauge.set_int g_cache_capacity t.config.cache_entries
 
 let handle_debug_trace t fd ~req_id ~path ~query =
   let id = String.sub path 13 (String.length path - 13) in
@@ -1177,24 +1139,6 @@ let dispatch t fd =
             respond_json fd ~headers:echo ~status:200 (debug_slo_json t)
           in
           inline ~bytes "debug" 200 None
-      | "GET", "/debug/prof" ->
-          let route = List.assoc_opt "route" query in
-          let bytes =
-            match List.assoc_opt "format" query with
-            | Some "folded" ->
-                respond fd ~headers:echo ~status:200
-                  ~content_type:"text/plain"
-                  (Obs.Prof.folded_text ?route ())
-            | Some "chrome" ->
-                respond_json fd ~headers:echo ~status:200
-                  (Obs.Report.timeline_json
-                     ~slices:(Obs.Prof.slices ?route ())
-                     ~events:[] ())
-            | None | Some _ ->
-                respond_json fd ~headers:echo ~status:200
-                  (debug_prof_json ?route ())
-          in
-          inline ~bytes "debug" 200 None
       | "GET", _
         when String.length path > 13
              && String.sub path 0 13 = "/debug/trace/" ->
@@ -1202,7 +1146,7 @@ let dispatch t fd =
           inline ~bytes "debug" status None
       | ( _,
           ( "/healthz" | "/metrics" | "/map" | "/debug/requests"
-          | "/debug/slo" | "/debug/prof" ) ) ->
+          | "/debug/slo" ) ) ->
           let bytes =
             respond_error fd ~headers:echo ~status:405 "method not allowed"
           in
@@ -1236,16 +1180,13 @@ let default_workers () =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
 let create ?(port = 0) ?(slow_seconds = 1.0) ?workers ?(queue_depth = 64)
-    ?(cache_entries = 256) ?(slos = []) ?(profile = false)
-    ?(profile_interval = 0.010) () =
+    ?(cache_entries = 256) ?(slos = []) () =
   let workers =
     match workers with Some w -> max 1 w | None -> default_workers ()
   in
   if queue_depth < 0 then invalid_arg "Server.create: negative queue depth";
   if cache_entries < 0 then
     invalid_arg "Server.create: negative cache capacity";
-  if profile_interval <= 0. then
-    invalid_arg "Server.create: profile interval must be > 0";
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -1259,15 +1200,7 @@ let create ?(port = 0) ?(slow_seconds = 1.0) ?workers ?(queue_depth = 64)
     listen = fd;
     port;
     config =
-      {
-        workers;
-        queue_depth;
-        cache_entries;
-        slow_seconds;
-        slos;
-        profile;
-        profile_interval;
-      };
+      { workers; queue_depth; cache_entries; slow_seconds; slos };
     stopped = Atomic.make false;
     queue = Prelude.Bqueue.create ~capacity:queue_depth;
     cache = Cache.create ~capacity:cache_entries;
@@ -1282,37 +1215,28 @@ let run t =
   (* a client that disconnects mid-response must not kill the server *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* the sampler lives exactly as long as the serving domains: attached
-     here (so Obs.reset still works between create and run) and
-     detached — joining the tick thread — on the way out, even when a
-     loop raises *)
-  if t.config.profile then
-    Obs.Prof.attach ~interval:t.config.profile_interval ();
-  Fun.protect
-    ~finally:(fun () -> if t.config.profile then Obs.Prof.detach ())
-    (fun () ->
-      (* the workers run until the queue closes; the accept loop runs
-         here and closes the queue on exit, which drains and releases
-         them.  The first exception — the accept loop's, then the
-         workers' in spawn order — is re-raised once all are joined. *)
-      let outcome f =
-        match f () with
-        | () -> None
-        | exception e -> Some (e, Printexc.get_raw_backtrace ())
-      in
-      let workers =
-        List.init t.config.workers (fun _ ->
-            Domain.spawn (fun () -> outcome (fun () -> worker_loop t)))
-      in
-      let accept =
-        outcome (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Prelude.Bqueue.close t.queue)
-              (fun () -> accept_loop t))
-      in
-      match List.find_map Fun.id (accept :: List.map Domain.join workers) with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
+  (* the workers run until the queue closes; the accept loop runs here
+     and closes the queue on exit, which drains and releases them.  The
+     first exception — the accept loop's, then the workers' in spawn
+     order — is re-raised once all are joined. *)
+  let outcome f =
+    match f () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  let workers =
+    List.init t.config.workers (fun _ ->
+        Domain.spawn (fun () -> outcome (fun () -> worker_loop t)))
+  in
+  let accept =
+    outcome (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Prelude.Bqueue.close t.queue)
+          (fun () -> accept_loop t))
+  in
+  match List.find_map Fun.id (accept :: List.map Domain.join workers) with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin

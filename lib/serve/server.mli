@@ -29,12 +29,6 @@
       timeline slices as a Chrome-trace document, [?format=folded] as
       flamegraph.pl folded stacks.  [404] when the id has been evicted
       from the ring (or never existed).
-    - [GET /debug/prof] answers the {!Obs.Prof} sampling-profiler state
-      ([turbosyn-prof/1]: attached, interval, samples/dropped/overhead
-      accounting, routes seen, top-20 self-time frames);
-      [?format=folded] answers flamegraph.pl folded stacks,
-      [?format=chrome] a Chrome-trace rendering of the raw-sample ring;
-      [?route=map] filters any format to one route's samples.
     - [GET /debug/slo] answers the burn-rate evaluation of the
       configured objectives ([turbosyn-slo/1]): per objective, the
       latency/error verdicts of {!Obs.Slo.verdict_json}, the flat
@@ -91,8 +85,6 @@ val create :
   ?queue_depth:int ->
   ?cache_entries:int ->
   ?slos:Obs.Slo.objective list ->
-  ?profile:bool ->
-  ?profile_interval:float ->
   unit ->
   t
 (** Bind and listen on [127.0.0.1:port].  [port] defaults to [0]: the
@@ -106,13 +98,8 @@ val create :
     (default [256]) is the LRU capacity of the result cache; [0]
     disables caching.  [slos] (default none) are the objectives
     evaluated by [/debug/slo] and the [turbosyn_slo_*] scrape families.
-    [profile] (default [false]) attaches the {!Obs.Prof} sampler, at
-    [profile_interval] seconds per tick (default [0.01]), for exactly
-    the lifetime of {!run} — served documents are byte-identical either
-    way ([doc/PROFILING.md]).  Raises [Unix.Unix_error] when binding
-    fails (e.g. port in use), [Invalid_argument] on negative
-    [queue_depth]/[cache_entries] or a non-positive
-    [profile_interval]. *)
+    Raises [Unix.Unix_error] when binding fails (e.g. port in use),
+    [Invalid_argument] on negative [queue_depth]/[cache_entries]. *)
 
 val port : t -> int
 

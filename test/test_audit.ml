@@ -436,7 +436,7 @@ let test_timeline_shape () =
       | _ -> Alcotest.fail "no traceEvents list")
 
 (* ---------------------------------------------------------------- *)
-(* Document comparison and the profiler byte-identity oracle        *)
+(* Document comparison and the Obs byte-identity oracle             *)
 (* ---------------------------------------------------------------- *)
 
 let test_equal_documents () =
@@ -483,12 +483,11 @@ let test_equal_documents () =
     "$.b[1].c"
 
 (* Audit documents serialize everything downstream consumers see, so
-   their equality with and without the sampling profiler attached is the
-   end-to-end profiler byte-identity gate (doc/PROFILING.md §Byte
-   identity): the sampler only reads live span state, and this catches
-   any accidental write-back.  The 2 ms tick is well under the run time,
-   so samples really land. *)
-let test_profiler_invariant_document () =
+   their equality with Obs collection off and on is the end-to-end
+   byte-identity gate for the instrumentation: counters, spans and the
+   timeline only observe the run, and this catches any accidental
+   write-back into the synthesis state. *)
+let test_obs_invariant_document () =
   let options = Turbosyn.Synth.default_options ~k:5 () in
   let doc_of nl =
     let r = Turbosyn.Synth.run ~options `Turbosyn nl in
@@ -496,14 +495,11 @@ let test_profiler_invariant_document () =
     | Ok doc -> doc
     | Error e -> Alcotest.failf "%s: audit build failed: %s" (Netlist.name nl) e
   in
-  let profiled_doc_of nl =
+  let observed_doc_of nl =
     Obs.set_enabled true;
     Obs.reset ();
-    Obs.Prof.reset ();
-    Obs.Prof.attach ~interval:0.002 ();
     Fun.protect
       ~finally:(fun () ->
-        Obs.Prof.detach ();
         Obs.reset ();
         Obs.set_enabled false)
       (fun () -> doc_of nl)
@@ -511,9 +507,9 @@ let test_profiler_invariant_document () =
   List.iter
     (fun name ->
       let nl = suite name in
-      match Audit.equal_documents (doc_of nl) (profiled_doc_of nl) with
+      match Audit.equal_documents (doc_of nl) (observed_doc_of nl) with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: profiled document differs: %s" name e)
+      | Error e -> Alcotest.failf "%s: observed document differs: %s" name e)
     [ "bbara"; "s298" ]
 
 (* Whole flow on random circuits: each algorithm's result on a small
@@ -582,7 +578,7 @@ let () =
         [
           Alcotest.test_case "equal_documents diagnosis" `Quick
             test_equal_documents;
-          Alcotest.test_case "audit document, profiler on and off" `Slow
-            test_profiler_invariant_document;
+          Alcotest.test_case "audit document, Obs on and off" `Slow
+            test_obs_invariant_document;
         ] );
     ]

@@ -827,117 +827,15 @@ let test_timeline_overflow_flame () =
               | Error e -> Alcotest.failf "trace parse: %s" e)
           | Error e -> Alcotest.failf "trace document: %s" e))
 
-(* ---------------------------------------------------------------- *)
-(* Sampling profiler (Obs.Prof, doc/PROFILING.md)                    *)
-(* ---------------------------------------------------------------- *)
-
-(* Attach/detach lifecycle, and the satellite guarantee that
-   [Obs.reset] refuses while the sampler's tick thread could be
-   reading live span state. *)
-let test_prof_lifecycle () =
+(* qcheck: whatever nesting program runs, the exact fold of its
+   timeline is well-formed and conserves time — the weights of the
+   lines through each span sum to that span's Span.seconds, within the
+   1 us rounding of each line (a stack holds at most one outermost
+   activation of a span, so every activation's subtree is counted
+   once). *)
+let test_flame_folded_qcheck () =
   with_obs (fun () ->
-      Alcotest.(check bool) "detached initially" false (Obs.Prof.attached ());
-      Alcotest.(check bool) "non-positive interval refused" true
-        (match Obs.Prof.attach ~interval:0. () with
-        | exception Invalid_argument _ -> true
-        | () -> false);
-      Obs.Prof.attach ~interval:0.002 ();
-      Fun.protect
-        ~finally:(fun () -> Obs.Prof.detach ())
-        (fun () ->
-          Alcotest.(check bool) "attached" true (Obs.Prof.attached ());
-          Alcotest.(check (float 1e-9)) "interval" 0.002 (Obs.Prof.interval ());
-          Alcotest.(check bool) "double attach refused" true
-            (match Obs.Prof.attach () with
-            | exception Invalid_argument _ -> true
-            | () -> false);
-          (* the reset guard: the tick thread reads live span stacks,
-             so clearing the registries under it is refused *)
-          Alcotest.(check bool) "Obs.reset refused while attached" true
-            (match Obs.reset () with
-            | exception Invalid_argument _ -> true
-            | () -> false));
-      Alcotest.(check bool) "detached" false (Obs.Prof.attached ());
-      Obs.Prof.detach ();
-      (* idempotent *)
-      Obs.reset ();
-      (* allowed again *)
-      Obs.Prof.reset ();
-      Alcotest.(check int) "reset clears samples" 0 (Obs.Prof.samples ()))
-
-(* Real sampled stacks: nested spans on a route, long enough (sleeps
-   release the runtime lock, so the tick systhread observes them) that
-   samples land deterministically, and the folded output reflects the
-   nesting. *)
-let test_prof_sampling () =
-  with_obs (fun () ->
-      let outer = Obs.Span.make "test.prof-outer" in
-      let inner = Obs.Span.make "test.prof-inner" in
-      Obs.Prof.reset ();
-      Obs.Prof.attach ~interval:0.002 ();
-      Fun.protect
-        ~finally:(fun () -> Obs.Prof.detach ())
-        (fun () ->
-          Obs.Prof.with_route "map" (fun () ->
-              Obs.Span.time outer (fun () ->
-                  Obs.Span.time inner (fun () -> Unix.sleepf 0.06))));
-      Alcotest.(check bool) "samples landed" true (Obs.Prof.samples () > 0);
-      Alcotest.(check bool) "nothing dropped" true (Obs.Prof.dropped () = 0);
-      Alcotest.(check bool) "overhead accounted" true
-        (Obs.Prof.overhead_seconds () >= 0.);
-      Alcotest.(check (list string)) "route recorded" [ "map" ]
-        (Obs.Prof.routes ());
-      let folded = Obs.Prof.folded () in
-      Alcotest.(check bool) "folded non-empty" true (folded <> []);
-      List.iter
-        (fun (stack, w) ->
-          Alcotest.(check bool) ("positive weight for " ^ stack) true (w > 0.);
-          List.iter
-            (fun fr ->
-              Alcotest.(check bool) "frame sane" true
-                (fr <> "" && not (String.contains fr ' ')))
-            (String.split_on_char ';' stack))
-        folded;
-      Alcotest.(check bool) "nested stack sampled" true
-        (List.mem_assoc "test.prof-outer;test.prof-inner" folded);
-      (* the sleep runs under the inner span: it dominates self time *)
-      (match Obs.Prof.top_self () with
-      | (frame, _) :: _ ->
-          Alcotest.(check string) "heaviest self frame" "test.prof-inner"
-            frame
-      | [] -> Alcotest.fail "top_self empty");
-      Alcotest.(check bool) "folded text well-formed" true
-        (folded_well_formed (Obs.Prof.folded_text ()));
-      (* route filtering *)
-      Alcotest.(check bool) "unknown route filters to nothing" true
-        (Obs.Prof.folded ~route:"nope" () = []);
-      Alcotest.(check bool) "route filter keeps the samples" true
-        (Obs.Prof.folded ~route:"map" () <> []);
-      (* raw samples render as a parseable Chrome-trace document *)
-      let slices = Obs.Prof.slices () in
-      Alcotest.(check bool) "slices non-empty" true (slices <> []);
-      List.iter
-        (fun (sl : Obs.Timeline.slice) ->
-          Alcotest.(check bool) "slice ordered" true (sl.stop > sl.start))
-        slices;
-      (match
-         Obs.Json.of_string
-           (Obs.Json.to_string (Obs.Report.timeline_json ~slices ()))
-       with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "prof chrome trace: %s" e);
-      (* reset forgets the samples *)
-      Obs.Prof.reset ();
-      Alcotest.(check int) "samples cleared" 0 (Obs.Prof.samples ());
-      Alcotest.(check bool) "folded cleared" true (Obs.Prof.folded () = []))
-
-(* qcheck: whatever nesting program runs under the sampler, the folded
-   output stays well-formed — frames non-empty and separator-free,
-   weights strictly positive (sampling is timing-dependent; the
-   property must hold for ANY subset of stacks the ticks observed). *)
-let test_prof_folded_qcheck () =
-  with_obs (fun () ->
-      let frame_names = [| "prof.qa"; "prof.qb"; "prof.qc"; "prof.qd" |] in
+      let frame_names = [| "flame.qa"; "flame.qb"; "flame.qc"; "flame.qd" |] in
       let gen =
         QCheck.Gen.(
           list_size (1 -- 3)
@@ -952,38 +850,57 @@ let test_prof_folded_qcheck () =
              paths)
       in
       run_qcheck
-        (QCheck.Test.make ~count:8 ~name:"sampled folded stacks well-formed"
+        (QCheck.Test.make ~count:20 ~name:"exact folded stacks well-formed"
            (QCheck.make ~print gen)
            (fun paths ->
-             Obs.Prof.reset ();
-             Obs.Prof.attach ~interval:0.001 ();
-             Fun.protect
-               ~finally:(fun () -> Obs.Prof.detach ())
-               (fun () ->
-                 List.iter
-                   (fun path ->
-                     let rec nest = function
-                       | [] -> Unix.sleepf 0.004
-                       | i :: rest ->
-                           Obs.Span.time
-                             (Obs.Span.make frame_names.(i))
-                             (fun () -> nest rest)
-                     in
-                     nest path)
-                   paths);
-             let folded = Obs.Prof.folded () in
-             List.for_all
-               (fun (stack, w) ->
-                 w > 0. && stack <> ""
-                 && List.for_all
-                      (fun fr ->
-                        fr <> ""
-                        && not (String.contains fr ' ')
-                        && not (String.contains fr '\n'))
-                      (String.split_on_char ';' stack))
-               folded
-             && folded_well_formed (Obs.Prof.folded_text ()))));
-  Obs.Prof.reset ()
+             Obs.reset ();
+             List.iter
+               (fun path ->
+                 let rec nest = function
+                   | [] -> Unix.sleepf 0.001
+                   | i :: rest ->
+                       Obs.Span.time
+                         (Obs.Span.make frame_names.(i))
+                         (fun () -> nest rest)
+                 in
+                 nest path)
+               paths;
+             let slices = Obs.Timeline.slices () in
+             let text = Obs.Flame.of_slices slices in
+             let lines =
+               String.split_on_char '\n' text
+               |> List.filter_map (fun line ->
+                      match String.rindex_opt line ' ' with
+                      | None -> None
+                      | Some i ->
+                          Some
+                            ( String.split_on_char ';' (String.sub line 0 i),
+                              float_of_string
+                                (String.sub line (i + 1)
+                                   (String.length line - i - 1)) ))
+             in
+             let entries = Obs.Flame.fold_slices slices in
+             folded_well_formed text
+             && Array.for_all
+                  (fun name ->
+                    let through frames = List.mem name frames in
+                    let us =
+                      List.fold_left
+                        (fun acc (frames, w) ->
+                          if through frames then acc +. w else acc)
+                        0. lines
+                    in
+                    let n =
+                      List.length
+                        (List.filter
+                           (fun (stack, _) ->
+                             through (String.split_on_char ';' stack))
+                           entries)
+                    in
+                    Float.abs
+                      (us -. (Obs.Span.seconds (Obs.Span.make name) *. 1e6))
+                    <= float_of_int n +. 1e-6)
+                  frame_names)))
 
 (* ---------------------------------------------------------------- *)
 (* Scope resource accounting                                         *)
@@ -1447,14 +1364,8 @@ let () =
             test_flame_timeline_round_trip;
           Alcotest.test_case "ring overflow" `Quick
             test_timeline_overflow_flame;
-        ] );
-      ( "prof",
-        [
-          Alcotest.test_case "lifecycle and reset guard" `Quick
-            test_prof_lifecycle;
-          Alcotest.test_case "sampling" `Quick test_prof_sampling;
           Alcotest.test_case "folded well-formed" `Quick
-            test_prof_folded_qcheck;
+            test_flame_folded_qcheck;
         ] );
       ( "resources",
         [

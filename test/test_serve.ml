@@ -116,16 +116,14 @@ let series_value body name =
 (* Server lifecycle                                                 *)
 (* ---------------------------------------------------------------- *)
 
-let with_server ?workers ?queue_depth ?cache_entries ?slos ?profile
-    ?profile_interval f =
+let with_server ?workers ?queue_depth ?cache_entries ?slos f =
   Obs.set_enabled true;
   Obs.reset ();
   (* keep per-request access-log lines out of the test output; the
      records still reach the in-memory ring and the request ring *)
   Obs.Log.to_null ();
   let server =
-    Serve.Server.create ~port:0 ?workers ?queue_depth ?cache_entries ?slos
-      ?profile ?profile_interval ()
+    Serve.Server.create ~port:0 ?workers ?queue_depth ?cache_entries ?slos ()
   in
   let srv = Domain.spawn (fun () -> Serve.Server.run server) in
   Fun.protect
@@ -193,8 +191,11 @@ let test_concurrent_map () =
           ()
       in
       Alcotest.(check int) "unknown circuit rejected" 400 status;
-      let status, _ = http ~port ~meth:"GET" ~path:"/nowhere" () in
-      Alcotest.(check int) "unknown route" 404 status;
+      List.iter
+        (fun path ->
+          let status, _ = http ~port ~meth:"GET" ~path () in
+          Alcotest.(check int) ("unknown route " ^ path) 404 status)
+        [ "/nowhere"; "/debug/prof" ];
       let status, body = http ~port ~meth:"GET" ~path:"/healthz" () in
       Alcotest.(check int) "alive after errors" 200 status;
       match Obs.Json.of_string body with
@@ -1212,7 +1213,7 @@ let test_read_deadline () =
            "turbosyn_serve_requests{route=\"malformed\",status=\"408\"}"))
 
 (* ---------------------------------------------------------------- *)
-(* Profiling and SLO endpoints                                       *)
+(* SLO endpoints                                                     *)
 (* ---------------------------------------------------------------- *)
 
 let test_profiling_and_slo () =
@@ -1221,9 +1222,9 @@ let test_profiling_and_slo () =
     | Ok slos -> slos
     | Error e -> Alcotest.failf "slo spec: %s" e
   in
-  with_server ~slos ~profile:true ~profile_interval:0.002 (fun port ->
-      (* served bytes are identical with the sampler attached: the
-         response must equal a direct (unprofiled-path) rendering *)
+  with_server ~slos (fun port ->
+      (* served bytes are identical with an objective configured: the
+         response must equal a direct rendering *)
       let expected =
         match
           Serve.Server.map_response ~circuit:"bbara" ~k:5
@@ -1238,65 +1239,8 @@ let test_profiling_and_slo () =
           ()
       in
       Alcotest.(check int) "map status" 200 status;
-      Alcotest.(check string) "byte-identical under the profiler" expected
-        body;
-      (* /debug/prof reports the attached sampler *)
-      let status, _, body =
-        http_full ~port ~meth:"GET" ~path:"/debug/prof" ()
-      in
-      Alcotest.(check int) "prof status" 200 status;
-      let doc =
-        match Obs.Json.of_string body with
-        | Ok d -> d
-        | Error e -> Alcotest.failf "/debug/prof: %s" e
-      in
-      Alcotest.(check bool) "prof schema" true
-        (Obs.Json.member "schema" doc
-        = Some (Obs.Json.Str "turbosyn-prof/1"));
-      Alcotest.(check bool) "sampler attached" true
-        (Obs.Json.member "attached" doc = Some (Obs.Json.Bool true));
-      Alcotest.(check bool) "interval published" true
-        (match Obs.Json.member "interval_seconds" doc with
-        | Some (Obs.Json.Float f) -> f = 0.002
-        | _ -> false);
-      Alcotest.(check bool) "sample accounting" true
-        (match
-           ( Obs.Json.member "samples" doc,
-             Obs.Json.member "dropped" doc,
-             Obs.Json.member "overhead_seconds" doc )
-         with
-        | Some (Obs.Json.Int s), Some (Obs.Json.Int d), Some _ ->
-            s >= 0 && d >= 0
-        | _ -> false);
-      (* folded and chrome renderings answer (possibly empty on a fast
-         run; weights must parse when present) *)
-      let status, _, folded =
-        http_full ~port ~meth:"GET" ~path:"/debug/prof?format=folded" ()
-      in
-      Alcotest.(check int) "folded status" 200 status;
-      String.split_on_char '\n' folded
-      |> List.iter (fun line ->
-             if line <> "" then
-               match String.rindex_opt line ' ' with
-               | None -> Alcotest.failf "malformed folded line %S" line
-               | Some i -> (
-                   match
-                     int_of_string_opt
-                       (String.sub line (i + 1) (String.length line - i - 1))
-                   with
-                   | Some w when w > 0 -> ()
-                   | _ -> Alcotest.failf "bad weight in %S" line));
-      let status, _, chrome =
-        http_full ~port ~meth:"GET" ~path:"/debug/prof?format=chrome" ()
-      in
-      Alcotest.(check int) "chrome status" 200 status;
-      (match Obs.Json.of_string chrome with
-      | Ok doc ->
-          Alcotest.(check bool) "chrome traceEvents" true
-            (match Obs.Json.member "traceEvents" doc with
-            | Some (Obs.Json.List _) -> true
-            | _ -> false)
-      | Error e -> Alcotest.failf "prof chrome trace: %s" e);
+      Alcotest.(check string) "byte-identical to the direct rendering"
+        expected body;
       (* /debug/slo evaluates the configured objective against the
          route histogram, exemplars linking into /debug/trace *)
       let status, _, body =
@@ -1343,8 +1287,7 @@ let test_profiling_and_slo () =
                 && String.sub path 0 13 = "/debug/trace/"
             | _ -> false)
       | _ -> Alcotest.fail "no slowest exemplars");
-      (* the same verdicts reach the scrape as turbosyn_slo_* gauges,
-         and the sampler's own accounting as prof_* series *)
+      (* the same verdicts reach the scrape as turbosyn_slo_* gauges *)
       let _, _, scrape = http_full ~port ~meth:"GET" ~path:"/metrics" () in
       (match
          series_value scrape
@@ -1360,9 +1303,6 @@ let test_profiling_and_slo () =
       Alcotest.(check bool) "error budget gauge" true
         (series_value scrape "turbosyn_slo_error_budget{route=\"/map\"}"
         = Some 0.001);
-      Alcotest.(check bool) "sampler accounting on the scrape" true
-        (series_value scrape "turbosyn_prof_samples" <> None
-        && series_value scrape "turbosyn_prof_overhead_seconds" <> None);
       (* the route histogram the verdict reproduces from is scraped *)
       match
         series_value scrape "turbosyn_serve_route_seconds_map_count"
@@ -1370,19 +1310,10 @@ let test_profiling_and_slo () =
       | None -> Alcotest.fail "no route histogram on the scrape"
       | Some n -> Alcotest.(check (float 0.)) "one observation" 1. n)
 
-(* Without objectives or the sampler, the debug endpoints still answer
-   (empty and detached, not 404) — dashboards can always scrape them. *)
+(* Without objectives, /debug/slo still answers (empty, not 404) —
+   dashboards can always scrape it. *)
 let test_prof_slo_defaults () =
   with_server (fun port ->
-      let status, _, body =
-        http_full ~port ~meth:"GET" ~path:"/debug/prof" ()
-      in
-      Alcotest.(check int) "prof status" 200 status;
-      (match Obs.Json.of_string body with
-      | Ok doc ->
-          Alcotest.(check bool) "sampler detached" true
-            (Obs.Json.member "attached" doc = Some (Obs.Json.Bool false))
-      | Error e -> Alcotest.failf "/debug/prof: %s" e);
       let status, _, body = http_full ~port ~meth:"GET" ~path:"/debug/slo" () in
       Alcotest.(check int) "slo status" 200 status;
       match Obs.Json.of_string body with
