@@ -581,566 +581,6 @@ let stats_diff base_file cur_file =
       if not t.Audit.Diff.ok then exit 3
 
 (* ------------------------------------------------------------------ *)
-(* serve-load: scenario-driven load probe of the concurrent server.    *)
-(* Boots `turbosyn serve` in-process on an ephemeral port and drives   *)
-(* four scenarios with concurrent client domains over fresh            *)
-(* connections:                                                        *)
-(*   baseline — one worker, cache disabled, one serial client: the     *)
-(*              single-threaded reference throughput;                  *)
-(*   hot      — N workers, cache on, one repeated request: after the   *)
-(*              first miss the LRU serves, X-Cache proves it;          *)
-(*   mix      — N workers, cache on, SLO configured, 50% hot key +     *)
-(*              cold keys spread over circuits x k: the measured-hit-  *)
-(*              rate scenario, whose live /debug/slo + /metrics        *)
-(*              answers gate burn-rate reproducibility;                *)
-(*   overload — one worker, queue depth 1, cache off, many clients:    *)
-(*              admission control must shed with 429 + Retry-After     *)
-(*              (never 5xx) while /healthz stays answerable.           *)
-(* Emits a turbosyn-serve-perf/3 document (--out, default              *)
-(* BENCH_serve_perf.json) and exits nonzero when a gate fails: any     *)
-(* 5xx (exit 3); no cache hits in hot/mix, no sheds or a missing       *)
-(* Retry-After in overload, an invalid /metrics scrape, an SLO burn    *)
-(* rate that fails to recompute from the scrape, or — on multicore     *)
-(* hosts — hot throughput below 3x baseline (exit 2).                  *)
-(* ------------------------------------------------------------------ *)
-
-let http_request ~port ~meth ~path ?(headers = []) ~body () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let extra =
-        String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers)
-      in
-      let req =
-        Printf.sprintf
-          "%s %s HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: \
-           application/json\r\nContent-Length: %d\r\n%sConnection: \
-           close\r\n\r\n%s"
-          meth path (String.length body) extra body
-      in
-      let b = Bytes.of_string req in
-      let rec send off =
-        if off < Bytes.length b then
-          send (off + Unix.write fd b off (Bytes.length b - off))
-      in
-      send 0;
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
-      let rec recv () =
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes buf chunk 0 n;
-          recv ()
-        end
-      in
-      recv ();
-      Buffer.contents buf)
-
-let http_post ~port ~path ?headers ~body () =
-  http_request ~port ~meth:"POST" ~path ?headers ~body ()
-
-let http_get ~port ~path =
-  http_request ~port ~meth:"GET" ~path ~body:"" ()
-
-(* raw-response accessors: status code, one (lower-cased) header, body *)
-let resp_status resp =
-  match String.split_on_char ' ' resp with
-  | _ :: code :: _ -> Option.value ~default:0 (int_of_string_opt code)
-  | _ -> 0
-
-let resp_header name resp =
-  let name = String.lowercase_ascii name in
-  String.split_on_char '\n' resp
-  |> List.find_map (fun line ->
-         match String.index_opt line ':' with
-         | Some i when String.lowercase_ascii (String.sub line 0 i) = name ->
-             Some
-               (String.trim
-                  (String.sub line (i + 1) (String.length line - i - 1)))
-         | _ -> None)
-
-let resp_body resp =
-  let rec find i =
-    if i + 3 >= String.length resp then None
-    else if
-      resp.[i] = '\r' && resp.[i + 1] = '\n' && resp.[i + 2] = '\r'
-      && resp.[i + 3] = '\n'
-    then Some (i + 4)
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i -> String.sub resp i (String.length resp - i)
-  | None -> ""
-
-(* server-side seconds per request id, joined from /debug/requests *)
-let server_side_seconds ~port =
-  let resp = http_get ~port ~path:"/debug/requests" in
-  match Obs.Json.of_string (resp_body resp) with
-  | Error _ -> None
-  | Ok doc -> (
-      match Obs.Json.member "requests" doc with
-      | Some (Obs.Json.List rs) ->
-          let tbl = Hashtbl.create 64 in
-          List.iter
-            (fun r ->
-              match
-                (Obs.Json.member "id" r, Obs.Json.member "seconds" r)
-              with
-              | Some (Obs.Json.Str id), Some (Obs.Json.Float s) ->
-                  Hashtbl.replace tbl id s
-              | Some (Obs.Json.Str id), Some (Obs.Json.Int s) ->
-                  Hashtbl.replace tbl id (float_of_int s)
-              | _ -> ())
-            rs;
-          Some tbl
-      | _ -> None)
-
-(* one client-side request observation *)
-type req_obs = {
-  ro_status : int;
-  ro_cache : string option; (* X-Cache marker *)
-  ro_retry_after : bool;
-  ro_id_echoed : bool;
-  ro_seconds : float;
-}
-
-type scenario_report = {
-  sr_name : string;
-  sr_workers : int;
-  sr_queue_depth : int;
-  sr_cache_entries : int;
-  sr_client_jobs : int;
-  sr_requests : int;
-  sr_ok : int;
-  sr_shed : int; (* 429s *)
-  sr_client_errors : int; (* other 4xx, or a dropped id echo *)
-  sr_server_errors : int; (* 5xx *)
-  sr_hits : int;
-  sr_misses : int;
-  sr_retry_after_missing : int; (* 429s without a Retry-After header *)
-  sr_seconds : float;
-  sr_throughput : float; (* requests (all statuses) per second *)
-  sr_p50 : float; (* client-side latency of 200s, seconds *)
-  sr_p99 : float;
-  sr_max : float;
-  sr_queue_wait_mean : float option; (* client minus server, joined *)
-  sr_healthz_ok : bool; (* /healthz answered 200 mid-load *)
-  sr_scrape_ok : bool; (* post-load /metrics passed promlint *)
-}
-
-let run_scenario ?(slos = []) ?(after = fun ~port:(_ : int) -> ()) ~name
-    ~workers ~queue_depth ~cache_entries ~client_jobs ~total ~body_of () =
-  Obs.reset ();
-  let server =
-    Serve.Server.create ~port:0 ~workers ~queue_depth ~cache_entries ~slos ()
-  in
-  let port = Serve.Server.port server in
-  let srv = Domain.spawn (fun () -> Serve.Server.run server) in
-  let per = (total + client_jobs - 1) / client_jobs in
-  let total = per * client_jobs in
-  Format.printf
-    "-- %-8s  %d requests, %d client domain(s), %d worker(s), queue %d, \
-     cache %d@."
-    name total client_jobs
-    (Serve.Server.workers server)
-    queue_depth cache_entries;
-  let t0 = Prelude.Timer.wall () in
-  (* each request carries a unique client-chosen correlation id; the
-     echo proves propagation and keys the server-side latency join *)
-  let clients =
-    List.init client_jobs (fun w ->
-        Domain.spawn (fun () ->
-            Array.init per (fun i ->
-                let g = (w * per) + i in
-                let id = Printf.sprintf "bench-%s-%d-%d" name w i in
-                let t = Prelude.Timer.wall () in
-                let resp =
-                  http_post ~port ~path:"/map"
-                    ~headers:[ ("X-Request-Id", id) ]
-                    ~body:(body_of g) ()
-                in
-                ( id,
-                  {
-                    ro_status = resp_status resp;
-                    ro_cache = resp_header "x-cache" resp;
-                    ro_retry_after = resp_header "retry-after" resp <> None;
-                    ro_id_echoed = resp_header "x-request-id" resp = Some id;
-                    ro_seconds = Prelude.Timer.wall () -. t;
-                  } ))))
-  in
-  (* liveness probe while the load is in flight: the accept lane must
-     keep answering /healthz even when every worker is busy *)
-  let healthz_ok = resp_status (http_get ~port ~path:"/healthz") = 200 in
-  let results =
-    List.concat_map (fun d -> Array.to_list (Domain.join d)) clients
-  in
-  let elapsed = Prelude.Timer.wall () -. t0 in
-  let joined =
-    match server_side_seconds ~port with
-    | None -> []
-    | Some tbl ->
-        List.filter_map
-          (fun (id, ro) ->
-            if ro.ro_status <> 200 then None
-            else
-              Option.map
-                (fun srv -> Float.max 0. (ro.ro_seconds -. srv))
-                (Hashtbl.find_opt tbl id))
-          results
-  in
-  let scrape_ok =
-    match
-      Obs.Prometheus.validate (resp_body (http_get ~port ~path:"/metrics"))
-    with
-    | Ok () -> true
-    | Error _ -> false
-  in
-  (* scenario-specific probes against the still-running server (e.g.
-     the SLO burn-rate reproduction, which needs a live /debug/slo) *)
-  after ~port;
-  Serve.Server.stop server;
-  Domain.join srv;
-  let obs = List.map snd results in
-  let count p = List.length (List.filter p obs) in
-  let ok = count (fun o -> o.ro_status = 200) in
-  let lats =
-    List.filter_map
-      (fun o -> if o.ro_status = 200 then Some o.ro_seconds else None)
-      obs
-    |> List.sort Float.compare |> Array.of_list
-  in
-  let pct p =
-    let n = Array.length lats in
-    if n = 0 then 0.
-    else lats.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  let report =
-    {
-      sr_name = name;
-      sr_workers = Serve.Server.workers server;
-      sr_queue_depth = queue_depth;
-      sr_cache_entries = cache_entries;
-      sr_client_jobs = client_jobs;
-      sr_requests = total;
-      sr_ok = ok;
-      sr_shed = count (fun o -> o.ro_status = 429);
-      sr_client_errors =
-        count (fun o ->
-            (o.ro_status >= 400 && o.ro_status < 500 && o.ro_status <> 429)
-            || (o.ro_status = 200 && not o.ro_id_echoed));
-      sr_server_errors = count (fun o -> o.ro_status >= 500);
-      sr_hits = count (fun o -> o.ro_cache = Some "hit");
-      sr_misses = count (fun o -> o.ro_cache = Some "miss");
-      sr_retry_after_missing =
-        count (fun o -> o.ro_status = 429 && not o.ro_retry_after);
-      sr_seconds = elapsed;
-      sr_throughput = float_of_int total /. elapsed;
-      sr_p50 = pct 0.50;
-      sr_p99 = pct 0.99;
-      sr_max = (if Array.length lats = 0 then 0. else lats.(Array.length lats - 1));
-      sr_queue_wait_mean =
-        (match joined with
-        | [] -> None
-        | ws ->
-            Some
-              (List.fold_left ( +. ) 0. ws /. float_of_int (List.length ws)));
-      sr_healthz_ok = healthz_ok;
-      sr_scrape_ok = scrape_ok;
-    }
-  in
-  Format.printf
-    "   %d ok, %d shed, %d client err, %d server err; %d hit / %d miss; \
-     %.1f req/s over %.2fs; p50 %.1fms p99 %.1fms max %.1fms@."
-    report.sr_ok report.sr_shed report.sr_client_errors
-    report.sr_server_errors report.sr_hits report.sr_misses
-    report.sr_throughput report.sr_seconds (report.sr_p50 *. 1e3)
-    (report.sr_p99 *. 1e3) (report.sr_max *. 1e3);
-  report
-
-let scenario_json sr =
-  let open Obs.Json in
-  Obj
-    [
-      ("name", Str sr.sr_name);
-      ("workers", Int sr.sr_workers);
-      ("queue_depth", Int sr.sr_queue_depth);
-      ("cache_entries", Int sr.sr_cache_entries);
-      ("client_jobs", Int sr.sr_client_jobs);
-      ("requests", Int sr.sr_requests);
-      ("ok", Int sr.sr_ok);
-      ("shed", Int sr.sr_shed);
-      ("client_errors", Int sr.sr_client_errors);
-      ("server_errors", Int sr.sr_server_errors);
-      ("cache_hits", Int sr.sr_hits);
-      ("cache_misses", Int sr.sr_misses);
-      ( "cache_hit_rate",
-        if sr.sr_hits + sr.sr_misses = 0 then Null
-        else
-          Float
-            (float_of_int sr.sr_hits
-            /. float_of_int (sr.sr_hits + sr.sr_misses)) );
-      ( "shed_rate",
-        if sr.sr_requests = 0 then Null
-        else Float (float_of_int sr.sr_shed /. float_of_int sr.sr_requests) );
-      ("retry_after_missing", Int sr.sr_retry_after_missing);
-      ("seconds", Float sr.sr_seconds);
-      ("throughput_rps", Float sr.sr_throughput);
-      ("client_p50_seconds", Float sr.sr_p50);
-      ("client_p99_seconds", Float sr.sr_p99);
-      ("client_max_seconds", Float sr.sr_max);
-      ( "queue_wait_mean_seconds",
-        match sr.sr_queue_wait_mean with None -> Null | Some w -> Float w );
-      ("healthz_ok", Bool sr.sr_healthz_ok);
-      ("scrape_ok", Bool sr.sr_scrape_ok);
-    ]
-
-(* One /debug/slo latency verdict recomputed from a /metrics scrape.
-   Fetch order matters: /debug/slo first, then /metrics, with no /map
-   request in between — GETs only touch their own route histograms, so
-   the map latency distribution is frozen across the two fetches.  The
-   verdict publishes good_upper_seconds (the exact bucket boundary it
-   evaluated at); [good] must equal the cumulative _bucket count at the
-   largest rendered le <= that boundary, [count] the _count line, and
-   the burn rate must recompute to the digit (doc/PROFILING.md §SLOs). *)
-type slo_repro = {
-  sl_burn : float; (* as reported by /debug/slo *)
-  sl_burn_re : float; (* recomputed from the scrape *)
-  sl_good : int;
-  sl_good_re : int;
-  sl_count : int;
-  sl_count_re : int;
-}
-
-let slo_repro_ok r =
-  Float.abs (r.sl_burn -. r.sl_burn_re) <= 1e-9
-  && r.sl_good = r.sl_good_re
-  && r.sl_count = r.sl_count_re
-
-let slo_reproduction ~port =
-  let slo_body = resp_body (http_get ~port ~path:"/debug/slo") in
-  let metrics = resp_body (http_get ~port ~path:"/metrics") in
-  let ( let* ) = Option.bind in
-  let* doc = Result.to_option (Obs.Json.of_string slo_body) in
-  let* objectives = Obs.Json.member "objectives" doc in
-  let* obj =
-    match objectives with Obs.Json.List (o :: _) -> Some o | _ -> None
-  in
-  let* lat = Obs.Json.member "latency" obj in
-  let num k =
-    match Obs.Json.member k lat with
-    | Some (Obs.Json.Float v) -> Some v
-    | Some (Obs.Json.Int v) -> Some (float_of_int v)
-    | _ -> None
-  in
-  let* hist =
-    match Obs.Json.member "histogram" obj with
-    | Some (Obs.Json.Str h) -> Some h
-    | _ -> None
-  in
-  let* q = num "quantile" in
-  let* upper = num "good_upper_seconds" in
-  let* good = num "good" in
-  let* count = num "count" in
-  let* burn = num "burn_rate" in
-  (* the metric as the renderer spells it: turbosyn_ prefix, dots
-     sanitized to underscores *)
-  let metric =
-    "turbosyn_" ^ String.map (fun c -> if c = '.' then '_' else c) hist
-  in
-  let bucket_prefix = metric ^ "_bucket{le=\"" in
-  let count_prefix = metric ^ "_count " in
-  let good_re = ref 0 and best_le = ref neg_infinity in
-  let count_re = ref (-1) in
-  List.iter
-    (fun line ->
-      if String.starts_with ~prefix:bucket_prefix line then begin
-        let rest =
-          String.sub line
-            (String.length bucket_prefix)
-            (String.length line - String.length bucket_prefix)
-        in
-        match String.index_opt rest '"' with
-        | Some qi -> (
-            let le = float_of_string_opt (String.sub rest 0 qi) in
-            let v =
-              String.sub rest (qi + 2) (String.length rest - qi - 2)
-              |> String.trim |> float_of_string_opt
-            in
-            match (le, v) with
-            | Some le, Some v
-              when le <= (upper *. (1. +. 1e-9)) +. 1e-12 && le > !best_le ->
-                (* cumulative series: the largest boundary at or below
-                   good_upper carries exactly the "good" count *)
-                best_le := le;
-                good_re := int_of_float v
-            | _ -> ())
-        | None -> ()
-      end
-      else if String.starts_with ~prefix:count_prefix line then
-        match
-          float_of_string_opt
-            (String.trim
-               (String.sub line
-                  (String.length count_prefix)
-                  (String.length line - String.length count_prefix)))
-        with
-        | Some v -> count_re := int_of_float v
-        | None -> ())
-    (String.split_on_char '\n' metrics);
-  let burn_re =
-    if !count_re <= 0 then 0.
-    else
-      float_of_int (!count_re - !good_re)
-      /. float_of_int !count_re /. (1. -. q)
-  in
-  Some
-    {
-      sl_burn = burn;
-      sl_burn_re = burn_re;
-      sl_good = int_of_float good;
-      sl_good_re = !good_re;
-      sl_count = int_of_float count;
-      sl_count_re = !count_re;
-    }
-
-let serve_load ~jobs ~quick ~out () =
-  Obs.set_enabled true;
-  (* per-request access logs would drown the report; keep the threshold
-     at warn so only slow/failed requests surface *)
-  Obs.Log.set_level Obs.Log.Warn;
-  let host_domains = Domain.recommended_domain_count () in
-  let multicore = host_domains > 1 in
-  let auto_workers = max 1 (min 4 (host_domains - 1)) in
-  let client_jobs = max 4 (max 1 jobs) in
-  (* turbomap: the full ratio search without decomposition, fast enough
-     to sustain a meaningful request rate on one core *)
-  let hot_body = {|{"circuit":"bbara","k":5,"algo":"turbomap"}|} in
-  let cold_keys =
-    [|
-      ("bbara", 4); ("bbara", 6); ("s298", 4); ("s298", 5); ("s298", 6);
-    |]
-  in
-  let cold_body g =
-    let c, k = cold_keys.(g mod Array.length cold_keys) in
-    Printf.sprintf {|{"circuit":%S,"k":%d,"algo":"turbomap"}|} c k
-  in
-  Format.printf "@.== serve-load: %d host domain(s), %d client domain(s) ==@."
-    host_domains client_jobs;
-  let baseline =
-    run_scenario ~name:"baseline" ~workers:1 ~queue_depth:64 ~cache_entries:0
-      ~client_jobs:1
-      ~total:(if quick then 6 else 12)
-      ~body_of:(fun _ -> hot_body)
-      ()
-  in
-  let hot =
-    run_scenario ~name:"hot" ~workers:auto_workers ~queue_depth:64
-      ~cache_entries:256 ~client_jobs
-      ~total:(if quick then 48 else 160)
-      ~body_of:(fun _ -> hot_body)
-      ()
-  in
-  (* an SLO on the mix: its live /debug/slo and /metrics answers feed
-     the burn-rate reproduction gate *)
-  let slos =
-    match Obs.Slo.parse_all [ "route=/map,p99=250ms,err=0.1%" ] with
-    | Ok o -> o
-    | Error e -> failwith e
-  in
-  let slo_check = ref None in
-  let mix =
-    run_scenario ~name:"mix" ~workers:auto_workers ~queue_depth:64
-      ~cache_entries:256 ~client_jobs ~slos
-      ~total:(if quick then 24 else 64)
-      ~body_of:(fun g -> if g mod 2 = 0 then hot_body else cold_body (g / 2))
-      ~after:(fun ~port -> slo_check := slo_reproduction ~port)
-      ()
-  in
-  let overload =
-    run_scenario ~name:"overload" ~workers:1 ~queue_depth:1 ~cache_entries:0
-      ~client_jobs:(max client_jobs 8)
-      ~total:(if quick then 24 else 48)
-      ~body_of:(fun _ -> hot_body)
-      ()
-  in
-  let scenarios = [ baseline; hot; mix; overload ] in
-  let speedup = hot.sr_throughput /. Float.max 1e-9 baseline.sr_throughput in
-  let gates =
-    [
-      ( "no_5xx",
-        List.for_all (fun s -> s.sr_server_errors = 0) scenarios );
-      ("no_client_errors",
-        List.for_all (fun s -> s.sr_client_errors = 0) scenarios );
-      ("hot_hits_nonzero", hot.sr_hits > 0);
-      ("mix_hits_nonzero", mix.sr_hits > 0);
-      ("overload_sheds", overload.sr_shed > 0);
-      ( "retry_after_on_429",
-        List.for_all (fun s -> s.sr_retry_after_missing = 0) scenarios );
-      ("healthz_under_overload", overload.sr_healthz_ok);
-      ("scrapes_valid", List.for_all (fun s -> s.sr_scrape_ok) scenarios);
-      ("hot_speedup_3x", (not multicore) || speedup >= 3.0);
-      ( "slo_burn_reproduced",
-        match !slo_check with Some r -> slo_repro_ok r | None -> false );
-    ]
-  in
-  let doc =
-    let open Obs.Json in
-    Obj
-      [
-        ("schema", Str "turbosyn-serve-perf/3");
-        ("quick", Bool quick);
-        ("host", Obj [ ("recommended_domains", Int host_domains) ]);
-        ("baseline_throughput_rps", Float baseline.sr_throughput);
-        ("hot_speedup_vs_baseline", Float speedup);
-        ("hot_speedup_floor", Float 3.0);
-        ("hot_speedup_gated", Bool multicore);
-        ( "slo",
-          match !slo_check with
-          | None -> Null
-          | Some r ->
-              Obj
-                [
-                  ("burn_rate_reported", Float r.sl_burn);
-                  ("burn_rate_recomputed", Float r.sl_burn_re);
-                  ("good_reported", Int r.sl_good);
-                  ("good_recomputed", Int r.sl_good_re);
-                  ("count_reported", Int r.sl_count);
-                  ("count_recomputed", Int r.sl_count_re);
-                  ("reproduced", Bool (slo_repro_ok r));
-                ] );
-        ("scenarios", List (List.map scenario_json scenarios));
-        ( "gates",
-          Obj
-            (List.map (fun (n, ok) -> (n, Bool ok)) gates
-            @ [ ("ok", Bool (List.for_all snd gates)) ]) );
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Obs.Json.to_pretty_string doc);
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "hot speedup vs baseline: %.1fx (floor 3.0x, %s)@." speedup
-    (if multicore then "gated" else "not gated: single-core host");
-  (match !slo_check with
-  | Some r ->
-      Format.printf
-        "slo burn rate: reported %.6f, recomputed from scrape %.6f \
-         (good %d/%d vs %d/%d) — %s@."
-        r.sl_burn r.sl_burn_re r.sl_good r.sl_count r.sl_good_re r.sl_count_re
-        (if slo_repro_ok r then "reproduced" else "MISMATCH")
-  | None -> Format.printf "slo burn rate: /debug/slo answer unusable@.");
-  Format.printf "wrote %s@." out;
-  List.iter
-    (fun (n, ok) -> if not ok then Format.printf "GATE FAILED: %s@." n)
-    gates;
-  Obs.set_enabled false;
-  if List.exists (fun s -> s.sr_server_errors > 0) scenarios then exit 3;
-  if not (List.for_all snd gates) then exit 2
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table + core kernels   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1209,25 +649,14 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* flags: --quick, --jobs N, --out FILE (serve-load mode; --out
-     defaults to BENCH_serve_perf.json); --json FILE, --circuit NAME,
-     --algo NAME, --diff A B (stats mode). *)
-  let quick = ref false and jobs = ref 1 and out = ref "" in
+  (* flags of the stats mode: --json FILE, --circuit NAME, --algo NAME,
+     --diff A B, --write-baseline *)
   let json = ref None and circuit = ref "bbara" and diff = ref None in
   let algo = ref "turbosyn" and write_baseline = ref false in
   let rec strip = function
     | [] -> []
-    | "--quick" :: rest ->
-        quick := true;
-        strip rest
     | "--write-baseline" :: rest ->
         write_baseline := true;
-        strip rest
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with Some j -> jobs := j | None -> ());
-        strip rest
-    | "--out" :: f :: rest ->
-        out := f;
         strip rest
     | "--json" :: f :: rest ->
         json := Some f;
@@ -1243,41 +672,39 @@ let () =
         strip rest
     | a :: rest -> a :: strip rest
   in
-  let modes =
-    match strip (List.tl (Array.to_list Sys.argv)) with
-    | [] ->
-        [ "table1"; "table2"; "table3"; "ablation-k"; "ablation-cmax";
-          "ablation-mdr"; "ablation-seqmap2"; "micro" ]
-    | args ->
-        if List.mem "all" args then
-          [ "table1"; "table2"; "table3"; "ablation-k"; "ablation-cmax";
-            "ablation-mdr"; "ablation-seqmap2"; "micro" ]
-        else args
+  let stats () =
+    if !write_baseline then
+      (* regenerate the committed regression baseline in place (see
+         doc/OBSERVABILITY.md §Regression gating) *)
+      stats_json ~circuit:"bbara" ~algo:"turbosyn"
+        ~out:"BENCH_stats_baseline.json" ()
+    else
+      match (!diff, !json) with
+      | Some (a, b), _ -> stats_diff a b
+      | None, Some f -> stats_json ~circuit:!circuit ~algo:!algo ~out:f ()
+      | None, None -> stats_mode ()
   in
+  let modes =
+    [
+      ("table1", table1); ("table2", table2); ("table3", table3);
+      ("ablation-k", ablation_k); ("ablation-cmax", ablation_cmax);
+      ("ablation-mdr", ablation_mdr); ("ablation-seqmap2", ablation_seqmap2);
+      ("stats", stats); ("micro", micro);
+    ]
+  in
+  let everything = List.filter (fun m -> m <> "stats") (List.map fst modes) in
+  let args = strip (List.tl (Array.to_list Sys.argv)) in
+  (* refuse the whole command line before running any mode *)
   List.iter
-    (function
-      | "table1" -> table1 ()
-      | "table2" -> table2 ()
-      | "table3" -> table3 ()
-      | "ablation-k" -> ablation_k ()
-      | "ablation-cmax" -> ablation_cmax ()
-      | "ablation-mdr" -> ablation_mdr ()
-      | "ablation-seqmap2" -> ablation_seqmap2 ()
-      | "stats" -> (
-          if !write_baseline then
-            (* regenerate the committed regression baseline in place (see
-               doc/OBSERVABILITY.md §Regression gating) *)
-            stats_json ~circuit:"bbara" ~algo:"turbosyn"
-              ~out:"BENCH_stats_baseline.json" ()
-          else
-            match (!diff, !json) with
-            | Some (a, b), _ -> stats_diff a b
-            | None, Some f -> stats_json ~circuit:!circuit ~algo:!algo ~out:f ()
-            | None, None -> stats_mode ())
-      | "serve-load" ->
-          serve_load ~jobs:!jobs ~quick:!quick
-            ~out:(if !out = "" then "BENCH_serve_perf.json" else !out)
-            ()
-      | "micro" -> micro ()
-      | other -> Format.eprintf "unknown mode %s@." other)
-    modes
+    (fun a ->
+      if a <> "all" && not (List.mem_assoc a modes) then begin
+        Format.eprintf "unknown mode %s@.usage: main.exe [%s | all] \
+                        [--json FILE] [--circuit NAME] [--algo NAME] \
+                        [--diff A B] [--write-baseline]@."
+          a
+          (String.concat " | " (List.map fst modes));
+        exit 2
+      end)
+    args;
+  let run = if args = [] || List.mem "all" args then everything else args in
+  List.iter (fun m -> (List.assoc m modes) ()) run

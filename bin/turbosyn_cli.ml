@@ -637,7 +637,8 @@ let flame_cmd =
             match Turbosyn.Synth.run ~options algo nl with
             | exception Invalid_argument msg -> exit_err msg
             | _ ->
-                write_folded (Obs.Flame.of_slices (Obs.Timeline.slices ()))))
+                write_folded
+                  Obs.Flame.(to_string (fold_array (Obs.Timeline.to_array ())))))
   in
   let trace_file_arg =
     Arg.(value & opt (some string) None & info [ "from-timeline"; "t" ]

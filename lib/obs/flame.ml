@@ -27,17 +27,15 @@ type entry = {
 let clean_frame name =
   String.map (fun c -> if c = ';' || c = ' ' || c = '\n' then '_' else c) name
 
-let fold_slices slices =
+let fold_array slices =
   (* parents first: by start ascending, then longer first at equal
      start, so a container always precedes its contents *)
-  let sorted =
-    List.stable_sort
-      (fun (a : Timeline.slice) (b : Timeline.slice) ->
-        match Float.compare a.Timeline.start b.Timeline.start with
-        | 0 -> Float.compare b.Timeline.stop a.Timeline.stop
-        | c -> c)
-      slices
-  in
+  Array.stable_sort
+    (fun (a : Timeline.slice) (b : Timeline.slice) ->
+      match Float.compare a.Timeline.start b.Timeline.start with
+      | 0 -> Float.compare b.Timeline.stop a.Timeline.stop
+      | c -> c)
+    slices;
   let acc : (string, float) Hashtbl.t = Hashtbl.create 64 in
   let stack = ref [] in
   (* innermost first *)
@@ -64,7 +62,7 @@ let fold_slices slices =
     (* starts are sorted, so s.start >= outer.start already holds *)
     s.Timeline.stop <= outer.stop
   in
-  List.iter
+  Array.iter
     (fun (s : Timeline.slice) ->
       let rec unwind () =
         match !stack with
@@ -82,12 +80,14 @@ let fold_slices slices =
           child = 0.;
         }
         :: !stack)
-    sorted;
+    slices;
   while !stack <> [] do
     pop_one ()
   done;
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let fold_slices slices = fold_array (Array.of_list slices)
 
 let to_string folded =
   let b = Buffer.create 256 in

@@ -20,7 +20,8 @@
    ([good_upper_seconds], = Histogram.bucket_upper (bucket_of target))
    and publish it, so (a) the evaluation is deterministic, (b) anyone
    holding the scrape can reproduce [good] from the cumulative
-   _bucket{le="..."} series exactly (bench serve-load gates this), and
+   _bucket{le="..."} series exactly (test_serve's "slo burn rate
+   reproduced from a scrape" case checks this on a live server), and
    (c) the small systematic slack (at most one sqrt-2 bucket) is
    visible rather than hidden. *)
 

@@ -22,5 +22,21 @@ let set_capacity n =
 
 let clear () = Sink.clear_slices Sink.global
 let slices () = Sink.slices Sink.global
+
+let to_array () =
+  let q = Sink.global.slices in
+  match Queue.peek_opt q with
+  | None -> [||]
+  | Some first ->
+      (* filled by index: Array.of_seq would build a list first *)
+      let a = Array.make (Queue.length q) first in
+      let i = ref 0 in
+      Queue.iter
+        (fun s ->
+          a.(!i) <- s;
+          incr i)
+        q;
+      a
+
 let length () = Queue.length Sink.global.slices
 let dropped () = Sink.global.dropped

@@ -108,8 +108,8 @@ val workers : t -> int
 
 val run : t -> unit
 (** Serve until {!stop}.  Blocks the calling thread (it runs the
-    accept lane); run it in a [Domain] (as [bench serve-load] and the
-    tests do) to drive requests from the same process. *)
+    accept lane); run it in a [Domain] (as the tests do) to drive
+    requests from the same process. *)
 
 val stop : t -> unit
 (** Close the listen socket, waking the blocked accept.  Queued and

@@ -1131,8 +1131,9 @@ let test_slo_evaluate () =
 
 (* qcheck: [lv_good] always equals the recomputation from the published
    boundary over the snapshot's cumulative buckets, and the burn rate
-   follows from (good, count, q) — the exact arithmetic the serve-load
-   bench replays from a /metrics scrape. *)
+   follows from (good, count, q) — the exact arithmetic test_serve's
+   "slo burn rate reproduced from a scrape" case replays from a live
+   /metrics scrape. *)
 let test_slo_reproduction () =
   with_obs (fun () ->
       let gen =

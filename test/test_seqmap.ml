@@ -239,6 +239,52 @@ let test_turbosyn_no_worse () =
    permutation exactly when it is the [Array.stable_sort] order.  Half
    the cases test the sorted order itself or that order with two
    neighbours swapped (tie or not), the rest a random shuffle. *)
+(* C-slow invariance.  C-slowing multiplies every register count, POs'
+   included, by C; the label recurrence sees phi only through
+   l(u) - phi * w(e), so the engine at phi/C on the C-slowed copy must
+   answer what it answers at phi on the source: the same verdict and
+   the same labels, with and without resynthesis.  Only the engine is
+   compared: the search's phi* and LUT count also depend on the probe
+   sequence, through the cut memo the final run inherits. *)
+let qcheck_c_slow =
+  QCheck.Test.make ~name:"C-slowed copy at phi/C = source at phi" ~count:100
+    QCheck.(
+      make
+        ~print:(fun (seed, c) -> Printf.sprintf "seed=%d C=%d" seed c)
+        Gen.(pair (0 -- 1_000_000) (2 -- 3)))
+    (fun (seed, c) ->
+      let rng = Rng.create seed in
+      let nl =
+        Random_circuit.seq rng ~pis:3 ~gates:(8 + Rng.int rng 9) ~max_arity:3
+      in
+      let slowed = Netlist.copy nl in
+      List.iter
+        (fun v ->
+          Array.iteri
+            (fun j (_, w) -> Netlist.set_weight slowed v j (w * c))
+            (Netlist.fanins nl v))
+        (Netlist.gates nl @ Netlist.pos nl);
+      let same opts phi =
+        let slow_phi = Rat.div phi (Rat.of_int c) in
+        match
+          ( fst (Label_engine.run opts nl ~phi),
+            fst (Label_engine.run opts slowed ~phi:slow_phi) )
+        with
+        | Label_engine.Infeasible, Label_engine.Infeasible -> true
+        | Label_engine.Feasible a, Label_engine.Feasible b ->
+            Array.for_all2 Rat.equal a.labels b.labels
+        | _ -> false
+      in
+      let turbomap = Label_engine.default_options ~k:4 in
+      List.for_all
+        (fun opts ->
+          List.for_all (same opts)
+            (List.map
+               (fun (p, q) -> Rat.make p q)
+               [ (1, 1); (4, 3); (3, 2); (5, 3); (2, 1); (7, 3); (5, 2);
+                 (8, 3); (3, 1); (11, 3) ]))
+        [ turbomap; { turbomap with Label_engine.resynthesize = true } ])
+
 let qcheck_stable_order =
   QCheck.Test.make ~name:"stable order check = stable sort" ~count:1000
     QCheck.(make ~print:string_of_int Gen.(0 -- 1_000_000))
@@ -905,6 +951,7 @@ let () =
           Alcotest.test_case "collapsible loop" `Quick
             test_minimum_ratio_collapsible_loop;
           Alcotest.test_case "acyclic" `Quick test_acyclic_zero;
+          QCheck_alcotest.to_alcotest qcheck_c_slow;
         ] );
       ( "mapping",
         [

@@ -138,6 +138,28 @@ let with_server ?workers ?queue_depth ?cache_entries ?slos f =
 let map_body ~circuit ~algo =
   Printf.sprintf "{\"circuit\": %S, \"k\": 5, \"algo\": %S}" circuit algo
 
+(* [load ~port ~domains ~per body_of] starts [domains] client domains
+   that post [per] /map requests each over fresh connections; request
+   [g] carries [body_of g] and the unique id "load-<g>".  [Domain.join]
+   each to get its (id, status, headers) answers. *)
+let load ~port ~domains ~per body_of =
+  List.init domains (fun d ->
+      Domain.spawn (fun () ->
+          List.init per (fun i ->
+              let g = (d * per) + i in
+              let id = Printf.sprintf "load-%d" g in
+              let status, hdrs, _ =
+                http_full ~port ~meth:"POST" ~path:"/map"
+                  ~headers:[ ("X-Request-Id", id) ]
+                  ~body:(body_of g) ()
+              in
+              (id, status, hdrs))))
+
+let hits replies =
+  List.length
+    (List.filter (fun (_, _, h) -> List.assoc_opt "x-cache" h = Some "hit")
+       replies)
+
 (* ---------------------------------------------------------------- *)
 (* Concurrent mapping requests, byte-identical to the CLI path       *)
 (* ---------------------------------------------------------------- *)
@@ -334,6 +356,46 @@ let test_cache_bypass () =
         [ (); () ])
 
 (* ---------------------------------------------------------------- *)
+(* Cached hot key: a repeated request served from the LRU must       *)
+(* sustain at least 3x the throughput of the same request computed   *)
+(* serially on one worker with the cache off                         *)
+(* ---------------------------------------------------------------- *)
+
+let test_hot_speedup () =
+  let body _ = map_body ~circuit:"bbara" ~algo:"turbomap" in
+  (* requests per second over [domains * per] requests, with every
+     answer checked *)
+  let throughput ?workers ?cache_entries ~domains ~per () =
+    with_server ?workers ?cache_entries (fun port ->
+        let t0 = Unix.gettimeofday () in
+        let replies =
+          List.concat_map Domain.join (load ~port ~domains ~per body)
+        in
+        let dt = Unix.gettimeofday () -. t0 in
+        List.iter
+          (fun (id, status, _) ->
+            Alcotest.(check int) (id ^ " status") 200 status)
+          replies;
+        (float_of_int (domains * per) /. dt, hits replies))
+  in
+  let baseline, baseline_hits =
+    throughput ~workers:1 ~cache_entries:0 ~domains:1 ~per:6 ()
+  in
+  Alcotest.(check int) "baseline computes every request" 0 baseline_hits;
+  let host = Domain.recommended_domain_count () in
+  let hot, hot_hits =
+    throughput ~workers:(max 1 (min 4 (host - 1))) ~domains:4 ~per:12 ()
+  in
+  Alcotest.(check bool) "hot key hits the cache" true (hot_hits > 0);
+  (* one core cannot overlap clients with the server, so the floor
+     holds only where there is a second *)
+  if host > 1 then
+    Alcotest.(check bool)
+      (Printf.sprintf "hot %.0f req/s >= 3x baseline %.0f req/s" hot baseline)
+      true
+      (hot >= 3. *. baseline)
+
+(* ---------------------------------------------------------------- *)
 (* Admission control: queue_depth 0 sheds every /map with 429 +      *)
 (* Retry-After while the monitoring routes stay answerable           *)
 (* ---------------------------------------------------------------- *)
@@ -387,6 +449,43 @@ let test_shed () =
           | Some r ->
               Alcotest.(check bool) "shed outcome" true
                 (Obs.Json.member "outcome" r = Some (Obs.Json.Str "shed"))))
+
+(* ---------------------------------------------------------------- *)
+(* Overload under contention: one busy worker and a one-slot queue   *)
+(* shed the excess of eight concurrent clients with 429 +            *)
+(* Retry-After, never a 5xx, while /healthz and /metrics keep        *)
+(* answering                                                         *)
+(* ---------------------------------------------------------------- *)
+
+let test_overload_contention () =
+  with_server ~workers:1 ~queue_depth:1 ~cache_entries:0 (fun port ->
+      let clients =
+        load ~port ~domains:8 ~per:4 (fun _ ->
+            map_body ~circuit:"bbara" ~algo:"turbomap")
+      in
+      (* the accept lane answers while the clients are in flight *)
+      let status, _ = http ~port ~meth:"GET" ~path:"/healthz" () in
+      Alcotest.(check int) "healthz under load" 200 status;
+      let replies = List.concat_map Domain.join clients in
+      List.iter
+        (fun (id, status, hdrs) ->
+          match status with
+          | 200 ->
+              Alcotest.(check (option string)) (id ^ " echoes its id")
+                (Some id)
+                (List.assoc_opt "x-request-id" hdrs)
+          | 429 ->
+              Alcotest.(check bool) (id ^ " retry-after on 429") true
+                (List.assoc_opt "retry-after" hdrs <> None)
+          | s -> Alcotest.failf "%s: status %d, want 200 or 429" id s)
+        replies;
+      Alcotest.(check bool) "some requests shed" true
+        (List.exists (fun (_, status, _) -> status = 429) replies);
+      let _, scrape = http ~port ~meth:"GET" ~path:"/metrics" () in
+      match Obs.Prometheus.validate scrape with
+      | Ok () -> ()
+      | Error es ->
+          Alcotest.failf "post-load scrape invalid: %s" (String.concat "; " es))
 
 (* ---------------------------------------------------------------- *)
 (* Prometheus scrape: valid exposition, live histograms, monotone     *)
@@ -1310,6 +1409,109 @@ let test_profiling_and_slo () =
       | None -> Alcotest.fail "no route histogram on the scrape"
       | Some n -> Alcotest.(check (float 0.)) "one observation" 1. n)
 
+(* /debug/slo's latency verdict recomputed from a /metrics scrape after
+   a hot/cold mix (doc/PROFILING.md §SLOs and burn rates).  [good] is
+   the cumulative _bucket count at the largest rendered le at or below
+   the published good_upper_seconds, [count] the _count line, and the
+   burn rate (count - good) / count / (1 - q).  The 1 ms target is one
+   the cold keys' computations miss, so the burn rate is nonzero. *)
+let test_slo_burn_reproduced () =
+  let slos =
+    match Obs.Slo.parse_all [ "route=/map,p99=1ms" ] with
+    | Ok slos -> slos
+    | Error e -> Alcotest.failf "slo spec: %s" e
+  in
+  let cold = [| ("bbara", 4); ("bbara", 6); ("dk16", 5) |] in
+  let body_of g =
+    if g mod 2 = 0 then map_body ~circuit:"bbara" ~algo:"turbomap"
+    else
+      let c, k = cold.(g / 2 mod Array.length cold) in
+      Printf.sprintf "{\"circuit\": %S, \"k\": %d, \"algo\": \"turbomap\"}"
+        c k
+  in
+  with_server ~workers:2 ~slos (fun port ->
+      let replies =
+        List.concat_map Domain.join (load ~port ~domains:2 ~per:6 body_of)
+      in
+      List.iter
+        (fun (id, status, _) ->
+          Alcotest.(check int) (id ^ " status") 200 status)
+        replies;
+      Alcotest.(check bool) "mix hits the cache" true (hits replies > 0);
+      (* /debug/slo first, then /metrics, with no /map in between: a GET
+         observes only its own route histogram, so both answers see the
+         same /map distribution *)
+      let _, slo = http ~port ~meth:"GET" ~path:"/debug/slo" () in
+      let _, scrape = http ~port ~meth:"GET" ~path:"/metrics" () in
+      let objective =
+        match Obs.Json.of_string slo with
+        | Ok doc -> (
+            match Obs.Json.member "objectives" doc with
+            | Some (Obs.Json.List [ o ]) -> o
+            | _ -> Alcotest.fail "expected exactly one objective")
+        | Error e -> Alcotest.failf "/debug/slo: %s" e
+      in
+      let lat =
+        match Obs.Json.member "latency" objective with
+        | Some l -> l
+        | None -> Alcotest.fail "no latency verdict"
+      in
+      let num k =
+        match Obs.Json.member k lat with
+        | Some (Obs.Json.Float v) -> v
+        | Some (Obs.Json.Int v) -> float_of_int v
+        | _ -> Alcotest.failf "latency verdict lacks %s" k
+      in
+      let q = num "quantile" and target = num "target_seconds" in
+      let upper = num "good_upper_seconds" in
+      let good = int_of_float (num "good") in
+      let count = int_of_float (num "count") in
+      let burn = num "burn_rate" in
+      Alcotest.(check (float 0.)) "good_upper is the bucket boundary at or \
+                                   above the target"
+        Obs.Histogram.(bucket_upper (bucket_of target))
+        upper;
+      (* the histogram as the renderer spells it: turbosyn_ prefix,
+         dots sanitized to underscores *)
+      let metric =
+        match Obs.Json.member "histogram" objective with
+        | Some (Obs.Json.Str h) ->
+            "turbosyn_" ^ String.map (fun c -> if c = '.' then '_' else c) h
+        | _ -> Alcotest.fail "objective names no histogram"
+      in
+      let prefix = metric ^ "_bucket{le=\"" in
+      let _, good_re =
+        String.split_on_char '\n' scrape
+        |> List.filter_map (fun line ->
+               let n = String.length prefix in
+               if not (String.starts_with ~prefix line) then None
+               else
+                 try
+                   Scanf.sscanf
+                     (String.sub line n (String.length line - n))
+                     "%f\"} %f"
+                     (fun le v -> Some (le, int_of_float v))
+                 with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+        |> List.fold_left
+             (fun (best, g) (le, v) ->
+               if le <= upper *. (1. +. 1e-9) && le > best then (le, v)
+               else (best, g))
+             (neg_infinity, 0)
+      in
+      let count_re =
+        match series_value scrape (metric ^ "_count") with
+        | Some v -> int_of_float v
+        | None -> Alcotest.failf "%s_count missing from the scrape" metric
+      in
+      Alcotest.(check int) "count reproduced" count count_re;
+      Alcotest.(check int) "good reproduced" good good_re;
+      Alcotest.(check bool) "cold keys miss the target" true (good < count);
+      let burn_re =
+        float_of_int (count_re - good_re) /. float_of_int count_re /. (1. -. q)
+      in
+      Alcotest.(check (float 1e-9)) "burn rate reproduced" burn burn_re;
+      Alcotest.(check bool) "burn rate nonzero" true (burn > 0.))
+
 (* Without objectives, /debug/slo still answers (empty, not 404) —
    dashboards can always scrape it. *)
 let test_prof_slo_defaults () =
@@ -1416,7 +1618,11 @@ let () =
           Alcotest.test_case "cache single-flight" `Quick
             test_cache_single_flight;
           Alcotest.test_case "cache bypass" `Quick test_cache_bypass;
+          Alcotest.test_case "cached hot key >=3x uncached" `Quick
+            test_hot_speedup;
           Alcotest.test_case "admission control sheds" `Quick test_shed;
+          Alcotest.test_case "overload sheds under contention" `Quick
+            test_overload_contention;
           Alcotest.test_case "prometheus scrape" `Quick test_scrape;
           Alcotest.test_case "scoped counters under concurrent scrapes"
             `Quick test_scoped_counters_concurrent;
@@ -1439,6 +1645,8 @@ let () =
           Alcotest.test_case "request read deadline" `Slow test_read_deadline;
           Alcotest.test_case "profiling and slo endpoints" `Quick
             test_profiling_and_slo;
+          Alcotest.test_case "slo burn rate reproduced from a scrape" `Quick
+            test_slo_burn_reproduced;
           Alcotest.test_case "prof and slo defaults" `Quick
             test_prof_slo_defaults;
           Alcotest.test_case "k out of range is a 400" `Quick test_k_range;
