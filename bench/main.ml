@@ -505,10 +505,9 @@ let stats_mode () =
    sequential search), so the output is comparable
    across machines — the committed BENCH_stats_baseline.json is produced
    this way and CI gates on it with stats --diff.  --algo turbomap runs
-   the mapping-only (non-deep) pipeline, where the priority-cut
-   enumeration layer is live (deep turbosyn skips it — a failing cut
-   test must run the flow anyway for the canonical min cut, so only the
-   memo and flow layers engage there; see doc/PERF.md). *)
+   the mapping-only (non-deep) pipeline, where every cut test runs at
+   most one flow with limit K (CI checks maxflow.networks <=
+   label.cut_tests on it; see doc/PERF.md). *)
 let stats_json ~circuit ~algo ~out () =
   (* link the audit layer, whose counters and spans register when it
      loads, so the document lists every name [map --stats] lists *)

@@ -52,7 +52,7 @@ let validate spec =
       if s < 0 || s >= spec.n then invalid_arg "Kcut: source out of range")
     spec.sources
 
-let solve ?arena spec ~k =
+let find ?arena spec ~k =
   validate spec;
   if List.exists (fun s -> spec.sink_side.(s)) spec.sources then Exceeds
   else begin
@@ -89,9 +89,3 @@ let solve ?arena spec ~k =
     end
   end
 
-let find ?arena spec ~k = solve ?arena spec ~k
-
-let min_cut ?arena spec =
-  match solve ?arena spec ~k:(2 * spec.n) with
-  | Cut c -> Some c
-  | Exceeds -> None

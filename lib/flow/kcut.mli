@@ -35,8 +35,8 @@ type arena
 val new_arena : unit -> arena
 
 val find : ?arena:arena -> spec -> k:int -> result
-(** @raise Invalid_argument on malformed specs (bad ids, empty sink side). *)
-
-val min_cut : ?arena:arena -> spec -> int list option
-(** The minimum node cut with no size bound ([None] when no finite cut
-    exists, i.e. a source is on the sink side). *)
+(** The cut returned is a minimum one, the canonical cut reachable from
+    the sources in the residual graph, and the same for every [k] at or
+    above its size: one call with a larger [k] answers both "is there a
+    cut of width [<= k]" and "which minimum cut fits the larger bound".
+    @raise Invalid_argument on malformed specs (bad ids, empty sink side). *)

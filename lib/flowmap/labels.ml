@@ -51,11 +51,6 @@ let cone_spec t labels v ~target =
   ( { Flow.Kcut.n = nn; edges = Array.of_list !edges; sink_side; sources },
     cone_arr )
 
-(* Same registry slots as the sequential engine's: both flows report
-   pre-filter effectiveness under one name (doc/OBSERVABILITY.md). *)
-let c_enum_hits = Obs.Counter.make "cut.enum_hits"
-let c_enum_misses = Obs.Counter.make "cut.enum_misses"
-
 let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) t ~k =
   if k < 2 || k > Logic.Truthtable.max_arity then invalid_arg "Labels: k";
   Comb.validate t;
@@ -71,6 +66,7 @@ let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) t ~k =
   let labels = Array.make n 0 in
   let impls = Array.make n None in
   let order = Comb.topo_order t in
+  let arena = Flow.Kcut.new_arena () in
   (* one node's labeling step, in topological order: its cone's labels
      are final *)
   let node v =
@@ -85,53 +81,41 @@ let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) t ~k =
         end
         else begin
           let spec, cone_arr = cone_spec t labels v ~target:p in
-          (* Cut-engine layer 1: priority-cut enumeration gives small
-             cones a conclusive answer — an explicit cut or a proof that
-             none of width <= k exists — without building a flow
-             network; [Unknown] (budget exhausted) falls through to
-             max-flow.  An enumerated [Exceeds] is exact, so the resyn
-             branch below can still call [min_cut] directly. *)
-          let verdict =
-            match Flow.Pricut.decide spec ~k with
-            | Flow.Pricut.Cut c ->
-                Obs.Counter.incr c_enum_hits;
-                Flow.Kcut.Cut c
-            | Flow.Pricut.Exceeds ->
-                Obs.Counter.incr c_enum_hits;
-                Flow.Kcut.Exceeds
-            | Flow.Pricut.Unknown ->
-                Obs.Counter.incr c_enum_misses;
-                Flow.Kcut.find spec ~k
-          in
-          match verdict with
-          | Flow.Kcut.Cut c ->
+          (* One flow answers both questions: with resynthesis on, the
+             limit [max k cmax] leaves a flow of at most [k] unchanged
+             ([max_flow ~limit] only stops early once the flow exceeds
+             the limit), and on the failing side the continued run is
+             the min cut the resynthesis fallback decomposes (so a [Cut]
+             wider than [k] arrives only with resynthesis on).  A cut
+             wider than [cmax] is no candidate, so stopping there loses
+             nothing. *)
+          let kreq = if resynthesize then max k cmax else k in
+          match Flow.Kcut.find ~arena spec ~k:kreq with
+          | Flow.Kcut.Cut c when List.length c <= k ->
               labels.(v) <- p;
               impls.(v) <-
                 Some (Cut (Array.of_list (List.map (fun i -> cone_arr.(i)) c)))
-          | Flow.Kcut.Exceeds ->
+          | verdict ->
               let resyn =
-                if not resynthesize then None
-                else
-                  match Flow.Kcut.min_cut spec with
-                  | Some c when List.length c <= cmax && List.length c > k -> (
-                      let inputs =
-                        Array.of_list (List.map (fun i -> cone_arr.(i)) c)
-                      in
-                      let man = Bdd.new_man () in
-                      let vars = Array.init (Array.length inputs) Fun.id in
-                      let f = Comb.cone_bdd man t ~root:v ~inputs ~vars in
-                      let arrivals =
-                        Array.map (fun u -> Rat.of_int labels.(u)) inputs
-                      in
-                      match
-                        Decomp.Decompose.decompose ~exhaustive man ~f ~vars
-                          ~arrivals ~k
-                      with
-                      | Some r when Rat.(r.Decomp.Decompose.level <= of_int p)
-                        ->
-                          Some (Resyn (r.Decomp.Decompose.tree, inputs))
-                      | _ -> None)
-                  | _ -> None
+                match verdict with
+                | Flow.Kcut.Cut c -> (
+                    let inputs =
+                      Array.of_list (List.map (fun i -> cone_arr.(i)) c)
+                    in
+                    let man = Bdd.new_man () in
+                    let vars = Array.init (Array.length inputs) Fun.id in
+                    let f = Comb.cone_bdd man t ~root:v ~inputs ~vars in
+                    let arrivals =
+                      Array.map (fun u -> Rat.of_int labels.(u)) inputs
+                    in
+                    match
+                      Decomp.Decompose.decompose ~exhaustive man ~f ~vars
+                        ~arrivals ~k
+                    with
+                    | Some r when Rat.(r.Decomp.Decompose.level <= of_int p) ->
+                        Some (Resyn (r.Decomp.Decompose.tree, inputs))
+                    | _ -> None)
+                | Flow.Kcut.Exceeds -> None
               in
               (match resyn with
               | Some impl ->

@@ -18,10 +18,13 @@ let c_harvest_reuse = Obs.Counter.make "label.harvest_cut_reuses"
 let c_snap_reuse = Obs.Counter.make "label.snapshot_reuses"
 let c_cone_reuses = Obs.Counter.make "label.cone_reuses"
 
-(* three-layer cut engine (doc/PERF.md): how each K-cut query was
-   answered — enumeration pre-filter, cross-phi memo, or max-flow *)
-let c_enum_hits = Obs.Counter.make "cut.enum_hits"
-let c_enum_misses = Obs.Counter.make "cut.enum_misses"
+(* two-layer cut engine (doc/PERF.md): how each K-cut query was
+   answered — cross-phi memo, or max-flow.  [cut.enum_hits] and
+   [cut.enum_misses] belonged to the retired enumeration pre-filter; they
+   stay registered, reading 0, because the benchmark's
+   [cut.enum_hit_rate] reads them (doc/OBSERVABILITY.md). *)
+let _ = Obs.Counter.make "cut.enum_hits"
+let _ = Obs.Counter.make "cut.enum_misses"
 let c_memo_hits = Obs.Counter.make "cut.memo_hits"
 let c_memo_misses = Obs.Counter.make "cut.memo_misses"
 let c_memo_stores = Obs.Counter.make "cut.memo_stores"
@@ -282,7 +285,6 @@ type ctx = {
   cache : resyn_cache option;
   karena : Flow.Kcut.arena;
   earena : Expanded.arena;
-  parena : Flow.Pricut.arena;
   scaled : scaled;  (* the labels *)
   mutable note : (int -> unit) option;
   (* last passing K-cut per gate, recorded during iteration so both the
@@ -450,34 +452,11 @@ let kcut_test ?into ctx v ~st =
           | Some fr -> (ex, Some fr, None)
           | None -> (
               let spec = Expanded.kcut_spec ex in
-              (* priority-cut pre-filter (doc/PERF.md): an enumerated
-                 witness or a proven infeasibility answers the query
-                 without building a flow network.  Skipped entirely
-                 under deep resynthesis: there a failing test must run
-                 the flow anyway for its canonical min cut (the resyn
-                 candidate), and a passing one is all but always caught
-                 by the frontier witness above — measured on the MCNC
-                 suite the enumeration answered none of the deep-mode
-                 queries while costing more than the flows it shadowed. *)
-              let enum =
-                if deep then Flow.Pricut.Unknown
-                else Flow.Pricut.decide ~arena:ctx.parena spec ~k
-              in
-              match enum with
-              | Flow.Pricut.Cut c ->
-                  Obs.Counter.incr c_enum_hits;
-                  (ex, Some c, None)
-              | Flow.Pricut.Exceeds when not deep ->
-                  Obs.Counter.incr c_enum_hits;
-                  (ex, None, None)
-              | Flow.Pricut.Exceeds | Flow.Pricut.Unknown -> (
-                  (* a skipped enumeration (deep mode) is not a miss *)
-                  if not deep then Obs.Counter.incr c_enum_misses;
-                  match Flow.Kcut.find ~arena:ctx.karena spec ~k:kreq with
-                  | Flow.Kcut.Cut c when List.length c <= k -> (ex, Some c, None)
-                  | Flow.Kcut.Cut c -> (ex, None, Some (Some c))
-                  | Flow.Kcut.Exceeds ->
-                      (ex, None, if deep then Some None else None))))
+              match Flow.Kcut.find ~arena:ctx.karena spec ~k:kreq with
+              | Flow.Kcut.Cut c when List.length c <= k -> (ex, Some c, None)
+              | Flow.Kcut.Cut c -> (ex, None, Some (Some c))
+              | Flow.Kcut.Exceeds ->
+                  (ex, None, if deep then Some None else None)))
   in
   if Obs.enabled () then
     Obs.Histogram.observe h_cut_test (Prelude.Timer.wall () -. t_start);
@@ -1095,7 +1074,6 @@ let run ?cache ?cutmemo opts nl ~phi =
       cache;
       karena = Flow.Kcut.new_arena ();
       earena = Expanded.new_arena ();
-      parena = Flow.Pricut.new_arena ();
       scaled = { slab; pnum; pden };
       note = None;
       recorded = memo.m_cuts;

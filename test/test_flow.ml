@@ -277,11 +277,11 @@ let qcheck_kcut =
       (fun input ->
         let spec = to_spec input in
         let brute = brute_min_cut spec in
-        match (Kcut.min_cut spec, brute) with
-        | None, None -> true
-        | Some cut, Some size ->
+        match (Kcut.find spec ~k:spec.n, brute) with
+        | Kcut.Exceeds, None -> true
+        | Kcut.Cut cut, Some size ->
             List.length cut = size && cut_is_valid spec cut
-        | Some _, None | None, Some _ -> false);
+        | Kcut.Cut _, None | Kcut.Exceeds, Some _ -> false);
     Test.make ~name:"kcut decision consistent at every k" ~count:200
       (make ~print gen)
       (fun input ->
@@ -311,29 +311,23 @@ let qcheck_kcut =
           edges;
         let full = Maxflow.max_flow net ~s:s' ~t:t' ~limit:(n' * inf) in
         full = ref_max_flow n' edges ~s:s' ~t:t');
-    Test.make ~name:"enum conclusive implies flow verdict" ~count:300
+    Test.make ~name:"capped find is the min cut within its cap" ~count:200
       (make ~print gen)
       (fun input ->
+        (* the label flows raise the limit to [max k cmax] to get the
+           resynthesis candidate from the same run: a cap [c] must answer
+           exactly when the minimum cut fits, and with the same cut *)
         let spec = to_spec input in
-        let arena = Pricut.new_arena () in
+        let arena = Kcut.new_arena () in
+        let min = Kcut.find spec ~k:spec.n in
         let ok = ref true in
-        for k = 0 to spec.n do
-          (* default budgets, and starved budgets that force truncation:
-             conclusive verdicts must agree with max-flow either way *)
-          List.iter
-            (fun verdict ->
-              match (verdict, Kcut.find spec ~k) with
-              | Pricut.Unknown, _ -> ()
-              | Pricut.Cut c, Kcut.Cut _ ->
-                  if not (cut_is_valid spec c && List.length c <= k) then
-                    ok := false
-              | Pricut.Exceeds, Kcut.Exceeds -> ()
-              | Pricut.Cut _, Kcut.Exceeds | Pricut.Exceeds, Kcut.Cut _ ->
-                  ok := false)
-            [
-              Pricut.decide ~arena spec ~k;
-              Pricut.decide ~max_cuts:1 ~cand_cap:2 spec ~k;
-            ]
+        for c = 0 to spec.n do
+          let expect =
+            match min with
+            | Kcut.Cut m when List.length m <= c -> Kcut.Cut m
+            | _ -> Kcut.Exceeds
+          in
+          if Kcut.find ~arena spec ~k:c <> expect then ok := false
         done;
         !ok);
   ]

@@ -304,28 +304,6 @@ let test_to_comb_roots () =
   in
   Alcotest.(check (list (pair int int))) "pseudo input" [ (a, 1) ] pseudo
 
-(* The priority-cut enumeration pre-filter (cut-engine layer 1,
-   doc/PERF.md) answers cone queries in the combinational flow: on a
-   tree, every gate cone is small enough to enumerate, so the max-flow
-   fallback should never be consulted. *)
-let test_enum_prefilter_engages () =
-  let t, root = and_tree 4 in
-  Obs.set_enabled true;
-  Obs.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.reset ();
-      Obs.set_enabled false)
-    (fun () ->
-      let r = Labels.compute t ~k:5 in
-      Alcotest.(check int) "tree of 16 under K=5 maps in depth 2" 2
-        r.Labels.labels.(root);
-      let get name = Option.value ~default:0 (Obs.Counter.find name) in
-      Alcotest.(check bool) "enum pre-filter answered cone queries" true
-        (get "cut.enum_hits" > 0);
-      Alcotest.(check int) "no flow network was ever built" 0
-        (get "maxflow.networks"))
-
 let () =
   Alcotest.run "flowmap"
     [
@@ -339,8 +317,6 @@ let () =
           Alcotest.test_case "and tree" `Quick test_flowmap_tree;
           Alcotest.test_case "resyn xor wall" `Quick
             test_flowsyn_beats_flowmap_on_xor_wall;
-          Alcotest.test_case "enum pre-filter engages" `Quick
-            test_enum_prefilter_engages;
         ] );
       ("labels-props", List.map QCheck_alcotest.to_alcotest qcheck_flowmap_optimal);
       ("mapper-props", List.map QCheck_alcotest.to_alcotest qcheck_mapper_correct);
