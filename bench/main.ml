@@ -509,9 +509,11 @@ let stats_mode () =
    most one flow with limit K (CI checks maxflow.networks <=
    label.cut_tests on it; see doc/PERF.md). *)
 let stats_json ~circuit ~algo ~out () =
-  (* link the audit layer, whose counters and spans register when it
-     loads, so the document lists every name [map --stats] lists *)
+  (* link the audit and serve layers, whose counters, spans, histograms
+     and gauges register when they load, so the document lists every name
+     [map --stats] lists *)
   ignore (Sys.opaque_identity Audit.schema_version);
+  ignore (Sys.opaque_identity (Serve.Server.outcome_of_status 200));
   match Workloads.Suite.find circuit with
   | None ->
       Format.eprintf "unknown circuit %s@." circuit;

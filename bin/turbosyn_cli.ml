@@ -35,7 +35,9 @@ let k_arg =
 
 let algo_conv =
   Arg.enum
-    [ ("turbosyn", `Turbosyn); ("turbomap", `Turbomap); ("flowsyn-s", `Flowsyn_s) ]
+    (List.map
+       (fun a -> (Turbosyn.Synth.algo_name a, a))
+       [ `Turbosyn; `Turbomap; `Flowsyn_s ])
 
 let algo_arg =
   Arg.(value & opt algo_conv `Turbosyn & info [ "algo"; "a" ] ~docv:"ALGO"
@@ -235,12 +237,7 @@ let map_cmd =
           if stats = Some "-" then Format.err_formatter
           else Format.std_formatter
         in
-        let algo_name =
-          match algo with
-          | `Turbosyn -> "turbosyn"
-          | `Turbomap -> "turbomap"
-          | `Flowsyn_s -> "flowsyn-s"
-        in
+        let algo_name = Turbosyn.Synth.algo_name algo in
         Obs.Log.debug "map.start"
           [
             ("circuit", Obs.Json.Str (Circuit.Netlist.name nl));
@@ -329,10 +326,8 @@ let map_cmd =
                           ("circuit", Obs.Json.Str (Circuit.Netlist.name nl));
                           ( "algo",
                             Obs.Json.Str
-                              (match r.Turbosyn.Synth.algo with
-                              | `Turbosyn -> "turbosyn"
-                              | `Turbomap -> "turbomap"
-                              | `Flowsyn_s -> "flowsyn-s") );
+                              (Turbosyn.Synth.algo_name r.Turbosyn.Synth.algo)
+                          );
                           ("k", Obs.Json.Int k);
                           ( "phi",
                             Obs.Json.Str

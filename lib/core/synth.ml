@@ -11,10 +11,15 @@ let h_e2e = Obs.Histogram.make "synth.e2e_seconds"
 
 type algo = [ `Turbosyn | `Turbomap | `Flowsyn_s ]
 
-let algo_name = function
-  | `Turbosyn -> "turbosyn"
-  | `Turbomap -> "turbomap"
-  | `Flowsyn_s -> "flowsyn-s"
+(* the one table of algorithm names: CLI options, logs, stats and the
+   serve API all read and write these *)
+let algo_names : (algo * string) list =
+  [ (`Turbosyn, "turbosyn"); (`Turbomap, "turbomap"); (`Flowsyn_s, "flowsyn-s") ]
+
+let algo_name a = List.assoc a algo_names
+
+let algo_of_name s =
+  List.find_map (fun (a, n) -> if n = s then Some a else None) algo_names
 
 type options = {
   k : int;

@@ -24,6 +24,9 @@ type algo = [ `Turbosyn | `Turbomap | `Flowsyn_s ]
 val algo_name : algo -> string
 (** ["turbosyn"], ["turbomap"], ["flowsyn-s"]. *)
 
+val algo_of_name : string -> algo option
+(** The inverse of {!algo_name}; [None] for any other string. *)
+
 type options = {
   k : int;
   cmax : int;

@@ -131,9 +131,11 @@ let map_sequential ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false)
     (fun comb_id (u, w) ->
       if w = 0 then Hashtbl.replace comb_of_gate u comb_id)
     origin;
-  let rec resolve_driver ?(fuel = Netlist.n nl + 8) u w =
-    (* netlist-level driver for signal (u, w) in the mapped circuit *)
-    if fuel = 0 then invalid_arg "Flowsyn: projection cycle";
+  (* gates realized as register rings, see [resolve_driver] *)
+  let ring_lut = Hashtbl.create 4 in
+  let rec resolve_driver ?(seen = []) u w =
+    (* netlist-level driver for signal (u, w) in the mapped circuit;
+       [seen]: the gates chased so far, with their accumulated delays *)
     match Netlist.kind nl u with
     | Netlist.Pi -> (new_pi.(u), w)
     | Netlist.Gate _ -> (
@@ -142,11 +144,25 @@ let map_sequential ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false)
         if m < 0 then invalid_arg "Flowsyn: registered driver was not mapped";
         if new_node.(m) >= 0 then (new_node.(m), w)
         else
-          (* the gate's mapping collapsed to a projection of one of its
-             inputs (a resynthesized cone whose tree root is an Input):
-             chase the origin, accumulating delays *)
-          let u', w' = origin_of_mapped.(m) in
-          resolve_driver ~fuel:(fuel - 1) u' (w' + w))
+          match (Hashtbl.find_opt ring_lut u, List.assoc_opt u seen) with
+          | Some g, _ -> (g, w)
+          | None, Some w0 ->
+              (* the chase came back to [u] [w - w0] registers later: [u]
+                 is a delayed copy of itself, a register ring with no
+                 logic.  Realize it as [Seqmap.Mapgen] realizes a
+                 projection root, one identity LUT named after [u],
+                 carrying the ring's register count *)
+              let g = Netlist.reserve_gate ~name:(Netlist.node_name nl u) out in
+              Netlist.define_gate out g (Logic.Truthtable.var 1 0)
+                [| (g, w - w0) |];
+              Hashtbl.replace ring_lut u g;
+              (g, w0)
+          | None, None ->
+              (* the gate's mapping collapsed to a projection of one of its
+                 inputs (a resynthesized cone whose tree root is an Input):
+                 chase the origin, accumulating delays *)
+              let u', w' = origin_of_mapped.(m) in
+              resolve_driver ~seen:((u, w) :: seen) u' (w' + w))
     | Netlist.Po -> assert false
   in
   let resolve_fanin m =

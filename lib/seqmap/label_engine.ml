@@ -12,11 +12,15 @@ let c_decomp_rescues = Obs.Counter.make "label.decomp_rescues"
 let c_cache_hits = Obs.Counter.make "label.resyn_cache_hits"
 let c_divergences = Obs.Counter.make "label.divergences"
 let c_cap_exits = Obs.Counter.make "label.cap_exits"
-let c_wpushes = Obs.Counter.make "label.worklist_pushes"
-let c_wskips = Obs.Counter.make "label.worklist_skips"
 let c_harvest_reuse = Obs.Counter.make "label.harvest_cut_reuses"
 let c_snap_reuse = Obs.Counter.make "label.snapshot_reuses"
 let c_cone_reuses = Obs.Counter.make "label.cone_reuses"
+
+(* [label.worklist_pushes] and [label.worklist_skips] belonged to the
+   retired dirty-set scheduler; they stay registered, reading 0, because
+   the benchmark's per-layer counters read them (doc/OBSERVABILITY.md). *)
+let _ = Obs.Counter.make "label.worklist_pushes"
+let _ = Obs.Counter.make "label.worklist_skips"
 
 (* two-layer cut engine (doc/PERF.md): how each K-cut query was
    answered — cross-phi memo, or max-flow.  [cut.enum_hits] and
@@ -276,8 +280,7 @@ let new_cut_memo nl =
 
 (* Everything one label run reads and scribbles on.  The arenas make the
    per-cut-test allocations (expansion vectors, flow network, BFS scratch)
-   a reuse instead of a churn; [note] is the worklist's read-set probe
-   (called once per distinct gate consulted by the current test). *)
+   a reuse instead of a churn. *)
 type ctx = {
   opts : options;
   stats : stats;
@@ -286,7 +289,6 @@ type ctx = {
   karena : Flow.Kcut.arena;
   earena : Expanded.arena;
   scaled : scaled;  (* the labels *)
-  mutable note : (int -> unit) option;
   (* last passing K-cut per gate, recorded during iteration so both the
      in-run memo check and the harvest can reuse it instead of re-running
      a fresh flow test; aliases the caller's [cut_memo] when one is
@@ -324,24 +326,15 @@ let big_l ctx v =
 let effective_depth opts =
   if opts.full_expansion then max_int / 2 else opts.extra_depth
 
-let note_expansion ctx (ex : Expanded.t) =
-  match ctx.note with
-  | None -> ()
-  | Some f -> Array.iter (fun nd -> f nd.Expanded.u) ex.Expanded.nodes
-
 (* [st] here and below: a threshold scaled by q *)
 let build_expanded ctx v ~st =
   let sc = ctx.scaled in
   (* internal <=> l(u) - phi*w + 1 > threshold, all scaled by q *)
   let internal_of u w = sc.slab.(u) - (sc.pnum * w) + sc.pden > st in
-  let ex =
-    Obs.Span.time s_build (fun () ->
-        Expanded.build ~arena:ctx.earena ~internal_of ctx.nl ~root:v
-          ~extra_depth:(effective_depth ctx.opts)
-          ~max_nodes:ctx.opts.max_expansion)
-  in
-  note_expansion ctx ex;
-  ex
+  Obs.Span.time s_build (fun () ->
+      Expanded.build ~arena:ctx.earena ~internal_of ctx.nl ~root:v
+        ~extra_depth:(effective_depth ctx.opts)
+        ~max_nodes:ctx.opts.max_expansion)
 
 let cut_pairs (ex : Expanded.t) c =
   Array.of_list
@@ -378,17 +371,12 @@ let trace_valid sc tr ~st =
   done;
   !ok
 
-(* Validate [sn] at scaled threshold [st]; on success, register the trace
-   in the worklist read set (exactly the notes a rebuild would emit). *)
 let snap_valid ctx sn ~st =
   let tr = sn.s_trace in
   let ok = trace_valid ctx.scaled tr ~st in
   if ok then begin
     Obs.Counter.incr c_snap_reuse;
-    Obs.Histogram.observe_int h_snap_trace (Array.length tr);
-    match ctx.note with
-    | None -> ()
-    | Some f -> Array.iter (fun e -> f (e lsr u_shift)) tr
+    Obs.Histogram.observe_int h_snap_trace (Array.length tr)
   end;
   ok
 
@@ -549,7 +537,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
           let perm = Array.init n Fun.id in
           Array.stable_sort (fun a b -> Int.compare sarr.(a) sarr.(b)) perm;
           (* the root is part of the key: the same cut pairs under a
-             different root denote a different cone function *)
+             different root are a different cone function *)
           let key = (v, inputs, perm) in
           let entry =
             match
@@ -735,57 +723,42 @@ let cut_fits ctx cut ~st =
   Array.length cut <= ctx.opts.k
   && Array.for_all (fun e -> arrival ctx.scaled e + ctx.scaled.pden <= st) cut
 
-(* Memo layer of the cut engine: the gate's remembered passing cut, when
-   [cut_fits].  On a hit the cut's inputs are registered in the worklist
-   read set: the decision stays [lv] exactly while they hold still, so
-   the no-op-skipping argument of the worklist scheduler is
-   unaffected. *)
+(* Memo layer of the cut engine: does the gate's remembered passing cut
+   [cut_fits]? *)
 let memo_hit ctx v ~st =
   match ctx.recorded.(v) with
-  | None -> None
+  | None -> false
   | Some cut ->
-      if cut_fits ctx cut ~st then begin
-        Obs.Counter.incr c_memo_hits;
-        (match ctx.note with
-        | None -> ()
-        | Some f -> Array.iter (fun (u, _) -> f u) cut);
-        Some cut
-      end
-      else begin
-        Obs.Counter.incr c_memo_misses;
-        None
-      end
+      let hit = cut_fits ctx cut ~st in
+      Obs.Counter.incr (if hit then c_memo_hits else c_memo_misses);
+      hit
 
 (* One label update; returns true if the label changed.  [bound] is the
    scaled divergence bound. *)
 let update ctx bound v =
   let sc = ctx.scaled in
-  (match ctx.note with
-  | None -> ()
-  | Some f -> Array.iter (fun (u, _) -> f u) (Netlist.fanins ctx.nl v));
   let l_cur = sc.slab.(v) in
   let lv = big_l ctx v in
   if lv + sc.pden <= l_cur then false
   else begin
     let decision =
-      match memo_hit ctx v ~st:lv with
-      | Some _ -> lv (* the witness is already the recorded entry *)
-      | None -> (
-          (* a snapshot answer means the expansion would rebuild
-             identically: its verdict stands without building or flowing
-             anything *)
-          match cut_test ctx v ~st:lv with
-          | { s_verdict = Passed pairs; _ }, _, _ ->
-              ctx.recorded.(v) <- Some pairs;
-              Obs.Counter.incr c_memo_stores;
-              lv
-          | sn, ex0, mc0 ->
-              let resyn =
-                if ctx.opts.resynthesize then
-                  resyn_test ?ex0 ?mc0 ~snap0:sn ctx v ~target:lv
-                else None
-              in
-              (match resyn with Some _ -> lv | None -> lv + sc.pden))
+      if memo_hit ctx v ~st:lv then lv (* the witness is the recorded entry *)
+      else
+        (* a snapshot answer means the expansion would rebuild
+           identically: its verdict stands without building or flowing
+           anything *)
+        match cut_test ctx v ~st:lv with
+        | { s_verdict = Passed pairs; _ }, _, _ ->
+            ctx.recorded.(v) <- Some pairs;
+            Obs.Counter.incr c_memo_stores;
+            lv
+        | sn, ex0, mc0 ->
+            let resyn =
+              if ctx.opts.resynthesize then
+                resyn_test ?ex0 ?mc0 ~snap0:sn ctx v ~target:lv
+              else None
+            in
+            (match resyn with Some _ -> lv | None -> lv + sc.pden)
     in
     let l_new = Int.max l_cur decision in
     (match bound with
@@ -876,152 +849,23 @@ let harvest ctx =
   done;
   if !ok then Some (impls, prov) else None
 
-(* ------------------------------------------------------------------ *)
-(* Worklist scheduling state: dirty flags for the current and the next  *)
-(* round, and per-gate dependents registered from the read set of each  *)
-(* test (every gate whose label the test consulted — the expansion      *)
-(* nodes, which include the direct fanins and, through loop unrolling,  *)
-(* the tested gate itself).  A node is re-tested only when a registered *)
-(* dependency's label actually changed, so the label trajectory is      *)
-(* identical, round for round, to re-testing every member each round.   *)
-(* ------------------------------------------------------------------ *)
-
-type worklist = {
-  pos : int array; (* node -> index in the current SCC's sorted members, -1 *)
-  in_round : bool array;
-  next_round : bool array;
-  test_gen : int array; (* node -> generation of its latest test *)
-  mutable dep_v : int array array; (* node -> dependents (gate ids) *)
-  mutable dep_g : int array array; (* node -> generation at registration *)
-  dep_len : int array;
-  note_stamp : int array; (* per-test dedup of read-set notes *)
-  mutable note_tick : int;
-}
-
-let new_worklist n =
-  {
-    pos = Array.make n (-1);
-    in_round = Array.make n false;
-    next_round = Array.make n false;
-    test_gen = Array.make n 0;
-    dep_v = Array.make n [||];
-    dep_g = Array.make n [||];
-    dep_len = Array.make n 0;
-    note_stamp = Array.make n 0;
-    note_tick = 0;
-  }
-
-let dep_append wl u v gen =
-  let len = wl.dep_len.(u) in
-  if len >= Array.length wl.dep_v.(u) then begin
-    let cap = max 8 (2 * len) in
-    let grow arr =
-      let b = Array.make cap 0 in
-      Array.blit arr 0 b 0 len;
-      b
-    in
-    wl.dep_v.(u) <- grow wl.dep_v.(u);
-    wl.dep_g.(u) <- grow wl.dep_g.(u)
-  end;
-  wl.dep_v.(u).(len) <- v;
-  wl.dep_g.(u).(len) <- gen;
-  wl.dep_len.(u) <- len + 1
-
-(* Mark every live dependent of [u] dirty: ahead of the cursor in this
-   round, or for the next round otherwise.  Entries whose generation is
-   stale (the dependent re-tested since) are compacted away in place. *)
-let dirty_dependents wl u ~cursor =
-  let dv = wl.dep_v.(u) and dg = wl.dep_g.(u) in
-  let len = ref wl.dep_len.(u) in
-  let i = ref 0 in
-  while !i < !len do
-    let v = dv.(!i) in
-    if dg.(!i) <> wl.test_gen.(v) then begin
-      (* stale registration: drop by swapping the last entry in *)
-      decr len;
-      dv.(!i) <- dv.(!len);
-      dg.(!i) <- dg.(!len)
-    end
-    else begin
-      let p = wl.pos.(v) in
-      if p >= 0 then
-        if p > cursor then begin
-          if not wl.in_round.(v) then begin
-            wl.in_round.(v) <- true;
-            Obs.Counter.incr c_wpushes
-          end
-        end
-        else if not wl.next_round.(v) then begin
-          wl.next_round.(v) <- true;
-          Obs.Counter.incr c_wpushes
-        end;
-      incr i
-    end
-  done;
-  wl.dep_len.(u) <- !len
-
-(* One nontrivial SCC, worklist scheduling.  Rounds correspond one-to-one
-   to the paper's iterations, each of which re-tests every member in
-   sorted order: a round processes (in that order) exactly the members
-   whose read set changed, mid-round changes pull members at later
-   positions into the same round, and the PLD / cap checks run on the
-   same round boundaries — so labels, iteration counts and infeasibility
-   verdicts are those of the all-members iteration, minus the no-op
-   re-tests (pinned by the golden label table in test/test_seqmap.ml). *)
-let run_scc_worklist ctx wl bound members ~in_scc ~(feasible : bool ref) =
+(* One nontrivial SCC: each iteration re-tests every member in sorted
+   order, as the paper iterates, until no label changes.  The PLD and cap
+   checks run between iterations; the golden label table in
+   test/test_seqmap.ml pins the labels, iteration counts and verdicts. *)
+let run_scc ctx bound members ~in_scc ~(feasible : bool ref) =
   let stats = ctx.stats in
   let m = Array.length members in
-  Array.iteri (fun i v -> wl.pos.(v) <- i) members;
-  Array.iter (fun v -> wl.in_round.(v) <- true) members;
   let pld_gate = 6 * m in
   let hard_cap = (m * m) + 64 in
   let converged = ref false in
   let iter = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (* the pos/flag arrays are shared across SCCs: scrub our members *)
-      ctx.note <- None;
-      Array.iter
-        (fun v ->
-          wl.pos.(v) <- -1;
-          wl.in_round.(v) <- false;
-          wl.next_round.(v) <- false)
-        members)
-  @@ fun () ->
   while (not !converged) && !feasible do
     incr iter;
     stats.iterations <- stats.iterations + 1;
     Obs.Counter.incr c_iterations;
     let changed = ref false in
-    let processed = ref 0 in
-    Array.iteri
-      (fun idx v ->
-        if wl.in_round.(v) then begin
-          wl.in_round.(v) <- false;
-          incr processed;
-          wl.test_gen.(v) <- wl.test_gen.(v) + 1;
-          wl.note_tick <- wl.note_tick + 1;
-          let tick = wl.note_tick in
-          let gen = wl.test_gen.(v) in
-          (* register [v] as a dependent of every distinct node its test
-             consults; nodes of earlier SCCs (pos < 0) are final, so only
-             current members matter *)
-          ctx.note <-
-            Some
-              (fun u ->
-                if wl.pos.(u) >= 0 && wl.note_stamp.(u) <> tick then begin
-                  wl.note_stamp.(u) <- tick;
-                  dep_append wl u v gen
-                end);
-          let did_change = update ctx bound v in
-          ctx.note <- None;
-          if did_change then begin
-            changed := true;
-            dirty_dependents wl v ~cursor:idx
-          end
-        end)
-      members;
-    Obs.Counter.add c_wskips (m - !processed);
+    Array.iter (fun v -> if update ctx bound v then changed := true) members;
     if not !changed then converged := true
     else begin
       if
@@ -1035,15 +879,7 @@ let run_scc_worklist ctx wl bound members ~in_scc ~(feasible : bool ref) =
       if !iter > hard_cap then begin
         Obs.Counter.incr c_cap_exits;
         feasible := false
-      end;
-      (* promote next-round marks *)
-      Array.iter
-        (fun v ->
-          if wl.next_round.(v) then begin
-            wl.next_round.(v) <- false;
-            wl.in_round.(v) <- true
-          end)
-        members
+      end
     end
   done
 
@@ -1075,7 +911,6 @@ let run ?cache ?cutmemo opts nl ~phi =
       karena = Flow.Kcut.new_arena ();
       earena = Expanded.new_arena ();
       scaled = { slab; pnum; pden };
-      note = None;
       recorded = memo.m_cuts;
       last_change = Array.make n 0;
       ring = memo.m_ring;
@@ -1099,7 +934,6 @@ let run ?cache ?cutmemo opts nl ~phi =
   let scc = Graphs.Scc.compute ~n ~succ in
   let order = Graphs.Scc.topo_order scc in
   let feasible = ref true in
-  let wl = new_worklist n in
   (try
      Array.iter
        (fun c ->
@@ -1127,7 +961,7 @@ let run ?cache ?cutmemo opts nl ~phi =
                   targets can look isolated); without PLD only the
                   conservative quadratic cap applies (the pre-TurboSYN
                   stopping criterion). *)
-               run_scc_worklist ctx wl bound members ~in_scc ~feasible
+               run_scc ctx bound members ~in_scc ~feasible
          end)
        order
    with Diverged ->

@@ -14,11 +14,7 @@
     - else [L(v) + 1].
 
     SCCs are processed in topological order.  Within a nontrivial SCC,
-    each iteration re-tests, in sorted member order, the members whose
-    read set changed — their direct fanins plus every node of their
-    expanded circuit; a member whose read set held still would reproduce
-    its previous decision, so the labels, iteration counts and verdicts
-    are those of re-testing every member each iteration.  The iteration
+    each iteration re-tests every member in sorted order.  The iteration
     stops on convergence (feasible), on total isolation in the support
     graph when PLD is enabled (infeasible), when a label exceeds the gate
     count (labels of feasible targets are bounded by the depth, infeasible),

@@ -376,12 +376,6 @@ let debug_requests_json d =
 (* Mapping requests                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let algo_of_string = function
-  | "turbosyn" -> Some `Turbosyn
-  | "turbomap" -> Some `Turbomap
-  | "flowsyn-s" -> Some `Flowsyn_s
-  | _ -> None
-
 (* The response document is a deterministic function of (circuit, algo,
    k): no timings, no machine state.  The same renderer backs the serve
    path (cache miss), the cached bytes (stored rendered), and the
@@ -489,7 +483,7 @@ let parse_map_request ~query ~body =
             match str "algo" with
             | None -> Ok `Turbosyn
             | Some name -> (
-                match algo_of_string name with
+                match Turbosyn.Synth.algo_of_name name with
                 | Some a -> Ok a
                 | None -> Error (Printf.sprintf "unknown algo %S" name))
           in

@@ -118,8 +118,6 @@ val stop : t -> unit
 
 (** {1 Request plumbing, exposed for tests} *)
 
-val algo_of_string : string -> Turbosyn.Synth.algo option
-
 val result_json :
   circuit:string -> k:int -> Turbosyn.Synth.result -> Obs.Json.t
 (** The deterministic response renderer shared by the serve path, the

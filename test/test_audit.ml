@@ -114,9 +114,9 @@ let test_rat_codec () =
 (* Build + verify                                                   *)
 (* ---------------------------------------------------------------- *)
 
-let test_verify_worklist () =
+let test_verify_bbara () =
   let doc = run_audit "bbara" in
-  Alcotest.(check bool) "bbara worklist accepted" true (verify_ok doc)
+  Alcotest.(check bool) "bbara accepted" true (verify_ok doc)
 
 let test_verify_second_circuit () =
   let doc = run_audit "dk16" in
@@ -518,30 +518,69 @@ let test_obs_invariant_document () =
    audit document the independent verifier accepts.  The verifier
    re-derives every label, height and witness in rationals, so this
    checks the label engine's scaled-integer labels against their
-   rational meaning at arbitrary denominators. *)
+   rational meaning at arbitrary denominators.  Resynthesis only widens
+   what a label may use, so phi(TurboSYN) <= phi(TurboMap) too.
+   Returns the source and the results, in [`Turbomap; `Turbosyn;
+   `Flowsyn_s] order. *)
+let whole_flow seed =
+  let rng = Prelude.Rng.create seed in
+  let nl =
+    Random_circuit.seq rng ~pis:3 ~gates:(8 + Prelude.Rng.int rng 9)
+      ~max_arity:3
+  in
+  let k = 3 + Prelude.Rng.int rng 2 in
+  let options =
+    { (Turbosyn.Synth.default_options ~k ()) with phi_max_den = None }
+  in
+  let results =
+    List.map
+      (fun algo ->
+        let r = Turbosyn.Synth.run ~options algo nl in
+        match Audit.build ~source:nl ~options r with
+        | Ok doc ->
+            if not (verify_ok doc) then
+              QCheck.Test.fail_reportf "seed %d, %s: audit rejected" seed
+                (Turbosyn.Synth.algo_name algo);
+            r
+        | Error e ->
+            QCheck.Test.fail_reportf "seed %d, %s: audit build failed: %s"
+              seed (Turbosyn.Synth.algo_name algo) e)
+      [ `Turbomap; `Turbosyn; `Flowsyn_s ]
+  in
+  (match results with
+  | [ tm; ts; _ ] when Rat.compare ts.Turbosyn.Synth.phi tm.Turbosyn.Synth.phi > 0
+    ->
+      QCheck.Test.fail_reportf "seed %d: phi(turbosyn) %s > phi(turbomap) %s"
+        seed
+        (Rat.to_string ts.Turbosyn.Synth.phi)
+        (Rat.to_string tm.Turbosyn.Synth.phi)
+  | _ -> ());
+  (nl, results)
+
 let qcheck_whole_flow_audited =
   QCheck.Test.make ~name:"random circuits: every flow's audit accepted"
     ~count:100
     QCheck.(make ~print:string_of_int Gen.(0 -- 1_000_000))
     (fun seed ->
-      let rng = Prelude.Rng.create seed in
-      let nl =
-        Random_circuit.seq rng ~pis:3 ~gates:(8 + Prelude.Rng.int rng 9)
-          ~max_arity:3
-      in
-      let k = 3 + Prelude.Rng.int rng 2 in
-      let options =
-        { (Turbosyn.Synth.default_options ~k ()) with phi_max_den = None }
-      in
-      List.for_all
-        (fun algo ->
-          let r = Turbosyn.Synth.run ~options algo nl in
-          match Audit.build ~source:nl ~options r with
-          | Ok doc -> verify_ok doc
-          | Error e ->
-              QCheck.Test.fail_reportf "%s: audit build failed: %s"
-                (Turbosyn.Synth.algo_name algo) e)
-        [ `Turbomap; `Turbosyn; `Flowsyn_s ])
+      ignore (whole_flow seed);
+      true)
+
+(* Seeds whose FlowSYN-s resynthesis collapses a gate's cone to a delayed
+   copy of its own output (seed 379: g3 = f(g1, g1, g6@2) reduces to
+   not g6@2 and g6 = not g3, so g6 = g6@2).  The mapping realizes that
+   register ring as one identity LUT; it must audit and simulate equal
+   to its source. *)
+let test_flowsyn_projection_rings () =
+  List.iter
+    (fun seed ->
+      let nl, results = whole_flow seed in
+      let fs = List.nth results 2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: flowsyn-s simulates equal" seed)
+        true
+        (Sim.Equiv.mapped_equal (Prelude.Rng.create seed) nl
+           fs.Turbosyn.Synth.mapped))
+    [ 379; 7874; 9793; 11253; 11477; 17766 ]
 
 let () =
   Alcotest.run "audit"
@@ -554,10 +593,12 @@ let () =
         ] );
       ( "verify",
         [
-          Alcotest.test_case "bbara worklist" `Slow test_verify_worklist;
+          Alcotest.test_case "bbara" `Slow test_verify_bbara;
           Alcotest.test_case "dk16" `Slow test_verify_second_circuit;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             qcheck_whole_flow_audited;
+          Alcotest.test_case "flowsyn-s projection rings" `Quick
+            test_flowsyn_projection_rings;
         ] );
       ( "mutation",
         [

@@ -379,10 +379,10 @@ let qcheck_snapshot_soundness =
       && ex'.Expanded.overflow = ex.Expanded.overflow)
 
 (* Golden labels: the verdict, iteration count and labels digest of each
-   label run below, recorded from the seed engine, which re-tested every
-   SCC member in every iteration, before it was retired.  The worklist
-   scheduler skips only re-tests whose read set held still, and its
-   snapshot, memo, arena and witness fast paths must not change a
+   label run below, recorded from the seed engine.  Its schedule, every
+   SCC member re-tested in sorted order in every iteration, is the only
+   one the engine has, so the table pins it; the engine's snapshot,
+   memo, arena and witness fast paths must not change a
    decision, so every row must reproduce exactly: same feasibility
    verdict, same iteration count, same labels — with PLD on and off and
    resynthesis on and off.  Rows are (circuit, option set, phi, verdict

@@ -1327,7 +1327,7 @@ let test_profiling_and_slo () =
       let expected =
         match
           Serve.Server.map_response ~circuit:"bbara" ~k:5
-            ~algo:(Option.get (Serve.Server.algo_of_string "turbomap"))
+            ~algo:(Option.get (Turbosyn.Synth.algo_of_name "turbomap"))
         with
         | Ok doc -> Obs.Json.to_string doc ^ "\n"
         | Error e -> Alcotest.failf "direct map: %s" e
