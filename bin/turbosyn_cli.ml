@@ -633,7 +633,7 @@ let flame_cmd =
             | exception Invalid_argument msg -> exit_err msg
             | _ ->
                 write_folded
-                  Obs.Flame.(to_string (fold_array (Obs.Timeline.to_array ())))))
+                  Obs.Flame.(to_string (fold_timeline ()))))
   in
   let trace_file_arg =
     Arg.(value & opt (some string) None & info [ "from-timeline"; "t" ]

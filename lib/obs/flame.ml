@@ -16,78 +16,75 @@
    rather than a lie about the call structure (doc/OBSERVABILITY.md
    §Flamegraphs). *)
 
-type entry = {
-  name : string;
-  start : float;
-  stop : float;
-  mutable child : float; (* seconds covered by direct children *)
-}
+(* an open frame of the fold: its slice, its stack key (frames joined
+   with ';', outermost first) and the seconds its direct children cover *)
+type frame = { slice : int; key : string; mutable child : float }
 
 (* frame separators are structural in the folded format *)
 let clean_frame name =
   String.map (fun c -> if c = ';' || c = ' ' || c = '\n' then '_' else c) name
 
-let fold_array slices =
+(* Fold the slices at positions [order] (oldest first) of the columns
+   [names], [starts] and [stops]; [order] is sorted in place. *)
+let fold ~names ~starts ~stops order =
+  let start i = Float.Array.get starts i and stop i = Float.Array.get stops i in
   (* parents first: by start ascending, then longer first at equal
      start, so a container always precedes its contents *)
   Array.stable_sort
-    (fun (a : Timeline.slice) (b : Timeline.slice) ->
-      match Float.compare a.Timeline.start b.Timeline.start with
-      | 0 -> Float.compare b.Timeline.stop a.Timeline.stop
+    (fun i j ->
+      match Float.compare (start i) (start j) with
+      | 0 -> Float.compare (stop j) (stop i)
       | c -> c)
-    slices;
+    order;
   let acc : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let stack = ref [] in
-  (* innermost first *)
-  let emit e rest =
-    let self = Float.max 0. (e.stop -. e.start -. e.child) in
-    let key =
-      String.concat ";"
-        (List.rev_map (fun fr -> clean_frame fr.name) (e :: rest))
-    in
-    let prev = Option.value ~default:0. (Hashtbl.find_opt acc key) in
-    Hashtbl.replace acc key (prev +. self)
-  in
-  let pop_one () =
-    match !stack with
-    | [] -> ()
-    | e :: rest ->
-        emit e rest;
+  (* close the innermost frame: credit its self time to its stack and
+     its duration to its parent *)
+  let pop = function
+    | [] -> []
+    | f :: rest ->
+        let seconds = stop f.slice -. start f.slice in
+        let self = Float.max 0. (seconds -. f.child) in
+        let prev = Option.value ~default:0. (Hashtbl.find_opt acc f.key) in
+        Hashtbl.replace acc f.key (prev +. self);
         (match rest with
-        | parent :: _ -> parent.child <- parent.child +. (e.stop -. e.start)
+        | parent :: _ -> parent.child <- parent.child +. seconds
         | [] -> ());
-        stack := rest
+        rest
   in
-  let contains outer (s : Timeline.slice) =
-    (* starts are sorted, so s.start >= outer.start already holds *)
-    s.Timeline.stop <= outer.stop
+  let stack =
+    Array.fold_left
+      (fun stack i ->
+        (* starts are sorted, so slice [i] lies inside a frame exactly
+           when it stops no later *)
+        let rec unwind = function
+          | f :: _ as st when not (stop i <= stop f.slice) -> unwind (pop st)
+          | st -> st
+        in
+        let stack = unwind stack in
+        let name = clean_frame names.(i) in
+        let key =
+          match stack with [] -> name | parent :: _ -> parent.key ^ ";" ^ name
+        in
+        { slice = i; key; child = 0. } :: stack)
+      [] order
   in
-  Array.iter
-    (fun (s : Timeline.slice) ->
-      let rec unwind () =
-        match !stack with
-        | top :: _ when not (contains top s) ->
-            pop_one ();
-            unwind ()
-        | _ -> ()
-      in
-      unwind ();
-      stack :=
-        {
-          name = s.Timeline.name;
-          start = s.Timeline.start;
-          stop = s.Timeline.stop;
-          child = 0.;
-        }
-        :: !stack)
-    slices;
-  while !stack <> [] do
-    pop_one ()
-  done;
+  let rec drain = function [] -> () | st -> drain (pop st) in
+  drain stack;
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let fold_slices slices = fold_array (Array.of_list slices)
+let fold_slices slices =
+  let a = Array.of_list slices in
+  fold
+    ~names:(Array.map (fun (s : Timeline.slice) -> s.Timeline.name) a)
+    ~starts:(Float.Array.map_from_array (fun (s : Timeline.slice) -> s.start) a)
+    ~stops:(Float.Array.map_from_array (fun (s : Timeline.slice) -> s.stop) a)
+    (Array.init (Array.length a) Fun.id)
+
+let fold_timeline () =
+  let s = Sink.global in
+  fold ~names:s.names ~starts:s.starts ~stops:s.stops
+    (Array.init s.len (Sink.slice_index s))
 
 let to_string folded =
   let b = Buffer.create 256 in

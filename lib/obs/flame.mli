@@ -22,9 +22,9 @@ val fold_slices : Timeline.slice list -> (string * float) list
     seconds), sorted by stack, zero-self stacks included.  Frame names
     have [';'], [' '] and newlines replaced by ['_']. *)
 
-val fold_array : Timeline.slice array -> (string * float) list
-(** {!fold_slices} over an array, which it sorts in place: a whole
-    run's timeline ({!Timeline.to_array}) folds without a list copy. *)
+val fold_timeline : unit -> (string * float) list
+(** {!fold_slices} over the whole-run {!Timeline} ring, read in place
+    from its columns: no slice record or list is built. *)
 
 val to_string : (string * float) list -> string
 (** The folded-stack text: one ["stack weight\n"] line per entry with

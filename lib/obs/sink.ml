@@ -1,7 +1,7 @@
 (* The one representation of observed metrics.
 
    A sink holds a cell per counter, span and histogram, indexed by the
-   dense slot [make] gives each name, plus a bounded queue of timeline
+   dense slot [make] gives each name, plus a bounded ring of timeline
    slices.  There are two kinds of instance: the process-global sink,
    which the stats document, /metrics and every reader render, and the
    fresh sink each request scope (Obs.Scope) creates.  One DLS key names
@@ -87,11 +87,19 @@ type id = { name : string; slot : int }
 
 type slice = { name : string; start : float; stop : float }
 
+(* Timeline slices are kept as parallel columns, the times unboxed, in
+   a circular buffer that doubles as it fills, up to [capacity]: a whole
+   run's timeline (flame -w keeps every slice) costs three words a
+   slice.  Slice [j], oldest first, sits at [(head + j) mod size]. *)
 type t = {
   mutable counters : counter array; (* by slot; [no_counter] if unset *)
   mutable spans : span array;
   mutable hists : hist array;
-  slices : slice Queue.t;
+  mutable names : string array;
+  mutable starts : Float.Array.t;
+  mutable stops : Float.Array.t;
+  mutable head : int;
+  mutable len : int;
   mutable capacity : int; (* slice bound; the oldest is dropped past it *)
   mutable dropped : int;
 }
@@ -101,7 +109,11 @@ let create ~capacity =
     counters = [||];
     spans = [||];
     hists = [||];
-    slices = Queue.create ();
+    names = [||];
+    starts = Float.Array.make 0 0.;
+    stops = Float.Array.make 0 0.;
+    head = 0;
+    len = 0;
     capacity;
     dropped = 0;
   }
@@ -202,15 +214,48 @@ let register tbl cell name =
       ignore (cell m);
       m
 
+(* the buffer position of slice [j], oldest first *)
+let[@inline] slice_index s j = (s.head + j) mod Array.length s.names
+
+let drop_oldest s =
+  s.head <- slice_index s 1;
+  s.len <- s.len - 1;
+  s.dropped <- s.dropped + 1
+
+(* room for one more slice: the buffer, in order from position 0, at
+   twice its size (at most [capacity]) *)
+let grow_slices s =
+  let size = min s.capacity (max 16 (2 * Array.length s.names)) in
+  let names = Array.make size "" in
+  let starts = Float.Array.make size 0. and stops = Float.Array.make size 0. in
+  for j = 0 to s.len - 1 do
+    let i = slice_index s j in
+    names.(j) <- s.names.(i);
+    Float.Array.set starts j (Float.Array.get s.starts i);
+    Float.Array.set stops j (Float.Array.get s.stops i)
+  done;
+  s.names <- names;
+  s.starts <- starts;
+  s.stops <- stops;
+  s.head <- 0
+
 (* append, dropping (and counting) the oldest slice at capacity *)
-let push_slice s sl =
+let push_slice s name ~start ~stop =
   if s.capacity > 0 then begin
-    if Queue.length s.slices >= s.capacity then begin
-      ignore (Queue.pop s.slices);
-      s.dropped <- s.dropped + 1
-    end;
-    Queue.add sl s.slices
+    if s.len >= s.capacity then drop_oldest s;
+    if s.len = Array.length s.names then grow_slices s;
+    let i = slice_index s s.len in
+    s.names.(i) <- name;
+    Float.Array.set s.starts i start;
+    Float.Array.set s.stops i stop;
+    s.len <- s.len + 1
   end
+
+let set_capacity s n =
+  s.capacity <- n;
+  while s.len > n do
+    drop_oldest s
+  done
 
 let merge ~into src =
   Array.iteri
@@ -251,7 +296,11 @@ let merge ~into src =
     src.hists
 
 let clear_slices s =
-  Queue.clear s.slices;
+  s.names <- [||];
+  s.starts <- Float.Array.make 0 0.;
+  s.stops <- Float.Array.make 0 0.;
+  s.head <- 0;
+  s.len <- 0;
   s.dropped <- 0
 
 (* Resets replace each cell by a zero one (registration survives); a
@@ -293,4 +342,11 @@ let histograms s =
     (fun c -> (c.h_name, snapshot c))
     (cells no_hist (fun c -> c.h_name) s.hists)
 
-let slices s = List.of_seq (Queue.to_seq s.slices)
+let slices s =
+  List.init s.len (fun j ->
+      let i = slice_index s j in
+      {
+        name = s.names.(i);
+        start = Float.Array.get s.starts i;
+        stop = Float.Array.get s.stops i;
+      })

@@ -19,9 +19,6 @@ val record : string -> start:float -> stop:float -> unit
 val slices : unit -> slice list
 (** Oldest first. *)
 
-val to_array : unit -> slice array
-(** {!slices} as one array, without an intermediate list. *)
-
 val length : unit -> int
 val dropped : unit -> int
 

@@ -70,6 +70,23 @@ let evict_over_capacity t =
     t.size <- t.size - 1
   done
 
+(* a completed entry's bytes, refreshed as most recently used; [None]
+   for an absent or in-flight key, without waiting or leading *)
+let find t ~key =
+  if t.cap = 0 then None
+  else begin
+    Mutex.lock t.mutex;
+    let r =
+      match Hashtbl.find_opt t.tbl key with
+      | Some (Ready n) ->
+          touch t n;
+          Some n.body
+      | Some Pending | None -> None
+    in
+    Mutex.unlock t.mutex;
+    r
+  end
+
 let find_or_compute t ~key compute =
   if t.cap = 0 then (compute (), Bypass)
   else begin
@@ -94,7 +111,7 @@ let find_or_compute t ~key compute =
     match resolve () with
     | `Ready body ->
         Mutex.unlock t.mutex;
-        (Ok body, if !waited then Join else Hit)
+        (body, if !waited then Join else Hit)
     | `Lead -> (
         Mutex.unlock t.mutex;
         let outcome =
@@ -102,17 +119,17 @@ let find_or_compute t ~key compute =
         in
         Mutex.lock t.mutex;
         (match outcome with
-        | Ok (Ok body) ->
+        | Ok body ->
             let n = { key; body; prev = t.sent; next = t.sent } in
             push_front t n;
             Hashtbl.replace t.tbl key (Ready n);
             t.size <- t.size + 1;
             evict_over_capacity t
-        | Ok (Error _) | Error _ -> Hashtbl.remove t.tbl key);
+        | Error _ -> Hashtbl.remove t.tbl key);
         Condition.broadcast t.landed;
         Mutex.unlock t.mutex;
         match outcome with
-        | Ok r -> (r, Miss)
+        | Ok body -> (body, Miss)
         | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
   end
 

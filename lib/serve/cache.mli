@@ -1,13 +1,16 @@
 (** The serve layer's result cache: an LRU over rendered response
-    bodies, keyed by canonical circuit digest, with single-flight
-    deduplication.
+    bodies, keyed by the validated request (the server's key is the
+    suite circuit name, the algorithm name and [k]), with single-flight
+    deduplication.  {!find} answers a completed entry without waiting
+    or computing, so the server can serve hits before it queues work;
+    {!find_or_compute} resolves everything else.
 
     Single flight: when several requests for one key arrive while none
     has completed, exactly one caller computes; the rest block until
     the computation lands and then reuse its bytes ([Join]).  A failed
-    computation is never cached — waiters retry (at most one becomes
-    the next leader), and errors propagate only to the caller that
-    computed them.
+    computation (an exception) is never cached — waiters retry (at most
+    one becomes the next leader), and the exception propagates only to
+    the caller that computed it.
 
     Thread-safety: every operation may be called from any domain.  The
     compute callback runs {e outside} the cache lock, so long
@@ -30,12 +33,16 @@ val create : capacity:int -> t
     disables caching — every lookup is a [Bypass]).
     @raise Invalid_argument on a negative capacity. *)
 
-val find_or_compute :
-  t -> key:string -> (unit -> (string, string) result) -> (string, string) result * outcome
+val find : t -> key:string -> string option
+(** The bytes of [key]'s completed entry (now the most recently used),
+    or [None] when the key is absent or in flight, or caching is
+    disabled.  Never waits on a flight and never leads one. *)
+
+val find_or_compute : t -> key:string -> (unit -> string) -> string * outcome
 (** Return the cached bytes for [key], or run the callback to produce
-    them.  [Ok] results are cached (evicting the least-recently-used
-    entry beyond capacity); [Error]s and exceptions are not, and
-    exceptions re-raise in the computing caller only. *)
+    them.  Results are cached (evicting the least-recently-used entry
+    beyond capacity); exceptions are not, and re-raise in the computing
+    caller only. *)
 
 val length : t -> int
 (** Completed entries currently cached (in-flight entries excluded). *)

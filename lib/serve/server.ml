@@ -9,28 +9,32 @@
      accept lane ──> bounded Bqueue ──> N worker domains
    (calling domain)                   (one Domain.spawn each)
           │                                  │
-          │ inline: /healthz /metrics        │ /map: parse, canonical
-          │         /debug/*  (cheap)        │ digest, cache lookup,
-          │ full queue: shed 429             │ Synth.run on miss
+          │ inline: /healthz /metrics        │ /map misses and in-flight
+          │   /debug/*, /map body errors,    │ keys: single-flight cache,
+          │   /map cache hits  (cheap)       │ Synth.run on miss
+          │ full queue: shed 429             │
 
    The accept lane owns the listen socket and the request *read*,
    bounded by one deadline per request (408 when it expires, so a
    silent client stalls the lane for at most that long): it
-   parses the HTTP envelope, answers the cheap routes inline, and hands
-   /map jobs (fd + parsed request) to the queue.  Worker domains own
-   the /map compute and the response write.  Admission control is the
-   queue bound: a full queue sheds with 429 + Retry-After instead of
-   queueing unboundedly, and the monitoring routes stay answerable
-   from the accept lane even under full overload.
+   parses the HTTP envelope and the /map request, answers the cheap
+   routes inline, and hands the /map jobs it cannot answer (fd +
+   validated request) to the queue.  Worker domains own the /map
+   compute and its response write.  Admission control is the queue
+   bound: a full queue sheds with 429 + Retry-After instead of
+   queueing unboundedly, and the monitoring routes and cache hits stay
+   answerable from the accept lane even under full overload.
 
-   Result cache: /map responses are cached under a canonical circuit
-   digest (Circuit.Canon — invariant under wire renaming and
-   declaration order) plus (algo, k).  Lookups are single-flight
-   (Cache): concurrent identical submissions compute once, and every
-   /map response carries an [X-Cache: hit|miss|bypass] marker.
+   Result cache: /map responses are cached under the validated request,
+   (circuit, algo, k), so a lookup does no circuit work.  A completed
+   entry is answered on the accept lane (Cache.find), never queued
+   behind a computing miss; misses and keys in flight queue, and the
+   worker's lookup is single-flight (Cache.find_or_compute):
+   concurrent identical submissions compute once.  Every /map response
+   carries an [X-Cache: hit|miss|bypass] marker.
 
-   Observability under concurrency: each /map request runs inside an
-   Obs.Scope on its worker domain, so every counter/span/histogram
+   Observability under concurrency: each queued /map request runs
+   inside an Obs.Scope on its worker domain, so every counter/span/histogram
    write lands in the request's sink.  The process-global registries
    are only ever touched under [registry_mutex]: scope closes (the
    sink merge), the /map response-bytes counter, the accept lane's
@@ -411,36 +415,37 @@ let check_k k =
     Error (Printf.sprintf "k out of range: %d" k)
   else Ok k
 
+(* a validated /map request: a suite circuit, the algorithm and k *)
+type map_request = {
+  spec : Workloads.Suite.spec;
+  k : int;
+  algo : Turbosyn.Synth.algo;
+}
+
+(* the miss computation, the only place a request builds its netlist *)
+let compute_map r =
+  let nl = Workloads.Suite.build r.spec in
+  let options = Turbosyn.Synth.default_options ~k:r.k () in
+  let result = Turbosyn.Synth.run ~options r.algo nl in
+  result_json ~circuit:r.spec.Workloads.Suite.name ~k:r.k result
+
 let map_response ~circuit ~k ~algo =
   match (Workloads.Suite.find circuit, check_k k) with
   | None, _ -> Error (Printf.sprintf "unknown circuit %S" circuit)
   | _, Error e -> Error e
-  | Some spec, Ok k ->
-      let nl = Workloads.Suite.build spec in
-      let options = Turbosyn.Synth.default_options ~k () in
-      let r = Turbosyn.Synth.run ~options algo nl in
-      Ok (result_json ~circuit ~k r)
+  | Some spec, Ok k -> Ok (compute_map { spec; k; algo })
 
-(* the result-cache key: canonical structural digest — renames and
-   declaration order do not fragment the cache — plus the request
-   parameters the result depends on *)
-let cache_key nl ~k ~algo =
-  Printf.sprintf "%s/%s/k%d" (Circuit.Canon.digest nl)
-    (Turbosyn.Synth.algo_name algo)
-    k
+(* the result-cache key: the request itself.  The response is a
+   deterministic function of (circuit, algo, k), and [Suite.find]
+   matches names exactly, so a key needs no circuit work. *)
+let cache_key r =
+  Printf.sprintf "%s/%s/k%d" r.spec.Workloads.Suite.name
+    (Turbosyn.Synth.algo_name r.algo)
+    r.k
 
 (* the cached /map body: rendered bytes, exactly what [respond_json]
-   would write, so hits and misses answer identical payloads; [k] was
-   range-checked by [parse_map_request] *)
-let map_body_cached cache ~circuit ~k ~algo =
-  match Workloads.Suite.find circuit with
-  | None -> (Error (Printf.sprintf "unknown circuit %S" circuit), Cache.Bypass)
-  | Some spec ->
-      let nl = Workloads.Suite.build spec in
-      Cache.find_or_compute cache ~key:(cache_key nl ~k ~algo) (fun () ->
-          let options = Turbosyn.Synth.default_options ~k () in
-          let r = Turbosyn.Synth.run ~options algo nl in
-          Ok (J.to_string (result_json ~circuit ~k r) ^ "\n"))
+   would write, so hits and misses answer identical payloads *)
+let map_body r = J.to_string (compute_map r) ^ "\n"
 
 (* body may be a JSON object {"circuit": ..., "k": ..., "algo": ...};
    query parameters (circuit, k, algo) override nothing — they are the
@@ -488,8 +493,11 @@ let parse_map_request ~query ~body =
                 | None -> Error (Printf.sprintf "unknown algo %S" name))
           in
           match (k, algo) with
-          | Ok k, Ok algo -> Ok (circuit, k, algo)
-          | Error e, _ | _, Error e -> Error e))
+          | Error e, _ | _, Error e -> Error e
+          | Ok k, Ok algo -> (
+              match Workloads.Suite.find circuit with
+              | None -> Error (Printf.sprintf "unknown circuit %S" circuit)
+              | Some spec -> Ok { spec; k; algo })))
 
 (* ------------------------------------------------------------------ *)
 (* HTTP plumbing                                                       *)
@@ -507,8 +515,7 @@ type job = {
   jb_fd : Unix.file_descr;
   jb_id : string;
   jb_meth : string;
-  jb_query : (string * string) list;
-  jb_body : string;
+  jb_req : map_request; (* parsed and validated on the accept lane *)
   jb_accepted : float; (* wall clock at enqueue, for queue-wait *)
 }
 
@@ -791,21 +798,28 @@ let log_access t ~route ~meth ~path ~status ~outcome ~cache ~started
 (* the /map handler proper, run inside the request scope on a worker
    domain: every Obs hook here writes the scope's sink, so no lock is
    needed until the scope closes.  It decides the answer without
-   sending it: returns (status, cache marker, JSON body). *)
-let handle_map_in_scope t ~query ~body ~queued_seconds =
+   sending it: returns (status, cache marker, JSON body).  A hit here
+   is a key that landed while its job waited in the queue. *)
+let handle_map_in_scope t req ~queued_seconds =
   Obs.Histogram.observe h_queue_wait queued_seconds;
-  match parse_map_request ~query ~body with
-  | Error e -> (400, None, error_body e)
-  | Ok (circuit, k, algo) -> (
-      match map_body_cached t.cache ~circuit ~k ~algo with
-      | Error e, _ -> (400, None, error_body e)
-      | Ok payload, outcome ->
-          (match outcome with
-          | Cache.Hit -> Obs.Counter.incr c_cache_hits
-          | Cache.Join -> Obs.Counter.incr c_cache_joins
-          | Cache.Miss -> Obs.Counter.incr c_cache_misses
-          | Cache.Bypass -> ());
-          (200, Some (Cache.outcome_label outcome), payload))
+  let payload, outcome =
+    Cache.find_or_compute t.cache ~key:(cache_key req) (fun () -> map_body req)
+  in
+  (match outcome with
+  | Cache.Hit -> Obs.Counter.incr c_cache_hits
+  | Cache.Join -> Obs.Counter.incr c_cache_joins
+  | Cache.Miss -> Obs.Counter.incr c_cache_misses
+  | Cache.Bypass -> ());
+  (200, Some (Cache.outcome_label outcome), payload)
+
+let map_outcome ~status cache =
+  match cache with Some "hit" -> "cached" | _ -> outcome_of_status status
+
+let respond_map fd ~echo ~status ~cache payload =
+  let headers =
+    echo @ Option.fold ~none:[] ~some:(fun m -> [ ("X-Cache", m) ]) cache
+  in
+  respond fd ~headers ~status ~content_type:"application/json" payload
 
 (* A /map request: handled inside its scope on a worker domain.  The
    scope closes, and the response bytes, the route latency, the ring
@@ -838,9 +852,7 @@ let serve_job t job =
           (fun () ->
             let ((status, _, _) as answer) =
               Obs.Span.time s_request (fun () ->
-                  try
-                    handle_map_in_scope t ~query:job.jb_query
-                      ~body:job.jb_body ~queued_seconds
+                  try handle_map_in_scope t job.jb_req ~queued_seconds
                   with e -> (500, None, error_body (Printexc.to_string e)))
             in
             count_request_scoped ~route:"map" ~status;
@@ -857,24 +869,14 @@ let serve_job t job =
             raise e
       in
       let summary = Some (close ()) in
-      let outcome =
-        match cache with
-        | Some "hit" -> "cached"
-        | _ -> outcome_of_status status
-      in
       with_registry (fun () ->
           count_response_bytes ~route:"map" (String.length payload));
       log_access t ~route:"map" ~meth:job.jb_meth ~path:"/map" ~status
-        ~outcome ~cache ~started:job.jb_accepted ~summary ();
-      let headers =
-        echo @ Option.fold ~none:[] ~some:(fun m -> [ ("X-Cache", m) ]) cache
-      in
+        ~outcome:(map_outcome ~status cache) ~cache ~started:job.jb_accepted
+        ~summary ();
       (* the peer may be gone: the request keeps the status it was
          answered with *)
-      try
-        ignore
-          (respond fd ~headers ~status ~content_type:"application/json"
-             payload)
+      try ignore (respond_map fd ~echo ~status ~cache payload)
       with Unix.Unix_error _ -> ())
 
 let worker_loop t =
@@ -1057,6 +1059,20 @@ let shed t fd ~echo ~meth ~path ~started =
   log_access t ~route:"map" ~meth ~path ~status:429 ~outcome:"shed"
     ~cache:None ~started ~summary:None ()
 
+(* A /map the accept lane answers itself, a body error or a completed
+   cache entry, recorded as a worker records its answer: before the
+   write.  A hit computes nothing, so it is never shed; writing its one
+   cached body holds the lane while a slow reader takes it, as a
+   /metrics answer does. *)
+let answer_map t fd ~echo ~meth ~started ~status ~cache payload =
+  with_registry (fun () ->
+      if cache <> None then Obs.Counter.incr c_cache_hits;
+      count_request ~route:"map" ~status;
+      count_response_bytes ~route:"map" (String.length payload));
+  log_access t ~route:"map" ~meth ~path:"/map" ~status
+    ~outcome:(map_outcome ~status cache) ~cache ~started ~summary:None ();
+  ignore (respond_map fd ~echo ~status ~cache payload)
+
 (* true when fd ownership moved to the worker queue *)
 let dispatch t fd =
   match read_request fd with
@@ -1086,22 +1102,33 @@ let dispatch t fd =
         false
       in
       match (meth, path) with
-      | ("POST" | "GET"), "/map" ->
-          let job =
-            {
-              jb_fd = fd;
-              jb_id = req_id;
-              jb_meth = meth;
-              jb_query = query;
-              jb_body = body;
-              jb_accepted = started;
-            }
-          in
-          if Prelude.Bqueue.try_push t.queue job then true
-          else begin
-            shed t fd ~echo ~meth ~path ~started;
-            false
-          end
+      | ("POST" | "GET"), "/map" -> (
+          match parse_map_request ~query ~body with
+          | Error e ->
+              answer_map t fd ~echo ~meth ~started ~status:400 ~cache:None
+                (error_body e);
+              false
+          | Ok req -> (
+              match Cache.find t.cache ~key:(cache_key req) with
+              | Some payload ->
+                  answer_map t fd ~echo ~meth ~started ~status:200
+                    ~cache:(Some "hit") payload;
+                  false
+              | None ->
+                  let job =
+                    {
+                      jb_fd = fd;
+                      jb_id = req_id;
+                      jb_meth = meth;
+                      jb_req = req;
+                      jb_accepted = started;
+                    }
+                  in
+                  if Prelude.Bqueue.try_push t.queue job then true
+                  else begin
+                    shed t fd ~echo ~meth ~path ~started;
+                    false
+                  end))
       | "GET", "/healthz" ->
           let bytes =
             respond_json fd ~headers:echo ~status:200 (healthz_json t)

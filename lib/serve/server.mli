@@ -42,26 +42,30 @@
     and spawns [workers] worker domains.  The accept lane owns the listen socket,
     parses request envelopes (a client that has not sent its whole
     request within 5 s gets [408], counted under route [malformed]),
-    answers the cheap routes inline, and
-    feeds [/map] jobs to a bounded {!Prelude.Bqueue}; worker domains
-    drain the queue, run the pipeline, and write the responses.  The
+    answers the cheap routes inline, parses and validates each [/map]
+    request (a body error is a [400] under route [map]), answers a
+    completed cache entry inline, and feeds the remaining [/map] jobs
+    to a bounded {!Prelude.Bqueue}; worker domains drain the queue, run
+    the pipeline, and write the responses.  The
     [/map] documents are byte-identical to a direct
     {!Turbosyn.Synth.run} for every worker count
     ([doc/CONCURRENCY.md] §Serving).
 
     {b Admission control.}  When the queue is full (or [queue_depth] is
-    [0]), [/map] requests are shed with [429 Too Many Requests] and a
-    [Retry-After] header instead of queueing unboundedly; [/healthz]
-    and [/metrics] stay answerable from the accept lane under full
-    overload.
+    [0]), [/map] requests that must compute are shed with
+    [429 Too Many Requests] and a [Retry-After] header instead of
+    queueing unboundedly; cache hits, [/healthz] and [/metrics] stay
+    answerable from the accept lane under full overload.
 
     {b Result cache.}  [/map] responses are cached in an LRU of
-    [cache_entries] rendered bodies, keyed by the canonical circuit
-    digest ({!Circuit.Canon.digest} — invariant under wire renaming and
-    declaration order) plus [(algo, k)], with single-flight
-    deduplication: concurrent identical submissions compute once.
-    Every [/map] response carries an [X-Cache: hit|miss|bypass] header
-    ([bypass] when the cache is disabled).
+    [cache_entries] rendered bodies, keyed by the validated request
+    [(circuit, algo, k)] — the body and query forms of one request share
+    an entry — with single-flight deduplication: concurrent identical
+    submissions compute once.  A completed entry is answered on the
+    accept lane, never queued behind a computing miss; only misses and
+    keys still in flight reach a worker.  Every [/map] response carries
+    an [X-Cache: hit|miss|bypass] header ([bypass] when the cache is
+    disabled).
 
     {b Correlation ids.}  Every request carries a correlation id: the
     client's [X-Request-Id] header when present (up to 64 chars of
@@ -71,8 +75,9 @@
     ([serve.access], plus [serve.slow] over the threshold) carries it as
     [request_id], and [/debug/trace/<id>] retrieves by it.
 
-    Each [/map] request runs inside an {!Obs.Scope} keyed by its id on
-    its worker domain; scope closes (and every other direct registry
+    Each [/map] request a worker handles runs inside an {!Obs.Scope}
+    keyed by its id on its worker domain (an inline hit or body error
+    has no scope, and no [/debug/trace/<id>]); scope closes (and every other direct registry
     touch) serialize behind one mutex, so scrape counters stay monotone
     and φ/labels/stats documents are byte-identical to unscoped runs. *)
 
@@ -94,7 +99,7 @@ val create :
     (default: host-derived, between 1 and 4) is the number of /map
     worker domains, clamped to at least 1.  [queue_depth] (default
     [64]) bounds the jobs admitted beyond the in-flight ones; [0]
-    sheds every /map request — useful for tests.  [cache_entries]
+    sheds every /map request that must compute — useful for tests.  [cache_entries]
     (default [256]) is the LRU capacity of the result cache; [0]
     disables caching.  [slos] (default none) are the objectives
     evaluated by [/debug/slo] and the [turbosyn_slo_*] scrape families.
@@ -131,7 +136,8 @@ val map_response :
   algo:Turbosyn.Synth.algo ->
   (Obs.Json.t, string) result
 (** Resolve the circuit, run the mapping (uncached), render the
-    response; [Error] on unknown circuits or out-of-range [k]. *)
+    response through the renderer a cache miss uses; [Error] on unknown
+    circuits or out-of-range [k]. *)
 
 val header_end : Buffer.t -> from:int -> int option
 (** The offset just past the first ["\r\n\r\n"] of the buffer that
@@ -139,9 +145,6 @@ val header_end : Buffer.t -> from:int -> int option
     resumes each scan at [length - 3] of the buffer it last scanned gets
     the answer of one scan from 0, under any split of the input into
     reads. *)
-
-val cache_key : Circuit.Netlist.t -> k:int -> algo:Turbosyn.Synth.algo -> string
-(** The result-cache key: {!Circuit.Canon.digest} plus algo and [k]. *)
 
 val request_id_of_headers : (string * string) list -> string
 (** The correlation id for a request with the given (lower-cased)

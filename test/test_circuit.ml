@@ -589,8 +589,8 @@ let test_canon_format_and_determinism () =
   Alcotest.(check string) "name-independent" d (Canon.digest nl)
 
 let test_canon_suite_distinct () =
-  (* every Table-1 circuit digests distinctly: the serve-layer result
-     cache can never cross-serve another circuit's labels *)
+  (* every Table-1 circuit digests distinctly: a structural digest
+     tells the suite's circuits apart *)
   let digests =
     List.map
       (fun spec ->

@@ -827,6 +827,56 @@ let test_timeline_overflow_flame () =
               | Error e -> Alcotest.failf "trace parse: %s" e)
           | Error e -> Alcotest.failf "trace document: %s" e))
 
+(* qcheck: the timeline ring, growing and wrapping, keeps the newest
+   [capacity] slices oldest first and counts the rest as dropped, also
+   when the capacity is lowered or raised between records (a raise lets
+   a wrapped ring grow again); and the in-place fold of the ring equals
+   the fold of its slice list. *)
+let test_timeline_ring_qcheck () =
+  with_obs (fun () ->
+      let gen =
+        QCheck.Gen.(
+          quad (1 -- 40) (1 -- 40)
+            (list_size (0 -- 90) (pair (0 -- 50) (0 -- 20)))
+            (list_size (0 -- 40) (pair (0 -- 50) (0 -- 20))))
+      in
+      Fun.protect
+        ~finally:(fun () -> Obs.Timeline.set_capacity 65536)
+        (fun () ->
+          run_qcheck
+            (QCheck.Test.make ~count:200 ~name:"timeline ring order"
+               (QCheck.make gen)
+               (fun (cap, cap', before, after) ->
+                 Obs.reset ();
+                 Obs.Timeline.set_capacity cap;
+                 (* the model: kept names oldest first, and drops *)
+                 let kept = ref [] and dropped = ref 0 and next = ref 0 in
+                 let trim cap =
+                   let n = List.length !kept in
+                   if n > cap then begin
+                     kept := List.filteri (fun i _ -> i >= n - cap) !kept;
+                     dropped := !dropped + (n - cap)
+                   end
+                 in
+                 let record cap (start, dur) =
+                   let name = Printf.sprintf "ring.s%d" !next in
+                   incr next;
+                   Obs.Timeline.record name ~start:(float_of_int start)
+                     ~stop:(float_of_int (start + dur));
+                   kept := !kept @ [ name ];
+                   trim cap
+                 in
+                 List.iter (record cap) before;
+                 Obs.Timeline.set_capacity cap';
+                 trim cap';
+                 List.iter (record cap') after;
+                 let slices = Obs.Timeline.slices () in
+                 List.map (fun (s : Obs.Timeline.slice) -> s.name) slices
+                 = !kept
+                 && Obs.Timeline.dropped () = !dropped
+                 && Obs.Timeline.length () = List.length !kept
+                 && Obs.Flame.fold_timeline () = Obs.Flame.fold_slices slices))))
+
 (* qcheck: whatever nesting program runs, the exact fold of its
    timeline is well-formed and conserves time — the weights of the
    lines through each span sum to that span's Span.seconds, within the
@@ -1367,6 +1417,8 @@ let () =
             test_timeline_overflow_flame;
           Alcotest.test_case "folded well-formed" `Quick
             test_flame_folded_qcheck;
+          Alcotest.test_case "ring order and in-place fold" `Quick
+            test_timeline_ring_qcheck;
         ] );
       ( "resources",
         [

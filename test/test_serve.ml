@@ -355,6 +355,106 @@ let test_cache_bypass () =
             (List.assoc_opt "x-cache" hdrs))
         [ (); () ])
 
+(* The cache key is the validated request (circuit, algo, k): the
+   POST-body and GET-query forms of one request, or a body that leaves
+   k at its default, share one entry; changing only k, or only the
+   algorithm, is another key. *)
+let test_cache_key_is_request () =
+  with_server (fun port ->
+      let map ~meth ~path ?body () =
+        let status, hdrs, body = http_full ~port ~meth ~path ?body () in
+        Alcotest.(check int) (meth ^ " " ^ path ^ " status") 200 status;
+        (List.assoc_opt "x-cache" hdrs, body)
+      in
+      let post body = map ~meth:"POST" ~path:"/map" ~body () in
+      let cache, first =
+        post "{\"circuit\": \"bbara\", \"k\": 5, \"algo\": \"flowsyn-s\"}"
+      in
+      Alcotest.(check (option string)) "body form misses" (Some "miss") cache;
+      let cache, body =
+        map ~meth:"GET" ~path:"/map?circuit=bbara&k=5&algo=flowsyn-s" ()
+      in
+      Alcotest.(check (option string)) "query form hits" (Some "hit") cache;
+      Alcotest.(check string) "query form, same bytes" first body;
+      let cache, body =
+        post "{\"algo\": \"flowsyn-s\", \"circuit\": \"bbara\"}"
+      in
+      Alcotest.(check (option string)) "default k hits" (Some "hit") cache;
+      Alcotest.(check string) "default k, same bytes" first body;
+      List.iter
+        (fun (what, body) ->
+          Alcotest.(check (option string)) what (Some "miss")
+            (fst (post body)))
+        [
+          ( "only k changed misses",
+            "{\"circuit\": \"bbara\", \"k\": 4, \"algo\": \"flowsyn-s\"}" );
+          ( "only algo changed misses",
+            "{\"circuit\": \"bbara\", \"k\": 5, \"algo\": \"turbomap\"}" );
+        ])
+
+(* One worker busy on a cold key that computes for more than half a
+   second: a cached key is answered from the accept lane, byte-identical
+   to its miss, before the cold response arrives — and with the one-slot
+   queue full, it is still answered, not shed. *)
+let test_hit_during_miss () =
+  with_server ~workers:1 ~queue_depth:1 (fun port ->
+      let cached = map_body ~circuit:"bbara" ~algo:"flowsyn-s" in
+      let post body =
+        http_full ~port ~meth:"POST" ~path:"/map" ~body ()
+      in
+      let status, hdrs, miss_body = post cached in
+      Alcotest.(check int) "cached key computed" 200 status;
+      Alcotest.(check (option string)) "cached key missed first" (Some "miss")
+        (List.assoc_opt "x-cache" hdrs);
+      let healthz field =
+        let _, body = http ~port ~meth:"GET" ~path:"/healthz" () in
+        match Result.map (Obs.Json.member field) (Obs.Json.of_string body) with
+        | Ok (Some (Obs.Json.Int n)) -> n
+        | _ -> Alcotest.failf "/healthz has no %s" field
+      in
+      (* poll until [field] reads [want], for at most 5 s *)
+      let await field want =
+        let deadline = Unix.gettimeofday () +. 5. in
+        while healthz field <> want && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.005
+        done;
+        Alcotest.(check int) ("healthz " ^ field) want (healthz field)
+      in
+      let answered = Atomic.make false in
+      let in_background body =
+        Domain.spawn (fun () ->
+            let reply = post body in
+            Atomic.set answered true;
+            reply)
+      in
+      (* bbsse TurboSYN: 0.6-0.7 s of CPU even with Obs off *)
+      let cold = in_background (map_body ~circuit:"bbsse" ~algo:"turbosyn") in
+      await "workers_busy" 1;
+      let check_hit what =
+        let status, hdrs, body = post cached in
+        Alcotest.(check int) (what ^ ": status") 200 status;
+        Alcotest.(check (option string)) (what ^ ": x-cache") (Some "hit")
+          (List.assoc_opt "x-cache" hdrs);
+        Alcotest.(check string) (what ^ ": bytes of the miss") miss_body body;
+        Alcotest.(check bool) (what ^ ": before the cold answer") false
+          (Atomic.get answered)
+      in
+      check_hit "hit while the worker computes";
+      (* a second cold key fills the one-slot queue behind the first *)
+      let queued =
+        Domain.spawn (fun () ->
+            post
+              "{\"circuit\": \"bbara\", \"k\": 4, \"algo\": \"flowsyn-s\"}")
+      in
+      await "queue_depth" 1;
+      check_hit "hit with the queue full";
+      let status, hdrs, _ = Domain.join cold in
+      Alcotest.(check int) "cold status" 200 status;
+      Alcotest.(check (option string)) "cold computed" (Some "miss")
+        (List.assoc_opt "x-cache" hdrs);
+      let status, _, _ = Domain.join queued in
+      Alcotest.(check int) "queued status" 200 status)
+
 (* ---------------------------------------------------------------- *)
 (* Cached hot key: a repeated request served from the LRU must       *)
 (* sustain at least 3x the throughput of the same request computed   *)
@@ -1618,6 +1718,10 @@ let () =
           Alcotest.test_case "cache single-flight" `Quick
             test_cache_single_flight;
           Alcotest.test_case "cache bypass" `Quick test_cache_bypass;
+          Alcotest.test_case "the cache key is the request" `Quick
+            test_cache_key_is_request;
+          Alcotest.test_case "a cached key answers while a miss computes"
+            `Quick test_hit_during_miss;
           Alcotest.test_case "cached hot key >=3x uncached" `Quick
             test_hot_speedup;
           Alcotest.test_case "admission control sheds" `Quick test_shed;
