@@ -1,67 +1,85 @@
 type t = int
 
-(* Open-addressing tables keyed by int triples, the manager's unique
-   table, ite cache and per-call memos.  Keys are non-negative and
-   stored inline with their value (stride 4), so a lookup hashes three
-   ints and walks one flat array: no tuple is boxed and nothing goes
-   through polymorphic hashing.  A slot is empty while its first key is
-   -1; probing is linear; the table doubles at half load and never
-   deletes.  Stored values are non-negative, so [find] answers -1 for
-   an absent key. *)
+(* Open-addressing tables keyed by int triples: the manager's unique
+   table, ite cache and scratch memo.  A slot is five ints inline —
+   epoch stamp, three keys, value — so a lookup hashes three ints and
+   walks one flat array: no tuple is boxed and nothing goes through
+   polymorphic hashing.  A slot is live only while its stamp equals the
+   table's epoch, so [clear] is O(1): it bumps the epoch and every slot
+   reads empty, with the arrays kept for the next use.  Probing is
+   linear; the table doubles at half load and never deletes.  Stored
+   values are non-negative, so [find] answers -1 for an absent key. *)
 module Tbl = struct
-  type t = { mutable data : int array; mutable count : int }
+  type t = {
+    mutable data : int array;
+    mutable mask : int;  (* slots - 1; slots is a power of two *)
+    mutable count : int;
+    mutable epoch : int;  (* >= 1; stamps of never-used slots are 0 *)
+  }
 
-  let create n = { data = Array.make (4 * n) (-1); count = 0 }
+  let create n = { data = Array.make (5 * n) 0; mask = n - 1; count = 0; epoch = 1 }
+
+  let clear t =
+    t.epoch <- t.epoch + 1;
+    t.count <- 0
 
   let hash a b c =
     let h = (a * 0x9E3779B1) + (b * 0x85EBCA77) + (c * 0xC2B2AE3D) in
     h lxor (h lsr 29)
 
-  (* slot index (a multiple of 4) holding the key, or the empty slot
-     where it would go; a toplevel loop, so a lookup allocates nothing *)
-  let rec probe data mask a b c i =
-    let j = i lsl 2 in
-    let k = Array.unsafe_get data j in
-    if k = -1
-       || (k = a
-          && Array.unsafe_get data (j + 1) = b
-          && Array.unsafe_get data (j + 2) = c)
+  (* first word of the slot holding the key, or of the empty slot where
+     it would go; a toplevel loop, so a lookup allocates nothing *)
+  let rec probe data mask epoch a b c i =
+    let j = (i lsl 2) + i in
+    if Array.unsafe_get data j <> epoch
+       || (Array.unsafe_get data (j + 1) = a
+          && Array.unsafe_get data (j + 2) = b
+          && Array.unsafe_get data (j + 3) = c)
     then j
-    else probe data mask a b c ((i + 1) land mask)
+    else probe data mask epoch a b c ((i + 1) land mask)
 
-  let slot data a b c =
-    let mask = (Array.length data lsr 2) - 1 in
-    probe data mask a b c (hash a b c land mask)
+  let slot t a b c = probe t.data t.mask t.epoch a b c (hash a b c land t.mask)
 
   let find t a b c =
-    let data = t.data in
-    let j = slot data a b c in
-    if data.(j) = -1 then -1 else data.(j + 3)
+    let j = slot t a b c in
+    if t.data.(j) <> t.epoch then -1 else t.data.(j + 4)
 
   let mem t a b c = find t a b c >= 0
 
   let rec add t a b c v =
-    if 2 * (t.count + 1) > Array.length t.data lsr 2 then begin
-      let old = t.data in
-      t.data <- Array.make (2 * Array.length old) (-1);
+    if 2 * (t.count + 1) > t.mask + 1 then begin
+      let old = t.data and epoch = t.epoch in
+      t.data <- Array.make (2 * Array.length old) 0;
+      t.mask <- (2 * t.mask) + 1;
       t.count <- 0;
-      for j = 0 to (Array.length old lsr 2) - 1 do
-        let j = j lsl 2 in
-        if old.(j) <> -1 then add t old.(j) old.(j + 1) old.(j + 2) old.(j + 3)
+      let j = ref 0 in
+      while !j < Array.length old do
+        let s = !j in
+        if old.(s) = epoch then
+          add t old.(s + 1) old.(s + 2) old.(s + 3) old.(s + 4);
+        j := s + 5
       done
     end;
     let data = t.data in
-    let j = slot data a b c in
-    if data.(j) = -1 then t.count <- t.count + 1;
-    data.(j) <- a;
-    data.(j + 1) <- b;
-    data.(j + 2) <- c;
-    data.(j + 3) <- v
+    let j = slot t a b c in
+    if data.(j) <> t.epoch then begin
+      t.count <- t.count + 1;
+      data.(j) <- t.epoch
+    end;
+    data.(j + 1) <- a;
+    data.(j + 2) <- b;
+    data.(j + 3) <- c;
+    data.(j + 4) <- v
 end
 
 (* Node ids 0 and 1 are the terminals.  Internal nodes are stored in growable
    arrays indexed by id; [level] is the variable index (terminals get
-   [max_int] so the top-variable computation is uniform). *)
+   [max_int] so the top-variable computation is uniform).  Entries at ids
+   [>= next_id] are stale after a [reset] and are never read before [mk]
+   writes them.  [scratch] is the memo of whichever per-call traversal
+   runs ([restrict], [cofactors], [compose], [support], [sat_count],
+   [size], [export]): each clears it on entry, and none of them calls
+   another while it holds the memo. *)
 
 type man = {
   mutable level : int array;
@@ -70,10 +88,17 @@ type man = {
   mutable next_id : int;
   unique : Tbl.t;
   ite_cache : Tbl.t;
+  scratch : Tbl.t;
   mutable nvars : int;
+  mutable leased : bool;
 }
 
+(* Node arrays start at 64 ids and tables at 32 slots (160 words): every
+   block of a fresh manager stays within the 256 words OCaml allocates on
+   the minor heap, so a short-lived manager (one per mapped LUT in
+   [Mapgen]) costs a few minor words. *)
 let initial = 64
+let initial_slots = 32
 
 let new_man () =
   (* ids 0 (false) and 1 (true) are pre-allocated terminals *)
@@ -82,10 +107,33 @@ let new_man () =
     low = Array.make initial 0;
     high = Array.make initial 0;
     next_id = 2;
-    unique = Tbl.create initial;
-    ite_cache = Tbl.create initial;
+    unique = Tbl.create initial_slots;
+    ite_cache = Tbl.create initial_slots;
+    scratch = Tbl.create initial_slots;
     nvars = 0;
+    leased = false;
   }
+
+let reset m =
+  if m.leased then
+    invalid_arg
+      "Bdd.reset: manager is leased — two label runs are sharing one \
+       manager (doc/CONCURRENCY.md: one manager per label run)";
+  m.next_id <- 2;
+  m.nvars <- 0;
+  Tbl.clear m.unique;
+  Tbl.clear m.ite_cache;
+  Tbl.clear m.scratch
+
+let lease m f =
+  reset m;
+  m.leased <- true;
+  Fun.protect ~finally:(fun () -> m.leased <- false) f
+
+(* the scratch memo, emptied for one traversal *)
+let memo m =
+  Tbl.clear m.scratch;
+  m.scratch
 
 let bdd_false _ = 0
 let bdd_true _ = 1
@@ -179,7 +227,7 @@ let restrict_in m memo f i b =
   in
   go f
 
-let restrict m f i b = restrict_in m (Tbl.create 64) f i b
+let restrict m f i b = restrict_in m (memo m) f i b
 
 let restrict_many m f assigns =
   (* Sort by variable to allow early termination along each path. *)
@@ -195,12 +243,11 @@ let cofactors m f bound =
      Restriction order is ascending variable level, so each step only
      walks the shallow part of the graph; substitutions of distinct
      variables commute, so each cofactor equals the [restrict_many] of
-     its assignment.  The memo starts at 256 slots (doc/PERF.md, "BDD
-     tables"). *)
+     its assignment. *)
   let b = Array.length bound in
   let order = Array.init b Fun.id in
   Array.sort (fun i j -> Int.compare bound.(i) bound.(j)) order;
-  let memo = Tbl.create 256 in
+  let memo = memo m in
   let out = Array.make (1 lsl b) 0 in
   let rec fill d g mask =
     if d = b then out.(mask) <- g
@@ -215,7 +262,7 @@ let cofactors m f bound =
   out
 
 let compose m f i g =
-  let memo = Tbl.create 64 in
+  let memo = memo m in
   let rec go f =
     if f < 2 || m.level.(f) > i then f
     else
@@ -236,7 +283,7 @@ let compose m f i g =
   go f
 
 let support m f =
-  let seen = Tbl.create 64 in
+  let seen = memo m in
   (* every internal node's level is a variable index below [nvars] *)
   let used = Array.make m.nvars false in
   let rec go f =
@@ -264,7 +311,7 @@ let eval m f env =
   go f
 
 let sat_count m f n =
-  let memo = Tbl.create 64 in
+  let memo = memo m in
   (* count over variables [lvl, n) *)
   let rec go f lvl =
     if lvl >= n then (if f = 1 then 1 else if f = 0 then 0 else invalid_arg "Bdd.sat_count: support exceeds n")
@@ -317,20 +364,24 @@ let to_truthtable m f vars =
   let in_vars v = Array.exists (fun x -> x = v) vars in
   if not (List.for_all in_vars sup) then
     invalid_arg "Bdd.to_truthtable: support not covered";
+  (* truth-table input of each variable (the last position when [vars]
+     repeats one); every level reachable from [f] is in its support, so
+     the walk below only reads positions that were set *)
+  let pos = Array.make (Array.fold_left max (-1) vars + 1) (-1) in
+  Array.iteri (fun j x -> if x >= 0 then pos.(x) <- j) vars;
+  let rec go i f =
+    if f < 2 then f = 1
+    else if i land (1 lsl pos.(m.level.(f))) <> 0 then go i m.high.(f)
+    else go i m.low.(f)
+  in
   let b = ref 0L in
   for i = 0 to (1 lsl k) - 1 do
-    let env v =
-      (* find position of v in vars; v is guaranteed present for support *)
-      let pos = ref (-1) in
-      Array.iteri (fun j x -> if x = v then pos := j) vars;
-      !pos >= 0 && i land (1 lsl !pos) <> 0
-    in
-    if eval m f env then b := Int64.logor !b (Int64.shift_left 1L i)
+    if go i f then b := Int64.logor !b (Int64.shift_left 1L i)
   done;
   Logic.Truthtable.create k !b
 
 let size m f =
-  let seen = Tbl.create 64 in
+  let seen = memo m in
   let count = ref 0 in
   let rec go f =
     if not (Tbl.mem seen f 0 0) then begin
@@ -356,7 +407,7 @@ let x_bits = 21
 let x_mask = (1 lsl x_bits) - 1
 
 let export m f =
-  let local = Tbl.create 64 in
+  let local = memo m in
   let nodes = ref [] in
   let count = ref 0 in
   let rec go f =

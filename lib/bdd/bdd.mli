@@ -13,15 +13,34 @@
     the order. *)
 
 type man
-(** A BDD manager: unique table + operation caches.  Its tables are
-    int-keyed open-addressing arrays that start small and double on
-    demand, so a short-lived manager (one per decomposed cone) costs
-    little to create. *)
+(** A BDD manager: node arrays, unique table, ite cache and one scratch
+    memo for the per-call traversals.  Its tables are int-keyed
+    open-addressing arrays that start small, double on demand and empty
+    in O(1), so one manager serves every cone of a label run through
+    {!reset} or {!lease}, its storage reused at the size the largest cone
+    needed.  A manager belongs to one label run: never share one between
+    concurrent callers ([doc/CONCURRENCY.md]). *)
 
 type t
-(** A BDD node handle, valid only with the manager that created it. *)
+(** A BDD node handle, valid only with the manager that created it (and
+    only until that manager is reset). *)
 
 val new_man : unit -> man
+
+val reset : man -> unit
+(** [reset m] puts [m] back in the state {!new_man} gives: node ids
+    restart at 2, {!nvars} is 0, the unique table and the ite cache are
+    empty.  It frees none of the arrays.  Every handle of [m] is invalid
+    afterwards; the same operation sequence then yields the same node ids
+    as on a fresh manager.
+    @raise Invalid_argument while [m] is leased. *)
+
+val lease : man -> (unit -> 'a) -> 'a
+(** [lease m f] resets [m] and runs [f] as its one owner, releasing it
+    when [f] returns or raises.  A second [lease] (or a [reset]) of [m]
+    before then raises [Invalid_argument]: two label runs sharing one
+    manager is a determinism bug, reported rather than corrupting the
+    tables. *)
 
 val bdd_false : man -> t
 val bdd_true : man -> t

@@ -60,6 +60,40 @@ let subsets_of_size limit s =
   in
   List.rev (go 0 [] [])
 
+(* Candidate bound sets, as pool-index lists: earliest-prefixes of size
+   k down to 2, then, when exhaustive, subsets of the pool — bounded
+   widening: sizes k and k-1 only, the first 64 in lexicographic order,
+   because unbounded subset enumeration dominates runtime on stuck
+   cones. *)
+let enumerate_candidates ~exhaustive ~pool ~k =
+  let prefix = List.init (k - 1) (fun i -> List.init (k - i) Fun.id) in
+  let extra =
+    if not exhaustive then []
+    else
+      List.filteri
+        (fun i _ -> i < 64)
+        (List.concat_map
+           (fun s -> if s >= 2 then subsets_of_size pool s else [])
+           [ k; k - 1 ])
+  in
+  prefix @ extra
+
+(* They depend on (exhaustive, pool, k) alone, so they are tabulated
+   once, for k in 2..6 and pool in 0..k+3; the table is immutable, so
+   every domain reads it freely. *)
+let candidate_table =
+  Array.init 2 (fun e ->
+      Array.init (Truthtable.max_arity + 1) (fun k ->
+          if k < 2 then [||]
+          else
+            Array.init (k + 4) (fun pool ->
+                enumerate_candidates ~exhaustive:(e = 1) ~pool ~k)))
+
+let bound_set_candidates ~exhaustive ~pool ~k =
+  if k < 2 || k > Truthtable.max_arity || pool < 0 || pool > k + 3 then
+    invalid_arg "Decompose.bound_set_candidates";
+  candidate_table.(Bool.to_int exhaustive).(k).(pool)
+
 let decompose ?(exhaustive = false) ?(multi = false) man ~f ~vars ~arrivals ~k =
   if k < 2 || k > Truthtable.max_arity then invalid_arg "Decompose: k";
   if Array.length vars <> Array.length arrivals then
@@ -106,25 +140,6 @@ let decompose ?(exhaustive = false) ?(multi = false) man ~f ~vars ~arrivals ~k =
       let table =
         Bdd.cofactors man fn (Array.init pool (fun j -> sorted.(j).var))
       in
-      (* candidate bound sets, as pool-index lists: earliest-prefixes of
-         size k down to 2, then optionally subsets of the pool *)
-      let prefix_candidates =
-        List.init (k - 1) (fun i -> List.init (k - i) Fun.id)
-      in
-      let extra_candidates =
-        if not exhaustive then []
-        else
-          (* bounded widening: subsets of the k+3 earliest inputs, largest
-             extractions first (sizes k and k-1 only), the first 64 in
-             lexicographic order — unbounded subset enumeration dominates
-             runtime on stuck cones *)
-          let subsets =
-            List.concat_map
-              (fun s -> if s >= 2 then subsets_of_size pool s else [])
-              [ k; k - 1 ]
-          in
-          List.filteri (fun i _ -> i < 64) subsets
-      in
       let try_bound ~max_mu idx =
         Obs.Counter.incr c_trials;
         Obs.Histogram.observe_int h_bound_set (List.length idx);
@@ -144,7 +159,7 @@ let decompose ?(exhaustive = false) ?(multi = false) man ~f ~vars ~arrivals ~k =
             | Some r -> Some r
             | None -> first ~max_mu rest)
       in
-      let candidates = prefix_candidates @ extra_candidates in
+      let candidates = bound_set_candidates ~exhaustive ~pool ~k in
       let chosen =
         match first ~max_mu:2 candidates with
         | Some r -> Some r

@@ -69,3 +69,15 @@ val decompose :
     cost.
 
     @raise Invalid_argument if [k < 2], [k > 6], or array lengths differ. *)
+
+val bound_set_candidates :
+  exhaustive:bool -> pool:int -> k:int -> int list list
+(** The candidate bound sets {!decompose} tries at one step whose pool
+    holds the [pool] earliest live inputs, in trial order, as ascending
+    lists of pool positions: the earliest-arrival prefixes of sizes [k]
+    down to 2, then under [exhaustive] the first 64 subsets of sizes [k]
+    and [k - 1] of the pool in lexicographic order.  Tabulated once at
+    module initialisation and immutable, so safe to read from any
+    domain.
+    @raise Invalid_argument unless [2 <= k <= 6] and
+    [0 <= pool <= k + 3]. *)

@@ -67,6 +67,9 @@ let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) t ~k =
   let impls = Array.make n None in
   let order = Comb.topo_order t in
   let arena = Flow.Kcut.new_arena () in
+  (* one BDD manager for every resynthesis of the call, reset per cone;
+     created at the first one *)
+  let bdd = lazy (Bdd.new_man ()) in
   (* one node's labeling step, in topological order: its cone's labels
      are final *)
   let node v =
@@ -102,7 +105,8 @@ let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) t ~k =
                     let inputs =
                       Array.of_list (List.map (fun i -> cone_arr.(i)) c)
                     in
-                    let man = Bdd.new_man () in
+                    let man = Lazy.force bdd in
+                    Bdd.lease man @@ fun () ->
                     let vars = Array.init (Array.length inputs) Fun.id in
                     let f = Comb.cone_bdd man t ~root:v ~inputs ~vars in
                     let arrivals =

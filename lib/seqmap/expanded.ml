@@ -330,38 +330,40 @@ let kcut_spec t =
   }
 
 let cone_bdd man nl t ~cut ~vars =
-  let cut_pos = Hashtbl.create 8 in
-  List.iteri (fun j i -> Hashtbl.replace cut_pos i j) cut;
-  let index = Hashtbl.create 64 in
-  Array.iteri (fun i { u; w } -> Hashtbl.replace index (u, w) i) t.nodes;
-  let memo = Hashtbl.create 64 in
+  let n = Array.length t.nodes in
+  let cut_pos = Array.make n (-1) in
+  List.iteri (fun j i -> cut_pos.(i) <- j) cut;
+  (* a gate's fanin [x] through [we] registers is the child [x^(w + we)]
+     of its node: found among the node's at most K edges *)
+  let children = Array.make n [] in
+  Array.iter (fun (src, dst) -> children.(dst) <- src :: children.(dst)) t.edges;
+  let find_child i u w =
+    let is_uw j = t.nodes.(j).u = u && t.nodes.(j).w = w in
+    match List.find_opt is_uw children.(i) with
+    | Some j -> j
+    | None -> invalid_arg "Expanded.cone_bdd: path escapes the expansion"
+  in
+  let built = Array.make n false in
+  let memo = Array.make n (Bdd.bdd_false man) in
   let rec go i =
-    match Hashtbl.find_opt cut_pos i with
-    | Some j -> Bdd.var man vars.(j)
-    | None -> (
-        match Hashtbl.find_opt memo i with
-        | Some b -> b
-        | None ->
-            let { u; w } = t.nodes.(i) in
-            let b =
-              match Netlist.kind nl u with
-              | Netlist.Pi | Netlist.Po ->
-                  invalid_arg "Expanded.cone_bdd: path escapes the cut"
-              | Netlist.Gate f ->
-                  let args =
-                    Array.map
-                      (fun (x, we) ->
-                        match Hashtbl.find_opt index (x, w + we) with
-                        | Some j -> go j
-                        | None ->
-                            invalid_arg
-                              "Expanded.cone_bdd: path escapes the expansion")
-                      (Netlist.fanins nl u)
-                  in
-                  Bdd.apply_truthtable man f args
-            in
-            Hashtbl.replace memo i b;
-            b)
+    if cut_pos.(i) >= 0 then Bdd.var man vars.(cut_pos.(i))
+    else if built.(i) then memo.(i)
+    else begin
+      let { u; w } = t.nodes.(i) in
+      let b =
+        match Netlist.kind nl u with
+        | Netlist.Pi | Netlist.Po ->
+            invalid_arg "Expanded.cone_bdd: path escapes the cut"
+        | Netlist.Gate f ->
+            Bdd.apply_truthtable man f
+              (Array.map
+                 (fun (x, we) -> go (find_child i x (w + we)))
+                 (Netlist.fanins nl u))
+      in
+      built.(i) <- true;
+      memo.(i) <- b;
+      b
+    end
   in
   go 0
 

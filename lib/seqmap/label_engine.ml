@@ -280,7 +280,8 @@ let new_cut_memo nl =
 
 (* Everything one label run reads and scribbles on.  The arenas make the
    per-cut-test allocations (expansion vectors, flow network, BFS scratch)
-   a reuse instead of a churn. *)
+   a reuse instead of a churn; [bdd] does the same for the resynthesis
+   misses' cone BDDs. *)
 type ctx = {
   opts : options;
   stats : stats;
@@ -288,6 +289,9 @@ type ctx = {
   cache : resyn_cache option;
   karena : Flow.Kcut.arena;
   earena : Expanded.arena;
+  (* the run's BDD manager, reset for every cone it builds; forced at
+     the first cone, so a run without resynthesis allocates none *)
+  bdd : Bdd.man Lazy.t;
   scaled : scaled;  (* the labels *)
   (* last passing K-cut per gate, recorded during iteration so both the
      in-run memo check and the harvest can reuse it instead of re-running
@@ -640,7 +644,8 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
               ~cone:
                 (Some
                    (fun ~arrivals ->
-                     let man = Bdd.new_man () in
+                     let man = Lazy.force ctx.bdd in
+                     Bdd.lease man @@ fun () ->
                      let vars = Array.init (Array.length cd.cd_inputs) Fun.id in
                      let f =
                        Obs.Span.time s_cone (fun () ->
@@ -910,6 +915,7 @@ let run ?cache ?cutmemo opts nl ~phi =
       cache;
       karena = Flow.Kcut.new_arena ();
       earena = Expanded.new_arena ();
+      bdd = lazy (Bdd.new_man ());
       scaled = { slab; pnum; pden };
       recorded = memo.m_cuts;
       last_change = Array.make n 0;
@@ -980,5 +986,6 @@ let run ?cache ?cutmemo opts nl ~phi =
 (* [cones] starts small: TurboMap runs (no resynthesis) create a cache
    per ratio search and never fill it, and one more 256-bucket array
    there moved mix400 TurboMap's GC pacing (28 -> 26 major collections,
-   peak RSS +2 MB) *)
+   peak RSS +2 MB).  For the same reason a label run's BDD manager is
+   created at its first cone ([ctx.bdd]), not with the run. *)
 let new_cache () = { trees = Hashtbl.create 512; cones = Hashtbl.create 8 }

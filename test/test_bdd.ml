@@ -460,6 +460,106 @@ let test_bdd_formulas =
       check "same sequence, same num_nodes" (Bdd.num_nodes m' = Bdd.num_nodes m);
       !ok)
 
+(* Manager reuse: random operation sequences ("epochs"), several per
+   case, run one after another on one manager through [Bdd.reset] (or
+   [Bdd.lease]) and each on a fresh manager, must give the same node
+   ids, node counts and results.  Epoch lengths range from a handful of
+   operations to a few hundred, so the reused manager's tables, grown by
+   a large epoch, serve small ones, and small epochs are followed by
+   ones that grow the tables again. *)
+type op =
+  | Op_var of int
+  | Op_ite of int * int * int  (* operands: pool indices, taken modulo *)
+  | Op_restrict of int * int * bool
+  | Op_cofactors of int * int array
+  | Op_support of int
+  | Op_compose of int * int * int
+  | Op_export of int  (* export, then import into the same manager *)
+
+type seen =
+  | Node of Bdd.t
+  | Nodes of Bdd.t array
+  | Vars of int list
+  | Exported of Bdd.exported * Bdd.t
+
+let reuse_vars = 12
+
+let gen_op =
+  QCheck.Gen.(
+    let idx = int_bound 1_000_000 and v = int_bound (reuse_vars - 1) in
+    let bound =
+      let* b = int_range 1 3 in
+      map
+        (fun l -> Array.of_list (List.filteri (fun j _ -> j < b) l))
+        (shuffle_l (List.init reuse_vars Fun.id))
+    in
+    frequency
+      [
+        (3, map (fun i -> Op_var i) v);
+        (8, map3 (fun a b c -> Op_ite (a, b, c)) idx idx idx);
+        (1, map3 (fun a i b -> Op_restrict (a, i, b)) idx v bool);
+        (1, map2 (fun a b -> Op_cofactors (a, b)) idx bound);
+        (1, map (fun a -> Op_support a) idx);
+        (1, map3 (fun a i b -> Op_compose (a, i, b)) idx v idx);
+        (1, map (fun a -> Op_export a) idx);
+      ])
+
+(* each operation's result and the node count after it *)
+let run_ops m ops =
+  let pool = Array.make (2 + (8 * List.length ops)) (Bdd.bdd_false m) in
+  pool.(1) <- Bdd.bdd_true m;
+  let len = ref 2 in
+  let push f =
+    pool.(!len) <- f;
+    incr len;
+    f
+  in
+  let get i = pool.(i mod !len) in
+  List.map
+    (fun op ->
+      let seen =
+        match op with
+        | Op_var i -> Node (push (Bdd.var m i))
+        | Op_ite (a, b, c) -> Node (push (Bdd.ite m (get a) (get b) (get c)))
+        | Op_restrict (a, i, b) -> Node (push (Bdd.restrict m (get a) i b))
+        | Op_cofactors (a, bound) ->
+            Nodes (Array.map push (Bdd.cofactors m (get a) bound))
+        | Op_support a -> Vars (Bdd.support m (get a))
+        | Op_compose (a, i, b) -> Node (push (Bdd.compose m (get a) i (get b)))
+        | Op_export a ->
+            let x = Bdd.export m (get a) in
+            Exported (x, push (Bdd.import m x))
+      in
+      (seen, Bdd.num_nodes m))
+    ops
+
+let test_reset_reuse =
+  let open QCheck in
+  let gen =
+    Gen.(
+      list_size (int_range 2 10)
+        (let* n = frequency [ (3, int_range 1 40); (1, int_range 100 400) ] in
+         list_repeat n gen_op))
+  in
+  Test.make ~name:"reset manager matches a fresh one" ~count:60
+    (make
+       ~print:(fun epochs ->
+         String.concat " " (List.map (fun e -> string_of_int (List.length e)) epochs))
+       gen)
+    (fun epochs ->
+      let m = Bdd.new_man () in
+      List.for_all
+        (fun (e, ops) ->
+          let reused =
+            if e mod 2 = 0 then (
+              Bdd.reset m;
+              run_ops m ops)
+            else Bdd.lease m (fun () -> run_ops m ops)
+          in
+          let fresh = Bdd.new_man () in
+          reused = run_ops fresh ops && Bdd.nvars m = Bdd.nvars fresh)
+        (List.mapi (fun e ops -> (e, ops)) epochs))
+
 let () =
   Alcotest.run "bdd"
     [
@@ -482,5 +582,5 @@ let () =
           Alcotest.test_case "deep cofactors" `Quick test_deep_cofactors;
         ] );
       ( "bdd-props",
-        List.map QCheck_alcotest.to_alcotest (qcheck_props @ [ test_bdd_formulas; test_export_import ]) );
+        List.map QCheck_alcotest.to_alcotest (qcheck_props @ [ test_bdd_formulas; test_export_import; test_reset_reuse ]) );
     ]

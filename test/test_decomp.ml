@@ -389,6 +389,44 @@ let test_decompose_multi_output () =
         (check_tree_correct man f vars r.Decompose.tree 5);
       Alcotest.(check bool) "k-feasible" true (check_k_feasible 3 r.Decompose.tree)
 
+(* The tabulated bound-set candidates equal an enumeration done on the
+   spot: prefixes [0..s-1] for s = k down to 2, then under [exhaustive]
+   the first 64 of the size-k and size-(k-1) subsets of the pool, each
+   size in lexicographic order (here: every bitmask of that popcount,
+   listed and sorted). *)
+let test_candidate_table () =
+  let subsets pool s =
+    List.sort compare
+      (List.filter_map
+         (fun mask ->
+           let l = List.filter (fun j -> mask land (1 lsl j) <> 0) (List.init pool Fun.id) in
+           if List.length l = s then Some l else None)
+         (List.init (1 lsl pool) Fun.id))
+  in
+  for k = 2 to 6 do
+    for pool = 0 to k + 3 do
+      List.iter
+        (fun exhaustive ->
+          let prefixes = List.init (k - 1) (fun i -> List.init (k - i) Fun.id) in
+          let extra =
+            if not exhaustive then []
+            else
+              let all =
+                subsets pool k @ if k - 1 >= 2 then subsets pool (k - 1) else []
+              in
+              List.filteri (fun i _ -> i < 64) all
+          in
+          Alcotest.(check (list (list int)))
+            (Printf.sprintf "k=%d pool=%d exhaustive=%b" k pool exhaustive)
+            (prefixes @ extra)
+            (Decompose.bound_set_candidates ~exhaustive ~pool ~k))
+        [ false; true ]
+    done
+  done;
+  Alcotest.check_raises "pool beyond k+3"
+    (Invalid_argument "Decompose.bound_set_candidates")
+    (fun () -> ignore (Decompose.bound_set_candidates ~exhaustive:true ~pool:9 ~k:5))
+
 let qcheck_decompose =
   let open QCheck in
   (* structured decomposable functions: h(g1(x0..x2), g2(x3..x5), x6) *)
@@ -455,6 +493,7 @@ let () =
           Alcotest.test_case "multi-output" `Quick test_decompose_multi_output;
           Alcotest.test_case "bbara trial sequence" `Quick
             test_bbara_trial_sequence;
+          Alcotest.test_case "candidate table" `Quick test_candidate_table;
         ] );
       ("decompose-props", List.map QCheck_alcotest.to_alcotest qcheck_decompose);
     ]

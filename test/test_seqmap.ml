@@ -773,7 +773,8 @@ let test_probe_each_phi_once_fractional () =
    arenas solve concurrently without interference (serve workers run
    label engines on concurrent domains), and one arena is reusable
    across sequential solves (the busy flag is released even though
-   results are copied out). *)
+   results are copied out).  The same holds for the run's BDD
+   manager. *)
 let test_arena_isolation () =
   (* a small diamond spec: 0,1 sources; 3 = sink side *)
   let spec =
@@ -820,7 +821,43 @@ let test_arena_isolation () =
   let a = build earena in
   let b = build earena in
   Alcotest.(check bool) "expansion arena reuse agrees" true
-    (a.Expanded.nodes = b.Expanded.nodes && a.Expanded.internal = b.Expanded.internal)
+    (a.Expanded.nodes = b.Expanded.nodes && a.Expanded.internal = b.Expanded.internal);
+  (* BDD managers: each label run owns one, so TurboSYN runs that
+     decompose cones on concurrent domains agree with a sequential run *)
+  let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find "bbara")) in
+  let opts =
+    { (Label_engine.default_options ~k:5) with Label_engine.resynthesize = true }
+  in
+  let phi, _, _ = Turbomap.minimum_ratio opts nl in
+  let label_run () =
+    Label_engine.run ~cache:(Label_engine.new_cache ()) opts nl ~phi
+  in
+  let expected, stats = label_run () in
+  Alcotest.(check bool) "the run decomposes cones" true
+    (stats.Label_engine.decompositions > 0);
+  let domains =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () -> List.init 2 (fun _ -> fst (label_run ()))))
+  in
+  List.iteri
+    (fun d outcomes ->
+      List.iteri
+        (fun i o ->
+          Alcotest.(check bool)
+            (Printf.sprintf "domain %d label run %d agrees" d i)
+            true (o = expected))
+        outcomes)
+    (List.map Domain.join domains);
+  (* two runs sharing one manager trip its busy check, and the manager
+     is released once the owner returns *)
+  let man = Bdd.new_man () in
+  Alcotest.check_raises "shared manager"
+    (Invalid_argument
+       "Bdd.reset: manager is leased — two label runs are sharing one \
+        manager (doc/CONCURRENCY.md: one manager per label run)")
+    (fun () -> Bdd.lease man (fun () -> Bdd.lease man ignore));
+  Alcotest.(check int) "released after the raise" 2
+    (Bdd.lease man (fun () -> Bdd.num_nodes man))
 
 let test_pld_equivalence () =
   (* PLD on/off must agree on the minimum ratio *)
