@@ -16,10 +16,11 @@ type man
 (** A BDD manager: node arrays, unique table, ite cache and one scratch
     memo for the per-call traversals.  Its tables are int-keyed
     open-addressing arrays that start small, double on demand and empty
-    in O(1), so one manager serves every cone of a label run through
+    in O(1), so one manager serves every cone of a ratio search through
     {!reset} or {!lease}, its storage reused at the size the largest cone
-    needed.  A manager belongs to one label run: never share one between
-    concurrent callers ([doc/CONCURRENCY.md]). *)
+    needed.  A manager belongs to one ratio search, whose label runs
+    lease it one after another: never share one between concurrent
+    callers ([doc/CONCURRENCY.md]). *)
 
 type t
 (** A BDD node handle, valid only with the manager that created it (and

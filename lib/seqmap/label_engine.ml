@@ -12,6 +12,7 @@ let c_decomp_rescues = Obs.Counter.make "label.decomp_rescues"
 let c_cache_hits = Obs.Counter.make "label.resyn_cache_hits"
 let c_divergences = Obs.Counter.make "label.divergences"
 let c_cap_exits = Obs.Counter.make "label.cap_exits"
+let c_periodic = Obs.Counter.make "pld.periodic_stops"
 let c_harvest_reuse = Obs.Counter.make "label.harvest_cut_reuses"
 let c_snap_reuse = Obs.Counter.make "label.snapshot_reuses"
 let c_cone_reuses = Obs.Counter.make "label.cone_reuses"
@@ -74,12 +75,35 @@ let default_options ~k =
     full_expansion = false;
   }
 
+type cause = Converged | Periodic | Pld_gate | Diverged | Cap
+
 type stats = {
   mutable iterations : int;
   mutable flow_tests : int;
   mutable decompositions : int;
   mutable pld_hits : int;
+  mutable cause : cause;
+  mutable cause_round : int;
+  mutable cause_gates : int;
 }
+
+let new_stats () =
+  {
+    iterations = 0;
+    flow_tests = 0;
+    decompositions = 0;
+    pld_hits = 0;
+    cause = Converged;
+    cause_round = 0;
+    cause_gates = 0;
+  }
+
+let cause_name = function
+  | Converged -> "converged"
+  | Periodic -> "periodic"
+  | Pld_gate -> "pld"
+  | Diverged -> "diverged"
+  | Cap -> "cap"
 
 (* Label provenance (doc/AUDIT.md): which mechanism justified each gate's
    final implementation at the converged labels, captured by the harvest
@@ -107,7 +131,7 @@ type outcome =
     }
   | Infeasible
 
-exception Diverged
+exception Over_bound
 
 (* Resynthesis cache.  A decomposition tree depends on the cut (which
    fixes the cone function), the order of the input arrivals (the
@@ -152,10 +176,15 @@ let cone_entry nvars tree =
    (root, cut) — [cone_bdd] numbers the variables [0 .. n-1] in cut
    order, so the cone function does not depend on the permutation, and
    a decomposition of a cone seen under another order imports it instead
-   of rebuilding the cone gate by gate. *)
+   of rebuilding the cone gate by gate.  [bdd]: the manager every cone
+   of the search is built in, leased per cone and forced at the first
+   one, so its tables grow to the largest cone once per search rather
+   than once per probe, and a search without resynthesis allocates
+   none. *)
 type resyn_cache = {
   trees : (int * (int * int) array * int array, cone_entry) Hashtbl.t;
   cones : (int * (int * int) array, Bdd.exported) Hashtbl.t;
+  bdd : Bdd.man Lazy.t;
 }
 
 (* Is [perm], a permutation of the indices of [a], the order
@@ -289,10 +318,21 @@ type ctx = {
   cache : resyn_cache option;
   karena : Flow.Kcut.arena;
   earena : Expanded.arena;
-  (* the run's BDD manager, reset for every cone it builds; forced at
-     the first cone, so a run without resynthesis allocates none *)
+  (* the BDD manager, reset for every cone built: the cache's when the
+     run has one, else the run's own; forced at the first cone *)
   bdd : Bdd.man Lazy.t;
   scaled : scaled;  (* the labels *)
+  comp : int array;  (* SCC id of every node *)
+  (* the SCC [run_scc] is iterating; every other node's label is fixed
+     while it does *)
+  mutable scc : int;
+  (* Periodic stop (doc/ALGORITHM.md): true while the current round of a
+     PLD run is still quiet and settled — cleared by anything that
+     builds an expansion or writes a candidate memo, and by any of the
+     five comparisons of a member-derived quantity against a fixed one
+     whose outcome could change as member labels grow.  False outside
+     [run_scc], so the sites cost one test there. *)
+  mutable settled : bool;
   (* last passing K-cut per gate, recorded during iteration so both the
      in-run memo check and the harvest can reuse it instead of re-running
      a fresh flow test; aliases the caller's [cut_memo] when one is
@@ -314,14 +354,34 @@ type ctx = {
 (* scaled arrival of [u] through [w] registers: q * (l(u) - phi*w) *)
 let arrival sc (u, w) = sc.slab.(u) - (sc.pnum * w)
 
+(* Is [u] outside the SCC being iterated, its label fixed? *)
+let outside ctx u = ctx.comp.(u) <> ctx.scc
+
+(* Does a fanin of [fanins] from index [i] on that lies in the SCC
+   arrive at [lv]? *)
+let rec member_attains ctx fanins lv i =
+  i < Array.length fanins
+  && ((let ((u, _) as e) = fanins.(i) in
+       (not (outside ctx u)) && arrival ctx.scaled e = lv)
+     || member_attains ctx fanins lv (i + 1))
+
+(* Settled site 1: [L(v)] shifts with the member labels only when a
+   member fanin attains it; one attained by a fixed fanin alone is
+   overtaken as the members grow. *)
 let big_l ctx v =
   let fanins = Netlist.fanins ctx.nl v in
   if Array.length fanins = 0 then 0 (* constant gate *)
-  else
-    Array.fold_left
-      (fun acc e -> Int.max acc (arrival ctx.scaled e))
-      (arrival ctx.scaled fanins.(0))
-      fanins
+  else begin
+    let lv =
+      Array.fold_left
+        (fun acc e -> Int.max acc (arrival ctx.scaled e))
+        (arrival ctx.scaled fanins.(0))
+        fanins
+    in
+    if ctx.settled && not (member_attains ctx fanins lv 0) then
+      ctx.settled <- false;
+    lv
+  end
 
 (* SeqMapII-style full expansion keeps growing the candidate region to the
    node budget instead of stopping a few levels below the threshold — the
@@ -335,6 +395,7 @@ let build_expanded ctx v ~st =
   let sc = ctx.scaled in
   (* internal <=> l(u) - phi*w + 1 > threshold, all scaled by q *)
   let internal_of u w = sc.slab.(u) - (sc.pnum * w) + sc.pden > st in
+  ctx.settled <- false;
   Obs.Span.time s_build (fun () ->
       Expanded.build ~arena:ctx.earena ~internal_of ctx.nl ~root:v
         ~extra_depth:(effective_depth ctx.opts)
@@ -360,24 +421,45 @@ let snap_of (ex : Expanded.t) ~verdict =
     s_cands = None;
   }
 
-(* Does every entry of trace [tr] re-derive its internal flag at scaled
-   threshold [st]?  Index 0 is the root, internal by fiat — skipped. *)
-let trace_valid sc tr ~st =
+(* The first entry of trace [tr] that does not re-derive its internal
+   flag at scaled threshold [st], or the trace length when every entry
+   does.  Index 0 is the root, internal by fiat — skipped. *)
+let trace_stop sc tr ~st =
   let n = Array.length tr in
-  let ok = ref true in
   let i = ref 1 in
-  while !ok && !i < n do
+  while
+    !i < n
+    &&
     let e = tr.(!i) in
     let u = e lsr u_shift and w = (e lsr 1) land w_mask in
-    if sc.slab.(u) - (sc.pnum * w) + sc.pden > st <> (e land 1 = 1) then
-      ok := false
-    else incr i
+    sc.slab.(u) - (sc.pnum * w) + sc.pden > st = (e land 1 = 1)
+  do
+    incr i
   done;
-  !ok
+  !i
+
+let trace_valid sc tr ~st = trace_stop sc tr ~st = Array.length tr
+
+(* Settled site 2: of the trace entries the validation compared (up to
+   and including [stop]), a fixed node's internal test must already read
+   false — the outcome it keeps once the threshold has risen past it. *)
+let settle_trace ctx tr ~st ~stop =
+  let sc = ctx.scaled in
+  let last = Int.min stop (Array.length tr - 1) in
+  let i = ref 1 in
+  while ctx.settled && !i <= last do
+    let e = tr.(!i) in
+    let u = e lsr u_shift and w = (e lsr 1) land w_mask in
+    if outside ctx u && sc.slab.(u) - (sc.pnum * w) + sc.pden > st then
+      ctx.settled <- false;
+    incr i
+  done
 
 let snap_valid ctx sn ~st =
   let tr = sn.s_trace in
-  let ok = trace_valid ctx.scaled tr ~st in
+  let stop = trace_stop ctx.scaled tr ~st in
+  if ctx.settled then settle_trace ctx tr ~st ~stop;
+  let ok = stop = Array.length tr in
   if ok then begin
     Obs.Counter.incr c_snap_reuse;
     Obs.Histogram.observe_int h_snap_trace (Array.length tr)
@@ -488,6 +570,33 @@ let cut_test ctx v ~st =
       let ex, sn, mc0 = kcut_test ?into ctx v ~st in
       (sn, Some ex, mc0)
 
+(* Settled site 4: a recorded candidate's arrival order was replayed by
+   [stable_order], which compares consecutive entries only.  A
+   comparison between a member's arrival and a fixed node's keeps its
+   outcome as the members grow exactly when the member already arrives
+   strictly later. *)
+let settle_order ctx inputs sarr perm =
+  for i = 1 to Array.length perm - 1 do
+    let p = perm.(i - 1) and q = perm.(i) in
+    let mp = not (outside ctx (fst inputs.(p)))
+    and mq = not (outside ctx (fst inputs.(q))) in
+    if mp <> mq && (if mp then sarr.(p) <= sarr.(q) else sarr.(q) <= sarr.(p))
+    then ctx.settled <- false
+  done
+
+(* Settled site 5: a decomposition's level is the maximum of its
+   input-less LUT depth and each input's arrival plus its depth; a term
+   fixed outside the SCC keeps its comparison with the member-derived
+   [target] once it is within it. *)
+let settle_level ctx inputs sarr e ~target =
+  let q = ctx.scaled.pden in
+  if e.ce_const >= 0 && e.ce_const * q > target then ctx.settled <- false;
+  Array.iteri
+    (fun i di ->
+      if di >= 0 && outside ctx (fst inputs.(i)) && sarr.(i) + (di * q) > target
+      then ctx.settled <- false)
+    e.ce_depths
+
 (* The function of [ex]'s root [v] over [cut] (given as local indices and
    as (u, w) [inputs]), variable [vars.(i) = i] for the i-th cut node:
    imported from the run's cache when the cone was built before, under
@@ -535,6 +644,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
     let entry =
       match (cd.cd_memo, ctx.cache) with
       | Some (c, perm, e), Some c' when c == c' && stable_order sarr perm ->
+          if ctx.settled then settle_order ctx inputs sarr perm;
           Obs.Counter.incr c_cache_hits;
           Some e
       | _ ->
@@ -565,14 +675,16 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
                     Some entry)
           in
           (match (ctx.cache, entry) with
-          | Some c, Some e -> cd.cd_memo <- Some (c, perm, e)
+          | Some c, Some e ->
+              ctx.settled <- false;
+              cd.cd_memo <- Some (c, perm, e)
           | _ -> ());
           entry
     in
     match entry with
     | None -> `Miss
     | Some { ce_tree = None; _ } -> `No
-    | Some { ce_tree = Some t; ce_depths; ce_const } ->
+    | Some ({ ce_tree = Some t; ce_depths; ce_const } as e) ->
         let lvl = ref (if ce_const >= 0 then ce_const * sc.pden else min_int) in
         Array.iteri
           (fun i di ->
@@ -581,6 +693,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
               if c > !lvl then lvl := c
             end)
           ce_depths;
+        if ctx.settled then settle_level ctx inputs sarr e ~target;
         if !lvl <= target then `Impl (Resyn (t, inputs), !lvl) else `No
   in
   let rec attempt h =
@@ -723,10 +836,17 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
    every input of height <= [st]?  Validity as a separating cut is
    structural (all root-to-source paths cross it, at any phi), so this
    is the whole check — scaled-integer compares, no expansion, no
-   network.  Shared by the iteration's memo layer and the harvest. *)
+   network.  Shared by the iteration's memo layer and the harvest.
+   Settled site 3: a fixed input keeps fitting once it fits, so one that
+   does not yet fit unsettles the round. *)
 let cut_fits ctx cut ~st =
   Array.length cut <= ctx.opts.k
-  && Array.for_all (fun e -> arrival ctx.scaled e + ctx.scaled.pden <= st) cut
+  && Array.for_all
+       (fun ((u, _) as e) ->
+         let fits = arrival ctx.scaled e + ctx.scaled.pden <= st in
+         if ctx.settled && (not fits) && outside ctx u then ctx.settled <- false;
+         fits)
+       cut
 
 (* Memo layer of the cut engine: does the gate's remembered passing cut
    [cut_fits]? *)
@@ -767,7 +887,7 @@ let update ctx bound v =
     in
     let l_new = Int.max l_cur decision in
     (match bound with
-    | Some b when l_new > b -> raise Diverged
+    | Some b when l_new > b -> raise Over_bound
     | _ -> ());
     if l_new > l_cur then begin
       sc.slab.(v) <- l_new;
@@ -854,46 +974,117 @@ let harvest ctx =
   done;
   if !ok then Some (impls, prov) else None
 
+let set_cause ctx cause ~round ~gates =
+  let stats = ctx.stats in
+  stats.cause <- cause;
+  stats.cause_round <- round;
+  stats.cause_gates <- gates
+
+let same_payload a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x == y
+  | _ -> false
+
 (* One nontrivial SCC: each iteration re-tests every member in sorted
-   order, as the paper iterates, until no label changes.  The PLD and cap
+   order, as the paper iterates, until no label changes.  The stopping
    checks run between iterations; the golden label table in
-   test/test_seqmap.ml pins the labels, iteration counts and verdicts. *)
-let run_scc ctx bound members ~in_scc ~(feasible : bool ref) =
+   test/test_seqmap.ml pins the labels, iteration counts and verdicts.
+
+   With PLD on, a round r >= 2 that is uniform (every member rose by the
+   same delta > 0 since round r-1), quiet and settled ([ctx.settled];
+   each member's ring holding the same snapshots in the same order, and
+   its recorded cut and latest snapshot physically the same, as at the
+   end of round r-1) repeats forever shifted by delta, so the
+   probe is infeasible (doc/ALGORITHM.md, "Periodic stop").  [prev_*]
+   hold the end-of-round state of each member, compared and overwritten
+   in place. *)
+let run_scc ctx bound members ~c ~(feasible : bool ref) =
   let stats = ctx.stats in
   let m = Array.length members in
   let pld_gate = 6 * m in
   let hard_cap = (m * m) + 64 in
+  let pld = ctx.opts.pld in
+  let track = if pld then m else 0 in
+  let prev_lab = Array.make track 0 in
+  let prev_ring = Array.make track [] in
+  let prev_rec = Array.make track None in
+  let prev_last = Array.make track None in
+  (* compare the round's end state with the previous round's, and keep
+     it for the next comparison *)
+  let repeats () =
+    let slab = ctx.scaled.slab in
+    let delta = slab.(members.(0)) - prev_lab.(0) in
+    let same = ref (ctx.settled && delta > 0) in
+    for i = 0 to m - 1 do
+      let v = members.(i) in
+      if
+        !same
+        && not
+             (slab.(v) - prev_lab.(i) = delta
+             && List.equal ( == ) ctx.ring.(v) prev_ring.(i)
+             && same_payload ctx.recorded.(v) prev_rec.(i)
+             && same_payload ctx.last.(v) prev_last.(i))
+      then same := false;
+      prev_lab.(i) <- slab.(v);
+      prev_ring.(i) <- ctx.ring.(v);
+      prev_rec.(i) <- ctx.recorded.(v);
+      prev_last.(i) <- ctx.last.(v)
+    done;
+    !same
+  in
+  let in_scc v = ctx.comp.(v) = c in
+  let finish cause round =
+    set_cause ctx cause ~round ~gates:m;
+    feasible := false
+  in
+  ctx.scc <- c;
   let converged = ref false in
   let iter = ref 0 in
-  while (not !converged) && !feasible do
-    incr iter;
-    stats.iterations <- stats.iterations + 1;
-    Obs.Counter.incr c_iterations;
-    let changed = ref false in
-    Array.iter (fun v -> if update ctx bound v then changed := true) members;
-    if not !changed then converged := true
-    else begin
-      if
-        ctx.opts.pld && !iter >= pld_gate
-        && Pld.all_isolated ctx.nl ~slab:ctx.scaled.slab ~p:ctx.scaled.pnum
-             ~q:ctx.scaled.pden ~members ~in_scc
-      then begin
-        stats.pld_hits <- stats.pld_hits + 1;
-        feasible := false
-      end;
-      if !iter > hard_cap then begin
-        Obs.Counter.incr c_cap_exits;
-        feasible := false
-      end
-    end
-  done
+  (try
+     while (not !converged) && !feasible do
+       incr iter;
+       stats.iterations <- stats.iterations + 1;
+       Obs.Counter.incr c_iterations;
+       ctx.settled <- pld && !iter >= 2;
+       let changed = ref false in
+       Array.iter (fun v -> if update ctx bound v then changed := true) members;
+       let periodic = pld && repeats () in
+       ctx.settled <- false;
+       if not !changed then converged := true
+       else if periodic then begin
+         Obs.Counter.incr c_periodic;
+         stats.pld_hits <- stats.pld_hits + 1;
+         finish Periodic !iter
+       end
+       else begin
+         if
+           pld && !iter >= pld_gate
+           && Pld.all_isolated ctx.nl ~slab:ctx.scaled.slab ~p:ctx.scaled.pnum
+                ~q:ctx.scaled.pden ~members ~in_scc
+         then begin
+           stats.pld_hits <- stats.pld_hits + 1;
+           finish Pld_gate !iter
+         end;
+         if !iter > hard_cap then begin
+           Obs.Counter.incr c_cap_exits;
+           finish Cap !iter
+         end
+       end
+     done
+   with Over_bound ->
+     ctx.settled <- false;
+     Obs.Counter.incr c_divergences;
+     finish Diverged !iter);
+  ctx.scc <- -1;
+  (* a feasible run names its slowest SCC *)
+  if !converged && !iter > stats.cause_round then
+    set_cause ctx Converged ~round:!iter ~gates:m
 
 let run ?cache ?cutmemo opts nl ~phi =
   Netlist.validate_exn ~k:opts.k nl;
   let n = Netlist.n nl in
-  let stats =
-    { iterations = 0; flow_tests = 0; decompositions = 0; pld_hits = 0 }
-  in
+  let stats = new_stats () in
   let memo =
     (* the cross-phi memo is the recorded-cut table and the snapshot
        rings shared across runs: validated expansions carry across the
@@ -904,6 +1095,15 @@ let run ?cache ?cutmemo opts nl ~phi =
     | Some _ -> invalid_arg "Label_engine.run: cut memo sized for another netlist"
     | None -> new_cut_memo nl
   in
+  (* SCCs over the full graph *)
+  let succ =
+    let out = Array.make n [] in
+    for v = 0 to n - 1 do
+      Array.iter (fun (u, _) -> out.(u) <- v :: out.(u)) (Netlist.fanins nl v)
+    done;
+    fun v -> out.(v)
+  in
+  let scc = Graphs.Scc.compute ~n ~succ in
   (* labels start at 0 for PIs and 1 for gates, scaled by q *)
   let pnum = Rat.num phi and pden = Rat.den phi in
   let slab = Array.init n (fun v -> if Netlist.is_gate nl v then pden else 0) in
@@ -915,8 +1115,12 @@ let run ?cache ?cutmemo opts nl ~phi =
       cache;
       karena = Flow.Kcut.new_arena ();
       earena = Expanded.new_arena ();
-      bdd = lazy (Bdd.new_man ());
+      bdd =
+        (match cache with Some c -> c.bdd | None -> lazy (Bdd.new_man ()));
       scaled = { slab; pnum; pden };
+      comp = scc.Graphs.Scc.comp;
+      scc = -1;
+      settled = false;
       recorded = memo.m_cuts;
       last_change = Array.make n 0;
       ring = memo.m_ring;
@@ -929,50 +1133,43 @@ let run ?cache ?cutmemo opts nl ~phi =
      shortcut is part of the PLD package — the no-PLD baseline reproduces
      the pre-TurboSYN stopping criterion (quadratic iteration cap only). *)
   let bound = if opts.pld then Some ((n_gates + 1) * pden) else None in
-  (* SCCs over the full graph *)
-  let succ =
-    let out = Array.make n [] in
-    for v = 0 to n - 1 do
-      Array.iter (fun (u, _) -> out.(u) <- v :: out.(u)) (Netlist.fanins nl v)
-    done;
-    fun v -> out.(v)
-  in
-  let scc = Graphs.Scc.compute ~n ~succ in
   let order = Graphs.Scc.topo_order scc in
   let feasible = ref true in
-  (try
-     Array.iter
-       (fun c ->
-         if !feasible then begin
-           let members =
-             Array.of_list
-               (List.filter
-                  (fun v -> Netlist.is_gate nl v)
-                  (Array.to_list scc.Graphs.Scc.members.(c)))
-           in
-           let m = Array.length members in
-           if m > 0 then
-             if Graphs.Scc.is_trivial scc ~succ c then begin
-               stats.iterations <- stats.iterations + 1;
-               Obs.Counter.incr c_iterations;
-               ignore (update ctx bound members.(0))
-             end
-             else Obs.Span.time s_scc @@ fun () ->
-               Array.sort Int.compare members;
-               let in_scc v = scc.Graphs.Scc.comp.(v) = c in
-               (* Theorem 2 of the paper: a positive loop exists iff after
-                  6n iterations the SCC is totally isolated in the support
-                  graph.  The test is only meaningful from 6n on (before
-                  that, transient equality-supported states of feasible
-                  targets can look isolated); without PLD only the
-                  conservative quadratic cap applies (the pre-TurboSYN
-                  stopping criterion). *)
-               run_scc ctx bound members ~in_scc ~feasible
-         end)
-       order
-   with Diverged ->
-     Obs.Counter.incr c_divergences;
-     feasible := false);
+  Array.iter
+    (fun c ->
+      if !feasible then begin
+        let members =
+          Array.of_list
+            (List.filter
+               (fun v -> Netlist.is_gate nl v)
+               (Array.to_list scc.Graphs.Scc.members.(c)))
+        in
+        let m = Array.length members in
+        if m > 0 then
+          if Graphs.Scc.is_trivial scc ~succ c then begin
+            stats.iterations <- stats.iterations + 1;
+            Obs.Counter.incr c_iterations;
+            match update ctx bound members.(0) with
+            | _ ->
+                if stats.cause_round = 0 then
+                  set_cause ctx Converged ~round:1 ~gates:1
+            | exception Over_bound ->
+                Obs.Counter.incr c_divergences;
+                set_cause ctx Diverged ~round:1 ~gates:1;
+                feasible := false
+          end
+          else Obs.Span.time s_scc @@ fun () ->
+            Array.sort Int.compare members;
+            (* Theorem 2 of the paper: a positive loop exists iff after
+               6n iterations the SCC is totally isolated in the support
+               graph.  The test is only meaningful from 6n on (before
+               that, transient equality-supported states of feasible
+               targets can look isolated); without PLD only the
+               conservative quadratic cap applies (the pre-TurboSYN
+               stopping criterion). *)
+            run_scc ctx bound members ~c ~feasible
+      end)
+    order;
   if not !feasible then (Infeasible, stats)
   else
     match harvest ctx with
@@ -986,6 +1183,11 @@ let run ?cache ?cutmemo opts nl ~phi =
 (* [cones] starts small: TurboMap runs (no resynthesis) create a cache
    per ratio search and never fill it, and one more 256-bucket array
    there moved mix400 TurboMap's GC pacing (28 -> 26 major collections,
-   peak RSS +2 MB).  For the same reason a label run's BDD manager is
-   created at its first cone ([ctx.bdd]), not with the run. *)
-let new_cache () = { trees = Hashtbl.create 512; cones = Hashtbl.create 8 }
+   peak RSS +2 MB).  For the same reason the search's BDD manager is
+   created at its first cone, not with the cache. *)
+let new_cache () =
+  {
+    trees = Hashtbl.create 512;
+    cones = Hashtbl.create 8;
+    bdd = lazy (Bdd.new_man ());
+  }

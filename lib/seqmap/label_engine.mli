@@ -15,11 +15,12 @@
 
     SCCs are processed in topological order.  Within a nontrivial SCC,
     each iteration re-tests every member in sorted order.  The iteration
-    stops on convergence (feasible), on total isolation in the support
-    graph when PLD is enabled (infeasible), when a label exceeds the gate
-    count (labels of feasible targets are bounded by the depth, infeasible),
-    or at the hard n²-style cap (infeasible) — the paper's pre-PLD
-    criterion. *)
+    stops on convergence (feasible); with PLD enabled, at the first round
+    that provably repeats forever shifted by a uniform rise, or on total
+    isolation in the support graph from round [6·m] on, or when a label
+    exceeds the gate count (labels of feasible targets are bounded by the
+    depth) (all infeasible); or at the hard n²-style cap (infeasible) —
+    the paper's pre-PLD criterion. *)
 
 open Prelude
 
@@ -53,12 +54,35 @@ val default_options : k:int -> options
     extra_depth=3, max_expansion=4000, resyn_depth=2, multi_output=false,
     full_expansion=false. *)
 
+(** Why a label run ended. *)
+type cause =
+  | Converged  (** every SCC's labels stopped moving (feasible) *)
+  | Periodic
+      (** an SCC round repeated the previous one shifted by a uniform
+          rise, provably forever (doc/ALGORITHM.md, "Periodic stop") *)
+  | Pld_gate  (** total isolation from round [6·m] on (Theorem 2) *)
+  | Diverged  (** a label passed the [(n_gates + 1)·q] bound *)
+  | Cap  (** the hard quadratic round cap (the no-PLD stop) *)
+
 type stats = {
   mutable iterations : int;
   mutable flow_tests : int;
   mutable decompositions : int;
-  mutable pld_hits : int;  (** SCCs proven infeasible by isolation *)
+  mutable pld_hits : int;
+      (** SCCs proven infeasible by isolation or by a periodic stop *)
+  mutable cause : cause;
+  mutable cause_round : int;
+      (** the deciding SCC's round: the one it stopped in, or for a
+          converged run the most rounds any SCC took (0 without gates) *)
+  mutable cause_gates : int;  (** the deciding SCC's gate count *)
 }
+
+val new_stats : unit -> stats
+(** All counts 0, [Converged] at round 0 of no SCC. *)
+
+val cause_name : cause -> string
+(** ["converged"], ["periodic"], ["pld"], ["diverged"] or ["cap"]: the
+    [cause] member of a [search.probe] record. *)
 
 (** Provenance of one gate's harvested implementation: which mechanism
     justified it under the converged labels.  Produced for the audit
@@ -107,7 +131,9 @@ type resyn_cache
     the cone under another arrival order misses
     ([label.cone_reuses]).  Recorded resynthesis candidates remember
     their last answer from this cache and reuse it while the arrival
-    order holds. *)
+    order holds.  The cache also owns the search's BDD manager,
+    created at the first cone and leased per cone, so one manager
+    serves every probe of the search. *)
 
 val new_cache : unit -> resyn_cache
 

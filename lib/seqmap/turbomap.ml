@@ -40,16 +40,9 @@ let search_decision ~ub ~max_den ~feasible =
 
 let minimum_ratio ?cache ?cutmemo ?phi_max_den ?(jobs = 1) opts nl =
   if jobs <> 1 then invalid_arg "Turbomap.minimum_ratio: jobs must be 1";
-  let acc =
-    {
-      Label_engine.iterations = 0;
-      flow_tests = 0;
-      decompositions = 0;
-      pld_hits = 0;
-    }
-  in
+  let acc = Label_engine.new_stats () in
   let probes = ref 0 in
-  let record phi ok (s : Label_engine.stats) =
+  let record phi ok (s : Label_engine.stats) ~seconds =
     incr probes;
     Obs.Counter.incr c_probes;
     add_stats acc s;
@@ -61,6 +54,10 @@ let minimum_ratio ?cache ?cutmemo ?phi_max_den ?(jobs = 1) opts nl =
           ("feasible", Obs.Json.Bool ok);
           ("iterations", Obs.Json.Int s.Label_engine.iterations);
           ("cut_tests", Obs.Json.Int s.Label_engine.flow_tests);
+          ("cause", Obs.Json.Str (Label_engine.cause_name s.Label_engine.cause));
+          ("round", Obs.Json.Int s.Label_engine.cause_round);
+          ("scc_gates", Obs.Json.Int s.Label_engine.cause_gates);
+          ("seconds", Obs.Json.Float seconds);
         ]
   in
   (* One verdict per phi.  The decision procedure revisits points it has
@@ -73,17 +70,19 @@ let minimum_ratio ?cache ?cutmemo ?phi_max_den ?(jobs = 1) opts nl =
     match Hashtbl.find_opt memo phi with
     | Some ok -> ok
     | None ->
+        let t0 = Timer.wall () in
         let outcome, s =
           Obs.Span.time s_probe (fun () ->
               Label_engine.run ?cache ?cutmemo opts nl ~phi)
         in
+        let seconds = Timer.wall () -. t0 in
         let ok =
           match outcome with
           | Label_engine.Feasible _ -> true
           | Label_engine.Infeasible -> false
         in
         Hashtbl.replace memo phi ok;
-        record phi ok s;
+        record phi ok s ~seconds;
         ok
   in
   match Netlist.mdr_ratio nl with

@@ -420,7 +420,7 @@ let golden_labels =
     ("rand3", "nopld", "1", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
     ("rand3", "nopld", "2", "F", 9, "ba41d006b9dee0dc90facbc632bb4c47");
     ("rand4", "turbomap", "3/2", "F", 12, "fbae060e672f022ce91e8ae25785c21b");
-    ("rand4", "turbomap", "1", "I", 22, "-");
+    ("rand4", "turbomap", "1", "I", 11, "-");
     ("rand4", "turbomap", "3", "F", 12, "fbae060e672f022ce91e8ae25785c21b");
     ("rand4", "turbosyn", "3/2", "F", 12, "304285678dc80a17e1416c0b2f3a3ea6");
     ("rand4", "turbosyn", "1", "I", 22, "-");
@@ -594,9 +594,9 @@ let test_golden_blifs () =
     (List.map show golden_blifs)
     (List.map (fun g -> show (row g)) golden_blifs)
 
-(* Search events of one call: the phi of every [search.probe] debug
+(* Search events of one call: the fields of every [search.probe] debug
    record it logs, in order. *)
-let probed_phis f =
+let probe_records f =
   Obs.Log.set_level Obs.Log.Debug;
   Obs.Log.to_null ();
   Obs.Log.clear ();
@@ -611,11 +611,19 @@ let probed_phis f =
         List.filter_map
           (fun (r : Obs.Log.record) ->
             if r.Obs.Log.event <> "search.probe" then None
-            else
-              match List.assoc_opt "phi" r.Obs.Log.fields with
-              | Some (Obs.Json.Str p) -> Some p
-              | _ -> Alcotest.fail "probe event without phi")
+            else Some r.Obs.Log.fields)
           (Obs.Log.recent ()) ))
+
+(* The phi of every [search.probe] record of one call, in order. *)
+let probed_phis f =
+  let r, recs = probe_records f in
+  ( r,
+    List.map
+      (fun fields ->
+        match List.assoc_opt "phi" fields with
+        | Some (Obs.Json.Str p) -> p
+        | _ -> Alcotest.fail "probe event without phi")
+      recs )
 
 (* The ratio search on five random circuits (TurboSYN options, K=4, no
    denominator cap): phi* and the probe sequence of each, recorded with
@@ -875,7 +883,8 @@ let test_pld_equivalence () =
 let test_pld_triggers_and_saves_iterations () =
   (* an infeasible probe just below the optimum ratio: labels rise slowly,
      so without PLD the quadratic iteration cap is the only stop; PLD's
-     6n-iteration isolation test (Theorem 2) exits much earlier *)
+     periodic stop or its 6n-iteration isolation test (Theorem 2) exits
+     much earlier, and either counts as a PLD hit *)
   let nl = pi_loop 8 4 in
   let on = Label_engine.default_options ~k:2 in
   let off = { on with Label_engine.pld = false } in
@@ -890,7 +899,189 @@ let test_pld_triggers_and_saves_iterations () =
        s_off.Label_engine.iterations)
     true
     (s_on.Label_engine.iterations < s_off.Label_engine.iterations);
-  Alcotest.(check bool) "pld hit recorded" true (s_on.Label_engine.pld_hits > 0)
+  Alcotest.(check bool) "pld hit recorded" true
+    (s_on.Label_engine.pld_hits > 0
+    && List.mem s_on.Label_engine.cause
+         [ Label_engine.Periodic; Label_engine.Pld_gate ])
+
+(* Every probe record says why the probe ended: on bbara TurboSYN at
+   K=5 (the flow's cap of 24) both rejected probes stop at a round that
+   provably repeats, the certificate just below phi* = 2 among them. *)
+let test_probe_causes () =
+  let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find "bbara")) in
+  let so = Turbosyn.Synth.default_options ~k:5 () in
+  let opts = Turbosyn.Synth.engine_options so ~resynthesize:true in
+  let _, recs =
+    probe_records (fun () ->
+        Turbomap.minimum_ratio ~cache:(Label_engine.new_cache ())
+          ~cutmemo:(Label_engine.new_cut_memo nl) ~phi_max_den:24 opts nl)
+  in
+  let cause fields =
+    match (List.assoc "phi" fields, List.assoc "cause" fields) with
+    | Obs.Json.Str p, Obs.Json.Str c -> p ^ ":" ^ c
+    | _ -> Alcotest.fail "probe event without phi or cause"
+  in
+  Alcotest.(check (list string))
+    "probe causes"
+    [ "1:periodic"; "6:converged"; "2:converged"; "47/24:periodic" ]
+    (List.map cause recs);
+  List.iter
+    (fun fields ->
+      List.iter
+        (fun key ->
+          if not (List.mem_assoc key fields) then
+            Alcotest.fail ("probe record without " ^ key))
+        [ "round"; "scc_gates"; "seconds" ])
+    recs
+
+(* A strongly connected register ring in the shape of a marked graph,
+   fed from outside: [gates] gates in a cycle, each also reading up to
+   [k - 1] chords from other ring gates and, with probability 1/2, a
+   node of a combinational chain of up to 5 gates from the PIs, whose
+   labels stay fixed while the ring's labels rise past them.  A combinational
+   ring edge always goes from a lower to a higher index and the closing
+   edge of the ring carries a register, so there is no combinational
+   loop. *)
+let marked_ring rng ~gates ~k =
+  let nl = Netlist.create ~name:"ring" () in
+  let x = Netlist.add_pi ~name:"x" nl in
+  let z = Netlist.add_pi ~name:"z" nl in
+  let chain = Array.make (1 + Rng.int rng 6) x in
+  for i = 1 to Array.length chain - 1 do
+    let c = Netlist.reserve_gate ~name:(Printf.sprintf "c%d" i) nl in
+    Netlist.define_gate nl c (Truthtable.xor_all 2) [| (chain.(i - 1), 0); (z, 0) |];
+    chain.(i) <- c
+  done;
+  let g =
+    Array.init gates (fun i -> Netlist.reserve_gate ~name:(Printf.sprintf "g%d" i) nl)
+  in
+  for i = 0 to gates - 1 do
+    let ring_w = if i = 0 then 1 + Rng.int rng 2 else Rng.int rng 2 in
+    let chord () =
+      let j = Rng.int rng gates in
+      let w = if j < i then Rng.int rng 3 else 1 + Rng.int rng 2 in
+      (g.(j), w)
+    in
+    let extra = List.init (Rng.int rng k) (fun _ -> chord ()) in
+    let extra =
+      if Rng.int rng 2 = 0 then (Rng.pick rng chain, Rng.int rng 2) :: extra
+      else extra
+    in
+    let fanins =
+      Array.of_list
+        ((g.((i + gates - 1) mod gates), ring_w)
+        :: List.filteri (fun idx _ -> idx < k - 1) extra)
+    in
+    Netlist.define_gate nl g.(i)
+      (Truthtable.random_nondegenerate rng (Array.length fanins))
+      fanins
+  done;
+  ignore (Netlist.add_po ~name:"y" nl ~driver:g.(gates - 1) ~weight:0);
+  nl
+
+(* The search's probes of one call: (phi, verdict, cause) of every
+   [search.probe] record, in order. *)
+let probe_verdicts f =
+  let r, recs = probe_records f in
+  ( r,
+    List.map
+      (fun fields ->
+        match
+          ( List.assoc "phi" fields,
+            List.assoc "feasible" fields,
+            List.assoc "cause" fields )
+        with
+        | Obs.Json.Str p, Obs.Json.Bool ok, Obs.Json.Str c -> (p, ok, c)
+        | _ -> Alcotest.fail "probe event without phi, verdict or cause")
+      recs )
+
+(* The periodic stop is exact: with PLD on and off, on random circuits
+   and on marked-graph rings, K in 2..4, TurboMap and TurboSYN options,
+   a run that PLD ends by convergence or by the periodic stop gives the
+   verdict and labels of the run without PLD.  Three views of that:
+
+   - the ratio search, probe by probe;
+   - a sweep of label runs sharing one resynthesis cache and cut memo,
+     as the search's probes do, over the probed phis and a grid around
+     them, run by run, so the rounds a periodic stop skips must write
+     nothing a later run reads;
+   - each grid phi in a fresh run.
+
+   PLD's older stops, the 6m isolation gate and the label bound, are
+   not exact on these shapes (a TurboSYN ring whose labels converge
+   after round 6m can look isolated before), so a shared-state view is
+   compared only up to the first run one of them decides, and phi* only
+   when none did. *)
+let qcheck_periodic_exact =
+  QCheck.Test.make ~name:"pld on and off agree probe by probe" ~count:100
+    QCheck.(
+      make
+        ~print:(fun (seed, k, ring) ->
+          Printf.sprintf "seed=%d k=%d ring=%b" seed k ring)
+        Gen.(triple (0 -- 1_000_000) (2 -- 4) bool))
+    (fun (seed, k, ring) ->
+      let rng = Rng.create seed in
+      let nl =
+        if ring then marked_ring rng ~gates:(3 + Rng.int rng 8) ~k
+        else Random_circuit.seq rng ~pis:2 ~gates:(6 + Rng.int rng 10) ~max_arity:k
+      in
+      let rat_of p =
+        match String.split_on_char '/' p with
+        | [ n ] -> Rat.of_int (int_of_string n)
+        | [ n; d ] -> Rat.make (int_of_string n) (int_of_string d)
+        | _ -> Alcotest.fail ("unparsable phi " ^ p)
+      in
+      let grid =
+        List.map
+          (fun (p, q) -> Rat.make p q)
+          [ (1, 1); (5, 4); (4, 3); (3, 2); (5, 3); (2, 1); (9, 4); (5, 2);
+            (3, 1); (4, 1) ]
+      in
+      let exact c = c = "converged" || c = "periodic" in
+      (* [(answer, cause)] with PLD on against the answers without it *)
+      let rec agree xs ys =
+        match (xs, ys) with
+        | [], [] -> true
+        | (a, c) :: xs, b :: ys -> (not (exact c)) || (a = b && agree xs ys)
+        | _ -> false
+      in
+      let run ?cache ?cutmemo opts phi =
+        let out, st = Label_engine.run ?cache ?cutmemo opts nl ~phi in
+        ( (match out with
+          | Label_engine.Feasible { labels; _ } -> labels_digest labels
+          | Label_engine.Infeasible -> "-"),
+          Label_engine.cause_name st.Label_engine.cause )
+      in
+      let on = Label_engine.default_options ~k in
+      List.for_all
+        (fun on ->
+          let off = { on with Label_engine.pld = false } in
+          let search opts =
+            probe_verdicts (fun () ->
+                Turbomap.minimum_ratio ~cache:(Label_engine.new_cache ())
+                  ~cutmemo:(Label_engine.new_cut_memo nl) opts nl)
+          in
+          let (phi_on, _, _), probes_on = search on in
+          let (phi_off, _, _), probes_off = search off in
+          let sweep opts =
+            let cache = Label_engine.new_cache () in
+            let cutmemo = Label_engine.new_cut_memo nl in
+            List.map (run ~cache ~cutmemo opts)
+              (List.map (fun (p, _, _) -> rat_of p) probes_on @ grid)
+          in
+          let answers = List.map fst in
+          agree
+            (List.map (fun (p, ok, c) -> ((p, ok), c)) probes_on)
+            (List.map (fun (p, ok, _) -> (p, ok)) probes_off)
+          && ((not (List.for_all (fun (_, _, c) -> exact c) probes_on))
+             || Rat.equal phi_on phi_off)
+          && agree (sweep on) (answers (sweep off))
+          && List.for_all
+               (fun phi ->
+                 let a, c = run on phi in
+                 (not (exact c)) || a = fst (run off phi))
+               grid)
+        [ on; { on with Label_engine.resynthesize = true } ])
 
 let test_full_expansion_agrees () =
   (* the SeqMapII-style construction must agree on feasibility; it only
@@ -1023,5 +1214,7 @@ let () =
           Alcotest.test_case "on/off equivalence" `Slow test_pld_equivalence;
           Alcotest.test_case "saves iterations" `Quick
             test_pld_triggers_and_saves_iterations;
+          Alcotest.test_case "probe causes" `Quick test_probe_causes;
+          QCheck_alcotest.to_alcotest qcheck_periodic_exact;
         ] );
     ]
