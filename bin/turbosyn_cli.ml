@@ -110,20 +110,6 @@ let exit_err msg =
   Format.eprintf "error: %s@." msg;
   exit 1
 
-(* resolve --slo/--slo-file into objectives, refusing bad specs up front *)
-let resolve_slos ~slo_specs ~slo_file =
-  let from_file =
-    match slo_file with
-    | None -> []
-    | Some path -> (
-        match Obs.Slo.parse_file path with
-        | Ok objectives -> objectives
-        | Error e -> exit_err (Printf.sprintf "--slo-file %s: %s" path e))
-  in
-  match Obs.Slo.parse_all slo_specs with
-  | Ok from_flags -> from_file @ from_flags
-  | Error e -> exit_err e
-
 (* Route the structured logger per the common --log-level/--log-file
    flags.  [outputs] lists every (flag, destination) this invocation
    will write machine-readable documents to; sending log lines into the
@@ -490,8 +476,8 @@ let equiv_cmd =
     Term.(const run $ a_arg $ b_arg $ mapped_arg)
 
 let serve_cmd =
-  let run port slow_seconds workers queue_depth cache_entries slo_specs
-      slo_file log_level log_file =
+  let run port slow_seconds workers queue_depth cache_entries log_level
+      log_file =
     setup_logging ~log_level ~log_file ~outputs:[];
     (* metrics must be live for /metrics to have content; never reset
        between requests so scrape counters stay monotone *)
@@ -499,10 +485,9 @@ let serve_cmd =
     Obs.reset ();
     if queue_depth < 0 then exit_err "--queue-depth must be >= 0";
     if cache_entries < 0 then exit_err "--cache-entries must be >= 0";
-    let slos = resolve_slos ~slo_specs ~slo_file in
     match
       Serve.Server.create ~port ~slow_seconds ?workers ~queue_depth
-        ~cache_entries ~slos ()
+        ~cache_entries ()
     with
     | exception Unix.Unix_error (e, _, _) ->
         exit_err
@@ -511,15 +496,11 @@ let serve_cmd =
     | server ->
         Format.eprintf
           "turbosyn serve: listening on http://127.0.0.1:%d (%d worker \
-           domain(s), queue depth %d, cache %d entries%s; routes: /map, \
-           /metrics, /healthz, /debug/requests, /debug/trace/<id>, \
-           /debug/slo)@."
+           domain(s), queue depth %d, cache %d entries; routes: /map, \
+           /metrics, /healthz, /debug/requests, /debug/trace/<id>)@."
           (Serve.Server.port server)
           (Serve.Server.workers server)
-          queue_depth cache_entries
-          (match List.length slos with
-          | 0 -> ""
-          | n -> Printf.sprintf ", %d SLO objective(s)" n);
+          queue_depth cache_entries;
         Obs.Log.info "serve.start"
           [
             ("port", Obs.Json.Int (Serve.Server.port server));
@@ -527,7 +508,6 @@ let serve_cmd =
             ("queue_depth", Obs.Json.Int queue_depth);
             ("cache_entries", Obs.Json.Int cache_entries);
             ("slow_seconds", Obs.Json.Float slow_seconds);
-            ("slos", Obs.Json.Int (List.length slos));
           ];
         Serve.Server.run server
   in
@@ -553,42 +533,27 @@ let serve_cmd =
   in
   let cache_entries_arg =
     Arg.(value & opt int 256 & info [ "cache-entries" ] ~docv:"N"
-           ~doc:"LRU capacity of the canonical-hash result cache \
-                 (0 disables caching; responses then carry \
-                 $(b,X-Cache: bypass)).")
-  in
-  let slo_arg =
-    Arg.(value & opt_all string [] & info [ "slo" ] ~docv:"SPEC"
-           ~doc:"Add a per-route service-level objective, e.g. \
-                 $(b,route=/map,p99=250ms,err=0.1%).  Repeatable.  \
-                 Burn rates are served on GET /debug/slo and as \
-                 $(b,turbosyn_slo_*) scrape families.")
-  in
-  let slo_file_arg =
-    Arg.(value & opt (some string) None & info [ "slo-file" ] ~docv:"FILE"
-           ~doc:"Read SLO specs from $(docv), one per line ($(b,#) comments \
-                 and blank lines ignored), in addition to any $(b,--slo) \
-                 flags.")
+           ~doc:"LRU capacity of the result cache, keyed by the \
+                 validated request (circuit, algo, k); 0 disables \
+                 caching, and responses then carry $(b,X-Cache: bypass).")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve the mapping pipeline over HTTP: POST /map runs a request \
              ({\"circuit\": ..., \"k\": ..., \"algo\": ...}) on a pool of \
-             worker domains behind a bounded queue with a canonical-hash \
-             result cache (X-Cache: hit|miss marker, 429 + Retry-After \
-             load shedding), GET /metrics answers a Prometheus \
+             worker domains behind a bounded queue with an LRU result \
+             cache keyed by the validated request (circuit, algo, k) \
+             (X-Cache: hit|miss marker, 429 + Retry-After load \
+             shedding), GET /metrics answers a Prometheus \
              text-exposition scrape, GET /healthz a liveness probe with \
              pool and cache gauges; GET /debug/requests and \
              /debug/trace/<id> introspect the recent-request ring.  Every \
              request carries a correlation id (X-Request-Id or traceparent, \
              echoed back) and emits a structured access-log line.  \
-             $(b,--slo)/$(b,--slo-file) declare latency and error \
-             objectives evaluated at scrape time (GET /debug/slo).  \
              Runs until interrupted.")
     Term.(
       const run $ port_arg $ slow_arg $ workers_arg $ queue_depth_arg
-      $ cache_entries_arg $ slo_arg $ slo_file_arg $ log_level_arg
-      $ log_file_arg)
+      $ cache_entries_arg $ log_level_arg $ log_file_arg)
 
 let flame_cmd =
   let run trace_file input workload algo k output log_level log_file =
@@ -658,33 +623,6 @@ let flame_cmd =
       const run $ trace_file_arg $ input_arg $ workload_arg $ algo_arg $ k_arg
       $ out_arg $ log_level_arg $ log_file_arg)
 
-let promlint_cmd =
-  let run file =
-    let text =
-      match file with
-      | "-" -> In_channel.input_all In_channel.stdin
-      | path -> (
-          try In_channel.with_open_bin path In_channel.input_all
-          with Sys_error e -> exit_err e)
-    in
-    match Obs.Prometheus.validate text with
-    | Ok () -> Format.printf "promlint: OK@."
-    | Error errors ->
-        List.iter (fun e -> Format.eprintf "promlint: %s@." e) errors;
-        exit 2
-  in
-  let file_arg =
-    Arg.(value & pos 0 string "-" & info [] ~docv:"FILE"
-           ~doc:"Scrape body to validate; - reads stdin.")
-  in
-  Cmd.v
-    (Cmd.info "promlint"
-       ~doc:"Validate a Prometheus text-exposition scrape (as served by \
-             $(b,serve) /metrics): HELP/TYPE shape, name and label-escaping \
-             rules, family grouping, histogram bucket structure.  Exits 2 on \
-             violations.")
-    Term.(const run $ file_arg)
-
 let () =
   let doc = "TurboSYN: FPGA synthesis with retiming and pipelining (DAC'97)" in
   let main =
@@ -698,7 +636,6 @@ let () =
         equiv_cmd;
         serve_cmd;
         flame_cmd;
-        promlint_cmd;
       ]
   in
   exit (Cmd.eval main)

@@ -531,9 +531,8 @@ let render_verdict v =
 
 (* ------------------------------------------------------------------ *)
 (* Structural document comparison with first-differing-path reporting  *)
-(* (the byte-identity oracle: tests assert that audit documents built   *)
-(* with and without the sampling profiler are equal — see              *)
-(* doc/PROFILING.md).                                                  *)
+(* (the byte-identity oracle: test_audit asserts that audit documents   *)
+(* built with Obs on and off are equal).                                *)
 (* ------------------------------------------------------------------ *)
 
 let json_kind = function

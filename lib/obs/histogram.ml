@@ -115,6 +115,5 @@ let snapshot_to_json s =
              s.s_buckets) );
     ]
 
-let find key = Option.map snapshot (Hashtbl.find_opt registry key)
 let all () = Sink.histograms Sink.global
 let reset_all () = Sink.reset_hists Sink.global

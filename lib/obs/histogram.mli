@@ -57,7 +57,6 @@ val bucket_of : float -> int
 
 (** {1 Registry} *)
 
-val find : string -> snapshot option
 val all : unit -> (string * snapshot) list
 (** All registered histograms, sorted by name. *)
 

@@ -9,7 +9,6 @@ module Prometheus = Prometheus
 module Scope = Scope
 module Log = Log
 module Flame = Flame
-module Slo = Slo
 
 let set_enabled = State.set_enabled
 let enabled = State.enabled

@@ -44,7 +44,6 @@ module Prometheus = Prometheus
 module Scope = Scope
 module Log = Log
 module Flame = Flame
-module Slo = Slo
 
 val set_enabled : bool -> unit
 (** Master switch for metric collection ({!Counter}, {!Gauge},

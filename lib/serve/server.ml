@@ -179,10 +179,9 @@ let response_bytes_family () =
   }
 
 (* Per-route end-to-end latency (accept to response written; for /map,
-   to response ready), the histograms the SLO engine evaluates.  Flat
-   families ([turbosyn_serve_route_seconds_<route>_bucket]) — each route keeps
-   its own exact bucket counts, which is what makes /debug/slo burn
-   rates reproducible from a scrape. *)
+   to response ready).  Flat families
+   ([turbosyn_serve_route_seconds_<route>_bucket]): each route keeps
+   its own exact bucket counts on the scrape. *)
 let route_seconds_prefix = "serve.route_seconds."
 let route_hist route = Obs.Histogram.make (route_seconds_prefix ^ route)
 
@@ -241,25 +240,12 @@ type req_record = {
   rr_summary : Obs.Scope.summary option; (* scoped routes (/map) only *)
 }
 
-(* Each server's own recent-request ring and slowest-N exemplars, under
-   their own mutexes: the accept lane and the worker domains both record,
-   reads serve /debug. *)
-type debug = {
-  ring : req_record Queue.t;
-  ring_mutex : Mutex.t;
-  exemplars : (string, (string * float * int) list) Hashtbl.t;
-  exemplar_mutex : Mutex.t;
-}
+(* Each server's own recent-request ring, under its own mutex: the
+   accept lane and the worker domains both record, reads serve /debug. *)
+type debug = { ring : req_record Queue.t; ring_mutex : Mutex.t }
 
 let ring_capacity = 256
-
-let new_debug () =
-  {
-    ring = Queue.create ();
-    ring_mutex = Mutex.create ();
-    exemplars = Hashtbl.create 8;
-    exemplar_mutex = Mutex.create ();
-  }
+let new_debug () = { ring = Queue.create (); ring_mutex = Mutex.create () }
 
 let with_ring d f =
   Mutex.lock d.ring_mutex;
@@ -275,30 +261,6 @@ let find_request d id =
       Queue.fold
         (fun acc rr -> if String.equal rr.rr_id id then Some rr else acc)
         None d.ring)
-
-(* Slowest-N exemplars per route: request ids a /debug/slo reader can
-   follow straight into /debug/trace/<id>.  Tiny sorted lists, updated
-   on every completion. *)
-let exemplar_capacity = 5
-
-let remember_exemplar d ~route ~id ~seconds ~status =
-  if id <> "" then begin
-    Mutex.lock d.exemplar_mutex;
-    let l = Option.value ~default:[] (Hashtbl.find_opt d.exemplars route) in
-    let l =
-      (id, seconds, status) :: l
-      |> List.sort (fun (_, a, _) (_, b, _) -> Float.compare b a)
-      |> List.filteri (fun i _ -> i < exemplar_capacity)
-    in
-    Hashtbl.replace d.exemplars route l;
-    Mutex.unlock d.exemplar_mutex
-  end
-
-let exemplars_for d route =
-  Mutex.lock d.exemplar_mutex;
-  let l = Option.value ~default:[] (Hashtbl.find_opt d.exemplars route) in
-  Mutex.unlock d.exemplar_mutex;
-  l
 
 (* outcome vocabulary (doc/OBSERVABILITY.md §Request scopes): "served"
    for success, "cached" for success straight from the result cache,
@@ -508,7 +470,6 @@ type config = {
   queue_depth : int;  (** /map jobs admitted beyond the in-flight ones *)
   cache_entries : int;  (** LRU capacity of the result cache; 0 = off *)
   slow_seconds : float;
-  slos : Obs.Slo.objective list;
 }
 
 type job = {
@@ -737,17 +698,15 @@ let parse_target target =
 (* ------------------------------------------------------------------ *)
 
 (* Everything the server records about a finished request: the route
-   latency, the exemplars, the recent-request ring and the access line.
+   latency, the recent-request ring and the access line.
    [seconds] runs from accept to now: after the response is written on
    the accept lane, before it is written for /map (see [serve_job]). *)
 let log_access t ~route ~meth ~path ~status ~outcome ~cache ~started
     ~summary () =
   let seconds = Prelude.Timer.wall () -. started in
   let id = Obs.Log.current_request_id () |> Option.value ~default:"" in
-  (* the SLO engine's per-route latency distribution, every completion
-     path *)
+  (* the per-route latency distribution, every completion path *)
   with_registry (fun () -> Obs.Histogram.observe (route_hist route) seconds);
-  remember_exemplar t.debug ~route ~id ~seconds ~status;
   remember t.debug
     {
       rr_id = id;
@@ -825,7 +784,7 @@ let respond_map fd ~echo ~status ~cache payload =
    scope closes, and the response bytes, the route latency, the ring
    entry and the access line are recorded, before the response is
    written: a client that has read its answer (up to Content-Length,
-   not waiting for the close) and asks /metrics, /debug/slo or
+   not waiting for the close) and asks /metrics, /debug/requests or
    /debug/trace/<id> at once finds the request there.  So the latency
    runs from accept to the response being ready, and a write to a
    peer that has gone still counts its bytes. *)
@@ -897,90 +856,6 @@ let worker_loop t =
 (* ------------------------------------------------------------------ *)
 (* Accept lane: envelope parsing, inline routes, admission control     *)
 (* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-(* SLO evaluation (scrape-time)                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* objectives are spelled with the client-visible path ("/map"); the
-   internal route vocabulary drops the slash ("map") *)
-let internal_route r =
-  if String.length r > 0 && r.[0] = '/' then
-    String.sub r 1 (String.length r - 1)
-  else r
-
-let empty_snapshot =
-  {
-    Obs.Histogram.s_buckets = [];
-    s_count = 0;
-    s_sum = 0.;
-    s_min = infinity;
-    s_max = neg_infinity;
-  }
-
-(* (total, 5xx) for one route, from the serve.requests.<route>.<status>
-   counters; call under [registry_mutex] together with the histogram
-   snapshot so one /debug/slo answer is a consistent cut *)
-let route_totals route =
-  let prefix = Printf.sprintf "%s%s." requests_prefix route in
-  let plen = String.length prefix in
-  List.fold_left
-    (fun (total, errors) (name, v) ->
-      if String.length name > plen && String.sub name 0 plen = prefix then
-        match
-          int_of_string_opt (String.sub name plen (String.length name - plen))
-        with
-        | Some s -> (total + v, if s >= 500 then errors + v else errors)
-        | None -> (total, errors)
-      else (total, errors))
-    (0, 0) (Obs.Counter.all ())
-
-(* call under [registry_mutex] *)
-let eval_slos t =
-  List.map
-    (fun (o : Obs.Slo.objective) ->
-      let r = internal_route o.Obs.Slo.o_route in
-      let snap =
-        Option.value ~default:empty_snapshot
-          (Obs.Histogram.find (route_seconds_prefix ^ r))
-      in
-      let total, errors = route_totals r in
-      (r, Obs.Slo.evaluate o ~latency:snap ~total ~errors))
-    t.config.slos
-
-let debug_slo_json t =
-  let verdicts = with_registry (fun () -> eval_slos t) in
-  J.Obj
-    [
-      ("schema", J.Str "turbosyn-slo/1");
-      ( "objectives",
-        J.List
-          (List.map
-             (fun (r, v) ->
-               let extras =
-                 [
-                   (* the flat histogram family the burn rate was
-                      computed from — scrape it and reproduce *)
-                   ("histogram", J.Str (route_seconds_prefix ^ r));
-                   ( "slowest",
-                     J.List
-                       (List.map
-                          (fun (id, seconds, status) ->
-                            J.Obj
-                              [
-                                ("id", J.Str id);
-                                ("seconds", J.Float seconds);
-                                ("status", J.Int status);
-                                ("trace", J.Str ("/debug/trace/" ^ id));
-                              ])
-                          (exemplars_for t.debug r)) );
-                 ]
-               in
-               match Obs.Slo.verdict_json v with
-               | J.Obj fields -> J.Obj (fields @ extras)
-               | j -> j)
-             verdicts) );
-    ]
 
 let healthz_json t =
   J.Obj
@@ -1140,9 +1015,7 @@ let dispatch t fd =
                 refresh_gauges t;
                 Obs.Prometheus.render
                   ~exclude_prefixes:[ requests_prefix; response_bytes_prefix ]
-                  ~extra:
-                    (request_family () :: response_bytes_family ()
-                    :: Obs.Slo.families (List.map snd (eval_slos t)))
+                  ~extra:[ request_family (); response_bytes_family () ]
                   ())
           in
           let bytes =
@@ -1155,19 +1028,12 @@ let dispatch t fd =
             respond_json fd ~headers:echo ~status:200 (debug_requests_json t.debug)
           in
           inline ~bytes "debug" 200 None
-      | "GET", "/debug/slo" ->
-          let bytes =
-            respond_json fd ~headers:echo ~status:200 (debug_slo_json t)
-          in
-          inline ~bytes "debug" 200 None
       | "GET", _
         when String.length path > 13
              && String.sub path 0 13 = "/debug/trace/" ->
           let status, bytes = handle_debug_trace t fd ~req_id ~path ~query in
           inline ~bytes "debug" status None
-      | ( _,
-          ( "/healthz" | "/metrics" | "/map" | "/debug/requests"
-          | "/debug/slo" ) ) ->
+      | _, ("/healthz" | "/metrics" | "/map" | "/debug/requests") ->
           let bytes =
             respond_error fd ~headers:echo ~status:405 "method not allowed"
           in
@@ -1201,7 +1067,7 @@ let default_workers () =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
 let create ?(port = 0) ?(slow_seconds = 1.0) ?workers ?(queue_depth = 64)
-    ?(cache_entries = 256) ?(slos = []) () =
+    ?(cache_entries = 256) () =
   let workers =
     match workers with Some w -> max 1 w | None -> default_workers ()
   in
@@ -1220,8 +1086,7 @@ let create ?(port = 0) ?(slow_seconds = 1.0) ?workers ?(queue_depth = 64)
   {
     listen = fd;
     port;
-    config =
-      { workers; queue_depth; cache_entries; slow_seconds; slos };
+    config = { workers; queue_depth; cache_entries; slow_seconds };
     stopped = Atomic.make false;
     queue = Prelude.Bqueue.create ~capacity:queue_depth;
     cache = Cache.create ~capacity:cache_entries;

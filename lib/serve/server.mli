@@ -15,8 +15,7 @@
       "queue_depth": ..., "queue_capacity": ..., "cache_entries": ...,
       "cache_capacity": ..., "shed_total": ...}].
     - [GET /debug/requests] answers the server's recent-request ring
-      (its last 256 requests; each server in a process keeps its own,
-      as it does its [/debug/slo] exemplars)
+      (its last 256 requests; each server in a process keeps its own)
       ([turbosyn-debug-requests/1]): id, route, status, outcome, cache
       marker, wall-clock timings and per-phase span seconds, newest
       first, with the count of timeline slices the ring retains
@@ -29,14 +28,6 @@
       timeline slices as a Chrome-trace document, [?format=folded] as
       flamegraph.pl folded stacks.  [404] when the id has been evicted
       from the ring (or never existed).
-    - [GET /debug/slo] answers the burn-rate evaluation of the
-      configured objectives ([turbosyn-slo/1]): per objective, the
-      latency/error verdicts of {!Obs.Slo.verdict_json}, the flat
-      histogram family the numbers were computed from (so they
-      reproduce from a [/metrics] scrape), and the slowest-N request
-      ids as exemplars linking into [/debug/trace/<id>].  The same
-      verdicts are exposed on the scrape as [turbosyn_slo_*] gauge
-      families.
 
     {b Concurrency.}  {!run} runs the accept lane on the calling domain
     and spawns [workers] worker domains.  The accept lane owns the listen socket,
@@ -89,7 +80,6 @@ val create :
   ?workers:int ->
   ?queue_depth:int ->
   ?cache_entries:int ->
-  ?slos:Obs.Slo.objective list ->
   unit ->
   t
 (** Bind and listen on [127.0.0.1:port].  [port] defaults to [0]: the
@@ -101,8 +91,7 @@ val create :
     [64]) bounds the jobs admitted beyond the in-flight ones; [0]
     sheds every /map request that must compute — useful for tests.  [cache_entries]
     (default [256]) is the LRU capacity of the result cache; [0]
-    disables caching.  [slos] (default none) are the objectives
-    evaluated by [/debug/slo] and the [turbosyn_slo_*] scrape families.
+    disables caching.
     Raises [Unix.Unix_error] when binding fails (e.g. port in use),
     [Invalid_argument] on negative [queue_depth]/[cache_entries]. *)
 

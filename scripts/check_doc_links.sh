@@ -48,7 +48,7 @@ for src in README.md doc/ALGORITHM.md doc/PERF.md; do
   fi
 done
 
-# the profiling/SLO layer must stay linked from its entry points
+# the per-request resources doc must stay linked from its entry points
 for src in README.md doc/OBSERVABILITY.md doc/CONCURRENCY.md; do
   if ! grep -q 'doc/PROFILING.md\|PROFILING\.md' "$src"; then
     echo "$src no longer links doc/PROFILING.md"

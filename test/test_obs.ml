@@ -1044,189 +1044,6 @@ let test_scope_resources_additive () =
                 >= sum (fun r -> r.Obs.Scope.r_cpu_seconds))))
 
 (* ---------------------------------------------------------------- *)
-(* SLOs: spec parsing, burn-rate evaluation, scrape families         *)
-(* ---------------------------------------------------------------- *)
-
-let test_slo_parse () =
-  (match Obs.Slo.parse "route=/map,p99=250ms,err=0.1%" with
-  | Error e -> Alcotest.failf "canonical spec rejected: %s" e
-  | Ok o ->
-      Alcotest.(check string) "route" "/map" o.Obs.Slo.o_route;
-      (match o.Obs.Slo.o_latency with
-      | Some (label, q, t) ->
-          Alcotest.(check string) "label" "p99" label;
-          Alcotest.(check (float 1e-9)) "quantile" 0.99 q;
-          Alcotest.(check (float 1e-9)) "target" 0.25 t
-      | None -> Alcotest.fail "no latency objective");
-      match o.Obs.Slo.o_err with
-      | Some b -> Alcotest.(check (float 1e-12)) "budget" 0.001 b
-      | None -> Alcotest.fail "no error objective");
-  (* p-digit quantiles scale by digit count; seconds spellings work *)
-  (match Obs.Slo.parse "route=/map,p999=1.5s" with
-  | Ok { Obs.Slo.o_latency = Some (_, q, t); _ } ->
-      Alcotest.(check (float 1e-9)) "p999" 0.999 q;
-      Alcotest.(check (float 1e-9)) "seconds" 1.5 t
-  | _ -> Alcotest.fail "p999 spec rejected");
-  (match Obs.Slo.parse "route=/map,p50=10ms" with
-  | Ok { Obs.Slo.o_latency = Some (_, q, _); _ } ->
-      Alcotest.(check (float 1e-9)) "p50" 0.5 q
-  | _ -> Alcotest.fail "p50 spec rejected");
-  (* rejections *)
-  List.iter
-    (fun bad ->
-      match Obs.Slo.parse bad with
-      | Ok _ -> Alcotest.failf "accepted bad spec %S" bad
-      | Error _ -> ())
-    [
-      "";
-      "p99=250ms" (* no route *);
-      "route=/map" (* no objective *);
-      "route=/map,p99=fast";
-      "route=/map,p99=0ms";
-      "route=/map,err=150%";
-      "route=/map,err=0";
-      "route=/map,latency=250ms" (* unknown key *);
-      "route=,p99=250ms";
-    ];
-  (* parse_all surfaces the first error *)
-  (match Obs.Slo.parse_all [ "route=/map,p99=1ms"; "bogus" ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "parse_all ignored a bad spec");
-  match Obs.Slo.parse_all [ "route=/a,p99=1ms"; "route=/b,err=1%" ] with
-  | Ok [ a; b ] ->
-      Alcotest.(check string) "first" "/a" a.Obs.Slo.o_route;
-      Alcotest.(check string) "second" "/b" b.Obs.Slo.o_route
-  | _ -> Alcotest.fail "parse_all lost a spec"
-
-let test_slo_parse_file () =
-  let path = Filename.temp_file "turbosyn-slo" ".conf" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            "# objectives for the serve smoke\n\n\
-             route=/map,p99=250ms,err=0.1%\n\
-             route=/healthz,p95=5ms\n");
-      match Obs.Slo.parse_file path with
-      | Ok [ a; b ] ->
-          Alcotest.(check string) "first route" "/map" a.Obs.Slo.o_route;
-          Alcotest.(check string) "second route" "/healthz" b.Obs.Slo.o_route
-      | Ok _ -> Alcotest.fail "wrong objective count"
-      | Error e -> Alcotest.failf "parse_file: %s" e)
-
-let test_slo_evaluate () =
-  with_obs (fun () ->
-      let o =
-        match Obs.Slo.parse "route=/map,p99=250ms,err=0.1%" with
-        | Ok o -> o
-        | Error e -> Alcotest.failf "spec: %s" e
-      in
-      (* 20 fast observations, 5 slow: bad_fraction 0.2 against a p99
-         objective burns at 0.2/0.01 = 20 *)
-      let snap =
-        snapshot_of_values
-          (List.init 20 (fun _ -> 0.01) @ List.init 5 (fun _ -> 100.))
-      in
-      let v = Obs.Slo.evaluate o ~latency:snap ~total:25 ~errors:1 in
-      (match v.Obs.Slo.v_latency with
-      | Some l ->
-          Alcotest.(check int) "good" 20 l.Obs.Slo.lv_good;
-          Alcotest.(check int) "count" 25 l.Obs.Slo.lv_count;
-          Alcotest.(check (float 1e-9)) "bad fraction" 0.2
-            l.Obs.Slo.lv_bad_fraction;
-          Alcotest.(check (float 1e-6)) "latency burn" 20. l.Obs.Slo.lv_burn;
-          Alcotest.(check bool) "latency violated" false l.Obs.Slo.lv_ok;
-          (* the evaluated boundary is the documented bucket upper *)
-          Alcotest.(check (float 1e-12)) "good upper"
-            (Obs.Histogram.bucket_upper (Obs.Histogram.bucket_of 0.25))
-            l.Obs.Slo.lv_good_upper
-      | None -> Alcotest.fail "no latency verdict");
-      (match v.Obs.Slo.v_err with
-      | Some e ->
-          Alcotest.(check (float 1e-9)) "error rate" 0.04 e.Obs.Slo.ev_rate;
-          Alcotest.(check (float 1e-6)) "error burn" 40. e.Obs.Slo.ev_burn;
-          Alcotest.(check bool) "errors violated" false e.Obs.Slo.ev_ok
-      | None -> Alcotest.fail "no error verdict");
-      Alcotest.(check bool) "overall violated" false v.Obs.Slo.v_ok;
-      (* empty data burns nothing *)
-      let v0 =
-        Obs.Slo.evaluate o ~latency:(snapshot_of_values []) ~total:0
-          ~errors:0
-      in
-      Alcotest.(check bool) "empty ok" true v0.Obs.Slo.v_ok;
-      (match v0.Obs.Slo.v_latency with
-      | Some l -> Alcotest.(check (float 0.)) "empty burn" 0. l.Obs.Slo.lv_burn
-      | None -> Alcotest.fail "no latency verdict on empty");
-      (* the verdict document parses and carries the burn rates *)
-      (match
-         Obs.Json.of_string (Obs.Json.to_string (Obs.Slo.verdict_json v))
-       with
-      | Error e -> Alcotest.failf "verdict json: %s" e
-      | Ok doc -> (
-          Alcotest.(check bool) "route member" true
-            (Obs.Json.member "route" doc = Some (Obs.Json.Str "/map"));
-          match Obs.Json.member "latency" doc with
-          | Some lat ->
-              Alcotest.(check bool) "burn member" true
-                (Obs.Json.member "burn_rate" lat <> None)
-          | None -> Alcotest.fail "no latency object"));
-      (* the scrape families render and validate *)
-      let fams = Obs.Slo.families [ v ] in
-      Alcotest.(check int) "five families" 5 (List.length fams);
-      match Obs.Prometheus.validate (Obs.Prometheus.render ~extra:fams ()) with
-      | Ok () -> ()
-      | Error es ->
-          Alcotest.failf "slo families invalid: %s" (String.concat "; " es))
-
-(* qcheck: [lv_good] always equals the recomputation from the published
-   boundary over the snapshot's cumulative buckets, and the burn rate
-   follows from (good, count, q) — the exact arithmetic test_serve's
-   "slo burn rate reproduced from a scrape" case replays from a live
-   /metrics scrape. *)
-let test_slo_reproduction () =
-  with_obs (fun () ->
-      let gen =
-        QCheck.Gen.(pair (list_size (0 -- 64) value_gen) (float_range 1e-4 10.))
-      in
-      let print (vs, t) =
-        Printf.sprintf "target=%g values=[%s]" t (print_values vs)
-      in
-      run_qcheck
-        (QCheck.Test.make ~count:200 ~name:"burn rate reproducible"
-           (QCheck.make ~print gen)
-           (fun (vs, target) ->
-             let spec = Printf.sprintf "route=/map,p99=%fs" target in
-             match Obs.Slo.parse spec with
-             | Error _ -> false
-             | Ok o -> (
-                 let snap = snapshot_of_values vs in
-                 let total = List.length vs in
-                 let v = Obs.Slo.evaluate o ~latency:snap ~total ~errors:0 in
-                 match v.Obs.Slo.v_latency with
-                 | None -> false
-                 | Some l ->
-                     let good_re =
-                       List.fold_left
-                         (fun acc (i, c) ->
-                           if
-                             Obs.Histogram.bucket_upper i
-                             <= l.Obs.Slo.lv_good_upper
-                           then acc + c
-                           else acc)
-                         0 snap.Obs.Histogram.s_buckets
-                     in
-                     let burn_re =
-                       if l.Obs.Slo.lv_count = 0 then 0.
-                       else
-                         float_of_int (l.Obs.Slo.lv_count - good_re)
-                         /. float_of_int l.Obs.Slo.lv_count
-                         /. (1. -. l.Obs.Slo.lv_quantile)
-                     in
-                     good_re = l.Obs.Slo.lv_good
-                     && Float.abs (burn_re -. l.Obs.Slo.lv_burn) <= 1e-9))))
-
-(* ---------------------------------------------------------------- *)
 (* Structured logging                                                *)
 (* ---------------------------------------------------------------- *)
 
@@ -1425,14 +1242,6 @@ let () =
           Alcotest.test_case "scope deltas" `Quick test_scope_resources;
           Alcotest.test_case "non-negative and additive" `Quick
             test_scope_resources_additive;
-        ] );
-      ( "slo",
-        [
-          Alcotest.test_case "parse" `Quick test_slo_parse;
-          Alcotest.test_case "parse file" `Quick test_slo_parse_file;
-          Alcotest.test_case "evaluate" `Quick test_slo_evaluate;
-          Alcotest.test_case "burn reproduction" `Quick
-            test_slo_reproduction;
         ] );
       ( "log",
         [

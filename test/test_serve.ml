@@ -116,14 +116,14 @@ let series_value body name =
 (* Server lifecycle                                                 *)
 (* ---------------------------------------------------------------- *)
 
-let with_server ?workers ?queue_depth ?cache_entries ?slos f =
+let with_server ?workers ?queue_depth ?cache_entries f =
   Obs.set_enabled true;
   Obs.reset ();
   (* keep per-request access-log lines out of the test output; the
      records still reach the in-memory ring and the request ring *)
   Obs.Log.to_null ();
   let server =
-    Serve.Server.create ~port:0 ?workers ?queue_depth ?cache_entries ?slos ()
+    Serve.Server.create ~port:0 ?workers ?queue_depth ?cache_entries ()
   in
   let srv = Domain.spawn (fun () -> Serve.Server.run server) in
   Fun.protect
@@ -582,7 +582,7 @@ let test_overload_contention () =
       Alcotest.(check bool) "some requests shed" true
         (List.exists (fun (_, status, _) -> status = 429) replies);
       let _, scrape = http ~port ~meth:"GET" ~path:"/metrics" () in
-      match Obs.Prometheus.validate scrape with
+      match Prom_oracle.validate scrape with
       | Ok () -> ()
       | Error es ->
           Alcotest.failf "post-load scrape invalid: %s" (String.concat "; " es))
@@ -604,7 +604,7 @@ let test_scrape () =
       Alcotest.(check int) "turbosyn map status" 200 status;
       let status, scrape1 = http ~port ~meth:"GET" ~path:"/metrics" () in
       Alcotest.(check int) "first scrape status" 200 status;
-      (match Obs.Prometheus.validate scrape1 with
+      (match Prom_oracle.validate scrape1 with
       | Ok () -> ()
       | Error vs ->
           Alcotest.failf "first scrape invalid: %s" (String.concat "; " vs));
@@ -667,7 +667,7 @@ let test_scrape () =
       Alcotest.(check int) "second map status" 200 status;
       let status, scrape2 = http ~port ~meth:"GET" ~path:"/metrics" () in
       Alcotest.(check int) "second scrape status" 200 status;
-      (match Obs.Prometheus.validate scrape2 with
+      (match Prom_oracle.validate scrape2 with
       | Ok () -> ()
       | Error vs ->
           Alcotest.failf "second scrape invalid: %s" (String.concat "; " vs));
@@ -697,7 +697,7 @@ let test_scoped_counters_concurrent () =
             while not (Atomic.get stop) do
               let status, body = http ~port ~meth:"GET" ~path:"/metrics" () in
               if status <> 200 then Alcotest.failf "scrape status %d" status;
-              (match Obs.Prometheus.validate body with
+              (match Prom_oracle.validate body with
               | Ok () -> ()
               | Error vs ->
                   Alcotest.failf "scrape invalid: %s" (String.concat "; " vs));
@@ -1047,23 +1047,17 @@ let test_trace_after_map () =
           Alcotest.(check int) (id ^ " trace at once") 200 status)
         keys)
 
-(* Each server keeps its own recent-request ring and SLO exemplars: two
-   servers in one process, each answering its own requests, must list
-   only their own request ids in /debug/requests and among the
-   /debug/slo exemplars.  Every response is read only up to its
-   Content-Length, as curl does, so bookkeeping a server does after
+(* Each server keeps its own recent-request ring: two servers in one
+   process, each answering its own requests, must list only their own
+   request ids in /debug/requests.  Every response is read only up to
+   its Content-Length, as curl does, so bookkeeping a server does after
    writing is not waited for. *)
 let test_servers_own_rings () =
-  let slos =
-    match Obs.Slo.parse_all [ "route=/map,p99=250ms,err=0.1%" ] with
-    | Ok slos -> slos
-    | Error e -> Alcotest.failf "slo spec: %s" e
-  in
   Obs.set_enabled true;
   Obs.reset ();
   Obs.Log.to_null ();
   let start () =
-    let server = Serve.Server.create ~port:0 ~workers:1 ~slos () in
+    let server = Serve.Server.create ~port:0 ~workers:1 () in
     (server, Domain.spawn (fun () -> Serve.Server.run server))
   in
   let servers = [ ("a", start ()); ("b", start ()) ] in
@@ -1130,22 +1124,7 @@ let test_servers_own_rings () =
                   (fun r ->
                     if str_member "route" r = "map" then Some (str_member "id" r)
                     else None)
-                  ring));
-          let slowest =
-            List.concat_map (list_member "slowest")
-              (list_member "objectives" (get name "/debug/slo"))
-          in
-          (* a /map exemplar is recorded after its response is written,
-             so the latest one may not be there yet *)
-          Alcotest.(check bool) (name ^ " has exemplars") true (slowest <> []);
-          List.iter
-            (fun ex ->
-              let id = str_member "id" ex in
-              Alcotest.(check bool)
-                (Printf.sprintf "server %s exemplar is its own (%s)" name id)
-                true
-                (List.mem id (map_ids name)))
-            slowest)
+                  ring)))
         servers)
 
 (* A request scope keeps at most [Obs.Scope.slice_capacity] slices, so
@@ -1412,18 +1391,13 @@ let test_read_deadline () =
            "turbosyn_serve_requests{route=\"malformed\",status=\"408\"}"))
 
 (* ---------------------------------------------------------------- *)
-(* SLO endpoints                                                     *)
+(* Served bytes and the route histogram                             *)
 (* ---------------------------------------------------------------- *)
 
-let test_profiling_and_slo () =
-  let slos =
-    match Obs.Slo.parse_all [ "route=/map,p99=250ms,err=0.1%" ] with
-    | Ok slos -> slos
-    | Error e -> Alcotest.failf "slo spec: %s" e
-  in
-  with_server ~slos (fun port ->
-      (* served bytes are identical with an objective configured: the
-         response must equal a direct rendering *)
+(* A served /map body equals the direct rendering, and its completion
+   lands in the per-route latency histogram on the scrape. *)
+let test_map_bytes_and_route_histogram () =
+  with_server (fun port ->
       let expected =
         match
           Serve.Server.map_response ~circuit:"bbara" ~k:5
@@ -1440,189 +1414,21 @@ let test_profiling_and_slo () =
       Alcotest.(check int) "map status" 200 status;
       Alcotest.(check string) "byte-identical to the direct rendering"
         expected body;
-      (* /debug/slo evaluates the configured objective against the
-         route histogram, exemplars linking into /debug/trace *)
-      let status, _, body =
-        http_full ~port ~meth:"GET" ~path:"/debug/slo" ()
-      in
-      Alcotest.(check int) "slo status" 200 status;
-      let doc =
-        match Obs.Json.of_string body with
-        | Ok d -> d
-        | Error e -> Alcotest.failf "/debug/slo: %s" e
-      in
-      Alcotest.(check bool) "slo schema" true
-        (Obs.Json.member "schema" doc = Some (Obs.Json.Str "turbosyn-slo/1"));
-      let objective =
-        match Obs.Json.member "objectives" doc with
-        | Some (Obs.Json.List [ o ]) -> o
-        | _ -> Alcotest.fail "expected exactly one objective"
-      in
-      Alcotest.(check bool) "objective route" true
-        (Obs.Json.member "route" objective = Some (Obs.Json.Str "/map"));
-      Alcotest.(check bool) "histogram named for reproduction" true
-        (Obs.Json.member "histogram" objective
-        = Some (Obs.Json.Str "serve.route_seconds.map"));
-      (match Obs.Json.member "latency" objective with
-      | Some lat ->
-          Alcotest.(check bool) "one served request counted" true
-            (Obs.Json.member "count" lat = Some (Obs.Json.Int 1));
-          Alcotest.(check bool) "good at or under target" true
-            (Obs.Json.member "good" lat = Some (Obs.Json.Int 1));
-          Alcotest.(check bool) "burn rate present" true
-            (Obs.Json.member "burn_rate" lat <> None)
-      | None -> Alcotest.fail "no latency verdict");
-      (match Obs.Json.member "errors" objective with
-      | Some errs ->
-          Alcotest.(check bool) "no errors burned" true
-            (Obs.Json.member "errors" errs = Some (Obs.Json.Int 0))
-      | None -> Alcotest.fail "no error verdict");
-      (match Obs.Json.member "slowest" objective with
-      | Some (Obs.Json.List (ex :: _)) ->
-          Alcotest.(check bool) "exemplar links into /debug/trace" true
-            (match Obs.Json.member "trace" ex with
-            | Some (Obs.Json.Str path) ->
-                String.length path > 13
-                && String.sub path 0 13 = "/debug/trace/"
-            | _ -> false)
-      | _ -> Alcotest.fail "no slowest exemplars");
-      (* the same verdicts reach the scrape as turbosyn_slo_* gauges *)
       let _, _, scrape = http_full ~port ~meth:"GET" ~path:"/metrics" () in
-      (match
-         series_value scrape
-           "turbosyn_slo_latency_burn_rate{route=\"/map\",objective=\"p99\"}"
-       with
-      | None -> Alcotest.fail "no latency burn-rate gauge"
-      | Some burn ->
-          Alcotest.(check bool) "burn within budget" true
-            (burn >= 0. && burn <= 1.));
-      (match series_value scrape "turbosyn_slo_ok{route=\"/map\"}" with
-      | None -> Alcotest.fail "no slo ok gauge"
-      | Some ok -> Alcotest.(check (float 0.)) "objective holding" 1. ok);
-      Alcotest.(check bool) "error budget gauge" true
-        (series_value scrape "turbosyn_slo_error_budget{route=\"/map\"}"
-        = Some 0.001);
-      (* the route histogram the verdict reproduces from is scraped *)
       match
         series_value scrape "turbosyn_serve_route_seconds_map_count"
       with
       | None -> Alcotest.fail "no route histogram on the scrape"
       | Some n -> Alcotest.(check (float 0.)) "one observation" 1. n)
 
-(* /debug/slo's latency verdict recomputed from a /metrics scrape after
-   a hot/cold mix (doc/PROFILING.md §SLOs and burn rates).  [good] is
-   the cumulative _bucket count at the largest rendered le at or below
-   the published good_upper_seconds, [count] the _count line, and the
-   burn rate (count - good) / count / (1 - q).  The 1 ms target is one
-   the cold keys' computations miss, so the burn rate is nonzero. *)
-let test_slo_burn_reproduced () =
-  let slos =
-    match Obs.Slo.parse_all [ "route=/map,p99=1ms" ] with
-    | Ok slos -> slos
-    | Error e -> Alcotest.failf "slo spec: %s" e
-  in
-  let cold = [| ("bbara", 4); ("bbara", 6); ("dk16", 5) |] in
-  let body_of g =
-    if g mod 2 = 0 then map_body ~circuit:"bbara" ~algo:"turbomap"
-    else
-      let c, k = cold.(g / 2 mod Array.length cold) in
-      Printf.sprintf "{\"circuit\": %S, \"k\": %d, \"algo\": \"turbomap\"}"
-        c k
-  in
-  with_server ~workers:2 ~slos (fun port ->
-      let replies =
-        List.concat_map Domain.join (load ~port ~domains:2 ~per:6 body_of)
-      in
-      List.iter
-        (fun (id, status, _) ->
-          Alcotest.(check int) (id ^ " status") 200 status)
-        replies;
-      Alcotest.(check bool) "mix hits the cache" true (hits replies > 0);
-      (* /debug/slo first, then /metrics, with no /map in between: a GET
-         observes only its own route histogram, so both answers see the
-         same /map distribution *)
-      let _, slo = http ~port ~meth:"GET" ~path:"/debug/slo" () in
-      let _, scrape = http ~port ~meth:"GET" ~path:"/metrics" () in
-      let objective =
-        match Obs.Json.of_string slo with
-        | Ok doc -> (
-            match Obs.Json.member "objectives" doc with
-            | Some (Obs.Json.List [ o ]) -> o
-            | _ -> Alcotest.fail "expected exactly one objective")
-        | Error e -> Alcotest.failf "/debug/slo: %s" e
-      in
-      let lat =
-        match Obs.Json.member "latency" objective with
-        | Some l -> l
-        | None -> Alcotest.fail "no latency verdict"
-      in
-      let num k =
-        match Obs.Json.member k lat with
-        | Some (Obs.Json.Float v) -> v
-        | Some (Obs.Json.Int v) -> float_of_int v
-        | _ -> Alcotest.failf "latency verdict lacks %s" k
-      in
-      let q = num "quantile" and target = num "target_seconds" in
-      let upper = num "good_upper_seconds" in
-      let good = int_of_float (num "good") in
-      let count = int_of_float (num "count") in
-      let burn = num "burn_rate" in
-      Alcotest.(check (float 0.)) "good_upper is the bucket boundary at or \
-                                   above the target"
-        Obs.Histogram.(bucket_upper (bucket_of target))
-        upper;
-      (* the histogram as the renderer spells it: turbosyn_ prefix,
-         dots sanitized to underscores *)
-      let metric =
-        match Obs.Json.member "histogram" objective with
-        | Some (Obs.Json.Str h) ->
-            "turbosyn_" ^ String.map (fun c -> if c = '.' then '_' else c) h
-        | _ -> Alcotest.fail "objective names no histogram"
-      in
-      let prefix = metric ^ "_bucket{le=\"" in
-      let _, good_re =
-        String.split_on_char '\n' scrape
-        |> List.filter_map (fun line ->
-               let n = String.length prefix in
-               if not (String.starts_with ~prefix line) then None
-               else
-                 try
-                   Scanf.sscanf
-                     (String.sub line n (String.length line - n))
-                     "%f\"} %f"
-                     (fun le v -> Some (le, int_of_float v))
-                 with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
-        |> List.fold_left
-             (fun (best, g) (le, v) ->
-               if le <= upper *. (1. +. 1e-9) && le > best then (le, v)
-               else (best, g))
-             (neg_infinity, 0)
-      in
-      let count_re =
-        match series_value scrape (metric ^ "_count") with
-        | Some v -> int_of_float v
-        | None -> Alcotest.failf "%s_count missing from the scrape" metric
-      in
-      Alcotest.(check int) "count reproduced" count count_re;
-      Alcotest.(check int) "good reproduced" good good_re;
-      Alcotest.(check bool) "cold keys miss the target" true (good < count);
-      let burn_re =
-        float_of_int (count_re - good_re) /. float_of_int count_re /. (1. -. q)
-      in
-      Alcotest.(check (float 1e-9)) "burn rate reproduced" burn burn_re;
-      Alcotest.(check bool) "burn rate nonzero" true (burn > 0.))
-
-(* Without objectives, /debug/slo still answers (empty, not 404) —
-   dashboards can always scrape it. *)
-let test_prof_slo_defaults () =
+(* /debug/slo is not a route: any method gets the catch-all 404. *)
+let test_debug_slo_gone () =
   with_server (fun port ->
-      let status, _, body = http_full ~port ~meth:"GET" ~path:"/debug/slo" () in
-      Alcotest.(check int) "slo status" 200 status;
-      match Obs.Json.of_string body with
-      | Ok doc ->
-          Alcotest.(check bool) "no objectives" true
-            (Obs.Json.member "objectives" doc = Some (Obs.Json.List []))
-      | Error e -> Alcotest.failf "/debug/slo: %s" e)
+      List.iter
+        (fun meth ->
+          let status, _, _ = http_full ~port ~meth ~path:"/debug/slo" () in
+          Alcotest.(check int) (meth ^ " /debug/slo") 404 status)
+        [ "GET"; "POST" ])
 
 (* K beyond the truth-table arity (or below 2) is the client's error:
    400 "k out of range" from the request parser, whatever the algorithm,
@@ -1747,12 +1553,9 @@ let () =
           Alcotest.test_case "content-length validation" `Quick
             test_content_length;
           Alcotest.test_case "request read deadline" `Slow test_read_deadline;
-          Alcotest.test_case "profiling and slo endpoints" `Quick
-            test_profiling_and_slo;
-          Alcotest.test_case "slo burn rate reproduced from a scrape" `Quick
-            test_slo_burn_reproduced;
-          Alcotest.test_case "prof and slo defaults" `Quick
-            test_prof_slo_defaults;
+          Alcotest.test_case "served map bytes and route histogram" `Quick
+            test_map_bytes_and_route_histogram;
+          Alcotest.test_case "debug/slo is a 404" `Quick test_debug_slo_gone;
           Alcotest.test_case "k out of range is a 400" `Quick test_k_range;
           Alcotest.test_case "deeply nested body is a 400" `Quick
             test_deep_body;
