@@ -361,6 +361,7 @@ let check_provenance doc source labels phi ~k ~cmax =
     failf "provenance length %d, source has %d nodes" (Array.length provs)
       (Netlist.n source);
   let arrival (u, w) = Rat.sub labels.(u) (Rat.mul_int phi w) in
+  let cut_function = Seqmap.Mapgen.cut_function source in
   Array.iteri
     (fun v pj ->
       match (Netlist.is_gate source v, pj) with
@@ -416,7 +417,7 @@ let check_provenance doc source labels phi ~k ~cmax =
               if not (Rat.equal h height) then
                 failf "gate %d: recomputed cut height %s, claimed %s" v
                   (Rat.to_string h) (Rat.to_string height);
-              ignore (Seqmap.Mapgen.cut_function source ~root:v ~cut)
+              ignore (cut_function ~root:v ~cut)
           | Some h ->
               if h < 0 then failf "gate %d: negative rescue depth" v;
               if Array.length cut > cmax then

@@ -138,9 +138,11 @@ let run_flowsyn_s o nl =
       ~exhaustive:o.exhaustive nl ~k:o.k
   in
   let cpu = Sys.time () -. t0 in
+  (* the searched flows clamp phi to [1, UB]; an MDR below 1 (every loop
+     of LUTs holds more registers than LUTs) still needs a period of 1 *)
   let phi =
     match report.Flowmap.Flowsyn.mdr with
-    | Graphs.Cycle_ratio.Ratio r -> r
+    | Graphs.Cycle_ratio.Ratio r -> Rat.max r Rat.one
     | Graphs.Cycle_ratio.No_cycle -> Rat.zero
     | Graphs.Cycle_ratio.Infinite -> Rat.of_int (-1)
   in

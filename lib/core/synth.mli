@@ -61,7 +61,10 @@ type result = {
   realized : Circuit.Netlist.t option;
       (** retimed + pipelined to [clock_period]; [None] only if
           realization failed (never for valid inputs) *)
-  phi : Rat.t;  (** minimum (or achieved, for [`Flowsyn_s]) MDR ratio *)
+  phi : Rat.t;
+      (** minimum (or achieved, for [`Flowsyn_s]) MDR ratio; a cyclic
+          [`Flowsyn_s] ratio is floored at 1, as the searched flows
+          clamp theirs to [\[1, UB\]] *)
   clock_period : int;  (** [max 1 (ceil phi_mapped)] *)
   latency : int;  (** pipeline stages added at realization *)
   luts : int;  (** after area recovery *)

@@ -49,35 +49,6 @@ let cone t v =
   in
   go v []
 
-(* Evaluate the sub-DAG rooted at [root] with values fixed at [inputs]. *)
-let eval_cone t ~root ~inputs ~values =
-  let memo = Hashtbl.create 32 in
-  Array.iteri (fun j u -> Hashtbl.replace memo u values.(j)) inputs;
-  let rec go v =
-    match Hashtbl.find_opt memo v with
-    | Some b -> b
-    | None ->
-        let b =
-          match t.kind.(v) with
-          | In -> invalid_arg "Comb.cone_function: path escapes the cut"
-          | Gate f -> Logic.Truthtable.eval f (Array.map go t.fanins.(v))
-        in
-        Hashtbl.replace memo v b;
-        b
-  in
-  go root
-
-let cone_function t ~root ~inputs =
-  let k = Array.length inputs in
-  if k > Logic.Truthtable.max_arity then invalid_arg "Comb.cone_function: arity";
-  let bits = ref 0L in
-  for m = 0 to (1 lsl k) - 1 do
-    let values = Array.init k (fun j -> m land (1 lsl j) <> 0) in
-    if eval_cone t ~root ~inputs ~values then
-      bits := Int64.logor !bits (Int64.shift_left 1L m)
-  done;
-  Logic.Truthtable.create k !bits
-
 let cone_bdd man t ~root ~inputs ~vars =
   if Array.length inputs <> Array.length vars then
     invalid_arg "Comb.cone_bdd: length mismatch";
@@ -96,15 +67,3 @@ let cone_bdd man t ~root ~inputs ~vars =
         b
   in
   go root
-
-let depth t =
-  let order = topo_order t in
-  let d = Array.make (n t) 0 in
-  Array.iter
-    (fun v ->
-      match t.kind.(v) with
-      | In -> d.(v) <- 0
-      | Gate _ ->
-          d.(v) <- 1 + Array.fold_left (fun acc u -> max acc d.(u)) 0 t.fanins.(v))
-    order;
-  d

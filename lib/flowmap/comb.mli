@@ -2,8 +2,7 @@
 
     A [comb] is a DAG of gates over pseudo-inputs; it is what FlowMap and
     FlowSYN operate on.  {!Flowsyn} builds one from a sequential circuit by
-    cutting at every flip-flop (each registered signal becomes an [In]) and
-    reassembles the mapped result. *)
+    cutting at every flip-flop (each registered signal becomes an [In]). *)
 
 type node_kind =
   | In  (** pseudo primary input *)
@@ -26,15 +25,8 @@ val topo_order : t -> int array
 val cone : t -> int -> int list
 (** Transitive fanin cone of a node, including the node itself. *)
 
-val cone_function : t -> root:int -> inputs:int array -> Logic.Truthtable.t
-(** Truth table of [root] as a function of the given cut [inputs]
-    (at most 6), evaluated by exhaustive simulation of the sub-DAG.
-    @raise Invalid_argument if some path from [root] escapes the cut. *)
-
 val cone_bdd :
   Bdd.man -> t -> root:int -> inputs:int array -> vars:int array -> Bdd.t
 (** BDD of [root] over cut [inputs] (input [j] mapped to BDD variable
-    [vars.(j)]); used when the cut is wider than 6. *)
-
-val depth : t -> int array
-(** Unit-delay depth of every node ([In] nodes have depth 0). *)
+    [vars.(j)]): the cone function FlowSYN decomposes.
+    @raise Invalid_argument if some path from [root] escapes the cut. *)

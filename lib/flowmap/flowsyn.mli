@@ -2,17 +2,18 @@
     the paper (and plain FlowMap-s when resynthesis is off).
 
     The circuit is split into its combinational part by treating every
-    registered signal [(driver, w)] as a pseudo input; the combinational
-    network is mapped with FlowMap or FlowSYN; the mapped LUTs are then
-    reassembled with the original register positions.  Register positions
-    never move during mapping, which is exactly why this baseline loses to
-    TurboMap/TurboSYN on sequential circuits: the final clock period (after
-    optimal retiming + pipelining, i.e. the MDR ratio of the result) is
-    inherited from the fixed FF placement. *)
+    registered signal [(driver, w)] as a pseudo input, and {!Labels} maps
+    that network with FlowMap or FlowSYN.  Each pseudo input stands for
+    the sequential cut pair [(driver, w)], so a gate's cut or LUT tree
+    over comb nodes is a sequential implementation over those pairs;
+    {!Seqmap.Mapgen} then emits the LUT network, reconnecting the
+    flip-flops as edge weights, as it does for TurboMap and TurboSYN.
+    Register positions never move during mapping, which is exactly why
+    this baseline loses to TurboMap/TurboSYN on sequential circuits: the
+    final clock period (after optimal retiming + pipelining, i.e. the MDR
+    ratio of the result) is inherited from the fixed FF placement. *)
 
 type report = {
-  luts : int;
-  depth : int;  (** combinational LUT depth of the mapped blocks *)
   resyn_nodes : int;
   mdr : Graphs.Cycle_ratio.result;
       (** the mapped circuit's clock-period bound under retiming +
@@ -29,7 +30,8 @@ val map_sequential :
   Circuit.Netlist.t * report
 (** [resynthesize = true] gives FlowSYN-s; default [false] is FlowMap-s.
     The result is a K-LUT circuit I/O-equivalent to the input (registers
-    and their positions unchanged).  [jobs] accepts only [1]: the
+    and their positions unchanged); like every [Mapgen] result it holds
+    only the gates the primary outputs need.  [jobs] accepts only [1]: the
     benchmark harness still passes it, and it goes with the next
     benchmark change.
     @raise Invalid_argument if the input is not K-bounded, has

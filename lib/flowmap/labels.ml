@@ -137,6 +137,3 @@ let compute ?(resynthesize = false) ?(cmax = 15) ?(exhaustive = false) t ~k =
       0 impls
   in
   { labels; impls; resyn_nodes }
-
-let mapping_depth t result =
-  List.fold_left (fun acc r -> max acc result.labels.(r)) 0 t.Comb.roots

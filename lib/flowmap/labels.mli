@@ -36,7 +36,3 @@ val compute :
     [exhaustive = false] (prefix bound sets only).
     @raise Invalid_argument if the input is not K-bounded or [k] is outside
     [\[2, 6\]]. *)
-
-val mapping_depth : Comb.t -> result -> int
-(** Maximum label over the roots: the depth of the mapping the labels
-    induce. *)

@@ -54,9 +54,7 @@ type options = {
   cmax : int;
   exhaustive : bool;
   pld : bool;
-  extra_depth : int;
   max_expansion : int;
-  resyn_depth : int;
   multi_output : bool;
   full_expansion : bool;
 }
@@ -68,12 +66,16 @@ let default_options ~k =
     cmax = 15;
     exhaustive = false;
     pld = true;
-    extra_depth = 3;
     max_expansion = 4000;
-    resyn_depth = 2;
     multi_output = false;
     full_expansion = false;
   }
+
+(* candidate expansion slack in [E_v], in levels past the threshold *)
+let extra_depth = 3
+
+(* resynthesis tries thresholds L(v) - 0 .. L(v) - resyn_depth *)
+let resyn_depth = 2
 
 type cause = Converged | Periodic | Pld_gate | Diverged | Cap
 
@@ -273,10 +275,10 @@ let pack u w internal =
     invalid_arg "Label_engine: expansion node out of snapshot range";
   (u lsl u_shift) lor (w lsl 1) lor Bool.to_int internal
 
-(* Per-gate snapshots kept, most recently used first.  Must stay at least
-   [resyn_depth + 1] (default 2) so one attempt's levels do not evict
-   each other; measured on cse TurboSYN, 4 thrashes and 16 gains
-   nothing over 8 (doc/PERF.md). *)
+(* Per-gate snapshots kept, most recently used first.  At least
+   [resyn_depth + 1], so one attempt's levels do not evict each other;
+   measured on cse TurboSYN, 4 thrashes and 16 gains nothing over 8
+   (doc/PERF.md). *)
 let ring_size = 8
 
 (* Cross-phi min-cut memo: the per-gate last-passing-cut table and the
@@ -388,7 +390,7 @@ let big_l ctx v =
    pre-TurboMap network construction whose cost the paper's lineage
    improved on. *)
 let effective_depth opts =
-  if opts.full_expansion then max_int / 2 else opts.extra_depth
+  if opts.full_expansion then max_int / 2 else extra_depth
 
 (* [st] here and below: a threshold scaled by q *)
 let build_expanded ctx v ~st =
@@ -697,7 +699,7 @@ let resyn_test ?ex0 ?mc0 ~snap0 ctx v ~target =
         if !lvl <= target then `Impl (Resyn (t, inputs), !lvl) else `No
   in
   let rec attempt h =
-    if h > opts.resyn_depth then None
+    if h > resyn_depth then None
     else
       let st = target - (h * sc.pden) in
       let snapped = if h = 0 then Some snap0 else ring_find ctx v ~st in

@@ -36,9 +36,7 @@ type options = {
   cmax : int;  (** max cut width handed to the decomposition engine *)
   exhaustive : bool;  (** decomposition bound-set search *)
   pld : bool;  (** positive loop detection (on = the paper's TurboSYN/TurboMap) *)
-  extra_depth : int;  (** candidate expansion slack in [E_v] *)
   max_expansion : int;  (** node budget per expanded circuit *)
-  resyn_depth : int;  (** thresholds L(v) - 0 .. L(v) - resyn_depth tried *)
   multi_output : bool;
       (** allow two-wire bound-set extraction when single-output
           decomposition is stuck (the paper's future-work extension) *)
@@ -51,8 +49,9 @@ type options = {
 
 val default_options : k:int -> options
 (** k, resynthesize=false, cmax=15, exhaustive=false, pld=true,
-    extra_depth=3, max_expansion=4000, resyn_depth=2, multi_output=false,
-    full_expansion=false. *)
+    max_expansion=4000, multi_output=false, full_expansion=false.  The
+    candidate expansion slack in [E_v] (3 levels) and the resynthesis
+    thresholds tried (L(v) - 0 .. L(v) - 2) are fixed. *)
 
 (** Why a label run ended. *)
 type cause =

@@ -1,16 +1,11 @@
 open Circuit
 
-(* Unroll the circuit from (root, 0), stopping at cut pairs. *)
-let cut_bdd man nl ~root ~cut ~vars =
+(* Unroll the circuit from (root, 0), stopping at cut pairs.  [wmax]
+   bounds the registers a path may accumulate: an invalid cut on a
+   registered cycle would unroll forever. *)
+let cut_bdd man nl ~wmax ~root ~cut ~vars =
   let cut_pos = Hashtbl.create 8 in
   Array.iteri (fun j (u, w) -> Hashtbl.replace cut_pos (u, w) j) cut;
-  (* an invalid cut on a registered cycle would unroll forever *)
-  let wmax =
-    Array.fold_left
-      (fun acc e -> acc + e.Graphs.Cycle_ratio.weight)
-      (Netlist.n nl + 8)
-      (Netlist.retiming_edges nl)
-  in
   let memo = Hashtbl.create 64 in
   let rec go u w =
     if w > wmax then invalid_arg "Mapgen.cut_function: cut does not cover a path";
@@ -36,13 +31,21 @@ let cut_bdd man nl ~root ~cut ~vars =
   in
   go root 0
 
-let cut_function nl ~root ~cut =
-  let k = Array.length cut in
-  if k > Logic.Truthtable.max_arity then invalid_arg "Mapgen.cut_function: width";
-  let man = Bdd.new_man () in
-  let vars = Array.init k Fun.id in
-  let f = cut_bdd man nl ~root ~cut ~vars in
-  Bdd.to_truthtable man f vars
+let cut_function nl =
+  let wmax =
+    Array.fold_left
+      (fun acc e -> acc + e.Graphs.Cycle_ratio.weight)
+      (Netlist.n nl + 8)
+      (Netlist.retiming_edges nl)
+  in
+  fun ~root ~cut ->
+    let k = Array.length cut in
+    if k > Logic.Truthtable.max_arity then
+      invalid_arg "Mapgen.cut_function: width";
+    let man = Bdd.new_man () in
+    let vars = Array.init k Fun.id in
+    let f = cut_bdd man nl ~wmax ~root ~cut ~vars in
+    Bdd.to_truthtable man f vars
 
 type memo = (int * (int * int) array, Logic.Truthtable.t * (int * int) array) Hashtbl.t
 
@@ -50,6 +53,7 @@ let new_memo () : memo = Hashtbl.create 256
 
 let generate ?(memo = new_memo ()) nl ~impls =
   let n = Netlist.n nl in
+  let cut_function = cut_function nl in
   (* collect the needed gates *)
   let needed = Array.make n false in
   let work = Queue.create () in
@@ -100,7 +104,7 @@ let generate ?(memo = new_memo ()) nl ~impls =
             match Hashtbl.find_opt memo (v, cut) with
             | Some lut -> lut
             | None ->
-                let tt = cut_function nl ~root:v ~cut in
+                let tt = cut_function ~root:v ~cut in
                 (* the cut function may not depend on every cut signal *)
                 let tt, sup = Logic.Truthtable.shrink_support tt in
                 let lut = (tt, Array.of_list (List.map (fun j -> cut.(j)) sup)) in

@@ -15,7 +15,9 @@ val cut_function :
   Logic.Truthtable.t
 (** Function of gate [root] over the sequential cut signals (cut width at
     most 6): the circuit is unrolled from [root], stopping exactly at cut
-    pairs [(driver, accumulated registers)].
+    pairs [(driver, accumulated registers)].  Partial application to the
+    netlist computes the unroll bound (O(E)) once; apply it once per
+    netlist and reuse the result for every LUT.
     @raise Invalid_argument if the cut does not cover all paths. *)
 
 type memo

@@ -299,6 +299,29 @@ let test_ffmin_matches_reference () =
        (fun name -> [ (name, `Turbomap); (name, `Flowsyn_s) ])
        [ "bbara"; "s298"; "s1423" ])
 
+(* FlowSYN-s phi and clock period on every Table-1 row at K = 5.  The
+   baseline keeps each register where the source puts it, so how its LUT
+   network is emitted must not move either figure. *)
+let test_flowsyn_s_table1 () =
+  let options = Turbosyn.Synth.default_options ~k:5 () in
+  List.iter
+    (fun (name, (num, den), period) ->
+      let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+      let r = Turbosyn.Synth.run ~options `Flowsyn_s nl in
+      Alcotest.(check string) (name ^ " phi")
+        (Rat.to_string (Rat.make num den))
+        (Rat.to_string r.Turbosyn.Synth.phi);
+      Alcotest.(check int) (name ^ " clock period") period
+        r.Turbosyn.Synth.clock_period)
+    [
+      ("bbara", (2, 1), 2); ("bbsse", (6, 1), 6); ("cse", (5, 1), 5);
+      ("dk16", (6, 1), 6); ("donfile", (4, 1), 4); ("ex1", (7, 1), 7);
+      ("keyb", (8, 1), 8); ("planet", (8, 1), 8); ("s1", (8, 1), 8);
+      ("sand", (11, 1), 11); ("styr", (9, 1), 9); ("tbk", (6, 1), 6);
+      ("s298", (4, 1), 4); ("s420", (9, 2), 4); ("s526", (9, 2), 5);
+      ("s1423", (1, 1), 1);
+    ]
+
 let test_multi_output_never_worse () =
   (* multi-output decomposition can only widen the search: phi never gets
      worse, results stay equivalent *)
@@ -436,6 +459,8 @@ let () =
           Alcotest.test_case "multi-output flow" `Slow test_multi_output_never_worse;
           Alcotest.test_case "ff minimization matches reference" `Quick
             test_ffmin_matches_reference;
+          Alcotest.test_case "flowsyn-s table 1 at k=5" `Quick
+            test_flowsyn_s_table1;
           Alcotest.test_case "emission" `Quick test_outputs_consumable;
         ] );
       ( "workloads",
