@@ -500,7 +500,7 @@ let stats_mode () =
   Obs.set_enabled false
 
 (* stats --json FILE [--circuit NAME] [--algo NAME]: one deterministic
-   run, emitted as a turbosyn-stats/2 document.  Counters and span entry
+   run, emitted as a turbosyn-stats/3 document.  Counters and span entry
    counts are exact functions of the circuit and the options (K=5,
    sequential search), so the output is comparable
    across machines — the committed BENCH_stats_baseline.json is produced

@@ -24,7 +24,8 @@ type t = {
 let schema_of doc =
   match J.member "schema" doc with Some (J.Str s) -> Some s | _ -> None
 
-let known_schemas = [ "turbosyn-stats/1"; "turbosyn-stats/2" ]
+let known_schemas =
+  [ "turbosyn-stats/1"; "turbosyn-stats/2"; "turbosyn-stats/3" ]
 
 let counters_of doc =
   match J.member "counters" doc with

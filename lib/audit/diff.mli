@@ -1,5 +1,5 @@
-(** Regression gating over two stats documents ([turbosyn-stats/1] or
-    [turbosyn-stats/2]).
+(** Regression gating over two stats documents ([turbosyn-stats/1],
+    [/2] or [/3]).
 
     Counters, span {e entry counts}, and histogram {e observation counts}
     are deterministic functions of the input and the algorithm, so they

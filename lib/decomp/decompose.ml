@@ -36,15 +36,6 @@ let rec eval_tree t env =
   | Lut (tt, fanins) ->
       Truthtable.eval tt (Array.map (fun f -> eval_tree f env) fanins)
 
-let tree_inputs t =
-  let acc = Hashtbl.create 8 in
-  let rec go = function
-    | Input i -> Hashtbl.replace acc i ()
-    | Lut (_, fanins) -> Array.iter go fanins
-  in
-  go t;
-  List.sort Int.compare (Hashtbl.fold (fun i () l -> i :: l) acc [])
-
 (* live inputs during the loop *)
 type live = { var : int; arrival : Rat.t; t : tree }
 

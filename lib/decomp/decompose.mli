@@ -26,17 +26,8 @@ type result = {
   luts : int;  (** number of LUT nodes in the tree *)
 }
 
-val tree_level : arrivals:Rat.t array -> tree -> Rat.t
-(** Arrival of a tree: [arrivals.(i)] for [Input i], max of fanin levels
-    plus one for a LUT ([Rat.zero] for a constant 0-input LUT). *)
-
-val tree_luts : tree -> int
-
 val eval_tree : tree -> (int -> bool) -> bool
 (** Evaluate under an assignment of the original inputs. *)
-
-val tree_inputs : tree -> int list
-(** Distinct input indices used, ascending. *)
 
 val decompose :
   ?exhaustive:bool ->

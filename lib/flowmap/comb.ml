@@ -3,7 +3,6 @@ type node_kind = In | Gate of Logic.Truthtable.t
 type t = {
   kind : node_kind array;
   fanins : int array array;
-  roots : int list;
 }
 
 let n t = Array.length t.kind
@@ -29,9 +28,6 @@ let validate t =
         (fun u -> if u < 0 || u >= n t then invalid_arg "Comb: bad fanin id")
         fi)
     t.fanins;
-  List.iter
-    (fun r -> if r < 0 || r >= n t then invalid_arg "Comb: bad root id")
-    t.roots;
   match Graphs.Topo.sort ~n:(n t) ~succ:(succ t) with
   | Some _ -> ()
   | None -> invalid_arg "Comb: cyclic"

@@ -11,9 +11,6 @@ type node_kind =
 type t = {
   kind : node_kind array;
   fanins : int array array;  (** gate fanins; [ [||] ] for [In] *)
-  roots : int list;
-      (** nodes whose values must be available as LUT outputs (or inputs):
-          drivers of primary outputs and of registered edges *)
 }
 
 val n : t -> int

@@ -10,13 +10,12 @@ let to_comb nl =
   (* comb ids: gates and PIs get one each; registered signals (driver, w)
      get a pseudo-input on demand *)
   let comb_of = Array.make n (-1) in
-  let kinds = ref [] and fans = ref [] and origin = ref [] in
+  let kinds = ref [] and origin = ref [] in
   let count = ref 0 in
   let fresh kind origin_pair =
     let id = !count in
     incr count;
     kinds := kind :: !kinds;
-    fans := [||] :: !fans;
     origin := origin_pair :: !origin;
     id
   in
@@ -36,11 +35,8 @@ let to_comb nl =
     | Netlist.Gate f -> comb_of.(v) <- fresh (Comb.Gate f) (v, 0)
     | Netlist.Po -> ()
   done;
-  (* wire gates; collect root drivers *)
-  let kinds_arr = Array.make !count Comb.In in
-  List.iteri (fun i k -> kinds_arr.(!count - 1 - i) <- k) !kinds;
+  (* wire gates *)
   let fans_arr = Array.make !count [||] in
-  let is_root = Array.make n false in
   for v = 0 to n - 1 do
     match Netlist.kind nl v with
     | Netlist.Gate _ ->
@@ -49,14 +45,8 @@ let to_comb nl =
             (fun (u, w) -> if w = 0 then comb_of.(u) else pseudo_in u w)
             (Netlist.fanins nl v)
         in
-        fans_arr.(comb_of.(v)) <- fi;
-        Array.iter
-          (fun (u, w) -> if w >= 1 && Netlist.is_gate nl u then is_root.(u) <- true)
-          (Netlist.fanins nl v)
-    | Netlist.Po ->
-        let u, _w = (Netlist.fanins nl v).(0) in
-        if Netlist.is_gate nl u then is_root.(u) <- true
-    | Netlist.Pi -> ()
+        fans_arr.(comb_of.(v)) <- fi
+    | Netlist.Pi | Netlist.Po -> ()
   done;
   (* pseudo inputs may have been created after gates; rebuild arrays *)
   let total = !count in
@@ -67,12 +57,7 @@ let to_comb nl =
   (* fans_arr was sized before pseudo inputs; copy what exists *)
   let origin_arr = Array.make total (0, 0) in
   List.iteri (fun i o -> origin_arr.(total - 1 - i) <- o) !origin;
-  let roots =
-    List.filter_map
-      (fun v -> if is_root.(v) then Some comb_of.(v) else None)
-      (List.init n Fun.id)
-  in
-  let comb = { Comb.kind; fanins; roots } in
+  let comb = { Comb.kind; fanins } in
   Comb.validate comb;
   (comb, origin_arr)
 

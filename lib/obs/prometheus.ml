@@ -134,12 +134,7 @@ let render ?(exclude_prefixes = []) ?(extra = []) () =
       ~name:(prefix ^ "phase_major_words_total")
       ~help:"Major-heap words allocated inside each phase span."
       ~mtype:"counter"
-      (labeled (series (fun _ _ gc -> gc.Span.major_words)));
-    add_family buf
-      ~name:(prefix ^ "phase_compactions_total")
-      ~help:"Heap compactions observed inside each phase span."
-      ~mtype:"counter"
-      (labeled (series (fun _ _ gc -> float_of_int gc.Span.compactions)))
+      (labeled (series (fun _ _ gc -> gc.Span.major_words)))
   end;
   (* histograms: cumulative le buckets (observed boundaries plus +Inf),
      then _sum and _count, per the exposition format *)

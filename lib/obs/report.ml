@@ -1,4 +1,4 @@
-let schema_version = "turbosyn-stats/2"
+let schema_version = "turbosyn-stats/3"
 
 (* The metric objects of the stats document, over any sink's contents:
    the global registry here, one request's in Scope.summary_json. *)
@@ -20,7 +20,6 @@ let spans_json spans =
                      ("minor_words", Json.Float gc.minor_words);
                      ("promoted_words", Json.Float gc.promoted_words);
                      ("major_words", Json.Float gc.major_words);
-                     ("compactions", Json.Int gc.compactions);
                    ] );
              ] ))
        spans)

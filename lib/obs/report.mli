@@ -1,11 +1,11 @@
 (** Assembly of the versioned stats report.
 
     The report is a single JSON object; [doc/OBSERVABILITY.md] is the
-    normative description of the schema.  Version [turbosyn-stats/2]:
+    normative description of the schema.  Version [turbosyn-stats/3]:
 
     {v
     {
-      "schema":     "turbosyn-stats/2",
+      "schema":     "turbosyn-stats/3",
       "enabled":    true,
       ...caller-supplied extra members (e.g. "run")...,
       "counters":   { "<name>": <int>, ... },
@@ -13,8 +13,7 @@
       "spans":      { "<name>": { "seconds": <float>, "entries": <int>,
                                   "gc": { "minor_words": <float>,
                                           "promoted_words": <float>,
-                                          "major_words": <float>,
-                                          "compactions": <int> } }, ... },
+                                          "major_words": <float> } }, ... },
       "histograms": { "<name>": { "count": <int>, "sum": <float>,
                                   "min": <float|null>, "max": <float|null>,
                                   "p50": <float>, "p90": <float>,
@@ -23,12 +22,12 @@
     }
     v}
 
-    Version [turbosyn-stats/1] lacked [gauges], [histograms] and the
-    per-span [gc] object; {!Audit.Diff} still accepts v1 documents as
-    baselines. *)
+    Version 2 read process-wide GC figures and had a fourth, always-zero
+    [gc] member; version 1 lacked [gauges], [histograms] and [gc].
+    {!Audit.Diff} still accepts both as baselines. *)
 
 val schema_version : string
-(** ["turbosyn-stats/2"].  Bumped on any incompatible change to the
+(** ["turbosyn-stats/3"].  Bumped on any incompatible change to the
     report layout or to the meaning of a documented counter/span. *)
 
 val counters_json : (string * int) list -> Json.t

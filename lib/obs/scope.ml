@@ -22,12 +22,9 @@ type t = {
   started : float;
   (* Resource baselines, captured at create on the domain that will run
      the work (create and close must happen on the same domain for the
-     GC deltas to be the domain's own — quick_stat is per-domain).
-     Minor words come from Gc.minor_words: quick_stat's count only
-     advances at a minor collection on OCaml 5, so its delta over a short
-     scope reads 0 or a whole minor heap. *)
-  gc_at_open : Gc.stat;
-  minor_at_open : float;
+     GC deltas to be the domain's own — Sink.gc_now reads the calling
+     domain's counters). *)
+  gc_at_open : Sink.gc_totals;
   cpu_at_open : float;
   mutable closed : bool;
 }
@@ -94,8 +91,7 @@ let create ?id () =
     id;
     sink = Sink.create ~capacity:slice_capacity;
     started = Prelude.Timer.wall ();
-    gc_at_open = Gc.quick_stat ();
-    minor_at_open = Gc.minor_words ();
+    gc_at_open = Sink.gc_now ();
     cpu_at_open = Prelude.Timer.cpu ();
     closed = false;
   }
@@ -120,14 +116,13 @@ let close ?(queue_wait = 0.) t =
   t.closed <- true;
   let finished = Prelude.Timer.wall () in
   let resources =
-    let gc1 = Gc.quick_stat () in
+    let gc = Sink.gc_add_since Sink.gc_zero t.gc_at_open in
     let pos f = Float.max 0. f in
     {
       r_cpu_seconds = pos (Prelude.Timer.cpu () -. t.cpu_at_open);
-      r_minor_words = pos (Gc.minor_words () -. t.minor_at_open);
-      r_promoted_words =
-        pos (gc1.Gc.promoted_words -. t.gc_at_open.Gc.promoted_words);
-      r_major_words = pos (gc1.Gc.major_words -. t.gc_at_open.Gc.major_words);
+      r_minor_words = pos gc.minor_words;
+      r_promoted_words = pos gc.promoted_words;
+      r_major_words = pos gc.major_words;
       r_queue_wait = pos queue_wait;
     }
   in

@@ -34,11 +34,11 @@ type resources = {
   r_queue_wait : float;  (** supplied by the caller at {!close}; 0 when
                              unknown *)
 }
-(** Per-request resource deltas ([Gc.quick_stat] + [Prelude.Timer.cpu]
-    at open/close).  All fields clamped non-negative; GC deltas are
-    monotone-counter differences, so a scope left open while others
-    open and close in sequence on the same domain bounds the sum of
-    their deltas. *)
+(** Per-request resource deltas ([Gc.counters], [Gc.minor_words] and
+    [Prelude.Timer.cpu] at open/close).  All fields clamped
+    non-negative; GC deltas are differences of the opening domain's
+    monotone counters, so a scope left open while others open and close
+    in sequence on the same domain bounds the sum of their deltas. *)
 
 val zero_resources : resources
 

@@ -18,11 +18,26 @@ type gc_totals = {
   minor_words : float;
   promoted_words : float;
   major_words : float;
-  compactions : int;
 }
 
-let gc_zero =
-  { minor_words = 0.; promoted_words = 0.; major_words = 0.; compactions = 0 }
+let gc_zero = { minor_words = 0.; promoted_words = 0.; major_words = 0. }
+
+(* The calling domain's own allocation so far, exact: Gc.quick_stat
+   would sum every domain's counters, and lag.  Minor words come from
+   Gc.minor_words, as the minor count of Gc.counters is not exact. *)
+let gc_now () =
+  let _, promoted_words, major_words = Gc.counters () in
+  { minor_words = Gc.minor_words (); promoted_words; major_words }
+
+(* [acc] plus the calling domain's allocation since [since] = gc_now () *)
+let gc_add_since acc since =
+  let now = gc_now () in
+  {
+    minor_words = acc.minor_words +. (now.minor_words -. since.minor_words);
+    promoted_words =
+      acc.promoted_words +. (now.promoted_words -. since.promoted_words);
+    major_words = acc.major_words +. (now.major_words -. since.major_words);
+  }
 
 (* A counter keeps its additive part and its high-water part apart
    (Counter exposes both [add] and [record_max], and they merge
@@ -36,14 +51,9 @@ type span = {
   mutable entries : int; (* completed outermost entries *)
   mutable depth : int; (* live nesting depth (recursive re-entry) *)
   mutable started : float; (* wall clock of the outermost enter *)
-  (* Gc.quick_stat snapshot at the outermost enter, and the deltas
-     accumulated over completed outermost entries.  quick_stat is
-     per-domain in OCaml 5, so a scope's deltas are its worker's own
-     allocation.  Minor words are read from Gc.minor_words instead:
-     quick_stat's count only advances at a minor collection on OCaml 5,
-     so a short span would read 0 or a whole minor heap. *)
-  mutable gc_at_enter : Gc.stat option;
-  mutable minor_at_enter : float;
+  (* [gc_now] at the outermost enter, and the deltas accumulated over
+     completed outermost entries: the entering domain's own allocation *)
+  mutable gc_at_enter : gc_totals;
   mutable gc : gc_totals;
 }
 
@@ -134,8 +144,7 @@ let zero_span name =
     entries = 0;
     depth = 0;
     started = 0.;
-    gc_at_enter = None;
-    minor_at_enter = 0.;
+    gc_at_enter = gc_zero;
     gc = gc_zero;
   }
 
@@ -277,7 +286,6 @@ let merge ~into src =
             minor_words = d.gc.minor_words +. c.gc.minor_words;
             promoted_words = d.gc.promoted_words +. c.gc.promoted_words;
             major_words = d.gc.major_words +. c.gc.major_words;
-            compactions = d.gc.compactions + c.gc.compactions;
           }
       end)
     src.spans;

@@ -2,7 +2,6 @@ type gc_totals = Sink.gc_totals = {
   minor_words : float;
   promoted_words : float;
   major_words : float;
-  compactions : int;
 }
 
 (* A span is a name and the slot its cell has in every sink (Sink):
@@ -25,8 +24,7 @@ let enter s =
     let c = Sink.current_span s in
     if c.depth = 0 then begin
       c.started <- Prelude.Timer.wall ();
-      c.gc_at_enter <- Some (Gc.quick_stat ());
-      c.minor_at_enter <- Gc.minor_words ()
+      c.gc_at_enter <- Sink.gc_now ()
     end;
     c.depth <- c.depth + 1
   end
@@ -37,26 +35,10 @@ let exit s =
     if c.depth > 0 then begin
       c.depth <- c.depth - 1;
       if c.depth = 0 then begin
-        (* GC record first, clock last: the quick_stat's cost then lands
-           inside this activation, as the enter-side one does, instead
-           of on the parent *)
-        (match c.gc_at_enter with
-        | Some g0 ->
-            let g1 = Gc.quick_stat () in
-            c.gc <-
-              {
-                minor_words =
-                  c.gc.minor_words +. (Gc.minor_words () -. c.minor_at_enter);
-                promoted_words =
-                  c.gc.promoted_words
-                  +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
-                major_words =
-                  c.gc.major_words +. (g1.Gc.major_words -. g0.Gc.major_words);
-                compactions =
-                  c.gc.compactions + (g1.Gc.compactions - g0.Gc.compactions);
-              };
-            c.gc_at_enter <- None
-        | None -> ());
+        (* GC reading first, clock last: its cost then lands inside this
+           activation, as the enter-side one does, instead of on the
+           parent *)
+        c.gc <- Sink.gc_add_since c.gc c.gc_at_enter;
         let now = Prelude.Timer.wall () in
         c.total <- c.total +. (now -. c.started);
         c.entries <- c.entries + 1;

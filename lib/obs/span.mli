@@ -23,11 +23,12 @@
 type gc_totals = Sink.gc_totals = {
   minor_words : float;  (** words allocated in the minor heap *)
   promoted_words : float;  (** words promoted minor -> major *)
-  major_words : float;  (** words allocated directly in the major heap *)
-  compactions : int;
+  major_words : float;  (** major-heap words, promoted ones included *)
 }
-(** [Gc.quick_stat] deltas accumulated over a span's completed outermost
-    entries: what the phase allocated, not what the whole process has. *)
+(** Allocation deltas accumulated over a span's completed outermost
+    entries: what the phase allocated, not what the whole process has.
+    Exact, and the entering domain's own: another domain's allocation
+    never counts. *)
 
 type t
 (** A registered span.  Physically equal for equal names. *)
@@ -46,10 +47,10 @@ val count : t -> int
 (** Number of completed outermost entries. *)
 
 val gc_totals : t -> gc_totals
-(** Allocation/GC deltas accumulated over completed outermost entries.
-    Sampled with [Gc.quick_stat] at the outermost [enter]/[exit] pair,
-    so nested activations and other live spans attribute their
-    allocation to every span open around them. *)
+(** Allocation deltas accumulated over completed outermost entries.
+    Read with [Gc.counters] and [Gc.minor_words] at the outermost
+    [enter]/[exit] pair, so nested activations and other live spans
+    attribute their allocation to every span open around them. *)
 
 val enter : t -> unit
 (** Start (or nest into) the span.  No-op while observability is

@@ -366,12 +366,3 @@ let cone_bdd man nl t ~cut ~vars =
     end
   in
   go 0
-
-let cone_truthtable nl t ~cut =
-  let k = List.length cut in
-  if k > Logic.Truthtable.max_arity then
-    invalid_arg "Expanded.cone_truthtable: cut too wide";
-  let man = Bdd.new_man () in
-  let vars = Array.init k Fun.id in
-  let f = cone_bdd man nl t ~cut ~vars in
-  Bdd.to_truthtable man f vars

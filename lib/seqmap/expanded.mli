@@ -79,7 +79,3 @@ val cone_bdd :
     variable of the i-th cut node).  Every path from the root must stop at
     the cut.
     @raise Invalid_argument otherwise. *)
-
-val cone_truthtable :
-  Circuit.Netlist.t -> t -> cut:int list -> Logic.Truthtable.t
-(** Same as a truth table (cut of at most 6 nodes). *)

@@ -145,7 +145,7 @@ exception Over_bound
    current arrivals, so the answer is exact for the tree the cache
    holds.  Labels drift a little each iteration but rarely change the
    order, so this caches across iterations and probes. *)
-(* One memoized cone decomposition.  [tree_level ~arrivals t] only
+(* One memoized cone decomposition.  A tree's level under [arrivals] only
    depends on the arrivals through max_i (arrivals.(i) + depth_i) — the
    maximum LUT-depth of each input position over its leaf occurrences is
    pure tree shape — so the depths are computed once at store time and

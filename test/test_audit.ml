@@ -278,7 +278,7 @@ let test_diff_gating () =
       | Ok _ -> Alcotest.fail "accepted a non-stats document"
       | Error _ -> ())
 
-(* a committed v1 baseline keeps gating v2 documents: forward compat *)
+(* a committed v1 baseline keeps gating current documents: forward compat *)
 let test_diff_v1_baseline () =
   with_obs (fun () ->
       let c = Obs.Counter.make "test.diff-v1-counter" in
@@ -286,8 +286,8 @@ let test_diff_v1_baseline () =
       Obs.Histogram.observe_int (Obs.Histogram.make "test.diff-v1-hist") 3;
       let cur = Obs.Report.stats_json () in
       Alcotest.(check (option string))
-        "current is v2"
-        (Some "turbosyn-stats/2")
+        "current is v3"
+        (Some "turbosyn-stats/3")
         (match J.member "schema" cur with
         | Some (J.Str s) -> Some s
         | _ -> None);
@@ -314,9 +314,9 @@ let test_diff_v1_baseline () =
       let cur = Obs.Report.stats_json () in
       (match Audit.Diff.diff ~base ~cur () with
       | Ok d ->
-          Alcotest.(check bool) "v1 base vs v2 cur ok" true d.Audit.Diff.ok;
+          Alcotest.(check bool) "v1 base vs v3 cur ok" true d.Audit.Diff.ok;
           Alcotest.(check (list string)) "nothing missing" [] d.Audit.Diff.missing
-      | Error e -> Alcotest.failf "v1/v2 diff errored: %s" e);
+      | Error e -> Alcotest.failf "v1/v3 diff errored: %s" e);
       (* an injected counter regression still gates across versions *)
       let base_low =
         patch [ "counters"; "test.diff-v1-counter" ] (fun _ -> J.Int 10) base
@@ -325,10 +325,66 @@ let test_diff_v1_baseline () =
       | Ok d ->
           Alcotest.(check bool) "regression detected across versions" false
             d.Audit.Diff.ok
-      | Error e -> Alcotest.failf "v1/v2 diff errored: %s" e);
-      (* the reverse skew — v2 baseline against a v1 document — errors *)
+      | Error e -> Alcotest.failf "v1/v3 diff errored: %s" e);
+      (* the reverse skew — v3 baseline against a v1 document — errors *)
       match Audit.Diff.diff ~base:cur ~cur:base () with
       | Ok _ -> Alcotest.fail "accepted a newer baseline"
+      | Error _ -> ())
+
+(* a committed v2 baseline (whose span gc objects carry "compactions")
+   keeps gating v3 documents *)
+let test_diff_v2_baseline () =
+  with_obs (fun () ->
+      let c = Obs.Counter.make "test.diff-v2-counter" in
+      Obs.Counter.add c 100;
+      let s = Obs.Span.make "test.diff-v2-span" in
+      Obs.Span.time s (fun () -> ());
+      let cur = Obs.Report.stats_json () in
+      let gc_v2 =
+        J.Obj
+          [
+            ("minor_words", J.Float 10.);
+            ("promoted_words", J.Float 0.);
+            ("major_words", J.Float 0.);
+            ("compactions", J.Int 0);
+          ]
+      in
+      let base =
+        J.Obj
+          [
+            ("schema", J.Str "turbosyn-stats/2");
+            ("enabled", J.Bool true);
+            ("counters", J.Obj [ ("test.diff-v2-counter", J.Int 100) ]);
+            ("gauges", J.Obj []);
+            ( "spans",
+              J.Obj
+                [
+                  ( "test.diff-v2-span",
+                    J.Obj
+                      [
+                        ("seconds", J.Float 0.);
+                        ("entries", J.Int 1);
+                        ("gc", gc_v2);
+                      ] );
+                ] );
+            ("histograms", J.Obj []);
+          ]
+      in
+      (match Audit.Diff.diff ~base ~cur () with
+      | Ok d ->
+          Alcotest.(check bool) "v2 base vs v3 cur ok" true d.Audit.Diff.ok;
+          Alcotest.(check (list string)) "nothing missing" [] d.Audit.Diff.missing
+      | Error e -> Alcotest.failf "v2/v3 diff errored: %s" e);
+      let base_low =
+        patch [ "counters"; "test.diff-v2-counter" ] (fun _ -> J.Int 10) base
+      in
+      (match Audit.Diff.diff ~base:base_low ~cur () with
+      | Ok d ->
+          Alcotest.(check bool) "regression detected across versions" false
+            d.Audit.Diff.ok
+      | Error e -> Alcotest.failf "v2/v3 diff errored: %s" e);
+      match Audit.Diff.diff ~base:cur ~cur:base () with
+      | Ok _ -> Alcotest.fail "accepted a v3 baseline against a v2 document"
       | Error _ -> ())
 
 (* histogram observation counts gate when both documents carry them *)
@@ -609,8 +665,10 @@ let () =
       ( "diff",
         [
           Alcotest.test_case "gating" `Quick test_diff_gating;
-          Alcotest.test_case "v1 baseline vs v2 document" `Quick
+          Alcotest.test_case "v1 baseline vs v3 document" `Quick
             test_diff_v1_baseline;
+          Alcotest.test_case "v2 baseline vs v3 document" `Quick
+            test_diff_v2_baseline;
           Alcotest.test_case "histogram counts" `Quick
             test_diff_histogram_gating;
         ] );

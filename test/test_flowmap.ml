@@ -5,8 +5,8 @@
 open Logic
 open Flowmap
 
-let mk_comb kinds fanins roots =
-  { Comb.kind = Array.of_list kinds; fanins = Array.of_list fanins; roots }
+let mk_comb kinds fanins =
+  { Comb.kind = Array.of_list kinds; fanins = Array.of_list fanins }
 
 (* balanced and-tree over 2^levels inputs *)
 let and_tree levels =
@@ -30,11 +30,11 @@ let and_tree levels =
     layer := pair !layer
   done;
   let root = List.hd !layer in
-  (mk_comb !kinds !fanins [ root ], root)
+  (mk_comb !kinds !fanins, root)
 
 (* The acyclic netlist of a comb whose fanin ids all precede their
-   gate's id: [In] nodes become PIs, gates gates, roots POs. *)
-let netlist_of_comb t =
+   gate's id: [In] nodes become PIs, gates gates, [roots] POs. *)
+let netlist_of_comb t ~roots =
   let open Circuit in
   let nl = Netlist.create () in
   let id = Array.make (Comb.n t) (-1) in
@@ -49,7 +49,7 @@ let netlist_of_comb t =
     t.Comb.kind;
   List.iter
     (fun r -> ignore (Netlist.add_po nl ~driver:id.(r) ~weight:0))
-    t.Comb.roots;
+    roots;
   nl
 
 (* BDD of every primary output over the primary inputs (variable [i] is
@@ -183,15 +183,13 @@ let qcheck_flowmap_optimal =
         let tt = Truthtable.create arity bits in
         ignore (fresh (Comb.Gate tt) (Array.of_list srcs)))
       seeds;
-    let root = !count - 1 in
-    mk_comb !kinds !fanins [ root ]
+    (mk_comb !kinds !fanins, !count - 1)
   in
   [
     Test.make ~name:"flowmap labels are optimal depths" ~count:150
       (make ~print:(fun _ -> "comb dag") gen)
       (fun input ->
-        let t = build input in
-        let root = List.hd t.Comb.roots in
+        let t, root = build input in
         let res = Labels.compute t ~k:3 in
         (match t.Comb.kind.(root) with
         | Comb.In -> true
@@ -229,14 +227,14 @@ let qcheck_mapper_correct =
         let tt = Truthtable.create (List.length srcs) bits in
         ignore (fresh (Comb.Gate tt) (Array.of_list srcs)))
       seeds;
-    let root = !count - 1 in
-    mk_comb !kinds !fanins [ root ]
+    (mk_comb !kinds !fanins, !count - 1)
   in
   [
     Test.make ~name:"mapped networks are equivalent and k-bounded" ~count:150
       (make ~print:(fun _ -> "comb dag") gen)
       (fun input ->
-        maps_exactly ~resynthesize:true (netlist_of_comb (build input)) ~k:4);
+        let t, root = build input in
+        maps_exactly ~resynthesize:true (netlist_of_comb t ~roots:[ root ]) ~k:4);
   ]
 
 let test_flowsyn_beats_flowmap_on_xor_wall () =
@@ -254,14 +252,14 @@ let test_flowsyn_beats_flowmap_on_xor_wall () =
     [ [||]; [||]; [||]; [||]; [||]; [||]; [||];
       [| 0; 1 |]; [| 7; 2 |]; [| 8; 3 |]; [| 9; 4 |]; [| 10; 5 |]; [| 11; 6 |] ]
   in
-  let t = mk_comb kinds fanins [ 12 ] in
+  let t = mk_comb kinds fanins in
   Comb.validate t;
   let plain = Labels.compute t ~k:4 in
   let resyn = Labels.compute ~resynthesize:true t ~k:4 in
   Alcotest.(check bool) "resyn at least as good" true
     (resyn.Labels.labels.(12) <= plain.Labels.labels.(12));
   Alcotest.(check bool) "verified" true
-    (maps_exactly ~resynthesize:true (netlist_of_comb t) ~k:4)
+    (maps_exactly ~resynthesize:true (netlist_of_comb t ~roots:[ 12 ]) ~k:4)
 
 let random_sequential rng ngates =
   let open Circuit in
@@ -310,7 +308,7 @@ let test_map_sequential_with_registered_po () =
   let rng = Prelude.Rng.create 4 in
   Alcotest.(check bool) "registered po" true (Sim.Equiv.io_equal rng nl mapped)
 
-let test_to_comb_roots () =
+let test_to_comb_pseudo_inputs () =
   let open Circuit in
   let nl = Netlist.create () in
   let x = Netlist.add_pi nl in
@@ -318,8 +316,6 @@ let test_to_comb_roots () =
   let b = Build.buf ~w:1 nl a in
   ignore (Netlist.add_po nl ~driver:b ~weight:0);
   let comb, origin = Flowsyn.to_comb nl in
-  (* roots: a (drives registered edge) and b (drives po) *)
-  Alcotest.(check int) "two roots" 2 (List.length comb.Comb.roots);
   (* one pseudo input for (a, 1) *)
   let pseudo =
     Array.to_list origin
@@ -345,6 +341,7 @@ let () =
             test_map_sequential_equiv;
           Alcotest.test_case "registered po" `Quick
             test_map_sequential_with_registered_po;
-          Alcotest.test_case "to_comb roots" `Quick test_to_comb_roots;
+          Alcotest.test_case "to_comb pseudo inputs" `Quick
+            test_to_comb_pseudo_inputs;
         ] );
     ]

@@ -1044,6 +1044,94 @@ let test_scope_resources_additive () =
                 >= sum (fun r -> r.Obs.Scope.r_cpu_seconds))))
 
 (* ---------------------------------------------------------------- *)
+(* GC figures: exact, and the measuring domain's own                 *)
+(* ---------------------------------------------------------------- *)
+
+(* An array wider than Max_young_wosize (256 words) is allocated
+   directly in the major heap: 1,000 fields and a header. *)
+let major_block () = ignore (Sys.opaque_identity (Array.make 1000 0))
+
+let test_span_gc_direct_major () =
+  with_obs (fun () ->
+      let s = Obs.Span.make "test.gc-direct-major" in
+      Obs.Span.time s major_block;
+      let g = Obs.Span.gc_totals s in
+      Alcotest.(check bool)
+        (Printf.sprintf "major words %.0f >= 1001" g.Obs.Span.major_words)
+        true
+        (g.Obs.Span.major_words >= 1001.))
+
+(* Major words of a span run inside a scope around [during], and of the
+   scope itself, both on the calling domain. *)
+let major_words_around during =
+  let name = "test.gc-beside-helper" in
+  let s = Obs.Span.make name in
+  let (), summary = Obs.Scope.wrap (fun _ -> Obs.Span.time s during) in
+  let span =
+    List.find_map
+      (fun (n, _, _, (g : Obs.Span.gc_totals)) ->
+        if String.equal n name then Some g.Obs.Span.major_words else None)
+      summary.Obs.Scope.sc_spans
+  in
+  ( Option.value span ~default:nan,
+    summary.Obs.Scope.sc_resources.Obs.Scope.r_major_words )
+
+(* A helper domain allocates [helper_words] major words (and minor
+   garbage, so collections run) while this domain measures; neither the
+   span nor the scope may count more than a quarter of them. *)
+let helper_words = 4_000_000
+
+let check_not_counted (span, scope) =
+  List.iter
+    (fun (what, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s major words %.0f exclude the helper's" what words)
+        true
+        (words < float_of_int helper_words /. 4.))
+    [ ("span", span); ("scope", scope) ]
+
+let helper_step () =
+  major_block ();
+  ignore (Sys.opaque_identity (List.init 100 Fun.id))
+
+let test_gc_helper_joined () =
+  with_obs (fun () ->
+      check_not_counted
+        (major_words_around (fun () ->
+             Domain.join
+               (Domain.spawn (fun () ->
+                    for _ = 1 to helper_words / 1000 do
+                      helper_step ()
+                    done)))))
+
+let test_gc_helper_concurrent () =
+  with_obs (fun () ->
+      let stop = Atomic.make false and blocks = Atomic.make 0 in
+      let helper =
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              helper_step ();
+              Atomic.incr blocks
+            done)
+      in
+      while Atomic.get blocks = 0 do
+        Domain.cpu_relax ()
+      done;
+      let words =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            Domain.join helper)
+          (fun () ->
+            major_words_around (fun () ->
+                let b0 = Atomic.get blocks in
+                while Atomic.get blocks - b0 < helper_words / 1000 do
+                  Domain.cpu_relax ()
+                done))
+      in
+      check_not_counted words)
+
+(* ---------------------------------------------------------------- *)
 (* Structured logging                                                *)
 (* ---------------------------------------------------------------- *)
 
@@ -1242,6 +1330,15 @@ let () =
           Alcotest.test_case "scope deltas" `Quick test_scope_resources;
           Alcotest.test_case "non-negative and additive" `Quick
             test_scope_resources_additive;
+        ] );
+      ( "gc",
+        [
+          Alcotest.test_case "direct major allocation" `Quick
+            test_span_gc_direct_major;
+          Alcotest.test_case "joined helper domain not counted" `Quick
+            test_gc_helper_joined;
+          Alcotest.test_case "concurrent helper domain not counted" `Quick
+            test_gc_helper_concurrent;
         ] );
       ( "log",
         [
