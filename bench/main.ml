@@ -7,9 +7,16 @@
      dune exec bench/main.exe -- table3      -- PLD speedup + scalability
      dune exec bench/main.exe -- ablation-k  -- K sweep
      dune exec bench/main.exe -- ablation-cmax
-     dune exec bench/main.exe -- micro       -- bechamel micro-benchmarks
-     dune exec bench/main.exe -- stats       -- per-run Obs counter/span dump
-     dune exec bench/main.exe -- all         -- everything incl. micro
+     dune exec bench/main.exe -- ablation-mdr
+     dune exec bench/main.exe -- ablation-seqmap2
+     dune exec bench/main.exe -- stats --diff BASE.json CUR.json
+                                             -- stats regression gate
+     dune exec bench/main.exe -- all         -- every table and ablation
+
+   Stats documents come from the CLI alone; the committed baseline is
+   regenerated with
+     dune exec bin/turbosyn_cli.exe -- map -w bbara -a turbosyn \
+       --stats BENCH_stats_baseline.json
 
    Absolute numbers are machine-local; what must match the paper is the
    SHAPE: TurboSYN beating FlowSYN-s beating-or-tying TurboMap on clock
@@ -453,108 +460,8 @@ let ablation_mdr () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* Stats mode: per-run counter/span dump through the Obs layer         *)
+(* Stats regression gate                                               *)
 (* ------------------------------------------------------------------ *)
-
-let stats_subset = [ "bbara"; "cse"; "s298" ]
-
-let stats_mode () =
-  Format.printf
-    "@.== Per-run observability stats (TurboSYN, K=5; see \
-     doc/OBSERVABILITY.md) ==@.";
-  Obs.set_enabled true;
-  List.iter
-    (fun name ->
-      Obs.reset ();
-      let spec = Option.get (Workloads.Suite.find name) in
-      let nl = Workloads.Suite.build spec in
-      Format.eprintf "[stats] %s@." name;
-      let r =
-        Turbosyn.Synth.run
-          ~options:(Turbosyn.Synth.default_options ~k:5 ())
-          `Turbosyn nl
-      in
-      Format.printf "@.-- %s: phi=%s, %d LUTs, %.1fs CPU --@." name
-        (Rat.to_string r.Turbosyn.Synth.phi)
-        r.Turbosyn.Synth.luts r.Turbosyn.Synth.cpu_seconds;
-      let t = Table.create [ ("counter", Table.Left); ("value", Table.Right) ] in
-      List.iter
-        (fun (n, v) -> if v > 0 then Table.add_row t [ n; string_of_int v ])
-        (Obs.Counter.all ());
-      Table.print t;
-      let t =
-        Table.create
-          [
-            ("span", Table.Left);
-            ("seconds", Table.Right);
-            ("entries", Table.Right);
-          ]
-      in
-      List.iter
-        (fun (n, s, c) ->
-          if c > 0 then
-            Table.add_row t [ n; Printf.sprintf "%.3f" s; string_of_int c ])
-        (Obs.Span.all ());
-      Table.print t)
-    stats_subset;
-  Obs.set_enabled false
-
-(* stats --json FILE [--circuit NAME] [--algo NAME]: one deterministic
-   run, emitted as a turbosyn-stats/3 document.  Counters and span entry
-   counts are exact functions of the circuit and the options (K=5,
-   sequential search), so the output is comparable
-   across machines — the committed BENCH_stats_baseline.json is produced
-   this way and CI gates on it with stats --diff.  --algo turbomap runs
-   the mapping-only (non-deep) pipeline, where every cut test runs at
-   most one flow with limit K (CI checks maxflow.networks <=
-   label.cut_tests on it; see doc/PERF.md). *)
-let stats_json ~circuit ~algo ~out () =
-  (* link the audit and serve layers, whose counters, spans, histograms
-     and gauges register when they load, so the document lists every name
-     [map --stats] lists *)
-  ignore (Sys.opaque_identity Audit.schema_version);
-  ignore (Sys.opaque_identity (Serve.Server.outcome_of_status 200));
-  match Workloads.Suite.find circuit with
-  | None ->
-      Format.eprintf "unknown circuit %s@." circuit;
-      exit 2
-  | Some spec ->
-      let algo_tag, algo_name =
-        match algo with
-        | "turbosyn" -> (`Turbosyn, "turbosyn")
-        | "turbomap" -> (`Turbomap, "turbomap")
-        | other ->
-            Format.eprintf "unknown algo %s (expected turbosyn|turbomap)@."
-              other;
-            exit 2
-      in
-      let nl = Workloads.Suite.build spec in
-      Obs.set_enabled true;
-      Obs.reset ();
-      let r =
-        Turbosyn.Synth.run
-          ~options:(Turbosyn.Synth.default_options ~k:5 ())
-          algo_tag nl
-      in
-      let extra =
-        [
-          ( "run",
-            Obs.Json.Obj
-              [
-                ("circuit", Obs.Json.Str circuit);
-                ("algo", Obs.Json.Str algo_name);
-                ("k", Obs.Json.Int 5);
-                ("phi", Obs.Json.Str (Rat.to_string r.Turbosyn.Synth.phi));
-                ("luts", Obs.Json.Int r.Turbosyn.Synth.luts);
-              ] );
-        ]
-      in
-      (match Obs.Report.write_stats ~extra out with
-      | () -> if out <> "-" then Format.printf "wrote %s@." out
-      | exception Sys_error e ->
-          Format.eprintf "error: %s@." e;
-          exit 2);
-      Obs.set_enabled false
 
 (* stats --diff BASE.json CURRENT.json: regression gate over two stats
    documents (see Audit.Diff); exit 3 on regression, 2 on bad input. *)
@@ -582,130 +489,32 @@ let stats_diff base_file cur_file =
       if not t.Audit.Diff.ok then exit 3
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table + core kernels   *)
-(* ------------------------------------------------------------------ *)
 
-let micro () =
-  let open Bechamel in
-  Format.printf "@.== Micro-benchmarks (bechamel, ns/run) ==@.";
-  let bbara = Workloads.Suite.build (Option.get (Workloads.Suite.find "bbara")) in
-  let small =
-    Workloads.Generate.mixer (Rng.create 5) ~pis:3 ~pos:2 ~gates:24
-      ~ff_density:0.25
-  in
-  let tests =
-    [
-      (* one Test.make per reproduced table, on reduced inputs *)
-      Test.make ~name:"table1-row: tm+ts+fs on a 24-gate mixer"
-        (Staged.stage (fun () ->
-             List.iter (fun (_, a) -> ignore (run_algo ~k:4 a small)) algos));
-      Test.make ~name:"table2-area: reduce bbara"
-        (Staged.stage (fun () -> ignore (Turbosyn.Area.reduce bbara ~k:5)));
-      Test.make ~name:"table3-pld: one infeasible probe"
-        (Staged.stage (fun () ->
-             let opts = Seqmap.Label_engine.default_options ~k:4 in
-             ignore (Seqmap.Label_engine.run opts small ~phi:(Rat.make 1 3))));
-      (* core kernels *)
-      Test.make ~name:"kernel: exact MDR of bbara"
-        (Staged.stage (fun () -> ignore (Circuit.Netlist.mdr_ratio bbara)));
-      Test.make ~name:"kernel: pipelined retiming of bbara"
-        (Staged.stage (fun () -> ignore (Retime.Pipeline.min_period bbara)));
-      Test.make ~name:"kernel: simulate bbara for 64 cycles"
-        (Staged.stage (fun () ->
-             let sim = Sim.Simulator.create bbara in
-             let width = List.length (Circuit.Netlist.pis bbara) in
-             for i = 0 to 63 do
-               ignore (Sim.Simulator.step sim (Array.make width (i land 1 = 0)))
-             done));
-      Test.make ~name:"kernel: decompose xor8 into 4-LUTs"
-        (Staged.stage (fun () ->
-             let man = Bdd.new_man () in
-             let f = ref (Bdd.bdd_false man) in
-             for i = 0 to 7 do
-               f := Bdd.xor man !f (Bdd.var man i)
-             done;
-             ignore
-               (Decomp.Decompose.decompose man ~f:!f
-                  ~vars:(Array.init 8 Fun.id)
-                  ~arrivals:(Array.make 8 Rat.zero) ~k:4)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.5) () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let a = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name r ->
-          match Analyze.OLS.estimates r with
-          | Some (est :: _) -> Format.printf "%-45s %14.0f ns/run@." name est
-          | _ -> Format.printf "%-45s (no estimate)@." name)
-        a)
-    tests
-
-(* ------------------------------------------------------------------ *)
+let modes =
+  [
+    ("table1", table1); ("table2", table2); ("table3", table3);
+    ("ablation-k", ablation_k); ("ablation-cmax", ablation_cmax);
+    ("ablation-mdr", ablation_mdr); ("ablation-seqmap2", ablation_seqmap2);
+  ]
 
 let () =
-  (* flags of the stats mode: --json FILE, --circuit NAME, --algo NAME,
-     --diff A B, --write-baseline *)
-  let json = ref None and circuit = ref "bbara" and diff = ref None in
-  let algo = ref "turbosyn" and write_baseline = ref false in
-  let rec strip = function
-    | [] -> []
-    | "--write-baseline" :: rest ->
-        write_baseline := true;
-        strip rest
-    | "--json" :: f :: rest ->
-        json := Some f;
-        strip rest
-    | "--circuit" :: c :: rest ->
-        circuit := c;
-        strip rest
-    | "--algo" :: a :: rest ->
-        algo := a;
-        strip rest
-    | "--diff" :: a :: b :: rest ->
-        diff := Some (a, b);
-        strip rest
-    | a :: rest -> a :: strip rest
-  in
-  let stats () =
-    if !write_baseline then
-      (* regenerate the committed regression baseline in place (see
-         doc/OBSERVABILITY.md §Regression gating) *)
-      stats_json ~circuit:"bbara" ~algo:"turbosyn"
-        ~out:"BENCH_stats_baseline.json" ()
-    else
-      match (!diff, !json) with
-      | Some (a, b), _ -> stats_diff a b
-      | None, Some f -> stats_json ~circuit:!circuit ~algo:!algo ~out:f ()
-      | None, None -> stats_mode ()
-  in
-  let modes =
-    [
-      ("table1", table1); ("table2", table2); ("table3", table3);
-      ("ablation-k", ablation_k); ("ablation-cmax", ablation_cmax);
-      ("ablation-mdr", ablation_mdr); ("ablation-seqmap2", ablation_seqmap2);
-      ("stats", stats); ("micro", micro);
-    ]
-  in
-  let everything = List.filter (fun m -> m <> "stats") (List.map fst modes) in
-  let args = strip (List.tl (Array.to_list Sys.argv)) in
-  (* refuse the whole command line before running any mode *)
-  List.iter
-    (fun a ->
-      if a <> "all" && not (List.mem_assoc a modes) then begin
-        Format.eprintf "unknown mode %s@.usage: main.exe [%s | all] \
-                        [--json FILE] [--circuit NAME] [--algo NAME] \
-                        [--diff A B] [--write-baseline]@."
-          a
-          (String.concat " | " (List.map fst modes));
-        exit 2
-      end)
-    args;
-  let run = if args = [] || List.mem "all" args then everything else args in
-  List.iter (fun m -> (List.assoc m modes) ()) run
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "stats"; "--diff"; base; cur ] -> stats_diff base cur
+  | args -> (
+      (* refuse the whole command line before running any mode *)
+      match
+        List.find_opt (fun a -> a <> "all" && not (List.mem_assoc a modes)) args
+      with
+      | Some a ->
+          Format.eprintf
+            "unknown mode %s@.usage: main.exe [%s | all] | stats --diff \
+             BASE.json CUR.json@."
+            a
+            (String.concat " | " (List.map fst modes));
+          exit 2
+      | None ->
+          let run =
+            if args = [] || List.mem "all" args then List.map fst modes
+            else args
+          in
+          List.iter (fun m -> (List.assoc m modes) ()) run)

@@ -5,6 +5,8 @@
      turbosyn_cli stats --workload bbara
      turbosyn_cli map --workload bbara --algo turbosyn -k 5
      turbosyn_cli map --input my.blif --algo turbomap --output mapped.blif
+     turbosyn_cli map --workload bbara --stats s.json --audit a.json
+     turbosyn_cli audit --check a.json
 *)
 
 open Cmdliner
@@ -343,68 +345,27 @@ let map_cmd =
       $ log_file_arg)
 
 let audit_cmd =
-  let run check input workload algo k out seed =
-    let write path f =
-      match f () with
-      | () -> ()
-      | exception Sys_error msg -> exit_err msg
-      | exception _ -> exit_err (Printf.sprintf "cannot write %s" path)
-    in
-    let report_verdict v =
-      print_string (Audit.render_verdict v);
-      if not v.Audit.v_ok then exit 2
-    in
-    match check with
-    | Some path -> (
-        (* check mode: independently verify an existing document *)
-        match
-          try Ok (In_channel.with_open_bin path In_channel.input_all)
-          with Sys_error e -> Error e
-        with
-        | Error e -> exit_err e
-        | Ok text -> (
-            match Obs.Json.of_string text with
-            | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
-            | Ok doc -> (
-                match Audit.verify ~seed doc with
-                | Error e ->
-                    exit_err
-                      (Printf.sprintf "%s: malformed audit document: %s" path e)
-                | Ok v -> report_verdict v)))
-    | None -> (
-        match load ~input ~workload with
-        | Error e -> exit_err e
-        | Ok nl -> (
-            let options = Turbosyn.Synth.default_options ~k () in
-            match Turbosyn.Synth.run ~options algo nl with
-            | exception Invalid_argument msg -> exit_err msg
-            | r -> (
-                match Audit.build ~source:nl ~options r with
-                | Error e -> exit_err e
-                | Ok doc ->
-                    (match out with
-                    | Some path ->
-                        write path (fun () ->
-                            let oc = open_out path in
-                            Fun.protect
-                              ~finally:(fun () -> close_out oc)
-                              (fun () ->
-                                output_string oc
-                                  (Obs.Json.to_pretty_string doc);
-                                output_char oc '\n'));
-                        Format.printf "wrote %s@." path
-                    | None -> ());
-                    (match Audit.verify ~seed doc with
-                    | Error e -> exit_err e
-                    | Ok v -> report_verdict v))))
+  let run path seed =
+    match
+      try Ok (In_channel.with_open_bin path In_channel.input_all)
+      with Sys_error e -> Error e
+    with
+    | Error e -> exit_err e
+    | Ok text -> (
+        match Obs.Json.of_string text with
+        | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
+        | Ok doc -> (
+            match Audit.verify ~seed doc with
+            | Error e ->
+                exit_err
+                  (Printf.sprintf "%s: malformed audit document: %s" path e)
+            | Ok v ->
+                print_string (Audit.render_verdict v);
+                if not v.Audit.v_ok then exit 2))
   in
   let check_arg =
-    Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE"
-           ~doc:"Verify an existing audit document instead of generating one.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Write the generated audit document to $(docv).")
+    Arg.(required & opt (some string) None & info [ "check" ] ~docv:"FILE"
+           ~doc:"The audit document to verify.")
   in
   let seed_arg =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED"
@@ -412,13 +373,10 @@ let audit_cmd =
   in
   Cmd.v
     (Cmd.info "audit"
-       ~doc:"Generate (and independently verify) the turbosyn-audit/2 \
-             evidence document: critical-loop certificate, retiming witness \
-             and label provenance (doc/AUDIT.md).  With $(b,--check), verify \
-             an existing document instead.")
-    Term.(
-      const run $ check_arg $ input_arg $ workload_arg $ algo_arg $ k_arg
-      $ out_arg $ seed_arg)
+       ~doc:"Independently verify a turbosyn-audit/2 evidence document \
+             (critical-loop certificate, retiming witness and label \
+             provenance; doc/AUDIT.md), as written by $(b,map --audit).")
+    Term.(const run $ check_arg $ seed_arg)
 
 let simulate_cmd =
   let run input workload cycles seed =

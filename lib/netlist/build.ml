@@ -16,9 +16,6 @@ let and2 ?name ?wa ?wb t a b = binary ?name ?wa ?wb t (Truthtable.and_all 2) a b
 let or2 ?name ?wa ?wb t a b = binary ?name ?wa ?wb t (Truthtable.or_all 2) a b
 let xor2 ?name ?wa ?wb t a b = binary ?name ?wa ?wb t (Truthtable.xor_all 2) a b
 
-let nand2 ?name ?wa ?wb t a b =
-  binary ?name ?wa ?wb t (Truthtable.not_ (Truthtable.and_all 2)) a b
-
 let mux ?name t ~sel ~t1 ~t0 =
   let f =
     Truthtable.ite (Truthtable.var 3 0) (Truthtable.var 3 1) (Truthtable.var 3 2)

@@ -22,10 +22,6 @@ val xor2 :
   ?name:string -> ?wa:int -> ?wb:int ->
   Netlist.t -> Netlist.node_id -> Netlist.node_id -> Netlist.node_id
 
-val nand2 :
-  ?name:string -> ?wa:int -> ?wb:int ->
-  Netlist.t -> Netlist.node_id -> Netlist.node_id -> Netlist.node_id
-
 val mux :
   ?name:string ->
   Netlist.t ->

@@ -173,6 +173,7 @@ let retiming_edges t =
   done;
   Array.of_list !acc
 
+(* successors through weight-0 edges only *)
 let comb_succ t =
   let out = Array.make t.count [] in
   for v = t.count - 1 downto 0 do

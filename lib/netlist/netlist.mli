@@ -89,9 +89,6 @@ val retiming_edges : t -> Graphs.Cycle_ratio.edge array
 (** One edge per fanin, [delay = delay t dst], [weight] = FF count.  This is
     the view used for MDR-ratio computations. *)
 
-val comb_succ : t -> node_id -> node_id list
-(** Successors through weight-0 edges only. *)
-
 val comb_topo_order : t -> node_id array
 (** Topological order of the weight-0 subgraph.
     @raise Invalid_argument when the circuit has a combinational loop. *)

@@ -143,11 +143,15 @@ type cut_memo
     is structural — independent of labels and phi — so a run handed the
     memo revalidates each entry with an O(|cut|) width/height check
     before trusting it, skipping the expansion and the flow entirely on
-    a hit ([cut.memo_hits] / [cut.memo_misses]).  Stale entries are
-    overwritten by fresh passes.  The memo also carries each gate's
-    expansion snapshots (up to 8, least recently used dropped first),
-    each revalidated under the current labels, threshold and φ before
-    it answers anything ([label.snapshot_reuses]). *)
+    a hit ([cut.memo_hits] / [cut.memo_misses]).  A hit is sound, not
+    exact: the recorded cut may lie deeper than a fresh expansion
+    reaches ([Expanded.build]'s [extra_depth], 3), so it can justify a
+    label that a fresh run cannot, and the harvest then needs that
+    recorded cut to realize it.  Stale entries are overwritten by fresh
+    passes.  The memo also carries each gate's expansion snapshots (up
+    to 8, least recently used dropped first), each revalidated under
+    the current labels, threshold and φ before it answers anything
+    ([label.snapshot_reuses]). *)
 
 val new_cut_memo : Circuit.Netlist.t -> cut_memo
 

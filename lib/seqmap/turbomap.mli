@@ -46,9 +46,13 @@ val minimum_ratio :
     decided, and those answers come from a memo of past verdicts.
 
     [cutmemo], when given, carries passing cuts across probes
-    ([doc/PERF.md], three-layer cut engine).  Memo hits are
-    verdict-exact, so the returned [phi] — and the labels of any later
-    run handed the same memo — are unaffected.
+    ([doc/PERF.md], "The two-layer cut engine").  A memo hit is sound
+    (a recorded cut is a real K-cut) but not exact: it can justify a
+    label that a fresh expansion, bounded in depth, cannot reach.  So a
+    later run handed the same memo may return lower labels than a fresh
+    run (dk16 K=5 TurboMap: 26 gates).  On the 96 Table-1 jobs (TurboMap
+    and TurboSYN, K = 4, 5, 6) the returned [phi] is the same with and
+    without the memo.
 
     [jobs] accepts only [1] and raises [Invalid_argument] for any other
     value: the benchmark harness still passes it, and it goes with the
