@@ -79,15 +79,6 @@ let stats_arg =
                  no $(docv), print it to stdout and move the human-readable \
                  summary to stderr.")
 
-let timeline_arg =
-  Arg.(value & opt (some string) None
-       & info [ "timeline" ] ~docv:"FILE"
-           ~doc:"Record per-phase activations and write them as a Chrome-trace \
-                 JSON document (loads in Perfetto / chrome://tracing) to \
-                 $(docv).  Structured log records of the run appear as \
-                 instants: with $(b,--log-level debug), one per \
-                 ratio-search probe and one for the result.")
-
 let audit_arg =
   Arg.(value & opt (some string) None
        & info [ "audit" ] ~docv:"FILE"
@@ -193,12 +184,11 @@ let stats_cmd =
 
 let map_cmd =
   let run input workload algo k output verilog verify no_pld no_area multi exact
-      stats timeline audit log_level log_file =
+      stats audit log_level log_file =
     setup_logging ~log_level ~log_file
       ~outputs:
         [
           ("--stats", stats);
-          ("--timeline", timeline);
           ("--audit", audit);
           ("--output", output);
           ("--verilog", verilog);
@@ -215,8 +205,7 @@ let map_cmd =
             phi_max_den = (if exact then None else Some 24);
           }
         in
-        (* --timeline records even without --stats *)
-        if stats <> None || timeline <> None then begin
+        if stats <> None then begin
           Obs.set_enabled true;
           Obs.reset ()
         end;
@@ -283,13 +272,6 @@ let map_cmd =
                     Circuit.Verilog.write_file r.Turbosyn.Synth.mapped path);
                 Format.fprintf out "wrote %s@." path
             | None -> ());
-            (match timeline with
-            | Some path ->
-                write path (fun () -> Obs.Report.write_timeline path);
-                if path <> "-" then
-                  Format.fprintf out "wrote %s (%d slices)@." path
-                    (Obs.Timeline.length ())
-            | None -> ());
             (match audit with
             | Some path -> (
                 match Audit.build ~source:nl ~options r with
@@ -341,7 +323,7 @@ let map_cmd =
     Term.(
       const run $ input_arg $ workload_arg $ algo_arg $ k_arg $ output_arg
       $ verilog_arg $ verify_arg $ no_pld_arg $ no_area_arg $ multi_arg
-      $ exact_arg $ stats_arg $ timeline_arg $ audit_arg $ log_level_arg
+      $ exact_arg $ stats_arg $ audit_arg $ log_level_arg
       $ log_file_arg)
 
 let audit_cmd =
@@ -524,8 +506,8 @@ let flame_cmd =
     in
     match trace_file with
     | Some path ->
-        (* fold an existing Chrome-trace document: --timeline output or a
-           /debug/trace/<id>?format=chrome body *)
+        (* fold an existing Chrome-trace document, such as the
+           benchmark's trace files *)
         let text =
           match path with
           | "-" -> In_channel.input_all In_channel.stdin
@@ -561,9 +543,10 @@ let flame_cmd =
   let trace_file_arg =
     Arg.(value & opt (some string) None & info [ "from-timeline"; "t" ]
            ~docv:"FILE"
-           ~doc:"Fold an existing Chrome-trace document ($(b,map --timeline) \
-                 output, or a /debug/trace/<id>?format=chrome body) instead \
-                 of running a mapping; - reads stdin.")
+           ~doc:"Fold the $(b,X) events of an existing Chrome-trace \
+                 document (such as perfbench's \
+                 .perfbench/trace-<workload>-<seed>.json) instead of \
+                 running a mapping; - reads stdin.")
   in
   let out_arg =
     Arg.(value & opt string "-" & info [ "output"; "o" ] ~docv:"FILE"

@@ -20,23 +20,3 @@ let has_positive_cycle ~n ~edges =
     if !changed && !pass >= n then result := true
   done;
   !result
-
-let longest_paths ~n ~edges ~sources =
-  let dist = Array.make n min_int in
-  List.iter (fun s -> dist.(s) <- 0) sources;
-  let changed = ref true in
-  let pass = ref 0 in
-  let cyclic = ref false in
-  while !changed && not !cyclic do
-    changed := false;
-    Array.iter
-      (fun { src; dst; len } ->
-        if dist.(src) <> min_int && dist.(src) + len > dist.(dst) then begin
-          dist.(dst) <- dist.(src) + len;
-          changed := true
-        end)
-      edges;
-    incr pass;
-    if !changed && !pass >= n then cyclic := true
-  done;
-  if !cyclic then None else Some dist

@@ -1,4 +1,4 @@
-(** Positive-cycle detection and longest paths with integer edge lengths.
+(** Positive-cycle detection with integer edge lengths.
 
     The max delay-to-register (MDR) feasibility probe reduces to: does the
     retiming graph contain a cycle of positive total length when each edge
@@ -12,8 +12,3 @@ val has_positive_cycle : n:int -> edges:edge array -> bool
 (** Bellman–Ford from a virtual source connected to every node with
     length-0 edges (detects positive cycles anywhere in the graph); early
     exit when a relaxation pass changes nothing. *)
-
-val longest_paths :
-  n:int -> edges:edge array -> sources:int list -> int array option
-(** Longest path distances from the sources ([min_int] marks unreachable
-    nodes); [None] when a positive cycle is reachable from a source. *)

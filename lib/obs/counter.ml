@@ -5,7 +5,6 @@ type t = Sink.id = { name : string; slot : int }
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 let make = Sink.register registry Sink.counter
-let name c = c.name
 
 let value c =
   let x = Sink.counter c in

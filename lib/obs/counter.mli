@@ -19,8 +19,6 @@ val make : string -> t
     at zero on first use.  Dotted lower-case names ([subsystem.metric])
     by convention. *)
 
-val name : t -> string
-
 val value : t -> int
 (** Current value; readable whether or not observability is enabled. *)
 

@@ -101,8 +101,8 @@ let to_string folded =
 
 let of_slices slices = to_string (fold_slices slices)
 
-(* Chrome-trace documents (Report.timeline_json / --timeline files)
-   back into slices: every "X" complete event, ts/dur in microseconds. *)
+(* Chrome-trace documents (the benchmark's trace files) back into
+   slices: every "X" complete event, ts/dur in microseconds. *)
 let slices_of_timeline_json j =
   match Json.member "traceEvents" j with
   | Some (Json.List events) ->

@@ -1,5 +1,5 @@
 (* Point-in-time values (pool sizes, request concurrency).  Same
-   registry discipline as Counter, but set/add-signed semantics and no
+   registry discipline as Counter, but set semantics and no
    monotonicity guarantee. *)
 
 type t = { name : string; mutable v : float }
@@ -14,14 +14,7 @@ let make name =
       Hashtbl.replace registry name g;
       g
 
-let name g = g.name
-let value g = g.v
-let set g v = if State.on () then g.v <- v
-let set_int g v = set g (float_of_int v)
-let add g d = if State.on () then g.v <- g.v +. d
-let incr g = add g 1.
-let decr g = add g (-1.)
-let find key = Option.map (fun g -> g.v) (Hashtbl.find_opt registry key)
+let set_int g v = if State.on () then g.v <- float_of_int v
 
 let all () =
   Hashtbl.fold (fun _ g acc -> (g.name, g.v) :: acc) registry []

@@ -6,14 +6,8 @@
 type t
 
 val make : string -> t
-val name : t -> string
-val value : t -> float
-val set : t -> float -> unit
 val set_int : t -> int -> unit
-val add : t -> float -> unit
-val incr : t -> unit
-val decr : t -> unit
-val find : string -> float option
+
 val all : unit -> (string * float) list
 (** All registered gauges, sorted by name. *)
 

@@ -31,8 +31,6 @@ type t = Sink.id = { name : string; slot : int }
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 let make = Sink.register registry Sink.hist
-let name h = h.name
-let count h = (Sink.hist h).n
 
 let observe h v =
   if State.on () && not (Float.is_nan v) then begin
@@ -48,8 +46,7 @@ let observe h v =
 let observe_int h v = observe h (float_of_int v)
 
 (* A snapshot is the histogram's plain value: sparse nonzero buckets in
-   index order.  Merging is pointwise and exactly commutative (float
-   addition of the sums is the only float op, and it is commutative). *)
+   index order. *)
 type snapshot = Sink.snapshot = {
   s_buckets : (int * int) list;
   s_count : int;
@@ -59,23 +56,6 @@ type snapshot = Sink.snapshot = {
 }
 
 let snapshot h = Sink.snapshot (Sink.hist h)
-
-let merge a b =
-  let rec go xs ys =
-    match (xs, ys) with
-    | [], l | l, [] -> l
-    | (i, ci) :: xs', (j, cj) :: ys' ->
-        if i < j then (i, ci) :: go xs' ys
-        else if j < i then (j, cj) :: go xs ys'
-        else (i, ci + cj) :: go xs' ys'
-  in
-  {
-    s_buckets = go a.s_buckets b.s_buckets;
-    s_count = a.s_count + b.s_count;
-    s_sum = a.s_sum +. b.s_sum;
-    s_min = Float.min a.s_min b.s_min;
-    s_max = Float.max a.s_max b.s_max;
-  }
 
 (* Quantile estimate: the upper bound of the first bucket whose
    cumulative count reaches ceil(q * n), clamped into [min, max] of the

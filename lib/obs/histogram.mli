@@ -15,11 +15,6 @@ val make : string -> t
     it on first use.  Idempotent: the same name yields the same
     histogram. *)
 
-val name : t -> string
-
-val count : t -> int
-(** Number of observations recorded. *)
-
 val observe : t -> float -> unit
 (** Record one value.  No-op when observability is off or the value is
     NaN; values at or below the smallest bucket bound (including zero
@@ -38,8 +33,6 @@ type snapshot = Sink.snapshot = {
 }
 
 val snapshot : t -> snapshot
-val merge : snapshot -> snapshot -> snapshot
-(** Pointwise bucket sum; commutative and associative. *)
 
 val snapshot_quantile : snapshot -> float -> float
 (** [snapshot_quantile s q] estimates the [q]-quantile

@@ -118,8 +118,6 @@ let to_pretty_string v =
   go 0 v;
   Buffer.contents buf
 
-let pp fmt v = Format.pp_print_string fmt (to_pretty_string v)
-
 (* ---------------------------------------------------------------- *)
 (* Parsing (recursive descent, for round-trip tests and tooling)    *)
 (* ---------------------------------------------------------------- *)

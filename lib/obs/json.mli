@@ -28,9 +28,6 @@ val to_string : t -> string
 val to_pretty_string : t -> string
 (** Multi-line rendering with two-space indentation, for human eyes. *)
 
-val pp : Format.formatter -> t -> unit
-(** Same layout as {!to_pretty_string}. *)
-
 val of_string : string -> (t, string) result
 (** Parse one JSON document.  Numbers without a fraction or exponent
     become [Int] (falling back to [Float] on overflow); trailing

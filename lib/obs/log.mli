@@ -12,8 +12,7 @@
     Emission is gated only on the level threshold, {e not} on
     {!Obs.set_enabled}: log lines are operator events, wanted even when
     metric collection is off.  Lines go to stderr by default (stdout
-    stays reserved for machine-readable output) or to a file sink, and
-    the most recent records are kept in a bounded in-memory ring.
+    stays reserved for machine-readable output) or to a file sink.
     Writes are serialized with a mutex, so concurrent domains never
     interleave half-lines. *)
 
@@ -26,10 +25,8 @@ val level_of_string : string -> level option
 (** Case-insensitive; accepts ["warning"] for [Warn]. *)
 
 val set_level : level -> unit
-(** Threshold: records strictly below it are dropped entirely (not
-    written, not ringed).  Default [Info]. *)
-
-val level : unit -> level
+(** Threshold: records strictly below it are dropped entirely.
+    Default [Info]. *)
 
 (** {1 Sink} *)
 
@@ -41,11 +38,7 @@ val to_file : string -> unit
     @raise Sys_error when the file cannot be opened. *)
 
 val to_null : unit -> unit
-(** Drop lines (the ring still records them). *)
-
-val output_path : unit -> string option
-(** The file sink's path, when one is open — used by the CLI to refuse
-    colliding [--log-file]/[--stats] destinations. *)
+(** Drop lines. *)
 
 (** {1 Ambient request id}
 
@@ -70,31 +63,3 @@ val error : string -> (string * Json.t) list -> unit
 
 val enabled_for : level -> bool
 (** Whether a record at this level would currently be emitted. *)
-
-(** {1 Ring} *)
-
-type record = {
-  ts : float;  (** [Prelude.Timer.wall] (epoch) seconds *)
-  lvl : level;
-  event : string;
-  request_id : string option;
-  fields : (string * Json.t) list;
-}
-
-val record_json : record -> Json.t
-(** The record as its JSON-line object. *)
-
-val recent : unit -> record list
-(** Ringed records, oldest first. *)
-
-val length : unit -> int
-val dropped : unit -> int
-
-val set_ring_capacity : int -> unit
-(** Default 1024; 0 disables ringing.
-    @raise Invalid_argument on a negative capacity. *)
-
-val clear : unit -> unit
-(** Empty the ring and zero the dropped counter. *)
-
-val default_ring_capacity : int

@@ -55,10 +55,8 @@ val enabled : unit -> bool
 
 val reset : unit -> unit
 (** Reset the global sink — zero every counter, histogram and span
-    (including GC totals), clear the timeline ring (including its
-    dropped-slice count) — and the gauges.  The {!Log} ring is not touched: it has its own
-    {!Log.clear}.  Call between measured runs; registration is
-    preserved.  Nothing in the reset can fail, so the state is never
+    (including GC totals), clear the timeline ring — and the gauges.
+    Call between measured runs; registration is preserved.  Nothing in the reset can fail, so the state is never
     partially cleared.  A span that is {e entered} when reset runs
     loses its in-flight activation: its pending [exit]s are ignored
     (depth was zeroed) and [entries] counts only activations that both

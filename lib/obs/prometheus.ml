@@ -1,12 +1,7 @@
 (* Prometheus text exposition format (version 0.0.4) over the metric
-   registries, plus the sample parser that reads a scrape back.  The
-   renderer is what [turbosyn serve] returns from /metrics; the strict
-   validator the scrape tests hold it to lives with the tests and is
-   built on [parse_sample] and [family_of]. *)
-
-(* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
-(* ------------------------------------------------------------------ *)
+   registries.  The renderer is what [turbosyn serve] returns from
+   /metrics; the strict validator the scrape tests hold it to lives
+   with the tests (test/prom_oracle). *)
 
 let prefix = "turbosyn_"
 
@@ -192,174 +187,25 @@ let render ?(exclude_prefixes = []) ?(extra = []) () =
     extra;
   Buffer.contents buf
 
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let is_name_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
-
-let is_name_char c = is_name_start c || (c >= '0' && c <= '9')
-
-let valid_name s =
-  String.length s > 0
-  && is_name_start s.[0]
-  && String.for_all is_name_char s
-
-(* a sample's family: strip the histogram sample suffixes *)
-let family_of typed name =
-  let strip suffix =
-    if
-      String.length name > String.length suffix
-      && String.sub name
-           (String.length name - String.length suffix)
-           (String.length suffix)
-         = suffix
-    then
-      let base =
-        String.sub name 0 (String.length name - String.length suffix)
-      in
-      if Hashtbl.find_opt typed base = Some "histogram" then Some base
-      else None
-    else None
-  in
-  match strip "_bucket" with
-  | Some b -> b
-  | None -> (
-      match strip "_sum" with
-      | Some b -> b
-      | None -> ( match strip "_count" with Some b -> b | None -> name))
-
-type parsed_sample = {
-  p_name : string; (* metric name as written, suffixes included *)
-  p_labels : (string * string) list;
-  p_value : float;
-}
-
-(* parse `name{k="v",...} value` — returns errors rather than raising *)
-let parse_sample ~line_no line =
-  let err msg = Error (Printf.sprintf "line %d: %s" line_no msg) in
-  let n = String.length line in
-  let rec name_end i = if i < n && is_name_char line.[i] then name_end (i + 1) else i in
-  let ne = name_end 0 in
-  if ne = 0 then err "sample line does not start with a metric name"
-  else
-    let name = String.sub line 0 ne in
-    if not (valid_name name) then err ("invalid metric name " ^ name)
-    else
-      let labels_and_rest =
-        if ne < n && line.[ne] = '{' then begin
-          (* scan the label block honouring escapes *)
-          let buf = Buffer.create 16 in
-          let labels = ref [] in
-          let key = ref "" in
-          let state = ref `Key in
-          let i = ref (ne + 1) in
-          let error = ref None in
-          let finished = ref (-1) in
-          while !finished < 0 && !error = None && !i < n do
-            let c = line.[!i] in
-            (match !state with
-            | `Key ->
-                if c = '}' && Buffer.length buf = 0 && !labels <> [] then
-                  finished := !i + 1
-                else if c = '=' then begin
-                  key := Buffer.contents buf;
-                  Buffer.clear buf;
-                  if not (valid_name !key) then
-                    error := Some ("invalid label name " ^ !key)
-                  else state := `Quote
-                end
-                else Buffer.add_char buf c
-            | `Quote ->
-                if c = '"' then state := `Value
-                else error := Some "label value is not quoted"
-            | `Value ->
-                if c = '\\' then state := `Escape
-                else if c = '"' then begin
-                  labels := (!key, Buffer.contents buf) :: !labels;
-                  Buffer.clear buf;
-                  state := `Sep
-                end
-                else if c = '\n' then
-                  error := Some "raw newline in label value"
-                else Buffer.add_char buf c
-            | `Escape ->
-                (match c with
-                | '\\' -> Buffer.add_char buf '\\'
-                | '"' -> Buffer.add_char buf '"'
-                | 'n' -> Buffer.add_char buf '\n'
-                | c ->
-                    error :=
-                      Some (Printf.sprintf "invalid escape \\%c in label value" c));
-                state := `Value
-            | `Sep ->
-                if c = ',' then state := `Key
-                else if c = '}' then finished := !i + 1
-                else error := Some "expected ',' or '}' after label value");
-            incr i
-          done;
-          match !error with
-          | Some e -> Error e
-          | None ->
-              if !finished < 0 then Error "unterminated label block"
-              else Ok (List.rev !labels, !finished)
-        end
-        else Ok ([], ne)
-      in
-      match labels_and_rest with
-      | Error e -> err e
-      | Ok (labels, rest_at) ->
-          let rest = String.sub line rest_at (n - rest_at) in
-          let rest = String.trim rest in
-          let value_str =
-            match String.index_opt rest ' ' with
-            | Some i -> String.sub rest 0 i (* optional timestamp follows *)
-            | None -> rest
-          in
-          let value =
-            match value_str with
-            | "+Inf" -> Some infinity
-            | "-Inf" -> Some neg_infinity
-            | "NaN" -> Some Float.nan
-            | s -> float_of_string_opt s
-          in
-          (match value with
-          | None -> err (Printf.sprintf "unparseable value %S" value_str)
-          | Some v -> Ok { p_name = name; p_labels = labels; p_value = v })
-
-(* Values of counter-typed samples keyed by their literal series text
-   (name plus label block) — the stable key for cross-scrape
-   monotonicity checks. *)
+(* Values of the counter-typed samples of a body this module rendered,
+   keyed by their literal series text (name plus label block, the text
+   before the last space) — the stable key for cross-scrape
+   monotonicity checks.  A family's samples follow its TYPE line, so
+   each sample belongs to the family of the last TYPE seen. *)
 let counter_values body =
-  let typed : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let out = ref [] in
-  let lines = String.split_on_char '\n' body in
-  List.iteri
-    (fun idx line ->
-      let line_no = idx + 1 in
-      if String.length line > 0 && line.[0] = '#' then (
-        match String.split_on_char ' ' line with
-        | "#" :: "TYPE" :: name :: ty :: [] -> Hashtbl.replace typed name ty
-        | _ -> ())
-      else if line <> "" then
-        match parse_sample ~line_no line with
-        | Error _ -> ()
-        | Ok s ->
-            if Hashtbl.find_opt typed (family_of typed s.p_name) = Some "counter"
-            then begin
-              let key =
-                s.p_name
-                ^
-                match s.p_labels with
-                | [] -> ""
-                | ls ->
-                    "{"
-                    ^ String.concat ","
-                        (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-                    ^ "}"
-              in
-              out := (key, s.p_value) :: !out
-            end)
-    lines;
-  List.rev !out
+  let counter = ref false in
+  String.split_on_char '\n' body
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | "#" :: "TYPE" :: _ :: [ ty ] ->
+             counter := ty = "counter";
+             None
+         | _ when !counter && line <> "" && line.[0] <> '#' -> (
+             match String.rindex_opt line ' ' with
+             | None -> None
+             | Some i ->
+                 Option.map
+                   (fun v -> (String.sub line 0 i, v))
+                   (float_of_string_opt
+                      (String.sub line (i + 1) (String.length line - i - 1))))
+         | _ -> None)

@@ -1,5 +1,5 @@
 (** Prometheus text exposition format (0.0.4): a renderer over the
-    metric registries and a parser for the sample lines of a scrape.
+    metric registries.
 
     The renderer prefixes every family with [turbosyn_] and maps
     registries as follows: counters become [_total] counter families;
@@ -27,26 +27,11 @@ val render :
     two exposition series. *)
 
 val counter_values : string -> (string * float) list
-(** Samples of counter-typed families, keyed by their series text (name
-    plus label block) — the stable key for monotonicity checks across
-    two scrapes of the same process. *)
+(** Samples of counter-typed families in a body {!render} produced,
+    keyed by their literal series text (name plus label block, as
+    written) — the stable key for monotonicity checks across two
+    scrapes of the same process.  An unlabeled series' key is its
+    metric name. *)
 
 val sanitize : string -> string
 (** A dotted registry name as a metric name: [.] and the like become [_]. *)
-
-val valid_name : string -> bool
-(** A legal metric or label name, [[a-zA-Z_:][a-zA-Z0-9_:]*]. *)
-
-type parsed_sample = {
-  p_name : string;  (** metric name as written, suffixes included *)
-  p_labels : (string * string) list;  (** unescaped, in written order *)
-  p_value : float;
-}
-
-val parse_sample : line_no:int -> string -> (parsed_sample, string) result
-(** Parse one sample line, [name{k="v",...} value [timestamp]]; the error
-    names [line_no] and the first fault (name, quoting, escape, value). *)
-
-val family_of : (string, string) Hashtbl.t -> string -> string
-(** The family of a sample name, given the [TYPE]s seen so far (name to
-    type): a histogram's [_bucket]/[_sum]/[_count] map to its base name. *)

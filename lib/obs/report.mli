@@ -49,20 +49,3 @@ val stats_json : ?extra:(string * Json.t) list -> unit -> Json.t
 val write_stats : ?extra:(string * Json.t) list -> string -> unit
 (** [write_stats dest] pretty-prints {!stats_json} to the file [dest],
     or to stdout when [dest] is ["-"]. *)
-
-val timeline_json :
-  ?slices:Timeline.slice list -> ?events:Log.record list -> unit -> Json.t
-(** Chrome-trace ("Trace Event Format") document over the {!Timeline}
-    slice ring and the {!Log} ring: an object with a [traceEvents]
-    array (["M"] [process_name]/[thread_name] metadata events naming
-    the track, one ["X"] complete event per recorded span activation,
-    one ["i"] instant per log record — named by its [event], placed at
-    its [ts], its payload [fields] as [args] — timestamps in
-    microseconds relative to the earliest record) that loads directly
-    in Perfetto or [chrome://tracing].  [slices]/[events] override the
-    global rings — e.g. a single request's {!Scope} summary slices for
-    the [/debug/trace] endpoint. *)
-
-val write_timeline : string -> unit
-(** [write_timeline dest] writes {!timeline_json} (compact) to the file
-    [dest], or to stdout when [dest] is ["-"]. *)

@@ -46,15 +46,6 @@ type resources = {
   r_queue_wait : float;
 }
 
-let zero_resources =
-  {
-    r_cpu_seconds = 0.;
-    r_minor_words = 0.;
-    r_promoted_words = 0.;
-    r_major_words = 0.;
-    r_queue_wait = 0.;
-  }
-
 type summary = {
   sc_id : string;
   sc_started : float;
@@ -153,11 +144,6 @@ let wrap ?id f =
   | exception e ->
       ignore (close t);
       raise e
-
-let span_seconds summary name =
-  List.find_map
-    (fun (n, s, _, _) -> if String.equal n name then Some s else None)
-    summary.sc_spans
 
 let summary_json s =
   Json.Obj

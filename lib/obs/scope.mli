@@ -40,8 +40,6 @@ type resources = {
     monotone counters, so a scope left open while others open and close
     in sequence on the same domain bounds the sum of their deltas. *)
 
-val zero_resources : resources
-
 type summary = {
   sc_id : string;
   sc_started : float;  (** [Prelude.Timer.wall] at {!create} *)
@@ -91,9 +89,6 @@ val wrap : ?id:string -> (t -> 'a) -> 'a * summary
     raises).
     @raise Invalid_argument, opening no scope, when the calling domain
     is already inside a scope's {!run}. *)
-
-val span_seconds : summary -> string -> float option
-(** Seconds one span accumulated inside the scope, if it ran. *)
 
 val summary_json : summary -> Json.t
 (** The summary as a JSON object: [id], [started], [finished],

@@ -128,7 +128,9 @@ let create ~capacity =
     dropped = 0;
   }
 
-let global = create ~capacity:65536
+(* The global ring records no slice until a caller asks for them:
+   flame -w sets an unbounded capacity; nothing else reads it. *)
+let global = create ~capacity:0
 let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> global)
 let[@inline] current () = Domain.DLS.get key
 let install s = Domain.DLS.set key s

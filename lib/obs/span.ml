@@ -14,7 +14,6 @@ type t = Sink.id = { name : string; slot : int }
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 let make = Sink.register registry Sink.span
-let name s = s.name
 let seconds s = (Sink.span s).total
 let count s = (Sink.span s).entries
 let gc_totals s = (Sink.span s).gc
@@ -55,4 +54,3 @@ let time s f =
   end
 
 let all_full () = Sink.spans Sink.global
-let all () = List.map (fun (n, secs, e, _) -> (n, secs, e)) (all_full ())

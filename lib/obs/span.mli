@@ -38,8 +38,6 @@ val make : string -> t
     first use.  Dotted lower-case names ([subsystem.phase]) by
     convention. *)
 
-val name : t -> string
-
 val seconds : t -> float
 (** Total wall seconds accumulated over completed outermost entries. *)
 
@@ -63,9 +61,6 @@ val exit : t -> unit
 val time : t -> (unit -> 'a) -> 'a
 (** [time s f] runs [f ()] inside the span, exception-safely. *)
 
-val all : unit -> (string * float * int) list
-(** Every registered span as [(name, seconds, entries)], sorted by
-    name. *)
-
 val all_full : unit -> (string * float * int * gc_totals) list
-(** Like {!all} with the GC totals included. *)
+(** Every registered span as [(name, seconds, entries, GC totals)],
+    sorted by name. *)

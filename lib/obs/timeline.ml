@@ -1,10 +1,11 @@
-(* Per-entry span slices for the Chrome-trace/Perfetto timeline export.
+(* Per-entry span slices for flamegraph folding.
 
-   Spans only keep aggregates (total seconds, entry count); a timeline
-   needs every completed outermost activation as an interval.  Span.exit
+   Spans only keep aggregates (total seconds, entry count); a fold needs
+   every completed outermost activation as an interval.  Span.exit
    records one slice per outermost completion into the current sink's
-   bounded ring (Sink): the global ring here, or a request scope's,
-   whose slices stay with its summary. *)
+   bounded ring (Sink): the global ring here, which records only once
+   given a capacity (flame -w), or a request scope's, whose slices stay
+   with its summary. *)
 
 type slice = Sink.slice = { name : string; start : float; stop : float }
 
@@ -15,7 +16,4 @@ let set_capacity n =
   if n < 0 then invalid_arg "Obs.Timeline.set_capacity: negative";
   Sink.set_capacity Sink.global n
 
-let clear () = Sink.clear_slices Sink.global
 let slices () = Sink.slices Sink.global
-let length () = Sink.global.len
-let dropped () = Sink.global.dropped

@@ -1,12 +1,12 @@
 (** Completed span activations as timeline slices.
 
     {!Span.exit} records one slice per completed {e outermost} span entry
-    while collection is enabled, into a bounded ring (default capacity
-    65536; oldest slices are dropped and counted).  Only code outside a
-    request {!Obs.Scope} feeds this ring ([map --timeline], [flame -w]):
-    a scope keeps its own slices in its summary.  {!Report.timeline_json}
-    merges these slices with the {!Log} ring's records into a
-    Chrome-trace document that loads in Perfetto / [chrome://tracing]. *)
+    while collection is enabled, into the current sink's bounded ring
+    (oldest slices are dropped and counted).  The global ring has
+    capacity 0, so unscoped work records nothing until a caller sets
+    one: [flame -w] keeps every slice of a whole run.  A request
+    {!Obs.Scope} keeps its own slices in its summary.  {!Flame} folds
+    slices into folded stacks. *)
 
 type slice = Sink.slice = { name : string; start : float; stop : float }
 (** [start]/[stop] are {!Prelude.Timer.wall} seconds (monotonic clock,
@@ -17,14 +17,9 @@ val record : string -> start:float -> stop:float -> unit
     slices.  No-op while collection is disabled or the capacity is 0. *)
 
 val slices : unit -> slice list
-(** Oldest first. *)
-
-val length : unit -> int
-val dropped : unit -> int
+(** The global ring's slices, oldest first. *)
 
 val set_capacity : int -> unit
-(** The ring's capacity (a scope's is {!Obs.Scope.slice_capacity}).
+(** The global ring's capacity, 0 by default (a scope's is
+    {!Obs.Scope.slice_capacity}); lowering it drops the oldest slices.
     @raise Invalid_argument on a negative capacity. *)
-
-val clear : unit -> unit
-(** Drop all slices and zero the dropped counter (part of {!Obs.reset}). *)

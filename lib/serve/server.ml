@@ -894,13 +894,6 @@ let handle_debug_trace t fd ~req_id ~path ~query =
               ~headers:[ ("X-Request-Id", req_id) ]
               ~status:200 ~content_type:"text/plain"
               (Obs.Flame.of_slices summary.Obs.Scope.sc_slices) )
-      | Some "chrome" ->
-          ( 200,
-            respond_json fd
-              ~headers:[ ("X-Request-Id", req_id) ]
-              ~status:200
-              (Obs.Report.timeline_json
-                 ~slices:summary.Obs.Scope.sc_slices ~events:[] ()) )
       | None | Some _ ->
           ( 200,
             respond_json fd

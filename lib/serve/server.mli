@@ -24,9 +24,8 @@
       response being ready; other routes' run to the response written.
     - [GET /debug/trace/<id>] answers the retained per-request telemetry
       of one ring entry ([turbosyn-debug-trace/1] with the full
-      {!Obs.Scope.summary_json}); [?format=chrome] renders the request's
-      timeline slices as a Chrome-trace document, [?format=folded] as
-      flamegraph.pl folded stacks.  [404] when the id has been evicted
+      {!Obs.Scope.summary_json}); [?format=folded] renders the
+      request's timeline slices as flamegraph.pl folded stacks.  [404] when the id has been evicted
       from the ring (or never existed).
 
     {b Concurrency.}  {!run} runs the accept lane on the calling domain

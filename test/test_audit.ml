@@ -1,7 +1,7 @@
 (* Tests for the audit layer: netlist/rational JSON codecs, build +
    independent verification of audit documents, rejection of mutated
-   certificates, stats-diff regression gating, and the Chrome-trace
-   timeline document shape. *)
+   certificates, stats-diff regression gating, and the documents'
+   invariance under Obs collection. *)
 
 module J = Obs.Json
 module Netlist = Circuit.Netlist
@@ -417,81 +417,6 @@ let test_diff_histogram_gating () =
       | Error e -> Alcotest.failf "diff errored: %s" e)
 
 (* ---------------------------------------------------------------- *)
-(* Timeline                                                         *)
-(* ---------------------------------------------------------------- *)
-
-let test_timeline_shape () =
-  with_obs (fun () ->
-      let s = Obs.Span.make "test.timeline-span" in
-      Obs.Span.time s (fun () -> ());
-      Obs.Span.time s (fun () -> ());
-      (* instants come from the log ring: one debug record *)
-      Obs.Log.set_level Obs.Log.Debug;
-      Obs.Log.to_null ();
-      Obs.Log.clear ();
-      let doc =
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.Log.set_level Obs.Log.Info;
-            Obs.Log.clear ();
-            Obs.Log.to_stderr ())
-          (fun () ->
-            Obs.Log.debug "test.timeline-event" [ ("x", J.Int 1) ];
-            Obs.Report.timeline_json ())
-      in
-      (* the document parses back and is Chrome-trace shaped *)
-      (match J.of_string (J.to_string doc) with
-      | Ok v -> Alcotest.(check bool) "round trip" true (J.equal doc v)
-      | Error m -> Alcotest.failf "timeline does not parse: %s" m);
-      match J.member "traceEvents" doc with
-      | Some (J.List evs) ->
-          let phase e =
-            match J.member "ph" e with Some (J.Str p) -> p | _ -> "?" in
-          let complete = List.filter (fun e -> phase e = "X") evs in
-          let instants = List.filter (fun e -> phase e = "i") evs in
-          Alcotest.(check int) "two complete slices" 2 (List.length complete);
-          Alcotest.(check int) "one instant" 1 (List.length instants);
-          Alcotest.(check bool) "instant named and carrying its fields" true
-            (match instants with
-            | [ i ] -> (
-                J.member "name" i = Some (J.Str "test.timeline-event")
-                &&
-                match J.member "args" i with
-                | Some args -> J.member "x" args = Some (J.Int 1)
-                | None -> false)
-            | _ -> false);
-          (* named tracks: process_name/thread_name metadata events with
-             an args.name, so Perfetto shows labels instead of bare pids *)
-          let meta_name key =
-            List.exists
-              (fun e ->
-                phase e = "M"
-                && J.member "name" e = Some (J.Str key)
-                &&
-                match J.member "args" e with
-                | Some args -> (
-                    match J.member "name" args with
-                    | Some (J.Str n) -> n <> ""
-                    | _ -> false)
-                | None -> false)
-              evs
-          in
-          Alcotest.(check bool) "process_name metadata" true
-            (meta_name "process_name");
-          Alcotest.(check bool) "thread_name metadata" true
-            (meta_name "thread_name");
-          List.iter
-            (fun e ->
-              (match J.member "ts" e with
-              | Some (J.Float _ | J.Int _) -> ()
-              | _ -> Alcotest.fail "slice without ts");
-              match J.member "dur" e with
-              | Some (J.Float _ | J.Int _) -> ()
-              | _ -> Alcotest.fail "slice without dur")
-            complete
-      | _ -> Alcotest.fail "no traceEvents list")
-
-(* ---------------------------------------------------------------- *)
 (* Document comparison and the Obs byte-identity oracle             *)
 (* ---------------------------------------------------------------- *)
 
@@ -672,7 +597,6 @@ let () =
           Alcotest.test_case "histogram counts" `Quick
             test_diff_histogram_gating;
         ] );
-      ("timeline", [ Alcotest.test_case "shape" `Quick test_timeline_shape ]);
       ( "invariance",
         [
           Alcotest.test_case "equal_documents diagnosis" `Quick

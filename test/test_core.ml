@@ -104,6 +104,39 @@ let test_reduce_random_equivalence () =
           (b = Graphs.Cycle_ratio.Infinite)
   done
 
+(* What the Area header promises, on random sequential circuits with
+   feedback: [reduce ~k] never adds a gate, never raises the MDR ratio
+   and keeps the PO sequences. *)
+let qcheck_reduce =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* gates = int_range 2 24 in
+      let* k = int_range 2 6 in
+      return (seed, gates, k))
+  in
+  let print (seed, gates, k) =
+    Printf.sprintf "seed %d, %d gates, k %d" seed gates k
+  in
+  let mdr_le a b =
+    match (a, b) with
+    | Graphs.Cycle_ratio.No_cycle, _ -> true
+    | Graphs.Cycle_ratio.Ratio x, Graphs.Cycle_ratio.Ratio y -> Rat.(x <= y)
+    | _, Graphs.Cycle_ratio.Infinite -> true
+    | _ -> false
+  in
+  Test.make ~count:200
+    ~name:"reduce keeps gates, MDR ratio and PO sequences"
+    (make ~print gen)
+    (fun (seed, gates, k) ->
+      let rng = Rng.create seed in
+      let nl = Random_circuit.seq rng ~pis:3 ~gates ~max_arity:(min k 4) in
+      let out = Turbosyn.Area.reduce nl ~k in
+      List.length (Netlist.gates out) <= List.length (Netlist.gates nl)
+      && mdr_le (Netlist.mdr_ratio out) (Netlist.mdr_ratio nl)
+      && Sim.Equiv.io_equal ~cycles:32 ~runs:3 rng nl out)
+
 (* --- full flow --- *)
 
 let small_fsm () =
@@ -447,6 +480,7 @@ let () =
           Alcotest.test_case "pack k" `Quick test_pack_respects_k;
           Alcotest.test_case "pack registers" `Quick test_pack_respects_registers;
           Alcotest.test_case "reduce equivalence" `Slow test_reduce_random_equivalence;
+          QCheck_alcotest.to_alcotest qcheck_reduce;
         ] );
       ( "flow",
         [

@@ -154,25 +154,6 @@ let test_bf_positive_cycle () =
   Alcotest.(check bool) "zero cycle is fine" false
     (Bellman_ford.has_positive_cycle ~n:2 ~edges)
 
-let test_bf_longest () =
-  let edges = bf_edges [ (0, 1, 3); (1, 2, 4); (0, 2, 5) ] in
-  match Bellman_ford.longest_paths ~n:3 ~edges ~sources:[ 0 ] with
-  | None -> Alcotest.fail "no cycle expected"
-  | Some d -> Alcotest.(check (array int)) "distances" [| 0; 3; 7 |] d
-
-let test_bf_longest_cyclic () =
-  let edges = bf_edges [ (0, 1, 1); (1, 0, 1) ] in
-  Alcotest.(check bool) "cycle detected" true
-    (Bellman_ford.longest_paths ~n:2 ~edges ~sources:[ 0 ] = None)
-
-let test_bf_unreachable () =
-  let edges = bf_edges [ (1, 2, 7) ] in
-  match Bellman_ford.longest_paths ~n:3 ~edges ~sources:[ 0 ] with
-  | None -> Alcotest.fail "acyclic"
-  | Some d ->
-      Alcotest.(check int) "source" 0 d.(0);
-      Alcotest.(check bool) "unreachable" true (d.(1) = min_int && d.(2) = min_int)
-
 (* --- Cycle ratio --- *)
 
 let cr_edges lst =
@@ -394,9 +375,6 @@ let () =
         [
           Alcotest.test_case "no cycle" `Quick test_bf_no_cycle;
           Alcotest.test_case "positive cycle" `Quick test_bf_positive_cycle;
-          Alcotest.test_case "longest paths" `Quick test_bf_longest;
-          Alcotest.test_case "cyclic longest" `Quick test_bf_longest_cyclic;
-          Alcotest.test_case "unreachable" `Quick test_bf_unreachable;
         ] );
       ( "cycle-ratio",
         [

@@ -1,5 +1,5 @@
 (* Tests for the observability layer: counter registry semantics, span
-   nesting, disabled-mode no-ops, trace ring-buffer bounds, and the
+   nesting, disabled-mode no-ops, timeline ring bounds, and the
    stats-report JSON schema (including a parse/print round trip). *)
 
 let with_obs f =
@@ -10,6 +10,14 @@ let with_obs f =
       Obs.reset ();
       Obs.set_enabled false)
     f
+
+(* The global timeline ring records nothing by default (capacity 0);
+   run [f] with room for [cap] slices. *)
+let with_ring cap f =
+  Obs.Timeline.set_capacity cap;
+  Fun.protect ~finally:(fun () -> Obs.Timeline.set_capacity 0) f
+
+let ring_length () = List.length (Obs.Timeline.slices ())
 
 (* ---------------------------------------------------------------- *)
 (* Counters                                                         *)
@@ -113,29 +121,22 @@ let test_reset_clears_everything () =
       let c = Obs.Counter.make "test.reset-counter" in
       Obs.Counter.add c 9;
       let s = Obs.Span.make "test.reset-span" in
-      Obs.Timeline.set_capacity 2;
-      Fun.protect
-        ~finally:(fun () -> Obs.Timeline.set_capacity 65536)
-        (fun () ->
+      with_ring 2 (fun () ->
           for _ = 0 to 4 do
             Obs.Span.time s (fun () -> ())
           done;
-          Alcotest.(check bool) "timeline dropped some" true
-            (Obs.Timeline.dropped () > 0);
-          Alcotest.(check bool) "timeline recorded" true
-            (Obs.Timeline.length () > 0);
+          Alcotest.(check int) "timeline bounded" 2 (ring_length ());
           Obs.reset ();
           Alcotest.(check int) "counter zero" 0 (Obs.Counter.value c);
           Alcotest.(check int) "span entries zero" 0 (Obs.Span.count s);
-          Alcotest.(check int) "timeline empty" 0 (Obs.Timeline.length ());
-          Alcotest.(check int) "timeline dropped zero" 0
-            (Obs.Timeline.dropped ())))
+          Alcotest.(check int) "timeline empty" 0 (ring_length ())))
 
 (* A span that is entered when reset runs loses its in-flight
    activation: the pending exit is ignored, and [entries] counts only
    activations completed entirely after the reset. *)
 let test_reset_while_entered () =
-  with_obs (fun () ->
+  with_obs @@ fun () ->
+  with_ring 16 (fun () ->
       let s = Obs.Span.make "test.reset-inflight" in
       Obs.Span.time s (fun () -> ());
       Alcotest.(check int) "one entry before" 1 (Obs.Span.count s);
@@ -145,11 +146,11 @@ let test_reset_while_entered () =
       (* the orphaned exit is dropped, not counted *)
       Alcotest.(check int) "orphaned exit ignored" 0 (Obs.Span.count s);
       Alcotest.(check int) "no timeline slice from the orphan" 0
-        (Obs.Timeline.length ());
+        (ring_length ());
       (* the span works normally afterwards *)
       Obs.Span.time s (fun () -> ());
       Alcotest.(check int) "fresh entry counts" 1 (Obs.Span.count s);
-      Alcotest.(check int) "fresh slice recorded" 1 (Obs.Timeline.length ()))
+      Alcotest.(check int) "fresh slice recorded" 1 (ring_length ()))
 
 (* ---------------------------------------------------------------- *)
 (* Scope sinks: writes stay domain-local until the scope closes      *)
@@ -180,29 +181,30 @@ let test_shard_merge () =
           Obs.Histogram.observe h 1.0;
           Obs.Histogram.observe h 2.0);
       (* nothing reaches the globals until the scope closes *)
+      let hist_count () = (Obs.Histogram.snapshot h).Obs.Histogram.s_count in
       Alcotest.(check int) "adds buffered" 1 (Obs.Counter.value c);
-      Alcotest.(check int) "hist buffered" 0 (Obs.Histogram.count h);
+      Alcotest.(check int) "hist buffered" 0 (hist_count ());
       ignore (Obs.Scope.close scope);
       Alcotest.(check int) "adds merged by sum" 5 (Obs.Counter.value c);
       Alcotest.(check int) "peak merged by max" 10 (Obs.Counter.value p);
-      Alcotest.(check int) "hist merged" 2 (Obs.Histogram.count h);
+      Alcotest.(check int) "hist merged" 2 (hist_count ());
       (* a later scope raises the peak *)
       let (), _ = Obs.Scope.wrap (fun _ -> Obs.Counter.record_max p 25) in
       Alcotest.(check int) "peak raised by a later scope" 25
         (Obs.Counter.value p))
 
 let test_shard_span_and_timeline () =
-  with_obs (fun () ->
+  with_obs @@ fun () ->
+  with_ring 16 (fun () ->
       let s = Obs.Span.make "test.shard-span" in
       let scope = Obs.Scope.create () in
       Obs.Scope.run scope (fun () -> Obs.Span.time s (fun () -> ()));
       Alcotest.(check int) "span buffered" 0 (Obs.Span.count s);
-      Alcotest.(check int) "timeline buffered" 0 (Obs.Timeline.length ());
+      Alcotest.(check int) "timeline buffered" 0 (ring_length ());
       let summary = Obs.Scope.close scope in
       Alcotest.(check int) "span merged" 1 (Obs.Span.count s);
       (* the slice stays with the scope: close leaves the ring as it was *)
-      Alcotest.(check int) "timeline unchanged by close" 0
-        (Obs.Timeline.length ());
+      Alcotest.(check int) "timeline unchanged by close" 0 (ring_length ());
       Alcotest.(check int) "slice in the summary" 1
         (List.length summary.Obs.Scope.sc_slices))
 
@@ -424,6 +426,10 @@ let test_histogram_buckets () =
        (QCheck.make ~print:string_of_float value_gen)
        (fun v -> v <= Obs.Histogram.bucket_upper (Obs.Histogram.bucket_of v)))
 
+(* Two scopes observe [xs] and [ys]; their closes merge them into the
+   global histogram.  The merge commutes (either close order gives the
+   same snapshot), preserves mass, and buckets the values exactly as
+   observing them all unscoped does. *)
 let test_histogram_merge () =
   with_obs (fun () ->
       let pair_arb =
@@ -433,18 +439,34 @@ let test_histogram_merge () =
           QCheck.Gen.(
             pair (list_size (0 -- 64) value_gen) (list_size (0 -- 64) value_gen))
       in
+      let merged xs ys ~reverse_close =
+        Obs.Histogram.reset_all ();
+        let h = Obs.Histogram.make "test.hist-prop" in
+        let observe vs =
+          let scope = Obs.Scope.create () in
+          Obs.Scope.run scope (fun () -> List.iter (Obs.Histogram.observe h) vs);
+          scope
+        in
+        let scopes = [ observe xs; observe ys ] in
+        List.iter
+          (fun s -> ignore (Obs.Scope.close s))
+          (if reverse_close then List.rev scopes else scopes);
+        Obs.Histogram.snapshot h
+      in
       run_qcheck
         (QCheck.Test.make ~count:200 ~name:"merge commutes and preserves mass"
            pair_arb (fun (xs, ys) ->
-             let a = snapshot_of_values xs in
-             let b = snapshot_of_values ys in
-             let m = Obs.Histogram.merge a b in
-             m = Obs.Histogram.merge b a
+             let m = merged xs ys ~reverse_close:false in
+             let bare = snapshot_of_values (xs @ ys) in
+             m = merged xs ys ~reverse_close:true
              && m.Obs.Histogram.s_count = List.length xs + List.length ys
              && List.fold_left
                   (fun acc (_, c) -> acc + c)
                   0 m.Obs.Histogram.s_buckets
-                = m.Obs.Histogram.s_count)))
+                = m.Obs.Histogram.s_count
+             && m.Obs.Histogram.s_buckets = bare.Obs.Histogram.s_buckets
+             && m.Obs.Histogram.s_min = bare.Obs.Histogram.s_min
+             && m.Obs.Histogram.s_max = bare.Obs.Histogram.s_max)))
 
 let test_histogram_quantiles () =
   with_obs (fun () ->
@@ -490,7 +512,9 @@ let test_scope_capture () =
       Alcotest.(check (option int)) "summary counter" (Some 3)
         (List.assoc_opt "test.scope-counter" summary.Obs.Scope.sc_counters);
       Alcotest.(check bool) "summary span" true
-        (Obs.Scope.span_seconds summary "test.scope-span" <> None);
+        (List.exists
+           (fun (n, _, _, _) -> n = "test.scope-span")
+           summary.Obs.Scope.sc_spans);
       Alcotest.(check bool) "summary slice" true
         (List.exists
            (fun (sl : Obs.Timeline.slice) -> sl.name = "test.scope-span")
@@ -576,7 +600,8 @@ let test_scope_nested_run_refused () =
 (* A scope keeps its latest [slice_capacity] slices and counts the
    rest; none reach the global ring. *)
 let test_scope_slice_cap () =
-  with_obs (fun () ->
+  with_obs @@ fun () ->
+  with_ring 16 (fun () ->
       let s = Obs.Span.make "test.scope-cap" in
       let extra = 5 in
       let (), summary =
@@ -592,7 +617,7 @@ let test_scope_slice_cap () =
       Alcotest.(check int) "every entry merged"
         (Obs.Scope.slice_capacity + extra)
         (Obs.Span.count s);
-      Alcotest.(check int) "ring untouched" 0 (Obs.Timeline.length ()))
+      Alcotest.(check int) "ring untouched" 0 (ring_length ()))
 
 let test_scope_fresh_ids () =
   let a = Obs.Scope.fresh_id () in
@@ -747,8 +772,37 @@ let test_flame_fold () =
   Alcotest.(check (option (float 1e-9))) "accumulated" (Some 3.)
     (List.assoc_opt "R" acc)
 
+(* A Chrome-trace document as the benchmark writes its trace files:
+   one "X" event per slice, [ts]/[dur] in whole microseconds from the
+   earliest start. *)
+let chrome_trace slices =
+  let t0 =
+    List.fold_left
+      (fun m (s : Obs.Timeline.slice) -> Float.min m s.start)
+      infinity slices
+  in
+  let us t = Obs.Json.Float (Float.round (t *. 1e6)) in
+  Obs.Json.Obj
+    [
+      ( "traceEvents",
+        Obs.Json.List
+          (List.map
+             (fun (s : Obs.Timeline.slice) ->
+               Obs.Json.Obj
+                 [
+                   ("name", Obs.Json.Str s.name);
+                   ("ph", Obs.Json.Str "X");
+                   ("ts", us (s.start -. t0));
+                   ("dur", us (s.stop -. s.start));
+                   ("pid", Obs.Json.Int 1);
+                   ("tid", Obs.Json.Int 1);
+                 ])
+             slices) );
+    ]
+
 let test_flame_timeline_round_trip () =
-  with_obs (fun () ->
+  with_obs @@ fun () ->
+  with_ring 16 (fun () ->
       let outer = Obs.Span.make "test.flame-outer" in
       let inner = Obs.Span.make "test.flame-inner" in
       Obs.Span.time outer (fun () ->
@@ -756,82 +810,92 @@ let test_flame_timeline_round_trip () =
       let slices = Obs.Timeline.slices () in
       Alcotest.(check int) "two slices" 2 (List.length slices);
       let direct = Obs.Flame.of_slices slices in
-      (* through the Chrome-trace document, as `flame --from-timeline`
+      (* through a Chrome-trace document, as `flame --from-timeline`
          consumes it *)
-      let doc = Obs.Report.timeline_json () in
-      match Obs.Flame.slices_of_timeline_json doc with
-      | Error e -> Alcotest.failf "trace does not parse back: %s" e
-      | Ok recovered ->
+      match
+        Obs.Json.of_string (Obs.Json.to_string (chrome_trace slices))
+        |> Result.map Obs.Flame.slices_of_timeline_json
+      with
+      | Error e | Ok (Error e) ->
+          Alcotest.failf "trace does not parse back: %s" e
+      | Ok (Ok recovered) ->
           Alcotest.(check int) "slice count preserved" 2
             (List.length recovered);
           let through = Obs.Flame.of_slices recovered in
           Alcotest.(check bool) "both well-formed" true
             (folded_well_formed direct && folded_well_formed through);
-          Alcotest.(check bool) "nesting preserved" true
-            (let mem sub s =
-               let n = String.length sub in
-               let rec go i =
-                 i + n <= String.length s
-                 && (String.sub s i n = sub || go (i + 1))
-               in
-               go 0
-             in
-             mem "test.flame-outer;test.flame-inner" through))
+          Alcotest.(check (list string))
+            "same stacks"
+            (List.map fst (Obs.Flame.fold_slices slices))
+            (List.map fst (Obs.Flame.fold_slices recovered)))
 
-(* ring overflow: with parents or children evicted, the fold and the
-   Chrome-trace document both stay well-formed *)
+(* A document shaped like the benchmark's trace files: two runs on
+   different threads, each with stage events carrying [args.parent] and
+   [args.words], plus a metadata and an instant event, which are not
+   slices.  The fold is exact. *)
+let test_flame_benchmark_trace () =
+  let doc =
+    {|{"traceEvents":[
+       {"name":"process_name","ph":"M","pid":1,"tid":1,"args":{"name":"perfbench"}},
+       {"name":"bbara/turbomap","cat":"run","ph":"X","ts":0,"dur":1000,"pid":1,"tid":1,"args":{"parent":"","words":5000}},
+       {"name":"search","cat":"stage","ph":"X","ts":100,"dur":600,"pid":1,"tid":1,"args":{"parent":"bbara/turbomap","words":3000}},
+       {"name":"mapgen","cat":"stage","ph":"X","ts":700,"dur":200,"pid":1,"tid":1,"args":{"parent":"bbara/turbomap","words":1000}},
+       {"name":"note","cat":"event","ph":"i","ts":150,"s":"t","pid":1,"tid":1,"args":{}},
+       {"name":"dk16/flowsyn-s","cat":"run","ph":"X","ts":2000,"dur":500,"pid":1,"tid":2,"args":{"parent":"","words":800}},
+       {"name":"area","cat":"stage","ph":"X","ts":2100,"dur":300,"pid":1,"tid":2,"args":{"parent":"dk16/flowsyn-s","words":400}}
+     ]}|}
+  in
+  match Obs.Json.of_string doc with
+  | Error e -> Alcotest.failf "document: %s" e
+  | Ok j -> (
+      match Obs.Flame.slices_of_timeline_json j with
+      | Error e -> Alcotest.failf "slices: %s" e
+      | Ok slices ->
+          Alcotest.(check int) "X events only" 5 (List.length slices);
+          Alcotest.(check string) "folded text"
+            "bbara/turbomap 200\n\
+             bbara/turbomap;mapgen 200\n\
+             bbara/turbomap;search 600\n\
+             dk16/flowsyn-s 200\n\
+             dk16/flowsyn-s;area 300\n"
+            (Obs.Flame.of_slices slices))
+
+(* ring overflow: with parents or children evicted, the fold stays
+   well-formed *)
 let test_timeline_overflow_flame () =
-  with_obs (fun () ->
-      Obs.Timeline.set_capacity 8;
-      Fun.protect
-        ~finally:(fun () -> Obs.Timeline.set_capacity 65536)
-        (fun () ->
-          (* innermost-first recording (real exit order): eviction drops
-             the innermost frames, keeping parents *)
-          for i = 31 downto 0 do
-            Obs.Timeline.record
-              (Printf.sprintf "deep%d" i)
-              ~start:(float_of_int i)
-              ~stop:(float_of_int (64 - i))
-          done;
-          Alcotest.(check int) "ring bounded" 8 (Obs.Timeline.length ());
-          Alcotest.(check int) "drops counted" 24 (Obs.Timeline.dropped ());
-          let text = Obs.Flame.of_slices (Obs.Timeline.slices ()) in
-          Alcotest.(check bool) "fold well-formed after child eviction"
-            true (folded_well_formed text);
-          (* outermost-first recording: eviction drops the PARENTS; the
-             orphaned children must still fold cleanly *)
-          Obs.Timeline.clear ();
-          for i = 0 to 31 do
-            Obs.Timeline.record
-              (Printf.sprintf "deep%d" i)
-              ~start:(float_of_int i)
-              ~stop:(float_of_int (64 - i))
-          done;
-          let slices = Obs.Timeline.slices () in
-          let text = Obs.Flame.of_slices slices in
-          Alcotest.(check bool) "fold well-formed after parent eviction"
-            true (folded_well_formed text);
-          Alcotest.(check bool) "deepest surviving frame is a root" true
-            (String.length text >= 6 && String.sub text 0 6 = "deep24");
-          (* the /debug/trace document over the same slices parses *)
-          match
-            Obs.Json.of_string
-              (Obs.Json.to_string (Obs.Report.timeline_json ~slices ()))
-          with
-          | Ok doc -> (
-              match Obs.Flame.slices_of_timeline_json doc with
-              | Ok r ->
-                  Alcotest.(check int) "document carries the ring" 8
-                    (List.length r)
-              | Error e -> Alcotest.failf "trace parse: %s" e)
-          | Error e -> Alcotest.failf "trace document: %s" e))
+  with_obs @@ fun () ->
+  with_ring 8 (fun () ->
+      (* innermost-first recording (real exit order): eviction drops
+         the innermost frames, keeping parents *)
+      for i = 31 downto 0 do
+        Obs.Timeline.record
+          (Printf.sprintf "deep%d" i)
+          ~start:(float_of_int i)
+          ~stop:(float_of_int (64 - i))
+      done;
+      Alcotest.(check int) "ring bounded" 8 (ring_length ());
+      let text = Obs.Flame.of_slices (Obs.Timeline.slices ()) in
+      Alcotest.(check bool) "fold well-formed after child eviction" true
+        (folded_well_formed text);
+      (* outermost-first recording: eviction drops the PARENTS; the
+         orphaned children must still fold cleanly *)
+      Obs.reset ();
+      for i = 0 to 31 do
+        Obs.Timeline.record
+          (Printf.sprintf "deep%d" i)
+          ~start:(float_of_int i)
+          ~stop:(float_of_int (64 - i))
+      done;
+      let text = Obs.Flame.of_slices (Obs.Timeline.slices ()) in
+      Alcotest.(check bool) "fold well-formed after parent eviction" true
+        (folded_well_formed text);
+      Alcotest.(check bool) "deepest surviving frame is a root" true
+        (String.length text >= 6 && String.sub text 0 6 = "deep24"))
 
 (* qcheck: the timeline ring, growing and wrapping, keeps the newest
-   [capacity] slices oldest first and counts the rest as dropped, also
-   when the capacity is lowered or raised between records (a raise lets
-   a wrapped ring grow again); and the in-place fold of the ring equals
-   the fold of its slice list. *)
+   [capacity] slices oldest first, also when the capacity is lowered or
+   raised between records (a raise lets a wrapped ring grow again); and
+   the in-place fold of the ring equals the fold of its slice list. *)
 let test_timeline_ring_qcheck () =
   with_obs (fun () ->
       let gen =
@@ -841,7 +905,7 @@ let test_timeline_ring_qcheck () =
             (list_size (0 -- 40) (pair (0 -- 50) (0 -- 20))))
       in
       Fun.protect
-        ~finally:(fun () -> Obs.Timeline.set_capacity 65536)
+        ~finally:(fun () -> Obs.Timeline.set_capacity 0)
         (fun () ->
           run_qcheck
             (QCheck.Test.make ~count:200 ~name:"timeline ring order"
@@ -849,14 +913,12 @@ let test_timeline_ring_qcheck () =
                (fun (cap, cap', before, after) ->
                  Obs.reset ();
                  Obs.Timeline.set_capacity cap;
-                 (* the model: kept names oldest first, and drops *)
-                 let kept = ref [] and dropped = ref 0 and next = ref 0 in
+                 (* the model: kept names oldest first *)
+                 let kept = ref [] and next = ref 0 in
                  let trim cap =
                    let n = List.length !kept in
-                   if n > cap then begin
-                     kept := List.filteri (fun i _ -> i >= n - cap) !kept;
-                     dropped := !dropped + (n - cap)
-                   end
+                   if n > cap then
+                     kept := List.filteri (fun i _ -> i >= n - cap) !kept
                  in
                  let record cap (start, dur) =
                    let name = Printf.sprintf "ring.s%d" !next in
@@ -873,8 +935,6 @@ let test_timeline_ring_qcheck () =
                  let slices = Obs.Timeline.slices () in
                  List.map (fun (s : Obs.Timeline.slice) -> s.name) slices
                  = !kept
-                 && Obs.Timeline.dropped () = !dropped
-                 && Obs.Timeline.length () = List.length !kept
                  && Obs.Flame.fold_timeline () = Obs.Flame.fold_slices slices))))
 
 (* qcheck: whatever nesting program runs, the exact fold of its
@@ -884,7 +944,8 @@ let test_timeline_ring_qcheck () =
    activation of a span, so every activation's subtree is counted
    once). *)
 let test_flame_folded_qcheck () =
-  with_obs (fun () ->
+  with_obs @@ fun () ->
+  with_ring max_int (fun () ->
       let frame_names = [| "flame.qa"; "flame.qb"; "flame.qc"; "flame.qd" |] in
       let gen =
         QCheck.Gen.(
@@ -958,8 +1019,6 @@ let test_flame_folded_qcheck () =
 
 let test_scope_resources () =
   with_obs (fun () ->
-      Alcotest.(check (float 0.)) "zero_resources cpu" 0.
-        Obs.Scope.zero_resources.Obs.Scope.r_cpu_seconds;
       let scope = Obs.Scope.create () in
       Obs.Scope.run scope (fun () ->
           ignore (Sys.opaque_identity (List.init 50_000 Fun.id)));
@@ -1135,121 +1194,91 @@ let test_gc_helper_concurrent () =
 (* Structured logging                                                *)
 (* ---------------------------------------------------------------- *)
 
-(* route to the null sink and restore defaults afterwards *)
-let with_log f =
-  Obs.Log.to_null ();
-  Obs.Log.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Log.set_ring_capacity Obs.Log.default_ring_capacity;
-      Obs.Log.set_level Obs.Log.Info;
-      Obs.Log.clear ();
-      Obs.Log.to_stderr ())
-    f
-
-let test_log_levels_and_ring () =
-  with_log (fun () ->
-      (* logging is independent of the metrics switch *)
-      Obs.set_enabled false;
-      Obs.Log.set_level Obs.Log.Warn;
-      Obs.Log.info "test.below" [];
-      Alcotest.(check int) "below threshold dropped" 0 (Obs.Log.length ());
-      Obs.Log.error "test.above" [];
-      Alcotest.(check int) "above threshold kept" 1 (Obs.Log.length ());
-      Alcotest.(check bool) "enabled_for" true
-        ((not (Obs.Log.enabled_for Obs.Log.Debug))
-        && Obs.Log.enabled_for Obs.Log.Error);
-      (* bounded ring *)
-      Obs.Log.clear ();
-      Obs.Log.set_level Obs.Log.Debug;
-      Obs.Log.set_ring_capacity 4;
-      for i = 0 to 5 do
-        Obs.Log.debug "test.tick" [ ("i", Obs.Json.Int i) ]
-      done;
-      Alcotest.(check int) "ring bounded" 4 (Obs.Log.length ());
-      Alcotest.(check int) "ring drops counted" 2 (Obs.Log.dropped ());
-      (match Obs.Log.recent () with
-      | first :: _ ->
-          Alcotest.(check bool) "oldest surviving record" true
-            (first.Obs.Log.fields = [ ("i", Obs.Json.Int 2) ])
-      | [] -> Alcotest.fail "ring empty");
-      (* level names round trip, and "warning" is accepted *)
-      List.iter
-        (fun lvl ->
-          Alcotest.(check (option bool)) (Obs.Log.level_name lvl) (Some true)
-            (Option.map
-               (fun l -> l = lvl)
-               (Obs.Log.level_of_string (Obs.Log.level_name lvl))))
-        [ Obs.Log.Debug; Obs.Log.Info; Obs.Log.Warn; Obs.Log.Error ];
-      Alcotest.(check bool) "warning alias" true
-        (Obs.Log.level_of_string "WARNING" = Some Obs.Log.Warn);
-      Alcotest.(check bool) "unknown level" true
-        (Obs.Log.level_of_string "loud" = None))
+let test_log_levels () =
+  (* logging is independent of the metrics switch *)
+  Obs.set_enabled false;
+  let (), records =
+    Log_capture.capture ~level:Obs.Log.Warn (fun () ->
+        Obs.Log.info "test.below" [];
+        Obs.Log.error "test.above" [];
+        Alcotest.(check bool) "enabled_for" true
+          ((not (Obs.Log.enabled_for Obs.Log.Debug))
+          && Obs.Log.enabled_for Obs.Log.Error))
+  in
+  Alcotest.(check (list (option string)))
+    "only the record at or above the threshold" [ Some "test.above" ]
+    (List.map (Log_capture.str "event") records);
+  (* level names round trip, and "warning" is accepted *)
+  List.iter
+    (fun lvl ->
+      Alcotest.(check (option bool)) (Obs.Log.level_name lvl) (Some true)
+        (Option.map
+           (fun l -> l = lvl)
+           (Obs.Log.level_of_string (Obs.Log.level_name lvl))))
+    [ Obs.Log.Debug; Obs.Log.Info; Obs.Log.Warn; Obs.Log.Error ];
+  Alcotest.(check bool) "warning alias" true
+    (Obs.Log.level_of_string "WARNING" = Some Obs.Log.Warn);
+  Alcotest.(check bool) "unknown level" true
+    (Obs.Log.level_of_string "loud" = None)
 
 let test_log_schema_and_request_id () =
-  with_log (fun () ->
-      Obs.Log.with_request_id "outer-req" (fun () ->
-          Alcotest.(check (option string)) "ambient" (Some "outer-req")
-            (Obs.Log.current_request_id ());
-          Obs.Log.with_request_id "inner-req" (fun () ->
-              Alcotest.(check (option string)) "shadowed" (Some "inner-req")
-                (Obs.Log.current_request_id ()));
-          Alcotest.(check (option string)) "restored" (Some "outer-req")
-            (Obs.Log.current_request_id ());
-          Obs.Log.info "test.rid" [ ("answer", Obs.Json.Int 42) ]);
-      Alcotest.(check (option string)) "cleared outside" None
-        (Obs.Log.current_request_id ());
-      match List.rev (Obs.Log.recent ()) with
-      | [] -> Alcotest.fail "no record ringed"
-      | record :: _ ->
-          Alcotest.(check (option string)) "record carries request id"
-            (Some "outer-req") record.Obs.Log.request_id;
-          (* the JSON line matches the documented turbosyn-log/1 shape *)
-          let line = Obs.Json.to_string (Obs.Log.record_json record) in
-          (match Obs.Json.of_string line with
-          | Error e -> Alcotest.failf "log line does not parse: %s" e
-          | Ok doc ->
-              let str k =
-                match Obs.Json.member k doc with
-                | Some (Obs.Json.Str s) -> Some s
-                | _ -> None
-              in
-              Alcotest.(check bool) "ts is a number" true
-                (match Obs.Json.member "ts" doc with
-                | Some (Obs.Json.Float _) | Some (Obs.Json.Int _) -> true
-                | _ -> false);
-              Alcotest.(check (option string)) "level" (Some "info")
-                (str "level");
-              Alcotest.(check (option string)) "event" (Some "test.rid")
-                (str "event");
-              Alcotest.(check (option string)) "request_id"
-                (Some "outer-req") (str "request_id");
-              Alcotest.(check bool) "field spliced" true
-                (Obs.Json.member "answer" doc = Some (Obs.Json.Int 42))))
+  let (), records =
+    Log_capture.capture ~level:Obs.Log.Info (fun () ->
+        Obs.Log.with_request_id "outer-req" (fun () ->
+            Alcotest.(check (option string)) "ambient" (Some "outer-req")
+              (Obs.Log.current_request_id ());
+            Obs.Log.with_request_id "inner-req" (fun () ->
+                Alcotest.(check (option string)) "shadowed" (Some "inner-req")
+                  (Obs.Log.current_request_id ()));
+            Alcotest.(check (option string)) "restored" (Some "outer-req")
+              (Obs.Log.current_request_id ());
+            Obs.Log.info "test.rid" [ ("answer", Obs.Json.Int 42) ]);
+        Alcotest.(check (option string)) "cleared outside" None
+          (Obs.Log.current_request_id ()))
+  in
+  match records with
+  | [ record ] ->
+      (* the JSON line has the documented turbosyn-log/1 shape, its
+         reserved members first and in order *)
+      Alcotest.(check (list string))
+        "member order"
+        [ "ts"; "level"; "event"; "request_id"; "answer" ]
+        (List.map fst record);
+      Alcotest.(check bool) "ts is a number" true
+        (match List.assoc_opt "ts" record with
+        | Some (Obs.Json.Float _) | Some (Obs.Json.Int _) -> true
+        | _ -> false);
+      Alcotest.(check (option string)) "level" (Some "info")
+        (Log_capture.str "level" record);
+      Alcotest.(check (option string)) "event" (Some "test.rid")
+        (Log_capture.str "event" record);
+      Alcotest.(check (option string)) "request_id" (Some "outer-req")
+        (Log_capture.str "request_id" record);
+      Alcotest.(check bool) "field spliced" true
+        (List.assoc_opt "answer" record = Some (Obs.Json.Int 42))
+  | rs -> Alcotest.failf "%d records, expected one" (List.length rs)
 
 let test_log_file_sink () =
   let path = Filename.temp_file "turbosyn-log" ".jsonl" in
   Fun.protect
     ~finally:(fun () ->
       Obs.Log.to_stderr ();
-      Obs.Log.clear ();
-      Obs.Log.set_level Obs.Log.Info;
       Sys.remove path)
     (fun () ->
       Obs.Log.to_file path;
-      Alcotest.(check (option string)) "output path" (Some path)
-        (Obs.Log.output_path ());
       Obs.Log.info "test.file" [ ("n", Obs.Json.Int 1) ];
+      (* a second open appends *)
+      Obs.Log.to_file path;
       Obs.Log.info "test.file" [ ("n", Obs.Json.Int 2) ];
-      Obs.Log.to_stderr ();
-      Alcotest.(check (option string)) "path cleared" None
-        (Obs.Log.output_path ());
+      Obs.Log.to_null ();
+      Obs.Log.info "test.file" [ ("n", Obs.Json.Int 3) ];
       let lines =
         In_channel.with_open_bin path In_channel.input_all
         |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "")
       in
-      Alcotest.(check int) "one line per record" 2 (List.length lines);
+      Alcotest.(check int) "one line per record, none after to_null" 2
+        (List.length lines);
       List.iter
         (fun l ->
           match Obs.Json.of_string l with
@@ -1318,6 +1347,8 @@ let () =
           Alcotest.test_case "containment fold" `Quick test_flame_fold;
           Alcotest.test_case "timeline round trip" `Quick
             test_flame_timeline_round_trip;
+          Alcotest.test_case "benchmark trace document" `Quick
+            test_flame_benchmark_trace;
           Alcotest.test_case "ring overflow" `Quick
             test_timeline_overflow_flame;
           Alcotest.test_case "folded well-formed" `Quick
@@ -1342,8 +1373,7 @@ let () =
         ] );
       ( "log",
         [
-          Alcotest.test_case "levels and ring" `Quick
-            test_log_levels_and_ring;
+          Alcotest.test_case "levels" `Quick test_log_levels;
           Alcotest.test_case "schema and request id" `Quick
             test_log_schema_and_request_id;
           Alcotest.test_case "file sink" `Quick test_log_file_sink;

@@ -594,25 +594,11 @@ let test_golden_blifs () =
     (List.map show golden_blifs)
     (List.map (fun g -> show (row g)) golden_blifs)
 
-(* Search events of one call: the fields of every [search.probe] debug
-   record it logs, in order. *)
+(* Search events of one call: the members of every [search.probe] debug
+   line it logs, in order. *)
 let probe_records f =
-  Obs.Log.set_level Obs.Log.Debug;
-  Obs.Log.to_null ();
-  Obs.Log.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Log.set_level Obs.Log.Info;
-      Obs.Log.clear ();
-      Obs.Log.to_stderr ())
-    (fun () ->
-      let r = f () in
-      ( r,
-        List.filter_map
-          (fun (r : Obs.Log.record) ->
-            if r.Obs.Log.event <> "search.probe" then None
-            else Some r.Obs.Log.fields)
-          (Obs.Log.recent ()) ))
+  let r, records = Log_capture.capture f in
+  (r, Log_capture.events "search.probe" records)
 
 (* The phi of every [search.probe] record of one call, in order. *)
 let probed_phis f =
@@ -1165,7 +1151,7 @@ let test_obs_counters_on_suite () =
           "maxflow.augmenting_paths";
           "expand.builds";
         ];
-      match Obs.Span.all () |> List.filter (fun (_, _, n) -> n > 0) with
+      match Obs.Span.all_full () |> List.filter (fun (_, _, n, _) -> n > 0) with
       | [] -> Alcotest.fail "no span recorded any entries"
       | _ -> ())
 

@@ -120,7 +120,7 @@ let with_server ?workers ?queue_depth ?cache_entries f =
   Obs.set_enabled true;
   Obs.reset ();
   (* keep per-request access-log lines out of the test output; the
-     records still reach the in-memory ring and the request ring *)
+     requests still reach the request ring *)
   Obs.Log.to_null ();
   let server =
     Serve.Server.create ~port:0 ?workers ?queue_depth ?cache_entries ()
@@ -683,6 +683,64 @@ let test_scrape () =
           | None -> Alcotest.failf "counter %s vanished" series)
         before)
 
+(* [counter_values] scans the renderer's own output.  On a scrape whose
+   phase labels need escaping, it reads the same counter samples, in the
+   same order and with the same values, as the strict oracle parser, and
+   each key is the sample's series text: it parses back to the sample's
+   name and labels. *)
+let test_counter_values_oracle () =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled false)
+    (fun () ->
+      Obs.Counter.add (Obs.Counter.make "test.cv-events") 3;
+      List.iter
+        (fun name -> Obs.Span.time (Obs.Span.make name) ignore)
+        [ "test.cv \"quoted\""; "test.cv\\back"; "test.cv\nline" ];
+      Obs.Histogram.observe (Obs.Histogram.make "test.cv-seconds") 0.25;
+      let body =
+        Obs.Prometheus.render
+          ~extra:
+            [
+              {
+                Obs.Prometheus.fname = "test.cv_requests";
+                fhelp = "Labeled test counter.";
+                ftype = `Counter;
+                samples =
+                  [ { Obs.Prometheus.labels = [ ("route", "a\"b") ]; value = 2. } ];
+              };
+            ]
+          ()
+      in
+      (match Prom_oracle.validate body with
+      | Ok () -> ()
+      | Error vs -> Alcotest.failf "scrape invalid: %s" (String.concat "; " vs));
+      let scanned = Obs.Prometheus.counter_values body in
+      let parsed = Prom_oracle.counter_samples body in
+      Alcotest.(check bool) "escaped phase labels rendered" true
+        (List.exists
+           (fun (s : Prom_oracle.parsed_sample) ->
+             List.assoc_opt "phase" s.p_labels = Some "test.cv\nline")
+           parsed);
+      Alcotest.(check int) "one value per counter sample" (List.length parsed)
+        (List.length scanned);
+      List.iter2
+        (fun (key, v) (s : Prom_oracle.parsed_sample) ->
+          Alcotest.(check (float 0.)) (key ^ " value") s.p_value v;
+          match Prom_oracle.parse_sample ~line_no:1 (key ^ " 0") with
+          | Ok k ->
+              Alcotest.(check string) (key ^ " name") s.p_name k.p_name;
+              Alcotest.(check (list (pair string string)))
+                (key ^ " labels") s.p_labels k.p_labels
+          | Error e -> Alcotest.failf "key %S does not parse: %s" key e)
+        scanned parsed;
+      Alcotest.(check (option (float 0.))) "unlabeled key is the name"
+        (Some 3.)
+        (List.assoc_opt "turbosyn_test_cv_events_total" scanned))
+
 (* Request counters resolve their names in the process-global registry
    while worker domains run scopes and the accept lane renders scrapes:
    64 requests in flight on 4 workers, a scraper polling alongside, and
@@ -762,44 +820,38 @@ let test_scoped_counters_concurrent () =
    it, and each request's probe sequence is the one a direct run logs. *)
 let test_event_stream_per_request () =
   with_server ~workers:2 (fun port ->
-      Obs.Log.set_level Obs.Log.Debug;
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.Log.set_level Obs.Log.Info;
-          Obs.Log.clear ())
-        (fun () ->
-          let requests = [ ("evt-bbara", "bbara"); ("evt-dk16", "dk16") ] in
-          let events_of ~request_id name =
-            List.filter
-              (fun (r : Obs.Log.record) ->
-                r.Obs.Log.request_id = request_id && r.Obs.Log.event = name)
-              (Obs.Log.recent ())
-          in
-          let phis records =
-            List.map
-              (fun (r : Obs.Log.record) ->
-                match List.assoc_opt "phi" r.Obs.Log.fields with
-                | Some (Obs.Json.Str p) -> p
-                | _ -> Alcotest.fail "record without phi")
-              records
-          in
-          (* direct runs, before any request is in flight *)
-          let direct =
-            List.map
-              (fun (_, circuit) ->
-                Obs.Log.clear ();
-                let nl =
-                  Workloads.Suite.build
-                    (Option.get (Workloads.Suite.find circuit))
-                in
-                let options = Turbosyn.Synth.default_options ~k:5 () in
-                ignore (Turbosyn.Synth.run ~options `Turbomap nl);
-                ( phis (events_of ~request_id:None "search.probe"),
-                  phis (events_of ~request_id:None "synth.result") ))
-              requests
-          in
-          Obs.Log.clear ();
-          let replies =
+      let requests = [ ("evt-bbara", "bbara"); ("evt-dk16", "dk16") ] in
+      let capture f = Log_capture.capture ~restore:Obs.Log.to_null f in
+      let events_of ~request_id name records =
+        List.filter
+          (fun r -> Log_capture.str "request_id" r = request_id)
+          (Log_capture.events name records)
+      in
+      let phis records =
+        List.map
+          (fun r ->
+            match Log_capture.str "phi" r with
+            | Some p -> p
+            | None -> Alcotest.fail "record without phi")
+          records
+      in
+      (* direct runs, before any request is in flight *)
+      let direct =
+        List.map
+          (fun (_, circuit) ->
+            let nl =
+              Workloads.Suite.build (Option.get (Workloads.Suite.find circuit))
+            in
+            let options = Turbosyn.Synth.default_options ~k:5 () in
+            let _, records =
+              capture (fun () -> Turbosyn.Synth.run ~options `Turbomap nl)
+            in
+            ( phis (events_of ~request_id:None "search.probe" records),
+              phis (events_of ~request_id:None "synth.result" records) ))
+          requests
+      in
+      let replies, records =
+        capture (fun () ->
             List.map
               (fun (id, circuit) ->
                 Domain.spawn (fun () ->
@@ -808,37 +860,36 @@ let test_event_stream_per_request () =
                       ~body:(map_body ~circuit ~algo:"turbomap")
                       ()))
               requests
-            |> List.map Domain.join
-          in
-          List.iter2
-            (fun (id, _) (status, hdrs, _) ->
-              Alcotest.(check int) (id ^ " status") 200 status;
-              Alcotest.(check (option string)) (id ^ " computed cold")
-                (Some "miss") (List.assoc_opt "x-cache" hdrs))
-            requests replies;
-          let ids = List.map (fun (id, _) -> Some id) requests in
+            |> List.map Domain.join)
+      in
+      List.iter2
+        (fun (id, _) (status, hdrs, _) ->
+          Alcotest.(check int) (id ^ " status") 200 status;
+          Alcotest.(check (option string)) (id ^ " computed cold")
+            (Some "miss") (List.assoc_opt "x-cache" hdrs))
+        requests replies;
+      let ids = List.map (fun (id, _) -> Some id) requests in
+      List.iter
+        (fun name ->
           List.iter
-            (fun (r : Obs.Log.record) ->
-              if r.Obs.Log.event = "search.probe"
-                 || r.Obs.Log.event = "synth.result"
-              then
-                Alcotest.(check bool)
-                  (r.Obs.Log.event ^ " carries a request id") true
-                  (List.mem r.Obs.Log.request_id ids))
-            (Obs.Log.recent ());
-          List.iter2
-            (fun (id, circuit) (probes, result) ->
-              Alcotest.(check bool) (circuit ^ " probes some phi") true
-                (probes <> []);
-              Alcotest.(check (list string))
-                (id ^ " probe sequence equals the direct run")
-                probes
-                (phis (events_of ~request_id:(Some id) "search.probe"));
-              Alcotest.(check (list string))
-                (id ^ " one result, the direct run's phi")
-                result
-                (phis (events_of ~request_id:(Some id) "synth.result")))
-            requests direct))
+            (fun r ->
+              Alcotest.(check bool) (name ^ " carries a request id") true
+                (List.mem (Log_capture.str "request_id" r) ids))
+            (Log_capture.events name records))
+        [ "search.probe"; "synth.result" ];
+      List.iter2
+        (fun (id, circuit) (probes, result) ->
+          Alcotest.(check bool) (circuit ^ " probes some phi") true
+            (probes <> []);
+          Alcotest.(check (list string))
+            (id ^ " probe sequence equals the direct run")
+            probes
+            (phis (events_of ~request_id:(Some id) "search.probe" records));
+          Alcotest.(check (list string))
+            (id ^ " one result, the direct run's phi")
+            result
+            (phis (events_of ~request_id:(Some id) "synth.result" records)))
+        requests direct)
 
 (* ---------------------------------------------------------------- *)
 (* Correlation ids: header extraction, echo, ring, per-request trace *)
@@ -980,19 +1031,6 @@ let test_request_tracing () =
                    with
                    | Some w when w > 0 -> ()
                    | _ -> Alcotest.failf "bad weight in %S" line));
-      (* chrome form parses as a trace document *)
-      let status, _, chrome =
-        http_full ~port ~meth:"GET"
-          ~path:"/debug/trace/itest-map-1?format=chrome" ()
-      in
-      Alcotest.(check int) "chrome status" 200 status;
-      (match Obs.Json.of_string chrome with
-      | Ok doc ->
-          Alcotest.(check bool) "chrome traceEvents" true
-            (match Obs.Json.member "traceEvents" doc with
-            | Some (Obs.Json.List _) -> true
-            | _ -> false)
-      | Error e -> Alcotest.failf "chrome trace: %s" e);
       (* unknown and evicted ids answer 404 *)
       let status, _, _ =
         http_full ~port ~meth:"GET" ~path:"/debug/trace/nonexistent" ()
@@ -1534,6 +1572,8 @@ let () =
           Alcotest.test_case "overload sheds under contention" `Quick
             test_overload_contention;
           Alcotest.test_case "prometheus scrape" `Quick test_scrape;
+          Alcotest.test_case "counter_values agrees with the oracle parser"
+            `Quick test_counter_values_oracle;
           Alcotest.test_case "scoped counters under concurrent scrapes"
             `Quick test_scoped_counters_concurrent;
           Alcotest.test_case "event stream per request" `Quick
