@@ -480,7 +480,7 @@ let stats_diff base_file cur_file =
   in
   let base = read base_file in
   let cur = read cur_file in
-  match Audit.Diff.diff ~base ~cur () with
+  match Audit.Diff.diff ~base ~cur with
   | Error e ->
       Format.eprintf "error: %s@." e;
       exit 2

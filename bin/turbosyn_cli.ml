@@ -518,9 +518,9 @@ let flame_cmd =
         (match Obs.Json.of_string text with
         | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
         | Ok doc -> (
-            match Obs.Flame.slices_of_timeline_json doc with
+            match Obs.Flame.of_timeline_json doc with
             | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
-            | Ok slices -> write_folded (Obs.Flame.of_slices slices)))
+            | Ok folded -> write_folded (Obs.Flame.to_string folded)))
     | None -> (
         (* whole-run mode: map the circuit with the timeline live and
            fold the recorded span activations *)

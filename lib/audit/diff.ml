@@ -1,9 +1,5 @@
 module J = Obs.Json
 
-type thresholds = { ratio : float; slack : int }
-
-let default_thresholds = { ratio = 1.25; slack = 16 }
-
 type item = {
   name : string;
   base : int;
@@ -63,15 +59,15 @@ let histogram_counts_of doc =
         l
   | _ -> []
 
-let limit_of th base = int_of_float (float_of_int base *. th.ratio) + th.slack
+(* a quarter more work plus a small allowance for tiny baselines *)
+let limit_of base = int_of_float (float_of_int base *. 1.25) + 16
 
-let compare_maps overrides th base cur =
+let compare_maps base cur =
   let items =
     List.map
       (fun (name, b) ->
         let c = Option.value ~default:0 (List.assoc_opt name cur) in
-        let th = Option.value ~default:th (List.assoc_opt name overrides) in
-        let limit = limit_of th b in
+        let limit = limit_of b in
         { name; base = b; cur = c; limit; regressed = c > limit })
       base
   in
@@ -103,7 +99,7 @@ let version_of s =
   in
   index 0 known_schemas
 
-let diff ?(thresholds = default_thresholds) ?(overrides = []) ~base ~cur () =
+let diff ~base ~cur =
   let* () =
     match (schema_of base, schema_of cur) with
     | Some a, Some b -> (
@@ -123,9 +119,9 @@ let diff ?(thresholds = default_thresholds) ?(overrides = []) ~base ~cur () =
   let* ce = entries_of cur in
   let bh = histogram_counts_of base in
   let ch = histogram_counts_of cur in
-  let counters, cm, ca = compare_maps overrides thresholds bc cc in
-  let entries, em, ea = compare_maps overrides thresholds be ce in
-  let histograms, hm, ha = compare_maps overrides thresholds bh ch in
+  let counters, cm, ca = compare_maps bc cc in
+  let entries, em, ea = compare_maps be ce in
+  let histograms, hm, ha = compare_maps bh ch in
   let missing =
     cm
     @ List.map (fun n -> n ^ ".entries") em

@@ -1,4 +1,3 @@
-open Prelude
 open Circuit
 
 let dedup_fanins nl v =
@@ -14,10 +13,9 @@ let dedup_fanins nl v =
        (Array.to_list (Netlist.fanins nl v)))
 
 let meets_phi nl phi =
-  match Netlist.mdr_ratio nl with
-  | Graphs.Cycle_ratio.Ratio r -> Rat.( <= ) r phi
-  | Graphs.Cycle_ratio.No_cycle -> true
-  | Graphs.Cycle_ratio.Infinite -> false
+  not
+    (Graphs.Cycle_ratio.exceeds ~n:(Netlist.n nl)
+       ~edges:(Netlist.retiming_edges nl) phi)
 
 let relax nl ~impls ~phi =
   let current = Array.copy impls in

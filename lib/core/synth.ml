@@ -4,6 +4,9 @@ open Circuit
 (* observability (doc/OBSERVABILITY.md): top-level phase durations and the
    per-run result debug log record *)
 let s_total = Obs.Span.make "synth.total"
+let s_search = Obs.Span.make "synth.search"
+let s_final = Obs.Span.make "synth.final_labels"
+let s_mapgen = Obs.Span.make "synth.mapgen"
 let s_area = Obs.Span.make "synth.area"
 let s_relax = Obs.Span.make "synth.relax"
 let s_realize = Obs.Span.make "synth.realize"
@@ -111,25 +114,48 @@ let finish ?labels ?prov algo o ~mapped ~phi ~resyn_nodes ~probes ~label_stats
 let run_seq algo o nl ~resynthesize =
   let t0 = Sys.time () in
   let opts = engine_options o ~resynthesize in
-  let mapped, report, impls =
-    Seqmap.Turbomap.map_full ~options:opts ?phi_max_den:o.phi_max_den nl
-      ~k:o.k
+  let module LE = Seqmap.Label_engine in
+  let cache = LE.new_cache () in
+  (* cross-phi cut memo: cuts found by the search's probes are
+     revalidated instead of recomputed at nearby phi and by the final
+     run *)
+  let cutmemo = LE.new_cut_memo nl in
+  let phi, probes, stats =
+    Obs.Span.time s_search (fun () ->
+        Seqmap.Turbomap.minimum_ratio ~cache ~cutmemo
+          ?phi_max_den:o.phi_max_den opts nl)
+  in
+  let outcome, s =
+    Obs.Span.time s_final (fun () -> LE.run ~cache ~cutmemo opts nl ~phi)
+  in
+  Seqmap.Turbomap.add_stats stats s;
+  let impls, labels, prov =
+    match outcome with
+    | LE.Feasible { impls; labels; prov } -> (impls, labels, prov)
+    | LE.Infeasible ->
+        (* the search found phi feasible, yet on rare small random
+           circuits this run rejects it: under TurboSYN when UB <= 1
+           goes unprobed, and when the search accepted phi through
+           cut-memo hits that a run without the memo rejects *)
+        assert false
+  in
+  let mapped =
+    Obs.Span.time s_mapgen (fun () ->
+        let mapped = Seqmap.Mapgen.generate nl ~impls in
+        Netlist.validate_exn ~k:o.k mapped;
+        mapped)
   in
   (* the paper's label relaxation: drop decomposition trees whose label
      increase does not create a positive loop (area recovery step 1) *)
   let mapped =
     if resynthesize && o.area_recovery then
-      Obs.Span.time s_relax (fun () ->
-          fst (Relax.relax nl ~impls ~phi:report.Seqmap.Turbomap.phi))
+      Obs.Span.time s_relax (fun () -> fst (Relax.relax nl ~impls ~phi))
     else mapped
   in
   let cpu = Sys.time () -. t0 in
-  finish algo o ~mapped ~phi:report.Seqmap.Turbomap.phi
-    ~labels:report.Seqmap.Turbomap.labels ~prov:report.Seqmap.Turbomap.prov
-    ~resyn_nodes:report.Seqmap.Turbomap.stats.Seqmap.Label_engine.decompositions
-    ~probes:report.Seqmap.Turbomap.probes
-    ~label_stats:(Some report.Seqmap.Turbomap.stats)
-    ~cpu_seconds:cpu
+  finish algo o ~mapped ~phi ~labels ~prov
+    ~resyn_nodes:stats.LE.decompositions ~probes:(probes + 1)
+    ~label_stats:(Some stats) ~cpu_seconds:cpu
 
 let run_flowsyn_s o nl =
   let t0 = Sys.time () in

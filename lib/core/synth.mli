@@ -1,17 +1,22 @@
 (** TurboSYN: FPGA synthesis with retiming and pipelining for clock-period
     minimization of sequential circuits (Cong & Wu, DAC 1997).
 
-    The flow mirrors the paper's Figure 4:
+    The flow mirrors the paper's Figure 4, and {!run} calls its stages
+    itself, in this order:
 
     + run TurboMap-style label computation to obtain the upper bound UB
       (here: the exact-rational Stern–Brocot search starts from the MDR of
       the trivial mapping, which bounds UB);
     + binary-search the minimum MDR ratio φ*, each probe being a label
       computation with sequential functional decomposition and positive
-      loop detection;
-    + generate the LUT mapping from the converged labels;
-    + recover area (cut sharing, packing);
-    + retime + pipeline the result to clock period [ceil φ*].
+      loop detection ([Seqmap.Turbomap.minimum_ratio]);
+    + rerun the label computation at φ* on the search's resynthesis cache
+      and cut memo ([Seqmap.Label_engine.run]), and generate the LUT
+      mapping from the converged labels ([Seqmap.Mapgen.generate]);
+    + recover area: label relaxation for TurboSYN ({!Relax.relax}), then
+      cut sharing and packing ({!Area.reduce});
+    + retime + pipeline the result to clock period [ceil φ*]
+      ([Seqmap.Turbomap.realize_full]).
 
     Use [`Turbosyn] for the paper's algorithm, [`Turbomap] for the
     no-resynthesis baseline, and [`Flowsyn_s] for the cut-at-FFs baseline

@@ -25,16 +25,3 @@ let sort_exn ~n ~succ =
   match sort ~n ~succ with
   | Some o -> o
   | None -> invalid_arg "Topo.sort_exn: graph has a cycle"
-
-let levels ~n ~succ ~sources =
-  let order = sort_exn ~n ~succ in
-  let level = Array.make n (-1) in
-  List.iter (fun s -> level.(s) <- 0) sources;
-  Array.iter
-    (fun v ->
-      if level.(v) >= 0 then
-        List.iter
-          (fun w -> if level.(w) < level.(v) + 1 then level.(w) <- level.(v) + 1)
-          (succ v))
-    order;
-  level

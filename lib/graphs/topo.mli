@@ -7,10 +7,3 @@ val sort : n:int -> succ:(int -> int list) -> int array option
 
 val sort_exn : n:int -> succ:(int -> int list) -> int array
 (** @raise Invalid_argument on a cyclic graph. *)
-
-val levels : n:int -> succ:(int -> int list) -> sources:int list -> int array
-(** Longest-path level of every node from the given sources over a DAG:
-    sources get level 0, every other reachable node gets
-    [1 + max(levels of predecessors)]; unreachable nodes get [-1].
-    Used for combinational depth computations.
-    @raise Invalid_argument on a cyclic graph. *)

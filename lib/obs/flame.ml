@@ -1,20 +1,13 @@
-(* Folding span timelines into flamegraph.pl-compatible folded stacks.
+(* Folding span timelines into flamegraph.pl-compatible folded stacks
+   (doc/OBSERVABILITY.md §Flamegraphs).
 
-   Timeline slices are flat (name, start, stop) intervals; the call
-   structure is recovered from interval containment — a slice lying
-   inside another is its child, which is exactly how distinct spans
-   nest on one domain (a child span completes before its parent's exit
-   records).  Each stack's weight is SELF time: the slice's duration
-   minus its direct children's, in integer microseconds, which is what
-   flamegraph.pl expects ("a;b;c 1234" per line).
-
-   Slices merged from concurrent request scopes can overlap without
-   nesting; an overlapping slice is treated as a sibling (the stack
-   unwinds to the innermost frame that fully contains it), and self
-   time is clamped at zero when concurrent children overlap each other,
-   so the output is always well-formed — a per-domain interleaving
-   rather than a lie about the call structure (doc/OBSERVABILITY.md
-   §Flamegraphs). *)
+   The call structure is recovered from interval containment: a slice
+   lying inside another of its thread is its child, which is exactly how
+   distinct spans nest on one domain (a child span completes before its
+   parent's exit records).  An overlapping slice is treated as a sibling
+   (the stack unwinds to the innermost frame that fully contains it),
+   and self time is clamped at zero when concurrent children overlap
+   each other, so the output is always well-formed. *)
 
 (* an open frame of the fold: its slice, its stack key (frames joined
    with ';', outermost first) and the seconds its direct children cover *)
@@ -25,16 +18,17 @@ let clean_frame name =
   String.map (fun c -> if c = ';' || c = ' ' || c = '\n' then '_' else c) name
 
 (* Fold the slices at positions [order] (oldest first) of the columns
-   [names], [starts] and [stops]; [order] is sorted in place. *)
-let fold ~names ~starts ~stops order =
+   [names], [starts] and [stops]; [order] is sorted in place.  Slices
+   nest only within their [thread]. *)
+let fold ~thread ~names ~starts ~stops order =
   let start i = Float.Array.get starts i and stop i = Float.Array.get stops i in
-  (* parents first: by start ascending, then longer first at equal
-     start, so a container always precedes its contents *)
+  (* by thread, then parents first: by start ascending, then longer
+     first at equal start, so a container always precedes its contents *)
   Array.stable_sort
     (fun i j ->
-      match Float.compare (start i) (start j) with
-      | 0 -> Float.compare (stop j) (stop i)
-      | c -> c)
+      match (compare (thread i) (thread j), Float.compare (start i) (start j)) with
+      | 0, 0 -> Float.compare (stop j) (stop i)
+      | 0, c | c, _ -> c)
     order;
   let acc : (string, float) Hashtbl.t = Hashtbl.create 64 in
   (* close the innermost frame: credit its self time to its stack and
@@ -54,10 +48,11 @@ let fold ~names ~starts ~stops order =
   let stack =
     Array.fold_left
       (fun stack i ->
-        (* starts are sorted, so slice [i] lies inside a frame exactly
-           when it stops no later *)
+        (* starts are sorted, so slice [i] lies inside a frame of its
+           thread exactly when it stops no later *)
         let rec unwind = function
-          | f :: _ as st when not (stop i <= stop f.slice) -> unwind (pop st)
+          | f :: _ as st when thread f.slice <> thread i || stop f.slice < stop i ->
+              unwind (pop st)
           | st -> st
         in
         let stack = unwind stack in
@@ -73,17 +68,20 @@ let fold ~names ~starts ~stops order =
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let fold_slices slices =
-  let a = Array.of_list slices in
-  fold
-    ~names:(Array.map (fun (s : Timeline.slice) -> s.Timeline.name) a)
-    ~starts:(Float.Array.map_from_array (fun (s : Timeline.slice) -> s.start) a)
-    ~stops:(Float.Array.map_from_array (fun (s : Timeline.slice) -> s.stop) a)
+(* [a] holds (thread, slice) pairs *)
+let fold_threads a =
+  fold ~thread:(fun i -> fst a.(i))
+    ~names:(Array.map (fun (_, (s : Timeline.slice)) -> s.name) a)
+    ~starts:(Float.Array.map_from_array (fun (_, (s : Timeline.slice)) -> s.start) a)
+    ~stops:(Float.Array.map_from_array (fun (_, (s : Timeline.slice)) -> s.stop) a)
     (Array.init (Array.length a) Fun.id)
+
+let fold_slices slices =
+  fold_threads (Array.of_list (List.map (fun s -> ((None, None), s)) slices))
 
 let fold_timeline () =
   let s = Sink.global in
-  fold ~names:s.names ~starts:s.starts ~stops:s.stops
+  fold ~thread:ignore ~names:s.names ~starts:s.starts ~stops:s.stops
     (Array.init s.len (Sink.slice_index s))
 
 let to_string folded =
@@ -101,13 +99,14 @@ let to_string folded =
 
 let of_slices slices = to_string (fold_slices slices)
 
-(* Chrome-trace documents (the benchmark's trace files) back into
-   slices: every "X" complete event, ts/dur in microseconds. *)
-let slices_of_timeline_json j =
+(* Chrome-trace documents (the benchmark's trace files): every "X"
+   complete event, ts/dur in microseconds, on its (pid, tid) thread. *)
+let of_timeline_json j =
   match Json.member "traceEvents" j with
   | Some (Json.List events) ->
       Ok
-        (List.filter_map
+        (fold_threads @@ Array.of_list
+        @@ List.filter_map
            (fun ev ->
              match Json.member "ph" ev with
              | Some (Json.Str "X") -> (
@@ -120,11 +119,12 @@ let slices_of_timeline_json j =
                  match (Json.member "name" ev, num "ts", num "dur") with
                  | Some (Json.Str name), Some ts, Some dur ->
                      Some
-                       {
-                         Timeline.name;
-                         start = ts /. 1e6;
-                         stop = (ts +. dur) /. 1e6;
-                       }
+                       ( (num "pid", num "tid"),
+                         {
+                           Timeline.name;
+                           start = ts /. 1e6;
+                           stop = (ts +. dur) /. 1e6;
+                         } )
                  | _ -> None)
              | _ -> None)
            events)

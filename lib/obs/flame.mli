@@ -30,11 +30,11 @@ val to_string : (string * float) list -> string
 val of_slices : Timeline.slice list -> string
 (** [to_string (fold_slices slices)]. *)
 
-val slices_of_timeline_json : Json.t -> (Timeline.slice list, string) result
-(** Recover slices from a Chrome-trace document (the benchmark's
+val of_timeline_json : Json.t -> ((string * float) list, string) result
+(** {!fold_slices} over a Chrome-trace document (the benchmark's
     [.perfbench/trace-*.json] files): every ["X"] complete event,
-    [ts]/[dur] microseconds back to seconds; other events are
-    ignored. *)
+    [ts]/[dur] microseconds back to seconds, nesting only within its
+    ([pid], [tid]) thread; other events are ignored. *)
 
 val write : string -> string -> unit
 (** [write dest text] writes to the file [dest], or stdout for ["-"]. *)

@@ -42,7 +42,6 @@ let floor a =
     if q * a.den = a.num then q else q - 1
 
 let ceil a = -floor (neg a)
-let is_integer a = a.den = 1
 let mediant a b = make (a.num + b.num) (a.den + b.den)
 let to_float a = float_of_int a.num /. float_of_int a.den
 

@@ -50,8 +50,6 @@ val floor : t -> int
 val ceil : t -> int
 (** Smallest integer [k] with [k >= r]. *)
 
-val is_integer : t -> bool
-
 val mediant : t -> t -> t
 (** [mediant a/b c/d = (a+c)/(b+d)] — the Stern–Brocot mediant.  Used for
     exact binary search over bounded-denominator rationals. *)

@@ -36,12 +36,6 @@ let lags_at nl ~period =
   assert (Retiming.legal nl ~r);
   r
 
-let retime_to_period nl ~period =
-  match period_lower_bound nl with
-  | `Infinite -> None
-  | `Period lb when period < lb -> None
-  | `Period _ -> Some (lags_at nl ~period)
-
 let min_period nl =
   match period_lower_bound nl with
   | `Infinite -> invalid_arg "Pipeline.min_period: combinational loop"

@@ -14,15 +14,10 @@ val period_lower_bound :
 (** [max (1, ceil MDR)]; [`Infinite] when the circuit has a combinational
     loop.  Acyclic circuits give period 1. *)
 
-val retime_to_period : Circuit.Netlist.t -> period:int -> int array option
-(** Lags (with [r >= 0], [r = 0] on PIs) achieving the period under
-    retiming + pipelining, or [None] when [period] is below the loop
-    bound. *)
-
 val lags_at : Circuit.Netlist.t -> period:int -> int array
-(** The lags of {!retime_to_period} for a [period] the caller already
-    knows to be at least the loop bound ({!period_lower_bound}), without
-    solving the bound again.
+(** Lags (with [r >= 0], [r = 0] on PIs) achieving [period] under
+    retiming + pipelining, for a [period] the caller already knows to be
+    at least the loop bound ({!period_lower_bound}).
     @raise Invalid_argument when [period] is below the loop bound. *)
 
 val min_period : Circuit.Netlist.t -> int * int array

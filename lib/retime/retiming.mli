@@ -36,10 +36,6 @@ val min_period : Circuit.Netlist.t -> int * int array
     circuits up to a few thousand nodes.
     @raise Invalid_argument on a combinational loop. *)
 
-val feasible_period : Circuit.Netlist.t -> period:int -> int array option
-(** Lag vector achieving clock period [<= period] under pure retiming, if
-    one exists. *)
-
 val ff_count : Circuit.Netlist.t -> r:int array -> int
 (** Shared-register count of the retimed circuit (sum over drivers of the
     maximum retimed weight across their fanout edges), computed without

@@ -2,26 +2,11 @@ open Prelude
 open Circuit
 
 (* observability (doc/OBSERVABILITY.md): the ratio search — one debug log
-   record and one span entry per probe, phase spans around the search
-   itself, the final label run and mapping generation *)
+   record and one span entry per probe *)
 let c_probes = Obs.Counter.make "search.probes"
 let c_feasible = Obs.Counter.make "search.feasible_probes"
 let c_infeasible = Obs.Counter.make "search.infeasible_probes"
 let s_probe = Obs.Span.make "search.probe"
-let s_search = Obs.Span.make "synth.search"
-let s_final = Obs.Span.make "synth.final_labels"
-let s_mapgen = Obs.Span.make "synth.mapgen"
-
-type report = {
-  phi : Rat.t;
-  luts : int;
-  mapped_mdr : Graphs.Cycle_ratio.result;
-  clock_period : int;
-  probes : int;
-  stats : Label_engine.stats;
-  labels : Rat.t array;
-  prov : Label_engine.prov option array;
-}
 
 let add_stats (acc : Label_engine.stats) (s : Label_engine.stats) =
   acc.Label_engine.iterations <- acc.Label_engine.iterations + s.Label_engine.iterations;
@@ -131,60 +116,3 @@ let realize_full mapped =
       in
       let out = Retime.Retiming.apply mapped ~r in
       Some (out, period, Retime.Pipeline.latency mapped ~r, r)
-
-let realize mapped =
-  Option.map
-    (fun (out, period, latency, _r) -> (out, period, latency))
-    (realize_full mapped)
-
-let map_full ?options ?phi_max_den nl ~k =
-  let opts =
-    match options with Some o -> o | None -> Label_engine.default_options ~k
-  in
-  let cache = Label_engine.new_cache () in
-  (* cross-phi cut memo: cuts found by the search's probes are
-     revalidated instead of recomputed at nearby phi and by the final
-     run *)
-  let cutmemo = Label_engine.new_cut_memo nl in
-  let phi, probes, stats =
-    Obs.Span.time s_search (fun () ->
-        minimum_ratio ~cache ~cutmemo ?phi_max_den opts nl)
-  in
-  let outcome, s =
-    Obs.Span.time s_final (fun () ->
-        Label_engine.run ~cache ~cutmemo opts nl ~phi)
-  in
-  add_stats stats s;
-  match outcome with
-  | Label_engine.Infeasible ->
-      (* cannot happen: phi came back feasible from the search *)
-      assert false
-  | Label_engine.Feasible { impls; labels; prov } ->
-      let mapped =
-        Obs.Span.time s_mapgen (fun () ->
-            let mapped = Mapgen.generate nl ~impls in
-            Netlist.validate_exn ~k mapped;
-            mapped)
-      in
-      let mapped_mdr = Netlist.mdr_ratio mapped in
-      let clock_period =
-        match Retime.Pipeline.period_lower_bound mapped with
-        | `Period p -> p
-        | `Infinite -> -1
-      in
-      ( mapped,
-        {
-          phi;
-          luts = Mapgen.lut_count mapped;
-          mapped_mdr;
-          clock_period;
-          probes = probes + 1;
-          stats;
-          labels;
-          prov;
-        },
-        impls )
-
-let map ?options ?phi_max_den nl ~k =
-  let mapped, report, _ = map_full ?options ?phi_max_den nl ~k in
-  (mapped, report)

@@ -1,7 +1,8 @@
-(** The TurboMap flow (and, with resynthesis enabled in the options, the
-    label-computation core of TurboSYN): binary search for the minimum MDR
-    ratio, mapping generation, and clock-period realization by retiming +
-    pipelining.
+(** The two TurboMap stages that are more than one call (with
+    resynthesis enabled in the options, the search is TurboSYN's too):
+    the search for the minimum MDR ratio, and clock-period realization by
+    retiming + pipelining.  [Synth.run] sequences them with the final
+    label run, mapping generation and area recovery.
 
     The search is exact: the minimum MDR ratio of a mapping solution is a
     rational with denominator bounded by the circuit's total register
@@ -11,19 +12,6 @@
     trivial mapping (one LUT per gate). *)
 
 open Prelude
-
-type report = {
-  phi : Rat.t;  (** minimum MDR ratio over mapping solutions *)
-  luts : int;
-  mapped_mdr : Graphs.Cycle_ratio.result;  (** MDR of the generated netlist *)
-  clock_period : int;  (** achieved by retiming + pipelining the result *)
-  probes : int;  (** feasibility probes during the binary search *)
-  stats : Label_engine.stats;  (** accumulated over all probes *)
-  labels : Rat.t array;  (** converged labels of the final run at [phi] *)
-  prov : Label_engine.prov option array;
-      (** per-gate implementation provenance of the final run (defined
-          exactly on gates of the {e source} netlist) *)
-}
 
 val minimum_ratio :
   ?cache:Label_engine.resyn_cache ->
@@ -58,35 +46,14 @@ val minimum_ratio :
     value: the benchmark harness still passes it, and it goes with the
     next benchmark change. *)
 
-val map :
-  ?options:Label_engine.options ->
-  ?phi_max_den:int ->
-  Circuit.Netlist.t ->
-  k:int ->
-  Circuit.Netlist.t * report
-(** Full flow; the result is a K-LUT netlist, I/O-equivalent to the input
-    from reset (register positions may differ only through the LUT-input
-    weights, which the simulator interprets identically).
-    [options] defaults to [Label_engine.default_options ~k] — plain
-    TurboMap.  @raise Invalid_argument on non-K-bounded input. *)
-
-val map_full :
-  ?options:Label_engine.options ->
-  ?phi_max_den:int ->
-  Circuit.Netlist.t ->
-  k:int ->
-  Circuit.Netlist.t * report * Label_engine.impl option array
-(** Like [map], also returning the per-gate implementations the mapping was
-    generated from (for post passes such as label relaxation). *)
-
-val realize :
-  Circuit.Netlist.t -> (Circuit.Netlist.t * int * int) option
-(** Retime + pipeline a mapped netlist to its loop-bound clock period:
-    [(circuit, period, latency)]; [None] on a combinational loop. *)
+val add_stats : Label_engine.stats -> Label_engine.stats -> unit
+(** [add_stats acc s] adds [s]'s iterations, flow tests, decompositions
+    and PLD hits into [acc]. *)
 
 val realize_full :
   Circuit.Netlist.t -> (Circuit.Netlist.t * int * int * int array) option
-(** Like {!realize}, also returning the lag vector [r] (the legal
-    retiming/pipelining register assignment, indexed by node of the
+(** Retime + pipeline a mapped netlist to its loop-bound clock period:
+    [(circuit, period, latency, r)], where [r] is the lag vector (the
+    legal retiming/pipelining register assignment, indexed by node of the
     {e mapped} netlist) that achieves the period — the audit layer's
-    upper-bound witness. *)
+    upper-bound witness; [None] on a combinational loop. *)

@@ -224,7 +224,7 @@ let test_diff_gating () =
       Obs.Span.time (Obs.Span.make "test.diff-span") (fun () -> ());
       let base = Obs.Report.stats_json () in
       (* identical documents pass *)
-      (match Audit.Diff.diff ~base ~cur:base () with
+      (match Audit.Diff.diff ~base ~cur:base with
       | Ok d ->
           Alcotest.(check bool) "self diff ok" true d.Audit.Diff.ok;
           Alcotest.(check (list string)) "nothing missing" []
@@ -236,7 +236,7 @@ let test_diff_gating () =
           (fun _ -> J.Int 200)
           base
       in
-      (match Audit.Diff.diff ~base ~cur () with
+      (match Audit.Diff.diff ~base ~cur with
       | Ok d ->
           Alcotest.(check bool) "regression detected" false d.Audit.Diff.ok;
           let item =
@@ -247,15 +247,6 @@ let test_diff_gating () =
           Alcotest.(check bool) "item regressed" true item.Audit.Diff.regressed;
           Alcotest.(check int) "limit" (125 + 16) item.Audit.Diff.limit
       | Error e -> Alcotest.failf "diff errored: %s" e);
-      (* an override can absorb the same regression *)
-      (match
-         Audit.Diff.diff
-           ~overrides:
-             [ ("test.diff-counter", { Audit.Diff.ratio = 3.0; slack = 0 }) ]
-           ~base ~cur ()
-       with
-      | Ok d -> Alcotest.(check bool) "override absorbs" true d.Audit.Diff.ok
-      | Error e -> Alcotest.failf "diff errored: %s" e);
       (* a counter missing from the current document fails the diff *)
       let cur_missing =
         patch [ "counters" ]
@@ -265,7 +256,7 @@ let test_diff_gating () =
             | _ -> Alcotest.fail "counters not an object")
           base
       in
-      (match Audit.Diff.diff ~base ~cur:cur_missing () with
+      (match Audit.Diff.diff ~base ~cur:cur_missing with
       | Ok d ->
           Alcotest.(check bool) "missing counter fails" false d.Audit.Diff.ok;
           Alcotest.(check bool) "reported missing" true
@@ -273,7 +264,7 @@ let test_diff_gating () =
       | Error e -> Alcotest.failf "diff errored: %s" e);
       (* schema mismatch is a hard error *)
       match
-        Audit.Diff.diff ~base ~cur:(J.Obj [ ("schema", J.Str "nope") ]) ()
+        Audit.Diff.diff ~base ~cur:(J.Obj [ ("schema", J.Str "nope") ])
       with
       | Ok _ -> Alcotest.fail "accepted a non-stats document"
       | Error _ -> ())
@@ -312,7 +303,7 @@ let test_diff_v1_baseline () =
          if never registered; register it so the diff is clean *)
       ignore (Obs.Span.make "test.absent-span");
       let cur = Obs.Report.stats_json () in
-      (match Audit.Diff.diff ~base ~cur () with
+      (match Audit.Diff.diff ~base ~cur with
       | Ok d ->
           Alcotest.(check bool) "v1 base vs v3 cur ok" true d.Audit.Diff.ok;
           Alcotest.(check (list string)) "nothing missing" [] d.Audit.Diff.missing
@@ -321,13 +312,13 @@ let test_diff_v1_baseline () =
       let base_low =
         patch [ "counters"; "test.diff-v1-counter" ] (fun _ -> J.Int 10) base
       in
-      (match Audit.Diff.diff ~base:base_low ~cur () with
+      (match Audit.Diff.diff ~base:base_low ~cur with
       | Ok d ->
           Alcotest.(check bool) "regression detected across versions" false
             d.Audit.Diff.ok
       | Error e -> Alcotest.failf "v1/v3 diff errored: %s" e);
       (* the reverse skew — v3 baseline against a v1 document — errors *)
-      match Audit.Diff.diff ~base:cur ~cur:base () with
+      match Audit.Diff.diff ~base:cur ~cur:base with
       | Ok _ -> Alcotest.fail "accepted a newer baseline"
       | Error _ -> ())
 
@@ -370,7 +361,7 @@ let test_diff_v2_baseline () =
             ("histograms", J.Obj []);
           ]
       in
-      (match Audit.Diff.diff ~base ~cur () with
+      (match Audit.Diff.diff ~base ~cur with
       | Ok d ->
           Alcotest.(check bool) "v2 base vs v3 cur ok" true d.Audit.Diff.ok;
           Alcotest.(check (list string)) "nothing missing" [] d.Audit.Diff.missing
@@ -378,12 +369,12 @@ let test_diff_v2_baseline () =
       let base_low =
         patch [ "counters"; "test.diff-v2-counter" ] (fun _ -> J.Int 10) base
       in
-      (match Audit.Diff.diff ~base:base_low ~cur () with
+      (match Audit.Diff.diff ~base:base_low ~cur with
       | Ok d ->
           Alcotest.(check bool) "regression detected across versions" false
             d.Audit.Diff.ok
       | Error e -> Alcotest.failf "v2/v3 diff errored: %s" e);
-      match Audit.Diff.diff ~base:cur ~cur:base () with
+      match Audit.Diff.diff ~base:cur ~cur:base with
       | Ok _ -> Alcotest.fail "accepted a v3 baseline against a v2 document"
       | Error _ -> ())
 
@@ -395,7 +386,7 @@ let test_diff_histogram_gating () =
         Obs.Histogram.observe_int h i
       done;
       let base = Obs.Report.stats_json () in
-      (match Audit.Diff.diff ~base ~cur:base () with
+      (match Audit.Diff.diff ~base ~cur:base with
       | Ok d ->
           Alcotest.(check bool) "self diff ok" true d.Audit.Diff.ok;
           Alcotest.(check bool) "histogram item present" true
@@ -410,7 +401,7 @@ let test_diff_histogram_gating () =
           (fun _ -> J.Int 200)
           base
       in
-      match Audit.Diff.diff ~base ~cur () with
+      match Audit.Diff.diff ~base ~cur with
       | Ok d ->
           Alcotest.(check bool) "histogram regression detected" false
             d.Audit.Diff.ok

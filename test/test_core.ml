@@ -235,13 +235,12 @@ let test_relax_saves_area () =
   let nl = fragmented_ring () in
   let opts = Seqmap.Label_engine.default_options ~k:4 in
   let opts = { opts with Seqmap.Label_engine.resynthesize = true } in
-  let mapped, report, impls = Seqmap.Turbomap.map_full ~options:opts nl ~k:4 in
-  let relaxed_nl, n_relaxed = Turbosyn.Relax.relax nl ~impls ~phi:report.Seqmap.Turbomap.phi in
+  let mapped, phi, impls = Stages.map opts nl in
+  let relaxed_nl, n_relaxed = Turbosyn.Relax.relax nl ~impls ~phi in
   Alcotest.(check bool) "relaxation count sane" true (n_relaxed >= 0);
   (match Netlist.mdr_ratio relaxed_nl with
   | Graphs.Cycle_ratio.Ratio r ->
-      Alcotest.(check bool) "phi preserved" true
-        Rat.(r <= report.Seqmap.Turbomap.phi)
+      Alcotest.(check bool) "phi preserved" true Rat.(r <= phi)
   | Graphs.Cycle_ratio.No_cycle -> ()
   | Graphs.Cycle_ratio.Infinite -> Alcotest.fail "combinational loop");
   Alcotest.(check bool) "not larger than unrelaxed" true
@@ -299,11 +298,9 @@ let test_relax_matches_reference () =
   List.iter
     (fun name ->
       let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
-      let _, report, impls =
-        Seqmap.Turbomap.map_full ~options:opts
-          ?phi_max_den:so.Turbosyn.Synth.phi_max_den nl ~k:5
+      let _, phi, impls =
+        Stages.map ?phi_max_den:so.Turbosyn.Synth.phi_max_den opts nl
       in
-      let phi = report.Seqmap.Turbomap.phi in
       let got, n_got = Turbosyn.Relax.relax nl ~impls ~phi in
       let want, n_want = relax_reference nl ~impls ~phi in
       Alcotest.(check int) (name ^ " relaxed count") n_want n_got;
@@ -331,6 +328,46 @@ let test_ffmin_matches_reference () =
     (List.concat_map
        (fun name -> [ (name, `Turbomap); (name, `Flowsyn_s) ])
        [ "bbara"; "s298"; "s1423" ])
+
+(* [Synth.run] sequences the label-engine stages itself.  Called
+   directly in the same order (search, final labels, mapping generation,
+   relaxation for TurboSYN, area recovery, realization), they must give
+   the same mapping, phi, period and latency. *)
+let test_run_matches_stages () =
+  let o = Turbosyn.Synth.default_options ~k:5 () in
+  List.iter
+    (fun (name, algo) ->
+      let nl = Workloads.Suite.build (Option.get (Workloads.Suite.find name)) in
+      let what = name ^ " " ^ Turbosyn.Synth.algo_name algo in
+      let resynthesize = algo = `Turbosyn in
+      let opts = Turbosyn.Synth.engine_options o ~resynthesize in
+      let mapped, phi, impls =
+        Stages.map ?phi_max_den:o.Turbosyn.Synth.phi_max_den opts nl
+      in
+      let mapped =
+        if resynthesize then fst (Turbosyn.Relax.relax nl ~impls ~phi)
+        else mapped
+      in
+      let mapped = Turbosyn.Area.reduce mapped ~k:5 in
+      let period, latency =
+        match Seqmap.Turbomap.realize_full mapped with
+        | Some (_, p, l, _) -> (p, l)
+        | None -> Alcotest.failf "%s: combinational loop" what
+      in
+      let r = Turbosyn.Synth.run ~options:o algo nl in
+      Alcotest.(check string) (what ^ " BLIF") (Blif.to_string mapped)
+        (Blif.to_string r.Turbosyn.Synth.mapped);
+      Alcotest.(check string) (what ^ " phi") (Rat.to_string phi)
+        (Rat.to_string r.Turbosyn.Synth.phi);
+      Alcotest.(check int) (what ^ " period") period
+        r.Turbosyn.Synth.clock_period;
+      Alcotest.(check int) (what ^ " latency") latency r.Turbosyn.Synth.latency)
+    [
+      ("bbara", `Turbosyn);
+      ("bbara", `Turbomap);
+      ("s298", `Turbosyn);
+      ("s298", `Turbomap);
+    ]
 
 (* FlowSYN-s phi and clock period on every Table-1 row at K = 5.  The
    baseline keeps each register where the source puts it, so how its LUT
@@ -495,6 +532,8 @@ let () =
             test_ffmin_matches_reference;
           Alcotest.test_case "flowsyn-s table 1 at k=5" `Quick
             test_flowsyn_s_table1;
+          Alcotest.test_case "run matches the stage sequence" `Quick
+            test_run_matches_stages;
           Alcotest.test_case "emission" `Quick test_outputs_consumable;
         ] );
       ( "workloads",

@@ -125,16 +125,6 @@ let test_topo_cycle () =
     (Invalid_argument "Topo.sort_exn: graph has a cycle") (fun () ->
       ignore (Topo.sort_exn ~n:3 ~succ))
 
-let test_topo_levels () =
-  let succ = succ_of_list 5 [ (0, 2); (1, 2); (2, 3); (1, 3); (3, 4) ] in
-  let lv = Topo.levels ~n:5 ~succ ~sources:[ 0; 1 ] in
-  Alcotest.(check (array int)) "levels" [| 0; 0; 1; 2; 3 |] lv
-
-let test_topo_levels_unreachable () =
-  let succ = succ_of_list 3 [ (0, 1) ] in
-  let lv = Topo.levels ~n:3 ~succ ~sources:[ 0 ] in
-  Alcotest.(check (array int)) "unreachable is -1" [| 0; 1; -1 |] lv
-
 (* --- Bellman-Ford --- *)
 
 let bf_edges lst =
@@ -368,8 +358,6 @@ let () =
         [
           Alcotest.test_case "dag" `Quick test_topo_dag;
           Alcotest.test_case "cycle" `Quick test_topo_cycle;
-          Alcotest.test_case "levels" `Quick test_topo_levels;
-          Alcotest.test_case "unreachable" `Quick test_topo_levels_unreachable;
         ] );
       ( "bellman-ford",
         [

@@ -814,20 +814,18 @@ let test_flame_timeline_round_trip () =
          consumes it *)
       match
         Obs.Json.of_string (Obs.Json.to_string (chrome_trace slices))
-        |> Result.map Obs.Flame.slices_of_timeline_json
+        |> Result.map Obs.Flame.of_timeline_json
       with
       | Error e | Ok (Error e) ->
           Alcotest.failf "trace does not parse back: %s" e
       | Ok (Ok recovered) ->
-          Alcotest.(check int) "slice count preserved" 2
-            (List.length recovered);
-          let through = Obs.Flame.of_slices recovered in
+          let through = Obs.Flame.to_string recovered in
           Alcotest.(check bool) "both well-formed" true
             (folded_well_formed direct && folded_well_formed through);
           Alcotest.(check (list string))
             "same stacks"
             (List.map fst (Obs.Flame.fold_slices slices))
-            (List.map fst (Obs.Flame.fold_slices recovered)))
+            (List.map fst recovered))
 
 (* A document shaped like the benchmark's trace files: two runs on
    different threads, each with stage events carrying [args.parent] and
@@ -848,17 +846,33 @@ let test_flame_benchmark_trace () =
   match Obs.Json.of_string doc with
   | Error e -> Alcotest.failf "document: %s" e
   | Ok j -> (
-      match Obs.Flame.slices_of_timeline_json j with
+      match Obs.Flame.of_timeline_json j with
       | Error e -> Alcotest.failf "slices: %s" e
-      | Ok slices ->
-          Alcotest.(check int) "X events only" 5 (List.length slices);
-          Alcotest.(check string) "folded text"
+      | Ok folded ->
+          Alcotest.(check string) "folded text, X events only"
             "bbara/turbomap 200\n\
              bbara/turbomap;mapgen 200\n\
              bbara/turbomap;search 600\n\
              dk16/flowsyn-s 200\n\
              dk16/flowsyn-s;area 300\n"
-            (Obs.Flame.of_slices slices))
+            (Obs.Flame.to_string folded))
+
+(* Two clients' requests on two threads, overlapping in time: each is
+   its own root, never nested under the other (the serve benchmark's
+   trace writes one span per request, a thread per client). *)
+let test_flame_trace_threads () =
+  let doc =
+    {|{"traceEvents":[
+       {"name":"miss","ph":"X","ts":0,"dur":1000,"pid":1,"tid":1},
+       {"name":"hit","ph":"X","ts":200,"dur":100,"pid":1,"tid":2},
+       {"name":"hit","ph":"X","ts":500,"dur":100,"pid":1,"tid":1}
+     ]}|}
+  in
+  match Result.map Obs.Flame.of_timeline_json (Obs.Json.of_string doc) with
+  | Error e | Ok (Error e) -> Alcotest.failf "document: %s" e
+  | Ok (Ok folded) ->
+      Alcotest.(check string) "one root per thread, nesting within one"
+        "hit 100\nmiss 900\nmiss;hit 100\n" (Obs.Flame.to_string folded)
 
 (* ring overflow: with parents or children evicted, the fold stays
    well-formed *)
@@ -1349,6 +1363,8 @@ let () =
             test_flame_timeline_round_trip;
           Alcotest.test_case "benchmark trace document" `Quick
             test_flame_benchmark_trace;
+          Alcotest.test_case "trace threads fold as separate roots" `Quick
+            test_flame_trace_threads;
           Alcotest.test_case "ring overflow" `Quick
             test_timeline_overflow_flame;
           Alcotest.test_case "folded well-formed" `Quick

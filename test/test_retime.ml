@@ -173,7 +173,7 @@ let test_pipeline_ring () =
   let nl2 = Retiming.apply nl ~r in
   Alcotest.(check bool) "achieved at most 2" true (Retiming.clock_period nl2 <= 2);
   Alcotest.(check bool) "below bound impossible" true
-    (Pipeline.retime_to_period nl ~period:1 = None)
+    (Pipeline.period_lower_bound nl = `Period 2)
 
 let test_pipeline_comb_loop () =
   let nl = Netlist.create () in

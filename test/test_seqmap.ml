@@ -186,29 +186,28 @@ let check_mapped_against nl k ~resynthesize rng =
   let opts =
     { (Label_engine.default_options ~k) with Label_engine.resynthesize }
   in
-  let mapped, report = Turbomap.map ~options:opts nl ~k in
+  let mapped, phi, _ = Stages.map opts nl in
   (* structure *)
   Alcotest.(check (list string)) "valid" []
     (List.map (Format.asprintf "%a" Netlist.pp_error) (Netlist.validate ~k mapped));
   (* achievability: the mapped circuit's MDR never exceeds phi* *)
-  (match report.Turbomap.mapped_mdr with
+  (match Netlist.mdr_ratio mapped with
   | Graphs.Cycle_ratio.Ratio m ->
       Alcotest.(check bool)
-        (Format.asprintf "mdr %a <= phi %a" Rat.pp m Rat.pp report.Turbomap.phi)
+        (Format.asprintf "mdr %a <= phi %a" Rat.pp m Rat.pp phi)
         true
-        Rat.(m <= report.Turbomap.phi)
+        Rat.(m <= phi)
   | Graphs.Cycle_ratio.No_cycle -> ()
   | Graphs.Cycle_ratio.Infinite -> Alcotest.fail "mapped comb loop");
   (* sequential equivalence from consistent initial states *)
   Alcotest.(check bool) "mapped_equal" true
-    (Sim.Equiv.mapped_equal ~runs:3 ~cycles:32 ~warmup:32 rng nl mapped);
-  report
+    (Sim.Equiv.mapped_equal ~runs:3 ~cycles:32 ~warmup:32 rng nl mapped)
 
 let test_map_random_turbomap () =
   let rng = Rng.create 111 in
   for iter = 1 to 10 do
     let nl = Random_circuit.seq rng ~pis:3 ~gates:10 ~max_arity:3 in
-    let _ = check_mapped_against nl 4 ~resynthesize:false rng in
+    check_mapped_against nl 4 ~resynthesize:false rng;
     ignore iter
   done
 
@@ -216,7 +215,7 @@ let test_map_random_turbosyn () =
   let rng = Rng.create 222 in
   for iter = 1 to 8 do
     let nl = Random_circuit.seq rng ~pis:3 ~gates:10 ~max_arity:3 in
-    let _ = check_mapped_against nl 4 ~resynthesize:true rng in
+    check_mapped_against nl 4 ~resynthesize:true rng;
     ignore iter
   done
 
@@ -1108,12 +1107,12 @@ let test_full_expansion_agrees () =
 
 let test_realize () =
   let nl = pi_loop 3 1 in
-  let mapped, report = Turbomap.map nl ~k:5 in
-  match Turbomap.realize mapped with
+  let mapped, _, _ = Stages.map (Label_engine.default_options ~k:5) nl in
+  match Turbomap.realize_full mapped with
   | None -> Alcotest.fail "no comb loop expected"
-  | Some (final, period, _latency) ->
+  | Some (final, period, _latency, _r) ->
       Alcotest.(check int) "period is ceil(mdr)"
-        (match report.Turbomap.mapped_mdr with
+        (match Netlist.mdr_ratio mapped with
         | Graphs.Cycle_ratio.Ratio r -> max 1 (Rat.ceil r)
         | _ -> 1)
         period;
@@ -1158,7 +1157,7 @@ let test_obs_counters_on_suite () =
 let test_map_preserves_interface () =
   let rng = Rng.create 555 in
   let nl = Random_circuit.seq rng ~pis:4 ~gates:8 ~max_arity:3 in
-  let mapped, _ = Turbomap.map nl ~k:4 in
+  let mapped, _, _ = Stages.map (Label_engine.default_options ~k:4) nl in
   Alcotest.(check (list string)) "pi names"
     (List.map (Netlist.node_name nl) (Netlist.pis nl))
     (List.map (Netlist.node_name mapped) (Netlist.pis mapped));
